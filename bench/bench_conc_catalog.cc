@@ -5,14 +5,16 @@
 // snapshot (no catalog lock at all), so read-only throughput should
 // scale with threads and a concurrent writer should barely dent
 // reader latency; tools/run_bench.sh records the per-thread items/sec
-// curve into BENCH_concurrency.json and gates group commit (>= 5x
-// per-record commit) and snapshot isolation (reads under writes
-// within 20% of the no-writer baseline).
+// curve into BENCH_concurrency.json and gates commit cost (flat in
+// catalog size), group commit (absolute throughput) and snapshot
+// isolation (reads under writes within 20% of the no-writer baseline).
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <map>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -198,6 +200,139 @@ void BM_ApplyBatch_GroupCommit(benchmark::State& state) {
   state.counters["batch_size"] = kBatchSize;
 }
 BENCHMARK(BM_ApplyBatch_GroupCommit);
+
+// ---------------------------------------------------------------------
+// Commit cost vs catalog size. One commit is the writer's whole path:
+// apply, journal, publish the next snapshot generation. With the
+// copy-on-write generations a commit copies only the nodes it touches,
+// so cost(80k datasets) must stay within 2x cost(2.5k) (gated in
+// tools/run_bench.sh). Each iteration times one single Annotate, one
+// single DefineDerivation (new output), and one executor write-back
+// (a 4-op ApplyBatch: derivation, replica, invocation, annotation),
+// then removes what it added, untimed, so the catalog keeps its size.
+// ---------------------------------------------------------------------
+
+/// A catalog of `datasets` annotated datasets plus one derivation per
+/// eight of them, loaded in 1000-op batches.
+VirtualDataCatalog* CommitCostCatalog(size_t datasets) {
+  static std::map<size_t, std::unique_ptr<VirtualDataCatalog>>* cache =
+      new std::map<size_t, std::unique_ptr<VirtualDataCatalog>>();
+  std::unique_ptr<VirtualDataCatalog>& slot = (*cache)[datasets];
+  if (slot != nullptr) return slot.get();
+  slot = std::make_unique<VirtualDataCatalog>("commit-cost");
+  if (!slot->Open().ok()) std::abort();
+  Transformation tr("step", Transformation::Kind::kSimple);
+  FormalArg out;
+  out.name = "out";
+  out.direction = ArgDirection::kOut;
+  FormalArg in;
+  in.name = "in";
+  in.direction = ArgDirection::kIn;
+  if (!tr.AddArg(out).ok() || !tr.AddArg(in).ok()) std::abort();
+  tr.set_executable("/bin/step");
+  if (!slot->DefineTransformation(tr).ok()) std::abort();
+  std::vector<CatalogMutation> batch;
+  auto flush = [&] {
+    if (!slot->ApplyBatch(batch).first_error.ok()) std::abort();
+    batch.clear();
+  };
+  for (size_t i = 0; i < datasets; ++i) {
+    Dataset ds;
+    ds.name = "cc" + std::to_string(i * 7919 % datasets);
+    ds.descriptor = DatasetDescriptor::File("/cc/" + ds.name);
+    ds.annotations.Set("bin", static_cast<int64_t>(i % 32));
+    ds.annotations.Set("tier", i % 3 == 0 ? "gold" : "std");
+    batch.push_back(CatalogMutation::DefineDataset(std::move(ds)));
+    if (batch.size() == 1000) flush();
+  }
+  for (size_t i = 0; i < datasets / 8; ++i) {
+    Derivation dv("ccv" + std::to_string(i), "step");
+    if (!dv.AddArg(ActualArg::DatasetRef("in", "cc" + std::to_string(i),
+                                         ArgDirection::kIn))
+             .ok() ||
+        !dv.AddArg(ActualArg::DatasetRef("out", "cco" + std::to_string(i),
+                                         ArgDirection::kOut))
+             .ok()) {
+      std::abort();
+    }
+    batch.push_back(CatalogMutation::DefineDerivation(std::move(dv)));
+    if (batch.size() == 1000) flush();
+  }
+  if (!batch.empty()) flush();
+  return slot.get();
+}
+
+void BM_CommitCost(benchmark::State& state) {
+  const size_t datasets = static_cast<size_t>(state.range(0));
+  VirtualDataCatalog* catalog = CommitCostCatalog(datasets);
+  using Clock = std::chrono::steady_clock;
+  auto micros = [](Clock::time_point a, Clock::time_point b) {
+    return std::chrono::duration<double, std::micro>(b - a).count();
+  };
+  auto step = [](const std::string& name, const std::string& input,
+                 const std::string& output) {
+    Derivation dv(name, "step");
+    if (!dv.AddArg(ActualArg::DatasetRef("in", input, ArgDirection::kIn))
+             .ok() ||
+        !dv.AddArg(ActualArg::DatasetRef("out", output, ArgDirection::kOut))
+             .ok()) {
+      std::abort();
+    }
+    return dv;
+  };
+  double annotate_us = 0, derive_us = 0, writeback_us = 0;
+  size_t i = 0;
+  for (auto _ : state) {
+    const std::string input = "cc" + std::to_string(i * 104729 % datasets);
+    const std::string n = std::to_string(i++);
+    Replica replica;
+    replica.dataset = "cbo" + n;
+    replica.site = "site-a";
+    Invocation invocation;
+    invocation.derivation = "cbv" + n;
+    std::vector<CatalogMutation> writeback = {
+        CatalogMutation::DefineDerivation(step("cbv" + n, input, "cbo" + n)),
+        CatalogMutation::AddReplica(std::move(replica)),
+        CatalogMutation::RecordInvocation(std::move(invocation), {1}),
+        CatalogMutation::Annotate("dataset", "cbo" + n, "campaign",
+                                  AttributeValue(static_cast<int64_t>(i)))};
+    Derivation single = step("csv" + n, input, "cso" + n);
+
+    const Clock::time_point t0 = Clock::now();
+    if (!catalog->Annotate("dataset", input, "tick",
+                           AttributeValue(static_cast<int64_t>(i)))
+             .ok()) {
+      std::abort();
+    }
+    const Clock::time_point t1 = Clock::now();
+    if (!catalog->DefineDerivation(std::move(single)).ok()) std::abort();
+    const Clock::time_point t2 = Clock::now();
+    if (!catalog->ApplyBatch(writeback).first_error.ok()) std::abort();
+    const Clock::time_point t3 = Clock::now();
+    annotate_us += micros(t0, t1);
+    derive_us += micros(t1, t2);
+    writeback_us += micros(t2, t3);
+    state.SetIterationTime(std::chrono::duration<double>(t3 - t0).count());
+
+    // Untimed: take the additions back out so the size stays put.
+    if (!catalog->RemoveDerivation("csv" + n).ok() ||
+        !catalog->RemoveDataset("cso" + n).ok() ||
+        !catalog->RemoveDerivation("cbv" + n).ok() ||
+        !catalog->RemoveDataset("cbo" + n).ok()) {
+      std::abort();
+    }
+  }
+  const auto per_iteration = benchmark::Counter::kAvgIterations;
+  state.counters["annotate_us"] =
+      benchmark::Counter(annotate_us, per_iteration);
+  state.counters["derive_us"] = benchmark::Counter(derive_us, per_iteration);
+  state.counters["writeback_us"] =
+      benchmark::Counter(writeback_us, per_iteration);
+  state.counters["commit_us"] = benchmark::Counter(
+      (annotate_us + derive_us + writeback_us) / 3, per_iteration);
+  state.counters["datasets"] = static_cast<double>(datasets);
+}
+BENCHMARK(BM_CommitCost)->Arg(2500)->Arg(20000)->Arg(80000)->UseManualTime();
 
 // ---------------------------------------------------------------------
 // Snapshot isolation: query latency while a writer streams batches.

@@ -16,6 +16,15 @@ namespace vdg {
 
 namespace {
 
+/// Calls fn(object) for every row of `table`, in name order.
+template <typename T, typename Fn>
+void ForEachRow(const RowTable<T>& table, Fn&& fn) {
+  table.ScanFrom({}, [&fn](const typename RowTable<T>::Row& row) {
+    fn(*row.object);
+    return true;
+  });
+}
+
 // Removes one (key, value) pair from a multimap index.
 template <typename Map, typename K, typename V>
 void EraseIndexEntry(Map* map, const K& key, const V& value) {
@@ -53,95 +62,91 @@ std::string_view AccessPathName(AccessPath path) {
 }
 
 // ---------------------------------------------------------------------
-// COW posting-list maintenance
+// Next-generation index maintenance
 // ---------------------------------------------------------------------
 
-void VirtualDataCatalog::PostingInsert(PostingList* list, Id id) {
-  auto next = *list == nullptr ? std::make_shared<PostingBlocks>()
-                               : std::make_shared<PostingBlocks>(**list);
-  next->Add(id);
-  *list = std::move(next);
+void VirtualDataCatalog::PostingAdd(PostingSlot* slot, Id id) {
+  MutablePosting(slot, gen_)->Add(id);
 }
 
-void VirtualDataCatalog::PostingErase(PostingList* list, Id id) {
-  if (*list == nullptr) return;
-  auto next = std::make_shared<PostingBlocks>(**list);
-  next->Remove(id);
-  *list = std::move(next);
+void VirtualDataCatalog::PostingRemove(PostingSlot* slot, Id id) {
+  if (slot->list == nullptr || !slot->list->Contains(id)) return;
+  PostingBlocks* list = MutablePosting(slot, gen_);
+  list->Remove(id);
+  if (list->empty()) slot->list = nullptr;
 }
 
-template <typename Map, typename Key>
-void VirtualDataCatalog::IndexPostingInsert(Map* map, const Key& key, Id id,
-                                            bool* dirty) {
-  PostingInsert(&(*map)[key], id);
-  *dirty = true;
+void VirtualDataCatalog::PostingRemove(PostingMap* map, Id key, Id id) {
+  const PostingSlot* slot = map->Find(key);
+  if (slot == nullptr || slot->list == nullptr) return;
+  PostingRemove(&map->Mutable(key, gen_), id);
 }
 
-template <typename Map, typename Key>
-void VirtualDataCatalog::IndexPostingErase(Map* map, const Key& key, Id id,
-                                           bool* dirty) {
-  auto it = map->find(key);
-  if (it == map->end()) return;
-  PostingErase(&it->second, id);
-  if (it->second->empty()) map->erase(it);
-  *dirty = true;
+TypeRegistry& VirtualDataCatalog::MutableTypes() {
+  if (types_gen_ != gen_) {
+    types_ = std::make_shared<TypeRegistry>(*types_);
+    types_gen_ = gen_;
+    next_.types = types_;
+  }
+  return *types_;
 }
 
-void VirtualDataCatalog::IndexDatasetAttributes(const Dataset& dataset,
-                                                Id id) {
+void VirtualDataCatalog::IndexDatasetAttributes(const Dataset& dataset, Id id,
+                                                bool add) {
   for (const auto& [key, value] : dataset.annotations) {
-    IndexPostingInsert(
-        &attr_index_,
-        CatalogSnapshot::AttrKey(symbols_.Intern(key),
-                                 snapshot_internal::TaggedAttrValue(value)),
-        id, &dirty_.attr);
+    const Id key_id = symbols_.Intern(key);
+    const Id value_id =
+        symbols_.Intern(snapshot_internal::TaggedAttrValue(value));
+    if (add) {
+      PostingAdd(&next_.attr_index.Mutable(key_id, gen_), value_id, id);
+      continue;
+    }
+    const PostingMap* values = next_.attr_index.Find(key_id);
+    if (values != nullptr && values->Find(value_id) != nullptr) {
+      PostingRemove(&next_.attr_index.Mutable(key_id, gen_), value_id, id);
+    }
   }
 }
 
-void VirtualDataCatalog::UnindexDatasetAttributes(const Dataset& dataset,
-                                                  Id id) {
-  for (const auto& [key, value] : dataset.annotations) {
-    IndexPostingErase(
-        &attr_index_,
-        CatalogSnapshot::AttrKey(symbols_.Intern(key),
-                                 snapshot_internal::TaggedAttrValue(value)),
-        id, &dirty_.attr);
-  }
-}
-
-void VirtualDataCatalog::IndexDatasetType(const Dataset& dataset, Id id) {
+void VirtualDataCatalog::IndexDatasetType(const Dataset& dataset, Id id,
+                                          bool add) {
   for (int d = 0; d < kNumTypeDimensions; ++d) {
     auto dim = static_cast<TypeDimension>(d);
     const std::string& component = dataset.type.component(dim);
     if (component.empty()) continue;
-    const TypeHierarchy& h = types_.dimension(dim);
+    const TypeHierarchy& h = types_->dimension(dim);
     Result<std::vector<std::string>> ancestry = h.AncestryOf(component);
     if (!ancestry.ok()) continue;  // unvalidated type: not indexable
     for (const std::string& ancestor : *ancestry) {
       if (ancestor == h.base_name()) continue;  // base matches any type
-      IndexPostingInsert(
-          &type_index_,
-          snapshot_internal::PackTypeKey(dim, symbols_.Intern(ancestor)), id,
-          &dirty_.type);
+      const Id type_id = symbols_.Intern(ancestor);
+      if (add) {
+        PostingAdd(&next_.type_index[d], type_id, id);
+      } else {
+        PostingRemove(&next_.type_index[d], type_id, id);
+      }
     }
   }
 }
 
-void VirtualDataCatalog::UnindexDatasetType(const Dataset& dataset, Id id) {
-  for (int d = 0; d < kNumTypeDimensions; ++d) {
-    auto dim = static_cast<TypeDimension>(d);
-    const std::string& component = dataset.type.component(dim);
-    if (component.empty()) continue;
-    const TypeHierarchy& h = types_.dimension(dim);
-    Result<std::vector<std::string>> ancestry = h.AncestryOf(component);
-    if (!ancestry.ok()) continue;
-    for (const std::string& ancestor : *ancestry) {
-      if (ancestor == h.base_name()) continue;
-      IndexPostingErase(
-          &type_index_,
-          snapshot_internal::PackTypeKey(dim, symbols_.Intern(ancestor)), id,
-          &dirty_.type);
+void VirtualDataCatalog::IndexDerivation(const Derivation& derivation, Id id,
+                                         bool add) {
+  auto edit = [&](PostingMap* map, std::string_view key) {
+    if (add) {
+      PostingAdd(map, symbols_.Intern(key), id);
+    } else {
+      PostingRemove(map, symbols_.Intern(key), id);
     }
+  };
+  edit(&next_.by_transformation, derivation.QualifiedTransformation());
+  if (derivation.QualifiedTransformation() != derivation.transformation()) {
+    edit(&next_.by_bare_transformation, derivation.transformation());
+  }
+  for (const std::string& input : derivation.InputDatasets()) {
+    edit(&next_.consumers, input);
+  }
+  for (const std::string& output : derivation.OutputDatasets()) {
+    edit(&next_.producers, output);
   }
 }
 
@@ -151,14 +156,12 @@ void VirtualDataCatalog::NoteReplicaState(const Replica* before,
     auto it = valid_replicas_by_dataset_.find(before->dataset);
     if (it != valid_replicas_by_dataset_.end() && --it->second == 0) {
       valid_replicas_by_dataset_.erase(it);
-      PostingErase(&materialized_, symbols_.Intern(before->dataset));
-      dirty_.materialized = true;
+      PostingRemove(&next_.materialized, symbols_.Intern(before->dataset));
     }
   }
   if (after != nullptr && after->valid) {
     if (++valid_replicas_by_dataset_[after->dataset] == 1) {
-      PostingInsert(&materialized_, symbols_.Intern(after->dataset));
-      dirty_.materialized = true;
+      PostingAdd(&next_.materialized, symbols_.Intern(after->dataset));
     }
   }
 }
@@ -178,9 +181,9 @@ void VirtualDataCatalog::BumpVersion(char op, std::string_view kind,
     ++version_seq_;
     batch_bumped_ = true;
   }
-  changelog_.push_back(std::make_shared<const CatalogChange>(CatalogChange{
-      version_seq_, op, std::string(kind), std::string(name)}));
-  dirty_.changelog = true;
+  next_.changelog.PushBack(
+      CatalogChange{version_seq_, op, std::string(kind), std::string(name)},
+      gen_);
   if (!in_batch_) TrimChangelogLocked();
 }
 
@@ -188,12 +191,12 @@ void VirtualDataCatalog::TrimChangelogLocked() {
   // Evict whole version groups so a batch's entries never split; an
   // oversized batch empties the window entirely, which ChangesSince
   // reports as ResourceExhausted (the rescan fallback).
-  while (changelog_.size() > changelog_capacity_) {
-    uint64_t v = changelog_.front()->version;
+  ChangeWindow<CatalogChange>& log = next_.changelog;
+  while (log.size() > changelog_capacity_) {
+    const uint64_t v = log.front().version;
     do {
-      changelog_.pop_front();
-    } while (!changelog_.empty() && changelog_.front()->version == v);
-    dirty_.changelog = true;
+      log.PopFront(gen_);
+    } while (!log.empty() && log.front().version == v);
   }
 }
 
@@ -213,110 +216,22 @@ uint64_t VirtualDataCatalog::changelog_floor() const {
   return View().changelog_floor();
 }
 
-template <typename T>
-std::shared_ptr<const CatalogSnapshot::Rows<T>> VirtualDataCatalog::BuildRows(
-    const ObjMap<T>& map,
-    std::shared_ptr<const std::vector<uint32_t>>* row_of_id) const {
-  auto rows = std::make_shared<CatalogSnapshot::Rows<T>>();
-  rows->reserve(map.size());
-  // Map iteration is name order, which is exactly Rows' sort order.
-  for (const auto& [name, entry] : map) {
-    (void)name;
-    rows->push_back(CatalogSnapshot::Row<T>{symbols_.NameOf(entry.id),
-                                            entry.id, entry.object});
-  }
-  if (row_of_id != nullptr) {
-    // Inverse map: id -> row index, sized to the symbol universe. Built
-    // together with the rows so the pair is always mutually consistent.
-    auto inverse =
-        std::make_shared<std::vector<uint32_t>>(symbols_.size(),
-                                                CatalogSnapshot::kNoRow);
-    for (size_t i = 0; i < rows->size(); ++i) {
-      (*inverse)[(*rows)[i].id] = static_cast<uint32_t>(i);
-    }
-    *row_of_id = std::move(inverse);
-  }
-  return rows;
-}
-
 void VirtualDataCatalog::PublishSnapshotLocked() {
-  std::shared_ptr<const CatalogSnapshot> prev;
-  {
-    std::lock_guard<std::mutex> slot(snapshot_mu_);
-    prev = snapshot_;
-  }
-  if (prev != nullptr && prev->version == version_seq_ && !dirty_.any() &&
-      !symbols_.dirty()) {
-    return;  // nothing to publish
-  }
-  auto next = std::make_shared<CatalogSnapshot>();
-  next->version = version_seq_;
-  next->symbols = symbols_.Publish();
-  bool fresh = prev == nullptr;
-  next->types = (fresh || dirty_.types_registry)
-                    ? std::make_shared<const TypeRegistry>(types_)
-                    : prev->types;
-  if (fresh || dirty_.datasets) {
-    next->datasets = BuildRows(datasets_, &next->dataset_row_of_id);
-  } else {
-    next->datasets = prev->datasets;
-    next->dataset_row_of_id = prev->dataset_row_of_id;
-  }
-  next->transformations = (fresh || dirty_.transformations)
-                              ? BuildRows(transformations_, nullptr)
-                              : prev->transformations;
-  if (fresh || dirty_.derivations) {
-    next->derivations = BuildRows(derivations_, &next->derivation_row_of_id);
-  } else {
-    next->derivations = prev->derivations;
-    next->derivation_row_of_id = prev->derivation_row_of_id;
-  }
-  next->attr_index =
-      (fresh || dirty_.attr)
-          ? std::make_shared<
-                const std::map<CatalogSnapshot::AttrKey, PostingList>>(
-                attr_index_)
-          : prev->attr_index;
-  next->type_index =
-      (fresh || dirty_.type)
-          ? std::make_shared<const std::map<uint64_t, PostingList>>(
-                type_index_)
-          : prev->type_index;
-  next->consumers =
-      (fresh || dirty_.consumers)
-          ? std::make_shared<const std::map<Id, PostingList>>(consumers_)
-          : prev->consumers;
-  next->producers =
-      (fresh || dirty_.producers)
-          ? std::make_shared<const std::map<Id, PostingList>>(producers_)
-          : prev->producers;
-  next->by_transformation =
-      (fresh || dirty_.by_transformation)
-          ? std::make_shared<const std::map<Id, PostingList>>(
-                by_transformation_)
-          : prev->by_transformation;
-  next->by_bare_transformation =
-      (fresh || dirty_.by_bare)
-          ? std::make_shared<const std::map<Id, PostingList>>(
-                by_bare_transformation_)
-          : prev->by_bare_transformation;
-  next->materialized = materialized_;
-  if (fresh || dirty_.changelog) {
-    auto log = std::make_shared<
-        std::vector<std::shared_ptr<const CatalogChange>>>();
-    log->assign(changelog_.begin(), changelog_.end());
-    next->changelog = std::move(log);
-  } else {
-    next->changelog = prev->changelog;
-  }
-  dirty_ = Dirty{};
+  next_.version = version_seq_;
+  next_.symbols = symbols_.Publish();
+  auto published = std::make_shared<const CatalogSnapshot>(next_);
+  // Everything the new snapshot reaches is frozen from here on: the
+  // next edit of any node path-copies it.
+  ++gen_;
   // The snapshot pointer first, the polled version last: a version()
   // observation always has its snapshot visible.
   {
     std::lock_guard<std::mutex> slot(snapshot_mu_);
-    snapshot_ = std::move(next);
+    snapshot_.swap(published);
   }
   version_.store(version_seq_, std::memory_order_release);
+  // `published` now holds the previous snapshot; dropping it here (not
+  // under the slot mutex) frees whatever it alone kept alive.
 }
 
 Status VirtualDataCatalog::CommitLocked(Status op_status) {
@@ -382,7 +297,8 @@ VirtualDataCatalog::VirtualDataCatalog(
     std::string name, std::unique_ptr<CatalogJournal> journal)
     : name_(std::move(name)),
       journal_(journal ? std::move(journal) : std::make_unique<NullJournal>()),
-      materialized_(std::make_shared<const PostingBlocks>()) {
+      types_(std::make_shared<TypeRegistry>()) {
+  next_.types = types_;
   // Publish the empty version-0 snapshot so View() never sees null.
   PublishSnapshotLocked();
 }
@@ -424,8 +340,8 @@ Status VirtualDataCatalog::Journal(const std::string& record) {
 
 const DatasetType* VirtualDataCatalog::LookupDatasetType(
     std::string_view name) const {
-  auto it = datasets_.find(name);
-  return it == datasets_.end() ? nullptr : &it->second.object->type;
+  const auto* row = RowOf(next_.datasets, name);
+  return row == nullptr ? nullptr : &row->object->type;
 }
 
 // ---------------------------------------------------------------------
@@ -442,11 +358,10 @@ Status VirtualDataCatalog::DefineType(TypeDimension dim,
 Status VirtualDataCatalog::DefineTypeLocked(TypeDimension dim,
                                             std::string_view type_name,
                                             std::string_view parent) {
-  Status defined = types_.Define(dim, type_name, parent);
+  Status defined = MutableTypes().Define(dim, type_name, parent);
   if (defined.IsAlreadyExists() && replaying_) return Status::OK();
   VDG_RETURN_IF_ERROR(defined);
   symbols_.Intern(type_name);
-  dirty_.types_registry = true;
   BumpVersion('U', "type", type_name);
   return Journal(codec::JoinRecord(
       {"TY", std::to_string(static_cast<int>(dim)), std::string(type_name),
@@ -480,7 +395,7 @@ Status VirtualDataCatalog::LoadTypePreset() {
         result = parent.status();
         break;
       }
-      if (types_.dimension(dim).Contains(name)) continue;  // idempotent
+      if (types_->dimension(dim).Contains(name)) continue;  // idempotent
       result = DefineTypeLocked(dim, name, *parent);
       if (!result.ok()) break;
     }
@@ -498,28 +413,24 @@ Status VirtualDataCatalog::DefineDataset(Dataset dataset) {
 
 Status VirtualDataCatalog::DefineDatasetLocked(Dataset dataset) {
   VDG_RETURN_IF_ERROR(dataset.Validate());
-  VDG_RETURN_IF_ERROR(types_.Validate(dataset.type));
-  auto it = datasets_.find(dataset.name);
-  if (it != datasets_.end()) {
+  VDG_RETURN_IF_ERROR(types_->Validate(dataset.type));
+  if (const auto* existing = RowOf(next_.datasets, dataset.name)) {
     if (!replaying_) {
       return Status::AlreadyExists("dataset already defined: " +
                                    dataset.name);
     }
     // Replay upsert: drop the superseded object's index entries.
-    UnindexDatasetAttributes(*it->second.object, it->second.id);
-    UnindexDatasetType(*it->second.object, it->second.id);
+    IndexDatasetAttributes(*existing->object, existing->id, false);
+    IndexDatasetType(*existing->object, existing->id, false);
   }
   VDG_RETURN_IF_ERROR(Journal(codec::EncodeDataset(dataset)));
   Id id = symbols_.Intern(dataset.name);
-  IndexDatasetAttributes(dataset, id);
-  IndexDatasetType(dataset, id);
+  IndexDatasetAttributes(dataset, id, true);
+  IndexDatasetType(dataset, id, true);
   BumpVersion('U', "dataset", dataset.name);
-  dirty_.datasets = true;
-  std::string name = dataset.name;
-  datasets_.insert_or_assign(
-      std::move(name),
-      ObjEntry<Dataset>{id, std::make_shared<const Dataset>(
-                                std::move(dataset))});
+  next_.datasets.Put(id, symbols_.NameOf(id),
+                     std::make_shared<const Dataset>(std::move(dataset)),
+                     gen_);
   return Status::OK();
 }
 
@@ -533,23 +444,20 @@ Status VirtualDataCatalog::DefineTransformationLocked(
   VDG_RETURN_IF_ERROR(transformation.Validate());
   for (const FormalArg& arg : transformation.args()) {
     for (const DatasetType& type : arg.types) {
-      VDG_RETURN_IF_ERROR(types_.Validate(type));
+      VDG_RETURN_IF_ERROR(types_->Validate(type));
     }
   }
-  auto it = transformations_.find(transformation.name());
-  if (it != transformations_.end() && !replaying_) {
+  if (RowOf(next_.transformations, transformation.name()) != nullptr &&
+      !replaying_) {
     return Status::AlreadyExists("transformation already defined: " +
                                  transformation.name());
   }
   VDG_RETURN_IF_ERROR(Journal(codec::EncodeTransformation(transformation)));
   Id id = symbols_.Intern(transformation.name());
   BumpVersion('U', "transformation", transformation.name());
-  dirty_.transformations = true;
-  std::string name = transformation.name();
-  transformations_.insert_or_assign(
-      std::move(name),
-      ObjEntry<Transformation>{id, std::make_shared<const Transformation>(
-                                       std::move(transformation))});
+  next_.transformations.Put(
+      id, symbols_.NameOf(id),
+      std::make_shared<const Transformation>(std::move(transformation)), gen_);
   return Status::OK();
 }
 
@@ -560,7 +468,7 @@ Status VirtualDataCatalog::DefineDerivation(Derivation derivation) {
 
 Status VirtualDataCatalog::DefineDerivationLocked(Derivation derivation) {
   VDG_RETURN_IF_ERROR(derivation.Validate());
-  if (derivations_.count(derivation.name()) != 0 && !replaying_) {
+  if (RowOf(next_.derivations, derivation.name()) != nullptr && !replaying_) {
     return Status::AlreadyExists("derivation already defined: " +
                                  derivation.name());
   }
@@ -569,17 +477,17 @@ Status VirtualDataCatalog::DefineDerivationLocked(Derivation derivation) {
   const std::string& tr_name = derivation.transformation();
   const Transformation* tr = nullptr;
   if (!IsVdpUri(tr_name)) {
-    auto it = transformations_.find(tr_name);
-    if (it == transformations_.end()) {
+    const auto* tr_row = RowOf(next_.transformations, tr_name);
+    if (tr_row == nullptr) {
       return Status::NotFound("derivation " + derivation.name() +
                               " references unknown transformation " +
                               tr_name);
     }
-    tr = it->second.object.get();
+    tr = tr_row->object.get();
     ValidationPolicy policy;
     policy.allow_external_inputs = partition_mode_;
     VDG_RETURN_IF_ERROR(ValidateDerivationAgainst(
-        derivation, *tr, types_,
+        derivation, *tr, *types_,
         [this](std::string_view ds) { return LookupDatasetType(ds); },
         policy));
   }
@@ -592,8 +500,8 @@ Status VirtualDataCatalog::DefineDerivationLocked(Derivation derivation) {
   for (const ActualArg& arg : derivation.args()) {
     if (!arg.is_dataset() || !DirectionWrites(*arg.direction)) continue;
     if (IsVdpUri(*arg.dataset)) continue;  // lives in another catalog
-    auto existing = datasets_.find(*arg.dataset);
-    if (existing == datasets_.end()) {
+    const auto* existing = RowOf(next_.datasets, *arg.dataset);
+    if (existing == nullptr) {
       if (partition_mode_) continue;
       Dataset out;
       out.name = *arg.dataset;
@@ -606,25 +514,25 @@ Status VirtualDataCatalog::DefineDerivationLocked(Derivation derivation) {
       }
       out.descriptor = DatasetDescriptor::File(out.name);
       VDG_RETURN_IF_ERROR(DefineDatasetLocked(std::move(out)));
-    } else if (existing->second.object->producer.empty()) {
-      Dataset updated = *existing->second.object;
+    } else if (existing->object->producer.empty()) {
+      Dataset updated = *existing->object;
       updated.producer = derivation.name();
       VDG_RETURN_IF_ERROR(Journal(codec::EncodeDataset(updated)));
-      existing->second.object =
-          std::make_shared<const Dataset>(std::move(updated));
-      dirty_.datasets = true;
-    } else if (existing->second.object->producer != derivation.name() &&
+      next_.datasets.Put(existing->id, existing->name,
+                         std::make_shared<const Dataset>(std::move(updated)),
+                         gen_);
+    } else if (existing->object->producer != derivation.name() &&
                !replaying_) {
       // A compound derivation's expansion children (named
       // "<parent>.cK" by the planner) legitimately re-produce the
       // parent's outputs; the parent remains the recorded producer.
       bool expansion_child = StartsWith(
-          derivation.name(), existing->second.object->producer + ".");
+          derivation.name(), existing->object->producer + ".");
       if (!expansion_child) {
         return Status::AlreadyExists(
             "dataset " + *arg.dataset +
             " is already produced by derivation " +
-            existing->second.object->producer +
+            existing->object->producer +
             " (a dataset has exactly one producing recipe)");
       }
     }
@@ -636,29 +544,11 @@ Status VirtualDataCatalog::DefineDerivationLocked(Derivation derivation) {
   Id dv_id = symbols_.Intern(derivation.name());
   derivations_by_signature_.emplace(derivation.Signature(),
                                     derivation.name());
-  IndexPostingInsert(&by_transformation_,
-                     symbols_.Intern(derivation.QualifiedTransformation()),
-                     dv_id, &dirty_.by_transformation);
-  if (derivation.QualifiedTransformation() != derivation.transformation()) {
-    IndexPostingInsert(&by_bare_transformation_,
-                       symbols_.Intern(derivation.transformation()), dv_id,
-                       &dirty_.by_bare);
-  }
-  for (const std::string& input : derivation.InputDatasets()) {
-    IndexPostingInsert(&consumers_, symbols_.Intern(input), dv_id,
-                       &dirty_.consumers);
-  }
-  for (const std::string& output : derivation.OutputDatasets()) {
-    IndexPostingInsert(&producers_, symbols_.Intern(output), dv_id,
-                       &dirty_.producers);
-  }
+  IndexDerivation(derivation, dv_id, true);
   BumpVersion('U', "derivation", derivation.name());
-  dirty_.derivations = true;
-  std::string name = derivation.name();
-  derivations_.insert_or_assign(
-      std::move(name),
-      ObjEntry<Derivation>{dv_id, std::make_shared<const Derivation>(
-                                      std::move(derivation))});
+  next_.derivations.Put(
+      dv_id, symbols_.NameOf(dv_id),
+      std::make_shared<const Derivation>(std::move(derivation)), gen_);
   return Status::OK();
 }
 
@@ -678,7 +568,7 @@ Result<std::string> VirtualDataCatalog::AddReplicaLocked(Replica replica) {
     }
   }
   VDG_RETURN_IF_ERROR(replica.Validate());
-  if (datasets_.find(replica.dataset) == datasets_.end()) {
+  if (RowOf(next_.datasets, replica.dataset) == nullptr) {
     return Status::NotFound("replica " + replica.id +
                             " references unknown dataset " + replica.dataset);
   }
@@ -720,7 +610,7 @@ Result<std::string> VirtualDataCatalog::RecordInvocationLocked(
   // may legitimately be orphans (their derivation was removed later,
   // but the execution history is retained as the audit record).
   if (!replaying_ &&
-      derivations_.find(invocation.derivation) == derivations_.end()) {
+      RowOf(next_.derivations, invocation.derivation) == nullptr) {
     return Status::NotFound("invocation " + invocation.id +
                             " references unknown derivation " +
                             invocation.derivation);
@@ -932,46 +822,50 @@ Status VirtualDataCatalog::AnnotateLocked(std::string_view kind,
                                           std::string_view key,
                                           AttributeValue value) {
   if (kind == "dataset") {
-    auto it = datasets_.find(name);
-    if (it == datasets_.end()) {
+    const auto* row = RowOf(next_.datasets, name);
+    if (row == nullptr) {
       return Status::NotFound("dataset not found: " + std::string(name));
     }
-    UnindexDatasetAttributes(*it->second.object, it->second.id);
-    Dataset updated = *it->second.object;
+    const Id id = row->id;
+    const std::string_view stored = row->name;
+    IndexDatasetAttributes(*row->object, id, false);
+    Dataset updated = *row->object;
     updated.annotations.Set(key, std::move(value));
-    IndexDatasetAttributes(updated, it->second.id);
+    IndexDatasetAttributes(updated, id, true);
     BumpVersion('U', "dataset", name);
-    dirty_.datasets = true;
     Status journaled = Journal(codec::EncodeDataset(updated));
-    it->second.object = std::make_shared<const Dataset>(std::move(updated));
+    next_.datasets.Put(id, stored,
+                       std::make_shared<const Dataset>(std::move(updated)),
+                       gen_);
     return journaled;
   }
   if (kind == "transformation") {
-    auto it = transformations_.find(name);
-    if (it == transformations_.end()) {
+    const auto* row = RowOf(next_.transformations, name);
+    if (row == nullptr) {
       return Status::NotFound("transformation not found: " +
                               std::string(name));
     }
-    Transformation updated = *it->second.object;
+    Transformation updated = *row->object;
     updated.annotations().Set(key, std::move(value));
     BumpVersion('U', "transformation", name);
-    dirty_.transformations = true;
     Status journaled = Journal(codec::EncodeTransformation(updated));
-    it->second.object =
-        std::make_shared<const Transformation>(std::move(updated));
+    next_.transformations.Put(
+        row->id, row->name,
+        std::make_shared<const Transformation>(std::move(updated)), gen_);
     return journaled;
   }
   if (kind == "derivation") {
-    auto it = derivations_.find(name);
-    if (it == derivations_.end()) {
+    const auto* row = RowOf(next_.derivations, name);
+    if (row == nullptr) {
       return Status::NotFound("derivation not found: " + std::string(name));
     }
-    Derivation updated = *it->second.object;
+    Derivation updated = *row->object;
     updated.annotations().Set(key, std::move(value));
     BumpVersion('U', "derivation", name);
-    dirty_.derivations = true;
     Status journaled = Journal(codec::EncodeDerivation(updated));
-    it->second.object = std::make_shared<const Derivation>(std::move(updated));
+    next_.derivations.Put(
+        row->id, row->name,
+        std::make_shared<const Derivation>(std::move(updated)), gen_);
     return journaled;
   }
   if (kind == "replica") {
@@ -1003,19 +897,20 @@ Status VirtualDataCatalog::SetDatasetSize(std::string_view name,
 
 Status VirtualDataCatalog::SetDatasetSizeLocked(std::string_view name,
                                                 int64_t size_bytes) {
-  auto it = datasets_.find(name);
-  if (it == datasets_.end()) {
+  const auto* row = RowOf(next_.datasets, name);
+  if (row == nullptr) {
     return Status::NotFound("dataset not found: " + std::string(name));
   }
   if (size_bytes < 0) {
     return Status::InvalidArgument("negative dataset size");
   }
-  Dataset updated = *it->second.object;
+  Dataset updated = *row->object;
   updated.size_bytes = size_bytes;
   BumpVersion('U', "dataset", name);
-  dirty_.datasets = true;
   Status journaled = Journal(codec::EncodeDataset(updated));
-  it->second.object = std::make_shared<const Dataset>(std::move(updated));
+  next_.datasets.Put(row->id, row->name,
+                     std::make_shared<const Dataset>(std::move(updated)),
+                     gen_);
   return journaled;
 }
 
@@ -1043,10 +938,11 @@ Status VirtualDataCatalog::RemoveDataset(std::string_view name) {
 }
 
 Status VirtualDataCatalog::RemoveDatasetLocked(std::string_view name) {
-  auto it = datasets_.find(name);
-  if (it == datasets_.end()) {
+  const auto* row = RowOf(next_.datasets, name);
+  if (row == nullptr) {
     return Status::NotFound("dataset not found: " + std::string(name));
   }
+  const Id id = row->id;
   // Cascade to its replicas.
   std::vector<std::string> replica_ids;
   auto [lo, hi] = replicas_by_dataset_.equal_range(name);
@@ -1055,17 +951,16 @@ Status VirtualDataCatalog::RemoveDatasetLocked(std::string_view name) {
     VDG_RETURN_IF_ERROR(RemoveReplicaLocked(id));
   }
   VDG_RETURN_IF_ERROR(Journal(codec::EncodeRemoval('S', name)));
-  UnindexDatasetAttributes(*it->second.object, it->second.id);
-  UnindexDatasetType(*it->second.object, it->second.id);
+  row = next_.datasets.Find(id);  // re-resolve after the cascade
+  IndexDatasetAttributes(*row->object, id, false);
+  IndexDatasetType(*row->object, id, false);
   auto vit = valid_replicas_by_dataset_.find(name);
   if (vit != valid_replicas_by_dataset_.end()) {
     valid_replicas_by_dataset_.erase(vit);
-    PostingErase(&materialized_, it->second.id);
-    dirty_.materialized = true;
+    PostingRemove(&next_.materialized, id);
   }
   BumpVersion('D', "dataset", name);
-  dirty_.datasets = true;
-  datasets_.erase(it);
+  next_.datasets.Erase(id, gen_);
   return Status::OK();
 }
 
@@ -1075,21 +970,20 @@ Status VirtualDataCatalog::RemoveTransformation(std::string_view name) {
 }
 
 Status VirtualDataCatalog::RemoveTransformationLocked(std::string_view name) {
-  auto it = transformations_.find(name);
-  if (it == transformations_.end()) {
+  const auto* row = RowOf(next_.transformations, name);
+  if (row == nullptr) {
     return Status::NotFound("transformation not found: " + std::string(name));
   }
-  Id tr_id = symbols_.Find(name);
-  if (tr_id != SymbolTable::kNoSymbol &&
-      by_transformation_.count(tr_id) != 0) {
+  const Id tr_id = row->id;
+  const PostingSlot* users = next_.by_transformation.Find(tr_id);
+  if (users != nullptr && !users->empty()) {
     return Status::FailedPrecondition(
         "transformation " + std::string(name) +
         " is referenced by derivations and cannot be removed");
   }
   VDG_RETURN_IF_ERROR(Journal(codec::EncodeRemoval('T', name)));
   BumpVersion('D', "transformation", name);
-  dirty_.transformations = true;
-  transformations_.erase(it);
+  next_.transformations.Erase(tr_id, gen_);
   return Status::OK();
 }
 
@@ -1099,45 +993,31 @@ Status VirtualDataCatalog::RemoveDerivation(std::string_view name) {
 }
 
 Status VirtualDataCatalog::RemoveDerivationLocked(std::string_view name) {
-  auto it = derivations_.find(name);
-  if (it == derivations_.end()) {
+  const auto* row = RowOf(next_.derivations, name);
+  if (row == nullptr) {
     return Status::NotFound("derivation not found: " + std::string(name));
   }
-  const Derivation& dv = *it->second.object;
-  Id dv_id = it->second.id;
-  EraseIndexEntry(&derivations_by_signature_, dv.Signature(),
+  // Keep the object alive across the row's removal below.
+  const std::shared_ptr<const Derivation> dv = row->object;
+  const Id dv_id = row->id;
+  EraseIndexEntry(&derivations_by_signature_, dv->Signature(),
                   std::string(name));
-  IndexPostingErase(&by_transformation_,
-                    symbols_.Intern(dv.QualifiedTransformation()), dv_id,
-                    &dirty_.by_transformation);
-  if (dv.QualifiedTransformation() != dv.transformation()) {
-    IndexPostingErase(&by_bare_transformation_,
-                      symbols_.Intern(dv.transformation()), dv_id,
-                      &dirty_.by_bare);
-  }
-  for (const std::string& input : dv.InputDatasets()) {
-    IndexPostingErase(&consumers_, symbols_.Intern(input), dv_id,
-                      &dirty_.consumers);
-  }
-  for (const std::string& output : dv.OutputDatasets()) {
-    IndexPostingErase(&producers_, symbols_.Intern(output), dv_id,
-                      &dirty_.producers);
-  }
+  IndexDerivation(*dv, dv_id, false);
   // Outputs lose their producer but remain defined.
-  for (const std::string& output : dv.OutputDatasets()) {
-    auto ds = datasets_.find(output);
-    if (ds != datasets_.end() && ds->second.object->producer == name) {
-      Dataset updated = *ds->second.object;
+  for (const std::string& output : dv->OutputDatasets()) {
+    const auto* ds = RowOf(next_.datasets, output);
+    if (ds != nullptr && ds->object->producer == name) {
+      Dataset updated = *ds->object;
       updated.producer.clear();
       VDG_RETURN_IF_ERROR(Journal(codec::EncodeDataset(updated)));
-      ds->second.object = std::make_shared<const Dataset>(std::move(updated));
-      dirty_.datasets = true;
+      next_.datasets.Put(ds->id, ds->name,
+                         std::make_shared<const Dataset>(std::move(updated)),
+                         gen_);
     }
   }
   VDG_RETURN_IF_ERROR(Journal(codec::EncodeRemoval('D', name)));
   BumpVersion('D', "derivation", name);
-  dirty_.derivations = true;
-  derivations_.erase(it);
+  next_.derivations.Erase(dv_id, gen_);
   return Status::OK();
 }
 
@@ -1255,9 +1135,8 @@ Result<std::string> VirtualDataCatalog::FindEquivalentDerivationLocked(
   std::string want = derivation.SignatureText();
   auto [lo, hi] = derivations_by_signature_.equal_range(derivation.Signature());
   for (auto it = lo; it != hi; ++it) {
-    auto dv = derivations_.find(it->second);
-    if (dv != derivations_.end() &&
-        dv->second.object->SignatureText() == want) {
+    const auto* dv = RowOf(next_.derivations, it->second);
+    if (dv != nullptr && dv->object->SignatureText() == want) {
       return it->second;
     }
   }
@@ -1268,9 +1147,9 @@ bool VirtualDataCatalog::HasBeenComputed(const Derivation& derivation) const {
   std::shared_lock lock(mu_);
   Result<std::string> existing = FindEquivalentDerivationLocked(derivation);
   if (!existing.ok()) return false;
-  auto dv = derivations_.find(*existing);
-  if (dv == derivations_.end()) return false;
-  std::vector<std::string> outputs = dv->second.object->OutputDatasets();
+  const auto* dv = RowOf(next_.derivations, *existing);
+  if (dv == nullptr) return false;
+  std::vector<std::string> outputs = dv->object->OutputDatasets();
   if (outputs.empty()) return false;
   for (const std::string& output : outputs) {
     if (!IsMaterializedLocked(output)) return false;
@@ -1316,9 +1195,9 @@ std::vector<std::string> VirtualDataCatalog::AllInvocationIds() const {
 CatalogStats VirtualDataCatalog::Stats() const {
   std::shared_lock lock(mu_);
   CatalogStats stats;
-  stats.datasets = datasets_.size();
-  stats.transformations = transformations_.size();
-  stats.derivations = derivations_.size();
+  stats.datasets = next_.datasets.size();
+  stats.transformations = next_.transformations.size();
+  stats.derivations = next_.derivations.size();
   stats.replicas = replicas_.size();
   stats.invocations = invocations_.size();
   return stats;
@@ -1335,7 +1214,7 @@ std::vector<std::string> VirtualDataCatalog::CurrentStateRecordsLocked()
   // Types, parents before children (sorted by depth per dimension).
   for (int d = 0; d < kNumTypeDimensions; ++d) {
     auto dim = static_cast<TypeDimension>(d);
-    const TypeHierarchy& h = types_.dimension(dim);
+    const TypeHierarchy& h = types_->dimension(dim);
     std::vector<std::pair<int, std::string>> by_depth;
     for (std::string_view name : h.AllTypes()) {
       Result<int> depth = h.DepthOf(name);
@@ -1350,18 +1229,15 @@ std::vector<std::string> VirtualDataCatalog::CurrentStateRecordsLocked()
            parent.ok() ? *parent : std::string(h.base_name())}));
     }
   }
-  for (const auto& [name, ds] : datasets_) {
-    (void)name;
-    records.push_back(codec::EncodeDataset(*ds.object));
-  }
-  for (const auto& [name, tr] : transformations_) {
-    (void)name;
-    records.push_back(codec::EncodeTransformation(*tr.object));
-  }
-  for (const auto& [name, dv] : derivations_) {
-    (void)name;
-    records.push_back(codec::EncodeDerivation(*dv.object));
-  }
+  ForEachRow(next_.datasets, [&records](const Dataset& ds) {
+    records.push_back(codec::EncodeDataset(ds));
+  });
+  ForEachRow(next_.transformations, [&records](const Transformation& tr) {
+    records.push_back(codec::EncodeTransformation(tr));
+  });
+  ForEachRow(next_.derivations, [&records](const Derivation& dv) {
+    records.push_back(codec::EncodeDerivation(dv));
+  });
   for (const auto& [id, replica] : replicas_) {
     (void)id;
     records.push_back(codec::EncodeReplica(replica));
@@ -1390,18 +1266,15 @@ VdlProgram VirtualDataCatalog::ExportProgram() const {
 
 VdlProgram VirtualDataCatalog::ExportProgramLocked() const {
   VdlProgram program;
-  for (const auto& [name, ds] : datasets_) {
-    (void)name;
-    program.datasets.push_back(*ds.object);
-  }
-  for (const auto& [name, tr] : transformations_) {
-    (void)name;
-    program.transformations.push_back(*tr.object);
-  }
-  for (const auto& [name, dv] : derivations_) {
-    (void)name;
-    program.derivations.push_back(*dv.object);
-  }
+  ForEachRow(next_.datasets, [&program](const Dataset& ds) {
+    program.datasets.push_back(ds);
+  });
+  ForEachRow(next_.transformations, [&program](const Transformation& tr) {
+    program.transformations.push_back(tr);
+  });
+  ForEachRow(next_.derivations, [&program](const Derivation& dv) {
+    program.derivations.push_back(dv);
+  });
   return program;
 }
 
@@ -1435,17 +1308,16 @@ Status VirtualDataCatalog::ApplyRecord(const std::string& record) {
     if (tag == "DV" && program.derivations.size() == 1) {
       Derivation dv = std::move(program.derivations[0]);
       dv.annotations() = std::move(attrs);
-      auto existing = derivations_.find(dv.name());
-      if (existing != derivations_.end()) {
+      if (const auto* existing = RowOf(next_.derivations, dv.name())) {
         // A re-emitted define is an annotation upsert (the live path
         // rejects duplicate names, so the signature is unchanged).
         // Don't re-validate inputs: they were valid when the original
         // define was journaled and may have been removed since.
-        Derivation updated = *existing->second.object;
+        Derivation updated = *existing->object;
         updated.annotations() = dv.annotations();
-        existing->second.object =
-            std::make_shared<const Derivation>(std::move(updated));
-        dirty_.derivations = true;
+        next_.derivations.Put(
+            existing->id, existing->name,
+            std::make_shared<const Derivation>(std::move(updated)), gen_);
         return Status::OK();
       }
       return DefineDerivationLocked(std::move(dv));

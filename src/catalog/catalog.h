@@ -2,7 +2,6 @@
 #define VDG_CATALOG_CATALOG_H_
 
 #include <atomic>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -35,34 +34,35 @@ namespace vdg {
 /// log-file backend (FileJournal, recovered by replay in Open()).
 ///
 /// Threading: snapshot-isolated readers with serialized writers.
-/// Writers take one `std::shared_mutex` exclusively, mutate the object
-/// graph and the copy-on-write index structures, append to the journal
-/// buffer, and on the way out flush the journal and publish a fresh
-/// immutable CatalogSnapshot by swapping a shared_ptr slot guarded by
-/// its own tiny mutex (components that did not change are shared with
-/// the previous snapshot). Queries — Find*/Get*/Has*/Explain*/
-/// All*Names/ChangesSince/navigation — pin one snapshot with a single
-/// pointer copy under that slot mutex (held only for the copy, never
-/// across a query) and run entirely against it: they never take the
-/// catalog lock and never block on writers, journal compaction, or
-/// each other.
-/// Replica/invocation lookups and exports still read the writer-side
-/// graph under the shared lock. The journal backend is only touched
+/// The published CatalogSnapshot is the catalog's only index. Writers
+/// take one `std::shared_mutex` exclusively, edit the unpublished next
+/// snapshot generation in place (copy-on-write: anything shared with a
+/// published snapshot is path-copied once per generation, see cow.h),
+/// append to the journal buffer, and on the way out flush the journal
+/// and publish by swapping a shared_ptr slot guarded by its own tiny
+/// mutex — a commit costs O(keys touched). Queries —
+/// Find*/Get*/Has*/Explain*/All*Names/ChangesSince/navigation — pin one
+/// snapshot with a single pointer copy under that slot mutex (held only
+/// for the copy, never across a query) and run entirely against it:
+/// they never take the catalog lock and never block on writers, journal
+/// compaction, or each other.
+/// Replica/invocation lookups and exports read writer-side state under
+/// the shared lock. The journal backend is only touched
 /// while holding the exclusive lock, so backends need no
 /// synchronization of their own.
 ///
-/// Publication order (the snapshot protocol): mutate graph and COW
-/// indexes -> buffer journal records -> bump the version sequence and
+/// Publication order (the snapshot protocol): edit the next generation
+/// -> buffer journal records -> bump the version sequence and
 /// changelog -> flush the journal (the group-commit point) -> swap
 /// the snapshot pointer under its slot mutex -> store the atomic
 /// version counter last. A version() poll therefore never reports a
 /// version whose snapshot is not yet visible.
 ///
-/// Interning: object names, attribute keys, and type names are
-/// interned into 32-bit symbol ids; index posting lists are compressed
-/// id-ordered block structures (PostingBlocks). Queries keep their
-/// lexicographic result order by mapping surviving ids through the
-/// snapshot's id->row maps (rows are name-sorted).
+/// Interning: object names, attribute keys and values, and type names
+/// are interned into 32-bit symbol ids; index posting lists are
+/// compressed id-ordered block structures (PostingBlocks). Queries keep
+/// their lexicographic result order by mapping surviving ids to the row
+/// tables' name-order keys.
 ///
 /// Lock ordering: the catalog acquires no other lock while holding
 /// its own (it never calls into FederatedIndex or another catalog),
@@ -358,41 +358,6 @@ class VirtualDataCatalog {
 
  private:
   using Id = SymbolTable::Id;
-  using PostingList = CatalogSnapshot::PostingList;
-
-  /// Writer-side row: the interned id plus an immutable object.
-  /// Mutation = clone, modify the clone, swap the pointer — published
-  /// snapshots keep the old object alive.
-  template <typename T>
-  struct ObjEntry {
-    Id id = 0;
-    std::shared_ptr<const T> object;
-  };
-  template <typename T>
-  using ObjMap = std::map<std::string, ObjEntry<T>, std::less<>>;
-
-  /// Which snapshot components the pending commit invalidated. Clean
-  /// components are shared with the previous snapshot at publish (the
-  /// small-delta path).
-  struct Dirty {
-    bool datasets = false;
-    bool transformations = false;
-    bool derivations = false;
-    bool attr = false;
-    bool type = false;
-    bool consumers = false;
-    bool producers = false;
-    bool by_transformation = false;
-    bool by_bare = false;
-    bool materialized = false;
-    bool types_registry = false;
-    bool changelog = false;
-    bool any() const {
-      return datasets || transformations || derivations || attr || type ||
-             consumers || producers || by_transformation || by_bare ||
-             materialized || types_registry || changelog;
-    }
-  };
 
   // The *Locked tier holds the real implementations; the public
   // methods are thin shims that take mu_ exclusively, delegate, and
@@ -438,9 +403,9 @@ class VirtualDataCatalog {
   Status CommitLocked(Status op_status);
   Result<std::string> CommitLocked(Result<std::string> op_result);
 
-  /// Builds and atomically publishes a CatalogSnapshot from the writer
-  /// state, copying only dirty components; a no-op when nothing
-  /// changed since the last publish.
+  /// Publishes the writer's next generation: copies `next_` (a few
+  /// dozen pointers) into the snapshot slot and moves the writer to a
+  /// new generation, freezing everything the snapshot can reach.
   void PublishSnapshotLocked();
 
   /// Assigns the next version (or the batch's single shared version)
@@ -450,27 +415,28 @@ class VirtualDataCatalog {
   /// capacity (never splits a batch).
   void TrimChangelogLocked();
 
-  /// Builds the name-sorted row vector; when `row_of_id` is non-null,
-  /// also builds the inverse id -> row-index map (sized to the symbol
-  /// universe, CatalogSnapshot::kNoRow for non-members).
+  /// The writer's current row for `name` in `table`, or null.
   template <typename T>
-  std::shared_ptr<const CatalogSnapshot::Rows<T>> BuildRows(
-      const ObjMap<T>& map,
-      std::shared_ptr<const std::vector<uint32_t>>* row_of_id) const;
+  const typename RowTable<T>::Row* RowOf(const RowTable<T>& table,
+                                         std::string_view name) const {
+    const Id id = symbols_.Find(name);
+    return id == SymbolTable::kNoSymbol ? nullptr : table.Find(id);
+  }
+  /// The type universe, writable in the current generation.
+  TypeRegistry& MutableTypes();
 
-  /// COW posting-list edits: always clone (published snapshots share
-  /// the old blocks), multiset semantics.
-  void PostingInsert(PostingList* list, Id id);
-  void PostingErase(PostingList* list, Id id);
-  template <typename Map, typename Key>
-  void IndexPostingInsert(Map* map, const Key& key, Id id, bool* dirty);
-  template <typename Map, typename Key>
-  void IndexPostingErase(Map* map, const Key& key, Id id, bool* dirty);
+  /// Multiset posting edits on the next generation; removing the last
+  /// occurrence leaves an empty (null) list.
+  void PostingAdd(PostingSlot* slot, Id id);
+  void PostingRemove(PostingSlot* slot, Id id);
+  void PostingAdd(PostingMap* map, Id key, Id id) {
+    PostingAdd(&map->Mutable(key, gen_), id);
+  }
+  void PostingRemove(PostingMap* map, Id key, Id id);
 
-  void IndexDatasetAttributes(const Dataset& dataset, Id id);
-  void UnindexDatasetAttributes(const Dataset& dataset, Id id);
-  void IndexDatasetType(const Dataset& dataset, Id id);
-  void UnindexDatasetType(const Dataset& dataset, Id id);
+  void IndexDatasetAttributes(const Dataset& dataset, Id id, bool add);
+  void IndexDatasetType(const Dataset& dataset, Id id, bool add);
+  void IndexDerivation(const Derivation& derivation, Id id, bool add);
   void NoteReplicaState(const Replica* before, const Replica* after);
 
   std::string name_;
@@ -497,37 +463,28 @@ class VirtualDataCatalog {
   /// Batch mode: all BumpVersion calls share one version.
   bool in_batch_ = false;
   bool batch_bumped_ = false;
-  Dirty dirty_;
 
-  /// Interns object names, attribute keys, and type names (guarded by
-  /// mu_ for writes; readers use the snapshot's published View).
+  /// Interns object names, attribute keys and values, and type names
+  /// (guarded by mu_ for writes; readers use the snapshot's published
+  /// View).
   SymbolTable symbols_;
 
-  TypeRegistry types_;
+  /// The unpublished next generation, edited in place (guarded by
+  /// mu_): object rows, every posting index, the materialized set, the
+  /// type universe, and the changelog window. It is the catalog's only
+  /// copy of them; PublishSnapshotLocked hands it to readers.
+  CatalogSnapshot next_;
+  /// The generation `next_` is being built as (see cow.h).
+  Generation gen_ = 1;
+  /// The type universe `next_.types` points at, and the generation
+  /// that may edit it in place.
+  std::shared_ptr<TypeRegistry> types_;
+  Generation types_gen_ = 0;
 
-  ObjMap<Dataset> datasets_;
-  ObjMap<Transformation> transformations_;
-  ObjMap<Derivation> derivations_;
   std::map<std::string, Replica, std::less<>> replicas_;
   std::map<std::string, Invocation, std::less<>> invocations_;
-
-  // Secondary indexes, all COW posting lists over interned ids.
-  /// (interned attribute key, tagged wire value) -> datasets. Lets
-  /// FindDatasets answer kEq predicates without a full scan.
-  std::map<CatalogSnapshot::AttrKey, PostingList> attr_index_;
-  /// Packed (dimension, interned ancestor) -> datasets, for every
-  /// ancestor (excluding the dimension base) of every non-empty
-  /// component of the dataset's type: the type-conformance closure.
-  std::map<uint64_t, PostingList> type_index_;
-  std::map<Id, PostingList> consumers_;   // dataset -> derivations reading it
-  std::map<Id, PostingList> producers_;   // dataset -> derivations writing it
-  std::map<Id, PostingList> by_transformation_;  // qualified TR -> derivations
-  /// Bare transformation name -> derivation, only for derivations
-  /// whose qualified name differs (DerivationQuery matches either).
-  std::map<Id, PostingList> by_bare_transformation_;
-  /// Dataset ids with >= 1 valid replica (the snapshot's materialized
-  /// set; the count map below is the writer's bookkeeping).
-  PostingList materialized_;
+  /// Valid replicas per dataset: the writer's bookkeeping behind the
+  /// materialized set.
   std::map<std::string, size_t, std::less<>> valid_replicas_by_dataset_;
 
   std::multimap<uint64_t, std::string> derivations_by_signature_;
@@ -535,9 +492,7 @@ class VirtualDataCatalog {
   std::multimap<std::string, std::string, std::less<>>
       invocations_by_derivation_;
 
-  /// Bounded mutation changelog backing ChangesSince(); entries are
-  /// shared with published snapshots.
-  std::deque<std::shared_ptr<const CatalogChange>> changelog_;
+  /// Bound of the changelog window in `next_` (backing ChangesSince).
   size_t changelog_capacity_ = 4096;
 
   /// The published snapshot (see class comment for the protocol).

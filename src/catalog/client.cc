@@ -238,12 +238,14 @@ Result<ProvenanceStep> InProcessCatalogClient::GetProvenanceStep(
     std::string_view dataset) {
   ProvenanceStep step;
   step.dataset = std::string(dataset);
-  step.exists = catalog_->HasDataset(dataset);
+  // One pinned snapshot answers all three reads.
+  const CatalogView view = catalog_->View();
+  step.exists = view.HasDataset(dataset);
   if (!step.exists) return step;
-  auto producer = catalog_->ProducerOf(dataset);
+  auto producer = view.ProducerOf(dataset);
   if (!producer.ok()) return step;  // raw input: no derivation behind it
   step.producer = *producer;
-  auto derivation = catalog_->GetDerivation(step.producer);
+  auto derivation = view.GetDerivation(step.producer);
   if (derivation.ok()) {
     step.derivation = *std::move(derivation);
     step.invocations = catalog_->InvocationsOf(step.producer);

@@ -580,6 +580,12 @@ PostingListPtr GetPosting(Reader& r,
 // ---------------------------------------------------------------------
 
 struct FlatImage {
+  using IdPostings = std::vector<std::pair<SymbolTable::Id, PostingListPtr>>;
+  struct AttrEntry {
+    SymbolTable::Id key = 0;
+    std::string tagged_value;
+    PostingListPtr list;
+  };
   std::vector<std::string> symbols;  // names in id order
   TypeRegistry types;
   std::vector<Dataset> datasets;
@@ -587,12 +593,12 @@ struct FlatImage {
   std::vector<Derivation> derivations;
   std::vector<Replica> replicas;
   std::vector<Invocation> invocations;
-  std::map<CatalogSnapshot::AttrKey, PostingListPtr> attr_index;
-  std::map<uint64_t, PostingListPtr> type_index;
-  std::map<SymbolTable::Id, PostingListPtr> consumers;
-  std::map<SymbolTable::Id, PostingListPtr> producers;
-  std::map<SymbolTable::Id, PostingListPtr> by_transformation;
-  std::map<SymbolTable::Id, PostingListPtr> by_bare_transformation;
+  std::vector<AttrEntry> attr_index;
+  std::vector<std::pair<uint64_t, PostingListPtr>> type_index;
+  IdPostings consumers;
+  IdPostings producers;
+  IdPostings by_transformation;
+  IdPostings by_bare_transformation;
   PostingListPtr materialized;
   std::vector<CatalogChange> changelog;
 };
@@ -680,9 +686,7 @@ Status ParseFlatImage(const uint8_t* payload, size_t size,
     if (r.ok && key_id >= nsym) r.ok = false;
     PostingListPtr list = GetPosting(r, keepalive);
     if (r.ok) {
-      out->attr_index.emplace(
-          CatalogSnapshot::AttrKey{key_id, std::move(tagged)},
-          std::move(list));
+      out->attr_index.push_back({key_id, std::move(tagged), std::move(list)});
     }
   }
   uint32_t ntypeidx = r.U32();
@@ -690,18 +694,24 @@ Status ParseFlatImage(const uint8_t* payload, size_t size,
     uint64_t key = r.U64();
     if (r.ok && static_cast<uint32_t>(key & 0xffffffffu) >= nsym) r.ok = false;
     PostingListPtr list = GetPosting(r, keepalive);
-    if (r.ok) out->type_index.emplace(key, std::move(list));
+    if (r.ok) {
+      if ((key >> 32) >= static_cast<uint64_t>(kNumTypeDimensions)) {
+        r.ok = false;
+      } else {
+        out->type_index.emplace_back(key, std::move(list));
+      }
+    }
   }
-  std::map<SymbolTable::Id, PostingListPtr>* id_maps[] = {
-      &out->consumers, &out->producers, &out->by_transformation,
-      &out->by_bare_transformation};
+  FlatImage::IdPostings* id_maps[] = {&out->consumers, &out->producers,
+                                      &out->by_transformation,
+                                      &out->by_bare_transformation};
   for (auto* map : id_maps) {
     uint32_t count = r.U32();
     for (uint32_t i = 0; i < count && r.ok; ++i) {
       uint32_t id = r.U32();
       if (r.ok && id >= nsym) r.ok = false;
       PostingListPtr list = GetPosting(r, keepalive);
-      if (r.ok) map->emplace(id, std::move(list));
+      if (r.ok) map->emplace_back(id, std::move(list));
     }
   }
   out->materialized = GetPosting(r, keepalive);
@@ -748,7 +758,7 @@ Status VirtualDataCatalog::SaveSnapshotFile(const std::string& path) const {
   // Type universe, parents-first per dimension so Define replays.
   for (int d = 0; d < kNumTypeDimensions; ++d) {
     const TypeHierarchy& hierarchy =
-        types_.dimension(static_cast<TypeDimension>(d));
+        types_->dimension(static_cast<TypeDimension>(d));
     std::vector<std::pair<int, std::string>> ordered;
     for (std::string_view name : hierarchy.AllTypes()) {
       Result<int> depth = hierarchy.DepthOf(name);
@@ -768,21 +778,17 @@ Status VirtualDataCatalog::SaveSnapshotFile(const std::string& path) const {
     }
   }
 
-  PutU32(&payload, static_cast<uint32_t>(datasets_.size()));
-  for (const auto& [name, entry] : datasets_) {
-    (void)name;
-    PutDataset(&payload, *entry.object);
-  }
-  PutU32(&payload, static_cast<uint32_t>(transformations_.size()));
-  for (const auto& [name, entry] : transformations_) {
-    (void)name;
-    PutTransformation(&payload, *entry.object);
-  }
-  PutU32(&payload, static_cast<uint32_t>(derivations_.size()));
-  for (const auto& [name, entry] : derivations_) {
-    (void)name;
-    PutDerivation(&payload, *entry.object);
-  }
+  // Rows in name order.
+  auto put_rows = [&payload](const auto& table, auto put) {
+    PutU32(&payload, static_cast<uint32_t>(table.size()));
+    table.ScanFrom({}, [&](const auto& row) {
+      put(&payload, *row.object);
+      return true;
+    });
+  };
+  put_rows(next_.datasets, PutDataset);
+  put_rows(next_.transformations, PutTransformation);
+  put_rows(next_.derivations, PutDerivation);
   PutU32(&payload, static_cast<uint32_t>(replicas_.size()));
   for (const auto& [id, replica] : replicas_) {
     (void)id;
@@ -794,34 +800,70 @@ Status VirtualDataCatalog::SaveSnapshotFile(const std::string& path) const {
     PutInvocation(&payload, invocation);
   }
 
-  PutU32(&payload, static_cast<uint32_t>(attr_index_.size()));
-  for (const auto& [key, list] : attr_index_) {
-    PutU32(&payload, key.first);
-    PutStr(&payload, key.second);
-    PutPosting(&payload, list ? *list : PostingBlocks());
-  }
-  PutU32(&payload, static_cast<uint32_t>(type_index_.size()));
-  for (const auto& [key, list] : type_index_) {
-    PutU64(&payload, key);
-    PutPosting(&payload, list ? *list : PostingBlocks());
-  }
-  const std::map<Id, PostingList>* id_maps[] = {
-      &consumers_, &producers_, &by_transformation_, &by_bare_transformation_};
-  for (const auto* map : id_maps) {
-    PutU32(&payload, static_cast<uint32_t>(map->size()));
-    for (const auto& [id, list] : *map) {
-      PutU32(&payload, id);
-      PutPosting(&payload, list ? *list : PostingBlocks());
+  // Index sections: the non-empty lists of each map, counted first.
+  std::vector<std::pair<Id, const PostingSlot*>> values;
+  std::vector<std::pair<Id, std::vector<std::pair<Id, const PostingSlot*>>>>
+      attr;
+  size_t attr_entries = 0;
+  auto collect = [](const PostingMap& map,
+                    std::vector<std::pair<Id, const PostingSlot*>>* out) {
+    out->clear();
+    map.ForEach([out](Id id, const PostingSlot& slot) {
+      if (!slot.empty()) out->emplace_back(id, &slot);
+    });
+  };
+  next_.attr_index.ForEach([&](Id key, const PostingMap& by_value) {
+    collect(by_value, &values);
+    attr_entries += values.size();
+    if (!values.empty()) attr.emplace_back(key, std::move(values));
+  });
+  PutU32(&payload, static_cast<uint32_t>(attr_entries));
+  for (const auto& [key, lists] : attr) {
+    for (const auto& [value, slot] : lists) {
+      PutU32(&payload, key);
+      PutStr(&payload, symbols_.NameOf(value));
+      PutPosting(&payload, *slot->list);
     }
   }
-  PutPosting(&payload, materialized_ ? *materialized_ : PostingBlocks());
+  std::vector<std::pair<uint64_t, const PostingSlot*>> typed;
+  for (int d = 0; d < kNumTypeDimensions; ++d) {
+    collect(next_.type_index[d], &values);
+    for (const auto& [type_id, slot] : values) {
+      typed.emplace_back(
+          snapshot_internal::PackTypeKey(static_cast<TypeDimension>(d),
+                                         type_id),
+          slot);
+    }
+  }
+  PutU32(&payload, static_cast<uint32_t>(typed.size()));
+  for (const auto& [key, slot] : typed) {
+    PutU64(&payload, key);
+    PutPosting(&payload, *slot->list);
+  }
+  const PostingMap* id_maps[] = {&next_.consumers, &next_.producers,
+                                 &next_.by_transformation,
+                                 &next_.by_bare_transformation};
+  for (const PostingMap* map : id_maps) {
+    collect(*map, &values);
+    PutU32(&payload, static_cast<uint32_t>(values.size()));
+    for (const auto& [id, slot] : values) {
+      PutU32(&payload, id);
+      PutPosting(&payload, *slot->list);
+    }
+  }
+  const PostingBlocks no_list;
+  PutPosting(&payload, next_.materialized.list != nullptr
+                           ? *next_.materialized.list
+                           : no_list);
 
-  PutU32(&payload, static_cast<uint32_t>(changelog_.size()));
-  for (const auto& change : changelog_) {
-    PutU64(&payload, change->version);
-    PutU8(&payload, static_cast<uint8_t>(change->op));
-    PutStr(&payload, change->kind);
-    PutStr(&payload, change->name);
+  const ChangeWindow<CatalogChange>& log = next_.changelog;
+  PutU32(&payload, static_cast<uint32_t>(log.size()));
+  for (size_t i = 0; i < log.size(); ++i) {
+    const CatalogChange& change = log.at(i);
+    PutU64(&payload, change.version);
+    PutU8(&payload, static_cast<uint8_t>(change.op));
+    PutStr(&payload, change.kind);
+    PutStr(&payload, change.name);
   }
 
   std::string header;
@@ -958,30 +1000,25 @@ Status VirtualDataCatalog::OpenFromSnapshot(const std::string& path) {
     for (const std::string& symbol : image.symbols) {
       symbols_.Intern(symbol);
     }
-    types_ = std::move(image.types);
+    MutableTypes() = std::move(image.types);
+    // Rows arrive in name order, so every Put appends to the last chunk.
     for (Dataset& d : image.datasets) {
-      Id id = symbols_.Find(d.name);
-      std::string key = d.name;
-      datasets_.emplace(
-          std::move(key),
-          ObjEntry<Dataset>{id, std::make_shared<const Dataset>(std::move(d))});
+      const Id id = symbols_.Find(d.name);
+      next_.datasets.Put(id, symbols_.NameOf(id),
+                         std::make_shared<const Dataset>(std::move(d)), gen_);
     }
     for (Transformation& t : image.transformations) {
-      Id id = symbols_.Find(t.name());
-      std::string key = t.name();
-      transformations_.emplace(
-          std::move(key),
-          ObjEntry<Transformation>{
-              id, std::make_shared<const Transformation>(std::move(t))});
+      const Id id = symbols_.Find(t.name());
+      next_.transformations.Put(
+          id, symbols_.NameOf(id),
+          std::make_shared<const Transformation>(std::move(t)), gen_);
     }
     for (Derivation& d : image.derivations) {
-      Id id = symbols_.Find(d.name());
+      const Id id = symbols_.Find(d.name());
       derivations_by_signature_.emplace(d.Signature(), d.name());
-      std::string key = d.name();
-      derivations_.emplace(
-          std::move(key),
-          ObjEntry<Derivation>{
-              id, std::make_shared<const Derivation>(std::move(d))});
+      next_.derivations.Put(id, symbols_.NameOf(id),
+                            std::make_shared<const Derivation>(std::move(d)),
+                            gen_);
     }
     for (Replica& rp : image.replicas) {
       replicas_by_dataset_.emplace(rp.dataset, rp.id);
@@ -994,18 +1031,31 @@ Status VirtualDataCatalog::OpenFromSnapshot(const std::string& path) {
       std::string key = iv.id;
       invocations_.emplace(std::move(key), std::move(iv));
     }
-    attr_index_ = std::move(image.attr_index);
-    type_index_ = std::move(image.type_index);
-    consumers_ = std::move(image.consumers);
-    producers_ = std::move(image.producers);
-    by_transformation_ = std::move(image.by_transformation);
-    by_bare_transformation_ = std::move(image.by_bare_transformation);
-    materialized_ = image.materialized != nullptr
-                        ? image.materialized
-                        : std::make_shared<const PostingBlocks>();
+    // Posting lists install with generation 0: they are borrowed from
+    // the mapping, so the first edit of each clones it.
+    for (FlatImage::AttrEntry& entry : image.attr_index) {
+      const Id value = symbols_.Intern(entry.tagged_value);
+      next_.attr_index.Mutable(entry.key, gen_).Mutable(value, gen_) =
+          PostingSlot{std::move(entry.list), 0};
+    }
+    for (auto& [key, list] : image.type_index) {
+      next_.type_index[key >> 32].Mutable(
+          static_cast<Id>(key & 0xffffffffu), gen_) =
+          PostingSlot{std::move(list), 0};
+    }
+    std::pair<FlatImage::IdPostings*, PostingMap*> id_maps[] = {
+        {&image.consumers, &next_.consumers},
+        {&image.producers, &next_.producers},
+        {&image.by_transformation, &next_.by_transformation},
+        {&image.by_bare_transformation, &next_.by_bare_transformation}};
+    for (auto& [from, to] : id_maps) {
+      for (auto& [id, list] : *from) {
+        to->Mutable(id, gen_) = PostingSlot{std::move(list), 0};
+      }
+    }
+    next_.materialized = PostingSlot{std::move(image.materialized), 0};
     for (CatalogChange& change : image.changelog) {
-      changelog_.push_back(
-          std::make_shared<const CatalogChange>(std::move(change)));
+      next_.changelog.PushBack(std::move(change), gen_);
     }
     version_seq_ = LoadU64(data + flatsnap::kOffVersionSeq);
     next_replica_id_ = LoadU64(data + flatsnap::kOffNextReplicaId);
@@ -1036,12 +1086,6 @@ Status VirtualDataCatalog::OpenFromSnapshot(const std::string& path) {
   if (flat.ok() || installed) {
     // Either a clean flat-snapshot load, or tail replay failed on
     // installed state (publish what applied, mirroring Open()).
-    Dirty all;
-    all.datasets = all.transformations = all.derivations = all.attr =
-        all.type = all.consumers = all.producers = all.by_transformation =
-            all.by_bare = all.materialized = all.types_registry =
-                all.changelog = true;
-    dirty_ = all;
     PublishSnapshotLocked();
     last_snapshot_load_ = report;
     return flat;

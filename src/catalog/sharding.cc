@@ -449,7 +449,7 @@ Status ShardedCatalogClient::DefineTransformation(
 
 Status ShardedCatalogClient::PlanDerivation(
     const Topology& topo, const Derivation& derivation, DerivationPlan* plan,
-    const std::map<std::string, Dataset>* pending) {
+    const PendingDefinitions* pending) {
   const uint32_t home = topo.router.ShardOf(derivation.name());
   Result<Derivation> existing =
       topo.shards[home]->GetDerivation(derivation.name());
@@ -466,12 +466,16 @@ Status ShardedCatalogClient::PlanDerivation(
         topo.shards[topo.router.ShardOf(tr_name)]->GetTransformation(tr_name);
     if (got.ok()) {
       tr = *std::move(got);
-    } else if (got.status().IsNotFound()) {
+    } else if (!got.status().IsNotFound()) {
+      return got.status();
+    } else if (pending != nullptr &&
+               pending->transformations.count(tr_name) != 0) {
+      // Defined by an earlier op of the same batch.
+      tr = pending->transformations.at(tr_name);
+    } else {
       // The home shard reports the canonical "unknown transformation"
       // error when the op lands; nothing to place here.
       return Status::OK();
-    } else {
-      return got.status();
     }
   }
 
@@ -495,8 +499,8 @@ Status ShardedCatalogClient::PlanDerivation(
       // Defined by an earlier op of the same batch: no shard has
       // applied it yet, but the plan must see it — the unsharded
       // catalog's batch path would.
-      auto it = pending->find(*arg.dataset);
-      if (it != pending->end()) known = &it->second;
+      auto it = pending->datasets.find(*arg.dataset);
+      if (it != pending->datasets.end()) known = &it->second;
     }
     if (known != nullptr) {
       if (formal != nullptr && !formal->types.empty()) {
@@ -680,11 +684,12 @@ Result<BatchResult> ShardedCatalogClient::ApplyBatch(
   std::vector<MergeRule> rule(n, MergeRule::kPoint);
   std::vector<std::string> op_id(n);     // effective replica/invocation id
   std::vector<uint32_t> op_shard(n, 0);  // shard of the id-assigning op
-  // Datasets defined (or pre-created for derivation outputs) by
-  // earlier ops of THIS batch: not yet on any shard, but later
-  // derivation plans must see them — intra-batch define-then-derive
-  // works against the unsharded catalog and must work here too.
-  std::map<std::string, Dataset> pending_datasets;
+  // Datasets (defined, or pre-created for derivation outputs) and
+  // transformations defined by earlier ops of THIS batch: not yet on
+  // any shard, but later derivation plans must see them — intra-batch
+  // define-then-derive works against the unsharded catalog and must
+  // work here too.
+  PendingDefinitions pending;
 
   for (size_t i = 0; i < n; ++i) {
     Status route = std::visit(
@@ -693,7 +698,7 @@ Result<BatchResult> ShardedCatalogClient::ApplyBatch(
           if constexpr (std::is_same_v<Op, CatalogMutation::DefineDatasetOp>) {
             uint32_t shard = topo->router.ShardOf(op.dataset.name);
             subs[shard].push_back({mutations[i], i, 0});
-            pending_datasets.insert({op.dataset.name, op.dataset});
+            pending.datasets.insert({op.dataset.name, op.dataset});
           } else if constexpr (std::is_same_v<
                                    Op,
                                    CatalogMutation::DefineTransformationOp>) {
@@ -701,17 +706,18 @@ Result<BatchResult> ShardedCatalogClient::ApplyBatch(
             for (size_t k = 0; k < shard_count; ++k) {
               subs[k].push_back({mutations[i], i, 0});
             }
+            pending.transformations.insert(
+                {op.transformation.name(), op.transformation});
           } else if constexpr (std::is_same_v<
                                    Op, CatalogMutation::DefineDerivationOp>) {
             VDG_RETURN_IF_ERROR(op.derivation.Validate());
             DerivationPlan plan;
             VDG_RETURN_IF_ERROR(
-                PlanDerivation(*topo, op.derivation, &plan,
-                               &pending_datasets));
+                PlanDerivation(*topo, op.derivation, &plan, &pending));
             for (auto& [shard, dataset] : plan.ensure_outputs) {
               // Later derivations writing the same output must see the
               // producer claim this one just staked.
-              pending_datasets.insert({dataset.name, dataset});
+              pending.datasets.insert({dataset.name, dataset});
               subs[shard].push_back(
                   {CatalogMutation::DefineDataset(std::move(dataset)),
                    kSynthetic, i});

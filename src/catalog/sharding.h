@@ -185,14 +185,18 @@ class ShardedCatalogClient : public CatalogClient {
   /// Cross-shard referential checks + output placement for one
   /// derivation (see class comment). Mirrors the unsharded catalog's
   /// error vocabulary (AlreadyExists / NotFound / TypeError).
-  /// `pending` (optional) maps dataset names defined by EARLIER ops of
-  /// an in-flight batch — not yet visible on any shard — to their
-  /// definitions, so intra-batch define-then-derive plans like it
-  /// would against the unsharded catalog.
+  /// Datasets and transformations defined by EARLIER ops of an
+  /// in-flight batch: not yet visible on any shard, but a derivation
+  /// later in the batch must plan against them, as it would against
+  /// the unsharded catalog.
+  struct PendingDefinitions {
+    std::map<std::string, Dataset> datasets;
+    std::map<std::string, Transformation> transformations;
+  };
+  /// `pending` (optional) holds the batch's earlier definitions.
   Status PlanDerivation(const Topology& topo, const Derivation& derivation,
                         DerivationPlan* plan,
-                        const std::map<std::string, Dataset>* pending =
-                            nullptr);
+                        const PendingDefinitions* pending = nullptr);
 
   /// Scatters `fn` over every shard, sequentially or one thread per
   /// shard; results are positional, first error (by shard index) wins.

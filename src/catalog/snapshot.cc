@@ -17,23 +17,25 @@ const PostingList& EmptyPosting() {
   return empty;
 }
 
-template <typename Map, typename K>
-const PostingList& LookupPosting(const Map& map, const K& key) {
-  auto it = map.find(key);
-  return it == map.end() ? EmptyPosting() : it->second;
+/// The list at `id` in `map` (the shared empty list when absent).
+const PostingList& LookupPosting(const PostingMap& map, Id id) {
+  const PostingSlot* slot = map.Find(id);
+  return slot == nullptr || slot->list == nullptr ? EmptyPosting()
+                                                  : slot->list;
 }
 
-/// Binary search for a row by name; rows are sorted by name.
-template <typename T>
-const CatalogSnapshot::Row<T>* FindRow(const CatalogSnapshot::Rows<T>& rows,
-                                       std::string_view name) {
-  auto it = std::lower_bound(
-      rows.begin(), rows.end(), name,
-      [](const CatalogSnapshot::Row<T>& row, std::string_view target) {
-        return row.name < target;
-      });
-  if (it == rows.end() || it->name != name) return nullptr;
-  return &*it;
+/// The kEq posting list for `key` = `value`.
+const PostingList& AttrPosting(const CatalogSnapshot& snap,
+                               std::string_view key,
+                               const AttributeValue& value) {
+  const Id key_id = snap.symbols.FindId(key);
+  if (key_id == SymbolTable::kNoSymbol) return EmptyPosting();
+  const PostingMap* values = snap.attr_index.Find(key_id);
+  if (values == nullptr) return EmptyPosting();
+  const Id value_id =
+      snap.symbols.FindId(snapshot_internal::TaggedAttrValue(value));
+  if (value_id == SymbolTable::kNoSymbol) return EmptyPosting();
+  return LookupPosting(*values, value_id);
 }
 
 /// Accumulates (view, id) pairs during a row scan and freezes them into
@@ -43,36 +45,47 @@ const CatalogSnapshot::Row<T>* FindRow(const CatalogSnapshot::Rows<T>& rows,
 /// (DESIGN.md §15).
 class PinnedListBuilder {
  public:
-  explicit PinnedListBuilder(size_t reserve_hint) {
-    views_.reserve(reserve_hint);
-    ids_.reserve(reserve_hint);
-  }
+  /// `expected` bounds the result size; storage starts at most a few
+  /// hundred entries and doubles, so a huge bound on a small result
+  /// costs nothing.
+  explicit PinnedListBuilder(size_t expected)
+      : views_(std::min<size_t>(expected, 256)), ids_(views_.size()) {}
+  // Runs once per result row: sized writes instead of push_back, which
+  // the compiler leaves out of line in the large query functions.
   void Add(std::string_view name, Id id) {
-    views_.push_back(name);
-    ids_.push_back(id);
+    if (size_ == views_.size()) Grow();
+    views_[size_] = name;
+    ids_[size_] = id;
+    ++size_;
   }
-  size_t size() const { return views_.size(); }
+  size_t size() const { return size_; }
   NameList Build(std::shared_ptr<const CatalogSnapshot> pin) && {
+    views_.resize(size_);
+    ids_.resize(size_);
     return NameList::FromViews(std::move(pin), std::move(views_),
                                std::move(ids_));
   }
 
  private:
+  void Grow() {
+    views_.resize(std::max<size_t>(16, 2 * views_.size()));
+    ids_.resize(views_.size());
+  }
+
   std::vector<std::string_view> views_;
   std::vector<NameList::Id> ids_;
+  size_t size_ = 0;
 };
 
 template <typename T>
 NameList RowNames(std::shared_ptr<const CatalogSnapshot> pin,
-                  const CatalogSnapshot::Rows<T>& rows) {
+                  const RowTable<T>& rows) {
   PinnedListBuilder out(rows.size());
-  for (const auto& row : rows) out.Add(row.name, row.id);
+  rows.ScanFrom({}, [&out](const typename RowTable<T>::Row& row) {
+    out.Add(row.name, row.id);
+    return true;
+  });
   return std::move(out).Build(std::move(pin));
-}
-
-/// O(1) id -> row-index resolution (kNoRow when absent).
-inline uint32_t RowOf(const std::vector<uint32_t>& row_of_id, Id id) {
-  return id < row_of_id.size() ? row_of_id[id] : CatalogSnapshot::kNoRow;
 }
 
 /// Intersects selectivity-sorted posting lists: seed from the rarest,
@@ -104,62 +117,80 @@ std::vector<Id> IntersectSorted(const std::vector<P>& postings,
   return candidates;
 }
 
-/// Maps surviving ids to row indexes in ascending row order: rows are
-/// name-sorted, so ascending row order IS name order. `for_each_id`
-/// invokes its callback once per candidate id; `count_hint` is the
-/// candidate count (used only to reserve). When the row space is small
-/// relative to the candidate set, ordering goes through a dense row
-/// bitmap (scatter then in-order scan) instead of a comparison sort —
-/// the common shape for selective queries over mid-sized catalogs;
-/// huge-catalog/tiny-result queries fall back to the sort. Rows are
-/// delivered through `emit_row` so collectors can feed a
-/// PinnedListBuilder directly without an intermediate row vector.
-template <typename ForEachId, typename EmitRow>
-void EmitRowsInNameOrder(size_t count_hint,
-                         const std::vector<uint32_t>& row_of_id,
-                         size_t num_rows, ForEachId&& for_each_id,
-                         EmitRow&& emit_row) {
-  const size_t words = (num_rows + 63) / 64;
+/// Candidate ids come either straight from one posting list or from an
+/// intersection's id vector.
+template <typename Fn>
+void ForEachCandidate(const PostingBlocks& list, Fn&& fn) {
+  list.ForEach(fn);
+}
+template <typename Fn>
+void ForEachCandidate(const std::vector<Id>& ids, Fn&& fn) {
+  for (Id id : ids) fn(id);
+}
+
+/// Delivers the rows of the candidate `ids` in name order, through the
+/// table's name-order keys; `count_hint` is the candidate count. When
+/// the key space is small relative to the candidate set, ordering goes
+/// through a dense key bitmap (scatter then in-order scan) instead of a
+/// comparison sort — the common shape for selective queries over
+/// mid-sized catalogs; huge-catalog/tiny-result queries fall back to
+/// the sort. Rows are delivered through `emit_row` so collectors can
+/// feed a PinnedListBuilder directly without an intermediate row
+/// vector.
+template <typename T, typename Candidates, typename EmitRow>
+void EmitRowsInNameOrder(const RowTable<T>& table, const Candidates& ids,
+                         size_t count_hint, EmitRow&& emit_row) {
+  typename RowTable<T>::KeyCursor key_of(table);
+  const size_t words = (table.key_space() + 63) / 64;
   if (count_hint != 0 && words <= 16 * count_hint + 64) {
-    thread_local std::vector<uint64_t> bits;
-    if (bits.size() < words) bits.resize(words);
-    std::fill_n(bits.begin(), words, uint64_t{0});
-    for_each_id([&](Id id) {
-      const uint32_t row = RowOf(row_of_id, id);
-      if (row != CatalogSnapshot::kNoRow) {
-        bits[row >> 6] |= uint64_t{1} << (row & 63);
+    thread_local std::vector<uint64_t> marks;
+    if (marks.size() < words) marks.resize(words);
+    uint64_t* bits = marks.data();
+    std::fill_n(bits, words, uint64_t{0});
+    ForEachCandidate(ids, [&key_of, bits](Id id) {
+      const uint32_t key = key_of(id);
+      if (key != RowTable<T>::kNoKey) {
+        bits[key >> 6] |= uint64_t{1} << (key & 63);
       }
     });
     for (size_t w = 0; w < words; ++w) {
-      uint64_t word = bits[w];
-      while (word != 0) {
-        emit_row(static_cast<uint32_t>(
-            (w << 6) + static_cast<uint32_t>(__builtin_ctzll(word))));
-        word &= word - 1;
+      for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+        emit_row(key_of.At(static_cast<uint32_t>(
+            (w << 6) + static_cast<uint32_t>(__builtin_ctzll(word)))));
       }
     }
     return;
   }
-  std::vector<uint32_t> rows;
-  rows.reserve(count_hint);
-  for_each_id([&](Id id) {
-    const uint32_t row = RowOf(row_of_id, id);
-    if (row != CatalogSnapshot::kNoRow) rows.push_back(row);
+  std::vector<uint32_t> keys;
+  keys.reserve(count_hint);
+  ForEachCandidate(ids, [&key_of, &keys](Id id) {
+    const uint32_t key = key_of(id);
+    if (key != RowTable<T>::kNoKey) keys.push_back(key);
   });
-  std::sort(rows.begin(), rows.end());
-  for (uint32_t row : rows) emit_row(row);
+  std::sort(keys.begin(), keys.end());
+  for (uint32_t key : keys) emit_row(key_of.At(key));
 }
 
-template <typename ForEachId>
-std::vector<uint32_t> CollectRowsInNameOrder(
-    size_t count_hint, const std::vector<uint32_t>& row_of_id, size_t num_rows,
-    ForEachId&& for_each_id) {
-  std::vector<uint32_t> rows;
-  rows.reserve(count_hint);
-  EmitRowsInNameOrder(count_hint, row_of_id, num_rows,
-                      std::forward<ForEachId>(for_each_id),
-                      [&rows](uint32_t row) { rows.push_back(row); });
-  return rows;
+/// Every occurrence of the ids in `list` (duplicates kept), resolved
+/// to `table` rows in name order.
+template <typename T>
+NameList OccurrencesInNameOrder(std::shared_ptr<const CatalogSnapshot> pin,
+                                const RowTable<T>& table,
+                                const PostingBlocks& list) {
+  std::vector<uint32_t> keys;
+  keys.reserve(list.size());
+  typename RowTable<T>::KeyCursor key_of(table);
+  list.ForEachOccurrence([&](Id id) {
+    const uint32_t key = key_of(id);
+    if (key != RowTable<T>::kNoKey) keys.push_back(key);
+  });
+  std::sort(keys.begin(), keys.end());
+  PinnedListBuilder out(keys.size());
+  for (uint32_t key : keys) {
+    const auto& row = key_of.At(key);
+    out.Add(row.name, row.id);
+  }
+  return std::move(out).Build(std::move(pin));
 }
 
 }  // namespace
@@ -168,21 +199,8 @@ std::vector<uint32_t> CollectRowsInNameOrder(
 // Point lookups
 // ---------------------------------------------------------------------
 
-const CatalogSnapshot::Row<Dataset>* CatalogView::FindDatasetRow(
-    std::string_view name) const {
-  return FindRow(*snap_->datasets, name);
-}
-const CatalogSnapshot::Row<Transformation>* CatalogView::FindTransformationRow(
-    std::string_view name) const {
-  return FindRow(*snap_->transformations, name);
-}
-const CatalogSnapshot::Row<Derivation>* CatalogView::FindDerivationRow(
-    std::string_view name) const {
-  return FindRow(*snap_->derivations, name);
-}
-
 Result<Dataset> CatalogView::GetDataset(std::string_view name) const {
-  const auto* row = FindDatasetRow(name);
+  const auto* row = FindRow(snap_->datasets, name);
   if (row == nullptr) {
     return Status::NotFound("dataset not found: " + std::string(name));
   }
@@ -191,7 +209,7 @@ Result<Dataset> CatalogView::GetDataset(std::string_view name) const {
 
 Result<Transformation> CatalogView::GetTransformation(
     std::string_view name) const {
-  const auto* row = FindTransformationRow(name);
+  const auto* row = FindRow(snap_->transformations, name);
   if (row == nullptr) {
     return Status::NotFound("transformation not found: " + std::string(name));
   }
@@ -199,7 +217,7 @@ Result<Transformation> CatalogView::GetTransformation(
 }
 
 Result<Derivation> CatalogView::GetDerivation(std::string_view name) const {
-  const auto* row = FindDerivationRow(name);
+  const auto* row = FindRow(snap_->derivations, name);
   if (row == nullptr) {
     return Status::NotFound("derivation not found: " + std::string(name));
   }
@@ -207,13 +225,13 @@ Result<Derivation> CatalogView::GetDerivation(std::string_view name) const {
 }
 
 bool CatalogView::HasDataset(std::string_view name) const {
-  return FindDatasetRow(name) != nullptr;
+  return FindRow(snap_->datasets, name) != nullptr;
 }
 bool CatalogView::HasTransformation(std::string_view name) const {
-  return FindTransformationRow(name) != nullptr;
+  return FindRow(snap_->transformations, name) != nullptr;
 }
 bool CatalogView::HasDerivation(std::string_view name) const {
-  return FindDerivationRow(name) != nullptr;
+  return FindRow(snap_->derivations, name) != nullptr;
 }
 
 // ---------------------------------------------------------------------
@@ -223,11 +241,12 @@ bool CatalogView::HasDerivation(std::string_view name) const {
 bool CatalogView::IsMaterialized(std::string_view dataset) const {
   Id id = snap_->symbols.FindId(dataset);
   if (id == SymbolTable::kNoSymbol) return false;
-  return snap_->materialized->Contains(id);
+  return !snap_->materialized.empty() &&
+         snap_->materialized.list->Contains(id);
 }
 
 Result<std::string> CatalogView::ProducerOf(std::string_view dataset) const {
-  const auto* row = FindDatasetRow(dataset);
+  const auto* row = FindRow(snap_->datasets, dataset);
   if (row == nullptr) {
     return Status::NotFound("dataset not found: " + std::string(dataset));
   }
@@ -241,36 +260,17 @@ Result<std::string> CatalogView::ProducerOf(std::string_view dataset) const {
 NameList CatalogView::ConsumersOf(std::string_view dataset) const {
   Id id = snap_->symbols.FindId(dataset);
   if (id == SymbolTable::kNoSymbol) return NameList();
-  // Enumerate with duplicates (one entry per consuming argument, the
-  // historical multimap behavior), restored to name order through the
-  // row map.
-  const auto& row_of_id = *snap_->derivation_row_of_id;
-  const auto& rows = *snap_->derivations;
-  std::vector<uint32_t> hits;
-  LookupPosting(*snap_->consumers, id)->ForEachOccurrence([&](Id dv) {
-    const uint32_t row = RowOf(row_of_id, dv);
-    if (row != CatalogSnapshot::kNoRow) hits.push_back(row);
-  });
-  std::sort(hits.begin(), hits.end());
-  PinnedListBuilder out(hits.size());
-  for (uint32_t row : hits) out.Add(rows[row].name, rows[row].id);
-  return std::move(out).Build(snap_);
+  // One entry per consuming argument (the historical multimap
+  // behavior), in name order.
+  return OccurrencesInNameOrder(snap_, snap_->derivations,
+                                *LookupPosting(snap_->consumers, id));
 }
 
 NameList CatalogView::DerivationsUsing(std::string_view transformation) const {
   Id id = snap_->symbols.FindId(transformation);
   if (id == SymbolTable::kNoSymbol) return NameList();
-  const auto& row_of_id = *snap_->derivation_row_of_id;
-  const auto& rows = *snap_->derivations;
-  std::vector<uint32_t> hits;
-  LookupPosting(*snap_->by_transformation, id)->ForEachOccurrence([&](Id dv) {
-    const uint32_t row = RowOf(row_of_id, dv);
-    if (row != CatalogSnapshot::kNoRow) hits.push_back(row);
-  });
-  std::sort(hits.begin(), hits.end());
-  PinnedListBuilder out(hits.size());
-  for (uint32_t row : hits) out.Add(rows[row].name, rows[row].id);
-  return std::move(out).Build(snap_);
+  return OccurrencesInNameOrder(snap_, snap_->derivations,
+                                *LookupPosting(snap_->by_transformation, id));
 }
 
 // ---------------------------------------------------------------------
@@ -287,15 +287,7 @@ std::vector<CatalogView::Posting> CatalogView::DatasetPostings(
     if (with_drivers) {
       p.driver = "attr " + predicate.key + "=" + predicate.operand.ToString();
     }
-    Id key_id = snap_->symbols.FindId(predicate.key);
-    p.ids = key_id == SymbolTable::kNoSymbol
-                ? EmptyPosting()
-                : LookupPosting(
-                      *snap_->attr_index,
-                      CatalogSnapshot::AttrKey(
-                          key_id,
-                          snapshot_internal::TaggedAttrValue(
-                              predicate.operand)));
+    p.ids = AttrPosting(*snap_, predicate.key, predicate.operand);
     postings.push_back(std::move(p));
   }
   if (query.type && !query.type->IsAny()) {
@@ -314,15 +306,21 @@ std::vector<CatalogView::Posting> CatalogView::DatasetPostings(
       Id type_id = snap_->symbols.FindId(component);
       p.ids = type_id == SymbolTable::kNoSymbol
                   ? EmptyPosting()
-                  : LookupPosting(*snap_->type_index,
-                                  snapshot_internal::PackTypeKey(dim, type_id));
+                  : LookupPosting(snap_->type_index[d], type_id);
       postings.push_back(std::move(p));
     }
   }
   return postings;
 }
 
+const PostingList& CatalogView::MaterializedPosting() const {
+  return snap_->materialized.list == nullptr ? EmptyPosting()
+                                             : snap_->materialized.list;
+}
+
 NameList CatalogView::FindDatasets(const DatasetQuery& query) const {
+  const RowTable<Dataset>& ds_rows = snap_->datasets;
+  using DatasetRow = RowTable<Dataset>::Row;
   // Hot-path special case: one indexed kEq predicate and nothing else
   // (the broad shard-scan shape). The answer is exactly one posting
   // list, so skip the plan machinery — no postings vector, no
@@ -333,37 +331,26 @@ NameList CatalogView::FindDatasets(const DatasetQuery& query) const {
       (!query.type || query.type->IsAny()) && query.name_prefix.empty() &&
       !query.require_materialized && !query.only_virtual) {
     const AttributePredicate& predicate = query.predicates[0];
-    Id key_id = snap_->symbols.FindId(predicate.key);
-    const PostingList& only =
-        key_id == SymbolTable::kNoSymbol
-            ? EmptyPosting()
-            : LookupPosting(*snap_->attr_index,
-                            CatalogSnapshot::AttrKey(
-                                key_id, snapshot_internal::TaggedAttrValue(
-                                            predicate.operand)));
-    const auto& ds_rows = *snap_->datasets;
-    const size_t hint = only->distinct();
+    const PostingBlocks& only =
+        *AttrPosting(*snap_, predicate.key, predicate.operand);
+    const size_t hint = only.distinct();
     PinnedListBuilder out(query.limit != 0 ? std::min(query.limit, hint)
                                            : hint);
     if (query.limit == 0) {
-      EmitRowsInNameOrder(hint, *snap_->dataset_row_of_id, ds_rows.size(),
-                          [&only](auto&& emit) { only->ForEach(emit); },
-                          [&](uint32_t row) {
-                            out.Add(ds_rows[row].name, ds_rows[row].id);
-                          });
+      EmitRowsInNameOrder(ds_rows, only, hint, [&](const DatasetRow& row) {
+        out.Add(row.name, row.id);
+      });
     } else {
-      EmitRowsInNameOrder(hint, *snap_->dataset_row_of_id, ds_rows.size(),
-                          [&only](auto&& emit) { only->ForEach(emit); },
-                          [&](uint32_t row) {
-                            if (out.size() >= query.limit) return;
-                            out.Add(ds_rows[row].name, ds_rows[row].id);
-                          });
+      EmitRowsInNameOrder(ds_rows, only, hint, [&](const DatasetRow& row) {
+        if (out.size() >= query.limit) return;
+        out.Add(row.name, row.id);
+      });
     }
     return std::move(out).Build(snap_);
   }
 
   // Indexed path: intersect the posting lists rarest-first, then remap
-  // the survivors to name order through the row map.
+  // the survivors to name order.
   std::vector<Posting> postings = DatasetPostings(query, /*with_drivers=*/false);
   if (!postings.empty()) {
     // The attribute lists answer kEq predicates exactly and the type
@@ -381,14 +368,13 @@ NameList CatalogView::FindDatasets(const DatasetQuery& query) const {
       Posting p;
       p.path = AccessPath::kMaterializedSet;
       p.driver = "materialized-set";
-      p.ids = snap_->materialized;
+      p.ids = MaterializedPosting();
       postings.push_back(std::move(p));
     }
     std::stable_sort(postings.begin(), postings.end(),
                      [](const Posting& a, const Posting& b) {
                        return a.ids->size() < b.ids->size();
                      });
-    const auto& ds_rows = *snap_->datasets;
     size_t reserve_hint;
     std::vector<Id> candidates;
     if (postings.size() == 1) {
@@ -403,41 +389,30 @@ NameList CatalogView::FindDatasets(const DatasetQuery& query) const {
     }
     if (query.limit != 0) reserve_hint = std::min(query.limit, reserve_hint);
     PinnedListBuilder out(reserve_hint);
+    const PostingBlocks& materialized = *MaterializedPosting();
     bool done = false;
-    auto take_row = [&](uint32_t row) {
+    auto take_row = [&](const DatasetRow& row) {
       if (done) return;
       if (!exact) {
-        std::string_view name = ds_rows[row].name;
-        const Dataset& ds = *ds_rows[row].object;
+        const Dataset& ds = *row.object;
         if (!query.name_prefix.empty() &&
-            !StartsWith(name, query.name_prefix)) {
+            !StartsWith(row.name, query.name_prefix)) {
           return;
         }
         if (query.type && !snap_->types->Conforms(ds.type, *query.type)) {
           return;
         }
         if (!MatchesAll(ds.annotations, query.predicates)) return;
-        if (query.only_virtual &&
-            snap_->materialized->Contains(ds_rows[row].id)) {
-          return;
-        }
+        if (query.only_virtual && materialized.Contains(row.id)) return;
       }
-      out.Add(ds_rows[row].name, ds_rows[row].id);
+      out.Add(row.name, row.id);
       if (query.limit != 0 && out.size() >= query.limit) done = true;
     };
     if (postings.size() == 1) {
       const PostingBlocks& only = *postings[0].ids;
-      EmitRowsInNameOrder(only.distinct(), *snap_->dataset_row_of_id,
-                          ds_rows.size(),
-                          [&only](auto&& emit) { only.ForEach(emit); },
-                          take_row);
+      EmitRowsInNameOrder(ds_rows, only, only.distinct(), take_row);
     } else {
-      EmitRowsInNameOrder(candidates.size(), *snap_->dataset_row_of_id,
-                          ds_rows.size(),
-                          [&candidates](auto&& emit) {
-                            for (Id id : candidates) emit(id);
-                          },
-                          take_row);
+      EmitRowsInNameOrder(ds_rows, candidates, candidates.size(), take_row);
     }
     return std::move(out).Build(snap_);
   }
@@ -458,39 +433,29 @@ NameList CatalogView::FindDatasets(const DatasetQuery& query) const {
 
   // Materialized-set path: enumerate only datasets with valid replicas.
   if (query.require_materialized) {
-    const auto& ds_rows = *snap_->datasets;
-    const PostingBlocks& mat = *snap_->materialized;
-    const std::vector<uint32_t> rows = CollectRowsInNameOrder(
-        mat.distinct(), *snap_->dataset_row_of_id, ds_rows.size(),
-        [&mat](auto&& emit) { mat.ForEach(emit); });
-    PinnedListBuilder out(rows.size());
-    for (uint32_t row : rows) {
-      if (!matches(ds_rows[row].name, *ds_rows[row].object)) continue;
-      out.Add(ds_rows[row].name, ds_rows[row].id);
-      if (query.limit != 0 && out.size() >= query.limit) break;
-    }
+    const PostingBlocks& mat = *MaterializedPosting();
+    PinnedListBuilder out(mat.distinct());
+    bool done = false;
+    EmitRowsInNameOrder(ds_rows, mat, mat.distinct(),
+                        [&](const DatasetRow& row) {
+                          if (done || !matches(row.name, *row.object)) return;
+                          out.Add(row.name, row.id);
+                          done = query.limit != 0 && out.size() >= query.limit;
+                        });
     return std::move(out).Build(snap_);
   }
 
   // Name-prefix path: bounded range scan over the name-sorted rows.
-  const auto& rows = *snap_->datasets;
-  auto it = query.name_prefix.empty()
-                ? rows.begin()
-                : std::lower_bound(
-                      rows.begin(), rows.end(),
-                      std::string_view(query.name_prefix),
-                      [](const CatalogSnapshot::Row<Dataset>& row,
-                         std::string_view target) { return row.name < target; });
-  PinnedListBuilder out(query.limit != 0 ? query.limit : rows.size());
-  for (; it != rows.end(); ++it) {
+  PinnedListBuilder out(query.limit != 0 ? query.limit : ds_rows.size());
+  ds_rows.ScanFrom(query.name_prefix, [&](const DatasetRow& row) {
     if (!query.name_prefix.empty() &&
-        !StartsWith(it->name, query.name_prefix)) {
-      break;
+        !StartsWith(row.name, query.name_prefix)) {
+      return false;
     }
-    if (!matches(it->name, *it->object)) continue;
-    out.Add(it->name, it->id);
-    if (query.limit != 0 && out.size() >= query.limit) break;
-  }
+    if (!matches(row.name, *row.object)) return true;
+    out.Add(row.name, row.id);
+    return query.limit == 0 || out.size() < query.limit;
+  });
   return std::move(out).Build(snap_);
 }
 
@@ -509,7 +474,7 @@ QueryPlan CatalogView::ExplainFindDatasets(const DatasetQuery& query) const {
       Posting p;
       p.path = AccessPath::kMaterializedSet;
       p.driver = "materialized-set";
-      p.ids = snap_->materialized;
+      p.ids = MaterializedPosting();
       postings.push_back(std::move(p));
     }
     std::stable_sort(postings.begin(), postings.end(),
@@ -531,44 +496,38 @@ QueryPlan CatalogView::ExplainFindDatasets(const DatasetQuery& query) const {
   if (query.require_materialized) {
     plan.path = AccessPath::kMaterializedSet;
     plan.driver = "materialized-set";
-    plan.estimated_candidates = snap_->materialized->size();
+    plan.estimated_candidates = MaterializedPosting()->size();
     plan.actual_candidates = plan.estimated_candidates;
     return plan;
   }
   if (!query.name_prefix.empty()) {
     plan.path = AccessPath::kNamePrefixRange;
     plan.driver = "prefix " + query.name_prefix;
-    plan.estimated_candidates = snap_->datasets->size();  // upper bound
+    plan.estimated_candidates = snap_->datasets.size();  // upper bound
     plan.actual_candidates = plan.estimated_candidates;
     return plan;
   }
   plan.path = AccessPath::kFullScan;
   plan.driver = "datasets";
-  plan.estimated_candidates = snap_->datasets->size();
+  plan.estimated_candidates = snap_->datasets.size();
   plan.actual_candidates = plan.estimated_candidates;
   return plan;
 }
 
 NameList CatalogView::FindTransformations(
     const TransformationQuery& query) const {
-  const auto& rows = *snap_->transformations;
+  const RowTable<Transformation>& rows = snap_->transformations;
   const TypeRegistry& types = *snap_->types;
   // Prefix queries scan only the matching range of the sorted rows.
-  auto it = query.name_prefix.empty()
-                ? rows.begin()
-                : std::lower_bound(
-                      rows.begin(), rows.end(),
-                      std::string_view(query.name_prefix),
-                      [](const CatalogSnapshot::Row<Transformation>& row,
-                         std::string_view target) { return row.name < target; });
   PinnedListBuilder out(query.limit != 0 ? query.limit : rows.size());
-  for (; it != rows.end(); ++it) {
-    std::string_view name = it->name;
-    const Transformation& tr = *it->object;
+  rows.ScanFrom(query.name_prefix, [&](const RowTable<Transformation>::Row&
+                                           row) {
+    std::string_view name = row.name;
+    const Transformation& tr = *row.object;
     if (!query.name_prefix.empty() && !StartsWith(name, query.name_prefix)) {
-      break;
+      return false;
     }
-    if (!MatchesAll(tr.annotations(), query.predicates)) continue;
+    if (!MatchesAll(tr.annotations(), query.predicates)) return true;
     if (query.consumes) {
       bool accepts = false;
       for (const FormalArg& arg : tr.args()) {
@@ -578,7 +537,7 @@ NameList CatalogView::FindTransformations(
           break;
         }
       }
-      if (!accepts) continue;
+      if (!accepts) return true;
     }
     if (query.produces) {
       bool yields = false;
@@ -596,11 +555,11 @@ NameList CatalogView::FindTransformations(
         }
         if (yields) break;
       }
-      if (!yields) continue;
+      if (!yields) return true;
     }
-    out.Add(name, it->id);
-    if (query.limit != 0 && out.size() >= query.limit) break;
-  }
+    out.Add(name, row.id);
+    return query.limit == 0 || out.size() < query.limit;
+  });
   return std::move(out).Build(snap_);
 }
 
@@ -618,9 +577,9 @@ std::vector<CatalogView::Posting> CatalogView::DerivationPostings(
       p.ids = EmptyPosting();
     } else {
       const PostingList& qualified =
-          LookupPosting(*snap_->by_transformation, tr_id);
+          LookupPosting(snap_->by_transformation, tr_id);
       const PostingList& bare =
-          LookupPosting(*snap_->by_bare_transformation, tr_id);
+          LookupPosting(snap_->by_bare_transformation, tr_id);
       if (bare->empty()) {
         p.ids = qualified;
       } else if (qualified->empty()) {
@@ -639,7 +598,7 @@ std::vector<CatalogView::Posting> CatalogView::DerivationPostings(
     Id ds_id = snap_->symbols.FindId(query.reads_dataset);
     p.ids = ds_id == SymbolTable::kNoSymbol
                 ? EmptyPosting()
-                : LookupPosting(*snap_->consumers, ds_id);
+                : LookupPosting(snap_->consumers, ds_id);
     postings.push_back(std::move(p));
   }
   if (!query.writes_dataset.empty()) {
@@ -649,13 +608,15 @@ std::vector<CatalogView::Posting> CatalogView::DerivationPostings(
     Id ds_id = snap_->symbols.FindId(query.writes_dataset);
     p.ids = ds_id == SymbolTable::kNoSymbol
                 ? EmptyPosting()
-                : LookupPosting(*snap_->producers, ds_id);
+                : LookupPosting(snap_->producers, ds_id);
     postings.push_back(std::move(p));
   }
   return postings;
 }
 
 NameList CatalogView::FindDerivations(const DerivationQuery& query) const {
+  const RowTable<Derivation>& dv_rows = snap_->derivations;
+  using DerivationRow = RowTable<Derivation>::Row;
   std::vector<Posting> postings = DerivationPostings(query, /*with_drivers=*/false);
   if (!postings.empty()) {
     // The posting lists answer the transformation/reads/writes
@@ -666,7 +627,6 @@ NameList CatalogView::FindDerivations(const DerivationQuery& query) const {
                      [](const Posting& a, const Posting& b) {
                        return a.ids->size() < b.ids->size();
                      });
-    const auto& dv_rows = *snap_->derivations;
     size_t reserve_hint;
     std::vector<Id> candidates;
     if (postings.size() == 1) {
@@ -679,63 +639,39 @@ NameList CatalogView::FindDerivations(const DerivationQuery& query) const {
     if (query.limit != 0) reserve_hint = std::min(query.limit, reserve_hint);
     PinnedListBuilder out(reserve_hint);
     bool done = false;
-    auto take_row = [&](uint32_t row) {
+    auto take_row = [&](const DerivationRow& row) {
       if (done) return;
-      std::string_view name = dv_rows[row].name;
       if (!exact) {
         if (!query.name_prefix.empty() &&
-            !StartsWith(name, query.name_prefix)) {
+            !StartsWith(row.name, query.name_prefix)) {
           return;
         }
-        if (!MatchesAll(dv_rows[row].object->annotations(),
-                        query.predicates)) {
+        if (!MatchesAll(row.object->annotations(), query.predicates)) {
           return;
         }
       }
-      out.Add(name, dv_rows[row].id);
+      out.Add(row.name, row.id);
       if (query.limit != 0 && out.size() >= query.limit) done = true;
     };
     if (postings.size() == 1) {
       const PostingBlocks& only = *postings[0].ids;
-      EmitRowsInNameOrder(only.distinct(), *snap_->derivation_row_of_id,
-                          dv_rows.size(),
-                          [&only](auto&& emit) { only.ForEach(emit); },
-                          take_row);
+      EmitRowsInNameOrder(dv_rows, only, only.distinct(), take_row);
     } else {
-      EmitRowsInNameOrder(candidates.size(), *snap_->derivation_row_of_id,
-                          dv_rows.size(),
-                          [&candidates](auto&& emit) {
-                            for (Id id : candidates) emit(id);
-                          },
-                          take_row);
+      EmitRowsInNameOrder(dv_rows, candidates, candidates.size(), take_row);
     }
     return std::move(out).Build(snap_);
   }
 
-  auto residual = [&query](std::string_view name, const Derivation& dv) {
-    if (!query.name_prefix.empty() && !StartsWith(name, query.name_prefix)) {
+  PinnedListBuilder out(query.limit != 0 ? query.limit : dv_rows.size());
+  dv_rows.ScanFrom(query.name_prefix, [&](const DerivationRow& row) {
+    if (!query.name_prefix.empty() &&
+        !StartsWith(row.name, query.name_prefix)) {
       return false;
     }
-    return MatchesAll(dv.annotations(), query.predicates);
-  };
-  const auto& rows = *snap_->derivations;
-  auto it = query.name_prefix.empty()
-                ? rows.begin()
-                : std::lower_bound(
-                      rows.begin(), rows.end(),
-                      std::string_view(query.name_prefix),
-                      [](const CatalogSnapshot::Row<Derivation>& row,
-                         std::string_view target) { return row.name < target; });
-  PinnedListBuilder out(query.limit != 0 ? query.limit : rows.size());
-  for (; it != rows.end(); ++it) {
-    if (!query.name_prefix.empty() &&
-        !StartsWith(it->name, query.name_prefix)) {
-      break;
-    }
-    if (!residual(it->name, *it->object)) continue;
-    out.Add(it->name, it->id);
-    if (query.limit != 0 && out.size() >= query.limit) break;
-  }
+    if (!MatchesAll(row.object->annotations(), query.predicates)) return true;
+    out.Add(row.name, row.id);
+    return query.limit == 0 || out.size() < query.limit;
+  });
   return std::move(out).Build(snap_);
 }
 
@@ -765,13 +701,13 @@ QueryPlan CatalogView::ExplainFindDerivations(
   if (!query.name_prefix.empty()) {
     plan.path = AccessPath::kNamePrefixRange;
     plan.driver = "prefix " + query.name_prefix;
-    plan.estimated_candidates = snap_->derivations->size();  // upper bound
+    plan.estimated_candidates = snap_->derivations.size();  // upper bound
     plan.actual_candidates = plan.estimated_candidates;
     return plan;
   }
   plan.path = AccessPath::kFullScan;
   plan.driver = "derivations";
-  plan.estimated_candidates = snap_->derivations->size();
+  plan.estimated_candidates = snap_->derivations.size();
   plan.actual_candidates = plan.estimated_candidates;
   return plan;
 }
@@ -781,18 +717,18 @@ QueryPlan CatalogView::ExplainFindDerivations(
 // ---------------------------------------------------------------------
 
 NameList CatalogView::AllDatasetNames() const {
-  return RowNames(snap_, *snap_->datasets);
+  return RowNames(snap_, snap_->datasets);
 }
 NameList CatalogView::AllTransformationNames() const {
-  return RowNames(snap_, *snap_->transformations);
+  return RowNames(snap_, snap_->transformations);
 }
 NameList CatalogView::AllDerivationNames() const {
-  return RowNames(snap_, *snap_->derivations);
+  return RowNames(snap_, snap_->derivations);
 }
 
 uint64_t CatalogView::changelog_floor() const {
-  const auto& log = *snap_->changelog;
-  return log.empty() ? snap_->version : log.front()->version - 1;
+  const auto& log = snap_->changelog;
+  return log.empty() ? snap_->version : log.front().version - 1;
 }
 
 Result<std::vector<CatalogChange>> CatalogView::ChangesSince(
@@ -804,24 +740,29 @@ Result<std::vector<CatalogChange>> CatalogView::ChangesSince(
         " is ahead of catalog version " + std::to_string(version));
   }
   if (since_version == version) return std::vector<CatalogChange>{};
-  const auto& log = *snap_->changelog;
+  const auto& log = snap_->changelog;
   // Versions in the window are consecutive (batches share one version
   // and are trimmed as whole groups), so the delta is gap-free iff the
   // window reaches back to since_version + 1.
-  if (log.empty() || log.front()->version > since_version + 1) {
+  if (log.empty() || log.front().version > since_version + 1) {
     return Status::ResourceExhausted(
         "changelog window starts at version " +
         std::to_string(changelog_floor()) + ", cannot answer since " +
         std::to_string(since_version));
   }
-  auto it = std::lower_bound(
-      log.begin(), log.end(), since_version + 1,
-      [](const std::shared_ptr<const CatalogChange>& c, uint64_t v) {
-        return c->version < v;
-      });
+  // First entry with version > since_version.
+  size_t lo = 0, hi = log.size();
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (log.at(mid).version <= since_version) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
   std::vector<CatalogChange> out;
-  out.reserve(static_cast<size_t>(log.end() - it));
-  for (; it != log.end(); ++it) out.push_back(**it);
+  out.reserve(log.size() - lo);
+  for (size_t i = lo; i < log.size(); ++i) out.push_back(log.at(i));
   return out;
 }
 

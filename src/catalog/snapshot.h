@@ -1,14 +1,15 @@
 #ifndef VDG_CATALOG_SNAPSHOT_H_
 #define VDG_CATALOG_SNAPSHOT_H_
 
+#include <array>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "catalog/cow.h"
 #include "catalog/posting.h"
 #include "catalog/query.h"
 #include "common/name_list.h"
@@ -58,77 +59,60 @@ inline std::string TaggedAttrValue(const AttributeValue& value) {
   return out;
 }
 
-/// Packs one (dimension, interned type-name) pair into the type-index
-/// key.
+/// Packs one (dimension, interned type-name) pair into the flat
+/// snapshot's type-index key.
 inline uint64_t PackTypeKey(TypeDimension dim, SymbolTable::Id type_id) {
   return (static_cast<uint64_t>(dim) << 32) | static_cast<uint64_t>(type_id);
 }
 
 }  // namespace snapshot_internal
 
-/// An immutable, internally consistent picture of one catalog version:
-/// the object rows, every posting-list index, the materialized set,
-/// the type universe, and the changelog window, all as shared
-/// structures that are never mutated after publication. The writer
-/// publishes a fresh CatalogSnapshot after every commit (copying only
-/// the components that changed — the small-delta path; untouched
-/// components are shared with the previous snapshot), and readers pin
-/// one by copying the shared_ptr under the catalog's snapshot-slot
-/// mutex (held only for the copy).
+/// An internally consistent picture of one catalog version: the object
+/// rows, every posting-list index, the materialized set, the type
+/// universe, and the changelog window. It is also the catalog's only
+/// index: the writer keeps one unpublished CatalogSnapshot, edits it in
+/// place through the copy-on-write generation structures of cow.h
+/// (anything shared with an earlier publication is path-copied once per
+/// generation), and publishes by copying this struct — a few dozen
+/// pointers — into the slot readers pin. Published snapshots are never
+/// mutated.
 ///
-/// Interning: object names, attribute keys, and type names are interned
-/// into 32-bit symbol ids (`symbols`); posting lists are compressed
-/// id-ordered block structures (PostingBlocks), and index keys compare
-/// ids instead of strings.
+/// Interning: object names, attribute keys, attribute values (in their
+/// tagged wire form), and type names are interned into 32-bit symbol
+/// ids (`symbols`); posting lists are compressed id-ordered block
+/// structures (PostingBlocks), and index keys are ids.
 struct CatalogSnapshot {
   using Id = SymbolTable::Id;
   /// Compressed block-format posting list in id-value order (multiset:
-  /// one derivation naming the same dataset twice counts twice). Shared
-  /// so a per-key copy-on-write update leaves prior snapshots
-  /// untouched. Name-ordered output is reconstructed by mapping
-  /// surviving ids through `*_row_of_id` into the name-sorted rows.
+  /// one derivation naming the same dataset twice counts twice).
+  /// Name-ordered output is reconstructed through the row tables'
+  /// name-order keys (RowTable::KeyCursor).
   using PostingList = std::shared_ptr<const PostingBlocks>;
-  /// (interned attribute key, tagged wire value).
-  using AttrKey = std::pair<Id, std::string>;
-
-  template <typename T>
-  struct Row {
-    std::string_view name;  // into symbol storage, kept alive by `symbols`
-    Id id = 0;
-    std::shared_ptr<const T> object;
-  };
-  template <typename T>
-  using Rows = std::vector<Row<T>>;  // sorted by name
 
   uint64_t version = 0;
   SymbolTable::View symbols;
   std::shared_ptr<const TypeRegistry> types;
 
-  std::shared_ptr<const Rows<Dataset>> datasets;
-  std::shared_ptr<const Rows<Transformation>> transformations;
-  std::shared_ptr<const Rows<Derivation>> derivations;
+  RowTable<Dataset> datasets;
+  RowTable<Transformation> transformations;
+  RowTable<Derivation> derivations;
 
-  /// Inverse row maps: symbol id -> index into the name-sorted Rows
-  /// above (kNoRow when the id is not an object of that class). O(1)
-  /// id->row resolution on the query hot path, and the bridge from
-  /// id-ordered posting lists back to name-ordered results (rows are
-  /// name-sorted, so sorting surviving row indexes IS a name sort).
-  /// Rebuilt together with the rows they mirror.
-  static constexpr uint32_t kNoRow = 0xffffffffu;
-  std::shared_ptr<const std::vector<uint32_t>> dataset_row_of_id;
-  std::shared_ptr<const std::vector<uint32_t>> derivation_row_of_id;
-
-  std::shared_ptr<const std::map<AttrKey, PostingList>> attr_index;
-  std::shared_ptr<const std::map<uint64_t, PostingList>> type_index;
-  std::shared_ptr<const std::map<Id, PostingList>> consumers;   // ds -> DVs
-  std::shared_ptr<const std::map<Id, PostingList>> producers;   // ds -> DVs
-  std::shared_ptr<const std::map<Id, PostingList>> by_transformation;
-  std::shared_ptr<const std::map<Id, PostingList>> by_bare_transformation;
+  /// Attribute key id -> tagged-value id -> datasets: the kEq index.
+  CowArray<PostingMap> attr_index;
+  /// Per dimension, ancestor type id -> datasets, for every ancestor
+  /// (excluding the dimension base) of every non-empty component of the
+  /// dataset's type: the type-conformance closure.
+  std::array<PostingMap, kNumTypeDimensions> type_index;
+  PostingMap consumers;          // dataset -> derivations reading it
+  PostingMap producers;          // dataset -> derivations writing it
+  PostingMap by_transformation;  // qualified TR -> derivations
+  /// Bare transformation name -> derivation, only for derivations
+  /// whose qualified name differs (DerivationQuery matches either).
+  PostingMap by_bare_transformation;
   /// Dataset ids with >= 1 valid replica.
-  PostingList materialized;
+  PostingSlot materialized;
 
-  std::shared_ptr<const std::vector<std::shared_ptr<const CatalogChange>>>
-      changelog;
+  ChangeWindow<CatalogChange> changelog;
 };
 
 /// A pinned read view over one CatalogSnapshot: every query below runs
@@ -197,13 +181,16 @@ class CatalogView {
                                        bool with_drivers) const;
   std::vector<Posting> DerivationPostings(const DerivationQuery& query,
                                           bool with_drivers) const;
+  /// The materialized set (the shared empty list when there is none).
+  const CatalogSnapshot::PostingList& MaterializedPosting() const;
 
-  const CatalogSnapshot::Row<Dataset>* FindDatasetRow(
-      std::string_view name) const;
-  const CatalogSnapshot::Row<Transformation>* FindTransformationRow(
-      std::string_view name) const;
-  const CatalogSnapshot::Row<Derivation>* FindDerivationRow(
-      std::string_view name) const;
+  /// The row named `name` in `table`, or null.
+  template <typename T>
+  const typename RowTable<T>::Row* FindRow(const RowTable<T>& table,
+                                           std::string_view name) const {
+    const SymbolTable::Id id = snap_->symbols.FindId(name);
+    return id == SymbolTable::kNoSymbol ? nullptr : table.Find(id);
+  }
 
   std::shared_ptr<const CatalogSnapshot> snap_;
 };

@@ -117,64 +117,101 @@ std::string FormatDoubleRoundTrip(double value) {
   return std::string(buf, ptr);
 }
 
-std::string_view SymbolTable::View::NameOf(Id id) const {
-  if (id >= count_ || spine_ == nullptr) return {};
-  return (*(*spine_)[id / kChunkCapacity])[id % kChunkCapacity];
+namespace {
+constexpr size_t kInitialLookupSlots = 1024;
+constexpr size_t kInitialSpineChunks = 16;
+}  // namespace
+
+SymbolTable::SymbolTable()
+    : spine_(std::make_shared<Spine>(kInitialSpineChunks)),
+      lookup_(std::make_shared<Lookup>(kInitialLookupSlots)) {}
+
+SymbolTable::Id SymbolTable::Probe(const Lookup& lookup, size_t count,
+                                   std::string_view name,
+                                   size_t* empty_slot) {
+  // Relaxed loads suffice: an id below `count` was stored before the
+  // publication that handed out `count`, and the slot's name fields and
+  // the string itself are ordered by the same edge; ids at or above
+  // `count` are skipped before their name fields are read.
+  for (size_t i = std::hash<std::string_view>{}(name) & lookup.mask;;
+       i = (i + 1) & lookup.mask) {
+    const Slot& slot = lookup.slots[i];
+    const Id id = slot.id.load(std::memory_order_relaxed);
+    if (id == kNoSymbol) {
+      if (empty_slot != nullptr) *empty_slot = i;
+      return kNoSymbol;
+    }
+    if (id < count && std::string_view(slot.data, slot.size) == name) {
+      return id;
+    }
+  }
+}
+
+void SymbolTable::FillSlot(Lookup* lookup, size_t slot, Id id,
+                           std::string_view name) {
+  Slot& s = lookup->slots[slot];
+  s.data = name.data();
+  s.size = static_cast<uint32_t>(name.size());
+  s.id.store(id, std::memory_order_relaxed);
 }
 
 SymbolTable::Id SymbolTable::View::FindId(std::string_view name) const {
-  if (by_name_ == nullptr) return kNoSymbol;
-  auto it = std::lower_bound(
-      by_name_->begin(), by_name_->end(), name,
-      [this](Id id, std::string_view target) { return NameOf(id) < target; });
-  if (it == by_name_->end() || NameOf(*it) != name) return kNoSymbol;
-  return *it;
+  if (lookup_ == nullptr) return kNoSymbol;
+  return Probe(*lookup_, count_, name, nullptr);
 }
 
 SymbolTable::Id SymbolTable::Intern(std::string_view name) {
-  auto it = index_.find(name);
-  if (it != index_.end()) return it->second;
+  size_t empty = 0;
+  const Id found = Probe(*lookup_, count_, name, &empty);
+  if (found != kNoSymbol) return found;
   const Id id = static_cast<Id>(count_);
   const size_t slot = count_ % kChunkCapacity;
   if (slot == 0) {
+    const size_t chunk_no = count_ / kChunkCapacity;
+    if (chunk_no == spine_->capacity) {
+      auto grown = std::make_shared<Spine>(spine_->capacity * 2);
+      for (size_t c = 0; c < chunk_no; ++c) {
+        grown->chunks[c] = spine_->chunks[c];
+      }
+      spine_ = std::move(grown);
+    }
     // Pre-size the chunk so the vector's metadata and element array
     // never change after creation: the writer assigns into slots the
     // published count has not reached, readers index below it.
-    auto chunk = std::make_shared<Chunk>(kChunkCapacity);
-    spine_.push_back(std::move(chunk));
+    spine_->chunks[chunk_no] = std::make_shared<Chunk>(kChunkCapacity);
   }
-  Chunk& chunk = *spine_.back();
-  chunk[slot] = std::string(name);
+  (*spine_->chunks[count_ / kChunkCapacity])[slot] = std::string(name);
   ++count_;
-  index_.emplace(std::string_view(chunk[slot]), id);
+  if (2 * count_ > lookup_->mask + 1) {
+    // Rehash into a table twice the size; Views published earlier keep
+    // probing the old one, which is never written again.
+    auto grown = std::make_shared<Lookup>(2 * (lookup_->mask + 1));
+    for (Id old = 0; old < count_; ++old) {
+      const std::string_view stored = NameIn(*spine_, old);
+      size_t i = std::hash<std::string_view>{}(stored) & grown->mask;
+      while (grown->slots[i].id.load(std::memory_order_relaxed) !=
+             kNoSymbol) {
+        i = (i + 1) & grown->mask;
+      }
+      FillSlot(grown.get(), i, old, stored);
+    }
+    lookup_ = std::move(grown);
+  } else {
+    FillSlot(lookup_.get(), empty, id, NameIn(*spine_, id));
+  }
   return id;
 }
 
 SymbolTable::Id SymbolTable::Find(std::string_view name) const {
-  auto it = index_.find(name);
-  return it == index_.end() ? kNoSymbol : it->second;
-}
-
-std::string_view SymbolTable::NameOf(Id id) const {
-  if (id >= count_) return {};
-  return (*spine_[id / kChunkCapacity])[id % kChunkCapacity];
+  return Probe(*lookup_, count_, name, nullptr);
 }
 
 SymbolTable::View SymbolTable::Publish() {
-  if (dirty() || published_spine_ == nullptr) {
-    published_spine_ =
-        std::make_shared<const std::vector<std::shared_ptr<Chunk>>>(spine_);
-    auto by_name = std::make_shared<std::vector<Id>>();
-    by_name->reserve(count_);
-    // index_ is ordered by name, so one pass yields the sorted ids.
-    for (const auto& [name, id] : index_) by_name->push_back(id);
-    published_by_name_ = std::move(by_name);
-    published_count_ = count_;
-  }
+  published_count_ = count_;
   View view;
-  view.spine_ = published_spine_;
-  view.by_name_ = published_by_name_;
-  view.count_ = published_count_;
+  view.spine_ = spine_;
+  view.lookup_ = lookup_;
+  view.count_ = count_;
   return view;
 }
 

@@ -1,8 +1,8 @@
 #ifndef VDG_COMMON_STRINGS_H_
 #define VDG_COMMON_STRINGS_H_
 
+#include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -59,14 +59,56 @@ std::string FormatDoubleRoundTrip(double value);
 /// table's lifetime; a View only resolves ids below its published
 /// count, so the writer may keep filling later slots concurrently.
 ///
-/// Ids are assigned in interning order, NOT name order. A View carries
-/// a by-name index (rebuilt on Publish only when symbols were added)
-/// for reverse lookups.
+/// Ids are assigned in interning order, NOT name order. Reverse lookups
+/// go through one append-only open-addressing table of ids shared by
+/// the writer and every View: the writer only ever fills empty slots,
+/// and a View skips ids at or above its count, so it never resolves a
+/// name interned after it was published. Growing past half load
+/// rehashes into a fresh table; older Views keep theirs alive. Publish
+/// is therefore O(1).
 class SymbolTable {
  public:
   using Id = uint32_t;
   static constexpr Id kNoSymbol = 0xffffffffu;
 
+ private:
+  using Chunk = std::vector<std::string>;
+  static constexpr size_t kChunkCapacity = 1024;
+
+  /// Chunk pointers by chunk number, in a fixed-capacity array: the
+  /// writer appends past every published count, and outgrowing it
+  /// copies the pointers into a larger Spine (older Views keep theirs).
+  struct Spine {
+    explicit Spine(size_t cap)
+        : capacity(cap), chunks(new std::shared_ptr<Chunk>[cap]) {}
+    size_t capacity;
+    std::unique_ptr<std::shared_ptr<Chunk>[]> chunks;
+  };
+  /// One id-table slot. The name's bytes ride along so a probe
+  /// compares without walking to the chunk; they are written before the
+  /// id and read only for ids below a published count.
+  struct Slot {
+    const char* data = nullptr;
+    uint32_t size = 0;
+    std::atomic<Id> id{kNoSymbol};
+  };
+  /// Linear-probing id table (id kNoSymbol = empty), at most half full.
+  struct Lookup {
+    explicit Lookup(size_t cap) : mask(cap - 1), slots(new Slot[cap]) {}
+    size_t mask;
+    std::unique_ptr<Slot[]> slots;
+  };
+
+  static std::string_view NameIn(const Spine& spine, Id id) {
+    return (*spine.chunks[id / kChunkCapacity])[id % kChunkCapacity];
+  }
+  static Id Probe(const Lookup& lookup, size_t count, std::string_view name,
+                  size_t* empty_slot);
+  /// Fills an empty slot of `lookup` with `id` and its name.
+  static void FillSlot(Lookup* lookup, size_t slot, Id id,
+                       std::string_view name);
+
+ public:
   /// Immutable reader-side handle: resolves ids and names against the
   /// table as of the Publish() that produced it. Copyable, cheap, and
   /// safe to use concurrently with writer-side Intern calls.
@@ -75,7 +117,9 @@ class SymbolTable {
     View() = default;
 
     /// Name for `id`, or empty view when `id` was not yet published.
-    std::string_view NameOf(Id id) const;
+    std::string_view NameOf(Id id) const {
+      return id < count_ ? NameIn(*spine_, id) : std::string_view();
+    }
 
     /// Id for `name`, or kNoSymbol when it was not yet published.
     Id FindId(std::string_view name) const;
@@ -84,13 +128,12 @@ class SymbolTable {
 
    private:
     friend class SymbolTable;
-    std::shared_ptr<const std::vector<std::shared_ptr<std::vector<std::string>>>>
-        spine_;
-    std::shared_ptr<const std::vector<Id>> by_name_;  // ids sorted by name
+    std::shared_ptr<const Spine> spine_;
+    std::shared_ptr<const Lookup> lookup_;
     size_t count_ = 0;
   };
 
-  SymbolTable() = default;
+  SymbolTable();
   SymbolTable(const SymbolTable&) = delete;
   SymbolTable& operator=(const SymbolTable&) = delete;
 
@@ -102,31 +145,22 @@ class SymbolTable {
   Id Find(std::string_view name) const;
 
   /// Writer-side resolve. `id` must be < size().
-  std::string_view NameOf(Id id) const;
+  std::string_view NameOf(Id id) const {
+    return id < count_ ? NameIn(*spine_, id) : std::string_view();
+  }
 
   size_t size() const { return count_; }
 
   /// True when symbols were interned since the last Publish().
   bool dirty() const { return count_ != published_count_; }
 
-  /// Captures an immutable View of the table. Cheap when nothing was
-  /// interned since the previous Publish (reuses the prior View's
-  /// storage); otherwise copies the chunk spine (pointers only) and
-  /// rebuilds the by-name index.
+  /// Captures an immutable View of the table: three pointer copies.
   View Publish();
 
  private:
-  using Chunk = std::vector<std::string>;
-  static constexpr size_t kChunkCapacity = 1024;
-
-  std::vector<std::shared_ptr<Chunk>> spine_;
-  // Keys view into chunk storage (stable for the table's lifetime).
-  std::map<std::string_view, Id> index_;
+  std::shared_ptr<Spine> spine_;
+  std::shared_ptr<Lookup> lookup_;
   size_t count_ = 0;
-
-  // Cached most-recent publication.
-  std::shared_ptr<const std::vector<std::shared_ptr<Chunk>>> published_spine_;
-  std::shared_ptr<const std::vector<Id>> published_by_name_;
   size_t published_count_ = 0;
 };
 

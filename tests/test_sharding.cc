@@ -191,23 +191,51 @@ Reference MakeReference() {
   return ref;
 }
 
-/// Applies one deterministic mixed workload through any client: the
-/// same seed produces the same logical catalog content, so a sharded
-/// client and the unsharded reference can be diffed query-by-query.
-Status ApplyWorkload(CatalogClient* client, uint64_t seed, size_t datasets,
-                     size_t derivations) {
-  Rng rng(seed);
-  Transformation xf("xf", Transformation::Kind::kSimple);
+/// The one-step transformation every workload derivation runs.
+Transformation MakeXf(const std::string& name) {
+  Transformation xf(name, Transformation::Kind::kSimple);
   FormalArg out;
   out.name = "out";
   out.direction = ArgDirection::kOut;
-  VDG_RETURN_IF_ERROR(xf.AddArg(std::move(out)));
+  EXPECT_TRUE(xf.AddArg(std::move(out)).ok());
   FormalArg in;
   in.name = "in";
   in.direction = ArgDirection::kIn;
-  VDG_RETURN_IF_ERROR(xf.AddArg(std::move(in)));
-  xf.set_executable("/bin/xf");
-  VDG_RETURN_IF_ERROR(client->DefineTransformation(std::move(xf)));
+  EXPECT_TRUE(xf.AddArg(std::move(in)).ok());
+  xf.set_executable("/bin/" + name);
+  return xf;
+}
+
+Derivation MakeStep(const std::string& name, const std::string& tr,
+                    const std::string& input, const std::string& output) {
+  Derivation dv(name, tr);
+  EXPECT_TRUE(
+      dv.AddArg(ActualArg::DatasetRef("out", output, ArgDirection::kOut)).ok());
+  EXPECT_TRUE(
+      dv.AddArg(ActualArg::DatasetRef("in", input, ArgDirection::kIn)).ok());
+  return dv;
+}
+
+/// Applies one deterministic mixed workload through any client: the
+/// same seed produces the same logical catalog content, so a sharded
+/// client and the unsharded reference can be diffed query-by-query.
+/// It opens with one batch that defines a transformation and, in the
+/// same batch, a two-step chain that runs it.
+Status ApplyWorkload(CatalogClient* client, uint64_t seed, size_t datasets,
+                     size_t derivations) {
+  Rng rng(seed);
+  Dataset seed_input;
+  seed_input.name = "s0";
+  seed_input.descriptor = DatasetDescriptor::File("/data/s0");
+  VDG_ASSIGN_OR_RETURN(
+      BatchResult opening,
+      client->ApplyBatch({CatalogMutation::DefineTransformation(MakeXf("xf")),
+                          CatalogMutation::DefineDataset(seed_input),
+                          CatalogMutation::DefineDerivation(
+                              MakeStep("sv0", "xf", "s0", "so0")),
+                          CatalogMutation::DefineDerivation(
+                              MakeStep("sv1", "xf", "so0", "so1"))}));
+  VDG_RETURN_IF_ERROR(opening.first_error);
 
   for (size_t i = 0; i < datasets; ++i) {
     Dataset ds;
@@ -363,6 +391,42 @@ TEST(ShardedEquivalence, PointReadsAndProvenanceMatchUnsharded) {
   }
   Result<Dataset> missing = world.sharded->GetDataset("nope");
   EXPECT_TRUE(missing.status().IsNotFound());
+}
+
+TEST(ShardedEquivalence, SameBatchTransformationPlacesDerivationOutputs) {
+  // One batch defines the transformation and runs it twice: the second
+  // step reads the first step's output. The planner must see the
+  // batch's own transformation, or the batch reports OK without
+  // pre-creating o1/o2 and ProducerOf(o1) names a derivation whose
+  // outputs do not exist.
+  Dataset a;
+  a.name = "a";
+  a.descriptor = DatasetDescriptor::File("/data/a");
+  const std::vector<CatalogMutation> batch = {
+      CatalogMutation::DefineTransformation(MakeXf("xf")),
+      CatalogMutation::DefineDataset(a),
+      CatalogMutation::DefineDerivation(MakeStep("d1", "xf", "a", "o1")),
+      CatalogMutation::DefineDerivation(MakeStep("d2", "xf", "o1", "o2"))};
+  World world = MakeWorld(4);
+  Reference ref = MakeReference();
+  for (CatalogClient* client : {static_cast<CatalogClient*>(
+                                    world.sharded.get()),
+                                ref.client.get()}) {
+    Result<BatchResult> result = client->ApplyBatch(batch, {});
+    ASSERT_TRUE(result.ok()) << result.status().message();
+    ASSERT_TRUE(result->first_error.ok()) << result->first_error.message();
+    EXPECT_EQ(result->applied, batch.size());
+    for (const char* output : {"o1", "o2"}) {
+      Result<bool> has = client->HasDataset(output);
+      ASSERT_TRUE(has.ok());
+      EXPECT_TRUE(*has) << output;
+    }
+    Result<std::string> producer = client->ProducerOf("o1");
+    ASSERT_TRUE(producer.ok()) << producer.status().message();
+    EXPECT_EQ(*producer, "d1");
+    EXPECT_TRUE(client->GetDerivation(*producer).ok());
+  }
+  ExpectQueryEquivalence(world.sharded.get(), ref.client.get(), 5, 10);
 }
 
 TEST(ShardedEquivalence, ApplyBatchMatchesUnsharded) {

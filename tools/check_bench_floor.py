@@ -20,6 +20,12 @@ With --ceiling the bound is an upper limit instead: the check fails
 when the value EXCEEDS it. Latency counters gate this way — e.g.
 `--ceiling ... BM_Traffic/8 <p99-of-1-shard> p99_us` holds sharded
 tail latency to the single-shard baseline.
+
+With --relative-to <other-benchmark> the bound is a factor applied to
+the other benchmark's value from the same file — e.g.
+`--ceiling --relative-to BM_CommitCost/2500/manual_time ...
+BM_CommitCost/80000/manual_time 2 commit_us` holds an 80k-dataset
+commit to twice the cost of a 2.5k-dataset one on any host.
 """
 
 import json
@@ -45,6 +51,13 @@ def main():
     ceiling = "--ceiling" in argv
     if ceiling:
         argv.remove("--ceiling")
+    relative_to = None
+    if "--relative-to" in argv:
+        at = argv.index("--relative-to")
+        if at + 1 >= len(argv):
+            sys.exit(__doc__.strip())
+        relative_to = argv[at + 1]
+        del argv[at:at + 2]
     if len(argv) not in (3, 4):
         sys.exit(__doc__.strip())
     path, name, bound = argv[0], argv[1], float(argv[2])
@@ -60,6 +73,12 @@ def main():
     for bench_name, rate in sorted(rates.items()):
         if rate is not None:
             print(f"  {bench_name}: {fmt(rate)} {unit}")
+    if relative_to is not None:
+        base = rates.get(relative_to)
+        if base is None:
+            sys.exit(f"benchmark {relative_to} has no {unit} value in {path}")
+        print(f"bound: {bound:g} x {relative_to} ({fmt(base)} {unit})")
+        bound *= base
     rate = rates.get(name)
     if rate is None:
         sys.exit(f"benchmark {name} has no {unit} value in {path}")
