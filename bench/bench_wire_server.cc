@@ -92,8 +92,10 @@ void BM_WireEncodeDecodeResponse(benchmark::State& state) {
 BENCHMARK(BM_WireEncodeDecodeResponse);
 
 // Full round trip: GetDataset through WireCatalogClient -> pipe ->
-// dispatcher -> worker -> backend and back, per worker-pool size.
-// items/sec here is calls/sec for one synchronous client.
+// worker -> backend and back, per worker-pool size. items/sec here is
+// calls/sec of the calling thread's CPU time, which does not count the
+// time it sleeps through thread handoffs; real_time is the wall-clock
+// round trip.
 void BM_WireServerRoundTrip(benchmark::State& state) {
   ServerOptions options;
   options.workers = static_cast<size_t>(state.range(0));

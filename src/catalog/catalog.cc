@@ -190,7 +190,7 @@ void VirtualDataCatalog::BumpVersion(char op, std::string_view kind,
 void VirtualDataCatalog::TrimChangelogLocked() {
   // Evict whole version groups so a batch's entries never split; an
   // oversized batch empties the window entirely, which ChangesSince
-  // reports as ResourceExhausted (the rescan fallback).
+  // reports as FailedPrecondition (the rescan fallback).
   ChangeWindow<CatalogChange>& log = next_.changelog;
   while (log.size() > changelog_capacity_) {
     const uint64_t v = log.front().version;

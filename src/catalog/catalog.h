@@ -265,7 +265,7 @@ class VirtualDataCatalog {
   /// answered from the published snapshot's changelog window. Versions
   /// in the window are consecutive and a batch's entries all share one
   /// version, so the result is complete over its range and batches
-  /// arrive whole. Fails with ResourceExhausted when the bounded
+  /// arrive whole. Fails with FailedPrecondition when the bounded
   /// changelog no longer reaches back to `since_version` (the caller
   /// must fall back to a full rescan) and InvalidArgument when
   /// `since_version` is from the future.

@@ -199,7 +199,7 @@ Result<std::vector<CatalogChange>> ShardedCatalogClient::ChangesSince(
   // observations but is not addressable in any one shard's changelog,
   // so only the trivial answers exist here. Delta consumers hold
   // per-shard anchors and call ShardChangesSince instead; everyone
-  // else hits the same ResourceExhausted they already handle for an
+  // else hits the same FailedPrecondition they already handle for an
   // out-of-window changelog (full resync).
   VDG_ASSIGN_OR_RETURN(uint64_t current, Version());
   if (since_version == current) return std::vector<CatalogChange>{};
@@ -208,7 +208,7 @@ Result<std::vector<CatalogChange>> ShardedCatalogClient::ChangesSince(
         "composite version " + std::to_string(since_version) +
         " is from the future (current " + std::to_string(current) + ")");
   }
-  return Status::ResourceExhausted(
+  return Status::FailedPrecondition(
       "composite catalog version is not delta-addressable; use "
       "ShardChangesSince with per-shard anchors");
 }

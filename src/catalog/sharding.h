@@ -72,7 +72,7 @@ struct ShardedClientOptions {
 /// per-shard versions — monotone but not addressable in any single
 /// changelog. ChangesSince(composite) answers only the trivial cases
 /// (empty delta / future version) and otherwise returns
-/// ResourceExhausted, steering delta consumers to the per-shard
+/// FailedPrecondition, steering delta consumers to the per-shard
 /// ShardVersions()/ShardChangesSince() API that CachingCatalogClient
 /// and FederatedIndex use.
 ///

@@ -745,7 +745,7 @@ Result<std::vector<CatalogChange>> CatalogView::ChangesSince(
   // and are trimmed as whole groups), so the delta is gap-free iff the
   // window reaches back to since_version + 1.
   if (log.empty() || log.front().version > since_version + 1) {
-    return Status::ResourceExhausted(
+    return Status::FailedPrecondition(
         "changelog window starts at version " +
         std::to_string(changelog_floor()) + ", cannot answer since " +
         std::to_string(since_version));

@@ -117,6 +117,9 @@ class Status {
   bool IsResourceExhausted() const {
     return code_ == StatusCode::kResourceExhausted;
   }
+  bool IsFailedPrecondition() const {
+    return code_ == StatusCode::kFailedPrecondition;
+  }
   bool IsDeadlineExceeded() const {
     return code_ == StatusCode::kDeadlineExceeded;
   }

@@ -61,25 +61,24 @@ ptrdiff_t FaultyChannel::Send(std::string_view bytes) {
   return inner_->Send(bytes);
 }
 
-bool FaultyChannel::Receive(std::string* out) {
+ClientChannel::RecvResult FaultyChannel::Receive(
+    std::string* out, std::chrono::steady_clock::time_point deadline) {
+  std::string chunk;
+  RecvResult got = inner_->Receive(&chunk, deadline);
+  if (got != RecvResult::kData) return got;
   FaultStats& stats = injector_->stats();
   const FaultProfile& profile = injector_->profile();
   if (injector_->Roll(profile.recv_reset_rate)) {
     stats.recv_resets.fetch_add(1, std::memory_order_relaxed);
     inner_->Close();
-    return false;
+    return RecvResult::kClosed;
   }
-  if (profile.recv_corrupt_rate > 0.0) {
-    std::string chunk;
-    if (!inner_->Receive(&chunk)) return false;
-    if (!chunk.empty() && injector_->Roll(profile.recv_corrupt_rate)) {
-      stats.recv_corruptions.fetch_add(1, std::memory_order_relaxed);
-      chunk[injector_->Pick(chunk.size())] ^= 0x40;
-    }
-    out->append(chunk);
-    return true;
+  if (!chunk.empty() && injector_->Roll(profile.recv_corrupt_rate)) {
+    stats.recv_corruptions.fetch_add(1, std::memory_order_relaxed);
+    chunk[injector_->Pick(chunk.size())] ^= 0x40;
   }
-  return inner_->Receive(out);
+  out->append(chunk);
+  return RecvResult::kData;
 }
 
 Result<std::shared_ptr<WireCatalogClient>> ConnectFaulty(

@@ -32,7 +32,9 @@ namespace vdg {
 //              only if the client loops until the frame is flushed.
 //   stall      The send blocks for a fixed delay, exercising
 //              per-request deadlines.
-//   recv-*     The same corruption/reset faults on the response path.
+//   recv-*     The same corruption/reset faults on the response path,
+//              drawn once per chunk of response bytes received (a
+//              Receive that times out or is interrupted draws nothing).
 //
 // Every draw flows through one seeded Rng, so a given
 // (seed, workload) pair replays the identical fault schedule —
@@ -47,8 +49,8 @@ struct FaultProfile {
   double corrupt_rate = 0.0;         // per Send: flip one byte
   double short_write_rate = 0.0;     // per Send: accept only a prefix
   double stall_rate = 0.0;           // per Send: sleep `stall`
-  double recv_corrupt_rate = 0.0;    // per Receive: flip one byte
-  double recv_reset_rate = 0.0;      // per Receive: EOF instead of bytes
+  double recv_corrupt_rate = 0.0;    // per chunk: flip one byte
+  double recv_reset_rate = 0.0;      // per chunk: EOF instead of bytes
   std::chrono::microseconds stall{2000};
 };
 
@@ -108,7 +110,9 @@ class FaultyChannel : public ClientChannel {
       : inner_(std::move(inner)), injector_(std::move(injector)) {}
 
   ptrdiff_t Send(std::string_view bytes) override;
-  bool Receive(std::string* out) override;
+  RecvResult Receive(std::string* out,
+                     std::chrono::steady_clock::time_point deadline) override;
+  void Interrupt() override { inner_->Interrupt(); }
   void Close() override { inner_->Close(); }
   bool closed() const override { return inner_->closed(); }
 

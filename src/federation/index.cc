@@ -220,7 +220,7 @@ Status FederatedIndex::DeltaRefreshSource(SourceState* source,
     Result<std::vector<CatalogChange>> changes =
         client.ShardChangesSince(shard, *anchor);
     if (!changes.ok()) {
-      if (changes.status().code() == StatusCode::kResourceExhausted ||
+      if (changes.status().IsFailedPrecondition() ||
           changes.status().IsInvalidArgument()) {
         // This shard's changelog window no longer reaches our anchor
         // (or the anchor postdates a reset shard): rescan the whole

@@ -247,7 +247,7 @@ Status CachingCatalogClient::Revalidate() {
       if (!changes->empty()) synced_version_ = changes->back().version;
       return Status::OK();
     }
-    if (changes.status().code() == StatusCode::kResourceExhausted ||
+    if (changes.status().IsFailedPrecondition() ||
         changes.status().IsInvalidArgument()) {
       // The server's bounded changelog no longer reaches our sync point
       // (or our version predates/postdates its window after a reset):
@@ -282,7 +282,7 @@ Status CachingCatalogClient::Revalidate() {
         if (!changes->empty()) shard_synced_[shard] = changes->back().version;
         continue;
       }
-      if (changes.status().code() == StatusCode::kResourceExhausted ||
+      if (changes.status().IsFailedPrecondition() ||
           changes.status().IsInvalidArgument()) {
         // This shard's window no longer reaches our anchor; nothing
         // cached can be trusted individually.

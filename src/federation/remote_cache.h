@@ -157,7 +157,7 @@ struct DegradedReadOptions {
 /// federated indexes accept the same staleness). Revalidate() makes
 /// ONE ChangesSince(synced_version) round trip against the server's
 /// changelog and evicts exactly the objects that changed; when the
-/// bounded changelog no longer reaches back (ResourceExhausted) the
+/// bounded changelog no longer reaches back (FailedPrecondition) the
 /// whole cache is flushed and the version re-synced. Mutations issued
 /// THROUGH this client write through and invalidate immediately, so a
 /// caller always reads its own writes.

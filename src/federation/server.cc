@@ -1,9 +1,11 @@
 #include "federation/server.h"
 
+#include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
+#include <cerrno>
 #include <utility>
 
 namespace vdg {
@@ -90,48 +92,100 @@ size_t BatchDedupRegistry::size() const {
 // -----------------------------------------------------------------------
 
 ServerConnection::ServerConnection(CatalogServer* server, int client_fd,
-                                   int server_fd)
-    : server_(server), client_fd_(client_fd), server_fd_(server_fd) {}
+                                   int server_fd, int interrupt_fd)
+    : server_(server),
+      client_fd_(client_fd),
+      server_fd_(server_fd),
+      interrupt_fd_(interrupt_fd) {}
 
 ServerConnection::~ServerConnection() {
   Close();
   if (pump_.joinable()) pump_.join();
   if (client_fd_ >= 0) ::close(client_fd_);
   if (server_fd_ >= 0) ::close(server_fd_);
+  if (interrupt_fd_ >= 0) ::close(interrupt_fd_);
 }
 
 bool ServerConnection::ClientSend(std::string_view bytes) {
   if (client_fd_ >= 0) {
-    std::lock_guard<std::mutex> lock(write_fd_mu_);
+    std::lock_guard<std::mutex> lock(client_write_mu_);
     if (closed()) return false;
     return SendAll(client_fd_, bytes);
   }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (closed_) return false;
-    inbound_.append(bytes);
-  }
-  server_->NotifyReadable(this);
+  return Ingest(bytes);
+}
+
+bool ServerConnection::Ingest(std::string_view bytes) {
+  std::lock_guard<std::mutex> parse(parse_mu_);
+  if (closed()) return false;
+  parse_buffer_.append(bytes);
+  // An open connection is always listed by the server, so it has an
+  // owner here; see CatalogServer::Connect for why that owner outlives
+  // this call.
+  server_->DrainConnection(shared_from_this());
   return true;
 }
 
-bool ServerConnection::ClientReceive(std::string* out) {
+ClientChannel::RecvResult ServerConnection::Receive(
+    std::string* out, std::chrono::steady_clock::time_point deadline) {
+  using Clock = std::chrono::steady_clock;
   if (client_fd_ >= 0) {
-    char buf[16384];
+    pollfd fds[2] = {{client_fd_, POLLIN, 0}, {interrupt_fd_, POLLIN, 0}};
     for (;;) {
-      ssize_t n = ::recv(client_fd_, buf, sizeof(buf), 0);
+      int timeout_ms = -1;
+      if (deadline != Clock::time_point::max()) {
+        const auto left = deadline - Clock::now();
+        if (left <= Clock::duration::zero()) return RecvResult::kTimeout;
+        // Round up: waking before the deadline would only spin.
+        timeout_ms = static_cast<int>(
+            std::chrono::ceil<std::chrono::milliseconds>(left).count());
+      }
+      int n = ::poll(fds, 2, timeout_ms);
       if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) return false;
-      out->append(buf, static_cast<size_t>(n));
-      return true;
+      if (n < 0) return RecvResult::kClosed;
+      if (n == 0) return RecvResult::kTimeout;
+      if (fds[1].revents & POLLIN) {
+        uint64_t count = 0;
+        (void)::read(interrupt_fd_, &count, sizeof(count));
+        return RecvResult::kTimeout;
+      }
+      char buf[16384];
+      ssize_t got = ::recv(client_fd_, buf, sizeof(buf), MSG_DONTWAIT);
+      if (got < 0 && (errno == EINTR || errno == EAGAIN)) continue;
+      if (got <= 0) return RecvResult::kClosed;
+      out->append(buf, static_cast<size_t>(got));
+      return RecvResult::kData;
     }
   }
   std::unique_lock<std::mutex> lock(mu_);
-  outbound_cv_.wait(lock, [this] { return !outbound_.empty() || closed_; });
-  if (outbound_.empty()) return false;  // closed with nothing pending
-  out->append(outbound_);
-  outbound_.clear();
-  return true;
+  auto ready = [this] {
+    return !outbound_.empty() || closed_ || interrupted_;
+  };
+  if (deadline == Clock::time_point::max()) {
+    outbound_cv_.wait(lock, ready);
+  } else {
+    outbound_cv_.wait_until(lock, deadline, ready);
+  }
+  interrupted_ = false;
+  if (!outbound_.empty()) {
+    out->append(outbound_);
+    outbound_.clear();
+    return RecvResult::kData;
+  }
+  return closed_ ? RecvResult::kClosed : RecvResult::kTimeout;
+}
+
+void ServerConnection::Interrupt() {
+  if (interrupt_fd_ >= 0) {
+    const uint64_t one = 1;
+    (void)::write(interrupt_fd_, &one, sizeof(one));
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    interrupted_ = true;
+  }
+  outbound_cv_.notify_all();
 }
 
 void ServerConnection::Close() {
@@ -140,12 +194,10 @@ void ServerConnection::Close() {
     if (closed_) return;
     closed_ = true;
   }
-  // Unblock any recv() in the pump thread / client receiver.
+  // Unblock any recv()/poll() in the pump thread / client reader.
   if (client_fd_ >= 0) ::shutdown(client_fd_, SHUT_RDWR);
   if (server_fd_ >= 0) ::shutdown(server_fd_, SHUT_RDWR);
   outbound_cv_.notify_all();
-  // Let the dispatcher notice and prune this connection.
-  if (server_ != nullptr) server_->NotifyReadable(this);
 }
 
 bool ServerConnection::closed() const {
@@ -155,7 +207,7 @@ bool ServerConnection::closed() const {
 
 void ServerConnection::ServerWrite(std::string_view frame) {
   if (server_fd_ >= 0) {
-    std::lock_guard<std::mutex> lock(write_fd_mu_);
+    std::lock_guard<std::mutex> lock(server_write_mu_);
     SendAll(server_fd_, frame);
     return;
   }
@@ -181,7 +233,6 @@ CatalogServer::CatalogServer(std::shared_ptr<CatalogClient> backend,
                : std::make_shared<BatchDedupRegistry>();
   handler_delay_us_.store(options_.handler_delay.count(),
                           std::memory_order_relaxed);
-  dispatcher_ = std::thread([this] { DispatcherLoop(); });
   workers_.reserve(options_.workers);
   for (size_t i = 0; i < options_.workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
@@ -193,49 +244,67 @@ CatalogServer::~CatalogServer() { Shutdown(); }
 std::shared_ptr<ServerConnection> CatalogServer::Connect(bool use_socket) {
   int client_fd = -1;
   int server_fd = -1;
+  int interrupt_fd = -1;
   if (use_socket) {
     int fds[2];
     if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0) {
-      client_fd = fds[0];
-      server_fd = fds[1];
+      interrupt_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+      if (interrupt_fd >= 0) {
+        client_fd = fds[0];
+        server_fd = fds[1];
+      } else {
+        ::close(fds[0]);
+        ::close(fds[1]);
+      }
     }
     // On failure fall back to the in-memory pipe: same protocol, no fds.
   }
   std::shared_ptr<ServerConnection> conn(
-      new ServerConnection(this, client_fd, server_fd));
+      new ServerConnection(this, client_fd, server_fd, interrupt_fd));
+  std::vector<std::shared_ptr<ServerConnection>> pruned;
   bool rejected = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_ || draining_) {
       rejected = true;
     } else {
+      // Prune connections both sides are done with.
+      for (auto it = connections_.begin(); it != connections_.end();) {
+        if ((*it)->closed()) {
+          pruned.push_back(std::move(*it));
+          it = connections_.erase(it);
+        } else {
+          ++it;
+        }
+      }
       connections_.push_back(conn);
       stats_.connections_opened.fetch_add(1, std::memory_order_relaxed);
     }
   }
+  // A delivering thread may still be finishing an Ingest on a pruned
+  // connection. Wait it out before dropping the server's reference, so
+  // that thread never holds the last one (a pump thread cannot run its
+  // own connection's destructor, which joins it).
+  for (const auto& closed : pruned) {
+    std::lock_guard<std::mutex> barrier(closed->parse_mu_);
+  }
   if (rejected) {
-    // Close outside mu_: Close() notifies the dispatcher via
-    // NotifyReadable, which takes mu_ itself.
     conn->Close();
     return conn;
   }
   if (server_fd >= 0) {
-    // Socket mode: a pump thread moves kernel bytes into the same
-    // inbound path the in-memory pipe uses, so the dispatcher is
-    // transport-agnostic.
+    // Socket mode: a pump thread moves kernel bytes into Ingest, the
+    // same admission path the in-memory pipe runs on the sender.
     ServerConnection* raw = conn.get();
-    raw->pump_ = std::thread([this, raw] {
+    raw->pump_ = std::thread([raw] {
       char buf[16384];
       for (;;) {
         ssize_t n = ::recv(raw->server_fd_, buf, sizeof(buf), 0);
         if (n < 0 && errno == EINTR) continue;
-        if (n <= 0) break;
-        {
-          std::lock_guard<std::mutex> lock(raw->mu_);
-          if (raw->closed_) break;
-          raw->inbound_.append(buf, static_cast<size_t>(n));
+        if (n <= 0 ||
+            !raw->Ingest(std::string_view(buf, static_cast<size_t>(n)))) {
+          break;
         }
-        NotifyReadable(raw);
       }
       raw->Close();
     });
@@ -251,8 +320,8 @@ bool CatalogServer::draining() const {
 void CatalogServer::Shutdown(std::chrono::milliseconds drain_timeout) {
   if (drain_timeout.count() > 0) {
     // Drain phase: refuse new connections and bounce fresh frames
-    // (DrainConnection answers them Unavailable) while the dispatcher
-    // and workers keep running, then wait for admitted work to finish.
+    // (DrainConnection answers them Unavailable) while the workers keep
+    // running, then wait for admitted work to finish.
     std::unique_lock<std::mutex> lock(mu_);
     if (!stopping_) {
       draining_ = true;
@@ -264,16 +333,19 @@ void CatalogServer::Shutdown(std::chrono::milliseconds drain_timeout) {
   std::vector<std::shared_ptr<ServerConnection>> conns;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_ && !dispatcher_.joinable()) return;
+    if (stopping_) return;
     stopping_ = true;
     conns = connections_;
   }
-  dispatcher_cv_.notify_all();
   worker_cv_.notify_all();
   // Close connections before joining: a worker blocked writing to a
   // full socket unblocks once the peer is shut down.
   for (auto& conn : conns) conn->Close();
-  if (dispatcher_.joinable()) dispatcher_.join();
+  // Once each parse mutex has been taken after the close, no delivering
+  // thread is inside DrainConnection and none will enter it again.
+  for (auto& conn : conns) {
+    std::lock_guard<std::mutex> barrier(conn->parse_mu_);
+  }
   for (auto& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
@@ -283,52 +355,13 @@ void CatalogServer::Shutdown(std::chrono::milliseconds drain_timeout) {
   queue_.clear();
 }
 
-void CatalogServer::NotifyReadable(ServerConnection* conn) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    readable_.push_back(conn);
-  }
-  dispatcher_cv_.notify_all();
-}
-
-void CatalogServer::DispatcherLoop() {
-  for (;;) {
-    std::shared_ptr<ServerConnection> conn;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      dispatcher_cv_.wait(
-          lock, [this] { return stopping_ || !readable_.empty(); });
-      if (stopping_) return;
-      ServerConnection* raw = readable_.front();
-      readable_.erase(readable_.begin());
-      for (const auto& c : connections_) {
-        if (c.get() == raw) {
-          conn = c;
-          break;
-        }
-      }
-      // Prune connections both sides are done with.
-      connections_.erase(
-          std::remove_if(connections_.begin(), connections_.end(),
-                         [&](const std::shared_ptr<ServerConnection>& c) {
-                           return c != conn && c->closed();
-                         }),
-          connections_.end());
-    }
-    if (conn != nullptr && !conn->closed()) DrainConnection(conn);
-  }
-}
-
 void CatalogServer::DrainConnection(
     const std::shared_ptr<ServerConnection>& conn) {
-  {
-    std::lock_guard<std::mutex> lock(conn->mu_);
-    conn->parse_buffer_.append(conn->inbound_);
-    conn->inbound_.clear();
-  }
   std::string& buffer = conn->parse_buffer_;
-  while (!buffer.empty()) {
-    Result<size_t> size = wire::FrameSize(buffer);
+  size_t consumed = 0;
+  while (consumed < buffer.size()) {
+    std::string_view rest(buffer.data() + consumed, buffer.size() - consumed);
+    Result<size_t> size = wire::FrameSize(rest);
     if (!size.ok()) {
       if (size.status().IsNotFound()) break;  // need more bytes
       // Corrupt framing: the stream cannot be resynchronized.
@@ -338,9 +371,8 @@ void CatalogServer::DrainConnection(
       conn->Close();
       return;
     }
-    if (buffer.size() < *size) break;  // incomplete frame
-    std::string_view frame_bytes(buffer.data(), *size);
-    Result<wire::Frame> frame = wire::DecodeFrame(frame_bytes);
+    if (rest.size() < *size) break;  // incomplete frame
+    Result<wire::Frame> frame = wire::DecodeFrame(rest.substr(0, *size));
     if (!frame.ok() || frame->is_response) {
       stats_.protocol_errors.fetch_add(1, std::memory_order_relaxed);
       stats_.connection_resets.fetch_add(1, std::memory_order_relaxed);
@@ -355,7 +387,7 @@ void CatalogServer::DrainConnection(
     item.request_id = frame->request_id;
     item.kind = frame->kind;
     item.payload.assign(frame->payload);
-    buffer.erase(0, *size);
+    consumed += *size;
     bool admitted = false;
     bool draining = false;
     {
@@ -393,6 +425,7 @@ void CatalogServer::DrainConnection(
       Reply(conn, item.request_id, rejected);
     }
   }
+  buffer.erase(0, consumed);
 }
 
 void CatalogServer::WorkerLoop() {
@@ -664,14 +697,9 @@ Result<std::shared_ptr<WireCatalogClient>> WireCatalogClient::ConnectChannel(
 
 WireCatalogClient::WireCatalogClient(std::shared_ptr<ClientChannel> conn,
                                      WireClientOptions options)
-    : conn_(std::move(conn)), options_(options) {
-  receiver_ = std::thread([this] { ReceiverLoop(); });
-}
+    : conn_(std::move(conn)), options_(options) {}
 
-WireCatalogClient::~WireCatalogClient() {
-  Disconnect();
-  if (receiver_.joinable()) receiver_.join();
-}
+WireCatalogClient::~WireCatalogClient() { Disconnect(); }
 
 WireClientStats WireCatalogClient::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -684,33 +712,33 @@ void WireCatalogClient::reset_stats() {
 }
 
 void WireCatalogClient::CancelPending() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [id, slot] : pending_) {
-    if (slot->done) continue;
-    slot->done = true;
-    slot->abandoned = true;
-    slot->error = Status::Cancelled("call cancelled by CancelPending");
-    stats_.cancellations++;
-    slot->cv.notify_all();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (auto& [id, slot] : pending_) {
+      if (slot->done) continue;
+      slot->done = true;
+      slot->error = Status::Cancelled("call cancelled by CancelPending");
+      stats_.cancellations++;
+      slot->cv.notify_all();
+    }
   }
+  // A cancelled caller may hold the reader role, blocked in Receive.
+  conn_->Interrupt();
 }
 
 void WireCatalogClient::Disconnect() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (broken_) return;
-    broken_ = true;
-  }
-  conn_->Close();
+  std::lock_guard<std::mutex> lock(mu_);
+  if (broken_) return;
+  broken_ = true;
+  conn_->Close();  // wakes a reader blocked in Receive with EOF
   // Pending requests were already sent: they may execute server-side
   // even though their replies are lost, so carriers must not blindly
   // re-issue mutations among them.
-  FailAllPending(
+  FailAllPendingLocked(
       Status::UnavailableRetryUnsafe("wire client disconnected"));
 }
 
-void WireCatalogClient::FailAllPending(const Status& error) {
-  std::lock_guard<std::mutex> lock(mu_);
+void WireCatalogClient::FailAllPendingLocked(const Status& error) {
   for (auto& [id, slot] : pending_) {
     if (slot->done) continue;
     slot->done = true;
@@ -733,60 +761,67 @@ bool WireCatalogClient::SendFrame(std::string_view frame) {
   return true;
 }
 
-void WireCatalogClient::ReceiverLoop() {
-  std::string buffer;
-  for (;;) {
-    if (!conn_->Receive(&buffer)) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        broken_ = true;
-      }
-      // Lost replies: the in-flight requests may have executed.
-      FailAllPending(Status::UnavailableRetryUnsafe(
-          "wire connection closed by server"));
-      return;
+void WireCatalogClient::ReadOnce(
+    std::unique_lock<std::mutex>& lock,
+    std::chrono::steady_clock::time_point deadline) {
+  lock.unlock();
+  // The role makes this caller the only one touching recv_buffer_.
+  const ClientChannel::RecvResult got =
+      conn_->Receive(&recv_buffer_, deadline);
+  lock.lock();
+  Status stream_error = Status::OK();
+  if (got == ClientChannel::RecvResult::kClosed) {
+    // Lost replies: the in-flight requests may have executed.
+    stream_error =
+        Status::UnavailableRetryUnsafe("wire connection closed by server");
+  }
+  size_t consumed = 0;
+  while (got == ClientChannel::RecvResult::kData &&
+         consumed < recv_buffer_.size()) {
+    std::string_view rest(recv_buffer_.data() + consumed,
+                          recv_buffer_.size() - consumed);
+    Result<size_t> size = wire::FrameSize(rest);
+    if (!size.ok()) {
+      if (size.status().IsNotFound()) break;  // need more bytes
+      stream_error = Status::UnavailableRetryUnsafe(
+          "wire response stream is corrupt: " + size.status().message());
+      break;
     }
-    while (!buffer.empty()) {
-      Result<size_t> size = wire::FrameSize(buffer);
-      if (!size.ok()) {
-        if (size.status().IsNotFound()) break;  // need more bytes
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          broken_ = true;
-        }
-        conn_->Close();
-        FailAllPending(Status::UnavailableRetryUnsafe(
-            "wire response stream is corrupt: " + size.status().message()));
-        return;
-      }
-      if (buffer.size() < *size) break;
-      Result<wire::Frame> frame =
-          wire::DecodeFrame(std::string_view(buffer.data(), *size));
-      if (!frame.ok() || !frame->is_response) {
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          broken_ = true;
-        }
-        conn_->Close();
-        FailAllPending(
-            Status::UnavailableRetryUnsafe("wire response stream is corrupt"));
-        return;
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        stats_.bytes_received += *size;
-        auto it = pending_.find(frame->request_id);
-        if (it != pending_.end() && !it->second->done) {
-          // Deposit raw payload bytes; the caller decodes on its own
-          // thread so the receiver never stalls on a large response.
-          it->second->payload.assign(frame->payload);
-          it->second->done = true;
-          it->second->cv.notify_all();
-        }
-        // else: response to an abandoned (deadline-expired/cancelled)
-        // or unknown request — discarded by design.
-      }
-      buffer.erase(0, *size);
+    if (rest.size() < *size) break;
+    Result<wire::Frame> frame = wire::DecodeFrame(rest.substr(0, *size));
+    if (!frame.ok() || !frame->is_response) {
+      stream_error =
+          Status::UnavailableRetryUnsafe("wire response stream is corrupt");
+      break;
+    }
+    stats_.bytes_received += *size;
+    consumed += *size;
+    auto it = pending_.find(frame->request_id);
+    if (it != pending_.end() && !it->second->done) {
+      // Deposit raw payload bytes; each caller decodes on its own
+      // thread.
+      it->second->payload.assign(frame->payload);
+      it->second->done = true;
+      it->second->cv.notify_all();
+    }
+    // else: response to an abandoned (deadline-expired/cancelled) or
+    // unknown request — discarded by design.
+  }
+  recv_buffer_.erase(0, consumed);
+  if (!stream_error.ok()) {
+    recv_buffer_.clear();
+    broken_ = true;
+    conn_->Close();
+    FailAllPendingLocked(stream_error);
+  }
+}
+
+void WireCatalogClient::HandOffReaderLocked() {
+  if (reading_) return;
+  for (auto& [id, slot] : pending_) {
+    if (!slot->done) {
+      slot->cv.notify_all();
+      return;
     }
   }
 }
@@ -818,31 +853,38 @@ Result<wire::Response> WireCatalogClient::Call(const wire::Request& request) {
     // incomplete framing), so a send failure is retry-safe.
     return Status::Unavailable("wire connection closed");
   }
+  using Clock = std::chrono::steady_clock;
   const bool has_deadline = options_.default_deadline.count() > 0;
-  const auto deadline =
-      std::chrono::steady_clock::now() + options_.default_deadline;
+  const Clock::time_point deadline =
+      has_deadline ? Clock::now() + options_.default_deadline
+                   : Clock::time_point::max();
   std::unique_lock<std::mutex> lock(mu_);
   stats_.bytes_sent += frame.size();
   while (!slot->done) {
-    if (has_deadline) {
-      if (slot->cv.wait_until(lock, deadline) == std::cv_status::timeout &&
-          !slot->done) {
-        // Abandon the slot: the request may still execute server-side,
-        // but its response is discarded on arrival.
-        slot->abandoned = true;
-        pending_.erase(request_id);
-        stats_.deadline_expiries++;
-        // The request is still queued or executing server-side:
-        // re-issuing a mutation after an expiry can double-apply it.
-        return Status::MarkRetryUnsafe(Status::DeadlineExceeded(
-            "wire call deadline expired: " +
-            std::string(wire::MsgKindName(request.kind))));
-      }
+    if (has_deadline && Clock::now() >= deadline) {
+      // Abandon the slot: the request may still execute server-side,
+      // but its response is discarded on arrival.
+      pending_.erase(request_id);
+      stats_.deadline_expiries++;
+      HandOffReaderLocked();
+      // The request is still queued or executing server-side:
+      // re-issuing a mutation after an expiry can double-apply it.
+      return Status::MarkRetryUnsafe(Status::DeadlineExceeded(
+          "wire call deadline expired: " +
+          std::string(wire::MsgKindName(request.kind))));
+    }
+    if (!reading_) {
+      reading_ = true;
+      ReadOnce(lock, deadline);
+      reading_ = false;
+    } else if (has_deadline) {
+      slot->cv.wait_until(lock, deadline);
     } else {
       slot->cv.wait(lock);
     }
   }
   pending_.erase(request_id);
+  HandOffReaderLocked();
   if (!slot->error.ok()) {
     if (!slot->error.IsCancelled()) stats_.failures++;
     return slot->error;

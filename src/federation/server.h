@@ -23,20 +23,24 @@ namespace vdg {
 // -----------------------------------------------------------------------
 // CatalogServer — a real service runtime in front of a CatalogClient
 // backend: requests arrive as wire-codec frames on duplex byte
-// channels, an event-loop dispatcher thread validates and admits them,
-// and a stateless worker pool decodes, executes, and replies. Unlike
-// SimulatedRpcCatalogClient (which hands objects across a simulated
-// clock), every byte here is genuinely serialized, checksummed, and
-// dispatched across real threads — RPC cost is measured, not modeled.
+// channels, are validated and admitted by whichever thread delivered
+// them, and a stateless worker pool decodes, executes, and replies.
+// Unlike SimulatedRpcCatalogClient (which hands objects across a
+// simulated clock), every byte here is genuinely serialized,
+// checksummed, and dispatched across real threads — RPC cost is
+// measured, not modeled.
 //
-// Threading model:
-//  - One dispatcher thread owns frame extraction: it wakes when any
-//    connection has inbound bytes, splits them into frames, validates
-//    header + CRC, and pushes complete frames onto a bounded work
-//    queue. A malformed frame closes its connection (stream framing
-//    cannot be resynchronized after corruption). A full work queue
-//    makes the dispatcher answer immediately with ResourceExhausted —
-//    admission control happens before a worker is ever occupied.
+// Threading model (a round trip crosses two thread handoffs: caller ->
+// worker -> caller):
+//  - Frame extraction runs on the thread that delivered the bytes —
+//    the client's own thread in ClientSend for the in-memory pipe, the
+//    connection's pump thread in socket mode — under a per-connection
+//    parse mutex. It splits the stream into frames, validates header +
+//    CRC, and pushes complete frames onto a bounded work queue. A
+//    malformed frame closes its connection (stream framing cannot be
+//    resynchronized after corruption). A full work queue answers
+//    immediately with ResourceExhausted — admission control happens
+//    before a worker is ever occupied.
 //  - N stateless workers pop frames, decode the request, execute it
 //    against the backend, and write the response frame atomically to
 //    the connection. Workers keep no per-connection state, so any
@@ -44,9 +48,11 @@ namespace vdg {
 //    pool. The backend must be thread-safe (InProcessCatalogClient
 //    over VirtualDataCatalog is).
 //  - Connections are in-memory duplex pipes by default (hermetic, no
-//    fds); loopback-socket mode runs the same byte protocol over an
-//    AF_UNIX socketpair with a per-connection pump thread, proving the
-//    codec against a real kernel byte stream.
+//    fds, no extra thread); loopback-socket mode runs the same byte
+//    protocol over an AF_UNIX socketpair with a per-connection pump
+//    thread, proving the codec against a real kernel byte stream.
+//  - The client has no thread of its own: a caller waiting for its
+//    reply reads the connection itself (WireCatalogClient below).
 // -----------------------------------------------------------------------
 
 class BatchDedupRegistry;
@@ -68,8 +74,8 @@ struct ServerOptions {
   std::shared_ptr<BatchDedupRegistry> batch_dedup;
 };
 
-/// Aggregate server counters (atomics: touched by dispatcher, workers,
-/// and pump threads concurrently).
+/// Aggregate server counters (atomics: touched by sending client
+/// threads, workers, and pump threads concurrently).
 struct ServerStats {
   std::atomic<uint64_t> frames_in{0};
   std::atomic<uint64_t> frames_out{0};
@@ -142,9 +148,21 @@ class ClientChannel {
   /// Returns -1 once the channel is broken.
   virtual ptrdiff_t Send(std::string_view bytes) = 0;
 
-  /// Blocks until response bytes arrive (appended to `*out`) or the
-  /// channel closes with nothing pending (returns false — EOF).
-  virtual bool Receive(std::string* out) = 0;
+  enum class RecvResult {
+    kData,     // response bytes were appended to `*out`
+    kTimeout,  // the deadline passed or Interrupt() woke the call
+    kClosed,   // the channel closed with nothing pending (EOF)
+  };
+
+  /// Blocks until response bytes arrive, `deadline` passes, Interrupt()
+  /// is called, or the channel closes with nothing pending.
+  /// `time_point::max()` waits without a deadline.
+  virtual RecvResult Receive(std::string* out,
+                             std::chrono::steady_clock::time_point deadline) = 0;
+
+  /// Wakes a blocked Receive (which returns kTimeout). When no Receive
+  /// is blocked, the next one returns kTimeout at once.
+  virtual void Interrupt() = 0;
 
   /// Closes both directions; blocked receivers wake with EOF.
   virtual void Close() = 0;
@@ -154,9 +172,10 @@ class ClientChannel {
 
 /// One duplex byte channel between a client and the server. The client
 /// half writes request bytes and blocks reading response bytes; the
-/// server half is driven by the dispatcher/workers. Created only by
-/// CatalogServer::Connect().
-class ServerConnection : public ClientChannel {
+/// server half is driven by the delivering thread (admission) and the
+/// workers (replies). Created only by CatalogServer::Connect().
+class ServerConnection : public ClientChannel,
+                         public std::enable_shared_from_this<ServerConnection> {
  public:
   ~ServerConnection() override;
 
@@ -166,16 +185,14 @@ class ServerConnection : public ClientChannel {
   ptrdiff_t Send(std::string_view bytes) override {
     return ClientSend(bytes) ? static_cast<ptrdiff_t>(bytes.size()) : -1;
   }
-  bool Receive(std::string* out) override { return ClientReceive(out); }
+  RecvResult Receive(std::string* out,
+                     std::chrono::steady_clock::time_point deadline) override;
+  void Interrupt() override;
 
-  /// Client-side: appends request bytes and wakes the dispatcher.
-  /// Returns false once the connection is closed.
+  /// Client-side: delivers request bytes. In pipe mode the calling
+  /// thread also extracts and admits the complete frames. Returns false
+  /// once the connection is closed.
   bool ClientSend(std::string_view bytes);
-
-  /// Client-side: blocks until response bytes arrive (appended to
-  /// `*out`) or the connection closes with nothing pending (returns
-  /// false — EOF).
-  bool ClientReceive(std::string* out);
 
   /// Closes both directions; blocked receivers wake with EOF. Safe to
   /// call from either side, multiple times.
@@ -185,8 +202,13 @@ class ServerConnection : public ClientChannel {
 
  private:
   friend class CatalogServer;
-  explicit ServerConnection(CatalogServer* server, int client_fd,
-                            int server_fd);
+  ServerConnection(CatalogServer* server, int client_fd, int server_fd,
+                   int interrupt_fd);
+
+  /// Server-side: appends `bytes` to the request stream and admits
+  /// every complete frame, on the calling thread under parse_mu_.
+  /// Returns false once the connection is closed.
+  bool Ingest(std::string_view bytes);
 
   /// Server-side: appends response bytes (one whole frame per call,
   /// under the write lock, so concurrent workers never interleave
@@ -197,27 +219,31 @@ class ServerConnection : public ClientChannel {
 
   mutable std::mutex mu_;
   std::condition_variable outbound_cv_;
-  std::string inbound_;       // client -> server, drained by dispatcher
-  std::string outbound_;      // server -> client, drained by ClientReceive
+  std::string outbound_;      // server -> client, drained by Receive
   bool closed_ = false;
+  bool interrupted_ = false;  // pipe mode: Interrupt() pending
 
   /// Socket mode: the AF_UNIX socketpair ends (-1 in pipe mode). The
   /// client writes/reads client_fd_ directly; a server pump thread
-  /// feeds recv()'d bytes into the same inbound_ path.
+  /// feeds recv()'d bytes into Ingest. interrupt_fd_ is an eventfd that
+  /// Interrupt() signals to wake a Receive blocked in poll().
   int client_fd_ = -1;
   int server_fd_ = -1;
-  std::mutex write_fd_mu_;    // serializes whole-frame send()s
+  int interrupt_fd_ = -1;
+  std::mutex client_write_mu_;  // serializes whole-frame send()s per
+  std::mutex server_write_mu_;  // direction
   std::thread pump_;
 
-  /// Dispatcher-owned reassembly buffer for partially received frames.
-  /// Only the dispatcher thread touches it — no lock.
+  /// Reassembly buffer for partially received request frames, guarded
+  /// by parse_mu_, which is held for the whole of Ingest.
+  std::mutex parse_mu_;
   std::string parse_buffer_;
 };
 
 class CatalogServer {
  public:
   /// `backend` executes decoded requests; it must be thread-safe and
-  /// outlive the server. Workers and the dispatcher start immediately.
+  /// outlive the server. Workers start immediately.
   CatalogServer(std::shared_ptr<CatalogClient> backend,
                 ServerOptions options = {});
   ~CatalogServer();
@@ -272,14 +298,11 @@ class CatalogServer {
     std::string payload;  // request payload bytes (already CRC-checked)
   };
 
-  /// Wakes the dispatcher: `conn` has new inbound bytes.
-  void NotifyReadable(ServerConnection* conn);
-
-  void DispatcherLoop();
   void WorkerLoop();
 
-  /// Splits every complete frame out of `conn`'s inbound stream,
+  /// Splits every complete frame out of `conn`'s parse buffer,
   /// admitting each to the work queue or rejecting/closing per policy.
+  /// Runs on the delivering thread with conn->parse_mu_ held.
   void DrainConnection(const std::shared_ptr<ServerConnection>& conn);
 
   /// Executes one decoded request against the backend.
@@ -295,20 +318,16 @@ class CatalogServer {
 
   std::shared_ptr<BatchDedupRegistry> dedup_;
 
-  // guards connections_, readable_, queue_, stopping_, draining_,
-  // active_workers_
+  // guards connections_, queue_, stopping_, draining_, active_workers_
   mutable std::mutex mu_;
-  std::condition_variable dispatcher_cv_;
   std::condition_variable worker_cv_;
   std::condition_variable drain_cv_;  // queue empty && no active workers
   std::vector<std::shared_ptr<ServerConnection>> connections_;
-  std::vector<ServerConnection*> readable_;
   std::deque<WorkItem> queue_;
   bool stopping_ = false;
   bool draining_ = false;
   size_t active_workers_ = 0;  // items popped but not yet replied
 
-  std::thread dispatcher_;
   std::vector<std::thread> workers_;
 };
 
@@ -317,8 +336,11 @@ class CatalogServer {
 // protocol: every call encodes a frame, ships it through a
 // ServerConnection, and blocks until the matching response frame
 // returns or the per-request deadline expires. Thread-safe: any number
-// of threads may issue calls concurrently; a receiver thread
-// demultiplexes response frames to per-request slots by request id.
+// of threads may issue calls concurrently. The client owns no thread:
+// callers share the reading by leader/follower. A waiting caller that
+// finds no reader becomes the reader, does one Receive, routes every
+// complete response frame to its request's slot, then hands the role to
+// a remaining waiter; the others sleep on their own slots.
 // -----------------------------------------------------------------------
 
 struct WireClientOptions {
@@ -364,9 +386,9 @@ class WireCatalogClient : public CatalogClient {
   WireClientStats stats() const;
   void reset_stats();
 
-  /// Fails every in-flight call with Cancelled. The connection stays
-  /// usable for new calls; late responses to cancelled requests are
-  /// discarded.
+  /// Fails every in-flight call with Cancelled, interrupting a caller
+  /// blocked reading the channel. The connection stays usable for new
+  /// calls; late responses to cancelled requests are discarded.
   void CancelPending();
 
   /// Closes the connection; all pending and future calls fail with
@@ -411,11 +433,11 @@ class WireCatalogClient : public CatalogClient {
                                  const BatchOptions& options = {}) override;
 
  private:
-  /// Why a pending slot finished (or stopped mattering).
+  /// One in-flight call. Its caller sleeps on `cv` unless it holds the
+  /// reader role.
   struct PendingSlot {
     bool done = false;
-    bool abandoned = false;  // deadline expired / cancelled; drop reply
-    Status error = Status::OK();  // transport-level failure (EOF, ...)
+    Status error = Status::OK();  // transport failure (EOF, cancel, ...)
     std::string payload;          // raw response payload bytes
     std::condition_variable cv;
   };
@@ -424,8 +446,19 @@ class WireCatalogClient : public CatalogClient {
                     WireClientOptions options);
 
   /// One round trip: admission check, encode+send, wait for the
-  /// response (or deadline), decode on the calling thread.
+  /// response (or deadline) — reading the channel itself when no other
+  /// caller is — and decode on the calling thread.
   Result<wire::Response> Call(const wire::Request& request);
+
+  /// The reader role's work: one Receive, then routes every complete
+  /// frame to its slot. Called with `lock` held on mu_ and reading_
+  /// set; returns with both still so.
+  void ReadOnce(std::unique_lock<std::mutex>& lock,
+                std::chrono::steady_clock::time_point deadline);
+
+  /// Wakes one caller still waiting so it can take the free reader
+  /// role. Requires mu_.
+  void HandOffReaderLocked();
 
   /// Flushes the whole frame through the channel, looping on short
   /// writes, under send_mu_ so concurrent callers never interleave
@@ -433,9 +466,8 @@ class WireCatalogClient : public CatalogClient {
   bool SendFrame(std::string_view frame);
 
   /// Fails every pending slot with `error` (EOF / disconnect path).
-  void FailAllPending(const Status& error);
-
-  void ReceiverLoop();
+  /// Requires mu_.
+  void FailAllPendingLocked(const Status& error);
 
   std::shared_ptr<ClientChannel> conn_;
   WireClientOptions options_;
@@ -447,9 +479,12 @@ class WireCatalogClient : public CatalogClient {
   std::unordered_map<uint64_t, std::shared_ptr<PendingSlot>> pending_;
   uint64_t next_request_id_ = 1;
   bool broken_ = false;  // connection failed; all calls -> Unavailable
+  bool reading_ = false;  // a caller holds the reader role
   WireClientStats stats_;
 
-  std::thread receiver_;
+  /// Reassembly buffer for partial response frames; touched only by the
+  /// reader-role holder (the role changes hands under mu_).
+  std::string recv_buffer_;
 };
 
 }  // namespace vdg

@@ -7,14 +7,17 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "catalog/client.h"
+#include "catalog/sharding.h"
 #include "executor/executor.h"
 #include "federation/remote_cache.h"
+#include "federation/resilient_client.h"
 #include "federation/server.h"
 #include "planner/planner.h"
 #include "workload/canonical.h"
@@ -275,6 +278,171 @@ TEST_P(CatalogServerTest, ApplyBatchShipsAsOneFrameWithCrossOpIds) {
   EXPECT_EQ(invocations[0].produced_replicas,
             std::vector<std::string>{result->assigned_ids[0]});
   EXPECT_EQ(invocations[0].annotations.GetString("note"), "via-wire");
+}
+
+// ----------------------- leader/follower receive --------------------
+// WireCatalogClient has no receiver thread: a waiting caller reads the
+// channel for everyone, then hands the reader role on. These run in
+// both transports (the socket reader blocks in poll(), the pipe reader
+// on a condvar).
+
+TEST_P(CatalogServerTest, ReaderRoleConcurrentCallersGetTheirOwnReplies) {
+  ServerOptions opts;
+  opts.workers = 4;
+  CatalogServer server(Backend(), opts);
+  auto client = WireCatalogClient::Connect(&server, {}, UseSocket());
+  ASSERT_TRUE(client.ok()) << client.status();
+
+  constexpr int kThreads = 8;
+  constexpr int kCalls = 500;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kCalls; ++i) {
+        // d0 is raw; dK is produced by derivation lK.
+        const int k = (t + i) % 9;
+        const std::string name = "d" + std::to_string(k);
+        Result<Dataset> ds = (*client)->GetDataset(name);
+        if (!ds.ok() || ds->name != name ||
+            ds->producer != (k == 0 ? "" : "l" + std::to_string(k))) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ((*client)->stats().round_trips,
+            static_cast<uint64_t>(kThreads * kCalls) + 1);  // + handshake
+}
+
+TEST_P(CatalogServerTest, ReaderRoleCancelInterruptsTheReader) {
+  ServerOptions opts;
+  opts.workers = 1;
+  CatalogServer server(Backend(), opts);
+  WireClientOptions copts;
+  copts.default_deadline = std::chrono::milliseconds(0);  // no deadline
+  auto client = WireCatalogClient::Connect(&server, copts, UseSocket());
+  ASSERT_TRUE(client.ok()) << client.status();
+  (*client)->reset_stats();
+
+  // The only caller in flight necessarily holds the reader role, so it
+  // is blocked in Receive when CancelPending runs.
+  server.set_handler_delay(std::chrono::microseconds(250'000));
+  using Clock = std::chrono::steady_clock;
+  std::atomic<bool> cancelled_seen{false};
+  Clock::time_point returned_at;
+  std::thread caller([&] {
+    Result<uint64_t> r = (*client)->Version();
+    returned_at = Clock::now();
+    cancelled_seen = !r.ok() && r.status().IsCancelled();
+  });
+  for (int i = 0; i < 500 && (*client)->stats().bytes_sent == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const Clock::time_point cancelled_at = Clock::now();
+  (*client)->CancelPending();
+  caller.join();
+  EXPECT_TRUE(cancelled_seen.load());
+  EXPECT_LT(returned_at - cancelled_at, std::chrono::milliseconds(100));
+
+  // The same client serves the next call (queued behind the cancelled
+  // request on the single worker); the late reply is discarded.
+  server.set_handler_delay(std::chrono::microseconds(0));
+  Result<Dataset> next = (*client)->GetDataset("d2");
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(next->name, "d2");
+}
+
+TEST_P(CatalogServerTest, ReaderRoleDeadlineExpiryDiscardsLateReply) {
+  // One worker serves requests in arrival order, so the expired call's
+  // late reply reaches the client while the next call is waiting: the
+  // reader must drop it and deliver only the next call's own reply.
+  ServerOptions opts;
+  opts.workers = 1;
+  CatalogServer server(Backend(), opts);
+  WireClientOptions copts;
+  copts.default_deadline = std::chrono::milliseconds(150);
+  auto client = WireCatalogClient::Connect(&server, copts, UseSocket());
+  ASSERT_TRUE(client.ok()) << client.status();
+
+  server.set_handler_delay(std::chrono::microseconds(200'000));
+  Result<uint64_t> expired = (*client)->Version();
+  EXPECT_TRUE(expired.status().IsDeadlineExceeded()) << expired.status();
+  EXPECT_FALSE(expired.status().retry_safe());
+  server.set_handler_delay(std::chrono::microseconds(0));
+
+  Result<Dataset> next = (*client)->GetDataset("d3");
+  ASSERT_TRUE(next.ok()) << next.status();
+  EXPECT_EQ(next->name, "d3");
+  EXPECT_EQ(next->producer, "l3");
+  EXPECT_EQ((*client)->stats().deadline_expiries, 1u);
+  // Both replies crossed the wire; only the second was delivered.
+  EXPECT_EQ(server.stats().frames_out.load(), 3u);  // + handshake
+  Result<uint64_t> version = (*client)->Version();
+  ASSERT_TRUE(version.ok()) << version.status();
+  EXPECT_EQ(*version, catalog_->version());
+}
+
+namespace {
+
+size_t ThreadCount() {
+  size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+/// The thread count once it reaches `expected`, or after a second. A
+/// joined thread can stay listed in /proc for a moment after join().
+size_t ThreadCountSettlingAt(size_t expected) {
+  size_t n = ThreadCount();
+  for (int i = 0; i < 1000 && n != expected; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    n = ThreadCount();
+  }
+  return n;
+}
+
+}  // namespace
+
+// A round trip crosses two thread handoffs (caller -> worker ->
+// caller), so the server owns its workers and nothing else, and a
+// pipe-mode client owns no thread at all.
+TEST(CatalogServerRuntime, ServerAndPipeClientsAddOnlyWorkerThreads) {
+  auto catalog = ChainCatalog(2);
+  // A runtime may start a helper thread alongside the process's first
+  // thread (ThreadSanitizer does); let that happen, and let every
+  // joined thread leave /proc, before taking the baseline.
+  std::thread([] {}).join();
+  size_t before = ThreadCount();
+  for (int stable = 0; stable < 5;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const size_t now = ThreadCount();
+    stable = now == before ? stable + 1 : 0;
+    before = now;
+  }
+  {
+    ServerOptions opts;
+    opts.workers = 3;
+    CatalogServer server(
+        std::make_shared<InProcessCatalogClient>(catalog.get()), opts);
+    std::vector<std::shared_ptr<WireCatalogClient>> clients;
+    for (int c = 0; c < 4; ++c) {
+      auto client = WireCatalogClient::Connect(&server);
+      ASSERT_TRUE(client.ok()) << client.status();
+      ASSERT_TRUE((*client)->GetDataset("d1").ok());
+      clients.push_back(*client);
+    }
+    EXPECT_EQ(ThreadCountSettlingAt(before + opts.workers),
+              before + opts.workers);
+  }
+  EXPECT_EQ(ThreadCountSettlingAt(before), before);
 }
 
 // ----------------------- deadlines & backpressure --------------------
@@ -712,6 +880,57 @@ TEST(CatalogServerRuntime, CachingClientOverWireServesRepeatsLocally) {
   // Repeats never reached the server.
   EXPECT_EQ(server.stats().requests_served.load(), served_after_fill);
   EXPECT_EQ(cache.stats().hits, 10u);
+}
+
+// The full cached ladder over a sharded backend. The composite version
+// a sharded catalog reports is not delta-addressable, and the answer
+// saying so is a catalog answer (FailedPrecondition), not an admission
+// bounce: the resilient layer passes it straight up and the cache
+// resyncs, with no retry loop in between.
+TEST(CatalogServerRuntime, CachedLadderOverShardsRevalidatesWithoutRetrying) {
+  std::vector<std::unique_ptr<VirtualDataCatalog>> catalogs;
+  std::vector<std::shared_ptr<CatalogClient>> shards;
+  for (int k = 0; k < 2; ++k) {
+    auto catalog =
+        std::make_unique<VirtualDataCatalog>("shard" + std::to_string(k));
+    catalog->set_partition_mode(true);
+    ASSERT_TRUE(catalog->Open().ok());
+    shards.push_back(std::make_shared<InProcessCatalogClient>(catalog.get()));
+    catalogs.push_back(std::move(catalog));
+  }
+  auto sharded = std::make_shared<ShardedCatalogClient>(shards);
+  for (const char* name : {"a", "b", "c"}) {
+    Dataset ds;
+    ds.name = name;
+    ASSERT_TRUE(sharded->DefineDataset(ds).ok());
+  }
+  CatalogServer server(sharded);
+  ResilientEndpoint endpoint;
+  endpoint.name = "server";
+  endpoint.connect = [&]() -> Result<std::shared_ptr<CatalogClient>> {
+    VDG_ASSIGN_OR_RETURN(std::shared_ptr<WireCatalogClient> wire,
+                         WireCatalogClient::Connect(&server));
+    return std::shared_ptr<CatalogClient>(std::move(wire));
+  };
+  auto resilient = std::make_shared<ResilientCatalogClient>(
+      std::vector<ResilientEndpoint>{endpoint});
+  CachingCatalogClient cache(resilient);
+  ASSERT_TRUE(cache.Revalidate().ok());
+  ASSERT_TRUE(cache.GetDataset("a").ok());
+
+  Dataset fresh;
+  fresh.name = "d";
+  ASSERT_TRUE(sharded->DefineDataset(fresh).ok());
+  ASSERT_TRUE(sharded->SetDatasetSize("a", 77).ok());
+
+  ASSERT_TRUE(cache.Revalidate().ok());
+  EXPECT_EQ(resilient->stats().retries, 0u);
+  EXPECT_EQ(resilient->stats().exhausted_calls, 0u);
+  // The resync dropped the stale entry.
+  Result<Dataset> a = cache.GetDataset("a");
+  ASSERT_TRUE(a.ok()) << a.status();
+  EXPECT_EQ(a->size_bytes, 77);
+  EXPECT_TRUE(cache.GetDataset("d").ok());
 }
 
 }  // namespace

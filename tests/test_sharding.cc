@@ -570,7 +570,7 @@ TEST(ShardedVersions, CompositeIsSumAndNotDeltaAddressable) {
                   .IsInvalidArgument());
   EXPECT_TRUE(world.sharded->ChangesSince(*version - 1)
                   .status()
-                  .IsResourceExhausted());
+                  .IsFailedPrecondition());
 
   // Per-shard changelogs are the real delta source.
   for (uint32_t k = 0; k < 3; ++k) {

@@ -895,8 +895,8 @@ TEST(WireFrames, ResponseFlagAndKindValidated) {
 
 TEST(WireFrames, StreamingSplitAcrossArbitraryBoundaries) {
   // Frames written back-to-back must be recoverable from any chunking
-  // of the byte stream — the property the server's dispatcher relies
-  // on when a socket delivers partial reads.
+  // of the byte stream — the property the server's frame extraction
+  // relies on when a socket delivers partial reads.
   Rng rng(1212);
   std::vector<Request> sent;
   std::string stream;

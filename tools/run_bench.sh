@@ -495,7 +495,7 @@ PYEOF
 # merged into BENCH_federation.json next to the simulated-RPC numbers.
 # Floors (tools/check_bench_floor.py) are ~1/4 of the rates measured
 # on the 1-CPU reference host — loose enough for shared runners, tight
-# enough to catch the codec or dispatcher degrading by integer factors.
+# enough to catch the codec or server degrading by integer factors.
 WIRE_OUT="$BUILD_DIR/bench_wire_server.json"
 "$BUILD_DIR/bench/bench_wire_server" \
   --benchmark_out="$WIRE_OUT" --benchmark_out_format=json \
@@ -512,6 +512,13 @@ python3 "$REPO_ROOT/tools/check_bench_floor.py" "$WIRE_OUT" \
   BM_WireEncodeDecodeResponse 60000
 python3 "$REPO_ROOT/tools/check_bench_floor.py" "$WIRE_OUT" \
   "BM_WireServerRoundTrip/1" 55000
+# The rate above is calls per second of the CALLING thread's CPU time,
+# which cannot see the time the caller sleeps through thread handoffs.
+# Gate the wall-clock round trip too: ~22-34 us on a 4-vCPU host, where
+# a call crosses two thread handoffs (caller -> worker -> caller); each
+# extra handoff added 10-25 us in measurements there. Ceiling ~4x.
+python3 "$REPO_ROOT/tools/check_bench_floor.py" --ceiling "$WIRE_OUT" \
+  "BM_WireServerRoundTrip/1" 100000 real_time
 
 python3 - "$WIRE_OUT" "$FED_JSON" <<'PYEOF'
 import json
