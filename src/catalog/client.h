@@ -55,6 +55,12 @@ struct ShardTopology {
   uint64_t fingerprint = 0;
 };
 
+namespace wire {
+enum class MsgKind : uint8_t;
+struct Request;
+struct Response;
+}  // namespace wire
+
 /// The service boundary in front of a Virtual Data Catalog (Section 4:
 /// every VDC is a *server* reached through vdp:// hyperlinks). All
 /// cross-catalog consumers — the registry, federated indexes,
@@ -65,11 +71,18 @@ struct ShardTopology {
 /// where round trips can be counted, batched, cached, and made to
 /// fail.
 ///
+/// Two faces of one vocabulary: the typed methods below, and Call(),
+/// which takes the same call as a wire::Request (one MsgKind per typed
+/// method, catalog/wire.h) and answers with a wire::Response. The
+/// default Call() maps the request onto the typed methods; a
+/// RequestClient (below) goes the other way, so a rung that only
+/// forwards — a transport, a retry layer — implements Call() alone.
+///
 /// Conventions:
 ///  - Every read returns Result<> even where the catalog API returns a
 ///    plain value: a remote call can always fail in transport.
 ///  - Mutations on a read-only handle fail with PermissionDenied
-///    before touching the catalog.
+///    before touching the catalog or the transport.
 ///  - Batched calls (BatchGet, GetProvenanceStep) are semantically
 ///    equivalent to the matching sequence of point calls; transports
 ///    may coalesce each into one round trip.
@@ -94,6 +107,13 @@ class CatalogClient {
   /// callers that provably share an address space (tests, the CLI);
   /// federation code must not use it.
   virtual VirtualDataCatalog* local_catalog() const { return nullptr; }
+
+  /// The request-shaped entry point. Every non-OK answer is the
+  /// Result's status (a returned Response always carries an OK
+  /// status). The default dispatches `request.kind` to the matching
+  /// typed method and answers kHandshake from authority()/read_only();
+  /// a body that does not match its kind is InvalidArgument.
+  virtual Result<wire::Response> Call(const wire::Request& request);
 
   // ------------------------------------------------------------------
   // Reads
@@ -194,6 +214,60 @@ class CatalogClient {
   virtual Result<BatchResult> ApplyBatch(
       const std::vector<CatalogMutation>& mutations,
       const BatchOptions& options = {});
+};
+
+/// A CatalogClient whose typed methods all funnel into Call(): each
+/// builds its wire::Request, calls Call(), and unwraps the response
+/// body. Subclasses implement only Call(), so a forwarding rung
+/// (WireCatalogClient, ResilientCatalogClient,
+/// SimulatedRpcCatalogClient) is one method: intercept, then pass the
+/// request on with `inner->Call(request)`. Mutations on a read-only
+/// handle (wire::IsMutation) fail with PermissionDenied here, before
+/// Call() is reached.
+class RequestClient : public CatalogClient {
+ public:
+  Result<wire::Response> Call(const wire::Request& request) override = 0;
+
+  Result<uint64_t> Version() final;
+  Result<std::vector<CatalogChange>> ChangesSince(
+      uint64_t since_version) final;
+  Result<Dataset> GetDataset(std::string_view name) final;
+  Result<Transformation> GetTransformation(std::string_view name) final;
+  Result<Derivation> GetDerivation(std::string_view name) final;
+  Result<bool> HasDataset(std::string_view name) final;
+  Result<bool> IsMaterialized(std::string_view dataset) final;
+  Result<std::string> ProducerOf(std::string_view dataset) final;
+  Result<std::vector<Invocation>> InvocationsOf(
+      std::string_view derivation) final;
+  Result<NameList> FindDatasets(const DatasetQuery& query) final;
+  Result<NameList> FindTransformations(
+      const TransformationQuery& query) final;
+  Result<NameList> FindDerivations(const DerivationQuery& query) final;
+  Result<NameList> AllNames(std::string_view kind) final;
+  Result<bool> TypeConforms(const DatasetType& type,
+                            const DatasetType& against) final;
+  Result<std::vector<ObjectRecord>> BatchGet(
+      const std::vector<ObjectKey>& keys) final;
+  Result<ProvenanceStep> GetProvenanceStep(std::string_view dataset) final;
+
+  Status DefineDataset(Dataset dataset) final;
+  Status DefineTransformation(Transformation transformation) final;
+  Status DefineDerivation(Derivation derivation) final;
+  Status Annotate(std::string_view kind, std::string_view name,
+                  std::string_view key, AttributeValue value) final;
+  Result<std::string> AddReplica(Replica replica) final;
+  Result<std::string> RecordInvocation(Invocation invocation) final;
+  Status SetDatasetSize(std::string_view name, int64_t size_bytes) final;
+  Status InvalidateReplica(std::string_view id) final;
+  /// Ships the whole group as one kApplyBatch request.
+  Result<BatchResult> ApplyBatch(const std::vector<CatalogMutation>& mutations,
+                                 const BatchOptions& options = {}) final;
+
+ private:
+  /// Builds a `kind` request carrying `body` and passes it to Call(),
+  /// behind the read-only gate.
+  template <typename Body>
+  Result<wire::Response> Send(wire::MsgKind kind, Body body);
 };
 
 /// The zero-cost adapter: forwards every call straight into an

@@ -94,6 +94,27 @@ std::string_view MsgKindName(MsgKind kind);
 /// True when `raw` maps to a defined MsgKind value.
 bool IsValidMsgKind(uint8_t raw);
 
+/// The retry-safety table: true for the kinds that change the catalog.
+/// Every other kind is an idempotent read that any rung may re-send.
+/// A mutation may be re-sent only when the server can recognise the
+/// repeat — an ApplyBatch carrying an idempotency token.
+constexpr bool IsMutation(MsgKind kind) {
+  switch (kind) {
+    case MsgKind::kDefineDataset:
+    case MsgKind::kDefineTransformation:
+    case MsgKind::kDefineDerivation:
+    case MsgKind::kAnnotate:
+    case MsgKind::kAddReplica:
+    case MsgKind::kRecordInvocation:
+    case MsgKind::kSetDatasetSize:
+    case MsgKind::kInvalidateReplica:
+    case MsgKind::kApplyBatch:
+      return true;
+    default:
+      return false;
+  }
+}
+
 // ---------------------------------------------------------------------
 // Request payloads. Kinds whose payload is just an object name share
 // NameReq; empty-payload kinds (handshake, version poll) share
@@ -215,7 +236,9 @@ struct BatchResultResp {
 };
 
 /// A decoded response: the originating kind, the call-level status,
-/// and (iff status is OK) the typed body.
+/// and (iff status is OK) the typed body. The status field carries an
+/// error across the wire; CatalogClient::Call returns a non-OK status
+/// as the Result's status, never inside a Response.
 struct Response {
   MsgKind kind = MsgKind::kVersion;
   Status status = Status::OK();

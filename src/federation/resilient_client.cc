@@ -4,6 +4,8 @@
 #include <thread>
 #include <utility>
 
+#include "catalog/wire.h"
+
 namespace vdg {
 
 namespace {
@@ -142,9 +144,24 @@ void ResilientCatalogClient::RecordFailure(size_t i, bool drop_connection) {
   }
 }
 
-template <typename T>
-Result<T> ResilientCatalogClient::CallImpl(
-    bool idempotent, const std::function<Result<T>(CatalogClient&)>& fn) {
+Result<wire::Response> ResilientCatalogClient::Call(
+    const wire::Request& request) {
+  // Retry safety comes from the kind (see "Retry discipline" in the
+  // header). A tokenized batch is exactly-once through the server's
+  // dedup window, so it retries like a read.
+  bool idempotent = !wire::IsMutation(request.kind);
+  const wire::Request* send = &request;
+  wire::Request tokenized;
+  if (request.kind == wire::MsgKind::kApplyBatch) {
+    idempotent = true;
+    const auto* batch = std::get_if<wire::ApplyBatchReq>(&request.body);
+    if (batch != nullptr && batch->options.idempotency_token.empty()) {
+      tokenized = request;
+      std::get<wire::ApplyBatchReq>(tokenized.body)
+          .options.idempotency_token = GenerateToken();
+      send = &tokenized;
+    }
+  }
   const auto deadline =
       std::chrono::steady_clock::now() + options_.retry_budget;
   Status last_error = Status::Unavailable("no catalog endpoints configured");
@@ -197,7 +214,7 @@ Result<T> ResilientCatalogClient::CallImpl(
       RecordFailure(static_cast<size_t>(idx), /*drop_connection=*/true);
       continue;  // a failed dial never executed anything: always retry
     }
-    Result<T> r = fn(**client);
+    Result<wire::Response> r = (*client)->Call(*send);
     if (r.ok() || !IsTransportError(r.status())) {
       // Either success or a real catalog answer (NotFound, TypeError,
       // ...): the endpoint is healthy.
@@ -231,190 +248,6 @@ Result<T> ResilientCatalogClient::CallImpl(
 std::string ResilientCatalogClient::GenerateToken() {
   std::lock_guard<std::mutex> lock(mu_);
   return "rcc-" + Hex64(token_prefix_) + "-" + std::to_string(next_token_++);
-}
-
-// ---------------------------------------------------------------------
-// Read vocabulary: retried freely inside the budget.
-// ---------------------------------------------------------------------
-
-Result<uint64_t> ResilientCatalogClient::Version() {
-  return ReadCall<uint64_t>([](CatalogClient& c) { return c.Version(); });
-}
-
-Result<std::vector<CatalogChange>> ResilientCatalogClient::ChangesSince(
-    uint64_t since_version) {
-  return ReadCall<std::vector<CatalogChange>>(
-      [&](CatalogClient& c) { return c.ChangesSince(since_version); });
-}
-
-Result<Dataset> ResilientCatalogClient::GetDataset(std::string_view name) {
-  return ReadCall<Dataset>(
-      [&](CatalogClient& c) { return c.GetDataset(name); });
-}
-
-Result<Transformation> ResilientCatalogClient::GetTransformation(
-    std::string_view name) {
-  return ReadCall<Transformation>(
-      [&](CatalogClient& c) { return c.GetTransformation(name); });
-}
-
-Result<Derivation> ResilientCatalogClient::GetDerivation(
-    std::string_view name) {
-  return ReadCall<Derivation>(
-      [&](CatalogClient& c) { return c.GetDerivation(name); });
-}
-
-Result<bool> ResilientCatalogClient::HasDataset(std::string_view name) {
-  return ReadCall<bool>([&](CatalogClient& c) { return c.HasDataset(name); });
-}
-
-Result<bool> ResilientCatalogClient::IsMaterialized(
-    std::string_view dataset) {
-  return ReadCall<bool>(
-      [&](CatalogClient& c) { return c.IsMaterialized(dataset); });
-}
-
-Result<std::string> ResilientCatalogClient::ProducerOf(
-    std::string_view dataset) {
-  return ReadCall<std::string>(
-      [&](CatalogClient& c) { return c.ProducerOf(dataset); });
-}
-
-Result<std::vector<Invocation>> ResilientCatalogClient::InvocationsOf(
-    std::string_view derivation) {
-  return ReadCall<std::vector<Invocation>>(
-      [&](CatalogClient& c) { return c.InvocationsOf(derivation); });
-}
-
-Result<NameList> ResilientCatalogClient::FindDatasets(
-    const DatasetQuery& query) {
-  return ReadCall<NameList>(
-      [&](CatalogClient& c) { return c.FindDatasets(query); });
-}
-
-Result<NameList> ResilientCatalogClient::FindTransformations(
-    const TransformationQuery& query) {
-  return ReadCall<NameList>(
-      [&](CatalogClient& c) { return c.FindTransformations(query); });
-}
-
-Result<NameList> ResilientCatalogClient::FindDerivations(
-    const DerivationQuery& query) {
-  return ReadCall<NameList>(
-      [&](CatalogClient& c) { return c.FindDerivations(query); });
-}
-
-Result<NameList> ResilientCatalogClient::AllNames(
-    std::string_view kind) {
-  return ReadCall<NameList>(
-      [&](CatalogClient& c) { return c.AllNames(kind); });
-}
-
-Result<bool> ResilientCatalogClient::TypeConforms(const DatasetType& type,
-                                                  const DatasetType& against) {
-  return ReadCall<bool>(
-      [&](CatalogClient& c) { return c.TypeConforms(type, against); });
-}
-
-Result<std::vector<ObjectRecord>> ResilientCatalogClient::BatchGet(
-    const std::vector<ObjectKey>& keys) {
-  return ReadCall<std::vector<ObjectRecord>>(
-      [&](CatalogClient& c) { return c.BatchGet(keys); });
-}
-
-Result<ProvenanceStep> ResilientCatalogClient::GetProvenanceStep(
-    std::string_view dataset) {
-  return ReadCall<ProvenanceStep>(
-      [&](CatalogClient& c) { return c.GetProvenanceStep(dataset); });
-}
-
-// ---------------------------------------------------------------------
-// Mutation vocabulary: issued at most once past an established
-// connection; a retry-unsafe transport failure surfaces to the caller
-// (who can re-issue via ApplyBatch + token for exactly-once).
-// ---------------------------------------------------------------------
-
-Status ResilientCatalogClient::DefineDataset(Dataset dataset) {
-  Result<bool> r = MutationCall<bool>([&](CatalogClient& c) -> Result<bool> {
-    Status s = c.DefineDataset(dataset);
-    if (!s.ok()) return s;
-    return true;
-  });
-  return r.ok() ? Status::OK() : r.status();
-}
-
-Status ResilientCatalogClient::DefineTransformation(
-    Transformation transformation) {
-  Result<bool> r = MutationCall<bool>([&](CatalogClient& c) -> Result<bool> {
-    Status s = c.DefineTransformation(transformation);
-    if (!s.ok()) return s;
-    return true;
-  });
-  return r.ok() ? Status::OK() : r.status();
-}
-
-Status ResilientCatalogClient::DefineDerivation(Derivation derivation) {
-  Result<bool> r = MutationCall<bool>([&](CatalogClient& c) -> Result<bool> {
-    Status s = c.DefineDerivation(derivation);
-    if (!s.ok()) return s;
-    return true;
-  });
-  return r.ok() ? Status::OK() : r.status();
-}
-
-Status ResilientCatalogClient::Annotate(std::string_view kind,
-                                        std::string_view name,
-                                        std::string_view key,
-                                        AttributeValue value) {
-  Result<bool> r = MutationCall<bool>([&](CatalogClient& c) -> Result<bool> {
-    Status s = c.Annotate(kind, name, key, value);
-    if (!s.ok()) return s;
-    return true;
-  });
-  return r.ok() ? Status::OK() : r.status();
-}
-
-Result<std::string> ResilientCatalogClient::AddReplica(Replica replica) {
-  return MutationCall<std::string>(
-      [&](CatalogClient& c) { return c.AddReplica(replica); });
-}
-
-Result<std::string> ResilientCatalogClient::RecordInvocation(
-    Invocation invocation) {
-  return MutationCall<std::string>(
-      [&](CatalogClient& c) { return c.RecordInvocation(invocation); });
-}
-
-Status ResilientCatalogClient::SetDatasetSize(std::string_view name,
-                                              int64_t size_bytes) {
-  Result<bool> r = MutationCall<bool>([&](CatalogClient& c) -> Result<bool> {
-    Status s = c.SetDatasetSize(name, size_bytes);
-    if (!s.ok()) return s;
-    return true;
-  });
-  return r.ok() ? Status::OK() : r.status();
-}
-
-Status ResilientCatalogClient::InvalidateReplica(std::string_view id) {
-  Result<bool> r = MutationCall<bool>([&](CatalogClient& c) -> Result<bool> {
-    Status s = c.InvalidateReplica(id);
-    if (!s.ok()) return s;
-    return true;
-  });
-  return r.ok() ? Status::OK() : r.status();
-}
-
-Result<BatchResult> ResilientCatalogClient::ApplyBatch(
-    const std::vector<CatalogMutation>& mutations,
-    const BatchOptions& options) {
-  BatchOptions tokenized = options;
-  if (tokenized.idempotency_token.empty()) {
-    tokenized.idempotency_token = GenerateToken();
-  }
-  // With a token the server's dedup window makes retries exactly-once,
-  // so the batch rides the idempotent retry path.
-  return ReadCall<BatchResult>(
-      [&](CatalogClient& c) { return c.ApplyBatch(mutations, tokenized); });
 }
 
 }  // namespace vdg

@@ -31,8 +31,10 @@ namespace vdg {
 //    cooldown elapses, when one probe (HALF-OPEN) either closes the
 //    breaker or re-opens it. Healthy endpoints never pay for a dead
 //    peer.
-//  - Retry discipline: idempotent reads retry freely inside the
-//    budget. Single mutations are issued at most once on an
+//  - Retry discipline (read from wire::IsMutation, for the one
+//    request every typed method becomes — this is a RequestClient):
+//    idempotent reads retry freely inside the budget. Single
+//    mutations are issued at most once on an
 //    established connection — a transport failure afterwards returns
 //    Unavailable marked retry-unsafe (Status::retry_safe() == false)
 //    because the server may already have applied the work. ApplyBatch
@@ -84,7 +86,7 @@ struct ResilientStats {
 
 enum class BreakerState { kClosed, kOpen, kHalfOpen };
 
-class ResilientCatalogClient : public CatalogClient {
+class ResilientCatalogClient : public RequestClient {
  public:
   explicit ResilientCatalogClient(std::vector<ResilientEndpoint> endpoints,
                                   ResilientOptions options = {});
@@ -95,44 +97,9 @@ class ResilientCatalogClient : public CatalogClient {
   ResilientStats stats() const;
   BreakerState breaker_state(size_t endpoint_index) const;
 
-  Result<uint64_t> Version() override;
-  Result<std::vector<CatalogChange>> ChangesSince(
-      uint64_t since_version) override;
-  Result<Dataset> GetDataset(std::string_view name) override;
-  Result<Transformation> GetTransformation(std::string_view name) override;
-  Result<Derivation> GetDerivation(std::string_view name) override;
-  Result<bool> HasDataset(std::string_view name) override;
-  Result<bool> IsMaterialized(std::string_view dataset) override;
-  Result<std::string> ProducerOf(std::string_view dataset) override;
-  Result<std::vector<Invocation>> InvocationsOf(
-      std::string_view derivation) override;
-  Result<NameList> FindDatasets(
-      const DatasetQuery& query) override;
-  Result<NameList> FindTransformations(
-      const TransformationQuery& query) override;
-  Result<NameList> FindDerivations(
-      const DerivationQuery& query) override;
-  Result<NameList> AllNames(std::string_view kind) override;
-  Result<bool> TypeConforms(const DatasetType& type,
-                            const DatasetType& against) override;
-  Result<std::vector<ObjectRecord>> BatchGet(
-      const std::vector<ObjectKey>& keys) override;
-  Result<ProvenanceStep> GetProvenanceStep(std::string_view dataset) override;
-
-  Status DefineDataset(Dataset dataset) override;
-  Status DefineTransformation(Transformation transformation) override;
-  Status DefineDerivation(Derivation derivation) override;
-  Status Annotate(std::string_view kind, std::string_view name,
-                  std::string_view key, AttributeValue value) override;
-  Result<std::string> AddReplica(Replica replica) override;
-  Result<std::string> RecordInvocation(Invocation invocation) override;
-  Status SetDatasetSize(std::string_view name, int64_t size_bytes) override;
-  Status InvalidateReplica(std::string_view id) override;
-  /// Stamps an idempotency token (when the caller left it empty) and
-  /// retries across reconnect/failover — the server's dedup window
-  /// keeps the batch exactly-once.
-  Result<BatchResult> ApplyBatch(const std::vector<CatalogMutation>& mutations,
-                                 const BatchOptions& options = {}) override;
+  /// Runs the request on a live endpoint with retry/failover/backoff
+  /// per the retry discipline above.
+  Result<wire::Response> Call(const wire::Request& request) override;
 
  private:
   struct Endpoint {
@@ -159,23 +126,6 @@ class ResilientCatalogClient : public CatalogClient {
 
   void RecordSuccess(size_t i);
   void RecordFailure(size_t i, bool drop_connection);
-
-  /// Runs `fn` with retry/failover/backoff per the options.
-  /// `idempotent` calls retry after any transport error; non-
-  /// idempotent calls retry only while no attempt has reached an
-  /// established connection, and otherwise fail fast retry-unsafe.
-  template <typename T>
-  Result<T> CallImpl(bool idempotent,
-                     const std::function<Result<T>(CatalogClient&)>& fn);
-
-  template <typename T>
-  Result<T> ReadCall(const std::function<Result<T>(CatalogClient&)>& fn) {
-    return CallImpl<T>(true, fn);
-  }
-  template <typename T>
-  Result<T> MutationCall(const std::function<Result<T>(CatalogClient&)>& fn) {
-    return CallImpl<T>(false, fn);
-  }
 
   std::string GenerateToken();
 

@@ -54,182 +54,91 @@ Status SimulatedRpcCatalogClient::Transport(bool idempotent) {
   }
 }
 
-Result<uint64_t> SimulatedRpcCatalogClient::Version() {
-  return Call([&] { return backend_->Version(); });
+Result<wire::Response> SimulatedRpcCatalogClient::Forward(
+    const wire::Request& request) {
+  // A token-bearing batch is deduplicated server-side, making the whole
+  // group idempotent and therefore safe to auto-retry on loss.
+  const auto* batch = request.kind == wire::MsgKind::kApplyBatch
+                          ? std::get_if<wire::ApplyBatchReq>(&request.body)
+                          : nullptr;
+  const bool idempotent =
+      !wire::IsMutation(request.kind) ||
+      (batch != nullptr && !batch->options.idempotency_token.empty());
+  VDG_RETURN_IF_ERROR(Transport(idempotent));
+  return backend_->Call(request);
 }
 
-Result<std::vector<CatalogChange>> SimulatedRpcCatalogClient::ChangesSince(
-    uint64_t since_version) {
-  return Call([&] { return backend_->ChangesSince(since_version); });
-}
+namespace {
 
-Result<Dataset> SimulatedRpcCatalogClient::GetDataset(std::string_view name) {
-  return Call([&] { return backend_->GetDataset(name); });
-}
-
-Result<Transformation> SimulatedRpcCatalogClient::GetTransformation(
-    std::string_view name) {
-  return Call([&] { return backend_->GetTransformation(name); });
-}
-
-Result<Derivation> SimulatedRpcCatalogClient::GetDerivation(
-    std::string_view name) {
-  return Call([&] { return backend_->GetDerivation(name); });
-}
-
-Result<bool> SimulatedRpcCatalogClient::HasDataset(std::string_view name) {
-  return Call([&] { return backend_->HasDataset(name); });
-}
-
-Result<bool> SimulatedRpcCatalogClient::IsMaterialized(
-    std::string_view dataset) {
-  return Call([&] { return backend_->IsMaterialized(dataset); });
-}
-
-Result<std::string> SimulatedRpcCatalogClient::ProducerOf(
-    std::string_view dataset) {
-  return Call([&] { return backend_->ProducerOf(dataset); });
-}
-
-Result<std::vector<Invocation>> SimulatedRpcCatalogClient::InvocationsOf(
-    std::string_view derivation) {
-  return Call([&] { return backend_->InvocationsOf(derivation); });
-}
-
-Result<NameList> SimulatedRpcCatalogClient::FindDatasets(
-    const DatasetQuery& query) {
-  return Call([&] { return backend_->FindDatasets(query); });
-}
-
-Result<NameList> SimulatedRpcCatalogClient::FindTransformations(
-    const TransformationQuery& query) {
-  return Call([&] { return backend_->FindTransformations(query); });
-}
-
-Result<NameList> SimulatedRpcCatalogClient::FindDerivations(
-    const DerivationQuery& query) {
-  return Call([&] { return backend_->FindDerivations(query); });
-}
-
-Result<NameList> SimulatedRpcCatalogClient::AllNames(
-    std::string_view kind) {
-  return Call([&] { return backend_->AllNames(kind); });
-}
-
-Result<bool> SimulatedRpcCatalogClient::TypeConforms(
-    const DatasetType& type, const DatasetType& against) {
-  return Call([&] { return backend_->TypeConforms(type, against); });
-}
-
-Result<std::vector<ObjectRecord>> SimulatedRpcCatalogClient::BatchGet(
-    const std::vector<ObjectKey>& keys) {
-  if (config_.enable_batching) {
-    stats_.batched_lookups += keys.size();
-    return Call([&] { return backend_->BatchGet(keys); });
-  }
-  // Naive mode: every point lookup is its own round trip.
-  std::vector<ObjectRecord> records;
-  records.reserve(keys.size());
-  for (const ObjectKey& key : keys) {
-    VDG_ASSIGN_OR_RETURN(std::vector<ObjectRecord> one,
-                         Call([&] { return backend_->BatchGet({key}); }));
-    records.push_back(std::move(one.front()));
-  }
-  return records;
-}
-
-Result<ProvenanceStep> SimulatedRpcCatalogClient::GetProvenanceStep(
-    std::string_view dataset) {
-  if (config_.enable_batching) {
-    return Call([&] { return backend_->GetProvenanceStep(dataset); });
-  }
-  // Naive mode: the four point lookups a provenance hop is made of,
-  // each paying its own round trip.
+/// The four point lookups a provenance hop is made of, each through
+/// `hop` (one round trip apiece).
+Result<ProvenanceStep> PointwiseStep(CatalogClient& hop,
+                                     std::string_view dataset) {
   ProvenanceStep step;
   step.dataset = std::string(dataset);
-  VDG_ASSIGN_OR_RETURN(step.exists,
-                       Call([&] { return backend_->HasDataset(dataset); }));
+  VDG_ASSIGN_OR_RETURN(step.exists, hop.HasDataset(dataset));
   if (!step.exists) return step;
-  Result<std::string> producer =
-      Call([&] { return backend_->ProducerOf(dataset); });
+  Result<std::string> producer = hop.ProducerOf(dataset);
   if (!producer.ok()) {
     if (producer.status().IsNotFound()) return step;  // raw input
     return producer.status();
   }
   step.producer = *producer;
-  Result<Derivation> derivation =
-      Call([&] { return backend_->GetDerivation(step.producer); });
+  Result<Derivation> derivation = hop.GetDerivation(step.producer);
   if (derivation.ok()) {
     step.derivation = *std::move(derivation);
-    VDG_ASSIGN_OR_RETURN(
-        step.invocations,
-        Call([&] { return backend_->InvocationsOf(step.producer); }));
+    VDG_ASSIGN_OR_RETURN(step.invocations, hop.InvocationsOf(step.producer));
   } else if (!derivation.status().IsNotFound()) {
     return derivation.status();
   }
   return step;
 }
 
-Status SimulatedRpcCatalogClient::DefineDataset(Dataset dataset) {
-  return CallMutation(
-      [&] { return backend_->DefineDataset(std::move(dataset)); });
-}
+}  // namespace
 
-Status SimulatedRpcCatalogClient::DefineTransformation(
-    Transformation transformation) {
-  return CallMutation(
-      [&] { return backend_->DefineTransformation(std::move(transformation)); });
-}
-
-Status SimulatedRpcCatalogClient::DefineDerivation(Derivation derivation) {
-  return CallMutation(
-      [&] { return backend_->DefineDerivation(std::move(derivation)); });
-}
-
-Status SimulatedRpcCatalogClient::Annotate(std::string_view kind,
-                                           std::string_view name,
-                                           std::string_view key,
-                                           AttributeValue value) {
-  return CallMutation(
-      [&] { return backend_->Annotate(kind, name, key, std::move(value)); });
-}
-
-Result<std::string> SimulatedRpcCatalogClient::AddReplica(Replica replica) {
-  return CallMutation([&] { return backend_->AddReplica(std::move(replica)); });
-}
-
-Result<std::string> SimulatedRpcCatalogClient::RecordInvocation(
-    Invocation invocation) {
-  return CallMutation(
-      [&] { return backend_->RecordInvocation(std::move(invocation)); });
-}
-
-Status SimulatedRpcCatalogClient::SetDatasetSize(std::string_view name,
-                                                 int64_t size_bytes) {
-  return CallMutation(
-      [&] { return backend_->SetDatasetSize(name, size_bytes); });
-}
-
-Status SimulatedRpcCatalogClient::InvalidateReplica(std::string_view id) {
-  return CallMutation([&] { return backend_->InvalidateReplica(id); });
-}
-
-Result<BatchResult> SimulatedRpcCatalogClient::ApplyBatch(
-    const std::vector<CatalogMutation>& mutations,
-    const BatchOptions& options) {
-  if (config_.enable_batching) {
-    stats_.batched_lookups += mutations.size();
-    // A token-bearing batch is deduplicated server-side, making the
-    // whole group idempotent and therefore safe to auto-retry on loss.
-    if (!options.idempotency_token.empty()) {
-      return Call([&] { return backend_->ApplyBatch(mutations, options); });
-    }
-    return CallMutation(
-        [&] { return backend_->ApplyBatch(mutations, options); });
+Result<wire::Response> SimulatedRpcCatalogClient::Call(
+    const wire::Request& request) {
+  using wire::MsgKind;
+  const auto* keys = request.kind == MsgKind::kBatchGet
+                         ? std::get_if<wire::BatchGetReq>(&request.body)
+                         : nullptr;
+  const auto* step = request.kind == MsgKind::kGetProvenanceStep
+                         ? std::get_if<wire::NameReq>(&request.body)
+                         : nullptr;
+  const auto* batch = request.kind == MsgKind::kApplyBatch
+                          ? std::get_if<wire::ApplyBatchReq>(&request.body)
+                          : nullptr;
+  if (config_.enable_batching || (!keys && !step && !batch)) {
+    if (keys != nullptr) stats_.batched_lookups += keys->keys.size();
+    if (batch != nullptr) stats_.batched_lookups += batch->mutations.size();
+    return Forward(request);
   }
-  // Naive mode: the base-class decomposition issues each op through
-  // this client's single-op methods, one round trip apiece.
-  return CatalogClient::ApplyBatch(mutations, options);
+  // Naive mode: a compound call decomposes into its point calls through
+  // hop_, one round trip apiece.
+  wire::Response response;
+  response.kind = request.kind;
+  if (keys != nullptr) {
+    std::vector<ObjectRecord> records;
+    records.reserve(keys->keys.size());
+    for (const ObjectKey& key : keys->keys) {
+      VDG_ASSIGN_OR_RETURN(std::vector<ObjectRecord> one,
+                           hop_.BatchGet({key}));
+      records.push_back(std::move(one.front()));
+    }
+    response.body = wire::RecordsResp{std::move(records)};
+  } else if (step != nullptr) {
+    VDG_ASSIGN_OR_RETURN(ProvenanceStep answer,
+                         PointwiseStep(hop_, step->name));
+    response.body = wire::StepResp{std::move(answer)};
+  } else {
+    // The base-class decomposition: each op is its own call, plus one
+    // for the final version read.
+    VDG_ASSIGN_OR_RETURN(
+        BatchResult result,
+        hop_.CatalogClient::ApplyBatch(batch->mutations, batch->options));
+    response.body = wire::BatchResultResp{std::move(result)};
+  }
+  return response;
 }
 
 }  // namespace vdg

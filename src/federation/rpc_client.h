@@ -6,6 +6,7 @@
 #include <string>
 
 #include "catalog/client.h"
+#include "catalog/wire.h"
 #include "common/rng.h"
 #include "grid/simulator.h"
 
@@ -60,13 +61,17 @@ struct RpcStats {
 /// callback: each call drives the event queue (RunUntil), and the
 /// queue is single-threaded and non-reentrant. Use it from the
 /// simulation's driving thread only.
-class SimulatedRpcCatalogClient : public CatalogClient {
+class SimulatedRpcCatalogClient : public RequestClient {
  public:
   /// `backend` is the server-side implementation (normally an
   /// InProcessCatalogClient for the target catalog); `grid` supplies
   /// the clock, event queue, and fault model. Both must outlive this.
   SimulatedRpcCatalogClient(std::shared_ptr<CatalogClient> backend,
                             GridSimulator* grid, RpcConfig config = {});
+  // hop_ points back at this object.
+  SimulatedRpcCatalogClient(const SimulatedRpcCatalogClient&) = delete;
+  SimulatedRpcCatalogClient& operator=(const SimulatedRpcCatalogClient&) =
+      delete;
 
   const std::string& authority() const override { return authority_; }
   bool read_only() const override { return backend_->read_only(); }
@@ -75,48 +80,34 @@ class SimulatedRpcCatalogClient : public CatalogClient {
   void reset_stats() { stats_ = RpcStats{}; }
   const RpcConfig& config() const { return config_; }
 
-  Result<uint64_t> Version() override;
-  Result<std::vector<CatalogChange>> ChangesSince(
-      uint64_t since_version) override;
-  Result<Dataset> GetDataset(std::string_view name) override;
-  Result<Transformation> GetTransformation(std::string_view name) override;
-  Result<Derivation> GetDerivation(std::string_view name) override;
-  Result<bool> HasDataset(std::string_view name) override;
-  Result<bool> IsMaterialized(std::string_view dataset) override;
-  Result<std::string> ProducerOf(std::string_view dataset) override;
-  Result<std::vector<Invocation>> InvocationsOf(
-      std::string_view derivation) override;
-  Result<NameList> FindDatasets(
-      const DatasetQuery& query) override;
-  Result<NameList> FindTransformations(
-      const TransformationQuery& query) override;
-  Result<NameList> FindDerivations(
-      const DerivationQuery& query) override;
-  Result<NameList> AllNames(std::string_view kind) override;
-  Result<bool> TypeConforms(const DatasetType& type,
-                            const DatasetType& against) override;
-  Result<std::vector<ObjectRecord>> BatchGet(
-      const std::vector<ObjectKey>& keys) override;
-  Result<ProvenanceStep> GetProvenanceStep(std::string_view dataset) override;
-
-  Status DefineDataset(Dataset dataset) override;
-  Status DefineTransformation(Transformation transformation) override;
-  Status DefineDerivation(Derivation derivation) override;
-  Status Annotate(std::string_view kind, std::string_view name,
-                  std::string_view key, AttributeValue value) override;
-  Result<std::string> AddReplica(Replica replica) override;
-  Result<std::string> RecordInvocation(Invocation invocation) override;
-  Status SetDatasetSize(std::string_view name, int64_t size_bytes) override;
-  Status InvalidateReplica(std::string_view id) override;
-  /// With batching enabled, the whole group ships as ONE round trip
-  /// and the server commits it as one group commit. In naive mode the
-  /// base-class decomposition runs, paying one round trip per op (plus
-  /// one for the final version read) — the baseline the batched path
+  /// One logical RPC, then execution by the backend. With batching
+  /// enabled every request — a whole ApplyBatch group included, which
+  /// the server commits as one group commit — is one round trip. In
+  /// naive mode BatchGet, GetProvenanceStep and ApplyBatch decompose
+  /// into their point calls, one round trip apiece (ApplyBatch pays one
+  /// more for the final version read) — the baseline the batched path
   /// is measured against.
-  Result<BatchResult> ApplyBatch(const std::vector<CatalogMutation>& mutations,
-                                 const BatchOptions& options = {}) override;
+  Result<wire::Response> Call(const wire::Request& request) override;
 
  private:
+  /// The typed face of Forward(): naive mode decomposes a compound call
+  /// through it, so each piece is one round trip and the decomposition
+  /// never re-enters this client's own Call().
+  class Hop : public RequestClient {
+   public:
+    explicit Hop(SimulatedRpcCatalogClient* owner) : owner_(owner) {}
+    const std::string& authority() const override {
+      return owner_->authority();
+    }
+    bool read_only() const override { return owner_->read_only(); }
+    Result<wire::Response> Call(const wire::Request& request) override {
+      return owner_->Forward(request);
+    }
+
+   private:
+    SimulatedRpcCatalogClient* owner_;
+  };
+
   /// One logical RPC: repeats {advance the clock by the latency, check
   /// the site, roll for loss} with exponential backoff until an
   /// attempt completes or the budget runs out. Outage rejections are
@@ -127,23 +118,11 @@ class SimulatedRpcCatalogClient : public CatalogClient {
   /// blindly re-sending.
   Status Transport(bool idempotent);
 
-  /// Transport + server-side execution of `fn` on success, for
-  /// idempotent reads (auto-retried on loss and outage alike).
-  template <typename Fn>
-  auto Call(Fn&& fn) -> decltype(fn()) {
-    Status wire = Transport(/*idempotent=*/true);
-    if (!wire.ok()) return wire;
-    return fn();
-  }
-
-  /// Transport + execution for mutations: retries only outages, and
-  /// surfaces loss as retry-unsafe (Status::retry_safe() == false).
-  template <typename Fn>
-  auto CallMutation(Fn&& fn) -> decltype(fn()) {
-    Status wire = Transport(/*idempotent=*/false);
-    if (!wire.ok()) return wire;
-    return fn();
-  }
+  /// Transport, then the backend executes `request`. Retry safety comes
+  /// from wire::IsMutation: reads (and a token-bearing ApplyBatch) are
+  /// auto-retried on loss and outage alike; other mutations retry only
+  /// outages and surface loss as retry-unsafe.
+  Result<wire::Response> Forward(const wire::Request& request);
 
   std::shared_ptr<CatalogClient> backend_;
   GridSimulator* grid_;
@@ -151,6 +130,7 @@ class SimulatedRpcCatalogClient : public CatalogClient {
   std::string authority_;
   Rng rng_;
   RpcStats stats_;
+  Hop hop_{this};
 };
 
 }  // namespace vdg

@@ -465,195 +465,30 @@ void CatalogServer::WorkerLoop() {
 }
 
 wire::Response CatalogServer::Execute(const wire::Request& request) {
-  wire::Response resp;
-  resp.kind = request.kind;
-  // Every arm forwards to the backend and either records the error
-  // status or wraps the value in the kind's response body.
-  switch (request.kind) {
-    case wire::MsgKind::kHandshake:
-      resp.body =
-          wire::HandshakeResp{backend_->authority(), backend_->read_only()};
-      break;
-    case wire::MsgKind::kVersion: {
-      Result<uint64_t> r = backend_->Version();
-      if (!r.ok()) resp.status = r.status();
-      else resp.body = wire::VersionResp{*r};
-      break;
-    }
-    case wire::MsgKind::kChangesSince: {
-      const auto& body = std::get<wire::ChangesSinceReq>(request.body);
-      Result<std::vector<CatalogChange>> r =
-          backend_->ChangesSince(body.since_version);
-      if (!r.ok()) resp.status = r.status();
-      else resp.body = wire::ChangesResp{std::move(*r)};
-      break;
-    }
-    case wire::MsgKind::kGetDataset: {
-      const auto& body = std::get<wire::NameReq>(request.body);
-      Result<Dataset> r = backend_->GetDataset(body.name);
-      if (!r.ok()) resp.status = r.status();
-      else resp.body = wire::DatasetResp{std::move(*r)};
-      break;
-    }
-    case wire::MsgKind::kGetTransformation: {
-      const auto& body = std::get<wire::NameReq>(request.body);
-      Result<Transformation> r = backend_->GetTransformation(body.name);
-      if (!r.ok()) resp.status = r.status();
-      else resp.body = wire::TransformationResp{std::move(*r)};
-      break;
-    }
-    case wire::MsgKind::kGetDerivation: {
-      const auto& body = std::get<wire::NameReq>(request.body);
-      Result<Derivation> r = backend_->GetDerivation(body.name);
-      if (!r.ok()) resp.status = r.status();
-      else resp.body = wire::DerivationResp{std::move(*r)};
-      break;
-    }
-    case wire::MsgKind::kHasDataset: {
-      const auto& body = std::get<wire::NameReq>(request.body);
-      Result<bool> r = backend_->HasDataset(body.name);
-      if (!r.ok()) resp.status = r.status();
-      else resp.body = wire::BoolResp{*r};
-      break;
-    }
-    case wire::MsgKind::kIsMaterialized: {
-      const auto& body = std::get<wire::NameReq>(request.body);
-      Result<bool> r = backend_->IsMaterialized(body.name);
-      if (!r.ok()) resp.status = r.status();
-      else resp.body = wire::BoolResp{*r};
-      break;
-    }
-    case wire::MsgKind::kProducerOf: {
-      const auto& body = std::get<wire::NameReq>(request.body);
-      Result<std::string> r = backend_->ProducerOf(body.name);
-      if (!r.ok()) resp.status = r.status();
-      else resp.body = wire::StringResp{std::move(*r)};
-      break;
-    }
-    case wire::MsgKind::kInvocationsOf: {
-      const auto& body = std::get<wire::NameReq>(request.body);
-      Result<std::vector<Invocation>> r = backend_->InvocationsOf(body.name);
-      if (!r.ok()) resp.status = r.status();
-      else resp.body = wire::InvocationsResp{std::move(*r)};
-      break;
-    }
-    case wire::MsgKind::kFindDatasets: {
-      const auto& body = std::get<wire::FindDatasetsReq>(request.body);
-      Result<NameList> r = backend_->FindDatasets(body.query);
-      if (!r.ok()) resp.status = r.status();
-      else resp.body = wire::NamesResp{std::move(*r)};
-      break;
-    }
-    case wire::MsgKind::kFindTransformations: {
-      const auto& body = std::get<wire::FindTransformationsReq>(request.body);
-      Result<NameList> r = backend_->FindTransformations(body.query);
-      if (!r.ok()) resp.status = r.status();
-      else resp.body = wire::NamesResp{std::move(*r)};
-      break;
-    }
-    case wire::MsgKind::kFindDerivations: {
-      const auto& body = std::get<wire::FindDerivationsReq>(request.body);
-      Result<NameList> r = backend_->FindDerivations(body.query);
-      if (!r.ok()) resp.status = r.status();
-      else resp.body = wire::NamesResp{std::move(*r)};
-      break;
-    }
-    case wire::MsgKind::kAllNames: {
-      const auto& body = std::get<wire::NameReq>(request.body);
-      Result<NameList> r = backend_->AllNames(body.name);
-      if (!r.ok()) resp.status = r.status();
-      else resp.body = wire::NamesResp{std::move(*r)};
-      break;
-    }
-    case wire::MsgKind::kTypeConforms: {
-      const auto& body = std::get<wire::TypeConformsReq>(request.body);
-      Result<bool> r = backend_->TypeConforms(body.type, body.against);
-      if (!r.ok()) resp.status = r.status();
-      else resp.body = wire::BoolResp{*r};
-      break;
-    }
-    case wire::MsgKind::kBatchGet: {
-      const auto& body = std::get<wire::BatchGetReq>(request.body);
-      Result<std::vector<ObjectRecord>> r = backend_->BatchGet(body.keys);
-      if (!r.ok()) resp.status = r.status();
-      else resp.body = wire::RecordsResp{std::move(*r)};
-      break;
-    }
-    case wire::MsgKind::kGetProvenanceStep: {
-      const auto& body = std::get<wire::NameReq>(request.body);
-      Result<ProvenanceStep> r = backend_->GetProvenanceStep(body.name);
-      if (!r.ok()) resp.status = r.status();
-      else resp.body = wire::StepResp{std::move(*r)};
-      break;
-    }
-    case wire::MsgKind::kDefineDataset: {
-      const auto& body = std::get<wire::DefineDatasetReq>(request.body);
-      resp.status = backend_->DefineDataset(body.dataset);
-      break;
-    }
-    case wire::MsgKind::kDefineTransformation: {
-      const auto& body = std::get<wire::DefineTransformationReq>(request.body);
-      resp.status = backend_->DefineTransformation(body.transformation);
-      break;
-    }
-    case wire::MsgKind::kDefineDerivation: {
-      const auto& body = std::get<wire::DefineDerivationReq>(request.body);
-      resp.status = backend_->DefineDerivation(body.derivation);
-      break;
-    }
-    case wire::MsgKind::kAnnotate: {
-      const auto& body = std::get<wire::AnnotateReq>(request.body);
-      resp.status =
-          backend_->Annotate(body.kind, body.name, body.key, body.value);
-      break;
-    }
-    case wire::MsgKind::kAddReplica: {
-      const auto& body = std::get<wire::AddReplicaReq>(request.body);
-      Result<std::string> r = backend_->AddReplica(body.replica);
-      if (!r.ok()) resp.status = r.status();
-      else resp.body = wire::StringResp{std::move(*r)};
-      break;
-    }
-    case wire::MsgKind::kRecordInvocation: {
-      const auto& body = std::get<wire::RecordInvocationReq>(request.body);
-      Result<std::string> r = backend_->RecordInvocation(body.invocation);
-      if (!r.ok()) resp.status = r.status();
-      else resp.body = wire::StringResp{std::move(*r)};
-      break;
-    }
-    case wire::MsgKind::kSetDatasetSize: {
-      const auto& body = std::get<wire::SetDatasetSizeReq>(request.body);
-      resp.status = backend_->SetDatasetSize(body.name, body.size_bytes);
-      break;
-    }
-    case wire::MsgKind::kInvalidateReplica: {
-      const auto& body = std::get<wire::NameReq>(request.body);
-      resp.status = backend_->InvalidateReplica(body.name);
-      break;
-    }
-    case wire::MsgKind::kApplyBatch: {
-      const auto& body = std::get<wire::ApplyBatchReq>(request.body);
-      const std::string& token = body.options.idempotency_token;
-      if (!token.empty()) {
-        // Tokenized batch: consult the idempotency window first so a
-        // retry (lost reply / replica failover) replays the recorded
-        // outcome — assigned ids included — instead of applying twice.
-        if (std::optional<wire::Response> recorded =
-                dedup_->BeginOrAwait(token)) {
-          stats_.batch_dedup_hits.fetch_add(1, std::memory_order_relaxed);
-          resp = std::move(*recorded);
-          break;
-        }
-      }
-      Result<BatchResult> r =
-          backend_->ApplyBatch(body.mutations, body.options);
-      if (!r.ok()) resp.status = r.status();
-      else resp.body = wire::BatchResultResp{std::move(*r)};
-      if (!token.empty()) dedup_->Complete(token, resp);
-      break;
+  const auto* batch = request.kind == wire::MsgKind::kApplyBatch
+                          ? std::get_if<wire::ApplyBatchReq>(&request.body)
+                          : nullptr;
+  const std::string token =
+      batch != nullptr ? batch->options.idempotency_token : std::string();
+  if (!token.empty()) {
+    // Tokenized batch: consult the idempotency window first so a retry
+    // (lost reply / replica failover) replays the recorded outcome —
+    // assigned ids included — instead of applying twice.
+    if (std::optional<wire::Response> recorded = dedup_->BeginOrAwait(token)) {
+      stats_.batch_dedup_hits.fetch_add(1, std::memory_order_relaxed);
+      return std::move(*recorded);
     }
   }
-  return resp;
+  Result<wire::Response> answer = backend_->Call(request);
+  wire::Response response;
+  if (answer.ok()) {
+    response = std::move(answer).value();
+  } else {
+    response.kind = request.kind;
+    response.status = answer.status();
+  }
+  if (!token.empty()) dedup_->Complete(token, response);
+  return response;
 }
 
 void CatalogServer::Reply(const std::shared_ptr<ServerConnection>& conn,
@@ -685,7 +520,6 @@ Result<std::shared_ptr<WireCatalogClient>> WireCatalogClient::ConnectChannel(
   handshake.kind = wire::MsgKind::kHandshake;
   handshake.body = wire::EmptyReq{};
   VDG_ASSIGN_OR_RETURN(wire::Response resp, client->Call(handshake));
-  if (!resp.status.ok()) return resp.status;
   const auto* body = std::get_if<wire::HandshakeResp>(&resp.body);
   if (body == nullptr) {
     return Status::Internal("wire: handshake response carried no body");
@@ -893,277 +727,9 @@ Result<wire::Response> WireCatalogClient::Call(const wire::Request& request) {
   std::string payload = std::move(slot->payload);
   lock.unlock();
   // Decode on the calling thread, outside the client lock.
-  return wire::DecodeResponse(request.kind, payload);
-}
-
-namespace {
-
-/// Extracts the typed body of an OK response; a missing body of the
-/// expected alternative is a protocol violation.
-template <typename BodyT>
-Result<BodyT> TakeBody(wire::Response&& resp) {
-  if (!resp.status.ok()) return resp.status;
-  auto* body = std::get_if<BodyT>(&resp.body);
-  if (body == nullptr) {
-    return Status::Internal("wire: response body missing for " +
-                            std::string(wire::MsgKindName(resp.kind)));
-  }
-  return std::move(*body);
-}
-
-wire::Request MakeNameRequest(wire::MsgKind kind, std::string_view name) {
-  wire::Request req;
-  req.kind = kind;
-  req.body = wire::NameReq{std::string(name)};
-  return req;
-}
-
-}  // namespace
-
-Result<uint64_t> WireCatalogClient::Version() {
-  wire::Request req;
-  req.kind = wire::MsgKind::kVersion;
-  req.body = wire::EmptyReq{};
-  VDG_ASSIGN_OR_RETURN(wire::Response resp, Call(req));
-  VDG_ASSIGN_OR_RETURN(wire::VersionResp body,
-                       TakeBody<wire::VersionResp>(std::move(resp)));
-  return body.version;
-}
-
-Result<std::vector<CatalogChange>> WireCatalogClient::ChangesSince(
-    uint64_t since_version) {
-  wire::Request req;
-  req.kind = wire::MsgKind::kChangesSince;
-  req.body = wire::ChangesSinceReq{since_version};
-  VDG_ASSIGN_OR_RETURN(wire::Response resp, Call(req));
-  VDG_ASSIGN_OR_RETURN(wire::ChangesResp body,
-                       TakeBody<wire::ChangesResp>(std::move(resp)));
-  return std::move(body.changes);
-}
-
-Result<Dataset> WireCatalogClient::GetDataset(std::string_view name) {
-  VDG_ASSIGN_OR_RETURN(
-      wire::Response resp,
-      Call(MakeNameRequest(wire::MsgKind::kGetDataset, name)));
-  VDG_ASSIGN_OR_RETURN(wire::DatasetResp body,
-                       TakeBody<wire::DatasetResp>(std::move(resp)));
-  return std::move(body.dataset);
-}
-
-Result<Transformation> WireCatalogClient::GetTransformation(
-    std::string_view name) {
-  VDG_ASSIGN_OR_RETURN(
-      wire::Response resp,
-      Call(MakeNameRequest(wire::MsgKind::kGetTransformation, name)));
-  VDG_ASSIGN_OR_RETURN(wire::TransformationResp body,
-                       TakeBody<wire::TransformationResp>(std::move(resp)));
-  return std::move(body.transformation);
-}
-
-Result<Derivation> WireCatalogClient::GetDerivation(std::string_view name) {
-  VDG_ASSIGN_OR_RETURN(
-      wire::Response resp,
-      Call(MakeNameRequest(wire::MsgKind::kGetDerivation, name)));
-  VDG_ASSIGN_OR_RETURN(wire::DerivationResp body,
-                       TakeBody<wire::DerivationResp>(std::move(resp)));
-  return std::move(body.derivation);
-}
-
-Result<bool> WireCatalogClient::HasDataset(std::string_view name) {
-  VDG_ASSIGN_OR_RETURN(
-      wire::Response resp,
-      Call(MakeNameRequest(wire::MsgKind::kHasDataset, name)));
-  VDG_ASSIGN_OR_RETURN(wire::BoolResp body,
-                       TakeBody<wire::BoolResp>(std::move(resp)));
-  return body.value;
-}
-
-Result<bool> WireCatalogClient::IsMaterialized(std::string_view dataset) {
-  VDG_ASSIGN_OR_RETURN(
-      wire::Response resp,
-      Call(MakeNameRequest(wire::MsgKind::kIsMaterialized, dataset)));
-  VDG_ASSIGN_OR_RETURN(wire::BoolResp body,
-                       TakeBody<wire::BoolResp>(std::move(resp)));
-  return body.value;
-}
-
-Result<std::string> WireCatalogClient::ProducerOf(std::string_view dataset) {
-  VDG_ASSIGN_OR_RETURN(
-      wire::Response resp,
-      Call(MakeNameRequest(wire::MsgKind::kProducerOf, dataset)));
-  VDG_ASSIGN_OR_RETURN(wire::StringResp body,
-                       TakeBody<wire::StringResp>(std::move(resp)));
-  return std::move(body.value);
-}
-
-Result<std::vector<Invocation>> WireCatalogClient::InvocationsOf(
-    std::string_view derivation) {
-  VDG_ASSIGN_OR_RETURN(
-      wire::Response resp,
-      Call(MakeNameRequest(wire::MsgKind::kInvocationsOf, derivation)));
-  VDG_ASSIGN_OR_RETURN(wire::InvocationsResp body,
-                       TakeBody<wire::InvocationsResp>(std::move(resp)));
-  return std::move(body.invocations);
-}
-
-Result<NameList> WireCatalogClient::FindDatasets(
-    const DatasetQuery& query) {
-  wire::Request req;
-  req.kind = wire::MsgKind::kFindDatasets;
-  req.body = wire::FindDatasetsReq{query};
-  VDG_ASSIGN_OR_RETURN(wire::Response resp, Call(req));
-  VDG_ASSIGN_OR_RETURN(wire::NamesResp body,
-                       TakeBody<wire::NamesResp>(std::move(resp)));
-  return std::move(body.names);
-}
-
-Result<NameList> WireCatalogClient::FindTransformations(
-    const TransformationQuery& query) {
-  wire::Request req;
-  req.kind = wire::MsgKind::kFindTransformations;
-  req.body = wire::FindTransformationsReq{query};
-  VDG_ASSIGN_OR_RETURN(wire::Response resp, Call(req));
-  VDG_ASSIGN_OR_RETURN(wire::NamesResp body,
-                       TakeBody<wire::NamesResp>(std::move(resp)));
-  return std::move(body.names);
-}
-
-Result<NameList> WireCatalogClient::FindDerivations(
-    const DerivationQuery& query) {
-  wire::Request req;
-  req.kind = wire::MsgKind::kFindDerivations;
-  req.body = wire::FindDerivationsReq{query};
-  VDG_ASSIGN_OR_RETURN(wire::Response resp, Call(req));
-  VDG_ASSIGN_OR_RETURN(wire::NamesResp body,
-                       TakeBody<wire::NamesResp>(std::move(resp)));
-  return std::move(body.names);
-}
-
-Result<NameList> WireCatalogClient::AllNames(
-    std::string_view kind) {
-  VDG_ASSIGN_OR_RETURN(
-      wire::Response resp,
-      Call(MakeNameRequest(wire::MsgKind::kAllNames, kind)));
-  VDG_ASSIGN_OR_RETURN(wire::NamesResp body,
-                       TakeBody<wire::NamesResp>(std::move(resp)));
-  return std::move(body.names);
-}
-
-Result<bool> WireCatalogClient::TypeConforms(const DatasetType& type,
-                                             const DatasetType& against) {
-  wire::Request req;
-  req.kind = wire::MsgKind::kTypeConforms;
-  req.body = wire::TypeConformsReq{type, against};
-  VDG_ASSIGN_OR_RETURN(wire::Response resp, Call(req));
-  VDG_ASSIGN_OR_RETURN(wire::BoolResp body,
-                       TakeBody<wire::BoolResp>(std::move(resp)));
-  return body.value;
-}
-
-Result<std::vector<ObjectRecord>> WireCatalogClient::BatchGet(
-    const std::vector<ObjectKey>& keys) {
-  wire::Request req;
-  req.kind = wire::MsgKind::kBatchGet;
-  req.body = wire::BatchGetReq{keys};
-  VDG_ASSIGN_OR_RETURN(wire::Response resp, Call(req));
-  VDG_ASSIGN_OR_RETURN(wire::RecordsResp body,
-                       TakeBody<wire::RecordsResp>(std::move(resp)));
-  return std::move(body.records);
-}
-
-Result<ProvenanceStep> WireCatalogClient::GetProvenanceStep(
-    std::string_view dataset) {
-  VDG_ASSIGN_OR_RETURN(
-      wire::Response resp,
-      Call(MakeNameRequest(wire::MsgKind::kGetProvenanceStep, dataset)));
-  VDG_ASSIGN_OR_RETURN(wire::StepResp body,
-                       TakeBody<wire::StepResp>(std::move(resp)));
-  return std::move(body.step);
-}
-
-Status WireCatalogClient::DefineDataset(Dataset dataset) {
-  wire::Request req;
-  req.kind = wire::MsgKind::kDefineDataset;
-  req.body = wire::DefineDatasetReq{std::move(dataset)};
-  VDG_ASSIGN_OR_RETURN(wire::Response resp, Call(req));
-  return resp.status;
-}
-
-Status WireCatalogClient::DefineTransformation(Transformation transformation) {
-  wire::Request req;
-  req.kind = wire::MsgKind::kDefineTransformation;
-  req.body = wire::DefineTransformationReq{std::move(transformation)};
-  VDG_ASSIGN_OR_RETURN(wire::Response resp, Call(req));
-  return resp.status;
-}
-
-Status WireCatalogClient::DefineDerivation(Derivation derivation) {
-  wire::Request req;
-  req.kind = wire::MsgKind::kDefineDerivation;
-  req.body = wire::DefineDerivationReq{std::move(derivation)};
-  VDG_ASSIGN_OR_RETURN(wire::Response resp, Call(req));
-  return resp.status;
-}
-
-Status WireCatalogClient::Annotate(std::string_view kind,
-                                   std::string_view name,
-                                   std::string_view key,
-                                   AttributeValue value) {
-  wire::Request req;
-  req.kind = wire::MsgKind::kAnnotate;
-  req.body = wire::AnnotateReq{std::string(kind), std::string(name),
-                               std::string(key), std::move(value)};
-  VDG_ASSIGN_OR_RETURN(wire::Response resp, Call(req));
-  return resp.status;
-}
-
-Result<std::string> WireCatalogClient::AddReplica(Replica replica) {
-  wire::Request req;
-  req.kind = wire::MsgKind::kAddReplica;
-  req.body = wire::AddReplicaReq{std::move(replica)};
-  VDG_ASSIGN_OR_RETURN(wire::Response resp, Call(req));
-  VDG_ASSIGN_OR_RETURN(wire::StringResp body,
-                       TakeBody<wire::StringResp>(std::move(resp)));
-  return std::move(body.value);
-}
-
-Result<std::string> WireCatalogClient::RecordInvocation(
-    Invocation invocation) {
-  wire::Request req;
-  req.kind = wire::MsgKind::kRecordInvocation;
-  req.body = wire::RecordInvocationReq{std::move(invocation)};
-  VDG_ASSIGN_OR_RETURN(wire::Response resp, Call(req));
-  VDG_ASSIGN_OR_RETURN(wire::StringResp body,
-                       TakeBody<wire::StringResp>(std::move(resp)));
-  return std::move(body.value);
-}
-
-Status WireCatalogClient::SetDatasetSize(std::string_view name,
-                                         int64_t size_bytes) {
-  wire::Request req;
-  req.kind = wire::MsgKind::kSetDatasetSize;
-  req.body = wire::SetDatasetSizeReq{std::string(name), size_bytes};
-  VDG_ASSIGN_OR_RETURN(wire::Response resp, Call(req));
-  return resp.status;
-}
-
-Status WireCatalogClient::InvalidateReplica(std::string_view id) {
-  VDG_ASSIGN_OR_RETURN(
-      wire::Response resp,
-      Call(MakeNameRequest(wire::MsgKind::kInvalidateReplica, id)));
-  return resp.status;
-}
-
-Result<BatchResult> WireCatalogClient::ApplyBatch(
-    const std::vector<CatalogMutation>& mutations,
-    const BatchOptions& options) {
-  wire::Request req;
-  req.kind = wire::MsgKind::kApplyBatch;
-  req.body = wire::ApplyBatchReq{mutations, options};
-  VDG_ASSIGN_OR_RETURN(wire::Response resp, Call(req));
-  VDG_ASSIGN_OR_RETURN(wire::BatchResultResp body,
-                       TakeBody<wire::BatchResultResp>(std::move(resp)));
-  return std::move(body.result);
+  Result<wire::Response> response = wire::DecodeResponse(request.kind, payload);
+  if (response.ok() && !response->status.ok()) return response->status;
+  return response;
 }
 
 }  // namespace vdg

@@ -305,7 +305,9 @@ class CatalogServer {
   /// Runs on the delivering thread with conn->parse_mu_ held.
   void DrainConnection(const std::shared_ptr<ServerConnection>& conn);
 
-  /// Executes one decoded request against the backend.
+  /// Executes one decoded request against the backend
+  /// (`backend_->Call`), replaying a tokenized ApplyBatch from the
+  /// idempotency window. Errors travel in the response's status.
   wire::Response Execute(const wire::Request& request);
 
   void Reply(const std::shared_ptr<ServerConnection>& conn,
@@ -333,9 +335,10 @@ class CatalogServer {
 
 // -----------------------------------------------------------------------
 // WireCatalogClient — the CatalogClient that actually speaks the wire
-// protocol: every call encodes a frame, ships it through a
-// ServerConnection, and blocks until the matching response frame
-// returns or the per-request deadline expires. Thread-safe: any number
+// protocol: a RequestClient whose Call() encodes the request as one
+// frame, ships it through a ServerConnection, and blocks until the
+// matching response frame returns or the per-request deadline expires.
+// Each typed method is one such call. Thread-safe: any number
 // of threads may issue calls concurrently. The client owns no thread:
 // callers share the reading by leader/follower. A waiting caller that
 // finds no reader becomes the reader, does one Receive, routes every
@@ -364,7 +367,7 @@ struct WireClientStats {
   uint64_t failures = 0;              // transport-level failures (EOF etc.)
 };
 
-class WireCatalogClient : public CatalogClient {
+class WireCatalogClient : public RequestClient {
  public:
   /// Connects to `server` and performs the handshake (one round trip)
   /// to learn the authority and read-only bit. Fails if the server is
@@ -395,42 +398,11 @@ class WireCatalogClient : public CatalogClient {
   /// Unavailable.
   void Disconnect();
 
-  Result<uint64_t> Version() override;
-  Result<std::vector<CatalogChange>> ChangesSince(
-      uint64_t since_version) override;
-  Result<Dataset> GetDataset(std::string_view name) override;
-  Result<Transformation> GetTransformation(std::string_view name) override;
-  Result<Derivation> GetDerivation(std::string_view name) override;
-  Result<bool> HasDataset(std::string_view name) override;
-  Result<bool> IsMaterialized(std::string_view dataset) override;
-  Result<std::string> ProducerOf(std::string_view dataset) override;
-  Result<std::vector<Invocation>> InvocationsOf(
-      std::string_view derivation) override;
-  Result<NameList> FindDatasets(
-      const DatasetQuery& query) override;
-  Result<NameList> FindTransformations(
-      const TransformationQuery& query) override;
-  Result<NameList> FindDerivations(
-      const DerivationQuery& query) override;
-  Result<NameList> AllNames(std::string_view kind) override;
-  Result<bool> TypeConforms(const DatasetType& type,
-                            const DatasetType& against) override;
-  Result<std::vector<ObjectRecord>> BatchGet(
-      const std::vector<ObjectKey>& keys) override;
-  Result<ProvenanceStep> GetProvenanceStep(std::string_view dataset) override;
-
-  Status DefineDataset(Dataset dataset) override;
-  Status DefineTransformation(Transformation transformation) override;
-  Status DefineDerivation(Derivation derivation) override;
-  Status Annotate(std::string_view kind, std::string_view name,
-                  std::string_view key, AttributeValue value) override;
-  Result<std::string> AddReplica(Replica replica) override;
-  Result<std::string> RecordInvocation(Invocation invocation) override;
-  Status SetDatasetSize(std::string_view name, int64_t size_bytes) override;
-  Status InvalidateReplica(std::string_view id) override;
-  /// Ships the whole batch as one frame / one round trip.
-  Result<BatchResult> ApplyBatch(const std::vector<CatalogMutation>& mutations,
-                                 const BatchOptions& options = {}) override;
+  /// One round trip: admission check, encode+send, wait for the
+  /// response (or deadline) — reading the channel itself when no other
+  /// caller is — and decode on the calling thread. The server's
+  /// admission and drain bounces come back as the Result's status.
+  Result<wire::Response> Call(const wire::Request& request) override;
 
  private:
   /// One in-flight call. Its caller sleeps on `cv` unless it holds the
@@ -444,11 +416,6 @@ class WireCatalogClient : public CatalogClient {
 
   WireCatalogClient(std::shared_ptr<ClientChannel> conn,
                     WireClientOptions options);
-
-  /// One round trip: admission check, encode+send, wait for the
-  /// response (or deadline) — reading the channel itself when no other
-  /// caller is — and decode on the calling thread.
-  Result<wire::Response> Call(const wire::Request& request);
 
   /// The reader role's work: one Receive, then routes every complete
   /// frame to its slot. Called with `lock` held on mu_ and reading_

@@ -84,6 +84,35 @@ TEST_P(CatalogServerTest, HandshakeLearnsAuthorityAndMutability) {
   EXPECT_TRUE((*ro)->DefineDataset(Dataset{}).IsPermissionDenied());
 }
 
+TEST_P(CatalogServerTest, ReadOnlyClientsRejectMutationsBeforeTheTransport) {
+  CatalogServer server(Backend(/*read_only=*/true));
+  auto wire_client = WireCatalogClient::Connect(&server, {}, UseSocket());
+  ASSERT_TRUE(wire_client.ok()) << wire_client.status();
+  WireCatalogClient& ro = **wire_client;
+  ResilientEndpoint endpoint;
+  endpoint.name = "ro";
+  endpoint.connect = [&]() -> Result<std::shared_ptr<CatalogClient>> {
+    return std::shared_ptr<CatalogClient>(*wire_client);
+  };
+  ResilientCatalogClient resilient({endpoint});
+  ASSERT_TRUE(resilient.read_only());
+  const uint64_t round_trips = ro.stats().round_trips;
+  const uint64_t served = server.stats().requests_served.load();
+
+  Dataset ds;
+  ds.name = "ro-ds";
+  EXPECT_TRUE(ro.DefineDataset(ds).IsPermissionDenied());
+  EXPECT_TRUE(ro.ApplyBatch({CatalogMutation::DefineDataset(ds)})
+                  .status()
+                  .IsPermissionDenied());
+  EXPECT_TRUE(resilient.DefineDataset(ds).IsPermissionDenied());
+  EXPECT_TRUE(resilient.SetDatasetSize("d1", 1).IsPermissionDenied());
+
+  EXPECT_EQ(ro.stats().round_trips, round_trips);
+  EXPECT_EQ(server.stats().requests_served.load(), served);
+  EXPECT_FALSE(catalog_->HasDataset("ro-ds"));
+}
+
 TEST_P(CatalogServerTest, EveryReadMatchesInProcessBitForBit) {
   CatalogServer server(Backend());
   auto wire_client = WireCatalogClient::Connect(&server, {}, UseSocket());
@@ -931,6 +960,164 @@ TEST(CatalogServerRuntime, CachedLadderOverShardsRevalidatesWithoutRetrying) {
   ASSERT_TRUE(a.ok()) << a.status();
   EXPECT_EQ(a->size_bytes, 77);
   EXPECT_TRUE(cache.GetDataset("d").ok());
+}
+
+// ------------------------ request-shaped path ------------------------
+
+/// A RequestClient that records every request kind it forwards.
+class RecordingClient : public RequestClient {
+ public:
+  explicit RecordingClient(std::shared_ptr<CatalogClient> inner)
+      : inner_(std::move(inner)) {}
+
+  const std::string& authority() const override {
+    return inner_->authority();
+  }
+  bool read_only() const override { return inner_->read_only(); }
+
+  Result<wire::Response> Call(const wire::Request& request) override {
+    kinds.push_back(request.kind);
+    return inner_->Call(request);
+  }
+
+  std::vector<wire::MsgKind> kinds;
+
+ private:
+  std::shared_ptr<CatalogClient> inner_;
+};
+
+/// One call's outcome as comparable bytes: the error, or the value
+/// encoded as a response frame of `kind`.
+template <typename Body, typename T>
+std::string Outcome(wire::MsgKind kind, const Result<T>& result) {
+  if (!result.ok()) return result.status().ToString();
+  wire::Response response;
+  response.kind = kind;
+  response.body = Body{*result};
+  return wire::EncodeResponseFrame(0, response);
+}
+
+std::string Outcome(const Status& status) { return status.ToString(); }
+
+/// Calls each of the 25 typed methods once, in MsgKind order, and
+/// returns their outcomes.
+std::vector<std::string> CallEveryMethod(CatalogClient& client) {
+  using K = wire::MsgKind;
+  std::vector<std::string> out;
+  out.push_back(Outcome<wire::VersionResp>(K::kVersion, client.Version()));
+  out.push_back(
+      Outcome<wire::ChangesResp>(K::kChangesSince, client.ChangesSince(0)));
+  out.push_back(
+      Outcome<wire::DatasetResp>(K::kGetDataset, client.GetDataset("d3")));
+  out.push_back(Outcome<wire::TransformationResp>(
+      K::kGetTransformation, client.GetTransformation("step")));
+  out.push_back(Outcome<wire::DerivationResp>(K::kGetDerivation,
+                                              client.GetDerivation("l2")));
+  out.push_back(
+      Outcome<wire::BoolResp>(K::kHasDataset, client.HasDataset("d1")));
+  out.push_back(Outcome<wire::BoolResp>(K::kIsMaterialized,
+                                        client.IsMaterialized("d1")));
+  out.push_back(
+      Outcome<wire::StringResp>(K::kProducerOf, client.ProducerOf("d4")));
+  out.push_back(Outcome<wire::InvocationsResp>(K::kInvocationsOf,
+                                               client.InvocationsOf("l1")));
+  out.push_back(Outcome<wire::NamesResp>(K::kFindDatasets,
+                                         client.FindDatasets({})));
+  out.push_back(Outcome<wire::NamesResp>(K::kFindTransformations,
+                                         client.FindTransformations({})));
+  out.push_back(Outcome<wire::NamesResp>(K::kFindDerivations,
+                                         client.FindDerivations({})));
+  out.push_back(
+      Outcome<wire::NamesResp>(K::kAllNames, client.AllNames("dataset")));
+  DatasetType sdss;
+  sdss.content = "SDSS";
+  out.push_back(Outcome<wire::BoolResp>(
+      K::kTypeConforms, client.TypeConforms(sdss, DatasetType{})));
+  out.push_back(Outcome<wire::RecordsResp>(
+      K::kBatchGet, client.BatchGet({{"dataset", "d1"},
+                                     {"transformation", "step"},
+                                     {"derivation", "nope"}})));
+  out.push_back(Outcome<wire::StepResp>(K::kGetProvenanceStep,
+                                        client.GetProvenanceStep("d5")));
+
+  Dataset ds;
+  ds.name = "req-ds";
+  out.push_back(Outcome(client.DefineDataset(ds)));
+  Transformation tr("req-tr", Transformation::Kind::kSimple);
+  tr.set_executable("/bin/req");
+  out.push_back(Outcome(client.DefineTransformation(tr)));
+  Derivation dv("req-dv", "step");
+  EXPECT_TRUE(
+      dv.AddArg(ActualArg::DatasetRef("out", "req-out", ArgDirection::kOut))
+          .ok());
+  EXPECT_TRUE(
+      dv.AddArg(ActualArg::DatasetRef("in", "d8", ArgDirection::kIn)).ok());
+  out.push_back(Outcome(client.DefineDerivation(dv)));
+  out.push_back(Outcome(client.Annotate("dataset", "req-ds", "k", 7)));
+  Replica rep;
+  rep.dataset = "req-ds";
+  rep.site = "east";
+  Result<std::string> replica_id = client.AddReplica(rep);
+  out.push_back(Outcome<wire::StringResp>(K::kAddReplica, replica_id));
+  Invocation inv;
+  inv.derivation = "req-dv";
+  out.push_back(Outcome<wire::StringResp>(K::kRecordInvocation,
+                                          client.RecordInvocation(inv)));
+  out.push_back(Outcome(client.SetDatasetSize("req-ds", 2048)));
+  out.push_back(
+      Outcome(client.InvalidateReplica(replica_id.value_or("missing"))));
+  Dataset batched;
+  batched.name = "req-batched";
+  out.push_back(Outcome<wire::BatchResultResp>(
+      K::kApplyBatch,
+      client.ApplyBatch({CatalogMutation::DefineDataset(batched),
+                         CatalogMutation::SetDatasetSize("req-ds", 1)})));
+  return out;
+}
+
+TEST(RequestPath, EveryTypedMethodIsOneRequestOfItsOwnKind) {
+  auto recorded_catalog = ChainCatalog(8);
+  auto direct_catalog = ChainCatalog(8);
+  RecordingClient recording(
+      std::make_shared<InProcessCatalogClient>(recorded_catalog.get()));
+  InProcessCatalogClient direct(direct_catalog.get());
+
+  const std::vector<std::string> via_requests = CallEveryMethod(recording);
+  const std::vector<std::string> via_typed = CallEveryMethod(direct);
+  ASSERT_EQ(via_requests.size(), 25u);
+  for (size_t i = 0; i < via_requests.size(); ++i) {
+    EXPECT_EQ(via_requests[i], via_typed[i])
+        << wire::MsgKindName(static_cast<wire::MsgKind>(i + 2));
+  }
+  // The single-status mutations all applied (an all-error run would
+  // compare equal too).
+  for (size_t i : {16, 17, 18, 19, 22, 23}) {
+    EXPECT_EQ(via_typed[i], Status::OK().ToString()) << i;
+  }
+  // Kinds 2..26, each exactly once: no typed method is left out of the
+  // request path, and none is served by another method's request.
+  ASSERT_EQ(recording.kinds.size(), 25u);
+  for (size_t i = 0; i < recording.kinds.size(); ++i) {
+    EXPECT_EQ(static_cast<int>(recording.kinds[i]), static_cast<int>(i + 2));
+  }
+}
+
+TEST(RequestPath, MismatchedBodyIsInvalidArgument) {
+  auto catalog = ChainCatalog(2);
+  InProcessCatalogClient client(catalog.get());
+  wire::Request request;
+  request.kind = wire::MsgKind::kGetDataset;
+  request.body = wire::ChangesSinceReq{0};
+  EXPECT_TRUE(client.Call(request).status().IsInvalidArgument());
+  request.kind = wire::MsgKind::kApplyBatch;
+  request.body = wire::NameReq{"d1"};
+  EXPECT_TRUE(client.Call(request).status().IsInvalidArgument());
+  request.kind = wire::MsgKind::kVersion;
+  request.body = wire::NameReq{"d1"};
+  EXPECT_TRUE(client.Call(request).status().IsInvalidArgument());
+  // A matching body answers.
+  request.body = wire::EmptyReq{};
+  EXPECT_TRUE(client.Call(request).ok());
 }
 
 }  // namespace

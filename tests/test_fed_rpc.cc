@@ -233,6 +233,30 @@ TEST_F(FedRpcTest, LostMutationFailsFastAndRetryUnsafe) {
   EXPECT_EQ(rpc->stats().retries, 7u);
 }
 
+TEST_F(FedRpcTest, ReadOnlyRpcRejectsMutationsBeforeTheTransport) {
+  RpcConfig config;
+  config.loss_rate = 1.0;  // any attempt that reached the wire is lost
+  const VirtualDataCatalog* frozen = catalog_.get();
+  SimulatedRpcCatalogClient rpc(
+      std::make_shared<InProcessCatalogClient>(frozen), &grid_, config);
+  const double clock = grid_.now();
+
+  // The write could never apply, so it must not come back as the
+  // ambiguous "may have been applied" of a lost mutation.
+  Status st = rpc.SetDatasetSize("d1", 4096);
+  EXPECT_TRUE(st.IsPermissionDenied()) << st;
+  Replica rep;
+  rep.dataset = "d1";
+  rep.site = "east";
+  Result<BatchResult> batch =
+      rpc.ApplyBatch({CatalogMutation::AddReplica(rep)});
+  EXPECT_TRUE(batch.status().IsPermissionDenied()) << batch.status();
+
+  EXPECT_EQ(grid_.now(), clock);
+  EXPECT_EQ(rpc.stats().lost_calls, 0u);
+  EXPECT_EQ(rpc.stats().round_trips, 0u);
+}
+
 TEST_F(FedRpcTest, MutationRetriesThroughOutagesButNotLoss) {
   RpcConfig config;
   config.site = "east";

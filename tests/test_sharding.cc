@@ -12,6 +12,7 @@
 
 #include "catalog/catalog.h"
 #include "catalog/sharding.h"
+#include "catalog/wire.h"
 #include "common/rng.h"
 #include "federation/index.h"
 #include "federation/remote_cache.h"
@@ -28,7 +29,7 @@ namespace {
 /// Forwarding shard wrapper whose transport can be "unplugged": every
 /// call fails with Unavailable while down. What a crashed shard server
 /// looks like to the client.
-class FlakyShard : public CatalogClient {
+class FlakyShard : public RequestClient {
  public:
   explicit FlakyShard(std::shared_ptr<CatalogClient> inner)
       : inner_(std::move(inner)) {}
@@ -40,116 +41,12 @@ class FlakyShard : public CatalogClient {
   }
   bool read_only() const override { return inner_->read_only(); }
 
-  Result<uint64_t> Version() override {
-    if (down_) return Down();
-    return inner_->Version();
-  }
-  Result<std::vector<CatalogChange>> ChangesSince(uint64_t v) override {
-    if (down_) return Down();
-    return inner_->ChangesSince(v);
-  }
-  Result<Dataset> GetDataset(std::string_view name) override {
-    if (down_) return Down();
-    return inner_->GetDataset(name);
-  }
-  Result<Transformation> GetTransformation(std::string_view name) override {
-    if (down_) return Down();
-    return inner_->GetTransformation(name);
-  }
-  Result<Derivation> GetDerivation(std::string_view name) override {
-    if (down_) return Down();
-    return inner_->GetDerivation(name);
-  }
-  Result<bool> HasDataset(std::string_view name) override {
-    if (down_) return Down();
-    return inner_->HasDataset(name);
-  }
-  Result<bool> IsMaterialized(std::string_view dataset) override {
-    if (down_) return Down();
-    return inner_->IsMaterialized(dataset);
-  }
-  Result<std::string> ProducerOf(std::string_view dataset) override {
-    if (down_) return Down();
-    return inner_->ProducerOf(dataset);
-  }
-  Result<std::vector<Invocation>> InvocationsOf(
-      std::string_view derivation) override {
-    if (down_) return Down();
-    return inner_->InvocationsOf(derivation);
-  }
-  Result<NameList> FindDatasets(const DatasetQuery& query) override {
-    if (down_) return Down();
-    return inner_->FindDatasets(query);
-  }
-  Result<NameList> FindTransformations(
-      const TransformationQuery& query) override {
-    if (down_) return Down();
-    return inner_->FindTransformations(query);
-  }
-  Result<NameList> FindDerivations(const DerivationQuery& query) override {
-    if (down_) return Down();
-    return inner_->FindDerivations(query);
-  }
-  Result<NameList> AllNames(std::string_view kind) override {
-    if (down_) return Down();
-    return inner_->AllNames(kind);
-  }
-  Result<bool> TypeConforms(const DatasetType& type,
-                            const DatasetType& against) override {
-    if (down_) return Down();
-    return inner_->TypeConforms(type, against);
-  }
-  Result<std::vector<ObjectRecord>> BatchGet(
-      const std::vector<ObjectKey>& keys) override {
-    if (down_) return Down();
-    return inner_->BatchGet(keys);
-  }
-  Result<ProvenanceStep> GetProvenanceStep(
-      std::string_view dataset) override {
-    if (down_) return Down();
-    return inner_->GetProvenanceStep(dataset);
-  }
-  Status DefineDataset(Dataset dataset) override {
-    if (down_) return Down();
-    return inner_->DefineDataset(std::move(dataset));
-  }
-  Status DefineTransformation(Transformation transformation) override {
-    if (down_) return Down();
-    return inner_->DefineTransformation(std::move(transformation));
-  }
-  Status DefineDerivation(Derivation derivation) override {
-    if (down_) return Down();
-    return inner_->DefineDerivation(std::move(derivation));
-  }
-  Status Annotate(std::string_view kind, std::string_view name,
-                  std::string_view key, AttributeValue value) override {
-    if (down_) return Down();
-    return inner_->Annotate(kind, name, key, std::move(value));
-  }
-  Result<std::string> AddReplica(Replica replica) override {
-    if (down_) return Down();
-    return inner_->AddReplica(std::move(replica));
-  }
-  Result<std::string> RecordInvocation(Invocation invocation) override {
-    if (down_) return Down();
-    return inner_->RecordInvocation(std::move(invocation));
-  }
-  Status SetDatasetSize(std::string_view name, int64_t size_bytes) override {
-    if (down_) return Down();
-    return inner_->SetDatasetSize(name, size_bytes);
-  }
-  Status InvalidateReplica(std::string_view id) override {
-    if (down_) return Down();
-    return inner_->InvalidateReplica(id);
-  }
-  Result<BatchResult> ApplyBatch(const std::vector<CatalogMutation>& m,
-                                 const BatchOptions& options) override {
-    if (down_) return Down();
-    return inner_->ApplyBatch(m, options);
+  Result<wire::Response> Call(const wire::Request& request) override {
+    if (down_) return Status::Unavailable("shard down");
+    return inner_->Call(request);
   }
 
  private:
-  static Status Down() { return Status::Unavailable("shard down"); }
   std::shared_ptr<CatalogClient> inner_;
   bool down_ = false;
 };
