@@ -1,6 +1,7 @@
 #include "catalog/catalog.h"
 
 #include <algorithm>
+#include <cmath>
 #include <iterator>
 #include <mutex>
 #include <variant>
@@ -35,6 +36,25 @@ void EraseIndexEntry(Map* map, const K& key, const V& value) {
       return;
     }
   }
+}
+
+// A non-finite double attribute has no journal form (replay's
+// AttributeValue::FromTagged refuses nan and inf), so journaling one
+// would leave a catalog that cannot be reopened. Mutations carrying
+// one are refused before anything is journaled.
+Status CheckFinite(std::string_view key, const AttributeValue& value) {
+  if (value.is_double() && !std::isfinite(value.AsDouble())) {
+    return Status::InvalidArgument("attribute " + std::string(key) +
+                                   " is a non-finite double");
+  }
+  return Status::OK();
+}
+
+Status CheckFinite(const AttributeSet& attrs) {
+  for (const auto& [key, value] : attrs) {
+    VDG_RETURN_IF_ERROR(CheckFinite(key, value));
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -413,6 +433,8 @@ Status VirtualDataCatalog::DefineDataset(Dataset dataset) {
 
 Status VirtualDataCatalog::DefineDatasetLocked(Dataset dataset) {
   VDG_RETURN_IF_ERROR(dataset.Validate());
+  VDG_RETURN_IF_ERROR(CheckFinite(dataset.descriptor.fields));
+  VDG_RETURN_IF_ERROR(CheckFinite(dataset.annotations));
   VDG_RETURN_IF_ERROR(types_->Validate(dataset.type));
   if (const auto* existing = RowOf(next_.datasets, dataset.name)) {
     if (!replaying_) {
@@ -442,6 +464,7 @@ Status VirtualDataCatalog::DefineTransformation(Transformation transformation) {
 Status VirtualDataCatalog::DefineTransformationLocked(
     Transformation transformation) {
   VDG_RETURN_IF_ERROR(transformation.Validate());
+  VDG_RETURN_IF_ERROR(CheckFinite(transformation.annotations()));
   for (const FormalArg& arg : transformation.args()) {
     for (const DatasetType& type : arg.types) {
       VDG_RETURN_IF_ERROR(types_->Validate(type));
@@ -468,6 +491,7 @@ Status VirtualDataCatalog::DefineDerivation(Derivation derivation) {
 
 Status VirtualDataCatalog::DefineDerivationLocked(Derivation derivation) {
   VDG_RETURN_IF_ERROR(derivation.Validate());
+  VDG_RETURN_IF_ERROR(CheckFinite(derivation.annotations()));
   if (RowOf(next_.derivations, derivation.name()) != nullptr && !replaying_) {
     return Status::AlreadyExists("derivation already defined: " +
                                  derivation.name());
@@ -568,6 +592,7 @@ Result<std::string> VirtualDataCatalog::AddReplicaLocked(Replica replica) {
     }
   }
   VDG_RETURN_IF_ERROR(replica.Validate());
+  VDG_RETURN_IF_ERROR(CheckFinite(replica.annotations));
   if (RowOf(next_.datasets, replica.dataset) == nullptr) {
     return Status::NotFound("replica " + replica.id +
                             " references unknown dataset " + replica.dataset);
@@ -606,6 +631,7 @@ Result<std::string> VirtualDataCatalog::RecordInvocationLocked(
     next_invocation_id_ = std::max(next_invocation_id_, n + 1);
   }
   VDG_RETURN_IF_ERROR(invocation.Validate());
+  VDG_RETURN_IF_ERROR(CheckFinite(invocation.annotations));
   // New invocations must anchor to a defined derivation; replayed ones
   // may legitimately be orphans (their derivation was removed later,
   // but the execution history is retained as the audit record).
@@ -821,6 +847,7 @@ Status VirtualDataCatalog::AnnotateLocked(std::string_view kind,
                                           std::string_view name,
                                           std::string_view key,
                                           AttributeValue value) {
+  VDG_RETURN_IF_ERROR(CheckFinite(key, value));
   if (kind == "dataset") {
     const auto* row = RowOf(next_.datasets, name);
     if (row == nullptr) {

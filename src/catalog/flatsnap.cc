@@ -8,10 +8,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <shared_mutex>
 #include <string>
@@ -20,13 +18,10 @@
 #include <vector>
 
 #include "catalog/catalog.h"
+#include "catalog/objcodec.h"
 #include "catalog/posting.h"
 #include "catalog/snapshot.h"
 #include "common/hash.h"
-#include "schema/attribute.h"
-#include "schema/dataset.h"
-#include "schema/derivation.h"
-#include "schema/transformation.h"
 #include "types/type_system.h"
 
 namespace vdg {
@@ -77,472 +72,8 @@ MappedFile::~MappedFile() {
 namespace {
 
 using PostingListPtr = CatalogSnapshot::PostingList;
-
-// ---------------------------------------------------------------------
-// Little-endian primitive writers
-// ---------------------------------------------------------------------
-
-void PutU8(std::string* out, uint8_t v) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void PutI64(std::string* out, int64_t v) {
-  PutU64(out, static_cast<uint64_t>(v));
-}
-
-void PutDouble(std::string* out, double v) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-void PutStr(std::string* out, std::string_view s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->append(s.data(), s.size());
-}
-
-void PutOptStr(std::string* out, const std::optional<std::string>& s) {
-  PutU8(out, s.has_value() ? 1 : 0);
-  if (s.has_value()) PutStr(out, *s);
-}
-
-void PadTo8(std::string* out) {
-  while (out->size() % 8 != 0) out->push_back('\0');
-}
-
-uint32_t LoadU32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-uint64_t LoadU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-// ---------------------------------------------------------------------
-// Bounded payload reader: every accessor checks remaining bytes and
-// latches `ok = false` on the first violation, so decode loops simply
-// run `while (... && r.ok)` and the caller checks once at the end.
-// ---------------------------------------------------------------------
-
-struct Reader {
-  const uint8_t* p = nullptr;
-  size_t n = 0;
-  size_t pos = 0;
-  bool ok = true;
-
-  bool Need(size_t k) {
-    if (!ok || n - pos < k) {
-      ok = false;
-      return false;
-    }
-    return true;
-  }
-  uint8_t U8() {
-    if (!Need(1)) return 0;
-    return p[pos++];
-  }
-  uint32_t U32() {
-    if (!Need(4)) return 0;
-    uint32_t v = LoadU32(p + pos);
-    pos += 4;
-    return v;
-  }
-  uint64_t U64() {
-    if (!Need(8)) return 0;
-    uint64_t v = LoadU64(p + pos);
-    pos += 8;
-    return v;
-  }
-  int64_t I64() { return static_cast<int64_t>(U64()); }
-  double Double() {
-    uint64_t bits = U64();
-    double v = 0;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  std::string Str() {
-    uint32_t len = U32();
-    if (!Need(len)) return {};
-    std::string s(reinterpret_cast<const char*>(p + pos), len);
-    pos += len;
-    return s;
-  }
-  void Align8() {
-    size_t target = (pos + 7) & ~static_cast<size_t>(7);
-    if (target > n) {
-      ok = false;
-    } else {
-      pos = target;
-    }
-  }
-};
-
-// ---------------------------------------------------------------------
-// Schema-object codec. The encoders walk the public accessors; the
-// decoders rebuild through the public mutators so every class invariant
-// (tag validity, one-value-per-arg) is re-checked on the way in.
-// ---------------------------------------------------------------------
-
-void PutValue(std::string* out, const AttributeValue& v) {
-  PutU8(out, static_cast<uint8_t>(v.TypeTag()));
-  PutStr(out, v.ToWireString());
-}
-
-AttributeValue GetValue(Reader& r) {
-  char tag = static_cast<char>(r.U8());
-  std::string wire = r.Str();
-  if (!r.ok) return AttributeValue();
-  Result<AttributeValue> v = AttributeValue::FromTagged(tag, wire);
-  if (!v.ok()) {
-    r.ok = false;
-    return AttributeValue();
-  }
-  return std::move(v).value();
-}
-
-void PutAttrs(std::string* out, const AttributeSet& attrs) {
-  PutU32(out, static_cast<uint32_t>(attrs.size()));
-  for (const auto& [key, value] : attrs) {
-    PutStr(out, key);
-    PutValue(out, value);
-  }
-}
-
-AttributeSet GetAttrs(Reader& r) {
-  AttributeSet attrs;
-  uint32_t n = r.U32();
-  for (uint32_t i = 0; i < n && r.ok; ++i) {
-    std::string key = r.Str();
-    AttributeValue value = GetValue(r);
-    if (r.ok) attrs.Set(key, std::move(value));
-  }
-  return attrs;
-}
-
-void PutDatasetType(std::string* out, const DatasetType& t) {
-  PutStr(out, t.content);
-  PutStr(out, t.format);
-  PutStr(out, t.encoding);
-}
-
-DatasetType GetDatasetType(Reader& r) {
-  DatasetType t;
-  t.content = r.Str();
-  t.format = r.Str();
-  t.encoding = r.Str();
-  return t;
-}
-
-void PutDataset(std::string* out, const Dataset& d) {
-  PutStr(out, d.name);
-  PutDatasetType(out, d.type);
-  PutStr(out, d.descriptor.schema);
-  PutAttrs(out, d.descriptor.fields);
-  PutI64(out, d.size_bytes);
-  PutStr(out, d.producer);
-  PutAttrs(out, d.annotations);
-}
-
-Dataset GetDataset(Reader& r) {
-  Dataset d;
-  d.name = r.Str();
-  d.type = GetDatasetType(r);
-  d.descriptor.schema = r.Str();
-  d.descriptor.fields = GetAttrs(r);
-  d.size_bytes = r.I64();
-  d.producer = r.Str();
-  d.annotations = GetAttrs(r);
-  return d;
-}
-
-void PutReplica(std::string* out, const Replica& rp) {
-  PutStr(out, rp.id);
-  PutStr(out, rp.dataset);
-  PutStr(out, rp.site);
-  PutStr(out, rp.storage_element);
-  PutStr(out, rp.physical_path);
-  PutI64(out, rp.size_bytes);
-  PutDouble(out, rp.created_at);
-  PutU8(out, rp.valid ? 1 : 0);
-  PutAttrs(out, rp.annotations);
-}
-
-Replica GetReplica(Reader& r) {
-  Replica rp;
-  rp.id = r.Str();
-  rp.dataset = r.Str();
-  rp.site = r.Str();
-  rp.storage_element = r.Str();
-  rp.physical_path = r.Str();
-  rp.size_bytes = r.I64();
-  rp.created_at = r.Double();
-  rp.valid = r.U8() != 0;
-  rp.annotations = GetAttrs(r);
-  return rp;
-}
-
-void PutTemplatePiece(std::string* out, const TemplatePiece& piece) {
-  PutU8(out, static_cast<uint8_t>(piece.kind));
-  PutStr(out, piece.text);
-  PutU8(out, piece.ref_direction.has_value() ? 1 : 0);
-  if (piece.ref_direction.has_value()) {
-    PutU8(out, static_cast<uint8_t>(*piece.ref_direction));
-  }
-}
-
-TemplatePiece GetTemplatePiece(Reader& r) {
-  TemplatePiece piece;
-  uint8_t kind = r.U8();
-  if (kind > static_cast<uint8_t>(TemplatePiece::Kind::kArgRef)) r.ok = false;
-  piece.kind = static_cast<TemplatePiece::Kind>(kind);
-  piece.text = r.Str();
-  if (r.U8() != 0) {
-    uint8_t dir = r.U8();
-    if (dir > static_cast<uint8_t>(ArgDirection::kNone)) r.ok = false;
-    piece.ref_direction = static_cast<ArgDirection>(dir);
-  }
-  return piece;
-}
-
-void PutTemplateExpr(std::string* out, const TemplateExpr& expr) {
-  PutU32(out, static_cast<uint32_t>(expr.size()));
-  for (const TemplatePiece& piece : expr) PutTemplatePiece(out, piece);
-}
-
-TemplateExpr GetTemplateExpr(Reader& r) {
-  TemplateExpr expr;
-  uint32_t n = r.U32();
-  for (uint32_t i = 0; i < n && r.ok; ++i) {
-    expr.push_back(GetTemplatePiece(r));
-  }
-  return expr;
-}
-
-void PutFormalArg(std::string* out, const FormalArg& arg) {
-  PutStr(out, arg.name);
-  PutU8(out, static_cast<uint8_t>(arg.direction));
-  PutU32(out, static_cast<uint32_t>(arg.types.size()));
-  for (const DatasetType& t : arg.types) PutDatasetType(out, t);
-  PutOptStr(out, arg.default_string);
-  PutOptStr(out, arg.default_dataset);
-}
-
-FormalArg GetFormalArg(Reader& r) {
-  FormalArg arg;
-  arg.name = r.Str();
-  uint8_t dir = r.U8();
-  if (dir > static_cast<uint8_t>(ArgDirection::kNone)) r.ok = false;
-  arg.direction = static_cast<ArgDirection>(dir);
-  uint32_t ntypes = r.U32();
-  for (uint32_t i = 0; i < ntypes && r.ok; ++i) {
-    arg.types.push_back(GetDatasetType(r));
-  }
-  if (r.U8() != 0) arg.default_string = r.Str();
-  if (r.U8() != 0) arg.default_dataset = r.Str();
-  return arg;
-}
-
-void PutTransformation(std::string* out, const Transformation& t) {
-  PutStr(out, t.name());
-  PutU8(out, static_cast<uint8_t>(t.kind()));
-  PutStr(out, t.version());
-  PutU32(out, static_cast<uint32_t>(t.args().size()));
-  for (const FormalArg& arg : t.args()) PutFormalArg(out, arg);
-  PutStr(out, t.executable());
-  PutU32(out, static_cast<uint32_t>(t.argument_templates().size()));
-  for (const ArgumentTemplate& at : t.argument_templates()) {
-    PutStr(out, at.name);
-    PutTemplateExpr(out, at.expr);
-  }
-  PutU32(out, static_cast<uint32_t>(t.env().size()));
-  for (const auto& [name, expr] : t.env()) {
-    PutStr(out, name);
-    PutTemplateExpr(out, expr);
-  }
-  PutU32(out, static_cast<uint32_t>(t.profile().size()));
-  for (const auto& [key, expr] : t.profile()) {
-    PutStr(out, key);
-    PutTemplateExpr(out, expr);
-  }
-  PutU32(out, static_cast<uint32_t>(t.calls().size()));
-  for (const CompoundCall& call : t.calls()) {
-    PutStr(out, call.callee);
-    PutU32(out, static_cast<uint32_t>(call.bindings.size()));
-    for (const auto& [formal, piece] : call.bindings) {
-      PutStr(out, formal);
-      PutTemplatePiece(out, piece);
-    }
-  }
-  PutAttrs(out, t.annotations());
-}
-
-Transformation GetTransformation(Reader& r) {
-  Transformation t;
-  t.set_name(r.Str());
-  uint8_t kind = r.U8();
-  if (kind > static_cast<uint8_t>(Transformation::Kind::kCompound)) {
-    r.ok = false;
-  }
-  t.set_kind(static_cast<Transformation::Kind>(kind));
-  t.set_version(r.Str());
-  uint32_t nargs = r.U32();
-  for (uint32_t i = 0; i < nargs && r.ok; ++i) {
-    t.mutable_args().push_back(GetFormalArg(r));
-  }
-  t.set_executable(r.Str());
-  uint32_t ntemplates = r.U32();
-  for (uint32_t i = 0; i < ntemplates && r.ok; ++i) {
-    ArgumentTemplate at;
-    at.name = r.Str();
-    at.expr = GetTemplateExpr(r);
-    if (r.ok) t.AddArgumentTemplate(std::move(at));
-  }
-  uint32_t nenv = r.U32();
-  for (uint32_t i = 0; i < nenv && r.ok; ++i) {
-    std::string name = r.Str();
-    TemplateExpr expr = GetTemplateExpr(r);
-    if (r.ok) t.SetEnv(std::move(name), std::move(expr));
-  }
-  uint32_t nprofile = r.U32();
-  for (uint32_t i = 0; i < nprofile && r.ok; ++i) {
-    std::string key = r.Str();
-    TemplateExpr expr = GetTemplateExpr(r);
-    if (r.ok) t.SetProfile(std::move(key), std::move(expr));
-  }
-  uint32_t ncalls = r.U32();
-  for (uint32_t i = 0; i < ncalls && r.ok; ++i) {
-    CompoundCall call;
-    call.callee = r.Str();
-    uint32_t nbindings = r.U32();
-    for (uint32_t j = 0; j < nbindings && r.ok; ++j) {
-      std::string formal = r.Str();
-      TemplatePiece piece = GetTemplatePiece(r);
-      if (r.ok) call.bindings.emplace_back(std::move(formal), std::move(piece));
-    }
-    if (r.ok) t.AddCall(std::move(call));
-  }
-  t.annotations() = GetAttrs(r);
-  return t;
-}
-
-void PutActualArg(std::string* out, const ActualArg& arg) {
-  PutStr(out, arg.formal);
-  PutOptStr(out, arg.string_value);
-  PutOptStr(out, arg.dataset);
-  PutU8(out, arg.direction.has_value() ? 1 : 0);
-  if (arg.direction.has_value()) {
-    PutU8(out, static_cast<uint8_t>(*arg.direction));
-  }
-}
-
-ActualArg GetActualArg(Reader& r) {
-  ActualArg arg;
-  arg.formal = r.Str();
-  if (r.U8() != 0) arg.string_value = r.Str();
-  if (r.U8() != 0) arg.dataset = r.Str();
-  if (r.U8() != 0) {
-    uint8_t dir = r.U8();
-    if (dir > static_cast<uint8_t>(ArgDirection::kNone)) r.ok = false;
-    arg.direction = static_cast<ArgDirection>(dir);
-  }
-  return arg;
-}
-
-void PutDerivation(std::string* out, const Derivation& d) {
-  PutStr(out, d.name());
-  PutStr(out, d.transformation_namespace());
-  PutStr(out, d.transformation());
-  PutU32(out, static_cast<uint32_t>(d.args().size()));
-  for (const ActualArg& arg : d.args()) PutActualArg(out, arg);
-  PutU32(out, static_cast<uint32_t>(d.env_overrides().size()));
-  for (const auto& [name, value] : d.env_overrides()) {
-    PutStr(out, name);
-    PutStr(out, value);
-  }
-  PutAttrs(out, d.annotations());
-}
-
-Derivation GetDerivation(Reader& r) {
-  Derivation d;
-  d.set_name(r.Str());
-  d.set_transformation_namespace(r.Str());
-  d.set_transformation(r.Str());
-  uint32_t nargs = r.U32();
-  for (uint32_t i = 0; i < nargs && r.ok; ++i) {
-    ActualArg arg = GetActualArg(r);
-    if (r.ok && !d.AddArg(std::move(arg)).ok()) r.ok = false;
-  }
-  uint32_t nenv = r.U32();
-  for (uint32_t i = 0; i < nenv && r.ok; ++i) {
-    std::string name = r.Str();
-    std::string value = r.Str();
-    if (r.ok) d.SetEnvOverride(std::move(name), std::move(value));
-  }
-  d.annotations() = GetAttrs(r);
-  return d;
-}
-
-void PutInvocation(std::string* out, const Invocation& iv) {
-  PutStr(out, iv.id);
-  PutStr(out, iv.derivation);
-  PutStr(out, iv.context.site);
-  PutStr(out, iv.context.host);
-  PutStr(out, iv.context.os);
-  PutStr(out, iv.context.architecture);
-  PutDouble(out, iv.start_time);
-  PutDouble(out, iv.duration_s);
-  PutDouble(out, iv.cpu_seconds);
-  PutI64(out, iv.peak_memory_bytes);
-  PutI64(out, iv.exit_code);
-  PutU8(out, iv.succeeded ? 1 : 0);
-  PutU32(out, static_cast<uint32_t>(iv.consumed_replicas.size()));
-  for (const std::string& id : iv.consumed_replicas) PutStr(out, id);
-  PutU32(out, static_cast<uint32_t>(iv.produced_replicas.size()));
-  for (const std::string& id : iv.produced_replicas) PutStr(out, id);
-  PutAttrs(out, iv.annotations);
-}
-
-Invocation GetInvocation(Reader& r) {
-  Invocation iv;
-  iv.id = r.Str();
-  iv.derivation = r.Str();
-  iv.context.site = r.Str();
-  iv.context.host = r.Str();
-  iv.context.os = r.Str();
-  iv.context.architecture = r.Str();
-  iv.start_time = r.Double();
-  iv.duration_s = r.Double();
-  iv.cpu_seconds = r.Double();
-  iv.peak_memory_bytes = r.I64();
-  iv.exit_code = static_cast<int>(r.I64());
-  iv.succeeded = r.U8() != 0;
-  uint32_t nconsumed = r.U32();
-  for (uint32_t i = 0; i < nconsumed && r.ok; ++i) {
-    iv.consumed_replicas.push_back(r.Str());
-  }
-  uint32_t nproduced = r.U32();
-  for (uint32_t i = 0; i < nproduced && r.ok; ++i) {
-    iv.produced_replicas.push_back(r.Str());
-  }
-  iv.annotations = GetAttrs(r);
-  return iv;
-}
+using objcodec::Reader;
+using objcodec::Writer;
 
 // ---------------------------------------------------------------------
 // Posting blobs. The writer pads to an 8-byte payload offset before
@@ -553,22 +84,24 @@ Invocation GetInvocation(Reader& r) {
 // ---------------------------------------------------------------------
 
 void PutPosting(std::string* out, const PostingBlocks& list) {
-  PadTo8(out);
+  while (out->size() % 8 != 0) out->push_back('\0');
   list.AppendSerialized(out);
 }
 
-PostingListPtr GetPosting(Reader& r,
-                          const std::shared_ptr<const void>& keepalive) {
-  r.Align8();
-  if (!r.ok) return nullptr;
+PostingListPtr ReadPosting(Reader& r,
+                           const std::shared_ptr<const void>& keepalive) {
+  r.Skip((8 - r.pos() % 8) % 8);
+  if (!r.ok()) return nullptr;
+  const std::string_view rest = r.rest();
   size_t consumed = 0;
   Result<PostingBlocks> parsed =
-      PostingBlocks::Parse(r.p + r.pos, r.n - r.pos, &consumed, keepalive);
+      PostingBlocks::Parse(reinterpret_cast<const uint8_t*>(rest.data()),
+                           rest.size(), &consumed, keepalive);
   if (!parsed.ok()) {
-    r.ok = false;
+    r.Fail("posting list: " + parsed.status().message());
     return nullptr;
   }
-  r.pos += consumed;
+  r.Skip(consumed);
   return std::make_shared<const PostingBlocks>(std::move(parsed).value());
 }
 
@@ -603,133 +136,105 @@ struct FlatImage {
   std::vector<CatalogChange> changelog;
 };
 
-Status ParseFlatImage(const uint8_t* payload, size_t size,
+/// Reads a count-prefixed section of objects.
+template <typename T, typename ReadFn>
+void ReadSection(Reader& r, std::vector<T>* out, ReadFn read) {
+  const size_t n = r.ReadCount();
+  out->reserve(n);
+  for (size_t i = 0; i < n && r.ok(); ++i) out->push_back(read(r));
+}
+
+Status ParseFlatImage(std::string_view payload,
                       const std::shared_ptr<const void>& keepalive,
                       FlatImage* out) {
-  Reader r{payload, size};
+  Reader r(payload);
+  auto malformed = [&r](const char* section) {
+    return Status::ParseError(std::string("snapshot ") + section +
+                              " section is malformed: " +
+                              r.status().message());
+  };
 
-  uint32_t nsym = r.U32();
-  for (uint32_t i = 0; i < nsym && r.ok; ++i) {
-    out->symbols.push_back(r.Str());
-  }
-  if (!r.ok) return Status::ParseError("snapshot symbol table is malformed");
+  ReadSection(r, &out->symbols, [](Reader& r) { return r.ReadString(); });
+  const size_t nsym = out->symbols.size();
   std::set<std::string_view> known(out->symbols.begin(), out->symbols.end());
+  // Re-interning a repeated name would shift every later id.
+  if (known.size() != nsym) r.Fail("a name appears twice");
+  if (!r.ok()) return malformed("symbol table");
 
-  for (int d = 0; d < kNumTypeDimensions && r.ok; ++d) {
-    uint32_t ntypes = r.U32();
-    for (uint32_t i = 0; i < ntypes && r.ok; ++i) {
-      std::string name = r.Str();
-      std::string parent = r.Str();
-      if (!r.ok) break;
+  for (int d = 0; d < kNumTypeDimensions && r.ok(); ++d) {
+    const size_t ntypes = r.ReadCount();
+    for (size_t i = 0; i < ntypes && r.ok(); ++i) {
+      std::string name = r.ReadString();
+      std::string parent = r.ReadString();
+      if (!r.ok()) break;
       // Entries were saved parents-first (sorted by depth), so Define
       // re-grows the hierarchy exactly; a failure means the section is
       // inconsistent, not just reordered.
-      if (!out->types.Define(static_cast<TypeDimension>(d), name, parent)
-               .ok()) {
-        r.ok = false;
-      }
+      Status defined =
+          out->types.Define(static_cast<TypeDimension>(d), name, parent);
+      if (!defined.ok()) r.Fail(defined.message());
     }
   }
-  if (!r.ok) return Status::ParseError("snapshot type section is malformed");
+  if (!r.ok()) return malformed("type");
 
   // Interned-object classes must resolve their names against the
   // symbol list — posting lists speak symbol ids, so an unresolvable
   // name would leave dangling ids after install.
-  uint32_t nds = r.U32();
-  for (uint32_t i = 0; i < nds && r.ok; ++i) {
-    Dataset d = GetDataset(r);
-    if (r.ok && known.count(d.name) == 0) r.ok = false;
-    if (r.ok) out->datasets.push_back(std::move(d));
-  }
-  if (!r.ok) return Status::ParseError("snapshot dataset section is malformed");
+  auto require_symbol = [&r, &known](std::string_view name) {
+    if (known.count(name) == 0) r.Fail("name is not in the symbol table");
+  };
+  ReadSection(r, &out->datasets, objcodec::ReadDataset);
+  for (const Dataset& d : out->datasets) require_symbol(d.name);
+  if (!r.ok()) return malformed("dataset");
+  ReadSection(r, &out->transformations, objcodec::ReadTransformation);
+  for (const Transformation& t : out->transformations) require_symbol(t.name());
+  if (!r.ok()) return malformed("transformation");
+  ReadSection(r, &out->derivations, objcodec::ReadDerivation);
+  for (const Derivation& d : out->derivations) require_symbol(d.name());
+  if (!r.ok()) return malformed("derivation");
+  ReadSection(r, &out->replicas, objcodec::ReadReplica);
+  if (!r.ok()) return malformed("replica");
+  ReadSection(r, &out->invocations, objcodec::ReadInvocation);
+  if (!r.ok()) return malformed("invocation");
 
-  uint32_t ntr = r.U32();
-  for (uint32_t i = 0; i < ntr && r.ok; ++i) {
-    Transformation t = GetTransformation(r);
-    if (r.ok && known.count(t.name()) == 0) r.ok = false;
-    if (r.ok) out->transformations.push_back(std::move(t));
-  }
-  if (!r.ok) {
-    return Status::ParseError("snapshot transformation section is malformed");
-  }
-
-  uint32_t ndv = r.U32();
-  for (uint32_t i = 0; i < ndv && r.ok; ++i) {
-    Derivation d = GetDerivation(r);
-    if (r.ok && known.count(d.name()) == 0) r.ok = false;
-    if (r.ok) out->derivations.push_back(std::move(d));
-  }
-  if (!r.ok) {
-    return Status::ParseError("snapshot derivation section is malformed");
-  }
-
-  uint32_t nrp = r.U32();
-  for (uint32_t i = 0; i < nrp && r.ok; ++i) {
-    Replica rp = GetReplica(r);
-    if (r.ok) out->replicas.push_back(std::move(rp));
-  }
-  if (!r.ok) return Status::ParseError("snapshot replica section is malformed");
-
-  uint32_t niv = r.U32();
-  for (uint32_t i = 0; i < niv && r.ok; ++i) {
-    Invocation iv = GetInvocation(r);
-    if (r.ok) out->invocations.push_back(std::move(iv));
-  }
-  if (!r.ok) {
-    return Status::ParseError("snapshot invocation section is malformed");
-  }
-
-  uint32_t nattr = r.U32();
-  for (uint32_t i = 0; i < nattr && r.ok; ++i) {
-    uint32_t key_id = r.U32();
-    std::string tagged = r.Str();
-    if (r.ok && key_id >= nsym) r.ok = false;
-    PostingListPtr list = GetPosting(r, keepalive);
-    if (r.ok) {
+  const size_t nattr = r.ReadCount();
+  for (size_t i = 0; i < nattr && r.ok(); ++i) {
+    uint32_t key_id = r.ReadU32();
+    std::string tagged = r.ReadString();
+    if (key_id >= nsym) r.Fail("attribute key id out of range");
+    PostingListPtr list = ReadPosting(r, keepalive);
+    if (r.ok()) {
       out->attr_index.push_back({key_id, std::move(tagged), std::move(list)});
     }
   }
-  uint32_t ntypeidx = r.U32();
-  for (uint32_t i = 0; i < ntypeidx && r.ok; ++i) {
-    uint64_t key = r.U64();
-    if (r.ok && static_cast<uint32_t>(key & 0xffffffffu) >= nsym) r.ok = false;
-    PostingListPtr list = GetPosting(r, keepalive);
-    if (r.ok) {
-      if ((key >> 32) >= static_cast<uint64_t>(kNumTypeDimensions)) {
-        r.ok = false;
-      } else {
-        out->type_index.emplace_back(key, std::move(list));
-      }
+  const size_t ntypeidx = r.ReadCount();
+  for (size_t i = 0; i < ntypeidx && r.ok(); ++i) {
+    uint64_t key = r.ReadU64();
+    if (static_cast<uint32_t>(key & 0xffffffffu) >= nsym ||
+        (key >> 32) >= static_cast<uint64_t>(kNumTypeDimensions)) {
+      r.Fail("type index key out of range");
     }
+    PostingListPtr list = ReadPosting(r, keepalive);
+    if (r.ok()) out->type_index.emplace_back(key, std::move(list));
   }
   FlatImage::IdPostings* id_maps[] = {&out->consumers, &out->producers,
                                       &out->by_transformation,
                                       &out->by_bare_transformation};
   for (auto* map : id_maps) {
-    uint32_t count = r.U32();
-    for (uint32_t i = 0; i < count && r.ok; ++i) {
-      uint32_t id = r.U32();
-      if (r.ok && id >= nsym) r.ok = false;
-      PostingListPtr list = GetPosting(r, keepalive);
-      if (r.ok) map->emplace_back(id, std::move(list));
+    const size_t count = r.ReadCount();
+    for (size_t i = 0; i < count && r.ok(); ++i) {
+      uint32_t id = r.ReadU32();
+      if (id >= nsym) r.Fail("index id out of range");
+      PostingListPtr list = ReadPosting(r, keepalive);
+      if (r.ok()) map->emplace_back(id, std::move(list));
     }
   }
-  out->materialized = GetPosting(r, keepalive);
-  if (!r.ok) return Status::ParseError("snapshot index section is malformed");
+  out->materialized = ReadPosting(r, keepalive);
+  if (!r.ok()) return malformed("index");
 
-  uint32_t nchanges = r.U32();
-  for (uint32_t i = 0; i < nchanges && r.ok; ++i) {
-    CatalogChange change;
-    change.version = r.U64();
-    change.op = static_cast<char>(r.U8());
-    change.kind = r.Str();
-    change.name = r.Str();
-    if (r.ok) out->changelog.push_back(std::move(change));
-  }
-  if (!r.ok) {
-    return Status::ParseError("snapshot changelog section is malformed");
-  }
-  if (r.pos != r.n) {
+  ReadSection(r, &out->changelog, objcodec::ReadCatalogChange);
+  if (!r.ok()) return malformed("changelog");
+  if (!r.AtEnd()) {
     return Status::ParseError("snapshot payload has trailing bytes");
   }
   return Status::OK();
@@ -746,13 +251,14 @@ Status VirtualDataCatalog::SaveSnapshotFile(const std::string& path) const {
 
   std::string payload;
   payload.reserve(1 << 16);
+  Writer w(&payload);
 
   // Symbols, in id order: re-interning them in this order on load
   // reproduces the exact same ids, which is what keeps the serialized
   // posting lists valid without any id remapping.
-  PutU32(&payload, static_cast<uint32_t>(symbols_.size()));
+  w.PutCount(symbols_.size());
   for (SymbolTable::Id id = 0; id < symbols_.size(); ++id) {
-    PutStr(&payload, symbols_.NameOf(id));
+    w.PutString(symbols_.NameOf(id));
   }
 
   // Type universe, parents-first per dimension so Define replays.
@@ -768,36 +274,36 @@ Status VirtualDataCatalog::SaveSnapshotFile(const std::string& path) const {
                      [](const auto& a, const auto& b) {
                        return a.first < b.first;
                      });
-    PutU32(&payload, static_cast<uint32_t>(ordered.size()));
+    w.PutCount(ordered.size());
     for (const auto& [depth, name] : ordered) {
       (void)depth;
       Result<std::string> parent = hierarchy.ParentOf(name);
-      PutStr(&payload, name);
-      PutStr(&payload,
-             parent.ok() ? *parent : std::string(hierarchy.base_name()));
+      w.PutString(name);
+      w.PutString(parent.ok() ? *parent
+                              : std::string(hierarchy.base_name()));
     }
   }
 
-  // Rows in name order.
-  auto put_rows = [&payload](const auto& table, auto put) {
-    PutU32(&payload, static_cast<uint32_t>(table.size()));
+  // Object rows (name order) through the shared object codec.
+  auto put_rows = [&w](const auto& table, auto put) {
+    w.PutCount(table.size());
     table.ScanFrom({}, [&](const auto& row) {
-      put(&payload, *row.object);
+      put(w, *row.object);
       return true;
     });
   };
-  put_rows(next_.datasets, PutDataset);
-  put_rows(next_.transformations, PutTransformation);
-  put_rows(next_.derivations, PutDerivation);
-  PutU32(&payload, static_cast<uint32_t>(replicas_.size()));
+  put_rows(next_.datasets, objcodec::PutDataset);
+  put_rows(next_.transformations, objcodec::PutTransformation);
+  put_rows(next_.derivations, objcodec::PutDerivation);
+  w.PutCount(replicas_.size());
   for (const auto& [id, replica] : replicas_) {
     (void)id;
-    PutReplica(&payload, replica);
+    objcodec::PutReplica(w, replica);
   }
-  PutU32(&payload, static_cast<uint32_t>(invocations_.size()));
+  w.PutCount(invocations_.size());
   for (const auto& [id, invocation] : invocations_) {
     (void)id;
-    PutInvocation(&payload, invocation);
+    objcodec::PutInvocation(w, invocation);
   }
 
   // Index sections: the non-empty lists of each map, counted first.
@@ -817,11 +323,11 @@ Status VirtualDataCatalog::SaveSnapshotFile(const std::string& path) const {
     attr_entries += values.size();
     if (!values.empty()) attr.emplace_back(key, std::move(values));
   });
-  PutU32(&payload, static_cast<uint32_t>(attr_entries));
+  w.PutCount(attr_entries);
   for (const auto& [key, lists] : attr) {
     for (const auto& [value, slot] : lists) {
-      PutU32(&payload, key);
-      PutStr(&payload, symbols_.NameOf(value));
+      w.PutU32(key);
+      w.PutString(symbols_.NameOf(value));
       PutPosting(&payload, *slot->list);
     }
   }
@@ -835,9 +341,9 @@ Status VirtualDataCatalog::SaveSnapshotFile(const std::string& path) const {
           slot);
     }
   }
-  PutU32(&payload, static_cast<uint32_t>(typed.size()));
+  w.PutCount(typed.size());
   for (const auto& [key, slot] : typed) {
-    PutU64(&payload, key);
+    w.PutU64(key);
     PutPosting(&payload, *slot->list);
   }
   const PostingMap* id_maps[] = {&next_.consumers, &next_.producers,
@@ -845,9 +351,9 @@ Status VirtualDataCatalog::SaveSnapshotFile(const std::string& path) const {
                                  &next_.by_bare_transformation};
   for (const PostingMap* map : id_maps) {
     collect(*map, &values);
-    PutU32(&payload, static_cast<uint32_t>(values.size()));
+    w.PutCount(values.size());
     for (const auto& [id, slot] : values) {
-      PutU32(&payload, id);
+      w.PutU32(id);
       PutPosting(&payload, *slot->list);
     }
   }
@@ -857,33 +363,27 @@ Status VirtualDataCatalog::SaveSnapshotFile(const std::string& path) const {
                            : no_list);
 
   const ChangeWindow<CatalogChange>& log = next_.changelog;
-  PutU32(&payload, static_cast<uint32_t>(log.size()));
+  w.PutCount(log.size());
   for (size_t i = 0; i < log.size(); ++i) {
-    const CatalogChange& change = log.at(i);
-    PutU64(&payload, change.version);
-    PutU8(&payload, static_cast<uint8_t>(change.op));
-    PutStr(&payload, change.kind);
-    PutStr(&payload, change.name);
+    objcodec::PutCatalogChange(w, log.at(i));
   }
 
-  std::string header;
-  header.reserve(flatsnap::kHeaderSize);
-  header.append(flatsnap::kMagic, sizeof(flatsnap::kMagic));
-  PutU32(&header, flatsnap::kFormatVersion);
-  PutU32(&header, flatsnap::kEndianCheck);
-  PutU64(&header, payload.size());
-  PutU32(&header, Crc32(payload));
-  PutU32(&header, 0);  // header_crc, patched below
-  PutU64(&header, version_seq_);
-  PutU64(&header, next_replica_id_);
-  PutU64(&header, next_invocation_id_);
-  PutU64(&header, journal_records_);
-  PutU32(&header, journal_chain_crc_);
-  PutU32(&header, 0);  // reserved
-  uint32_t header_crc = Crc32(header);
-  std::string crc_bytes;
-  PutU32(&crc_bytes, header_crc);
-  header.replace(flatsnap::kOffHeaderCrc, 4, crc_bytes);
+  std::string header(flatsnap::kMagic, sizeof(flatsnap::kMagic));
+  Writer h(&header);
+  h.PutU32(flatsnap::kFormatVersion);
+  h.PutU32(flatsnap::kEndianCheck);
+  h.PutU64(payload.size());
+  h.PutU32(Crc32(payload));
+  h.PutU32(0);  // header_crc, patched below
+  h.PutU64(version_seq_);
+  h.PutU64(next_replica_id_);
+  h.PutU64(next_invocation_id_);
+  h.PutU64(journal_records_);
+  h.PutU32(journal_chain_crc_);
+  h.PutU32(0);  // reserved
+  std::string header_crc;
+  Writer(&header_crc).PutU32(Crc32(header));
+  header.replace(flatsnap::kOffHeaderCrc, 4, header_crc);
 
   std::string tmp = path + ".tmp";
   std::FILE* file = std::fopen(tmp.c_str(), "wb");
@@ -940,37 +440,40 @@ Status VirtualDataCatalog::OpenFromSnapshot(const std::string& path) {
     if (std::memcmp(data, flatsnap::kMagic, sizeof(flatsnap::kMagic)) != 0) {
       return Status::ParseError("bad snapshot magic");
     }
-    uint32_t format = LoadU32(data + flatsnap::kOffFormatVersion);
+    const std::string_view bytes(reinterpret_cast<const char*>(data), size);
+    auto u32_at = [bytes](size_t offset) {
+      return Reader(bytes.substr(offset, 4)).ReadU32();
+    };
+    auto u64_at = [bytes](size_t offset) {
+      return Reader(bytes.substr(offset, 8)).ReadU64();
+    };
+    // A format-1 file (tagged-text attribute values) lands here too: no
+    // reader is kept for it, so it falls back to full replay.
+    uint32_t format = u32_at(flatsnap::kOffFormatVersion);
     if (format != flatsnap::kFormatVersion) {
       return Status::FailedPrecondition("unsupported snapshot format version " +
                                         std::to_string(format));
     }
-    if (LoadU32(data + flatsnap::kOffEndianCheck) != flatsnap::kEndianCheck) {
+    if (u32_at(flatsnap::kOffEndianCheck) != flatsnap::kEndianCheck) {
       return Status::FailedPrecondition("snapshot endianness mismatch");
     }
-    char header_copy[flatsnap::kHeaderSize];
-    std::memcpy(header_copy, data, flatsnap::kHeaderSize);
-    std::memset(header_copy + flatsnap::kOffHeaderCrc, 0, 4);
-    if (Crc32(std::string_view(header_copy, flatsnap::kHeaderSize)) !=
-        LoadU32(data + flatsnap::kOffHeaderCrc)) {
+    std::string header_copy(bytes.substr(0, flatsnap::kHeaderSize));
+    header_copy.replace(flatsnap::kOffHeaderCrc, 4, 4, '\0');
+    if (Crc32(header_copy) != u32_at(flatsnap::kOffHeaderCrc)) {
       return Status::ParseError("snapshot header checksum mismatch");
     }
-    uint64_t payload_size = LoadU64(data + flatsnap::kOffPayloadSize);
-    if (payload_size != size - flatsnap::kHeaderSize) {
+    if (u64_at(flatsnap::kOffPayloadSize) != size - flatsnap::kHeaderSize) {
       return Status::ParseError("snapshot payload size mismatch");
     }
-    std::string_view payload_view(
-        reinterpret_cast<const char*>(data) + flatsnap::kHeaderSize,
-        payload_size);
-    if (Crc32(payload_view) != LoadU32(data + flatsnap::kOffPayloadCrc)) {
+    const std::string_view payload_view = bytes.substr(flatsnap::kHeaderSize);
+    if (Crc32(payload_view) != u32_at(flatsnap::kOffPayloadCrc)) {
       return Status::ParseError("snapshot payload checksum mismatch");
     }
 
     // Journal anchor: the snapshot is usable only when the live journal
     // still begins with the exact record chain the image reflects.
-    const uint64_t anchor_records =
-        LoadU64(data + flatsnap::kOffJournalRecords);
-    const uint32_t anchor_crc = LoadU32(data + flatsnap::kOffJournalChainCrc);
+    const uint64_t anchor_records = u64_at(flatsnap::kOffJournalRecords);
+    const uint32_t anchor_crc = u32_at(flatsnap::kOffJournalChainCrc);
     if (!durable && anchor_records > 0) {
       return Status::FailedPrecondition(
           "snapshot is anchored to a journal but none is attached");
@@ -992,8 +495,7 @@ Status VirtualDataCatalog::OpenFromSnapshot(const std::string& path) {
     }
 
     FlatImage image;
-    VDG_RETURN_IF_ERROR(ParseFlatImage(
-        data + flatsnap::kHeaderSize, payload_size, file, &image));
+    VDG_RETURN_IF_ERROR(ParseFlatImage(payload_view, file, &image));
 
     // ---- install (infallible from here) ----
     installed = true;
@@ -1057,9 +559,9 @@ Status VirtualDataCatalog::OpenFromSnapshot(const std::string& path) {
     for (CatalogChange& change : image.changelog) {
       next_.changelog.PushBack(std::move(change), gen_);
     }
-    version_seq_ = LoadU64(data + flatsnap::kOffVersionSeq);
-    next_replica_id_ = LoadU64(data + flatsnap::kOffNextReplicaId);
-    next_invocation_id_ = LoadU64(data + flatsnap::kOffNextInvocationId);
+    version_seq_ = u64_at(flatsnap::kOffVersionSeq);
+    next_replica_id_ = u64_at(flatsnap::kOffNextReplicaId);
+    next_invocation_id_ = u64_at(flatsnap::kOffNextInvocationId);
     journal_records_ = durable ? anchor_records : 0;
     journal_chain_crc_ = durable ? anchor_crc : 0;
     report.snapshot_version = version_seq_;

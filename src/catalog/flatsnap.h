@@ -25,8 +25,21 @@ namespace flatsnap {
 /// prefix of the durable journal: a loader accepts the snapshot only
 /// when the live journal still starts with that exact record chain,
 /// and then replays just the records past the anchor.
+///
+/// Payload sections, in order: symbol table (names in id order), type
+/// universe (parents first, per dimension), datasets, transformations,
+/// derivations (each in name order), replicas, invocations, the
+/// posting indexes (attribute, type, consumer/producer/transformation
+/// edges, materialized set), and the changelog window. Objects and
+/// changelog entries use the shared object codec (objcodec.h), the
+/// same bytes the wire protocol carries.
+///
+/// Format 2 introduced that shared codec (format 1 stored attribute
+/// values as tagged text). No format-1 reader is kept: a snapshot is
+/// an accelerator, so an older file is rejected as an unsupported
+/// version and the catalog falls back to full journal replay.
 inline constexpr char kMagic[8] = {'V', 'D', 'G', 'F', 'S', 'N', 'A', 'P'};
-inline constexpr uint32_t kFormatVersion = 1;
+inline constexpr uint32_t kFormatVersion = 2;
 inline constexpr uint32_t kEndianCheck = 0x01020304u;
 inline constexpr size_t kHeaderSize = 72;
 

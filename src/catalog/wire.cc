@@ -1,8 +1,9 @@
 #include "catalog/wire.h"
 
-#include <bit>
+#include <algorithm>
 #include <cstring>
 
+#include "catalog/objcodec.h"
 #include "common/hash.h"
 
 namespace vdg {
@@ -13,147 +14,12 @@ namespace {
 constexpr char kMagic[4] = {'V', 'D', 'G', 'W'};
 constexpr uint8_t kFlagResponse = 0x01;
 
-// -----------------------------------------------------------------------
-// Primitive writer: appends fixed-width little-endian fields to a string.
-// -----------------------------------------------------------------------
-
-class Writer {
- public:
-  explicit Writer(std::string* out) : out_(out) {}
-
-  void PutU8(uint8_t v) { out_->push_back(static_cast<char>(v)); }
-  void PutBool(bool v) { PutU8(v ? 1 : 0); }
-
-  void PutU32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) PutU8(static_cast<uint8_t>(v >> (8 * i)));
-  }
-  void PutU64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) PutU8(static_cast<uint8_t>(v >> (8 * i)));
-  }
-  void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
-  /// Doubles travel as raw IEEE-754 bits: the round trip is bit-exact
-  /// even for values text formatting would distort.
-  void PutDouble(double v) { PutU64(std::bit_cast<uint64_t>(v)); }
-
-  void PutString(std::string_view s) {
-    PutU32(static_cast<uint32_t>(s.size()));
-    out_->append(s.data(), s.size());
-  }
-
-  void PutCount(size_t n) { PutU32(static_cast<uint32_t>(n)); }
-
- private:
-  std::string* out_;
-};
+using objcodec::Reader;
+using objcodec::Writer;
 
 // -----------------------------------------------------------------------
-// Primitive reader: bounds-checked cursor over the payload bytes. Every
-// read fails with ParseError instead of walking past the end, so a
-// truncated or bit-flipped payload can never crash the decoder.
-// -----------------------------------------------------------------------
-
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
-
-  Result<uint8_t> ReadU8() {
-    if (pos_ >= data_.size()) return Truncated("u8");
-    return static_cast<uint8_t>(data_[pos_++]);
-  }
-
-  Result<bool> ReadBool() {
-    VDG_ASSIGN_OR_RETURN(uint8_t v, ReadU8());
-    if (v > 1) return Status::ParseError("wire: bool byte out of range");
-    return v == 1;
-  }
-
-  Result<uint32_t> ReadU32() {
-    if (data_.size() - pos_ < 4) return Truncated("u32");
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 4;
-    return v;
-  }
-
-  Result<uint64_t> ReadU64() {
-    if (data_.size() - pos_ < 8) return Truncated("u64");
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i]))
-           << (8 * i);
-    }
-    pos_ += 8;
-    return v;
-  }
-
-  Result<int64_t> ReadI64() {
-    VDG_ASSIGN_OR_RETURN(uint64_t v, ReadU64());
-    return static_cast<int64_t>(v);
-  }
-
-  Result<double> ReadDouble() {
-    VDG_ASSIGN_OR_RETURN(uint64_t bits, ReadU64());
-    return std::bit_cast<double>(bits);
-  }
-
-  Result<std::string> ReadString() {
-    VDG_ASSIGN_OR_RETURN(uint32_t len, ReadU32());
-    if (data_.size() - pos_ < len) return Truncated("string body");
-    std::string s(data_.substr(pos_, len));
-    pos_ += len;
-    return s;
-  }
-
-  /// Zero-copy read: a view into the payload buffer itself, valid only
-  /// while the frame bytes stay alive. Callers that outlive the frame
-  /// must copy (the name-list decoder appends into its arena).
-  Result<std::string_view> ReadStringView() {
-    VDG_ASSIGN_OR_RETURN(uint32_t len, ReadU32());
-    if (data_.size() - pos_ < len) return Truncated("string body");
-    std::string_view s = data_.substr(pos_, len);
-    pos_ += len;
-    return s;
-  }
-
-  size_t remaining() const { return data_.size() - pos_; }
-
-  /// Element counts are sanity-bounded by the bytes actually present:
-  /// every element costs at least one byte, so a count larger than the
-  /// remaining payload is corruption, not a huge message.
-  Result<size_t> ReadCount() {
-    VDG_ASSIGN_OR_RETURN(uint32_t n, ReadU32());
-    if (n > data_.size() - pos_) {
-      return Status::ParseError("wire: element count exceeds payload size");
-    }
-    return static_cast<size_t>(n);
-  }
-
-  bool AtEnd() const { return pos_ == data_.size(); }
-
-  /// Payload decoders call this last: bytes beyond the decoded message
-  /// mean the payload and the frame kind disagree.
-  Status ExpectEnd() const {
-    if (!AtEnd()) {
-      return Status::ParseError("wire: trailing bytes after message");
-    }
-    return Status::OK();
-  }
-
- private:
-  static Status Truncated(const char* what) {
-    return Status::ParseError(std::string("wire: truncated payload reading ") +
-                              what);
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
-};
-
-// -----------------------------------------------------------------------
-// Field codecs, in dependency order.
+// Message field codecs. Schema objects encode through objcodec; these
+// are the fields only requests and responses carry.
 // -----------------------------------------------------------------------
 
 void PutStatus(Writer& w, const Status& s) {
@@ -161,459 +27,14 @@ void PutStatus(Writer& w, const Status& s) {
   w.PutString(s.message());
 }
 
-// Result<Status> is ill-formed (value and error constructors collide),
-// so decoded statuses land in an out-parameter.
-Status ReadStatus(Reader& r, Status* out) {
-  VDG_ASSIGN_OR_RETURN(uint8_t code, r.ReadU8());
+Status ReadStatus(Reader& r) {
+  uint8_t code = r.ReadU8();
   if (code > static_cast<uint8_t>(StatusCode::kCancelled)) {
-    return Status::ParseError("wire: unknown status code");
+    r.Fail("unknown status code");
   }
-  VDG_ASSIGN_OR_RETURN(std::string msg, r.ReadString());
-  *out = Status(static_cast<StatusCode>(code), std::move(msg));
-  return Status::OK();
-}
-
-void PutAttributeValue(Writer& w, const AttributeValue& v) {
-  w.PutU8(static_cast<uint8_t>(v.TypeTag()));
-  if (v.is_string()) {
-    w.PutString(v.AsString());
-  } else if (v.is_int()) {
-    w.PutI64(v.AsInt());
-  } else if (v.is_double()) {
-    w.PutDouble(v.AsDouble());
-  } else {
-    w.PutBool(v.AsBool());
-  }
-}
-
-Result<AttributeValue> ReadAttributeValue(Reader& r) {
-  VDG_ASSIGN_OR_RETURN(uint8_t tag, r.ReadU8());
-  switch (tag) {
-    case 's': {
-      VDG_ASSIGN_OR_RETURN(std::string s, r.ReadString());
-      return AttributeValue(std::move(s));
-    }
-    case 'i': {
-      VDG_ASSIGN_OR_RETURN(int64_t i, r.ReadI64());
-      return AttributeValue(i);
-    }
-    case 'd': {
-      VDG_ASSIGN_OR_RETURN(double d, r.ReadDouble());
-      return AttributeValue(d);
-    }
-    case 'b': {
-      VDG_ASSIGN_OR_RETURN(bool b, r.ReadBool());
-      return AttributeValue(b);
-    }
-    default:
-      return Status::ParseError("wire: unknown attribute value tag");
-  }
-}
-
-void PutAttributeSet(Writer& w, const AttributeSet& attrs) {
-  w.PutCount(attrs.size());
-  for (const auto& [key, value] : attrs) {
-    w.PutString(key);
-    PutAttributeValue(w, value);
-  }
-}
-
-Result<AttributeSet> ReadAttributeSet(Reader& r) {
-  VDG_ASSIGN_OR_RETURN(size_t n, r.ReadCount());
-  AttributeSet attrs;
-  for (size_t i = 0; i < n; ++i) {
-    VDG_ASSIGN_OR_RETURN(std::string key, r.ReadString());
-    VDG_ASSIGN_OR_RETURN(AttributeValue value, ReadAttributeValue(r));
-    attrs.Set(key, std::move(value));
-  }
-  return attrs;
-}
-
-void PutDatasetType(Writer& w, const DatasetType& t) {
-  w.PutString(t.content);
-  w.PutString(t.format);
-  w.PutString(t.encoding);
-}
-
-Result<DatasetType> ReadDatasetType(Reader& r) {
-  DatasetType t;
-  VDG_ASSIGN_OR_RETURN(t.content, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(t.format, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(t.encoding, r.ReadString());
-  return t;
-}
-
-template <typename T, typename PutFn>
-void PutOptional(Writer& w, const std::optional<T>& opt, PutFn put) {
-  w.PutBool(opt.has_value());
-  if (opt.has_value()) put(w, *opt);
-}
-
-void PutOptionalString(Writer& w, const std::optional<std::string>& opt) {
-  PutOptional(w, opt,
-              [](Writer& w, const std::string& s) { w.PutString(s); });
-}
-
-Result<std::optional<std::string>> ReadOptionalString(Reader& r) {
-  VDG_ASSIGN_OR_RETURN(bool present, r.ReadBool());
-  if (!present) return std::optional<std::string>();
-  VDG_ASSIGN_OR_RETURN(std::string s, r.ReadString());
-  return std::optional<std::string>(std::move(s));
-}
-
-void PutDirection(Writer& w, ArgDirection dir) {
-  w.PutU8(static_cast<uint8_t>(dir));
-}
-
-Result<ArgDirection> ReadDirection(Reader& r) {
-  VDG_ASSIGN_OR_RETURN(uint8_t v, r.ReadU8());
-  if (v > static_cast<uint8_t>(ArgDirection::kNone)) {
-    return Status::ParseError("wire: argument direction out of range");
-  }
-  return static_cast<ArgDirection>(v);
-}
-
-void PutOptionalDirection(Writer& w, const std::optional<ArgDirection>& opt) {
-  PutOptional(w, opt, PutDirection);
-}
-
-Result<std::optional<ArgDirection>> ReadOptionalDirection(Reader& r) {
-  VDG_ASSIGN_OR_RETURN(bool present, r.ReadBool());
-  if (!present) return std::optional<ArgDirection>();
-  VDG_ASSIGN_OR_RETURN(ArgDirection dir, ReadDirection(r));
-  return std::optional<ArgDirection>(dir);
-}
-
-void PutStringVec(Writer& w, const std::vector<std::string>& v) {
-  w.PutCount(v.size());
-  for (const auto& s : v) w.PutString(s);
-}
-
-Result<std::vector<std::string>> ReadStringVec(Reader& r) {
-  VDG_ASSIGN_OR_RETURN(size_t n, r.ReadCount());
-  std::vector<std::string> v;
-  v.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    VDG_ASSIGN_OR_RETURN(std::string s, r.ReadString());
-    v.push_back(std::move(s));
-  }
-  return v;
-}
-
-void PutDescriptor(Writer& w, const DatasetDescriptor& d) {
-  w.PutString(d.schema);
-  PutAttributeSet(w, d.fields);
-}
-
-Result<DatasetDescriptor> ReadDescriptor(Reader& r) {
-  DatasetDescriptor d;
-  VDG_ASSIGN_OR_RETURN(d.schema, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(d.fields, ReadAttributeSet(r));
-  return d;
-}
-
-void PutDataset(Writer& w, const Dataset& d) {
-  w.PutString(d.name);
-  PutDatasetType(w, d.type);
-  PutDescriptor(w, d.descriptor);
-  w.PutI64(d.size_bytes);
-  w.PutString(d.producer);
-  PutAttributeSet(w, d.annotations);
-}
-
-Result<Dataset> ReadDataset(Reader& r) {
-  Dataset d;
-  VDG_ASSIGN_OR_RETURN(d.name, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(d.type, ReadDatasetType(r));
-  VDG_ASSIGN_OR_RETURN(d.descriptor, ReadDescriptor(r));
-  VDG_ASSIGN_OR_RETURN(d.size_bytes, r.ReadI64());
-  VDG_ASSIGN_OR_RETURN(d.producer, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(d.annotations, ReadAttributeSet(r));
-  return d;
-}
-
-void PutReplica(Writer& w, const Replica& rep) {
-  w.PutString(rep.id);
-  w.PutString(rep.dataset);
-  w.PutString(rep.site);
-  w.PutString(rep.storage_element);
-  w.PutString(rep.physical_path);
-  w.PutI64(rep.size_bytes);
-  w.PutDouble(rep.created_at);
-  w.PutBool(rep.valid);
-  PutAttributeSet(w, rep.annotations);
-}
-
-Result<Replica> ReadReplica(Reader& r) {
-  Replica rep;
-  VDG_ASSIGN_OR_RETURN(rep.id, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(rep.dataset, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(rep.site, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(rep.storage_element, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(rep.physical_path, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(rep.size_bytes, r.ReadI64());
-  VDG_ASSIGN_OR_RETURN(rep.created_at, r.ReadDouble());
-  VDG_ASSIGN_OR_RETURN(rep.valid, r.ReadBool());
-  VDG_ASSIGN_OR_RETURN(rep.annotations, ReadAttributeSet(r));
-  return rep;
-}
-
-void PutFormalArg(Writer& w, const FormalArg& a) {
-  w.PutString(a.name);
-  PutDirection(w, a.direction);
-  w.PutCount(a.types.size());
-  for (const auto& t : a.types) PutDatasetType(w, t);
-  PutOptionalString(w, a.default_string);
-  PutOptionalString(w, a.default_dataset);
-}
-
-Result<FormalArg> ReadFormalArg(Reader& r) {
-  FormalArg a;
-  VDG_ASSIGN_OR_RETURN(a.name, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(a.direction, ReadDirection(r));
-  VDG_ASSIGN_OR_RETURN(size_t n, r.ReadCount());
-  a.types.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    VDG_ASSIGN_OR_RETURN(DatasetType t, ReadDatasetType(r));
-    a.types.push_back(std::move(t));
-  }
-  VDG_ASSIGN_OR_RETURN(a.default_string, ReadOptionalString(r));
-  VDG_ASSIGN_OR_RETURN(a.default_dataset, ReadOptionalString(r));
-  return a;
-}
-
-void PutTemplatePiece(Writer& w, const TemplatePiece& p) {
-  w.PutU8(static_cast<uint8_t>(p.kind));
-  w.PutString(p.text);
-  PutOptionalDirection(w, p.ref_direction);
-}
-
-Result<TemplatePiece> ReadTemplatePiece(Reader& r) {
-  VDG_ASSIGN_OR_RETURN(uint8_t kind, r.ReadU8());
-  if (kind > static_cast<uint8_t>(TemplatePiece::Kind::kArgRef)) {
-    return Status::ParseError("wire: template piece kind out of range");
-  }
-  TemplatePiece p;
-  p.kind = static_cast<TemplatePiece::Kind>(kind);
-  VDG_ASSIGN_OR_RETURN(p.text, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(p.ref_direction, ReadOptionalDirection(r));
-  return p;
-}
-
-void PutTemplateExpr(Writer& w, const TemplateExpr& e) {
-  w.PutCount(e.size());
-  for (const auto& p : e) PutTemplatePiece(w, p);
-}
-
-Result<TemplateExpr> ReadTemplateExpr(Reader& r) {
-  VDG_ASSIGN_OR_RETURN(size_t n, r.ReadCount());
-  TemplateExpr e;
-  e.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    VDG_ASSIGN_OR_RETURN(TemplatePiece p, ReadTemplatePiece(r));
-    e.push_back(std::move(p));
-  }
-  return e;
-}
-
-void PutTemplateMap(Writer& w,
-                    const std::map<std::string, TemplateExpr>& m) {
-  w.PutCount(m.size());
-  for (const auto& [key, expr] : m) {
-    w.PutString(key);
-    PutTemplateExpr(w, expr);
-  }
-}
-
-void PutTransformation(Writer& w, const Transformation& t) {
-  w.PutString(t.name());
-  w.PutU8(static_cast<uint8_t>(t.kind()));
-  w.PutString(t.version());
-  w.PutCount(t.args().size());
-  for (const auto& a : t.args()) PutFormalArg(w, a);
-  w.PutString(t.executable());
-  w.PutCount(t.argument_templates().size());
-  for (const auto& at : t.argument_templates()) {
-    w.PutString(at.name);
-    PutTemplateExpr(w, at.expr);
-  }
-  PutTemplateMap(w, t.env());
-  PutTemplateMap(w, t.profile());
-  w.PutCount(t.calls().size());
-  for (const auto& c : t.calls()) {
-    w.PutString(c.callee);
-    w.PutCount(c.bindings.size());
-    for (const auto& [formal, piece] : c.bindings) {
-      w.PutString(formal);
-      PutTemplatePiece(w, piece);
-    }
-  }
-  PutAttributeSet(w, t.annotations());
-}
-
-Result<Transformation> ReadTransformation(Reader& r) {
-  Transformation t;
-  VDG_ASSIGN_OR_RETURN(std::string name, r.ReadString());
-  t.set_name(std::move(name));
-  VDG_ASSIGN_OR_RETURN(uint8_t kind, r.ReadU8());
-  if (kind > static_cast<uint8_t>(Transformation::Kind::kCompound)) {
-    return Status::ParseError("wire: transformation kind out of range");
-  }
-  t.set_kind(static_cast<Transformation::Kind>(kind));
-  VDG_ASSIGN_OR_RETURN(std::string version, r.ReadString());
-  t.set_version(std::move(version));
-  VDG_ASSIGN_OR_RETURN(size_t nargs, r.ReadCount());
-  for (size_t i = 0; i < nargs; ++i) {
-    VDG_ASSIGN_OR_RETURN(FormalArg a, ReadFormalArg(r));
-    // Bypass AddArg validation: the wire layer reproduces what was
-    // sent; semantic checks belong to the catalog, not the codec.
-    t.mutable_args().push_back(std::move(a));
-  }
-  VDG_ASSIGN_OR_RETURN(std::string exe, r.ReadString());
-  t.set_executable(std::move(exe));
-  VDG_ASSIGN_OR_RETURN(size_t ntmpl, r.ReadCount());
-  for (size_t i = 0; i < ntmpl; ++i) {
-    ArgumentTemplate at;
-    VDG_ASSIGN_OR_RETURN(at.name, r.ReadString());
-    VDG_ASSIGN_OR_RETURN(at.expr, ReadTemplateExpr(r));
-    t.AddArgumentTemplate(std::move(at));
-  }
-  VDG_ASSIGN_OR_RETURN(size_t nenv, r.ReadCount());
-  for (size_t i = 0; i < nenv; ++i) {
-    VDG_ASSIGN_OR_RETURN(std::string key, r.ReadString());
-    VDG_ASSIGN_OR_RETURN(TemplateExpr expr, ReadTemplateExpr(r));
-    t.SetEnv(std::move(key), std::move(expr));
-  }
-  VDG_ASSIGN_OR_RETURN(size_t nprof, r.ReadCount());
-  for (size_t i = 0; i < nprof; ++i) {
-    VDG_ASSIGN_OR_RETURN(std::string key, r.ReadString());
-    VDG_ASSIGN_OR_RETURN(TemplateExpr expr, ReadTemplateExpr(r));
-    t.SetProfile(std::move(key), std::move(expr));
-  }
-  VDG_ASSIGN_OR_RETURN(size_t ncalls, r.ReadCount());
-  for (size_t i = 0; i < ncalls; ++i) {
-    CompoundCall c;
-    VDG_ASSIGN_OR_RETURN(c.callee, r.ReadString());
-    VDG_ASSIGN_OR_RETURN(size_t nbind, r.ReadCount());
-    c.bindings.reserve(nbind);
-    for (size_t j = 0; j < nbind; ++j) {
-      VDG_ASSIGN_OR_RETURN(std::string formal, r.ReadString());
-      VDG_ASSIGN_OR_RETURN(TemplatePiece piece, ReadTemplatePiece(r));
-      c.bindings.emplace_back(std::move(formal), std::move(piece));
-    }
-    t.AddCall(std::move(c));
-  }
-  VDG_ASSIGN_OR_RETURN(t.annotations(), ReadAttributeSet(r));
-  return t;
-}
-
-void PutActualArg(Writer& w, const ActualArg& a) {
-  w.PutString(a.formal);
-  PutOptionalString(w, a.string_value);
-  PutOptionalString(w, a.dataset);
-  PutOptionalDirection(w, a.direction);
-}
-
-Result<ActualArg> ReadActualArg(Reader& r) {
-  ActualArg a;
-  VDG_ASSIGN_OR_RETURN(a.formal, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(a.string_value, ReadOptionalString(r));
-  VDG_ASSIGN_OR_RETURN(a.dataset, ReadOptionalString(r));
-  VDG_ASSIGN_OR_RETURN(a.direction, ReadOptionalDirection(r));
-  return a;
-}
-
-void PutDerivation(Writer& w, const Derivation& d) {
-  w.PutString(d.name());
-  w.PutString(d.transformation_namespace());
-  w.PutString(d.transformation());
-  w.PutCount(d.args().size());
-  for (const auto& a : d.args()) PutActualArg(w, a);
-  w.PutCount(d.env_overrides().size());
-  for (const auto& [key, value] : d.env_overrides()) {
-    w.PutString(key);
-    w.PutString(value);
-  }
-  PutAttributeSet(w, d.annotations());
-}
-
-Result<Derivation> ReadDerivation(Reader& r) {
-  Derivation d;
-  VDG_ASSIGN_OR_RETURN(std::string name, r.ReadString());
-  d.set_name(std::move(name));
-  VDG_ASSIGN_OR_RETURN(std::string ns, r.ReadString());
-  d.set_transformation_namespace(std::move(ns));
-  VDG_ASSIGN_OR_RETURN(std::string tr, r.ReadString());
-  d.set_transformation(std::move(tr));
-  VDG_ASSIGN_OR_RETURN(size_t nargs, r.ReadCount());
-  for (size_t i = 0; i < nargs; ++i) {
-    VDG_ASSIGN_OR_RETURN(ActualArg a, ReadActualArg(r));
-    VDG_RETURN_IF_ERROR(d.AddArg(std::move(a)));
-  }
-  VDG_ASSIGN_OR_RETURN(size_t nenv, r.ReadCount());
-  for (size_t i = 0; i < nenv; ++i) {
-    VDG_ASSIGN_OR_RETURN(std::string key, r.ReadString());
-    VDG_ASSIGN_OR_RETURN(std::string value, r.ReadString());
-    d.SetEnvOverride(std::move(key), std::move(value));
-  }
-  VDG_ASSIGN_OR_RETURN(d.annotations(), ReadAttributeSet(r));
-  return d;
-}
-
-void PutInvocation(Writer& w, const Invocation& inv) {
-  w.PutString(inv.id);
-  w.PutString(inv.derivation);
-  w.PutString(inv.context.site);
-  w.PutString(inv.context.host);
-  w.PutString(inv.context.os);
-  w.PutString(inv.context.architecture);
-  w.PutDouble(inv.start_time);
-  w.PutDouble(inv.duration_s);
-  w.PutDouble(inv.cpu_seconds);
-  w.PutI64(inv.peak_memory_bytes);
-  w.PutU32(static_cast<uint32_t>(inv.exit_code));
-  w.PutBool(inv.succeeded);
-  PutStringVec(w, inv.consumed_replicas);
-  PutStringVec(w, inv.produced_replicas);
-  PutAttributeSet(w, inv.annotations);
-}
-
-Result<Invocation> ReadInvocation(Reader& r) {
-  Invocation inv;
-  VDG_ASSIGN_OR_RETURN(inv.id, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(inv.derivation, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(inv.context.site, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(inv.context.host, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(inv.context.os, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(inv.context.architecture, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(inv.start_time, r.ReadDouble());
-  VDG_ASSIGN_OR_RETURN(inv.duration_s, r.ReadDouble());
-  VDG_ASSIGN_OR_RETURN(inv.cpu_seconds, r.ReadDouble());
-  VDG_ASSIGN_OR_RETURN(inv.peak_memory_bytes, r.ReadI64());
-  VDG_ASSIGN_OR_RETURN(uint32_t exit_code, r.ReadU32());
-  inv.exit_code = static_cast<int>(static_cast<int32_t>(exit_code));
-  VDG_ASSIGN_OR_RETURN(inv.succeeded, r.ReadBool());
-  VDG_ASSIGN_OR_RETURN(inv.consumed_replicas, ReadStringVec(r));
-  VDG_ASSIGN_OR_RETURN(inv.produced_replicas, ReadStringVec(r));
-  VDG_ASSIGN_OR_RETURN(inv.annotations, ReadAttributeSet(r));
-  return inv;
-}
-
-void PutCatalogChange(Writer& w, const CatalogChange& c) {
-  w.PutU64(c.version);
-  w.PutU8(static_cast<uint8_t>(c.op));
-  w.PutString(c.kind);
-  w.PutString(c.name);
-}
-
-Result<CatalogChange> ReadCatalogChange(Reader& r) {
-  CatalogChange c;
-  VDG_ASSIGN_OR_RETURN(c.version, r.ReadU64());
-  VDG_ASSIGN_OR_RETURN(uint8_t op, r.ReadU8());
-  c.op = static_cast<char>(op);
-  VDG_ASSIGN_OR_RETURN(c.kind, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(c.name, r.ReadString());
-  return c;
+  std::string msg = r.ReadString();
+  if (!r.ok()) return Status::OK();
+  return Status(static_cast<StatusCode>(code), std::move(msg));
 }
 
 void PutPredicate(Writer& w, const AttributePredicate& p) {
@@ -622,15 +43,15 @@ void PutPredicate(Writer& w, const AttributePredicate& p) {
   PutAttributeValue(w, p.operand);
 }
 
-Result<AttributePredicate> ReadPredicate(Reader& r) {
+AttributePredicate ReadPredicate(Reader& r) {
   AttributePredicate p;
-  VDG_ASSIGN_OR_RETURN(p.key, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(uint8_t op, r.ReadU8());
+  p.key = r.ReadString();
+  uint8_t op = r.ReadU8();
   if (op > static_cast<uint8_t>(PredicateOp::kExists)) {
-    return Status::ParseError("wire: predicate op out of range");
+    r.Fail("predicate op out of range");
   }
   p.op = static_cast<PredicateOp>(op);
-  VDG_ASSIGN_OR_RETURN(p.operand, ReadAttributeValue(r));
+  p.operand = ReadAttributeValue(r);
   return p;
 }
 
@@ -639,26 +60,20 @@ void PutPredicates(Writer& w, const std::vector<AttributePredicate>& v) {
   for (const auto& p : v) PutPredicate(w, p);
 }
 
-Result<std::vector<AttributePredicate>> ReadPredicates(Reader& r) {
-  VDG_ASSIGN_OR_RETURN(size_t n, r.ReadCount());
+std::vector<AttributePredicate> ReadPredicates(Reader& r) {
+  size_t n = r.ReadCount();
   std::vector<AttributePredicate> v;
   v.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    VDG_ASSIGN_OR_RETURN(AttributePredicate p, ReadPredicate(r));
-    v.push_back(std::move(p));
-  }
+  for (size_t i = 0; i < n && r.ok(); ++i) v.push_back(ReadPredicate(r));
   return v;
 }
 
 void PutOptionalType(Writer& w, const std::optional<DatasetType>& opt) {
-  PutOptional(w, opt, PutDatasetType);
+  PutOptional(w, opt, objcodec::PutDatasetType);
 }
 
-Result<std::optional<DatasetType>> ReadOptionalType(Reader& r) {
-  VDG_ASSIGN_OR_RETURN(bool present, r.ReadBool());
-  if (!present) return std::optional<DatasetType>();
-  VDG_ASSIGN_OR_RETURN(DatasetType t, ReadDatasetType(r));
-  return std::optional<DatasetType>(std::move(t));
+std::optional<DatasetType> ReadOptionalType(Reader& r) {
+  return ReadOptional(r, objcodec::ReadDatasetType);
 }
 
 void PutDatasetQuery(Writer& w, const DatasetQuery& q) {
@@ -670,15 +85,14 @@ void PutDatasetQuery(Writer& w, const DatasetQuery& q) {
   w.PutU64(q.limit);
 }
 
-Result<DatasetQuery> ReadDatasetQuery(Reader& r) {
+DatasetQuery ReadDatasetQuery(Reader& r) {
   DatasetQuery q;
-  VDG_ASSIGN_OR_RETURN(q.type, ReadOptionalType(r));
-  VDG_ASSIGN_OR_RETURN(q.predicates, ReadPredicates(r));
-  VDG_ASSIGN_OR_RETURN(q.name_prefix, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(q.require_materialized, r.ReadBool());
-  VDG_ASSIGN_OR_RETURN(q.only_virtual, r.ReadBool());
-  VDG_ASSIGN_OR_RETURN(uint64_t limit, r.ReadU64());
-  q.limit = static_cast<size_t>(limit);
+  q.type = ReadOptionalType(r);
+  q.predicates = ReadPredicates(r);
+  q.name_prefix = r.ReadString();
+  q.require_materialized = r.ReadBool();
+  q.only_virtual = r.ReadBool();
+  q.limit = static_cast<size_t>(r.ReadU64());
   return q;
 }
 
@@ -690,14 +104,13 @@ void PutTransformationQuery(Writer& w, const TransformationQuery& q) {
   w.PutU64(q.limit);
 }
 
-Result<TransformationQuery> ReadTransformationQuery(Reader& r) {
+TransformationQuery ReadTransformationQuery(Reader& r) {
   TransformationQuery q;
-  VDG_ASSIGN_OR_RETURN(q.consumes, ReadOptionalType(r));
-  VDG_ASSIGN_OR_RETURN(q.produces, ReadOptionalType(r));
-  VDG_ASSIGN_OR_RETURN(q.predicates, ReadPredicates(r));
-  VDG_ASSIGN_OR_RETURN(q.name_prefix, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(uint64_t limit, r.ReadU64());
-  q.limit = static_cast<size_t>(limit);
+  q.consumes = ReadOptionalType(r);
+  q.produces = ReadOptionalType(r);
+  q.predicates = ReadPredicates(r);
+  q.name_prefix = r.ReadString();
+  q.limit = static_cast<size_t>(r.ReadU64());
   return q;
 }
 
@@ -710,15 +123,14 @@ void PutDerivationQuery(Writer& w, const DerivationQuery& q) {
   w.PutU64(q.limit);
 }
 
-Result<DerivationQuery> ReadDerivationQuery(Reader& r) {
+DerivationQuery ReadDerivationQuery(Reader& r) {
   DerivationQuery q;
-  VDG_ASSIGN_OR_RETURN(q.transformation, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(q.reads_dataset, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(q.writes_dataset, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(q.predicates, ReadPredicates(r));
-  VDG_ASSIGN_OR_RETURN(q.name_prefix, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(uint64_t limit, r.ReadU64());
-  q.limit = static_cast<size_t>(limit);
+  q.transformation = r.ReadString();
+  q.reads_dataset = r.ReadString();
+  q.writes_dataset = r.ReadString();
+  q.predicates = ReadPredicates(r);
+  q.name_prefix = r.ReadString();
+  q.limit = static_cast<size_t>(r.ReadU64());
   return q;
 }
 
@@ -726,33 +138,21 @@ void PutObjectRecord(Writer& w, const ObjectRecord& rec) {
   w.PutString(rec.kind);
   w.PutString(rec.name);
   PutStatus(w, rec.status);
-  PutOptional(w, rec.dataset, PutDataset);
-  PutOptional(w, rec.transformation, PutTransformation);
-  PutOptional(w, rec.derivation, PutDerivation);
+  PutOptional(w, rec.dataset, objcodec::PutDataset);
+  PutOptional(w, rec.transformation, objcodec::PutTransformation);
+  PutOptional(w, rec.derivation, objcodec::PutDerivation);
   w.PutBool(rec.materialized);
 }
 
-Result<ObjectRecord> ReadObjectRecord(Reader& r) {
+ObjectRecord ReadObjectRecord(Reader& r) {
   ObjectRecord rec;
-  VDG_ASSIGN_OR_RETURN(rec.kind, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(rec.name, r.ReadString());
-  VDG_RETURN_IF_ERROR(ReadStatus(r, &rec.status));
-  VDG_ASSIGN_OR_RETURN(bool has_ds, r.ReadBool());
-  if (has_ds) {
-    VDG_ASSIGN_OR_RETURN(Dataset d, ReadDataset(r));
-    rec.dataset = std::move(d);
-  }
-  VDG_ASSIGN_OR_RETURN(bool has_tr, r.ReadBool());
-  if (has_tr) {
-    VDG_ASSIGN_OR_RETURN(Transformation t, ReadTransformation(r));
-    rec.transformation = std::move(t);
-  }
-  VDG_ASSIGN_OR_RETURN(bool has_dv, r.ReadBool());
-  if (has_dv) {
-    VDG_ASSIGN_OR_RETURN(Derivation d, ReadDerivation(r));
-    rec.derivation = std::move(d);
-  }
-  VDG_ASSIGN_OR_RETURN(rec.materialized, r.ReadBool());
+  rec.kind = r.ReadString();
+  rec.name = r.ReadString();
+  rec.status = ReadStatus(r);
+  rec.dataset = ReadOptional(r, objcodec::ReadDataset);
+  rec.transformation = ReadOptional(r, objcodec::ReadTransformation);
+  rec.derivation = ReadOptional(r, objcodec::ReadDerivation);
+  rec.materialized = r.ReadBool();
   return rec;
 }
 
@@ -760,27 +160,26 @@ void PutProvenanceStep(Writer& w, const ProvenanceStep& s) {
   w.PutString(s.dataset);
   w.PutBool(s.exists);
   w.PutString(s.producer);
-  PutOptional(w, s.derivation, PutDerivation);
+  PutOptional(w, s.derivation, objcodec::PutDerivation);
   w.PutCount(s.invocations.size());
   for (const auto& inv : s.invocations) PutInvocation(w, inv);
 }
 
-Result<ProvenanceStep> ReadProvenanceStep(Reader& r) {
+std::vector<Invocation> ReadInvocations(Reader& r) {
+  size_t n = r.ReadCount();
+  std::vector<Invocation> v;
+  v.reserve(n);
+  for (size_t i = 0; i < n && r.ok(); ++i) v.push_back(ReadInvocation(r));
+  return v;
+}
+
+ProvenanceStep ReadProvenanceStep(Reader& r) {
   ProvenanceStep s;
-  VDG_ASSIGN_OR_RETURN(s.dataset, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(s.exists, r.ReadBool());
-  VDG_ASSIGN_OR_RETURN(s.producer, r.ReadString());
-  VDG_ASSIGN_OR_RETURN(bool has_dv, r.ReadBool());
-  if (has_dv) {
-    VDG_ASSIGN_OR_RETURN(Derivation d, ReadDerivation(r));
-    s.derivation = std::move(d);
-  }
-  VDG_ASSIGN_OR_RETURN(size_t n, r.ReadCount());
-  s.invocations.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    VDG_ASSIGN_OR_RETURN(Invocation inv, ReadInvocation(r));
-    s.invocations.push_back(std::move(inv));
-  }
+  s.dataset = r.ReadString();
+  s.exists = r.ReadBool();
+  s.producer = r.ReadString();
+  s.derivation = ReadOptional(r, objcodec::ReadDerivation);
+  s.invocations = ReadInvocations(r);
   return s;
 }
 
@@ -825,61 +224,47 @@ void PutMutation(Writer& w, const CatalogMutation& m) {
       m.op);
 }
 
-Result<CatalogMutation> ReadMutation(Reader& r) {
-  VDG_ASSIGN_OR_RETURN(uint8_t index, r.ReadU8());
-  switch (index) {
-    case 0: {
-      VDG_ASSIGN_OR_RETURN(Dataset d, ReadDataset(r));
-      return CatalogMutation::DefineDataset(std::move(d));
-    }
-    case 1: {
-      VDG_ASSIGN_OR_RETURN(Transformation t, ReadTransformation(r));
-      return CatalogMutation::DefineTransformation(std::move(t));
-    }
-    case 2: {
-      VDG_ASSIGN_OR_RETURN(Derivation d, ReadDerivation(r));
-      return CatalogMutation::DefineDerivation(std::move(d));
-    }
+CatalogMutation ReadMutation(Reader& r) {
+  switch (r.ReadU8()) {
+    case 0:
+      return CatalogMutation::DefineDataset(ReadDataset(r));
+    case 1:
+      return CatalogMutation::DefineTransformation(ReadTransformation(r));
+    case 2:
+      return CatalogMutation::DefineDerivation(ReadDerivation(r));
     case 3: {
       CatalogMutation::AnnotateOp op;
-      VDG_ASSIGN_OR_RETURN(op.kind, r.ReadString());
-      VDG_ASSIGN_OR_RETURN(op.name, r.ReadString());
-      VDG_ASSIGN_OR_RETURN(op.key, r.ReadString());
-      VDG_ASSIGN_OR_RETURN(op.value, ReadAttributeValue(r));
-      VDG_ASSIGN_OR_RETURN(bool has_from, r.ReadBool());
-      if (has_from) {
-        VDG_ASSIGN_OR_RETURN(uint64_t pos, r.ReadU64());
-        op.name_from_op = static_cast<size_t>(pos);
-      }
+      op.kind = r.ReadString();
+      op.name = r.ReadString();
+      op.key = r.ReadString();
+      op.value = ReadAttributeValue(r);
+      op.name_from_op = ReadOptional(
+          r, [](Reader& r) { return static_cast<size_t>(r.ReadU64()); });
       return CatalogMutation{std::move(op)};
     }
-    case 4: {
-      VDG_ASSIGN_OR_RETURN(Replica rep, ReadReplica(r));
-      return CatalogMutation::AddReplica(std::move(rep));
-    }
+    case 4:
+      return CatalogMutation::AddReplica(ReadReplica(r));
     case 5: {
       CatalogMutation::RecordInvocationOp op;
-      VDG_ASSIGN_OR_RETURN(op.invocation, ReadInvocation(r));
-      VDG_ASSIGN_OR_RETURN(size_t n, r.ReadCount());
+      op.invocation = ReadInvocation(r);
+      size_t n = r.ReadCount();
       op.produced_from_ops.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        VDG_ASSIGN_OR_RETURN(uint64_t pos, r.ReadU64());
-        op.produced_from_ops.push_back(static_cast<size_t>(pos));
+      for (size_t i = 0; i < n && r.ok(); ++i) {
+        op.produced_from_ops.push_back(static_cast<size_t>(r.ReadU64()));
       }
       return CatalogMutation{std::move(op)};
     }
     case 6: {
       CatalogMutation::SetDatasetSizeOp op;
-      VDG_ASSIGN_OR_RETURN(op.name, r.ReadString());
-      VDG_ASSIGN_OR_RETURN(op.size_bytes, r.ReadI64());
+      op.name = r.ReadString();
+      op.size_bytes = r.ReadI64();
       return CatalogMutation{std::move(op)};
     }
-    case 7: {
-      VDG_ASSIGN_OR_RETURN(std::string id, r.ReadString());
-      return CatalogMutation::InvalidateReplica(std::move(id));
-    }
+    case 7:
+      return CatalogMutation::InvalidateReplica(r.ReadString());
     default:
-      return Status::ParseError("wire: unknown mutation op index");
+      r.Fail("unknown mutation op index");
+      return CatalogMutation::InvalidateReplica("");
   }
 }
 
@@ -892,20 +277,15 @@ void PutBatchResult(Writer& w, const BatchResult& b) {
   PutStatus(w, b.first_error);
 }
 
-Result<BatchResult> ReadBatchResult(Reader& r) {
+BatchResult ReadBatchResult(Reader& r) {
   BatchResult b;
-  VDG_ASSIGN_OR_RETURN(size_t n, r.ReadCount());
+  size_t n = r.ReadCount();
   b.statuses.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    Status s;
-    VDG_RETURN_IF_ERROR(ReadStatus(r, &s));
-    b.statuses.push_back(std::move(s));
-  }
-  VDG_ASSIGN_OR_RETURN(b.assigned_ids, ReadStringVec(r));
-  VDG_ASSIGN_OR_RETURN(uint64_t applied, r.ReadU64());
-  b.applied = static_cast<size_t>(applied);
-  VDG_ASSIGN_OR_RETURN(b.version, r.ReadU64());
-  VDG_RETURN_IF_ERROR(ReadStatus(r, &b.first_error));
+  for (size_t i = 0; i < n && r.ok(); ++i) b.statuses.push_back(ReadStatus(r));
+  b.assigned_ids = ReadStringVec(r);
+  b.applied = static_cast<size_t>(r.ReadU64());
+  b.version = r.ReadU64();
+  b.first_error = ReadStatus(r);
   return b;
 }
 
@@ -1099,11 +479,7 @@ Result<size_t> FrameSize(std::string_view buffer) {
   if (buffer.size() < kFrameHeaderBytes) {
     return Status::NotFound("wire: incomplete frame header");
   }
-  uint32_t payload_size = 0;
-  for (int i = 0; i < 4; ++i) {
-    payload_size |=
-        static_cast<uint32_t>(static_cast<uint8_t>(buffer[16 + i])) << (8 * i);
-  }
+  uint32_t payload_size = Reader(buffer.substr(16, 4)).ReadU32();
   if (payload_size > kMaxPayloadBytes) {
     return Status::ResourceExhausted("wire: declared payload exceeds limit");
   }
@@ -1118,35 +494,28 @@ Result<Frame> DecodeFrame(std::string_view bytes) {
   if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0) {
     return Status::ParseError("wire: bad frame magic");
   }
+  Reader header(
+      bytes.substr(sizeof(kMagic), kFrameHeaderBytes - sizeof(kMagic)));
   Frame frame;
-  frame.version = static_cast<uint8_t>(bytes[4]);
+  frame.version = header.ReadU8();
   if (frame.version != kCodecVersion) {
     return Status::ParseError("wire: unsupported codec version");
   }
-  uint8_t flags = static_cast<uint8_t>(bytes[5]);
+  uint8_t flags = header.ReadU8();
   if ((flags & ~kFlagResponse) != 0) {
     return Status::ParseError("wire: unknown frame flags");
   }
   frame.is_response = (flags & kFlagResponse) != 0;
-  uint8_t raw_kind = static_cast<uint8_t>(bytes[6]);
+  uint8_t raw_kind = header.ReadU8();
   if (!IsValidMsgKind(raw_kind)) {
     return Status::ParseError("wire: unknown message kind");
   }
   frame.kind = static_cast<MsgKind>(raw_kind);
-  if (static_cast<uint8_t>(bytes[7]) != 0) {
+  if (header.ReadU8() != 0) {
     return Status::ParseError("wire: nonzero reserved header byte");
   }
-  uint64_t request_id = 0;
-  for (int i = 0; i < 8; ++i) {
-    request_id |= static_cast<uint64_t>(static_cast<uint8_t>(bytes[8 + i]))
-                  << (8 * i);
-  }
-  frame.request_id = request_id;
-  uint32_t payload_size = 0;
-  for (int i = 0; i < 4; ++i) {
-    payload_size |=
-        static_cast<uint32_t>(static_cast<uint8_t>(bytes[16 + i])) << (8 * i);
-  }
+  frame.request_id = header.ReadU64();
+  uint32_t payload_size = header.ReadU32();
   if (payload_size > kMaxPayloadBytes) {
     return Status::ResourceExhausted("wire: declared payload exceeds limit");
   }
@@ -1155,14 +524,8 @@ Result<Frame> DecodeFrame(std::string_view bytes) {
     return Status::ParseError("wire: frame length disagrees with header");
   }
   size_t crc_offset = bytes.size() - kFrameTrailerBytes;
-  uint32_t stored_crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored_crc |=
-        static_cast<uint32_t>(static_cast<uint8_t>(bytes[crc_offset + i]))
-        << (8 * i);
-  }
-  uint32_t computed = Crc32(bytes.substr(0, crc_offset));
-  if (stored_crc != computed) {
+  uint32_t stored_crc = Reader(bytes.substr(crc_offset)).ReadU32();
+  if (stored_crc != Crc32(bytes.substr(0, crc_offset))) {
     return Status::ParseError("wire: frame checksum mismatch");
   }
   frame.payload = bytes.substr(kFrameHeaderBytes, payload_size);
@@ -1178,12 +541,9 @@ Result<Request> DecodeRequest(MsgKind kind, std::string_view payload) {
     case MsgKind::kVersion:
       req.body = EmptyReq{};
       break;
-    case MsgKind::kChangesSince: {
-      ChangesSinceReq body;
-      VDG_ASSIGN_OR_RETURN(body.since_version, r.ReadU64());
-      req.body = std::move(body);
+    case MsgKind::kChangesSince:
+      req.body = ChangesSinceReq{r.ReadU64()};
       break;
-    }
     case MsgKind::kGetDataset:
     case MsgKind::kGetTransformation:
     case MsgKind::kGetDerivation:
@@ -1193,116 +553,86 @@ Result<Request> DecodeRequest(MsgKind kind, std::string_view payload) {
     case MsgKind::kInvocationsOf:
     case MsgKind::kAllNames:
     case MsgKind::kGetProvenanceStep:
-    case MsgKind::kInvalidateReplica: {
-      NameReq body;
-      VDG_ASSIGN_OR_RETURN(body.name, r.ReadString());
-      req.body = std::move(body);
+    case MsgKind::kInvalidateReplica:
+      req.body = NameReq{r.ReadString()};
       break;
-    }
-    case MsgKind::kFindDatasets: {
-      FindDatasetsReq body;
-      VDG_ASSIGN_OR_RETURN(body.query, ReadDatasetQuery(r));
-      req.body = std::move(body);
+    case MsgKind::kFindDatasets:
+      req.body = FindDatasetsReq{ReadDatasetQuery(r)};
       break;
-    }
-    case MsgKind::kFindTransformations: {
-      FindTransformationsReq body;
-      VDG_ASSIGN_OR_RETURN(body.query, ReadTransformationQuery(r));
-      req.body = std::move(body);
+    case MsgKind::kFindTransformations:
+      req.body = FindTransformationsReq{ReadTransformationQuery(r)};
       break;
-    }
-    case MsgKind::kFindDerivations: {
-      FindDerivationsReq body;
-      VDG_ASSIGN_OR_RETURN(body.query, ReadDerivationQuery(r));
-      req.body = std::move(body);
+    case MsgKind::kFindDerivations:
+      req.body = FindDerivationsReq{ReadDerivationQuery(r)};
       break;
-    }
     case MsgKind::kTypeConforms: {
       TypeConformsReq body;
-      VDG_ASSIGN_OR_RETURN(body.type, ReadDatasetType(r));
-      VDG_ASSIGN_OR_RETURN(body.against, ReadDatasetType(r));
+      body.type = ReadDatasetType(r);
+      body.against = ReadDatasetType(r);
       req.body = std::move(body);
       break;
     }
     case MsgKind::kBatchGet: {
       BatchGetReq body;
-      VDG_ASSIGN_OR_RETURN(size_t n, r.ReadCount());
+      size_t n = r.ReadCount();
       body.keys.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
+      for (size_t i = 0; i < n && r.ok(); ++i) {
         ObjectKey key;
-        VDG_ASSIGN_OR_RETURN(key.kind, r.ReadString());
-        VDG_ASSIGN_OR_RETURN(key.name, r.ReadString());
+        key.kind = r.ReadString();
+        key.name = r.ReadString();
         body.keys.push_back(std::move(key));
       }
       req.body = std::move(body);
       break;
     }
-    case MsgKind::kDefineDataset: {
-      DefineDatasetReq body;
-      VDG_ASSIGN_OR_RETURN(body.dataset, ReadDataset(r));
-      req.body = std::move(body);
+    case MsgKind::kDefineDataset:
+      req.body = DefineDatasetReq{ReadDataset(r)};
       break;
-    }
-    case MsgKind::kDefineTransformation: {
-      DefineTransformationReq body;
-      VDG_ASSIGN_OR_RETURN(body.transformation, ReadTransformation(r));
-      req.body = std::move(body);
+    case MsgKind::kDefineTransformation:
+      req.body = DefineTransformationReq{ReadTransformation(r)};
       break;
-    }
-    case MsgKind::kDefineDerivation: {
-      DefineDerivationReq body;
-      VDG_ASSIGN_OR_RETURN(body.derivation, ReadDerivation(r));
-      req.body = std::move(body);
+    case MsgKind::kDefineDerivation:
+      req.body = DefineDerivationReq{ReadDerivation(r)};
       break;
-    }
     case MsgKind::kAnnotate: {
       AnnotateReq body;
-      VDG_ASSIGN_OR_RETURN(body.kind, r.ReadString());
-      VDG_ASSIGN_OR_RETURN(body.name, r.ReadString());
-      VDG_ASSIGN_OR_RETURN(body.key, r.ReadString());
-      VDG_ASSIGN_OR_RETURN(body.value, ReadAttributeValue(r));
+      body.kind = r.ReadString();
+      body.name = r.ReadString();
+      body.key = r.ReadString();
+      body.value = ReadAttributeValue(r);
       req.body = std::move(body);
       break;
     }
-    case MsgKind::kAddReplica: {
-      AddReplicaReq body;
-      VDG_ASSIGN_OR_RETURN(body.replica, ReadReplica(r));
-      req.body = std::move(body);
+    case MsgKind::kAddReplica:
+      req.body = AddReplicaReq{ReadReplica(r)};
       break;
-    }
-    case MsgKind::kRecordInvocation: {
-      RecordInvocationReq body;
-      VDG_ASSIGN_OR_RETURN(body.invocation, ReadInvocation(r));
-      req.body = std::move(body);
+    case MsgKind::kRecordInvocation:
+      req.body = RecordInvocationReq{ReadInvocation(r)};
       break;
-    }
     case MsgKind::kSetDatasetSize: {
       SetDatasetSizeReq body;
-      VDG_ASSIGN_OR_RETURN(body.name, r.ReadString());
-      VDG_ASSIGN_OR_RETURN(body.size_bytes, r.ReadI64());
+      body.name = r.ReadString();
+      body.size_bytes = r.ReadI64();
       req.body = std::move(body);
       break;
     }
     case MsgKind::kApplyBatch: {
       ApplyBatchReq body;
-      VDG_ASSIGN_OR_RETURN(size_t n, r.ReadCount());
+      size_t n = r.ReadCount();
       body.mutations.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        VDG_ASSIGN_OR_RETURN(CatalogMutation m, ReadMutation(r));
-        body.mutations.push_back(std::move(m));
+      for (size_t i = 0; i < n && r.ok(); ++i) {
+        body.mutations.push_back(ReadMutation(r));
       }
-      VDG_ASSIGN_OR_RETURN(body.options.stop_on_error, r.ReadBool());
+      body.options.stop_on_error = r.ReadBool();
       // The idempotency token is a trailing optional field: frames
       // produced by pre-token encoders end right after stop_on_error,
       // and must keep decoding (version-tolerant within codec v1).
-      if (!r.AtEnd()) {
-        VDG_ASSIGN_OR_RETURN(body.options.idempotency_token, r.ReadString());
-      }
+      if (!r.AtEnd()) body.options.idempotency_token = r.ReadString();
       req.body = std::move(body);
       break;
     }
   }
-  VDG_RETURN_IF_ERROR(r.ExpectEnd());
+  VDG_RETURN_IF_ERROR(r.Finish());
   return req;
 }
 
@@ -1310,123 +640,86 @@ Result<Response> DecodeResponse(MsgKind kind, std::string_view payload) {
   Reader r(payload);
   Response resp;
   resp.kind = kind;
-  VDG_RETURN_IF_ERROR(ReadStatus(r, &resp.status));
+  resp.status = ReadStatus(r);
   if (!resp.status.ok()) {
     // Error responses carry no body regardless of kind.
-    VDG_RETURN_IF_ERROR(r.ExpectEnd());
+    VDG_RETURN_IF_ERROR(r.Finish());
     return resp;
   }
   switch (kind) {
     case MsgKind::kHandshake: {
       HandshakeResp body;
-      VDG_ASSIGN_OR_RETURN(body.authority, r.ReadString());
-      VDG_ASSIGN_OR_RETURN(body.read_only, r.ReadBool());
+      body.authority = r.ReadString();
+      body.read_only = r.ReadBool();
       resp.body = std::move(body);
       break;
     }
-    case MsgKind::kVersion: {
-      VersionResp body;
-      VDG_ASSIGN_OR_RETURN(body.version, r.ReadU64());
-      resp.body = std::move(body);
+    case MsgKind::kVersion:
+      resp.body = VersionResp{r.ReadU64()};
       break;
-    }
     case MsgKind::kChangesSince: {
       ChangesResp body;
-      VDG_ASSIGN_OR_RETURN(size_t n, r.ReadCount());
+      size_t n = r.ReadCount();
       body.changes.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        VDG_ASSIGN_OR_RETURN(CatalogChange c, ReadCatalogChange(r));
-        body.changes.push_back(std::move(c));
+      for (size_t i = 0; i < n && r.ok(); ++i) {
+        body.changes.push_back(ReadCatalogChange(r));
       }
       resp.body = std::move(body);
       break;
     }
-    case MsgKind::kGetDataset: {
-      DatasetResp body;
-      VDG_ASSIGN_OR_RETURN(body.dataset, ReadDataset(r));
-      resp.body = std::move(body);
+    case MsgKind::kGetDataset:
+      resp.body = DatasetResp{ReadDataset(r)};
       break;
-    }
-    case MsgKind::kGetTransformation: {
-      TransformationResp body;
-      VDG_ASSIGN_OR_RETURN(body.transformation, ReadTransformation(r));
-      resp.body = std::move(body);
+    case MsgKind::kGetTransformation:
+      resp.body = TransformationResp{ReadTransformation(r)};
       break;
-    }
-    case MsgKind::kGetDerivation: {
-      DerivationResp body;
-      VDG_ASSIGN_OR_RETURN(body.derivation, ReadDerivation(r));
-      resp.body = std::move(body);
+    case MsgKind::kGetDerivation:
+      resp.body = DerivationResp{ReadDerivation(r)};
       break;
-    }
     case MsgKind::kHasDataset:
     case MsgKind::kIsMaterialized:
-    case MsgKind::kTypeConforms: {
-      BoolResp body;
-      VDG_ASSIGN_OR_RETURN(body.value, r.ReadBool());
-      resp.body = std::move(body);
+    case MsgKind::kTypeConforms:
+      resp.body = BoolResp{r.ReadBool()};
       break;
-    }
     case MsgKind::kProducerOf:
     case MsgKind::kAddReplica:
-    case MsgKind::kRecordInvocation: {
-      StringResp body;
-      VDG_ASSIGN_OR_RETURN(body.value, r.ReadString());
-      resp.body = std::move(body);
+    case MsgKind::kRecordInvocation:
+      resp.body = StringResp{r.ReadString()};
       break;
-    }
-    case MsgKind::kInvocationsOf: {
-      InvocationsResp body;
-      VDG_ASSIGN_OR_RETURN(size_t n, r.ReadCount());
-      body.invocations.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        VDG_ASSIGN_OR_RETURN(Invocation inv, ReadInvocation(r));
-        body.invocations.push_back(std::move(inv));
-      }
-      resp.body = std::move(body);
+    case MsgKind::kInvocationsOf:
+      resp.body = InvocationsResp{ReadInvocations(r)};
       break;
-    }
     case MsgKind::kFindDatasets:
     case MsgKind::kFindTransformations:
     case MsgKind::kFindDerivations:
     case MsgKind::kAllNames: {
       // Arena decode: one buffer per response holds every name;
       // the list's views point into it (no per-name allocation).
-      NamesResp body;
-      VDG_ASSIGN_OR_RETURN(size_t n, r.ReadCount());
+      size_t n = r.ReadCount();
       NameList::ArenaBuilder names;
       names.Reserve(n, r.remaining());
-      for (size_t i = 0; i < n; ++i) {
-        VDG_ASSIGN_OR_RETURN(std::string_view s, r.ReadStringView());
-        names.Append(s);
+      for (size_t i = 0; i < n && r.ok(); ++i) {
+        names.Append(r.ReadStringView());
       }
-      body.names = std::move(names).Build();
-      resp.body = std::move(body);
+      resp.body = NamesResp{std::move(names).Build()};
       break;
     }
     case MsgKind::kBatchGet: {
       RecordsResp body;
-      VDG_ASSIGN_OR_RETURN(size_t n, r.ReadCount());
+      size_t n = r.ReadCount();
       body.records.reserve(n);
-      for (size_t i = 0; i < n; ++i) {
-        VDG_ASSIGN_OR_RETURN(ObjectRecord rec, ReadObjectRecord(r));
-        body.records.push_back(std::move(rec));
+      for (size_t i = 0; i < n && r.ok(); ++i) {
+        body.records.push_back(ReadObjectRecord(r));
       }
       resp.body = std::move(body);
       break;
     }
-    case MsgKind::kGetProvenanceStep: {
-      StepResp body;
-      VDG_ASSIGN_OR_RETURN(body.step, ReadProvenanceStep(r));
-      resp.body = std::move(body);
+    case MsgKind::kGetProvenanceStep:
+      resp.body = StepResp{ReadProvenanceStep(r)};
       break;
-    }
-    case MsgKind::kApplyBatch: {
-      BatchResultResp body;
-      VDG_ASSIGN_OR_RETURN(body.result, ReadBatchResult(r));
-      resp.body = std::move(body);
+    case MsgKind::kApplyBatch:
+      resp.body = BatchResultResp{ReadBatchResult(r)};
       break;
-    }
     case MsgKind::kDefineDataset:
     case MsgKind::kDefineTransformation:
     case MsgKind::kDefineDerivation:
@@ -1436,7 +729,7 @@ Result<Response> DecodeResponse(MsgKind kind, std::string_view payload) {
       // Status-only responses.
       break;
   }
-  VDG_RETURN_IF_ERROR(r.ExpectEnd());
+  VDG_RETURN_IF_ERROR(r.Finish());
   return resp;
 }
 

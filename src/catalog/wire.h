@@ -36,6 +36,9 @@ namespace vdg {
 ///   20      N     payload (per-kind encoding)
 ///   20+N    4     CRC-32 of bytes [0, 20+N)
 ///
+/// Schema objects inside a payload use the shared object codec
+/// (objcodec.h), the same bytes the flat snapshot stores.
+///
 /// Integrity contract: a frame is accepted only when the magic,
 /// version, reserved byte, size bound, and trailing CRC all check out;
 /// anything else is rejected with a typed error (ParseError for

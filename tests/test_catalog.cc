@@ -1,6 +1,10 @@
 #include "catalog/catalog.h"
 
 #include <cstdio>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 #include <gtest/gtest.h>
 
 #include "catalog/codec.h"
@@ -591,6 +595,95 @@ TEST_F(PersistenceTest, RemovalsAndInvalidationsSurviveReplay) {
   EXPECT_FALSE(reopened.HasDerivation("usetrans2"));
   EXPECT_FALSE(reopened.IsMaterialized("file2"));
   EXPECT_EQ(reopened.ReplicasOf("file2", false).size(), 1u);
+}
+
+// A nan/inf double attribute has no journal form: journaling one would
+// leave a record replay refuses, so the catalog could not be reopened.
+// Every mutation path must refuse it before journaling.
+TEST_F(PersistenceTest, NonFiniteDoubleAttributesAreRejectedBeforeJournaling) {
+  {
+    VirtualDataCatalog catalog("persist.org",
+                               std::make_unique<FileJournal>(path_));
+    ASSERT_TRUE(catalog.Open().ok());
+    ASSERT_TRUE(catalog.ImportVdl(kChainVdl).ok());
+    Replica good_replica;
+    good_replica.dataset = "file1";
+    good_replica.site = "s";
+    Result<std::string> replica_id = catalog.AddReplica(good_replica);
+    ASSERT_TRUE(replica_id.ok());
+    Invocation good_invocation;
+    good_invocation.derivation = "usetrans1";
+    Result<std::string> invocation_id =
+        catalog.RecordInvocation(good_invocation);
+    ASSERT_TRUE(invocation_id.ok());
+    const uint64_t version = catalog.version();
+
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity()}) {
+      const AttributeValue value(bad);
+      for (const auto& [kind, name] :
+           std::vector<std::pair<std::string, std::string>>{
+               {"dataset", "file1"},
+               {"transformation", "trans1"},
+               {"derivation", "usetrans1"},
+               {"replica", *replica_id},
+               {"invocation", *invocation_id}}) {
+        EXPECT_TRUE(catalog.Annotate(kind, name, "q", value)
+                        .IsInvalidArgument())
+            << kind;
+      }
+
+      Dataset annotated;
+      annotated.name = "bad_annotation";
+      annotated.annotations.Set("q", value);
+      EXPECT_TRUE(catalog.DefineDataset(annotated).IsInvalidArgument());
+      Dataset described;
+      described.name = "bad_descriptor";
+      described.descriptor.fields.Set("q", value);
+      EXPECT_TRUE(catalog.DefineDataset(described).IsInvalidArgument());
+
+      Transformation tr = *catalog.GetTransformation("trans1");
+      tr.set_name("trans_bad");
+      tr.annotations().Set("q", value);
+      EXPECT_TRUE(catalog.DefineTransformation(tr).IsInvalidArgument());
+      Derivation dv("dv_bad", "trans1");
+      ASSERT_TRUE(dv.AddArg(ActualArg::DatasetRef("a1", "file1",
+                                                  ArgDirection::kIn))
+                      .ok());
+      ASSERT_TRUE(dv.AddArg(ActualArg::DatasetRef("a2", "file_bad",
+                                                  ArgDirection::kOut))
+                      .ok());
+      dv.annotations().Set("q", value);
+      EXPECT_TRUE(catalog.DefineDerivation(dv).IsInvalidArgument());
+
+      Replica replica = good_replica;
+      replica.annotations.Set("q", value);
+      EXPECT_TRUE(catalog.AddReplica(replica).status().IsInvalidArgument());
+      Invocation invocation = good_invocation;
+      invocation.annotations.Set("q", value);
+      EXPECT_TRUE(
+          catalog.RecordInvocation(invocation).status().IsInvalidArgument());
+
+      BatchResult batch = catalog.ApplyBatch(
+          {CatalogMutation::Annotate("dataset", "file1", "q", value),
+           CatalogMutation::DefineDataset(annotated),
+           CatalogMutation::AddReplica(replica),
+           CatalogMutation::RecordInvocation(invocation)});
+      EXPECT_EQ(batch.applied, 0u);
+      for (const Status& s : batch.statuses) {
+        EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+      }
+    }
+    EXPECT_EQ(catalog.version(), version);
+    ASSERT_TRUE(catalog.SyncJournal().ok());
+  }
+  VirtualDataCatalog reopened("persist.org",
+                              std::make_unique<FileJournal>(path_));
+  Status opened = reopened.Open();
+  ASSERT_TRUE(opened.ok()) << opened.ToString();
+  EXPECT_FALSE(reopened.GetDataset("file1")->annotations.Has("q"));
+  EXPECT_FALSE(reopened.HasDataset("bad_annotation"));
 }
 
 TEST(VectorJournalTest, CapturesRecords) {

@@ -853,6 +853,29 @@ TEST(WireFrames, TrailingGarbageAfterPayloadIsRejected) {
   EXPECT_TRUE(decoded.status().IsParseError());
 }
 
+TEST(WireFrames, NonFiniteDoubleAttributesAreParseErrors) {
+  // nan/inf have no journal form, so the decoder refuses them rather
+  // than hand the catalog a value it could journal but never replay.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    Dataset ds;
+    ds.name = "d1";
+    ds.annotations.Set("q", AttributeValue(bad));
+    for (const Request& req :
+         {Request{MsgKind::kAnnotate,
+                  AnnotateReq{"dataset", "d1", "q", AttributeValue(bad)}},
+          Request{MsgKind::kDefineDataset, DefineDatasetReq{ds}}}) {
+      std::string frame = EncodeRequestFrame(1, req);
+      Result<Frame> envelope = DecodeFrame(frame);
+      ASSERT_TRUE(envelope.ok());
+      Result<Request> decoded = DecodeRequest(req.kind, envelope->payload);
+      EXPECT_TRUE(decoded.status().IsParseError())
+          << MsgKindName(req.kind) << " " << bad;
+    }
+  }
+}
+
 TEST(WireFrames, RandomGarbagePayloadsNeverCrash) {
   Rng rng(1111);
   // Fully random bytes against every kind's request and response

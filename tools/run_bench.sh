@@ -283,6 +283,12 @@ python3 "$REPO_ROOT/tools/check_bench_floor.py" --ceiling \
   --relative-to "BM_CommitCost/2500/manual_time" "$CONC_OUT" \
   "BM_CommitCost/80000/manual_time" 2 commit_us
 
+# Flat-snapshot cold start at most half of full journal replay
+# (recorded 11.0 vs 46.7 ms; the speedup above only requires > 1x).
+python3 "$REPO_ROOT/tools/check_bench_floor.py" --ceiling \
+  --relative-to "BM_ColdStartReplay/real_time" "$CONC_OUT" \
+  "BM_ColdStartFlatSnapshot/real_time" 0.5 real_time
+
 # Fault tolerance: workflow success rates under injected job/transfer
 # failures and a mid-run site crash with data loss. The acceptance bar
 # (10%/10% faults + crash -> >= 99% success) is checked here so a
