@@ -1,23 +1,62 @@
 #include "catalog/sharding.h"
 
 #include <algorithm>
+#include <map>
 #include <optional>
-#include <thread>
 #include <utility>
 #include <variant>
 
+#include "catalog/wire.h"
 #include "common/hash.h"
 #include "common/strings.h"
 #include "common/uri.h"
 
 namespace vdg {
 
-uint32_t ShardRouter::ShardOf(std::string_view name) const {
-  return static_cast<uint32_t>(Fnv1a64(name) % shard_count_);
+namespace {
+
+using wire::MsgKind;
+
+/// Runs `fn` on `request`'s body when it is a `Body`, the alternative
+/// its kind carries; InvalidArgument otherwise.
+template <typename Body, typename Fn>
+Result<wire::Response> With(const wire::Request& request, Fn&& fn) {
+  const Body* body = std::get_if<Body>(&request.body);
+  if (body == nullptr) {
+    return Status::InvalidArgument(
+        "request body does not match message kind " +
+        std::string(wire::MsgKindName(request.kind)));
+  }
+  return fn(*body);
 }
 
-uint64_t ShardSetFingerprint(
-    const std::vector<std::shared_ptr<CatalogClient>>& shards) {
+template <typename Body>
+wire::Response Reply(MsgKind kind, Body body) {
+  wire::Response response;
+  response.kind = kind;
+  response.body = std::move(body);
+  return response;
+}
+
+using Shards = std::vector<std::shared_ptr<CatalogClient>>;
+
+/// Stable hash placement of object names onto shards: FNV-1a over the
+/// name, mod the shard count. Deterministic across processes and
+/// sessions, so every client of the same topology agrees on placement
+/// without coordination.
+uint32_t ShardIndex(std::string_view name, size_t shard_count) {
+  return shard_count == 0 ? 0
+                          : static_cast<uint32_t>(Fnv1a64(name) % shard_count);
+}
+
+CatalogClient& Owner(const Shards& shards, std::string_view name) {
+  return *shards[ShardIndex(name, shards.size())];
+}
+
+/// Stable fingerprint of one shard set: a hash over the ordered shard
+/// authorities and the count. Any resharding — count change, backend
+/// swap, reorder — changes it.
+uint64_t ShardSetFingerprint(const Shards& shards) {
   std::string key = std::to_string(shards.size());
   for (const auto& shard : shards) {
     key.push_back('\x1f');
@@ -26,112 +65,11 @@ uint64_t ShardSetFingerprint(
   return Fnv1a64(key);
 }
 
-NameList MergeSortedNameLists(const std::vector<NameList>& lists,
-                              size_t limit) {
-  size_t total = 0;
-  size_t bytes = 0;
-  for (const NameList& list : lists) {
-    total += list.size();
-    for (std::string_view name : list) bytes += name.size();
-  }
-  NameList::ArenaBuilder builder;
-  builder.Reserve(limit != 0 ? std::min(limit, total) : total, bytes);
-  std::vector<size_t> cursor(lists.size(), 0);
-  while (limit == 0 || builder.size() < limit) {
-    size_t best = lists.size();
-    for (size_t i = 0; i < lists.size(); ++i) {
-      if (cursor[i] >= lists[i].size()) continue;
-      if (best == lists.size() ||
-          lists[i][cursor[i]] < lists[best][cursor[best]]) {
-        best = i;
-      }
-    }
-    if (best == lists.size()) break;
-    builder.Append(lists[best][cursor[best]]);
-    ++cursor[best];
-  }
-  return std::move(builder).Build();
-}
-
-ShardedCatalogClient::ShardedCatalogClient(
-    std::vector<std::shared_ptr<CatalogClient>> shards,
-    ShardedClientOptions options)
-    : authority_("vdp://sharded"), options_(std::move(options)) {
-  auto topo = std::make_shared<Topology>();
-  if (shards.empty()) {
-    // A degenerate empty topology would make every route ill-formed;
-    // keep the invariant "at least one shard" instead.
-    shards.push_back(nullptr);
-  }
-  topo->router = ShardRouter(static_cast<uint32_t>(shards.size()));
-  topo->fingerprint = ShardSetFingerprint(shards);
-  topo->shards = std::move(shards);
-  topology_ = std::move(topo);
-}
-
-std::shared_ptr<const ShardedCatalogClient::Topology>
-ShardedCatalogClient::topology() const {
-  std::lock_guard<std::mutex> lock(topology_mu_);
-  return topology_;
-}
-
-Status ShardedCatalogClient::Reshard(
-    std::vector<std::shared_ptr<CatalogClient>> shards) {
-  if (shards.empty()) {
-    return Status::InvalidArgument("reshard to an empty shard set");
-  }
-  for (const auto& shard : shards) {
-    if (shard == nullptr) {
-      return Status::InvalidArgument("reshard with a null shard client");
-    }
-  }
-  auto topo = std::make_shared<Topology>();
-  topo->router = ShardRouter(static_cast<uint32_t>(shards.size()));
-  topo->fingerprint = ShardSetFingerprint(shards);
-  topo->shards = std::move(shards);
-  std::lock_guard<std::mutex> lock(topology_mu_);
-  topology_ = std::move(topo);
-  return Status::OK();
-}
-
-bool ShardedCatalogClient::read_only() const {
-  auto topo = topology();
-  for (const auto& shard : topo->shards) {
-    if (shard != nullptr && !shard->read_only()) return false;
-  }
-  return true;
-}
-
-ShardTopology ShardedCatalogClient::shard_topology() const {
-  auto topo = topology();
-  ShardTopology out;
-  out.shard_count = topo->router.shard_count();
-  out.fingerprint = topo->fingerprint;
-  return out;
-}
-
-uint32_t ShardedCatalogClient::ShardOf(std::string_view name) const {
-  return topology()->router.ShardOf(name);
-}
-
-uint32_t ShardedCatalogClient::shard_count() const {
-  return topology()->router.shard_count();
-}
-
-std::string ShardedCatalogClient::MakeReplicaId(uint32_t shard) {
-  return "rp-" + options_.id_tag + "s" + std::to_string(shard) + "-" +
-         std::to_string(++replica_seq_);
-}
-
-std::string ShardedCatalogClient::MakeInvocationId(uint32_t shard) {
-  return "iv-" + options_.id_tag + "s" + std::to_string(shard) + "-" +
-         std::to_string(++invocation_seq_);
-}
-
-bool ShardedCatalogClient::ShardFromAssignedId(const Topology& topo,
-                                               std::string_view id,
-                                               uint32_t* shard) const {
-  // "rp-<tag>s<shard>-<seq>" / "iv-<tag>s<shard>-<seq>".
+/// Parses the shard index out of a client-assigned replica or
+/// invocation id, "rp-<tag>s<shard>-<seq>" / "iv-<tag>s<shard>-<seq>";
+/// false for foreign/caller-supplied ids.
+bool ShardFromAssignedId(std::string_view id, std::string_view tag,
+                         size_t shard_count, uint32_t* shard) {
   std::string_view rest;
   if (StartsWith(id, "rp-")) {
     rest = id.substr(3);
@@ -140,8 +78,8 @@ bool ShardedCatalogClient::ShardFromAssignedId(const Topology& topo,
   } else {
     return false;
   }
-  if (!StartsWith(rest, options_.id_tag)) return false;
-  rest = rest.substr(options_.id_tag.size());
+  if (!StartsWith(rest, tag)) return false;
+  rest = rest.substr(tag.size());
   if (rest.empty() || rest[0] != 's') return false;
   rest = rest.substr(1);
   size_t dash = rest.find('-');
@@ -151,212 +89,97 @@ bool ShardedCatalogClient::ShardFromAssignedId(const Topology& topo,
     if (c < '0' || c > '9') return false;
     value = value * 10 + static_cast<uint32_t>(c - '0');
   }
-  if (value >= topo.router.shard_count()) return false;
+  if (value >= shard_count) return false;
   *shard = value;
   return true;
 }
 
-// ---------------------------------------------------------------------
-// Reads
-// ---------------------------------------------------------------------
-
-Result<uint64_t> ShardedCatalogClient::Version() {
-  auto topo = topology();
-  uint64_t sum = 0;
-  for (const auto& shard : topo->shards) {
-    VDG_ASSIGN_OR_RETURN(uint64_t v, shard->Version());
-    sum += v;
-  }
-  return sum;
-}
-
-Result<std::vector<uint64_t>> ShardedCatalogClient::ShardVersions() {
-  auto topo = topology();
+Result<std::vector<uint64_t>> VersionsOf(const Shards& shards) {
   std::vector<uint64_t> versions;
-  versions.reserve(topo->shards.size());
-  for (const auto& shard : topo->shards) {
+  versions.reserve(shards.size());
+  for (const auto& shard : shards) {
     VDG_ASSIGN_OR_RETURN(uint64_t v, shard->Version());
     versions.push_back(v);
   }
   return versions;
 }
 
-Result<std::vector<CatalogChange>> ShardedCatalogClient::ShardChangesSince(
-    uint32_t shard, uint64_t since_version) {
-  auto topo = topology();
-  if (shard >= topo->shards.size()) {
-    return Status::InvalidArgument("no shard " + std::to_string(shard) +
-                                   " in a " +
-                                   std::to_string(topo->shards.size()) +
-                                   "-shard topology");
+Result<uint64_t> CompositeVersion(const Shards& shards) {
+  VDG_ASSIGN_OR_RETURN(std::vector<uint64_t> versions, VersionsOf(shards));
+  uint64_t sum = 0;
+  for (uint64_t v : versions) sum += v;
+  return sum;
+}
+
+/// Sends `request` to every shard and merges the NamesResp lists
+/// (capped at `limit`, 0 = unlimited).
+Result<wire::Response> Gather(const Shards& shards,
+                              const wire::Request& request, size_t limit) {
+  if (shards.size() == 1) return shards[0]->Call(request);
+  std::vector<NameList> lists;
+  lists.reserve(shards.size());
+  for (const auto& shard : shards) {
+    // A failed leg fails the gather: a partial merge would be silent
+    // truncation, the one thing a discovery result must never be.
+    VDG_ASSIGN_OR_RETURN(wire::Response leg, shard->Call(request));
+    auto* body = std::get_if<wire::NamesResp>(&leg.body);
+    if (body == nullptr) {
+      return Status::Internal("shard answered " +
+                              std::string(wire::MsgKindName(request.kind)) +
+                              " without a name list");
+    }
+    lists.push_back(std::move(body->names));
   }
-  return topo->shards[shard]->ChangesSince(since_version);
+  return Reply(request.kind,
+               wire::NamesResp{MergeSortedNameLists(lists, limit)});
 }
 
-Result<std::vector<CatalogChange>> ShardedCatalogClient::ChangesSince(
-    uint64_t since_version) {
-  // The composite version is a sum of per-shard versions: it orders
-  // observations but is not addressable in any one shard's changelog,
-  // so only the trivial answers exist here. Delta consumers hold
-  // per-shard anchors and call ShardChangesSince instead; everyone
-  // else hits the same FailedPrecondition they already handle for an
-  // out-of-window changelog (full resync).
-  VDG_ASSIGN_OR_RETURN(uint64_t current, Version());
-  if (since_version == current) return std::vector<CatalogChange>{};
-  if (since_version > current) {
-    return Status::InvalidArgument(
-        "composite version " + std::to_string(since_version) +
-        " is from the future (current " + std::to_string(current) + ")");
-  }
-  return Status::FailedPrecondition(
-      "composite catalog version is not delta-addressable; use "
-      "ShardChangesSince with per-shard anchors");
-}
-
-Result<Dataset> ShardedCatalogClient::GetDataset(std::string_view name) {
-  auto topo = topology();
-  return topo->shards[topo->router.ShardOf(name)]->GetDataset(name);
-}
-
-Result<Transformation> ShardedCatalogClient::GetTransformation(
-    std::string_view name) {
-  // Transformations are broadcast-replicated: any shard answers; hash
-  // the name anyway to spread the load.
-  auto topo = topology();
-  return topo->shards[topo->router.ShardOf(name)]->GetTransformation(name);
-}
-
-Result<Derivation> ShardedCatalogClient::GetDerivation(
-    std::string_view name) {
-  auto topo = topology();
-  return topo->shards[topo->router.ShardOf(name)]->GetDerivation(name);
-}
-
-Result<bool> ShardedCatalogClient::HasDataset(std::string_view name) {
-  auto topo = topology();
-  return topo->shards[topo->router.ShardOf(name)]->HasDataset(name);
-}
-
-Result<bool> ShardedCatalogClient::IsMaterialized(std::string_view dataset) {
-  auto topo = topology();
-  return topo->shards[topo->router.ShardOf(dataset)]->IsMaterialized(dataset);
-}
-
-Result<std::string> ShardedCatalogClient::ProducerOf(
-    std::string_view dataset) {
-  auto topo = topology();
-  Result<std::string> home =
-      topo->shards[topo->router.ShardOf(dataset)]->ProducerOf(dataset);
-  if (home.ok() || !home.status().IsNotFound()) return home;
-  // Cross-shard adoption gap: a pre-existing producerless dataset whose
-  // producing derivation lives on another shard never got its producer
-  // field backfilled. The derivation's home shard still indexed the
-  // writes edge, so ask the writes index everywhere before conceding.
+/// The derivation whose writes index names `dataset`, asked of every
+/// shard; "" when none does.
+Result<std::string> WriterOf(const Shards& shards, std::string_view dataset) {
   DerivationQuery query;
   query.writes_dataset = std::string(dataset);
   query.limit = 1;
-  for (const auto& shard : topo->shards) {
+  for (const auto& shard : shards) {
     VDG_ASSIGN_OR_RETURN(NameList writers, shard->FindDerivations(query));
     if (!writers.empty()) return std::string(writers.front());
   }
-  return home;
+  return std::string();
 }
 
-Result<std::vector<Invocation>> ShardedCatalogClient::InvocationsOf(
-    std::string_view derivation) {
-  auto topo = topology();
-  return topo->shards[topo->router.ShardOf(derivation)]->InvocationsOf(
-      derivation);
-}
-
-Result<std::vector<NameList>> ShardedCatalogClient::ScatterLists(
-    const Topology& topo,
-    const std::function<Result<NameList>(CatalogClient&)>& fn) {
-  const size_t n = topo.shards.size();
-  std::vector<std::optional<Result<NameList>>> legs(n);
-  if (options_.parallel_fanout && n > 1) {
-    std::vector<std::thread> threads;
-    threads.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      threads.emplace_back(
-          [&, i] { legs[i].emplace(fn(*topo.shards[i])); });
+/// Fills in what `step`'s home shard cannot know: a producer homed on
+/// another shard, and that producer's derivation and invocations.
+Status CompleteStep(const Shards& shards, ProvenanceStep* step) {
+  if (!step->exists) return Status::OK();
+  if (step->producer.empty()) {
+    // Same adoption gap as ProducerOf: consult the writes index.
+    VDG_ASSIGN_OR_RETURN(step->producer, WriterOf(shards, step->dataset));
+  }
+  if (!step->producer.empty() && !step->derivation.has_value()) {
+    // The producing derivation (and its invocations) are homed on the
+    // producer's shard, not the dataset's.
+    CatalogClient& home = Owner(shards, step->producer);
+    Result<Derivation> dv = home.GetDerivation(step->producer);
+    if (dv.ok()) {
+      step->derivation = *std::move(dv);
+      VDG_ASSIGN_OR_RETURN(step->invocations,
+                           home.InvocationsOf(step->producer));
+    } else if (!dv.status().IsNotFound()) {
+      return dv.status();
     }
-    for (std::thread& t : threads) t.join();
-  } else {
-    for (size_t i = 0; i < n; ++i) legs[i].emplace(fn(*topo.shards[i]));
   }
-  std::vector<NameList> lists;
-  lists.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    // A failed leg fails the gather: a partial merge would be silent
-    // truncation, the one thing a discovery result must never be.
-    if (!legs[i]->ok()) return legs[i]->status();
-    lists.push_back(*std::move(*legs[i]));
-  }
-  return lists;
+  return Status::OK();
 }
 
-Result<NameList> ShardedCatalogClient::FindDatasets(
-    const DatasetQuery& query) {
-  auto topo = topology();
-  if (topo->shards.size() == 1) return topo->shards[0]->FindDatasets(query);
-  VDG_ASSIGN_OR_RETURN(
-      std::vector<NameList> lists,
-      ScatterLists(*topo, [&](CatalogClient& shard) {
-        return shard.FindDatasets(query);
-      }));
-  return MergeSortedNameLists(lists, query.limit);
-}
-
-Result<NameList> ShardedCatalogClient::FindTransformations(
-    const TransformationQuery& query) {
-  // Broadcast-replicated objects: shard 0 holds the full set.
-  return topology()->shards[0]->FindTransformations(query);
-}
-
-Result<NameList> ShardedCatalogClient::FindDerivations(
-    const DerivationQuery& query) {
-  auto topo = topology();
-  if (topo->shards.size() == 1) return topo->shards[0]->FindDerivations(query);
-  VDG_ASSIGN_OR_RETURN(
-      std::vector<NameList> lists,
-      ScatterLists(*topo, [&](CatalogClient& shard) {
-        return shard.FindDerivations(query);
-      }));
-  return MergeSortedNameLists(lists, query.limit);
-}
-
-Result<NameList> ShardedCatalogClient::AllNames(std::string_view kind) {
-  auto topo = topology();
-  if (kind == "transformation" || topo->shards.size() == 1) {
-    return topo->shards[0]->AllNames(kind);
-  }
-  if (kind != "dataset" && kind != "derivation") {
-    return topo->shards[0]->AllNames(kind);  // surfaces InvalidArgument
-  }
-  VDG_ASSIGN_OR_RETURN(
-      std::vector<NameList> lists,
-      ScatterLists(*topo, [&](CatalogClient& shard) {
-        return shard.AllNames(kind);
-      }));
-  return MergeSortedNameLists(lists, 0);
-}
-
-Result<bool> ShardedCatalogClient::TypeConforms(const DatasetType& type,
-                                                const DatasetType& against) {
-  // Shards share one type universe by contract; shard 0 judges.
-  return topology()->shards[0]->TypeConforms(type, against);
-}
-
-Result<std::vector<ObjectRecord>> ShardedCatalogClient::BatchGet(
-    const std::vector<ObjectKey>& keys) {
-  auto topo = topology();
-  const size_t n = topo->shards.size();
-  if (n == 1) return topo->shards[0]->BatchGet(keys);
+/// BatchGet split by owning shard, reassembled in key order.
+Result<std::vector<ObjectRecord>> BatchGetAcross(
+    const Shards& shards, const std::vector<ObjectKey>& keys) {
+  const size_t n = shards.size();
+  if (n == 1) return shards[0]->BatchGet(keys);
   std::vector<std::vector<ObjectKey>> per_shard(n);
   std::vector<std::vector<size_t>> positions(n);
   for (size_t i = 0; i < keys.size(); ++i) {
-    uint32_t shard = topo->router.ShardOf(keys[i].name);
+    uint32_t shard = ShardIndex(keys[i].name, n);
     per_shard[shard].push_back(keys[i]);
     positions[shard].push_back(i);
   }
@@ -364,7 +187,7 @@ Result<std::vector<ObjectRecord>> ShardedCatalogClient::BatchGet(
   for (size_t k = 0; k < n; ++k) {
     if (per_shard[k].empty()) continue;
     VDG_ASSIGN_OR_RETURN(std::vector<ObjectRecord> got,
-                         topo->shards[k]->BatchGet(per_shard[k]));
+                         shards[k]->BatchGet(per_shard[k]));
     if (got.size() != per_shard[k].size()) {
       return Status::Internal("shard " + std::to_string(k) +
                               " returned a misaligned BatchGet");
@@ -376,83 +199,25 @@ Result<std::vector<ObjectRecord>> ShardedCatalogClient::BatchGet(
   return records;
 }
 
-Result<ProvenanceStep> ShardedCatalogClient::GetProvenanceStep(
-    std::string_view dataset) {
-  auto topo = topology();
-  VDG_ASSIGN_OR_RETURN(
-      ProvenanceStep step,
-      topo->shards[topo->router.ShardOf(dataset)]->GetProvenanceStep(
-          dataset));
-  if (!step.exists) return step;
-  if (step.producer.empty()) {
-    // Same adoption gap as ProducerOf: consult the writes index.
-    DerivationQuery query;
-    query.writes_dataset = std::string(dataset);
-    query.limit = 1;
-    for (const auto& shard : topo->shards) {
-      VDG_ASSIGN_OR_RETURN(NameList writers, shard->FindDerivations(query));
-      if (!writers.empty()) {
-        step.producer = std::string(writers.front());
-        break;
-      }
-    }
-  }
-  if (!step.producer.empty() && !step.derivation.has_value()) {
-    // The producing derivation (and its invocations) are homed on the
-    // producer's shard, not the dataset's.
-    CatalogClient& home = *topo->shards[topo->router.ShardOf(step.producer)];
-    Result<Derivation> dv = home.GetDerivation(step.producer);
-    if (dv.ok()) {
-      step.derivation = *std::move(dv);
-      VDG_ASSIGN_OR_RETURN(step.invocations,
-                           home.InvocationsOf(step.producer));
-    } else if (!dv.status().IsNotFound()) {
-      return dv.status();
-    }
-  }
-  return step;
-}
+/// Datasets and transformations defined by EARLIER ops of an in-flight
+/// batch: not yet visible on any shard, but a derivation later in the
+/// batch must plan against them, as it would against the unsharded
+/// catalog.
+struct PendingDefinitions {
+  std::map<std::string, Dataset> datasets;
+  std::map<std::string, Transformation> transformations;
+};
 
-// ---------------------------------------------------------------------
-// Mutations
-// ---------------------------------------------------------------------
-
-Status ShardedCatalogClient::DefineDataset(Dataset dataset) {
-  auto topo = topology();
-  uint32_t shard = topo->router.ShardOf(dataset.name);
-  return topo->shards[shard]->DefineDataset(std::move(dataset));
-}
-
-Status ShardedCatalogClient::DefineTransformation(
-    Transformation transformation) {
-  // Broadcast; a partially applied earlier attempt self-heals: any
-  // fresh define plus only-AlreadyExists elsewhere still counts as
-  // success, and all-AlreadyExists is the plain retry answer.
-  auto topo = topology();
-  size_t ok_count = 0;
-  std::optional<Status> already;
-  std::optional<Status> error;
-  for (const auto& shard : topo->shards) {
-    Status s = shard->DefineTransformation(transformation);
-    if (s.ok()) {
-      ++ok_count;
-    } else if (s.IsAlreadyExists()) {
-      if (!already) already = std::move(s);
-    } else if (!error) {
-      error = std::move(s);
-    }
-  }
-  if (error) return *error;
-  if (ok_count > 0) return Status::OK();
-  return *already;  // every shard said AlreadyExists: the retry answer
-}
-
-Status ShardedCatalogClient::PlanDerivation(
-    const Topology& topo, const Derivation& derivation, DerivationPlan* plan,
-    const PendingDefinitions* pending) {
-  const uint32_t home = topo.router.ShardOf(derivation.name());
+/// Cross-shard referential checks for one derivation (see the class
+/// comment), collecting the missing outputs to pre-create on their
+/// home shards into `outputs`. Mirrors the unsharded catalog's error
+/// vocabulary (AlreadyExists / NotFound / TypeError). `pending` holds
+/// the batch's earlier definitions; nullptr outside a batch.
+Status PlanDerivation(const Shards& shards, const Derivation& derivation,
+                      const PendingDefinitions* pending,
+                      std::vector<Dataset>* outputs) {
   Result<Derivation> existing =
-      topo.shards[home]->GetDerivation(derivation.name());
+      Owner(shards, derivation.name()).GetDerivation(derivation.name());
   if (existing.ok()) {
     return Status::AlreadyExists("derivation already defined: " +
                                  derivation.name());
@@ -463,7 +228,7 @@ Status ShardedCatalogClient::PlanDerivation(
   std::optional<Transformation> tr;
   if (!IsVdpUri(tr_name)) {
     Result<Transformation> got =
-        topo.shards[topo.router.ShardOf(tr_name)]->GetTransformation(tr_name);
+        Owner(shards, tr_name).GetTransformation(tr_name);
     if (got.ok()) {
       tr = *std::move(got);
     } else if (!got.status().IsNotFound()) {
@@ -488,8 +253,7 @@ Status ShardedCatalogClient::PlanDerivation(
       return Status::OK();
     }
     Result<Dataset> ds =
-        topo.shards[topo.router.ShardOf(*arg.dataset)]->GetDataset(
-            *arg.dataset);
+        Owner(shards, *arg.dataset).GetDataset(*arg.dataset);
     const Dataset* known = nullptr;
     if (ds.ok()) {
       known = &*ds;
@@ -507,7 +271,7 @@ Status ShardedCatalogClient::PlanDerivation(
         bool conforms = false;
         for (const DatasetType& want : formal->types) {
           VDG_ASSIGN_OR_RETURN(
-              bool one, topo.shards[0]->TypeConforms(known->type, want));
+              bool one, shards[0]->TypeConforms(known->type, want));
           if (one) {
             conforms = true;
             break;
@@ -547,8 +311,8 @@ Status ShardedCatalogClient::PlanDerivation(
     }
     if (arg.direction.has_value() && DirectionWrites(*arg.direction)) {
       bool duplicate = false;
-      for (const auto& pending : plan->ensure_outputs) {
-        if (pending.second.name == *arg.dataset) {
+      for (const Dataset& pending : *outputs) {
+        if (pending.name == *arg.dataset) {
           duplicate = true;
           break;
         }
@@ -561,108 +325,388 @@ Status ShardedCatalogClient::PlanDerivation(
         out.type = formal->types.front();
       }
       out.descriptor = DatasetDescriptor::File(out.name);
-      plan->ensure_outputs.emplace_back(topo.router.ShardOf(out.name),
-                                        std::move(out));
+      outputs->push_back(std::move(out));
     }
   }
   return Status::OK();
 }
 
-Status ShardedCatalogClient::DefineDerivation(Derivation derivation) {
-  auto topo = topology();
-  VDG_RETURN_IF_ERROR(derivation.Validate());
-  DerivationPlan plan;
-  VDG_RETURN_IF_ERROR(PlanDerivation(*topo, derivation, &plan));
-  for (const auto& [shard, dataset] : plan.ensure_outputs) {
-    Status s = topo->shards[shard]->DefineDataset(dataset);
-    if (!s.ok() && !s.IsAlreadyExists()) return s;
+}  // namespace
+
+NameList MergeSortedNameLists(const std::vector<NameList>& lists,
+                              size_t limit) {
+  size_t total = 0;
+  size_t bytes = 0;
+  for (const NameList& list : lists) {
+    total += list.size();
+    for (std::string_view name : list) bytes += name.size();
   }
-  const uint32_t home = topo->router.ShardOf(derivation.name());
-  return topo->shards[home]->DefineDerivation(std::move(derivation));
+  NameList::ArenaBuilder builder;
+  builder.Reserve(limit != 0 ? std::min(limit, total) : total, bytes);
+  std::vector<size_t> cursor(lists.size(), 0);
+  while (limit == 0 || builder.size() < limit) {
+    size_t best = lists.size();
+    for (size_t i = 0; i < lists.size(); ++i) {
+      if (cursor[i] >= lists[i].size()) continue;
+      if (best == lists.size() ||
+          lists[i][cursor[i]] < lists[best][cursor[best]]) {
+        best = i;
+      }
+    }
+    if (best == lists.size()) break;
+    builder.Append(lists[best][cursor[best]]);
+    ++cursor[best];
+  }
+  return std::move(builder).Build();
 }
 
-Status ShardedCatalogClient::AnyShard(
-    const Topology& topo, const std::function<Status(CatalogClient&)>& fn) {
-  std::optional<Status> not_found;
-  for (const auto& shard : topo.shards) {
-    Status s = fn(*shard);
-    if (s.ok()) return s;
-    if (s.IsNotFound()) {
-      if (!not_found) not_found = std::move(s);
-    } else {
-      // A shard that cannot answer might have held the object: failing
-      // loud beats a false NotFound.
-      return s;
-    }
+std::shared_ptr<const ShardedCatalogClient::Topology>
+ShardedCatalogClient::MakeTopology(
+    std::vector<std::shared_ptr<CatalogClient>> shards) {
+  auto topo = std::make_shared<Topology>();
+  if (shards.empty()) {
+    topo->usable = Status::InvalidArgument("empty shard set");
+  } else if (std::find(shards.begin(), shards.end(), nullptr) !=
+             shards.end()) {
+    topo->usable = Status::InvalidArgument("null shard client");
+  } else {
+    topo->shards = std::move(shards);
   }
-  return *not_found;
+  topo->fingerprint = ShardSetFingerprint(topo->shards);
+  return topo;
 }
 
-Status ShardedCatalogClient::Annotate(std::string_view kind,
-                                      std::string_view name,
-                                      std::string_view key,
-                                      AttributeValue value) {
+ShardedCatalogClient::ShardedCatalogClient(
+    std::vector<std::shared_ptr<CatalogClient>> shards,
+    ShardedClientOptions options)
+    : authority_("vdp://sharded"),
+      options_(std::move(options)),
+      topology_(MakeTopology(std::move(shards))) {}
+
+std::shared_ptr<const ShardedCatalogClient::Topology>
+ShardedCatalogClient::topology() const {
+  std::lock_guard<std::mutex> lock(topology_mu_);
+  return topology_;
+}
+
+Status ShardedCatalogClient::Reshard(
+    std::vector<std::shared_ptr<CatalogClient>> shards) {
+  std::shared_ptr<const Topology> topo = MakeTopology(std::move(shards));
+  if (!topo->usable.ok()) return topo->usable;
+  std::lock_guard<std::mutex> lock(topology_mu_);
+  topology_ = std::move(topo);
+  return Status::OK();
+}
+
+bool ShardedCatalogClient::read_only() const {
+  // An unusable topology is not read-only: its calls must reach Call()
+  // and report why.
   auto topo = topology();
-  if (kind == "dataset" || kind == "derivation") {
-    uint32_t shard = topo->router.ShardOf(name);
-    return topo->shards[shard]->Annotate(kind, name, key, std::move(value));
+  return !topo->shards.empty() &&
+         std::all_of(topo->shards.begin(), topo->shards.end(),
+                     [](const auto& shard) { return shard->read_only(); });
+}
+
+ShardTopology ShardedCatalogClient::shard_topology() const {
+  auto topo = topology();
+  ShardTopology out;
+  out.shard_count = std::max<uint32_t>(1, topo->shards.size());
+  out.fingerprint = topo->fingerprint;
+  return out;
+}
+
+uint32_t ShardedCatalogClient::ShardOf(std::string_view name) const {
+  return ShardIndex(name, topology()->shards.size());
+}
+
+uint32_t ShardedCatalogClient::shard_count() const {
+  return shard_topology().shard_count;
+}
+
+void ShardedCatalogClient::AssignId(MsgKind kind, uint32_t shard,
+                                    std::string* id) {
+  if (!id->empty()) return;
+  const bool replica = kind == MsgKind::kAddReplica;
+  *id = (replica ? "rp-" : "iv-") + options_.id_tag + "s" +
+        std::to_string(shard) + "-" +
+        std::to_string(++(replica ? replica_seq_ : invocation_seq_));
+}
+
+// ---------------------------------------------------------------------
+// Call: one switch over the message kind
+// ---------------------------------------------------------------------
+
+Result<wire::Response> ShardedCatalogClient::Call(
+    const wire::Request& request) {
+  const std::shared_ptr<const Topology> held = topology();
+  const Topology& topo = *held;
+  if (!topo.usable.ok()) return topo.usable;
+  const Shards& shards = topo.shards;
+  const MsgKind kind = request.kind;
+  auto owner = [&](std::string_view name) {
+    return Owner(shards, name).Call(request);
+  };
+  switch (kind) {
+    case MsgKind::kHandshake:
+      return CatalogClient::Call(request);  // from authority()/read_only()
+    case MsgKind::kVersion:
+      return With<wire::EmptyReq>(
+          request, [&](const auto&) -> Result<wire::Response> {
+            VDG_ASSIGN_OR_RETURN(uint64_t version, CompositeVersion(shards));
+            return Reply(kind, wire::VersionResp{version});
+          });
+    case MsgKind::kChangesSince:
+      return With<wire::ChangesSinceReq>(
+          request, [&](const auto& b) -> Result<wire::Response> {
+            // The composite version is a sum of per-shard versions: it
+            // orders observations but is not addressable in any one
+            // shard's changelog, so only the trivial answers exist
+            // here. Delta consumers hold per-shard anchors and call
+            // ShardChangesSince instead; everyone else hits the same
+            // FailedPrecondition they already handle for an
+            // out-of-window changelog (full resync).
+            VDG_ASSIGN_OR_RETURN(uint64_t current, CompositeVersion(shards));
+            if (b.since_version == current) {
+              return Reply(kind, wire::ChangesResp{});
+            }
+            if (b.since_version > current) {
+              return Status::InvalidArgument(
+                  "composite version " + std::to_string(b.since_version) +
+                  " is from the future (current " + std::to_string(current) +
+                  ")");
+            }
+            return Status::FailedPrecondition(
+                "composite catalog version is not delta-addressable; use "
+                "ShardChangesSince with per-shard anchors");
+          });
+    case MsgKind::kGetDataset:
+    case MsgKind::kGetTransformation:  // on every shard; hash to spread
+    case MsgKind::kGetDerivation:
+    case MsgKind::kHasDataset:
+    case MsgKind::kIsMaterialized:
+    case MsgKind::kInvocationsOf:
+      return With<wire::NameReq>(request,
+                                 [&](const auto& b) { return owner(b.name); });
+    case MsgKind::kProducerOf:
+      return With<wire::NameReq>(
+          request, [&](const auto& b) -> Result<wire::Response> {
+            Result<wire::Response> home = owner(b.name);
+            if (home.ok() || !home.status().IsNotFound()) return home;
+            // Cross-shard adoption gap: a pre-existing producerless
+            // dataset whose producing derivation lives on another shard
+            // never got its producer field backfilled. The derivation's
+            // home shard still indexed the writes edge.
+            VDG_ASSIGN_OR_RETURN(std::string writer, WriterOf(shards, b.name));
+            if (writer.empty()) return home;
+            return Reply(kind, wire::StringResp{std::move(writer)});
+          });
+    case MsgKind::kGetProvenanceStep:
+      return With<wire::NameReq>(
+          request, [&](const auto& b) -> Result<wire::Response> {
+            VDG_ASSIGN_OR_RETURN(wire::Response response, owner(b.name));
+            auto* body = std::get_if<wire::StepResp>(&response.body);
+            if (body == nullptr) {
+              return Status::Internal("shard answered " + b.name +
+                                      "'s provenance step without a step");
+            }
+            VDG_RETURN_IF_ERROR(CompleteStep(shards, &body->step));
+            return response;
+          });
+    case MsgKind::kFindDatasets:
+      return With<wire::FindDatasetsReq>(request, [&](const auto& b) {
+        return Gather(shards, request, b.query.limit);
+      });
+    case MsgKind::kFindDerivations:
+      return With<wire::FindDerivationsReq>(request, [&](const auto& b) {
+        return Gather(shards, request, b.query.limit);
+      });
+    case MsgKind::kAllNames:
+      return With<wire::NameReq>(request, [&](const auto& b) {
+        // Transformations are on every shard; shard 0 also reports an
+        // unknown kind.
+        if (b.name != "dataset" && b.name != "derivation") {
+          return topo.shards[0]->Call(request);
+        }
+        return Gather(shards, request, 0);
+      });
+    case MsgKind::kFindTransformations:
+    case MsgKind::kTypeConforms:
+      // Broadcast-replicated transformations and one shared type
+      // universe: shard 0 holds them all.
+      return topo.shards[0]->Call(request);
+    case MsgKind::kBatchGet:
+      return With<wire::BatchGetReq>(
+          request, [&](const auto& b) -> Result<wire::Response> {
+            VDG_ASSIGN_OR_RETURN(std::vector<ObjectRecord> records,
+                                 BatchGetAcross(shards, b.keys));
+            return Reply(kind, wire::RecordsResp{std::move(records)});
+          });
+    case MsgKind::kDefineDataset:
+      return With<wire::DefineDatasetReq>(request, [&](const auto& b) {
+        return Mutate(topo, request, Place(topo, kind, b.dataset.name));
+      });
+    case MsgKind::kDefineTransformation:
+      return With<wire::DefineTransformationReq>(request, [&](const auto& b) {
+        return Mutate(topo, request,
+                      Place(topo, kind, b.transformation.name()));
+      });
+    case MsgKind::kDefineDerivation:
+      return With<wire::DefineDerivationReq>(
+          request, [&](const auto& b) -> Result<wire::Response> {
+            VDG_RETURN_IF_ERROR(b.derivation.Validate());
+            std::vector<Dataset> outputs;
+            VDG_RETURN_IF_ERROR(
+                PlanDerivation(shards, b.derivation, nullptr, &outputs));
+            for (Dataset& output : outputs) {
+              const Placement placement =
+                  Place(topo, MsgKind::kDefineDataset, output.name);
+              Status s =
+                  shards[placement.shard]->DefineDataset(std::move(output));
+              if (!s.ok() && !s.IsAlreadyExists()) return s;
+            }
+            return Mutate(topo, request,
+                          Place(topo, kind, b.derivation.name()));
+          });
+    case MsgKind::kAnnotate:
+      return With<wire::AnnotateReq>(request, [&](const auto& b) {
+        return Mutate(topo, request, Place(topo, kind, b.name, b.kind));
+      });
+    case MsgKind::kAddReplica:
+      return With<wire::AddReplicaReq>(request, [&](const auto& b) {
+        const Placement placement = Place(topo, kind, b.replica.dataset);
+        wire::AddReplicaReq assigned = b;
+        AssignId(kind, placement.shard, &assigned.replica.id);
+        return Mutate(topo, {kind, std::move(assigned)}, placement);
+      });
+    case MsgKind::kRecordInvocation:
+      return With<wire::RecordInvocationReq>(request, [&](const auto& b) {
+        const Placement placement =
+            Place(topo, kind, b.invocation.derivation);
+        wire::RecordInvocationReq assigned = b;
+        AssignId(kind, placement.shard, &assigned.invocation.id);
+        return Mutate(topo, {kind, std::move(assigned)}, placement);
+      });
+    case MsgKind::kSetDatasetSize:
+      return With<wire::SetDatasetSizeReq>(request, [&](const auto& b) {
+        return Mutate(topo, request, Place(topo, kind, b.name));
+      });
+    case MsgKind::kInvalidateReplica:
+      return With<wire::NameReq>(request, [&](const auto& b) {
+        return Mutate(topo, request, Place(topo, kind, b.name));
+      });
+    case MsgKind::kApplyBatch:
+      return With<wire::ApplyBatchReq>(
+          request, [&](const auto& b) -> Result<wire::Response> {
+            VDG_ASSIGN_OR_RETURN(BatchResult result, SplitBatch(topo, b));
+            return Reply(kind, wire::BatchResultResp{std::move(result)});
+          });
   }
-  if (kind == "transformation") {
-    for (const auto& shard : topo->shards) {
-      VDG_RETURN_IF_ERROR(shard->Annotate(kind, name, key, value));
-    }
-    return Status::OK();
+  return Status::InvalidArgument("unknown message kind " +
+                                 std::to_string(static_cast<int>(kind)));
+}
+
+// ---------------------------------------------------------------------
+// Reads
+// ---------------------------------------------------------------------
+
+Result<std::vector<uint64_t>> ShardedCatalogClient::ShardVersions() {
+  auto topo = topology();
+  if (!topo->usable.ok()) return topo->usable;
+  return VersionsOf(topo->shards);
+}
+
+Result<std::vector<CatalogChange>> ShardedCatalogClient::ShardChangesSince(
+    uint32_t shard, uint64_t since_version) {
+  auto topo = topology();
+  if (!topo->usable.ok()) return topo->usable;
+  if (shard >= topo->shards.size()) {
+    return Status::InvalidArgument("no shard " + std::to_string(shard) +
+                                   " in a " +
+                                   std::to_string(topo->shards.size()) +
+                                   "-shard topology");
   }
-  if (kind == "replica" || kind == "invocation") {
+  return topo->shards[shard]->ChangesSince(since_version);
+}
+
+// ---------------------------------------------------------------------
+// Mutations
+// ---------------------------------------------------------------------
+
+ShardedCatalogClient::Placement ShardedCatalogClient::Place(
+    const Topology& topo, MsgKind kind, std::string_view name,
+    std::string_view object_kind) const {
+  using Fanout = Placement::Fanout;
+  auto by_id = [&] {
     uint32_t shard = 0;
-    if (ShardFromAssignedId(*topo, name, &shard)) {
-      return topo->shards[shard]->Annotate(kind, name, key, std::move(value));
-    }
-    return AnyShard(*topo, [&](CatalogClient& client) {
-      return client.Annotate(kind, name, key, value);
-    });
+    return ShardFromAssignedId(name, options_.id_tag, topo.shards.size(),
+                               &shard)
+               ? Placement{Fanout::kOne, shard}
+               : Placement{Fanout::kAny, 0};
+  };
+  switch (kind) {
+    case MsgKind::kDefineTransformation:
+      return {Fanout::kEvery, 0};
+    case MsgKind::kInvalidateReplica:
+      return by_id();
+    case MsgKind::kAnnotate:
+      if (object_kind == "transformation") return {Fanout::kEvery, 0};
+      if (object_kind == "replica" || object_kind == "invocation") {
+        return by_id();
+      }
+      if (object_kind != "dataset" && object_kind != "derivation") {
+        return {Fanout::kOne, 0};  // shard 0 reports the unknown kind
+      }
+      break;
+    default:
+      break;
   }
-  return topo->shards[0]->Annotate(kind, name, key, std::move(value));
+  // Datasets and derivations live on ShardOf(name); replicas with their
+  // dataset, invocations with their derivation.
+  return {Fanout::kOne, ShardIndex(name, topo.shards.size())};
 }
 
-Result<std::string> ShardedCatalogClient::AddReplica(Replica replica) {
-  auto topo = topology();
-  uint32_t shard = topo->router.ShardOf(replica.dataset);
-  if (replica.id.empty()) replica.id = MakeReplicaId(shard);
-  return topo->shards[shard]->AddReplica(std::move(replica));
-}
-
-Result<std::string> ShardedCatalogClient::RecordInvocation(
-    Invocation invocation) {
-  auto topo = topology();
-  uint32_t shard = topo->router.ShardOf(invocation.derivation);
-  if (invocation.id.empty()) invocation.id = MakeInvocationId(shard);
-  return topo->shards[shard]->RecordInvocation(std::move(invocation));
-}
-
-Status ShardedCatalogClient::SetDatasetSize(std::string_view name,
-                                            int64_t size_bytes) {
-  auto topo = topology();
-  return topo->shards[topo->router.ShardOf(name)]->SetDatasetSize(name,
-                                                                  size_bytes);
-}
-
-Status ShardedCatalogClient::InvalidateReplica(std::string_view id) {
-  auto topo = topology();
-  uint32_t shard = 0;
-  if (ShardFromAssignedId(*topo, id, &shard)) {
-    return topo->shards[shard]->InvalidateReplica(id);
+Status ShardedCatalogClient::MergeBroadcast(
+    Placement::Fanout fanout, const std::vector<Status>& answers) {
+  // Which answer wins, by outcome. kEvery: an error, then success (a
+  // partially applied earlier attempt self-heals), then NotFound, then
+  // AlreadyExists (every shard had it: the plain retry answer). kAny:
+  // success (one shard holds the target; the rest answer NotFound),
+  // then an error, AlreadyExists, NotFound. The lowest shard wins ties.
+  auto rank = [fanout](const Status& s) {
+    enum { kOk, kError, kAlready, kNotFound };
+    const int outcome = s.ok()                ? kOk
+                        : s.IsAlreadyExists() ? kAlready
+                        : s.IsNotFound()      ? kNotFound
+                                              : kError;
+    constexpr int kEveryRank[] = {1, 0, 3, 2};
+    return fanout == Placement::Fanout::kAny ? outcome : kEveryRank[outcome];
+  };
+  const Status* best = nullptr;
+  for (const Status& s : answers) {
+    if (best == nullptr || rank(s) < rank(*best)) best = &s;
   }
-  return AnyShard(*topo, [&](CatalogClient& client) {
-    return client.InvalidateReplica(id);
-  });
+  return best != nullptr ? *best : Status::OK();
 }
 
-Result<BatchResult> ShardedCatalogClient::ApplyBatch(
-    const std::vector<CatalogMutation>& mutations,
-    const BatchOptions& options) {
-  auto topo = topology();
-  const size_t shard_count = topo->shards.size();
+Result<wire::Response> ShardedCatalogClient::Mutate(
+    const Topology& topo, const wire::Request& request, Placement placement) {
+  if (placement.fanout == Placement::Fanout::kOne) {
+    return topo.shards[placement.shard]->Call(request);
+  }
+  std::vector<Status> answers;
+  answers.reserve(topo.shards.size());
+  for (const auto& shard : topo.shards) {
+    answers.push_back(shard->Call(request).status());
+  }
+  VDG_RETURN_IF_ERROR(MergeBroadcast(placement.fanout, answers));
+  return Reply(request.kind, std::monostate{});
+}
+
+Result<BatchResult> ShardedCatalogClient::SplitBatch(
+    const Topology& topo, const wire::ApplyBatchReq& batch) {
+  using Fanout = Placement::Fanout;
+  const std::vector<CatalogMutation>& mutations = batch.mutations;
+  const size_t shard_count = topo.shards.size();
   const size_t n = mutations.size();
 
   BatchResult merged;
@@ -680,10 +724,8 @@ Result<BatchResult> ShardedCatalogClient::ApplyBatch(
   };
   std::vector<std::vector<SubOp>> subs(shard_count);
   std::vector<char> resolved_early(n, 0);
-  enum class MergeRule : char { kPoint, kBroadcastAll, kBroadcastAny };
-  std::vector<MergeRule> rule(n, MergeRule::kPoint);
-  std::vector<std::string> op_id(n);     // effective replica/invocation id
-  std::vector<uint32_t> op_shard(n, 0);  // shard of the id-assigning op
+  std::vector<Fanout> fanout(n, Fanout::kOne);
+  std::vector<std::string> op_id(n);  // effective replica/invocation id
   // Datasets (defined, or pre-created for derivation outputs) and
   // transformations defined by earlier ops of THIS batch: not yet on
   // any shard, but later derivation plans must see them — intra-batch
@@ -692,86 +734,71 @@ Result<BatchResult> ShardedCatalogClient::ApplyBatch(
   PendingDefinitions pending;
 
   for (size_t i = 0; i < n; ++i) {
-    Status route = std::visit(
-        [&](const auto& op) -> Status {
+    // The op as the shards get it, when routing rewrote the caller's
+    // (an assigned id, a resolved batch reference).
+    std::optional<CatalogMutation> rewritten;
+    Result<Placement> placed = std::visit(
+        [&](const auto& op) -> Result<Placement> {
           using Op = std::decay_t<decltype(op)>;
           if constexpr (std::is_same_v<Op, CatalogMutation::DefineDatasetOp>) {
-            uint32_t shard = topo->router.ShardOf(op.dataset.name);
-            subs[shard].push_back({mutations[i], i, 0});
             pending.datasets.insert({op.dataset.name, op.dataset});
+            return Place(topo, MsgKind::kDefineDataset, op.dataset.name);
           } else if constexpr (std::is_same_v<
                                    Op,
                                    CatalogMutation::DefineTransformationOp>) {
-            rule[i] = MergeRule::kBroadcastAll;
-            for (size_t k = 0; k < shard_count; ++k) {
-              subs[k].push_back({mutations[i], i, 0});
-            }
             pending.transformations.insert(
                 {op.transformation.name(), op.transformation});
+            return Place(topo, MsgKind::kDefineTransformation,
+                         op.transformation.name());
           } else if constexpr (std::is_same_v<
                                    Op, CatalogMutation::DefineDerivationOp>) {
             VDG_RETURN_IF_ERROR(op.derivation.Validate());
-            DerivationPlan plan;
+            std::vector<Dataset> outputs;
             VDG_RETURN_IF_ERROR(
-                PlanDerivation(*topo, op.derivation, &plan, &pending));
-            for (auto& [shard, dataset] : plan.ensure_outputs) {
+                PlanDerivation(topo.shards, op.derivation, &pending, &outputs));
+            for (Dataset& output : outputs) {
               // Later derivations writing the same output must see the
               // producer claim this one just staked.
-              pending.datasets.insert({dataset.name, dataset});
-              subs[shard].push_back(
-                  {CatalogMutation::DefineDataset(std::move(dataset)),
+              pending.datasets.insert({output.name, output});
+              const Placement placement =
+                  Place(topo, MsgKind::kDefineDataset, output.name);
+              subs[placement.shard].push_back(
+                  {CatalogMutation::DefineDataset(std::move(output)),
                    kSynthetic, i});
             }
-            uint32_t home = topo->router.ShardOf(op.derivation.name());
-            subs[home].push_back({mutations[i], i, 0});
+            return Place(topo, MsgKind::kDefineDerivation,
+                         op.derivation.name());
           } else if constexpr (std::is_same_v<Op,
                                               CatalogMutation::AnnotateOp>) {
-            CatalogMutation::AnnotateOp annotate = op;
-            if (annotate.name_from_op.has_value()) {
-              size_t pos = *annotate.name_from_op;
-              if (pos >= i || op_id[pos].empty()) {
-                return Status::InvalidArgument(
-                    "annotate references batch op " + std::to_string(pos) +
-                    " which assigned no id");
-              }
-              annotate.name = op_id[pos];
-              annotate.name_from_op.reset();
-              subs[op_shard[pos]].push_back(
-                  {CatalogMutation{std::move(annotate)}, i, 0});
-            } else if (annotate.kind == "dataset" ||
-                       annotate.kind == "derivation") {
-              uint32_t shard = topo->router.ShardOf(annotate.name);
-              subs[shard].push_back({mutations[i], i, 0});
-            } else if (annotate.kind == "transformation") {
-              rule[i] = MergeRule::kBroadcastAll;
-              for (size_t k = 0; k < shard_count; ++k) {
-                subs[k].push_back({mutations[i], i, 0});
-              }
-            } else if (annotate.kind == "replica" ||
-                       annotate.kind == "invocation") {
-              uint32_t shard = 0;
-              if (ShardFromAssignedId(*topo, annotate.name, &shard)) {
-                subs[shard].push_back({mutations[i], i, 0});
-              } else {
-                rule[i] = MergeRule::kBroadcastAny;
-                for (size_t k = 0; k < shard_count; ++k) {
-                  subs[k].push_back({mutations[i], i, 0});
-                }
-              }
-            } else {
-              subs[0].push_back({mutations[i], i, 0});
+            if (!op.name_from_op.has_value()) {
+              return Place(topo, MsgKind::kAnnotate, op.name, op.kind);
             }
+            const size_t pos = *op.name_from_op;
+            if (pos >= i || op_id[pos].empty()) {
+              return Status::InvalidArgument(
+                  "annotate references batch op " + std::to_string(pos) +
+                  " which assigned no id");
+            }
+            CatalogMutation::AnnotateOp annotate = op;
+            annotate.name = op_id[pos];
+            annotate.name_from_op.reset();
+            const Placement placement =
+                Place(topo, MsgKind::kAnnotate, annotate.name, annotate.kind);
+            rewritten = CatalogMutation{std::move(annotate)};
+            return placement;
           } else if constexpr (std::is_same_v<Op,
                                               CatalogMutation::AddReplicaOp>) {
-            uint32_t shard = topo->router.ShardOf(op.replica.dataset);
+            const Placement placement =
+                Place(topo, MsgKind::kAddReplica, op.replica.dataset);
             CatalogMutation::AddReplicaOp add = op;
-            if (add.replica.id.empty()) add.replica.id = MakeReplicaId(shard);
+            AssignId(MsgKind::kAddReplica, placement.shard, &add.replica.id);
             op_id[i] = add.replica.id;
-            op_shard[i] = shard;
-            subs[shard].push_back({CatalogMutation{std::move(add)}, i, 0});
+            rewritten = CatalogMutation{std::move(add)};
+            return placement;
           } else if constexpr (std::is_same_v<
                                    Op, CatalogMutation::RecordInvocationOp>) {
-            uint32_t shard = topo->router.ShardOf(op.invocation.derivation);
+            const Placement placement = Place(
+                topo, MsgKind::kRecordInvocation, op.invocation.derivation);
             CatalogMutation::RecordInvocationOp record = op;
             for (size_t pos : record.produced_from_ops) {
               if (pos >= i || op_id[pos].empty()) {
@@ -782,68 +809,68 @@ Result<BatchResult> ShardedCatalogClient::ApplyBatch(
               record.invocation.produced_replicas.push_back(op_id[pos]);
             }
             record.produced_from_ops.clear();
-            if (record.invocation.id.empty()) {
-              record.invocation.id = MakeInvocationId(shard);
-            }
+            AssignId(MsgKind::kRecordInvocation, placement.shard,
+                     &record.invocation.id);
             op_id[i] = record.invocation.id;
-            op_shard[i] = shard;
-            subs[shard].push_back({CatalogMutation{std::move(record)}, i, 0});
+            rewritten = CatalogMutation{std::move(record)};
+            return placement;
           } else if constexpr (std::is_same_v<
                                    Op, CatalogMutation::SetDatasetSizeOp>) {
-            uint32_t shard = topo->router.ShardOf(op.name);
-            subs[shard].push_back({mutations[i], i, 0});
+            return Place(topo, MsgKind::kSetDatasetSize, op.name);
           } else {
             static_assert(
                 std::is_same_v<Op, CatalogMutation::InvalidateReplicaOp>);
-            uint32_t shard = 0;
-            if (ShardFromAssignedId(*topo, op.id, &shard)) {
-              subs[shard].push_back({mutations[i], i, 0});
-            } else {
-              rule[i] = MergeRule::kBroadcastAny;
-              for (size_t k = 0; k < shard_count; ++k) {
-                subs[k].push_back({mutations[i], i, 0});
-              }
-            }
+            return Place(topo, MsgKind::kInvalidateReplica, op.id);
           }
-          return Status::OK();
         },
         mutations[i].op);
-    if (!route.ok()) {
-      merged.statuses[i] = std::move(route);
+    if (!placed.ok()) {
+      merged.statuses[i] = placed.status();
       resolved_early[i] = 1;
+      continue;
+    }
+    fanout[i] = placed->fanout;
+    if (placed->fanout == Fanout::kOne) {
+      subs[placed->shard].push_back(
+          {rewritten ? std::move(*rewritten) : mutations[i], i, 0});
+    } else {
+      const CatalogMutation& routed = rewritten ? *rewritten : mutations[i];
+      for (auto& sub : subs) sub.push_back({routed, i, 0});
     }
   }
 
-  // Broadcast aggregation state, per origin op.
-  std::vector<size_t> bcast_ok(n, 0);
-  std::vector<std::optional<Status>> bcast_already(n);
-  std::vector<std::optional<Status>> bcast_not_found(n);
-  std::vector<std::optional<Status>> bcast_error(n);
+  // Every shard's answer to each broadcast op, for MergeBroadcast.
+  std::vector<std::vector<Status>> answers(n);
 
   // Execute shard by shard; each sub-batch commits under its shard's
   // single lock/version/flush. stop_on_error scopes to the sub-batch.
   for (size_t k = 0; k < shard_count; ++k) {
     if (subs[k].empty()) continue;
-    std::vector<CatalogMutation> ops;
-    ops.reserve(subs[k].size());
-    for (const SubOp& sub : subs[k]) ops.push_back(sub.mut);
-    BatchOptions sub_options = options;
-    if (!options.idempotency_token.empty()) {
-      sub_options.idempotency_token =
-          options.idempotency_token + "/s" + std::to_string(k);
+    wire::ApplyBatchReq sub_batch;
+    sub_batch.mutations.reserve(subs[k].size());
+    for (SubOp& sub : subs[k]) {
+      sub_batch.mutations.push_back(std::move(sub.mut));
     }
-    Result<BatchResult> got = topo->shards[k]->ApplyBatch(ops, sub_options);
+    sub_batch.options = batch.options;
+    if (!batch.options.idempotency_token.empty()) {
+      sub_batch.options.idempotency_token =
+          batch.options.idempotency_token + "/s" + std::to_string(k);
+    }
+    Result<wire::Response> got = topo.shards[k]->Call(
+        wire::Request{MsgKind::kApplyBatch, std::move(sub_batch)});
     // Transport failure: earlier shards may have committed; the error
     // propagates and the derived idempotency tokens make the retry
     // safe (already-committed sub-batches replay as no-ops).
     if (!got.ok()) return got.status();
-    if (got->statuses.size() != subs[k].size()) {
+    auto* body = std::get_if<wire::BatchResultResp>(&got->body);
+    if (body == nullptr || body->result.statuses.size() != subs[k].size()) {
       return Status::Internal("shard " + std::to_string(k) +
                               " returned a misaligned batch result");
     }
+    BatchResult& result = body->result;
     for (size_t j = 0; j < subs[k].size(); ++j) {
       const SubOp& sub = subs[k][j];
-      Status s = got->statuses[j];
+      Status& s = result.statuses[j];
       if (sub.origin == kSynthetic) {
         // Output pre-creation lost a benign race when it already
         // exists; anything else surfaces on the owning derivation op.
@@ -853,63 +880,24 @@ Result<BatchResult> ShardedCatalogClient::ApplyBatch(
           merged.statuses[sub.fold_into] = std::move(s);
           resolved_early[sub.fold_into] = 1;
         }
-        continue;
-      }
-      if (rule[sub.origin] == MergeRule::kPoint) {
-        // A synthetic helper that already folded an error into this
-        // op keeps it; the op's own (likely OK) outcome is moot.
-        if (!resolved_early[sub.origin]) {
-          merged.statuses[sub.origin] = std::move(s);
-          if (j < got->assigned_ids.size()) {
-            merged.assigned_ids[sub.origin] = std::move(got->assigned_ids[j]);
-          }
+      } else if (fanout[sub.origin] != Fanout::kOne) {
+        answers[sub.origin].push_back(std::move(s));
+      } else if (!resolved_early[sub.origin]) {
+        // A synthetic helper that already folded an error into this op
+        // keeps it; the op's own (likely OK) outcome is moot.
+        merged.statuses[sub.origin] = std::move(s);
+        if (j < result.assigned_ids.size()) {
+          merged.assigned_ids[sub.origin] = std::move(result.assigned_ids[j]);
         }
-        continue;
-      }
-      if (s.ok()) {
-        ++bcast_ok[sub.origin];
-      } else if (s.IsAlreadyExists()) {
-        if (!bcast_already[sub.origin]) bcast_already[sub.origin] = s;
-      } else if (s.IsNotFound()) {
-        if (!bcast_not_found[sub.origin]) bcast_not_found[sub.origin] = s;
-      } else if (!bcast_error[sub.origin]) {
-        bcast_error[sub.origin] = s;
       }
     }
     if (post_subbatch_hook_) post_subbatch_hook_(static_cast<uint32_t>(k));
   }
 
   for (size_t i = 0; i < n; ++i) {
-    if (resolved_early[i]) continue;
-    if (rule[i] == MergeRule::kBroadcastAll) {
-      // All shards must hold the object; partial applies self-heal via
-      // AlreadyExists on the shards that already had it.
-      if (bcast_error[i]) {
-        merged.statuses[i] = *bcast_error[i];
-      } else if (bcast_not_found[i] && bcast_ok[i] == 0) {
-        merged.statuses[i] = *bcast_not_found[i];
-      } else if (bcast_ok[i] > 0) {
-        merged.statuses[i] = Status::OK();
-      } else if (bcast_already[i]) {
-        merged.statuses[i] = *bcast_already[i];
-      } else if (bcast_not_found[i]) {
-        merged.statuses[i] = *bcast_not_found[i];
-      }
-    } else if (rule[i] == MergeRule::kBroadcastAny) {
-      // Exactly one shard holds the target; the rest answer NotFound.
-      if (bcast_ok[i] > 0) {
-        merged.statuses[i] = Status::OK();
-      } else if (bcast_error[i]) {
-        merged.statuses[i] = *bcast_error[i];
-      } else if (bcast_already[i]) {
-        merged.statuses[i] = *bcast_already[i];
-      } else if (bcast_not_found[i]) {
-        merged.statuses[i] = *bcast_not_found[i];
-      }
+    if (!resolved_early[i] && fanout[i] != Fanout::kOne) {
+      merged.statuses[i] = MergeBroadcast(fanout[i], answers[i]);
     }
-  }
-
-  for (size_t i = 0; i < n; ++i) {
     const Status& s = merged.statuses[i];
     if (s.ok()) {
       ++merged.applied;
@@ -917,7 +905,7 @@ Result<BatchResult> ShardedCatalogClient::ApplyBatch(
       merged.first_error = s;
     }
   }
-  VDG_ASSIGN_OR_RETURN(merged.version, Version());
+  VDG_ASSIGN_OR_RETURN(merged.version, CompositeVersion(topo.shards));
   return merged;
 }
 

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -15,34 +14,11 @@
 
 namespace vdg {
 
-/// Stable hash routing of object names onto shards: FNV-1a over the
-/// name, mod the shard count. Deterministic across processes and
-/// sessions, so every client of the same topology agrees on placement
-/// without coordination.
-class ShardRouter {
- public:
-  explicit ShardRouter(uint32_t shard_count)
-      : shard_count_(shard_count == 0 ? 1 : shard_count) {}
-
-  uint32_t shard_count() const { return shard_count_; }
-  uint32_t ShardOf(std::string_view name) const;
-
- private:
-  uint32_t shard_count_;
-};
-
-/// Stable fingerprint of one shard set: a hash over the ordered shard
-/// authorities and the count. Any resharding — count change, backend
-/// swap, reorder — changes it.
-uint64_t ShardSetFingerprint(
-    const std::vector<std::shared_ptr<CatalogClient>>& shards);
+namespace wire {
+struct ApplyBatchReq;
+}  // namespace wire
 
 struct ShardedClientOptions {
-  /// Scatter predicate queries with one thread per shard instead of
-  /// sequentially. Requires the shard clients to be thread-safe
-  /// (in-process and wire clients are; SimulatedRpc is not).
-  bool parallel_fanout = false;
-
   /// Disambiguating tag baked into client-assigned replica/invocation
   /// ids ("rp-<tag>s<shard>-<seq>"). Two writers sharing a shard set
   /// must use distinct tags (or supply their own ids) — the sequence
@@ -52,7 +28,9 @@ struct ShardedClientOptions {
 
 /// A CatalogClient that partitions one logical catalog across N shard
 /// backends by stable hash of object name (Section 4 scaled out: the
-/// collaboration catalog stops being one server).
+/// collaboration catalog stops being one server). It is a
+/// RequestClient: every typed call becomes one wire::Request, and
+/// Call() switches on its kind.
 ///
 /// Placement:
 ///  - datasets and derivations live on ShardOf(name); replicas live
@@ -60,13 +38,22 @@ struct ShardedClientOptions {
 ///  - transformations and the type universe are broadcast-replicated
 ///    to every shard (they are tiny, read-everywhere, and derivation
 ///    validation needs them locally);
-///  - point calls route to the owning shard; predicate queries
-///    (FindDatasets/FindDerivations/AllNames) scatter to every shard
-///    and gather the per-shard sorted NameLists through one
-///    ArenaBuilder k-way merge, so the global result is byte-identical
-///    (order-normalized) to one unsharded catalog and the PR 9
-///    zero-copy contract is preserved end to end (one arena per
-///    gathered response, no per-name copies beyond it).
+///  - point calls forward the request unchanged to the owning shard;
+///    predicate queries (FindDatasets/FindDerivations/AllNames) send
+///    the same request to every shard and gather the per-shard sorted
+///    NameLists through one ArenaBuilder k-way merge, so the global
+///    result is byte-identical (order-normalized) to one unsharded
+///    catalog and the zero-copy result contract (DESIGN.md §15) is
+///    preserved end to end (one arena per gathered response, no
+///    per-name copies beyond it).
+///
+/// Mutations: one placement rule (Place) sends each mutation to its
+/// owning shard, to every shard (transformations), or to the shard a
+/// client-assigned replica/invocation id names — a caller-supplied id
+/// names none, so that op goes to every shard and the one holding the
+/// object answers. One merge rule (MergeBroadcast) folds the shards'
+/// answers to a broadcast. Single mutations and the ApplyBatch split
+/// share both.
 ///
 /// Versions: Version() is the *composite* version — the sum of the
 /// per-shard versions — monotone but not addressable in any single
@@ -94,10 +81,14 @@ struct ShardedClientOptions {
 /// another shard keeps an empty producer field; ProducerOf and
 /// GetProvenanceStep compensate with a writes-index scatter.
 ///
+/// A client built over an empty shard list, or one holding a null
+/// shard, answers every call with InvalidArgument until a Reshard to a
+/// valid set.
+///
 /// Thread-safety: as safe as the shard clients underneath; the
 /// topology is an immutable snapshot behind a mutex (Reshard swaps
 /// it), and id counters are atomic.
-class ShardedCatalogClient : public CatalogClient {
+class ShardedCatalogClient : public RequestClient {
  public:
   ShardedCatalogClient(std::vector<std::shared_ptr<CatalogClient>> shards,
                        ShardedClientOptions options = {});
@@ -110,39 +101,7 @@ class ShardedCatalogClient : public CatalogClient {
   Result<std::vector<CatalogChange>> ShardChangesSince(
       uint32_t shard, uint64_t since_version) override;
 
-  Result<uint64_t> Version() override;
-  Result<std::vector<CatalogChange>> ChangesSince(
-      uint64_t since_version) override;
-  Result<Dataset> GetDataset(std::string_view name) override;
-  Result<Transformation> GetTransformation(std::string_view name) override;
-  Result<Derivation> GetDerivation(std::string_view name) override;
-  Result<bool> HasDataset(std::string_view name) override;
-  Result<bool> IsMaterialized(std::string_view dataset) override;
-  Result<std::string> ProducerOf(std::string_view dataset) override;
-  Result<std::vector<Invocation>> InvocationsOf(
-      std::string_view derivation) override;
-  Result<NameList> FindDatasets(const DatasetQuery& query) override;
-  Result<NameList> FindTransformations(
-      const TransformationQuery& query) override;
-  Result<NameList> FindDerivations(const DerivationQuery& query) override;
-  Result<NameList> AllNames(std::string_view kind) override;
-  Result<bool> TypeConforms(const DatasetType& type,
-                            const DatasetType& against) override;
-  Result<std::vector<ObjectRecord>> BatchGet(
-      const std::vector<ObjectKey>& keys) override;
-  Result<ProvenanceStep> GetProvenanceStep(std::string_view dataset) override;
-
-  Status DefineDataset(Dataset dataset) override;
-  Status DefineTransformation(Transformation transformation) override;
-  Status DefineDerivation(Derivation derivation) override;
-  Status Annotate(std::string_view kind, std::string_view name,
-                  std::string_view key, AttributeValue value) override;
-  Result<std::string> AddReplica(Replica replica) override;
-  Result<std::string> RecordInvocation(Invocation invocation) override;
-  Status SetDatasetSize(std::string_view name, int64_t size_bytes) override;
-  Status InvalidateReplica(std::string_view id) override;
-  Result<BatchResult> ApplyBatch(const std::vector<CatalogMutation>& mutations,
-                                 const BatchOptions& options = {}) override;
+  Result<wire::Response> Call(const wire::Request& request) override;
 
   /// Which shard owns `name` under the current topology.
   uint32_t ShardOf(std::string_view name) const;
@@ -164,51 +123,49 @@ class ShardedCatalogClient : public CatalogClient {
  private:
   struct Topology {
     std::vector<std::shared_ptr<CatalogClient>> shards;
-    ShardRouter router{1};
     uint64_t fingerprint = 0;
+    /// Non-OK when the shard list was unusable (empty, or holding a
+    /// null client); `shards` is then empty.
+    Status usable = Status::OK();
   };
 
-  /// What the derivation pre-pass decided: outputs to pre-create on
-  /// their home shards, or an early terminal status.
-  struct DerivationPlan {
-    std::vector<std::pair<uint32_t, Dataset>> ensure_outputs;
+  /// Where one mutation goes: one shard, every shard (all must hold
+  /// the object), or every shard of which one holds the target (an id
+  /// that names no shard).
+  struct Placement {
+    enum class Fanout : char { kOne, kEvery, kAny };
+    Fanout fanout = Fanout::kOne;
+    uint32_t shard = 0;  // kOne only
   };
 
+  /// A topology over `shards`; unusable when the list is empty or
+  /// holds a null client.
+  static std::shared_ptr<const Topology> MakeTopology(
+      std::vector<std::shared_ptr<CatalogClient>> shards);
   std::shared_ptr<const Topology> topology() const;
-  std::string MakeReplicaId(uint32_t shard);
-  std::string MakeInvocationId(uint32_t shard);
-  /// Parses the shard index out of a client-assigned replica or
-  /// invocation id; false for foreign/caller-supplied ids.
-  bool ShardFromAssignedId(const Topology& topo, std::string_view id,
-                           uint32_t* shard) const;
+  /// Fills an empty replica (kAddReplica) or invocation id with one
+  /// naming `shard`: "rp-<tag>s<shard>-<seq>" / "iv-<tag>s<shard>-<seq>".
+  void AssignId(wire::MsgKind kind, uint32_t shard, std::string* id);
 
-  /// Cross-shard referential checks + output placement for one
-  /// derivation (see class comment). Mirrors the unsharded catalog's
-  /// error vocabulary (AlreadyExists / NotFound / TypeError).
-  /// Datasets and transformations defined by EARLIER ops of an
-  /// in-flight batch: not yet visible on any shard, but a derivation
-  /// later in the batch must plan against them, as it would against
-  /// the unsharded catalog.
-  struct PendingDefinitions {
-    std::map<std::string, Dataset> datasets;
-    std::map<std::string, Transformation> transformations;
-  };
-  /// `pending` (optional) holds the batch's earlier definitions.
-  Status PlanDerivation(const Topology& topo, const Derivation& derivation,
-                        DerivationPlan* plan,
-                        const PendingDefinitions* pending = nullptr);
+  /// The placement rule. `name` is what the mutation is keyed by: the
+  /// defined object's name, the replica's dataset, the invocation's
+  /// derivation, or the replica/invocation id; `object_kind` is an
+  /// Annotate's target kind.
+  Placement Place(const Topology& topo, wire::MsgKind kind,
+                  std::string_view name,
+                  std::string_view object_kind = {}) const;
+  /// The broadcast merge rule: folds every shard's answer to one
+  /// kEvery/kAny mutation into the mutation's status.
+  static Status MergeBroadcast(Placement::Fanout fanout,
+                               const std::vector<Status>& answers);
+  /// Sends one single mutation where `placement` says.
+  Result<wire::Response> Mutate(const Topology& topo,
+                                const wire::Request& request,
+                                Placement placement);
 
-  /// Scatters `fn` over every shard, sequentially or one thread per
-  /// shard; results are positional, first error (by shard index) wins.
-  Result<std::vector<NameList>> ScatterLists(
-      const Topology& topo,
-      const std::function<Result<NameList>(CatalogClient&)>& fn);
-
-  /// Try-all fallback for replica/invocation ops whose id does not
-  /// name a shard: first OK wins; all-NotFound is NotFound; any other
-  /// error (a shard down) propagates — never a silent miss.
-  Status AnyShard(const Topology& topo,
-                  const std::function<Status(CatalogClient&)>& fn);
+  /// Splits a batch into per-shard sub-batches and merges the results.
+  Result<BatchResult> SplitBatch(const Topology& topo,
+                                 const wire::ApplyBatchReq& batch);
 
   std::string authority_;
   ShardedClientOptions options_;

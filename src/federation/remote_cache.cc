@@ -4,6 +4,8 @@
 #include <utility>
 #include <variant>
 
+#include "catalog/wire.h"
+
 namespace vdg {
 
 namespace {
@@ -54,10 +56,9 @@ CachingCatalogClient::CachingCatalogClient(
     DegradedReadOptions degraded)
     : upstream_(std::move(upstream)),
       authority_(upstream_->authority()),
-      capacity_(capacity == 0 ? 1 : capacity),
-      objects_(capacity_),
-      steps_(capacity_),
-      queries_(capacity_),
+      objects_(capacity),
+      steps_(capacity),
+      queries_(capacity),
       degraded_(degraded) {}
 
 void CachingCatalogClient::NoteUpstreamLocked(const Status& status) {
@@ -187,29 +188,70 @@ void CachingCatalogClient::FlushLocked() {
   ++stats_.flushes;
 }
 
-void CachingCatalogClient::ApplyChangeLocked(const CatalogChange& change) {
-  if (change.kind == "dataset") {
-    EvictLocked("dataset", change.name);
-    steps_.Erase(change.name);
+void CachingCatalogClient::ApplyChangeLocked(std::string_view kind,
+                                             std::string_view name) {
+  if (kind == "dataset") {
+    EvictLocked("dataset", name);
+    steps_.Erase(name);
     FlushQueriesLocked('D');
-  } else if (change.kind == "transformation") {
-    EvictLocked("transformation", change.name);
+  } else if (kind == "transformation") {
+    EvictLocked("transformation", name);
     FlushQueriesLocked('T');
-  } else if (change.kind == "derivation" || change.kind == "invocation") {
-    if (change.kind == "derivation") {
-      EvictLocked("derivation", change.name);
+  } else if (kind == "derivation" || kind == "invocation") {
+    if (kind == "derivation") {
+      EvictLocked("derivation", name);
       FlushQueriesLocked('V');
     }
     // A provenance step aggregates a dataset with its producing
     // derivation and that derivation's invocations; the changelog
     // cannot pin those to one dataset key, so drop all steps.
     steps_.Clear();
-  } else if (change.kind == "type") {
+  } else if (kind == "type") {
     // A type definition moves the conformance closure, which can grow
     // any type-constrained dataset query's result set.
     FlushQueriesLocked('D');
   }
   // Conformance checks themselves still pass through to the server.
+}
+
+void CachingCatalogClient::EvictAfterLocked(
+    wire::MsgKind kind, std::string_view name, std::string_view object_kind,
+    const std::vector<std::string>& outputs) {
+  using wire::MsgKind;
+  switch (kind) {
+    case MsgKind::kDefineDataset:
+    case MsgKind::kAddReplica:  // the materialized bit may have flipped
+    case MsgKind::kSetDatasetSize:
+      ApplyChangeLocked("dataset", name);
+      break;
+    case MsgKind::kDefineTransformation:
+      ApplyChangeLocked("transformation", name);
+      break;
+    case MsgKind::kDefineDerivation:
+      ApplyChangeLocked("derivation", name);
+      // Outputs may have been auto-defined, or gained a producer.
+      for (const std::string& output : outputs) {
+        ApplyChangeLocked("dataset", output);
+      }
+      break;
+    case MsgKind::kAnnotate:
+      ApplyChangeLocked(object_kind, name);
+      break;
+    case MsgKind::kRecordInvocation:
+      ApplyChangeLocked("invocation", name);
+      break;
+    case MsgKind::kInvalidateReplica:
+      // The replica's dataset is unknown from the id alone; every
+      // cached dataset's materialized bit is suspect.
+      stats_.evictions += objects_.EraseIf(
+          [](const std::string&, const ObjectRecord& record) {
+            return record.kind == "dataset";
+          });
+      FlushQueriesLocked('D');
+      break;
+    default:
+      break;
+  }
 }
 
 Result<ObjectRecord> CachingCatalogClient::GetOrFillLocked(
@@ -243,7 +285,9 @@ Status CachingCatalogClient::Revalidate() {
         upstream_->ChangesSince(synced_version_);
     NoteUpstreamLocked(changes.ok() ? Status::OK() : changes.status());
     if (changes.ok()) {
-      for (const CatalogChange& change : *changes) ApplyChangeLocked(change);
+      for (const CatalogChange& change : *changes) {
+        ApplyChangeLocked(change.kind, change.name);
+      }
       if (!changes->empty()) synced_version_ = changes->back().version;
       return Status::OK();
     }
@@ -278,7 +322,9 @@ Status CachingCatalogClient::Revalidate() {
           upstream_->ShardChangesSince(shard, shard_synced_[shard]);
       NoteUpstreamLocked(changes.ok() ? Status::OK() : changes.status());
       if (changes.ok()) {
-        for (const CatalogChange& change : *changes) ApplyChangeLocked(change);
+        for (const CatalogChange& change : *changes) {
+          ApplyChangeLocked(change.kind, change.name);
+        }
         if (!changes->empty()) shard_synced_[shard] = changes->back().version;
         continue;
       }
@@ -340,7 +386,9 @@ Result<std::vector<CatalogChange>> CachingCatalogClient::ChangesSince(
   // actually starts at or before it — otherwise the skipped gap
   // [synced_version_, since_version] could hide invalidations.
   for (const CatalogChange& change : changes) {
-    if (change.version > synced_version_) ApplyChangeLocked(change);
+    if (change.version > synced_version_) {
+      ApplyChangeLocked(change.kind, change.name);
+    }
   }
   if (!changes.empty() && since_version <= synced_version_ &&
       changes.back().version > synced_version_) {
@@ -493,9 +541,7 @@ Status CachingCatalogClient::DefineDataset(Dataset dataset) {
   std::lock_guard<std::mutex> lock(mu_);
   std::string name = dataset.name;
   VDG_RETURN_IF_ERROR(upstream_->DefineDataset(std::move(dataset)));
-  EvictLocked("dataset", name);
-  steps_.Erase(name);
-  FlushQueriesLocked('D');
+  EvictAfterLocked(wire::MsgKind::kDefineDataset, name);
   return Status::OK();
 }
 
@@ -505,8 +551,7 @@ Status CachingCatalogClient::DefineTransformation(
   std::string name = transformation.name();
   VDG_RETURN_IF_ERROR(
       upstream_->DefineTransformation(std::move(transformation)));
-  EvictLocked("transformation", name);
-  FlushQueriesLocked('T');
+  EvictAfterLocked(wire::MsgKind::kDefineTransformation, name);
   return Status::OK();
 }
 
@@ -515,16 +560,7 @@ Status CachingCatalogClient::DefineDerivation(Derivation derivation) {
   std::string name = derivation.name();
   std::vector<std::string> outputs = derivation.OutputDatasets();
   VDG_RETURN_IF_ERROR(upstream_->DefineDerivation(std::move(derivation)));
-  EvictLocked("derivation", name);
-  // Output datasets may have been auto-defined (and their producer
-  // changed), and every step touching them is now stale.
-  for (const std::string& output : outputs) {
-    EvictLocked("dataset", output);
-  }
-  steps_.Clear();
-  // Outputs may have been auto-defined as datasets.
-  FlushQueriesLocked('V');
-  FlushQueriesLocked('D');
+  EvictAfterLocked(wire::MsgKind::kDefineDerivation, name, {}, outputs);
   return Status::OK();
 }
 
@@ -535,16 +571,7 @@ Status CachingCatalogClient::Annotate(std::string_view kind,
   std::lock_guard<std::mutex> lock(mu_);
   VDG_RETURN_IF_ERROR(
       upstream_->Annotate(kind, name, key, std::move(value)));
-  EvictLocked(kind, name);
-  if (kind == "dataset") {
-    steps_.Erase(name);
-    FlushQueriesLocked('D');
-  } else if (kind == "transformation") {
-    FlushQueriesLocked('T');
-  } else if (kind == "derivation" || kind == "invocation") {
-    if (kind == "derivation") FlushQueriesLocked('V');
-    steps_.Clear();
-  }
+  EvictAfterLocked(wire::MsgKind::kAnnotate, name, kind);
   return Status::OK();
 }
 
@@ -553,9 +580,7 @@ Result<std::string> CachingCatalogClient::AddReplica(Replica replica) {
   std::string dataset = replica.dataset;
   VDG_ASSIGN_OR_RETURN(std::string id,
                        upstream_->AddReplica(std::move(replica)));
-  // The dataset's materialized bit may have flipped.
-  EvictLocked("dataset", dataset);
-  FlushQueriesLocked('D');
+  EvictAfterLocked(wire::MsgKind::kAddReplica, dataset);
   return id;
 }
 
@@ -564,7 +589,7 @@ Result<std::string> CachingCatalogClient::RecordInvocation(
   std::lock_guard<std::mutex> lock(mu_);
   VDG_ASSIGN_OR_RETURN(std::string id,
                        upstream_->RecordInvocation(std::move(invocation)));
-  steps_.Clear();  // steps embed invocation lists
+  EvictAfterLocked(wire::MsgKind::kRecordInvocation, id);
   return id;
 }
 
@@ -572,93 +597,64 @@ Status CachingCatalogClient::SetDatasetSize(std::string_view name,
                                             int64_t size_bytes) {
   std::lock_guard<std::mutex> lock(mu_);
   VDG_RETURN_IF_ERROR(upstream_->SetDatasetSize(name, size_bytes));
-  EvictLocked("dataset", name);
-  FlushQueriesLocked('D');
+  EvictAfterLocked(wire::MsgKind::kSetDatasetSize, name);
   return Status::OK();
 }
 
 Status CachingCatalogClient::InvalidateReplica(std::string_view id) {
   std::lock_guard<std::mutex> lock(mu_);
   VDG_RETURN_IF_ERROR(upstream_->InvalidateReplica(id));
-  // The replica's dataset is unknown from the id alone; every cached
-  // dataset's materialized bit is suspect.
-  FlushQueriesLocked('D');
-  stats_.evictions += objects_.EraseIf(
-      [](const std::string&, const ObjectRecord& record) {
-        return record.kind == "dataset";
-      });
+  EvictAfterLocked(wire::MsgKind::kInvalidateReplica, id);
   return Status::OK();
 }
 
 Result<BatchResult> CachingCatalogClient::ApplyBatch(
     const std::vector<CatalogMutation>& mutations,
     const BatchOptions& options) {
+  using wire::MsgKind;
   std::lock_guard<std::mutex> lock(mu_);
   VDG_ASSIGN_OR_RETURN(BatchResult result,
                        upstream_->ApplyBatch(mutations, options));
-  // One invalidation pass for the whole batch, mirroring per-op what
-  // each single-op mutation method evicts. Ops that did not apply are
-  // skipped: they changed nothing upstream.
+  // One invalidation pass for the whole batch, through the same rule
+  // the single-op methods use. Ops that did not apply are skipped:
+  // they changed nothing upstream.
   for (size_t i = 0; i < mutations.size(); ++i) {
     if (i < result.statuses.size() && !result.statuses[i].ok()) continue;
     std::visit(
         [&](const auto& op) {
           using Op = std::decay_t<decltype(op)>;
           if constexpr (std::is_same_v<Op, CatalogMutation::DefineDatasetOp>) {
-            EvictLocked("dataset", op.dataset.name);
-            steps_.Erase(op.dataset.name);
-            FlushQueriesLocked('D');
+            EvictAfterLocked(MsgKind::kDefineDataset, op.dataset.name);
           } else if constexpr (std::is_same_v<
                                    Op,
                                    CatalogMutation::DefineTransformationOp>) {
-            EvictLocked("transformation", op.transformation.name());
-            FlushQueriesLocked('T');
+            EvictAfterLocked(MsgKind::kDefineTransformation,
+                             op.transformation.name());
           } else if constexpr (std::is_same_v<
                                    Op, CatalogMutation::DefineDerivationOp>) {
-            EvictLocked("derivation", op.derivation.name());
-            for (const std::string& output : op.derivation.OutputDatasets()) {
-              EvictLocked("dataset", output);
-            }
-            steps_.Clear();
-            FlushQueriesLocked('V');
-            FlushQueriesLocked('D');  // auto-defined output datasets
+            EvictAfterLocked(MsgKind::kDefineDerivation, op.derivation.name(),
+                             {}, op.derivation.OutputDatasets());
           } else if constexpr (std::is_same_v<Op,
                                               CatalogMutation::AnnotateOp>) {
-            std::string target = op.name;
-            if (op.name_from_op.has_value() &&
-                *op.name_from_op < result.assigned_ids.size()) {
-              target = result.assigned_ids[*op.name_from_op];
-            }
-            EvictLocked(op.kind, target);
-            if (op.kind == "dataset") {
-              steps_.Erase(target);
-              FlushQueriesLocked('D');
-            } else if (op.kind == "transformation") {
-              FlushQueriesLocked('T');
-            } else if (op.kind == "derivation" || op.kind == "invocation") {
-              if (op.kind == "derivation") FlushQueriesLocked('V');
-              steps_.Clear();
-            }
+            const bool assigned = op.name_from_op.has_value() &&
+                                  *op.name_from_op < result.assigned_ids.size();
+            EvictAfterLocked(
+                MsgKind::kAnnotate,
+                assigned ? result.assigned_ids[*op.name_from_op] : op.name,
+                op.kind);
           } else if constexpr (std::is_same_v<Op,
                                               CatalogMutation::AddReplicaOp>) {
-            EvictLocked("dataset", op.replica.dataset);
-            FlushQueriesLocked('D');  // materialized-set queries move
+            EvictAfterLocked(MsgKind::kAddReplica, op.replica.dataset);
           } else if constexpr (std::is_same_v<
                                    Op, CatalogMutation::RecordInvocationOp>) {
-            steps_.Clear();  // steps embed invocation lists
+            EvictAfterLocked(MsgKind::kRecordInvocation, op.invocation.id);
           } else if constexpr (std::is_same_v<
                                    Op, CatalogMutation::SetDatasetSizeOp>) {
-            EvictLocked("dataset", op.name);
-            FlushQueriesLocked('D');
+            EvictAfterLocked(MsgKind::kSetDatasetSize, op.name);
           } else {
             static_assert(
                 std::is_same_v<Op, CatalogMutation::InvalidateReplicaOp>);
-            // The replica's dataset is unknown from the id alone.
-            stats_.evictions += objects_.EraseIf(
-                [](const std::string&, const ObjectRecord& record) {
-                  return record.kind == "dataset";
-                });
-            FlushQueriesLocked('D');
+            EvictAfterLocked(MsgKind::kInvalidateReplica, op.id);
           }
         },
         mutations[i].op);

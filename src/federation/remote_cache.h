@@ -172,8 +172,9 @@ struct DegradedReadOptions {
 /// perturbs, invalidation is per query *kind*: any dataset change (or
 /// type change — the conformance closure moves) drops every cached
 /// dataset query, and likewise for transformations and derivations.
-/// AllNames/ChangesSince/Version/ProducerOf/TypeConforms still pass
-/// straight through.
+/// Version/ProducerOf/InvocationsOf/AllNames/TypeConforms pass
+/// straight through; ChangesSince passes through too, but applies the
+/// window it returns as invalidations (see below).
 ///
 /// Thread-safe behind one mutex, held across upstream fills (the
 /// client -> catalog lock order; the catalog lock stays a leaf). Note
@@ -262,7 +263,8 @@ class CachingCatalogClient : public CatalogClient {
   Status InvalidateReplica(std::string_view id) override;
   /// Forwards the whole batch upstream in one call, then runs ONE
   /// locked invalidation pass applying each applied op's eviction
-  /// rule — instead of locking and evicting once per mutation.
+  /// rule (EvictAfterLocked) — instead of locking and evicting once
+  /// per mutation.
   Result<BatchResult> ApplyBatch(const std::vector<CatalogMutation>& mutations,
                                  const BatchOptions& options = {}) override;
 
@@ -291,8 +293,19 @@ class CachingCatalogClient : public CatalogClient {
   void InsertLocked(ObjectRecord record);
   void EvictLocked(std::string_view kind, std::string_view name);
   void FlushLocked();
-  /// Applies one changelog entry's invalidation. mu_ must be held.
-  void ApplyChangeLocked(const CatalogChange& change);
+  /// Applies the invalidation for one changelog entry, a change to the
+  /// `kind` object `name`. mu_ must be held.
+  void ApplyChangeLocked(std::string_view kind, std::string_view name);
+  /// The eviction rule for a mutation of `kind` that applied upstream,
+  /// shared by the single-op methods and ApplyBatch: the invalidation
+  /// of the changelog entries the mutation writes, applied at once so
+  /// the writer reads its own writes. `name` keys it: the defined or
+  /// annotated object, the replica's dataset, the invocation id, the
+  /// replica id. `object_kind` is an Annotate's target kind; `outputs`
+  /// a derivation's output datasets. mu_ must be held.
+  void EvictAfterLocked(wire::MsgKind kind, std::string_view name,
+                        std::string_view object_kind = {},
+                        const std::vector<std::string>& outputs = {});
 
   /// Serves a Find* query from `queries_`, filling from `fetch` on a
   /// miss. mu_ must be held (and stays held across the fill, like
@@ -313,7 +326,6 @@ class CachingCatalogClient : public CatalogClient {
 
   std::shared_ptr<CatalogClient> upstream_;
   std::string authority_;
-  size_t capacity_;
   mutable std::mutex mu_;
   LruCacheMap<ObjectRecord> objects_;
   /// Provenance steps by dataset name. Conservatively flushed whenever

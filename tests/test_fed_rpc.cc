@@ -6,8 +6,11 @@
 // round trips it costs.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "catalog/client.h"
 #include "executor/executor.h"
@@ -668,6 +671,135 @@ TEST_F(FedRpcTest, QueryCacheEvictsPerEntryNotWholesale) {
   EXPECT_EQ(rpc->stats().round_trips, 0u);  // both still cached
   ASSERT_TRUE(cache.FindDatasets(q2).ok());  // the displaced one
   EXPECT_EQ(rpc->stats().round_trips, 1u);
+}
+
+/// Every CacheStats counter, comparable as one value.
+auto StatsTuple(const CacheStats& s) {
+  return std::make_tuple(s.hits, s.misses, s.revalidations, s.evictions,
+                         s.flushes, s.query_hits, s.query_misses,
+                         s.degraded_hits, s.stale_rejections);
+}
+
+/// The fixed read set a cache is warmed with and probed by: objects
+/// (including a negative entry), provenance steps, and Find* result
+/// sets. Returns, per read, whether the cache answered it locally.
+std::vector<bool> ReadProbeSet(CachingCatalogClient& cache) {
+  std::vector<bool> hits;
+  auto read = [&](auto&& call) {
+    const CacheStats before = cache.stats();
+    call();
+    const CacheStats after = cache.stats();
+    hits.push_back(after.hits + after.query_hits >
+                   before.hits + before.query_hits);
+  };
+  for (int i = 0; i <= 9; ++i) {
+    const std::string d = "d" + std::to_string(i);
+    read([&] { (void)cache.GetDataset(d); });
+    read([&] { (void)cache.GetProvenanceStep(d); });
+    read([&] { (void)cache.GetDerivation("l" + std::to_string(i)); });
+  }
+  read([&] { (void)cache.GetTransformation("step"); });
+  read([&] { (void)cache.GetTransformation("step2"); });
+  DatasetQuery datasets;
+  datasets.name_prefix = "d";
+  read([&] { (void)cache.FindDatasets(datasets); });
+  read([&] { (void)cache.FindTransformations(TransformationQuery{}); });
+  read([&] { (void)cache.FindDerivations(DerivationQuery{}); });
+  return hits;
+}
+
+TEST_F(FedRpcTest, CacheEvictsTheSameForSingleAndBatchedMutations) {
+  Transformation step2("step2", Transformation::Kind::kSimple);
+  FormalArg out;
+  out.name = "out";
+  out.direction = ArgDirection::kOut;
+  ASSERT_TRUE(step2.AddArg(out).ok());
+  step2.set_executable("/bin/step2");
+  Derivation l9("l9", "step");
+  ASSERT_TRUE(
+      l9.AddArg(ActualArg::DatasetRef("out", "d9", ArgDirection::kOut)).ok());
+  ASSERT_TRUE(
+      l9.AddArg(ActualArg::DatasetRef("in", "d8", ArgDirection::kIn)).ok());
+  Dataset fresh;
+  fresh.name = "d-new";
+  Replica replica;
+  replica.dataset = "d2";
+  replica.site = "site0";
+  Invocation invocation;
+  invocation.derivation = "l3";
+
+  struct Case {
+    const char* label;
+    std::function<Status(CatalogClient&)> single;
+    CatalogMutation batched;
+  };
+  const std::vector<Case> cases = {
+      {"DefineDataset",
+       [&](CatalogClient& c) { return c.DefineDataset(fresh); },
+       CatalogMutation::DefineDataset(fresh)},
+      {"DefineTransformation",
+       [&](CatalogClient& c) { return c.DefineTransformation(step2); },
+       CatalogMutation::DefineTransformation(step2)},
+      {"DefineDerivation",
+       [&](CatalogClient& c) { return c.DefineDerivation(l9); },
+       CatalogMutation::DefineDerivation(l9)},
+      {"AnnotateDataset",
+       [](CatalogClient& c) { return c.Annotate("dataset", "d4", "k", "v"); },
+       CatalogMutation::Annotate("dataset", "d4", "k", "v")},
+      {"AnnotateTransformation",
+       [](CatalogClient& c) {
+         return c.Annotate("transformation", "step", "k", "v");
+       },
+       CatalogMutation::Annotate("transformation", "step", "k", "v")},
+      {"AnnotateDerivation",
+       [](CatalogClient& c) {
+         return c.Annotate("derivation", "l5", "k", "v");
+       },
+       CatalogMutation::Annotate("derivation", "l5", "k", "v")},
+      {"AnnotateReplica",
+       [](CatalogClient& c) { return c.Annotate("replica", "rp-1", "k", "v"); },
+       CatalogMutation::Annotate("replica", "rp-1", "k", "v")},
+      {"AddReplica",
+       [&](CatalogClient& c) { return c.AddReplica(replica).status(); },
+       CatalogMutation::AddReplica(replica)},
+      {"RecordInvocation",
+       [&](CatalogClient& c) {
+         return c.RecordInvocation(invocation).status();
+       },
+       CatalogMutation::RecordInvocation(invocation)},
+      {"SetDatasetSize",
+       [](CatalogClient& c) { return c.SetDatasetSize("d6", 4096); },
+       CatalogMutation::SetDatasetSize("d6", 4096)},
+      {"InvalidateReplica",
+       [](CatalogClient& c) { return c.InvalidateReplica("rp-1"); },
+       CatalogMutation::InvalidateReplica("rp-1")},
+  };
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    // Two identical catalogs, each behind its own warmed cache.
+    std::vector<std::unique_ptr<VirtualDataCatalog>> catalogs;
+    std::vector<std::unique_ptr<CachingCatalogClient>> caches;
+    for (int k = 0; k < 2; ++k) {
+      catalogs.push_back(ChainCatalog(8));
+      Replica seeded = replica;
+      seeded.dataset = "d1";
+      ASSERT_EQ(catalogs.back()->AddReplica(seeded).value_or(""), "rp-1");
+      caches.push_back(std::make_unique<CachingCatalogClient>(
+          std::make_shared<InProcessCatalogClient>(catalogs.back().get())));
+      ReadProbeSet(*caches.back());
+    }
+    ASSERT_EQ(StatsTuple(caches[0]->stats()), StatsTuple(caches[1]->stats()));
+
+    ASSERT_TRUE(c.single(*caches[0]).ok());
+    Result<BatchResult> batch = caches[1]->ApplyBatch({c.batched});
+    ASSERT_TRUE(batch.ok()) << batch.status();
+    ASSERT_TRUE(batch->first_error.ok()) << batch->first_error;
+    EXPECT_EQ(StatsTuple(caches[0]->stats()), StatsTuple(caches[1]->stats()));
+
+    EXPECT_EQ(ReadProbeSet(*caches[0]), ReadProbeSet(*caches[1]));
+    EXPECT_EQ(StatsTuple(caches[0]->stats()), StatsTuple(caches[1]->stats()));
+  }
 }
 
 // -------------------- Executor writes over the boundary --------------

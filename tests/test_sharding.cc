@@ -6,8 +6,10 @@
 // with a full rebuild even when a refresh lands mid-ApplyBatch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "catalog/catalog.h"
@@ -58,7 +60,7 @@ struct World {
   std::unique_ptr<ShardedCatalogClient> sharded;
 };
 
-World MakeWorld(uint32_t shard_count, ShardedClientOptions options = {}) {
+World MakeWorld(uint32_t shard_count) {
   World world;
   for (uint32_t k = 0; k < shard_count; ++k) {
     auto catalog = std::make_unique<VirtualDataCatalog>(
@@ -69,8 +71,7 @@ World MakeWorld(uint32_t shard_count, ShardedClientOptions options = {}) {
         std::make_shared<InProcessCatalogClient>(catalog.get()));
     world.catalogs.push_back(std::move(catalog));
   }
-  world.sharded =
-      std::make_unique<ShardedCatalogClient>(world.clients, options);
+  world.sharded = std::make_unique<ShardedCatalogClient>(world.clients);
   return world;
 }
 
@@ -254,16 +255,6 @@ TEST(ShardedEquivalence, RandomizedQueriesMatchUnsharded) {
   }
 }
 
-TEST(ShardedEquivalence, ParallelFanoutMatchesUnsharded) {
-  ShardedClientOptions options;
-  options.parallel_fanout = true;
-  World world = MakeWorld(4, options);
-  Reference ref = MakeReference();
-  ASSERT_TRUE(ApplyWorkload(world.sharded.get(), 11, 96, 32).ok());
-  ASSERT_TRUE(ApplyWorkload(ref.client.get(), 11, 96, 32).ok());
-  ExpectQueryEquivalence(world.sharded.get(), ref.client.get(), 13, 30);
-}
-
 TEST(ShardedEquivalence, PointReadsAndProvenanceMatchUnsharded) {
   World world = MakeWorld(3);
   Reference ref = MakeReference();
@@ -377,6 +368,239 @@ TEST(ShardedEquivalence, ApplyBatchMatchesUnsharded) {
 }
 
 // ---------------------------------------------------------------------
+// Single mutations: placement and broadcast merge
+// ---------------------------------------------------------------------
+
+/// Forwarding shard wrapper that logs every request kind it receives,
+/// tagged with its shard index, into one log shared by the whole shard
+/// set: the log shows which shards a mutation reached, and in what
+/// order.
+class RecordingShard : public RequestClient {
+ public:
+  using Log = std::vector<std::pair<uint32_t, wire::MsgKind>>;
+
+  RecordingShard(std::shared_ptr<CatalogClient> inner, uint32_t index,
+                 std::shared_ptr<Log> log)
+      : inner_(std::move(inner)), index_(index), log_(std::move(log)) {}
+
+  const std::string& authority() const override {
+    return inner_->authority();
+  }
+  bool read_only() const override { return inner_->read_only(); }
+
+  Result<wire::Response> Call(const wire::Request& request) override {
+    log_->emplace_back(index_, request.kind);
+    return inner_->Call(request);
+  }
+
+ private:
+  std::shared_ptr<CatalogClient> inner_;
+  uint32_t index_;
+  std::shared_ptr<Log> log_;
+};
+
+/// The shards that received `kind` from log position `from` on, in
+/// arrival order.
+std::vector<uint32_t> ShardsThatGot(const RecordingShard::Log& log,
+                                    size_t from, wire::MsgKind kind) {
+  std::vector<uint32_t> shards;
+  for (size_t i = from; i < log.size(); ++i) {
+    if (log[i].second == kind) shards.push_back(log[i].first);
+  }
+  return shards;
+}
+
+/// Position of the first (shard, kind) entry from `from` on; npos if
+/// none.
+size_t FindInLog(const RecordingShard::Log& log, size_t from, uint32_t shard,
+                 wire::MsgKind kind) {
+  for (size_t i = from; i < log.size(); ++i) {
+    if (log[i].first == shard && log[i].second == kind) return i;
+  }
+  return std::string::npos;
+}
+
+bool Contains(const std::vector<uint32_t>& shards, uint32_t shard) {
+  return std::find(shards.begin(), shards.end(), shard) != shards.end();
+}
+
+TEST(ShardedMutations, SingleMutationsMatchUnsharded) {
+  using K = wire::MsgKind;
+  constexpr uint32_t kShards = 4;
+  auto log = std::make_shared<RecordingShard::Log>();
+  std::vector<std::unique_ptr<VirtualDataCatalog>> catalogs;
+  std::vector<std::shared_ptr<CatalogClient>> clients;
+  for (uint32_t k = 0; k < kShards; ++k) {
+    auto catalog = std::make_unique<VirtualDataCatalog>(
+        "shard" + std::to_string(k) + ".org");
+    catalog->set_partition_mode(true);
+    ASSERT_TRUE(catalog->Open().ok());
+    clients.push_back(std::make_shared<RecordingShard>(
+        std::make_shared<InProcessCatalogClient>(catalog.get()), k, log));
+    catalogs.push_back(std::move(catalog));
+  }
+  ShardedCatalogClient sharded(clients);
+  Reference ref = MakeReference();
+  const std::vector<CatalogClient*> both = {&sharded, ref.client.get()};
+  const std::vector<uint32_t> every_shard = {0, 1, 2, 3};
+
+  // Broadcast DefineTransformation: one kDefineTransformation per
+  // shard; the retry answer is AlreadyExists, as unsharded.
+  size_t mark = log->size();
+  for (CatalogClient* client : both) {
+    ASSERT_TRUE(client->DefineTransformation(MakeXf("xf")).ok());
+  }
+  EXPECT_EQ(ShardsThatGot(*log, mark, K::kDefineTransformation), every_shard);
+  for (CatalogClient* client : both) {
+    EXPECT_TRUE(client->DefineTransformation(MakeXf("xf")).IsAlreadyExists());
+  }
+
+  // Annotate on a transformation reaches every shard as kAnnotate.
+  mark = log->size();
+  for (CatalogClient* client : both) {
+    ASSERT_TRUE(client->Annotate("transformation", "xf", "owner", "ops").ok());
+  }
+  EXPECT_EQ(ShardsThatGot(*log, mark, K::kAnnotate), every_shard);
+  for (const auto& catalog : catalogs) {
+    EXPECT_TRUE(catalog->GetTransformation("xf")->annotations().Has("owner"))
+        << catalog->name();
+  }
+  EXPECT_TRUE(
+      ref.catalog->GetTransformation("xf")->annotations().Has("owner"));
+  for (CatalogClient* client : both) {
+    EXPECT_TRUE(client->Annotate("transformation", "ghost", "k", "v")
+                    .IsNotFound());
+  }
+
+  // A DefineDerivation whose output hashes to another shard: the output
+  // is pre-created on its own home shard before the derivation commits
+  // on the derivation's.
+  Dataset input;
+  input.name = "in";
+  input.descriptor = DatasetDescriptor::File("/data/in");
+  for (CatalogClient* client : both) {
+    ASSERT_TRUE(client->DefineDataset(input).ok());
+  }
+  const uint32_t dv_home = sharded.ShardOf("dv");
+  std::string output;
+  for (int i = 0; output.empty(); ++i) {
+    std::string candidate = "out" + std::to_string(i);
+    if (sharded.ShardOf(candidate) != dv_home) output = candidate;
+  }
+  mark = log->size();
+  for (CatalogClient* client : both) {
+    ASSERT_TRUE(
+        client->DefineDerivation(MakeStep("dv", "xf", "in", output)).ok());
+  }
+  const size_t precreate =
+      FindInLog(*log, mark, sharded.ShardOf(output), K::kDefineDataset);
+  const size_t commit = FindInLog(*log, mark, dv_home, K::kDefineDerivation);
+  ASSERT_NE(precreate, std::string::npos);
+  ASSERT_NE(commit, std::string::npos);
+  EXPECT_LT(precreate, commit);
+  for (CatalogClient* client : both) {
+    Result<Dataset> out = client->GetDataset(output);
+    ASSERT_TRUE(out.ok()) << out.status();
+    EXPECT_EQ(out->producer, "dv");
+    Result<std::string> producer = client->ProducerOf(output);
+    ASSERT_TRUE(producer.ok()) << producer.status();
+    EXPECT_EQ(*producer, "dv");
+  }
+
+  // Id assignment: a client-assigned id names the shard that holds the
+  // object, and only that shard sees the op.
+  const uint32_t in_home = sharded.ShardOf("in");
+  Replica replica;
+  replica.dataset = "in";
+  replica.site = "site0";
+  mark = log->size();
+  Result<std::string> rp_id = sharded.AddReplica(replica);
+  ASSERT_TRUE(rp_id.ok()) << rp_id.status();
+  EXPECT_EQ(ShardsThatGot(*log, mark, K::kAddReplica),
+            std::vector<uint32_t>{in_home});
+  EXPECT_EQ(rp_id->rfind("rp-s" + std::to_string(in_home) + "-", 0), 0u)
+      << *rp_id;
+  EXPECT_TRUE(catalogs[in_home]->GetReplica(*rp_id).ok());
+  Result<std::string> ref_rp_id = ref.client->AddReplica(replica);
+  ASSERT_TRUE(ref_rp_id.ok());
+
+  Invocation invocation;
+  invocation.derivation = "dv";
+  mark = log->size();
+  Result<std::string> iv_id = sharded.RecordInvocation(invocation);
+  ASSERT_TRUE(iv_id.ok()) << iv_id.status();
+  EXPECT_EQ(ShardsThatGot(*log, mark, K::kRecordInvocation),
+            std::vector<uint32_t>{dv_home});
+  EXPECT_EQ(iv_id->rfind("iv-s" + std::to_string(dv_home) + "-", 0), 0u)
+      << *iv_id;
+  EXPECT_TRUE(catalogs[dv_home]->GetInvocation(*iv_id).ok());
+  Result<std::string> ref_iv_id = ref.client->RecordInvocation(invocation);
+  ASSERT_TRUE(ref_iv_id.ok());
+
+  // Annotate under a client-assigned id: exactly the named shard.
+  mark = log->size();
+  ASSERT_TRUE(sharded.Annotate("replica", *rp_id, "checksum", "abc").ok());
+  ASSERT_TRUE(sharded.Annotate("invocation", *iv_id, "node", "n1").ok());
+  EXPECT_EQ(ShardsThatGot(*log, mark, K::kAnnotate),
+            (std::vector<uint32_t>{in_home, dv_home}));
+  ASSERT_TRUE(
+      ref.client->Annotate("replica", *ref_rp_id, "checksum", "abc").ok());
+  ASSERT_TRUE(
+      ref.client->Annotate("invocation", *ref_iv_id, "node", "n1").ok());
+  EXPECT_TRUE(catalogs[in_home]->GetReplica(*rp_id)->annotations.Has(
+      "checksum"));
+  EXPECT_TRUE(
+      catalogs[dv_home]->GetInvocation(*iv_id)->annotations.Has("node"));
+
+  // Caller-supplied ids name no shard: the op still lands on the shard
+  // holding the object, as a single kAnnotate / kInvalidateReplica.
+  Replica mine = replica;
+  mine.id = "site-copy-1";
+  Invocation run = invocation;
+  run.id = "run-1";
+  for (CatalogClient* client : both) {
+    EXPECT_EQ(client->AddReplica(mine).value_or(""), "site-copy-1");
+    EXPECT_EQ(client->RecordInvocation(run).value_or(""), "run-1");
+  }
+  mark = log->size();
+  for (CatalogClient* client : both) {
+    ASSERT_TRUE(client->Annotate("replica", "site-copy-1", "k", "v").ok());
+  }
+  EXPECT_TRUE(Contains(ShardsThatGot(*log, mark, K::kAnnotate), in_home));
+  mark = log->size();
+  for (CatalogClient* client : both) {
+    ASSERT_TRUE(client->Annotate("invocation", "run-1", "k", "v").ok());
+  }
+  EXPECT_TRUE(Contains(ShardsThatGot(*log, mark, K::kAnnotate), dv_home));
+  EXPECT_TRUE(
+      catalogs[in_home]->GetReplica("site-copy-1")->annotations.Has("k"));
+  EXPECT_TRUE(catalogs[dv_home]->GetInvocation("run-1")->annotations.Has("k"));
+  EXPECT_TRUE(ref.catalog->GetReplica("site-copy-1")->annotations.Has("k"));
+  EXPECT_TRUE(ref.catalog->GetInvocation("run-1")->annotations.Has("k"));
+
+  mark = log->size();
+  for (CatalogClient* client : both) {
+    ASSERT_TRUE(client->InvalidateReplica("site-copy-1").ok());
+  }
+  EXPECT_TRUE(
+      Contains(ShardsThatGot(*log, mark, K::kInvalidateReplica), in_home));
+  EXPECT_FALSE(catalogs[in_home]->GetReplica("site-copy-1")->valid);
+  EXPECT_FALSE(ref.catalog->GetReplica("site-copy-1")->valid);
+  for (CatalogClient* client : both) {
+    // The client-assigned replica still materializes the dataset.
+    EXPECT_TRUE(client->IsMaterialized("in").value_or(false));
+    EXPECT_TRUE(client->InvalidateReplica("nowhere").IsNotFound());
+    EXPECT_TRUE(client->Annotate("replica", "nowhere", "k", "v").IsNotFound());
+    EXPECT_TRUE(
+        client->Annotate("invocation", "nowhere", "k", "v").IsNotFound());
+  }
+
+  // No single mutation went out as a batch.
+  EXPECT_TRUE(ShardsThatGot(*log, 0, K::kApplyBatch).empty());
+  ExpectQueryEquivalence(&sharded, ref.client.get(), 17, 10);
+}
+
+// ---------------------------------------------------------------------
 // Partial failure: fail closed, never truncate
 // ---------------------------------------------------------------------
 
@@ -483,6 +707,86 @@ TEST(ShardedVersions, CompositeIsSumAndNotDeltaAddressable) {
   ShardTopology topo = world.sharded->shard_topology();
   EXPECT_EQ(topo.shard_count, 3u);
   EXPECT_NE(topo.fingerprint, 0u);
+}
+
+TEST(ShardedFaults, BroadcastMutationsMergeEveryShardsAnswer) {
+  // Shard 0 is down; the replica lives on a later shard, so a walk that
+  // stopped at the first failure would never reach it.
+  std::vector<std::unique_ptr<VirtualDataCatalog>> catalogs;
+  std::vector<std::shared_ptr<CatalogClient>> clients;
+  std::shared_ptr<FlakyShard> flaky;
+  for (uint32_t k = 0; k < 3; ++k) {
+    auto catalog = std::make_unique<VirtualDataCatalog>(
+        "shard" + std::to_string(k) + ".org");
+    catalog->set_partition_mode(true);
+    ASSERT_TRUE(catalog->Open().ok());
+    std::shared_ptr<CatalogClient> client =
+        std::make_shared<InProcessCatalogClient>(catalog.get());
+    if (k == 0) {
+      flaky = std::make_shared<FlakyShard>(client);
+      client = flaky;
+    }
+    clients.push_back(std::move(client));
+    catalogs.push_back(std::move(catalog));
+  }
+  ShardedCatalogClient sharded(clients);
+  ASSERT_TRUE(sharded.DefineTransformation(MakeXf("xf")).ok());
+  Dataset ds;
+  for (int i = 0; ds.name.empty() || sharded.ShardOf(ds.name) == 0; ++i) {
+    ds.name = "d" + std::to_string(i);
+  }
+  ASSERT_TRUE(sharded.DefineDataset(ds).ok());
+  Replica replica;
+  replica.id = "site-copy-1";
+  replica.dataset = ds.name;
+  replica.site = "site0";
+  ASSERT_TRUE(sharded.AddReplica(replica).ok());
+
+  flaky->set_down(true);
+  // Every shard must hold a transformation: one down shard fails the
+  // op, and the shards that are up still apply it.
+  EXPECT_TRUE(
+      sharded.Annotate("transformation", "xf", "k", "v").IsUnavailable());
+  EXPECT_TRUE(catalogs[2]->GetTransformation("xf")->annotations().Has("k"));
+  // A caller-supplied id: the shard that holds the replica answers.
+  EXPECT_TRUE(sharded.Annotate("replica", "site-copy-1", "k", "v").ok());
+  EXPECT_TRUE(sharded.InvalidateReplica("site-copy-1").ok());
+  EXPECT_FALSE(catalogs[sharded.ShardOf(ds.name)]
+                   ->GetReplica("site-copy-1")
+                   ->valid);
+  // No shard that is up holds it: the down shard might have.
+  EXPECT_TRUE(sharded.InvalidateReplica("nowhere").IsUnavailable());
+}
+
+TEST(ShardedFaults, UnusableShardSetAnswersEveryCallWithAnError) {
+  // An empty list, or a null client in a non-empty one, used to crash
+  // inside the constructor.
+  World world = MakeWorld(2);
+  std::vector<std::vector<std::shared_ptr<CatalogClient>>> unusable = {
+      {}, {nullptr}, {world.clients[0], nullptr}};
+  for (const auto& shards : unusable) {
+    SCOPED_TRACE(shards.size());
+    ShardedCatalogClient sharded(shards);
+    EXPECT_FALSE(sharded.read_only());
+    EXPECT_TRUE(sharded.Version().status().IsInvalidArgument());
+    EXPECT_TRUE(sharded.ShardVersions().status().IsInvalidArgument());
+    EXPECT_TRUE(sharded.ShardChangesSince(0, 0).status().IsInvalidArgument());
+    EXPECT_TRUE(sharded.GetDataset("d").status().IsInvalidArgument());
+    EXPECT_TRUE(sharded.FindDatasets({}).status().IsInvalidArgument());
+    EXPECT_TRUE(sharded.GetProvenanceStep("d").status().IsInvalidArgument());
+    Dataset ds;
+    ds.name = "d";
+    EXPECT_TRUE(sharded.DefineDataset(ds).IsInvalidArgument());
+    EXPECT_TRUE(sharded.DefineTransformation(MakeXf("xf")).IsInvalidArgument());
+    Result<BatchResult> batch =
+        sharded.ApplyBatch({CatalogMutation::DefineDataset(ds)});
+    EXPECT_TRUE(batch.status().IsInvalidArgument());
+    // A Reshard to a usable set brings it up.
+    ASSERT_TRUE(sharded.Reshard(world.clients).ok());
+    ds.name = "d" + std::to_string(shards.size());
+    EXPECT_TRUE(sharded.DefineDataset(ds).ok());
+    EXPECT_TRUE(sharded.GetDataset(ds.name).ok());
+  }
 }
 
 TEST(ShardedVersions, ReshardChangesFingerprint) {
