@@ -1120,5 +1120,66 @@ TEST(RequestPath, MismatchedBodyIsInvalidArgument) {
   EXPECT_TRUE(client.Call(request).ok());
 }
 
+// A request whose kind is unknown or whose body is not the one its kind
+// carries is the caller's mistake: every rung answers InvalidArgument
+// without sending anything, so no connection drops, no retry runs and
+// no breaker opens.
+TEST(RequestPath, MalformedRequestsAreInvalidArgumentOnEveryRung) {
+  auto catalog = ChainCatalog(2);
+  auto in_process = std::make_shared<InProcessCatalogClient>(catalog.get());
+  CatalogServer server(in_process);
+  auto wire_client = WireCatalogClient::Connect(&server);
+  ASSERT_TRUE(wire_client.ok()) << wire_client.status();
+  ResilientEndpoint endpoint;
+  endpoint.name = "server";
+  endpoint.connect = [&]() -> Result<std::shared_ptr<CatalogClient>> {
+    VDG_ASSIGN_OR_RETURN(std::shared_ptr<WireCatalogClient> wire,
+                         WireCatalogClient::Connect(&server));
+    return std::shared_ptr<CatalogClient>(std::move(wire));
+  };
+  ResilientCatalogClient resilient({endpoint});
+  std::vector<std::unique_ptr<VirtualDataCatalog>> shard_catalogs;
+  std::vector<std::shared_ptr<CatalogClient>> shards;
+  for (int k = 0; k < 2; ++k) {
+    auto shard =
+        std::make_unique<VirtualDataCatalog>("shard" + std::to_string(k));
+    shard->set_partition_mode(true);
+    ASSERT_TRUE(shard->Open().ok());
+    shards.push_back(std::make_shared<InProcessCatalogClient>(shard.get()));
+    shard_catalogs.push_back(std::move(shard));
+  }
+  ShardedCatalogClient sharded(shards);
+
+  const std::vector<wire::Request> malformed = {
+      {wire::MsgKind::kVersion, wire::NameReq{"d1"}},
+      {wire::MsgKind::kGetDataset, wire::ChangesSinceReq{0}},
+      {wire::MsgKind::kApplyBatch, wire::NameReq{"d1"}},
+      {static_cast<wire::MsgKind>(99), wire::EmptyReq{}},
+      {static_cast<wire::MsgKind>(0), wire::EmptyReq{}},
+  };
+  const std::pair<const char*, CatalogClient*> rungs[] = {
+      {"InProcess", in_process.get()},
+      {"Wire", wire_client->get()},
+      {"Resilient->Wire", &resilient},
+      {"Sharded", &sharded},
+  };
+  for (const auto& [name, rung] : rungs) {
+    for (const wire::Request& request : malformed) {
+      const uint64_t protocol_errors = server.stats().protocol_errors.load();
+      Result<wire::Response> answer = rung->Call(request);
+      EXPECT_TRUE(answer.status().IsInvalidArgument())
+          << name << ", kind " << static_cast<int>(request.kind) << ": "
+          << answer.status();
+      EXPECT_EQ(server.stats().protocol_errors.load(), protocol_errors)
+          << name;
+      Result<uint64_t> version = rung->Version();
+      EXPECT_TRUE(version.ok()) << name << ": " << version.status();
+    }
+  }
+  EXPECT_EQ(resilient.stats().retries, 0u);
+  EXPECT_EQ(resilient.stats().breaker_opens, 0u);
+  EXPECT_EQ(resilient.breaker_state(0), BreakerState::kClosed);
+}
+
 }  // namespace
 }  // namespace vdg

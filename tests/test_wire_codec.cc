@@ -7,10 +7,12 @@
 
 #include <cstring>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "catalog/wire.h"
+#include "common/hash.h"
 #include "common/rng.h"
 
 namespace vdg {
@@ -967,6 +969,785 @@ TEST(WireFrames, MsgKindNamesAreDistinct) {
   EXPECT_FALSE(IsValidMsgKind(0));
   EXPECT_FALSE(IsValidMsgKind(27));
   EXPECT_FALSE(IsValidMsgKind(255));
+}
+
+// ------------------------- golden frames -----------------------------
+// One request frame and one OK response frame per kind, plus one error
+// response, pinned byte for byte. The bodies are fixed, and every field
+// of every body is non-default somewhere in the set, so a codec rewrite
+// that moves, drops or reorders a field changes at least one frame.
+
+AttributeSet GoldenAttributes() {
+  AttributeSet set;
+  set.Set("label", AttributeValue("z-band"));
+  set.Set("count", AttributeValue(int64_t{-42}));
+  set.Set("ratio", AttributeValue(0.1));
+  set.Set("calibrated", AttributeValue(true));
+  return set;
+}
+
+DatasetType GoldenType() { return DatasetType{"SDSS", "Fileset", "FITS"}; }
+
+Dataset GoldenDataset() {
+  Dataset ds;
+  ds.name = "galaxy.cat";
+  ds.type = GoldenType();
+  ds.descriptor.schema = "sql-rows";
+  ds.descriptor.fields.Set("table", AttributeValue("galaxies"));
+  ds.size_bytes = 1 << 20;
+  ds.producer = "find-galaxies";
+  ds.annotations = GoldenAttributes();
+  return ds;
+}
+
+Replica GoldenReplica() {
+  Replica r;
+  r.id = "rp-s1-7";
+  r.dataset = "galaxy.cat";
+  r.site = "fnal";
+  r.storage_element = "se1";
+  r.physical_path = "/data/galaxy.cat";
+  r.size_bytes = 1 << 20;
+  r.created_at = 1234.5;
+  r.valid = false;
+  r.annotations = GoldenAttributes();
+  return r;
+}
+
+FormalArg GoldenFormal(std::string name, ArgDirection direction) {
+  FormalArg arg;
+  arg.name = std::move(name);
+  arg.direction = direction;
+  return arg;
+}
+
+/// A simple transformation exercising every field but the calls.
+Transformation GoldenSimpleTransformation() {
+  Transformation tr("find-clusters", Transformation::Kind::kSimple);
+  tr.set_version("2.1");
+  FormalArg in = GoldenFormal("in", ArgDirection::kIn);
+  in.types.push_back(GoldenType());
+  in.default_dataset = "galaxy.cat";
+  EXPECT_TRUE(tr.AddArg(in).ok());
+  FormalArg radius = GoldenFormal("radius", ArgDirection::kNone);
+  radius.default_string = "0.5";
+  EXPECT_TRUE(tr.AddArg(radius).ok());
+  EXPECT_TRUE(tr.AddArg(GoldenFormal("out", ArgDirection::kOut)).ok());
+  tr.set_executable("/bin/find-clusters");
+  tr.AddArgumentTemplate(ArgumentTemplate{
+      "stdin", {TemplatePiece::Ref("in", ArgDirection::kIn)}});
+  tr.AddArgumentTemplate(ArgumentTemplate{
+      "", {TemplatePiece::Literal("-r "), TemplatePiece::Ref("radius")}});
+  tr.SetEnv("PATH", {TemplatePiece::Literal("/usr/bin")});
+  tr.SetProfile("hints.pfnHint", {TemplatePiece::Literal("/opt/fc")});
+  tr.annotations() = GoldenAttributes();
+  return tr;
+}
+
+/// A compound transformation with env and profile entries.
+Transformation GoldenCompoundTransformation() {
+  Transformation tr("cluster-pipeline", Transformation::Kind::kCompound);
+  tr.set_version("1.0");
+  EXPECT_TRUE(tr.AddArg(GoldenFormal("a", ArgDirection::kInOut)).ok());
+  tr.SetEnv("TZ", {TemplatePiece::Literal("UTC")});
+  tr.SetProfile("globus.maxwalltime", {TemplatePiece::Literal("60")});
+  CompoundCall call;
+  call.callee = "vdp://sdss.org/find-clusters";
+  call.bindings.emplace_back("in", TemplatePiece::Ref("a"));
+  call.bindings.emplace_back("radius", TemplatePiece::Literal("0.25"));
+  tr.AddCall(call);
+  tr.annotations() = GoldenAttributes();
+  return tr;
+}
+
+Derivation GoldenDerivation() {
+  Derivation dv("find-galaxies", "find-clusters");
+  dv.set_transformation_namespace("sdss");
+  EXPECT_TRUE(dv.AddArg(ActualArg::String("radius", "0.5")).ok());
+  EXPECT_TRUE(dv.AddArg(ActualArg::DatasetRef("in", "galaxy.cat",
+                                              ArgDirection::kIn))
+                  .ok());
+  EXPECT_TRUE(dv.AddArg(ActualArg::DatasetRef("out", "clusters.cat",
+                                              ArgDirection::kOut))
+                  .ok());
+  dv.SetEnvOverride("TZ", "UTC");
+  dv.annotations() = GoldenAttributes();
+  return dv;
+}
+
+Invocation GoldenInvocation() {
+  Invocation inv;
+  inv.id = "iv-s0-3";
+  inv.derivation = "find-galaxies";
+  inv.context = ExecutionContext{"fnal", "node7", "irix", "mips"};
+  inv.start_time = 100.25;
+  inv.duration_s = 12.5;
+  inv.cpu_seconds = 11.75;
+  inv.peak_memory_bytes = int64_t{1} << 33;
+  inv.exit_code = -9;
+  inv.succeeded = false;
+  inv.consumed_replicas = {"rp-s1-7"};
+  inv.produced_replicas = {"rp-s0-8", "rp-s0-9"};
+  inv.annotations = GoldenAttributes();
+  return inv;
+}
+
+std::vector<AttributePredicate> GoldenPredicates() {
+  return {AttributePredicate{"ratio", PredicateOp::kGe, AttributeValue(0.05)},
+          AttributePredicate{"calibrated", PredicateOp::kEq,
+                             AttributeValue(true)},
+          AttributePredicate{"label", PredicateOp::kContains,
+                             AttributeValue("band")}};
+}
+
+CatalogMutation GoldenAnnotateOp() {
+  return CatalogMutation::AnnotateAssigned("replica", 4, "checked",
+                                           AttributeValue(false));
+}
+
+ApplyBatchReq GoldenBatch() {
+  ApplyBatchReq batch;
+  batch.mutations = {
+      CatalogMutation::DefineDataset(GoldenDataset()),
+      CatalogMutation::DefineTransformation(GoldenCompoundTransformation()),
+      CatalogMutation::DefineDerivation(GoldenDerivation()),
+      GoldenAnnotateOp(),
+      CatalogMutation::AddReplica(GoldenReplica()),
+      CatalogMutation::RecordInvocation(GoldenInvocation(), {4}),
+      CatalogMutation::SetDatasetSize("galaxy.cat", -1),
+      CatalogMutation::InvalidateReplica("rp-s1-7"),
+  };
+  batch.options.stop_on_error = true;
+  batch.options.idempotency_token = "rcc-00ff-1";
+  return batch;
+}
+
+/// The request each kind's golden frame carries, in MsgKind order.
+std::vector<Request> GoldenRequests() {
+  DatasetQuery dq;
+  dq.type = GoldenType();
+  dq.predicates = GoldenPredicates();
+  dq.name_prefix = "gal";
+  dq.require_materialized = true;
+  dq.only_virtual = true;
+  dq.limit = 50;
+  TransformationQuery tq;
+  tq.consumes = GoldenType();
+  tq.produces = DatasetType{"SDSS", "Relation", ""};
+  tq.predicates = GoldenPredicates();
+  tq.name_prefix = "find";
+  tq.limit = 7;
+  DerivationQuery vq;
+  vq.transformation = "find-clusters";
+  vq.reads_dataset = "galaxy.cat";
+  vq.writes_dataset = "clusters.cat";
+  vq.predicates = GoldenPredicates();
+  vq.name_prefix = "find";
+  vq.limit = 3;
+  return {
+      {MsgKind::kHandshake, EmptyReq{}},
+      {MsgKind::kVersion, EmptyReq{}},
+      {MsgKind::kChangesSince, ChangesSinceReq{0x0123456789ABCDEFull}},
+      {MsgKind::kGetDataset, NameReq{"galaxy.cat"}},
+      {MsgKind::kGetTransformation, NameReq{"find-clusters"}},
+      {MsgKind::kGetDerivation, NameReq{"find-galaxies"}},
+      {MsgKind::kHasDataset, NameReq{"clusters.cat"}},
+      {MsgKind::kIsMaterialized, NameReq{"galaxy.cat"}},
+      {MsgKind::kProducerOf, NameReq{"clusters.cat"}},
+      {MsgKind::kInvocationsOf, NameReq{"find-galaxies"}},
+      {MsgKind::kFindDatasets, FindDatasetsReq{dq}},
+      {MsgKind::kFindTransformations, FindTransformationsReq{tq}},
+      {MsgKind::kFindDerivations, FindDerivationsReq{vq}},
+      {MsgKind::kAllNames, NameReq{"derivation"}},
+      {MsgKind::kTypeConforms,
+       TypeConformsReq{GoldenType(), DatasetType{"SDSS", "", ""}}},
+      {MsgKind::kBatchGet, BatchGetReq{{{"dataset", "galaxy.cat"},
+                                        {"derivation", "find-galaxies"}}}},
+      {MsgKind::kGetProvenanceStep, NameReq{"clusters.cat"}},
+      {MsgKind::kDefineDataset, DefineDatasetReq{GoldenDataset()}},
+      {MsgKind::kDefineTransformation,
+       DefineTransformationReq{GoldenCompoundTransformation()}},
+      {MsgKind::kDefineDerivation, DefineDerivationReq{GoldenDerivation()}},
+      {MsgKind::kAnnotate, AnnotateReq{"dataset", "galaxy.cat", "ratio",
+                                       AttributeValue(2.5)}},
+      {MsgKind::kAddReplica, AddReplicaReq{GoldenReplica()}},
+      {MsgKind::kRecordInvocation, RecordInvocationReq{GoldenInvocation()}},
+      {MsgKind::kSetDatasetSize,
+       SetDatasetSizeReq{"galaxy.cat", int64_t{1} << 40}},
+      {MsgKind::kInvalidateReplica, NameReq{"rp-s1-7"}},
+      {MsgKind::kApplyBatch, GoldenBatch()},
+  };
+}
+
+/// The OK response each kind's golden frame carries, in MsgKind order.
+std::vector<Response> GoldenResponses() {
+  auto ok = [](MsgKind kind, auto body) {
+    Response response;
+    response.kind = kind;
+    response.body = std::move(body);
+    return response;
+  };
+  ObjectRecord hit;
+  hit.kind = "dataset";
+  hit.name = "galaxy.cat";
+  hit.dataset = GoldenDataset();
+  hit.materialized = true;
+  ObjectRecord tr_hit;
+  tr_hit.kind = "transformation";
+  tr_hit.name = "find-clusters";
+  tr_hit.transformation = GoldenSimpleTransformation();
+  ObjectRecord dv_hit;
+  dv_hit.kind = "derivation";
+  dv_hit.name = "find-galaxies";
+  dv_hit.derivation = GoldenDerivation();
+  ObjectRecord miss;
+  miss.kind = "derivation";
+  miss.name = "nope";
+  miss.status = Status::NotFound("derivation 'nope' not defined");
+  ProvenanceStep step;
+  step.dataset = "clusters.cat";
+  step.exists = true;
+  step.producer = "find-galaxies";
+  step.derivation = GoldenDerivation();
+  step.invocations = {GoldenInvocation()};
+  BatchResult result;
+  result.statuses = {Status::OK(), Status::AlreadyExists("galaxy.cat"),
+                     Status::FailedPrecondition("batch aborted")};
+  result.assigned_ids = {"", "rp-s0-8", ""};
+  result.applied = 1;
+  result.version = 0xFEDCBA9876543210ull;
+  result.first_error = Status::AlreadyExists("galaxy.cat");
+  const NameList names = NameList::FromStrings({"clusters.cat", "galaxy.cat"});
+  return {
+      ok(MsgKind::kHandshake, HandshakeResp{"sdss.org", true}),
+      ok(MsgKind::kVersion, VersionResp{0x8000000000000001ull}),
+      ok(MsgKind::kChangesSince,
+         ChangesResp{{CatalogChange{41, 'U', "dataset", "galaxy.cat"},
+                      CatalogChange{42, 'D', "invocation", "iv-s0-3"}}}),
+      ok(MsgKind::kGetDataset, DatasetResp{GoldenDataset()}),
+      ok(MsgKind::kGetTransformation,
+         TransformationResp{GoldenSimpleTransformation()}),
+      ok(MsgKind::kGetDerivation, DerivationResp{GoldenDerivation()}),
+      ok(MsgKind::kHasDataset, BoolResp{true}),
+      ok(MsgKind::kIsMaterialized, BoolResp{true}),
+      ok(MsgKind::kProducerOf, StringResp{"find-galaxies"}),
+      ok(MsgKind::kInvocationsOf, InvocationsResp{{GoldenInvocation()}}),
+      ok(MsgKind::kFindDatasets, NamesResp{names}),
+      ok(MsgKind::kFindTransformations,
+         NamesResp{NameList::FromStrings({"find-clusters"})}),
+      ok(MsgKind::kFindDerivations,
+         NamesResp{NameList::FromStrings({"find-galaxies", ""})}),
+      ok(MsgKind::kAllNames, NamesResp{names}),
+      ok(MsgKind::kTypeConforms, BoolResp{true}),
+      ok(MsgKind::kBatchGet, RecordsResp{{hit, tr_hit, dv_hit, miss}}),
+      ok(MsgKind::kGetProvenanceStep, StepResp{step}),
+      ok(MsgKind::kDefineDataset, std::monostate{}),
+      ok(MsgKind::kDefineTransformation, std::monostate{}),
+      ok(MsgKind::kDefineDerivation, std::monostate{}),
+      ok(MsgKind::kAnnotate, std::monostate{}),
+      ok(MsgKind::kAddReplica, StringResp{"rp-s0-8"}),
+      ok(MsgKind::kRecordInvocation, StringResp{"iv-s0-4"}),
+      ok(MsgKind::kSetDatasetSize, std::monostate{}),
+      ok(MsgKind::kInvalidateReplica, std::monostate{}),
+      ok(MsgKind::kApplyBatch, BatchResultResp{result}),
+  };
+}
+
+Response GoldenErrorResponse() {
+  Response response;
+  response.kind = MsgKind::kGetDataset;
+  response.status = Status::NotFound("dataset 'galaxy.cat' not defined");
+  return response;
+}
+
+/// Request ids of the golden frames: request i and its response share
+/// id 1000 + i; the error response is id 7.
+uint64_t GoldenId(size_t i) { return 1000 + i; }
+constexpr uint64_t kGoldenErrorId = 7;
+
+struct GoldenFrame {
+  const char* label;
+  const char* hex;
+};
+
+// clang-format off
+constexpr GoldenFrame kGoldenFrames[] = {
+    {"request Handshake",
+     "5644475701000100e803000000000000000000009775922f"},
+    {"request Version",
+     "5644475701000200e90300000000000000000000231c56c8"},
+    {"request ChangesSince",
+     "5644475701000300ea0300000000000008000000efcdab89674523014c66832e"},
+    {"request GetDataset",
+     "5644475701000400eb030000000000000e0000000a00000067616c6178792e63"
+     "6174e1b324bd"},
+    {"request GetTransformation",
+     "5644475701000500ec03000000000000110000000d00000066696e642d636c75"
+     "73746572735efd2b49"},
+    {"request GetDerivation",
+     "5644475701000600ed03000000000000110000000d00000066696e642d67616c"
+     "6178696573c8272fa4"},
+    {"request HasDataset",
+     "5644475701000700ee03000000000000100000000c000000636c757374657273"
+     "2e6361749c324a31"},
+    {"request IsMaterialized",
+     "5644475701000800ef030000000000000e0000000a00000067616c6178792e63"
+     "6174a339c89c"},
+    {"request ProducerOf",
+     "5644475701000900f003000000000000100000000c000000636c757374657273"
+     "2e636174db513293"},
+    {"request InvocationsOf",
+     "5644475701000a00f103000000000000110000000d00000066696e642d67616c"
+     "617869657372e8f597"},
+    {"request FindDatasets",
+     "5644475701000b00f20300000000000068000000010400000053445353070000"
+     "0046696c6573657404000000464954530300000005000000726174696f05649a"
+     "9999999999a93f0a00000063616c69627261746564006201050000006c616265"
+     "6c06730400000062616e640300000067616c010132000000000000002c2c3d0b"},
+    {"request FindTransformations",
+     "5644475701000c00f30300000000000080000000010400000053445353070000"
+     "0046696c6573657404000000464954530104000000534453530800000052656c"
+     "6174696f6e000000000300000005000000726174696f05649a9999999999a93f"
+     "0a00000063616c69627261746564006201050000006c6162656c067304000000"
+     "62616e640400000066696e640700000000000000aed35df7"},
+    {"request FindDerivations",
+     "5644475701000d00f4030000000000007a0000000d00000066696e642d636c75"
+     "73746572730a00000067616c6178792e6361740c000000636c7573746572732e"
+     "6361740300000005000000726174696f05649a9999999999a93f0a0000006361"
+     "6c69627261746564006201050000006c6162656c06730400000062616e640400"
+     "000066696e64030000000000000067a13145"},
+    {"request AllNames",
+     "5644475701000e00f5030000000000000e0000000a0000006465726976617469"
+     "6f6ee08e1c3f"},
+    {"request TypeConforms",
+     "5644475701000f00f6030000000000002b000000040000005344535307000000"
+     "46696c6573657404000000464954530400000053445353000000000000000060"
+     "82564a"},
+    {"request BatchGet",
+     "5644475701001000f7030000000000003c000000020000000700000064617461"
+     "7365740a00000067616c6178792e6361740a00000064657269766174696f6e0d"
+     "00000066696e642d67616c6178696573dc147aa0"},
+    {"request GetProvenanceStep",
+     "5644475701001100f803000000000000100000000c000000636c757374657273"
+     "2e636174309b07d6"},
+    {"request DefineDataset",
+     "5644475701001200f903000000000000b40000000a00000067616c6178792e63"
+     "617404000000534453530700000046696c657365740400000046495453080000"
+     "0073716c2d726f777301000000050000007461626c65730800000067616c6178"
+     "69657300001000000000000d00000066696e642d67616c617869657304000000"
+     "0a00000063616c69627261746564620105000000636f756e7469d6ffffffffff"
+     "ffff050000006c6162656c73060000007a2d62616e6405000000726174696f64"
+     "9a9999999999b93f14eaa87e"},
+    {"request DefineTransformation",
+     "5644475701001300fa030000000000000601000010000000636c75737465722d"
+     "706970656c696e650103000000312e3001000000010000006102000000000000"
+     "00000000000000000100000002000000545a0100000000030000005554430001"
+     "00000012000000676c6f6275732e6d617877616c6c74696d6501000000000200"
+     "0000363000010000001c0000007664703a2f2f736473732e6f72672f66696e64"
+     "2d636c7573746572730200000002000000696e01010000006100060000007261"
+     "646975730004000000302e323500040000000a00000063616c69627261746564"
+     "620105000000636f756e7469d6ffffffffffffff050000006c6162656c730600"
+     "00007a2d62616e6405000000726174696f649a9999999999b93f0e580147"},
+    {"request DefineDerivation",
+     "5644475701001400fb03000000000000d20000000d00000066696e642d67616c"
+     "617869657304000000736473730d00000066696e642d636c7573746572730300"
+     "0000060000007261646975730103000000302e35000002000000696e00010a00"
+     "000067616c6178792e6361740100030000006f757400010c000000636c757374"
+     "6572732e63617401010100000002000000545a03000000555443040000000a00"
+     "000063616c69627261746564620105000000636f756e7469d6ffffffffffffff"
+     "050000006c6162656c73060000007a2d62616e6405000000726174696f649a99"
+     "99999999b93f722d0005"},
+    {"request Annotate",
+     "5644475701001500fc030000000000002b00000007000000646174617365740a"
+     "00000067616c6178792e63617405000000726174696f64000000000000044027"
+     "e16318"},
+    {"request AddReplica",
+     "5644475701001600fd03000000000000990000000700000072702d73312d370a"
+     "00000067616c6178792e63617404000000666e616c0300000073653110000000"
+     "2f646174612f67616c6178792e636174000010000000000000000000004a9340"
+     "00040000000a00000063616c69627261746564620105000000636f756e7469d6"
+     "ffffffffffffff050000006c6162656c73060000007a2d62616e640500000072"
+     "6174696f649a9999999999b93f07e48aaa"},
+    {"request RecordInvocation",
+     "5644475701001700fe03000000000000d70000000700000069762d73302d330d"
+     "00000066696e642d67616c617869657304000000666e616c050000006e6f6465"
+     "370400000069726978040000006d697073000000000010594000000000000029"
+     "4000000000008027400000000002000000f7ffffff0001000000070000007270"
+     "2d73312d37020000000700000072702d73302d380700000072702d73302d3904"
+     "0000000a00000063616c69627261746564620105000000636f756e7469d6ffff"
+     "ffffffffff050000006c6162656c73060000007a2d62616e6405000000726174"
+     "696f649a9999999999b93f5264042b"},
+    {"request SetDatasetSize",
+     "5644475701001800ff03000000000000160000000a00000067616c6178792e63"
+     "6174000000000001000043ee18af"},
+    {"request InvalidateReplica",
+     "564447570100190000040000000000000b0000000700000072702d73312d37ec"
+     "04c628"},
+    {"request ApplyBatch",
+     "5644475701001a0001040000000000006904000008000000000a00000067616c"
+     "6178792e63617404000000534453530700000046696c65736574040000004649"
+     "54530800000073716c2d726f777301000000050000007461626c657308000000"
+     "67616c617869657300001000000000000d00000066696e642d67616c61786965"
+     "73040000000a00000063616c69627261746564620105000000636f756e7469d6"
+     "ffffffffffffff050000006c6162656c73060000007a2d62616e640500000072"
+     "6174696f649a9999999999b93f0110000000636c75737465722d706970656c69"
+     "6e650103000000312e3001000000010000006102000000000000000000000000"
+     "00000100000002000000545a0100000000030000005554430001000000120000"
+     "00676c6f6275732e6d617877616c6c74696d6501000000000200000036300001"
+     "0000001c0000007664703a2f2f736473732e6f72672f66696e642d636c757374"
+     "6572730200000002000000696e01010000006100060000007261646975730004"
+     "000000302e323500040000000a00000063616c69627261746564620105000000"
+     "636f756e7469d6ffffffffffffff050000006c6162656c73060000007a2d6261"
+     "6e6405000000726174696f649a9999999999b93f020d00000066696e642d6761"
+     "6c617869657304000000736473730d00000066696e642d636c75737465727303"
+     "000000060000007261646975730103000000302e35000002000000696e00010a"
+     "00000067616c6178792e6361740100030000006f757400010c000000636c7573"
+     "746572732e63617401010100000002000000545a03000000555443040000000a"
+     "00000063616c69627261746564620105000000636f756e7469d6ffffffffffff"
+     "ff050000006c6162656c73060000007a2d62616e6405000000726174696f649a"
+     "9999999999b93f03070000007265706c6963610000000007000000636865636b"
+     "65646200010400000000000000040700000072702d73312d370a00000067616c"
+     "6178792e63617404000000666e616c03000000736531100000002f646174612f"
+     "67616c6178792e636174000010000000000000000000004a934000040000000a"
+     "00000063616c69627261746564620105000000636f756e7469d6ffffffffffff"
+     "ff050000006c6162656c73060000007a2d62616e6405000000726174696f649a"
+     "9999999999b93f050700000069762d73302d330d00000066696e642d67616c61"
+     "7869657304000000666e616c050000006e6f6465370400000069726978040000"
+     "006d697073000000000010594000000000000029400000000000802740000000"
+     "0002000000f7ffffff00010000000700000072702d73312d3702000000070000"
+     "0072702d73302d380700000072702d73302d39040000000a00000063616c6962"
+     "7261746564620105000000636f756e7469d6ffffffffffffff050000006c6162"
+     "656c73060000007a2d62616e6405000000726174696f649a9999999999b93f01"
+     "0000000400000000000000060a00000067616c6178792e636174ffffffffffff"
+     "ffff070700000072702d73312d37010a0000007263632d303066662d31e55e2a"
+     "49"},
+    {"response Handshake",
+     "5644475701010100e80300000000000012000000000000000008000000736473"
+     "732e6f7267016a754546"},
+    {"response Version",
+     "5644475701010200e9030000000000000d000000000000000001000000000000"
+     "804745a8c1"},
+    {"response ChangesSince",
+     "5644475701010300ea030000000000004d000000000000000002000000290000"
+     "00000000005507000000646174617365740a00000067616c6178792e6361742a"
+     "00000000000000440a000000696e766f636174696f6e0700000069762d73302d"
+     "33af31c54f"},
+    {"response GetDataset",
+     "5644475701010400eb03000000000000b900000000000000000a00000067616c"
+     "6178792e63617404000000534453530700000046696c65736574040000004649"
+     "54530800000073716c2d726f777301000000050000007461626c657308000000"
+     "67616c617869657300001000000000000d00000066696e642d67616c61786965"
+     "73040000000a00000063616c69627261746564620105000000636f756e7469d6"
+     "ffffffffffffff050000006c6162656c73060000007a2d62616e640500000072"
+     "6174696f649a9999999999b93f5f376942"},
+    {"response GetTransformation",
+     "5644475701010500ec030000000000005f01000000000000000d00000066696e"
+     "642d636c7573746572730003000000322e310300000002000000696e00010000"
+     "0004000000534453530700000046696c65736574040000004649545300010a00"
+     "000067616c6178792e6361740600000072616469757303000000000103000000"
+     "302e3500030000006f757401000000000000120000002f62696e2f66696e642d"
+     "636c7573746572730200000005000000737464696e010000000102000000696e"
+     "0100000000000200000000030000002d72200001060000007261646975730001"
+     "00000004000000504154480100000000080000002f7573722f62696e00010000"
+     "000d00000068696e74732e70666e48696e740100000000070000002f6f70742f"
+     "66630000000000040000000a00000063616c6962726174656462010500000063"
+     "6f756e7469d6ffffffffffffff050000006c6162656c73060000007a2d62616e"
+     "6405000000726174696f649a9999999999b93f8ebf3ba8"},
+    {"response GetDerivation",
+     "5644475701010600ed03000000000000d700000000000000000d00000066696e"
+     "642d67616c617869657304000000736473730d00000066696e642d636c757374"
+     "65727303000000060000007261646975730103000000302e3500000200000069"
+     "6e00010a00000067616c6178792e6361740100030000006f757400010c000000"
+     "636c7573746572732e63617401010100000002000000545a0300000055544304"
+     "0000000a00000063616c69627261746564620105000000636f756e7469d6ffff"
+     "ffffffffff050000006c6162656c73060000007a2d62616e6405000000726174"
+     "696f649a9999999999b93fff56595e"},
+    {"response HasDataset",
+     "5644475701010700ee03000000000000060000000000000000010a2257cb"},
+    {"response IsMaterialized",
+     "5644475701010800ef0300000000000006000000000000000001cae49a58"},
+    {"response ProducerOf",
+     "5644475701010900f0030000000000001600000000000000000d00000066696e"
+     "642d67616c617869657364862ca1"},
+    {"response InvocationsOf",
+     "5644475701010a00f103000000000000e0000000000000000001000000070000"
+     "0069762d73302d330d00000066696e642d67616c617869657304000000666e61"
+     "6c050000006e6f6465370400000069726978040000006d697073000000000010"
+     "5940000000000000294000000000008027400000000002000000f7ffffff0001"
+     "0000000700000072702d73312d37020000000700000072702d73302d38070000"
+     "0072702d73302d39040000000a00000063616c69627261746564620105000000"
+     "636f756e7469d6ffffffffffffff050000006c6162656c73060000007a2d6261"
+     "6e6405000000726174696f649a9999999999b93f51f09245"},
+    {"response FindDatasets",
+     "5644475701010b00f203000000000000270000000000000000020000000c0000"
+     "00636c7573746572732e6361740a00000067616c6178792e63617475513415"},
+    {"response FindTransformations",
+     "5644475701010c00f3030000000000001a0000000000000000010000000d0000"
+     "0066696e642d636c757374657273d44f6539"},
+    {"response FindDerivations",
+     "5644475701010d00f4030000000000001e0000000000000000020000000d0000"
+     "0066696e642d67616c617869657300000000918f7af7"},
+    {"response AllNames",
+     "5644475701010e00f503000000000000270000000000000000020000000c0000"
+     "00636c7573746572732e6361740a00000067616c6178792e6361744bf6d450"},
+    {"response TypeConforms",
+     "5644475701010f00f60300000000000006000000000000000001ac067e6f"},
+    {"response BatchGet",
+     "5644475701011000f7030000000000009b030000000000000004000000070000"
+     "00646174617365740a00000067616c6178792e6361740000000000010a000000"
+     "67616c6178792e63617404000000534453530700000046696c65736574040000"
+     "00464954530800000073716c2d726f777301000000050000007461626c657308"
+     "00000067616c617869657300001000000000000d00000066696e642d67616c61"
+     "78696573040000000a00000063616c69627261746564620105000000636f756e"
+     "7469d6ffffffffffffff050000006c6162656c73060000007a2d62616e640500"
+     "0000726174696f649a9999999999b93f0000010e0000007472616e73666f726d"
+     "6174696f6e0d00000066696e642d636c757374657273000000000000010d0000"
+     "0066696e642d636c7573746572730003000000322e310300000002000000696e"
+     "000100000004000000534453530700000046696c657365740400000046495453"
+     "00010a00000067616c6178792e63617406000000726164697573030000000001"
+     "03000000302e3500030000006f757401000000000000120000002f62696e2f66"
+     "696e642d636c7573746572730200000005000000737464696e01000000010200"
+     "0000696e0100000000000200000000030000002d722000010600000072616469"
+     "7573000100000004000000504154480100000000080000002f7573722f62696e"
+     "00010000000d00000068696e74732e70666e48696e740100000000070000002f"
+     "6f70742f66630000000000040000000a00000063616c69627261746564620105"
+     "000000636f756e7469d6ffffffffffffff050000006c6162656c73060000007a"
+     "2d62616e6405000000726174696f649a9999999999b93f00000a000000646572"
+     "69766174696f6e0d00000066696e642d67616c61786965730000000000000001"
+     "0d00000066696e642d67616c617869657304000000736473730d00000066696e"
+     "642d636c75737465727303000000060000007261646975730103000000302e35"
+     "000002000000696e00010a00000067616c6178792e6361740100030000006f75"
+     "7400010c000000636c7573746572732e63617401010100000002000000545a03"
+     "000000555443040000000a00000063616c69627261746564620105000000636f"
+     "756e7469d6ffffffffffffff050000006c6162656c73060000007a2d62616e64"
+     "05000000726174696f649a9999999999b93f000a00000064657269766174696f"
+     "6e040000006e6f7065021d00000064657269766174696f6e20276e6f70652720"
+     "6e6f7420646566696e6564000000007a57ba97"},
+    {"response GetProvenanceStep",
+     "5644475701011100f803000000000000d501000000000000000c000000636c75"
+     "73746572732e636174010d00000066696e642d67616c6178696573010d000000"
+     "66696e642d67616c617869657304000000736473730d00000066696e642d636c"
+     "75737465727303000000060000007261646975730103000000302e3500000200"
+     "0000696e00010a00000067616c6178792e6361740100030000006f757400010c"
+     "000000636c7573746572732e63617401010100000002000000545a0300000055"
+     "5443040000000a00000063616c69627261746564620105000000636f756e7469"
+     "d6ffffffffffffff050000006c6162656c73060000007a2d62616e6405000000"
+     "726174696f649a9999999999b93f010000000700000069762d73302d330d0000"
+     "0066696e642d67616c617869657304000000666e616c050000006e6f64653704"
+     "00000069726978040000006d6970730000000000105940000000000000294000"
+     "000000008027400000000002000000f7ffffff00010000000700000072702d73"
+     "312d37020000000700000072702d73302d380700000072702d73302d39040000"
+     "000a00000063616c69627261746564620105000000636f756e7469d6ffffffff"
+     "ffffff050000006c6162656c73060000007a2d62616e6405000000726174696f"
+     "649a9999999999b93f78504b1e"},
+    {"response DefineDataset",
+     "5644475701011200f903000000000000050000000000000000d4997d1a"},
+    {"response DefineTransformation",
+     "5644475701011300fa030000000000000500000000000000000842059e"},
+    {"response DefineDerivation",
+     "5644475701011400fb0300000000000005000000000000000000029d53"},
+    {"response Annotate",
+     "5644475701011500fc0300000000000005000000000000000013feeda4"},
+    {"response AddReplica",
+     "5644475701011600fd030000000000001000000000000000000700000072702d"
+     "73302d389fb9460c"},
+    {"response RecordInvocation",
+     "5644475701011700fe030000000000001000000000000000000700000069762d"
+     "73302d34b23ace88"},
+    {"response SetDatasetSize",
+     "5644475701011800ff03000000000000050000000000000000a8355cc0"},
+    {"response InvalidateReplica",
+     "56444757010119000004000000000000050000000000000000cb7bfdf2"},
+    {"response ApplyBatch",
+     "5644475701011a00010400000000000065000000000000000003000000000000"
+     "0000030a00000067616c6178792e636174090d00000062617463682061626f72"
+     "74656403000000000000000700000072702d73302d3800000000010000000000"
+     "00001032547698badcfe030a00000067616c6178792e636174ad1dcbf2"},
+    {"error GetDataset",
+     "5644475701010400070000000000000025000000022000000064617461736574"
+     "202767616c6178792e63617427206e6f7420646566696e65645333f1fc"},
+};
+// clang-format on
+
+std::string Hex(std::string_view bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(bytes.size() * 2);
+  for (char c : bytes) {
+    out.push_back(kDigits[static_cast<uint8_t>(c) >> 4]);
+    out.push_back(kDigits[static_cast<uint8_t>(c) & 0xF]);
+  }
+  return out;
+}
+
+std::string Unhex(std::string_view hex) {
+  auto nibble = [](char c) {
+    return c <= '9' ? c - '0' : c - 'a' + 10;
+  };
+  std::string out;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(nibble(hex[i]) << 4 | nibble(hex[i + 1])));
+  }
+  return out;
+}
+
+/// The golden corpus re-encoded from the fixed bodies, keyed by label:
+/// "request <Kind>", "response <Kind>", "error <Kind>".
+std::map<std::string, std::string> EncodeGoldenCorpus() {
+  std::map<std::string, std::string> frames;
+  const std::vector<Request> requests = GoldenRequests();
+  const std::vector<Response> responses = GoldenResponses();
+  for (size_t i = 0; i < requests.size(); ++i) {
+    frames["request " + std::string(MsgKindName(requests[i].kind))] =
+        EncodeRequestFrame(GoldenId(i), requests[i]);
+  }
+  for (size_t i = 0; i < responses.size(); ++i) {
+    frames["response " + std::string(MsgKindName(responses[i].kind))] =
+        EncodeResponseFrame(GoldenId(i), responses[i]);
+  }
+  const Response error = GoldenErrorResponse();
+  frames["error " + std::string(MsgKindName(error.kind))] =
+      EncodeResponseFrame(kGoldenErrorId, error);
+  return frames;
+}
+
+/// Decodes one complete frame and encodes the result again.
+Result<std::string> Reencode(std::string_view frame) {
+  VDG_ASSIGN_OR_RETURN(Frame envelope, DecodeFrame(frame));
+  if (envelope.is_response) {
+    VDG_ASSIGN_OR_RETURN(Response response,
+                         DecodeResponse(envelope.kind, envelope.payload));
+    return EncodeResponseFrame(envelope.request_id, response);
+  }
+  VDG_ASSIGN_OR_RETURN(Request request,
+                       DecodeRequest(envelope.kind, envelope.payload));
+  return EncodeRequestFrame(envelope.request_id, request);
+}
+
+TEST(WireGolden, CorpusCoversEveryKind) {
+  const std::vector<Request> requests = GoldenRequests();
+  const std::vector<Response> responses = GoldenResponses();
+  ASSERT_EQ(requests.size(), 26u);
+  ASSERT_EQ(responses.size(), 26u);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(static_cast<size_t>(requests[i].kind), i + 1);
+    EXPECT_EQ(static_cast<size_t>(responses[i].kind), i + 1);
+  }
+  EXPECT_EQ(std::size(kGoldenFrames), 53u);
+  EXPECT_EQ(kCodecVersion, 1);
+}
+
+TEST(WireGolden, EncodeReproducesTheGoldenBytes) {
+  const std::map<std::string, std::string> encoded = EncodeGoldenCorpus();
+  std::map<std::string, std::string> golden;
+  for (const GoldenFrame& frame : kGoldenFrames) {
+    golden[frame.label] = frame.hex;
+  }
+  for (const auto& [label, frame] : encoded) {
+    auto it = golden.find(label);
+    ASSERT_NE(it, golden.end()) << "no golden frame for " << label;
+    EXPECT_EQ(Hex(frame), it->second) << label;
+  }
+  EXPECT_EQ(encoded.size(), golden.size());
+}
+
+TEST(WireGolden, GoldenFramesDecodeAndReencodeExactly) {
+  for (const GoldenFrame& golden : kGoldenFrames) {
+    const std::string frame = Unhex(golden.hex);
+    Result<size_t> size = FrameSize(frame);
+    ASSERT_TRUE(size.ok()) << golden.label << ": " << size.status();
+    EXPECT_EQ(*size, frame.size()) << golden.label;
+    Result<std::string> again = Reencode(frame);
+    ASSERT_TRUE(again.ok()) << golden.label << ": " << again.status();
+    EXPECT_EQ(Hex(*again), golden.hex) << golden.label;
+  }
+}
+
+// ------------------------- payload fuzzing ---------------------------
+
+/// Rewrites a frame's declared payload size and trailing CRC to match
+/// its (possibly damaged) payload, so the damage gets past the
+/// envelope checks and reaches the payload decoders.
+std::string Reseal(std::string_view header, std::string_view payload) {
+  std::string frame(header.substr(0, kFrameHeaderBytes));
+  const uint32_t size = static_cast<uint32_t>(payload.size());
+  for (int i = 0; i < 4; ++i) frame[16 + i] = static_cast<char>(size >> (8 * i));
+  frame.append(payload);
+  const uint32_t crc = Crc32(frame);
+  for (int i = 0; i < 4; ++i) frame.push_back(static_cast<char>(crc >> (8 * i)));
+  return frame;
+}
+
+/// One seeded mutation of `payload`: bit flips, a truncation, an
+/// inserted byte, or a length/count field inflated past the input.
+std::string Damage(Rng& rng, std::string payload) {
+  switch (payload.empty() ? 2 : rng.UniformInt(0, 3)) {
+    case 0: {
+      const int flips = static_cast<int>(rng.UniformInt(1, 3));
+      for (int i = 0; i < flips; ++i) {
+        payload[rng.Index(payload.size())] ^=
+            static_cast<char>(1 << rng.Index(8));
+      }
+      break;
+    }
+    case 1:
+      payload.resize(rng.Index(payload.size()));
+      break;
+    case 2:
+      payload.insert(payload.begin() + rng.Index(payload.size() + 1),
+                     static_cast<char>(rng.UniformInt(0, 255)));
+      break;
+    default: {
+      if (payload.size() < 4) break;
+      const uint32_t inflated[] = {static_cast<uint32_t>(payload.size()),
+                                   static_cast<uint32_t>(payload.size()) + 1,
+                                   0x7FFFFFFFu, 0xFFFFFFFFu};
+      const uint32_t value = inflated[rng.Index(std::size(inflated))];
+      const size_t at = rng.Index(payload.size() - 3);
+      for (int i = 0; i < 4; ++i) {
+        payload[at + i] = static_cast<char>(value >> (8 * i));
+      }
+      break;
+    }
+  }
+  return payload;
+}
+
+TEST(WireFuzz, ResealedPayloadDamageNeverEscapesTheDecoders) {
+  Rng rng(20031);
+  constexpr int kMutationsPerFrame = 500;
+  size_t decoded_ok = 0;
+  size_t rejected = 0;
+  for (const GoldenFrame& golden : kGoldenFrames) {
+    const std::string frame = Unhex(golden.hex);
+    const std::string_view payload =
+        std::string_view(frame).substr(
+            kFrameHeaderBytes,
+            frame.size() - kFrameHeaderBytes - kFrameTrailerBytes);
+    for (int m = 0; m < kMutationsPerFrame; ++m) {
+      const std::string damaged =
+          Reseal(frame, Damage(rng, std::string(payload)));
+      Result<Frame> envelope = DecodeFrame(damaged);
+      ASSERT_TRUE(envelope.ok()) << golden.label << ": " << envelope.status();
+      Result<std::string> once = Reencode(damaged);
+      if (!once.ok()) {
+        EXPECT_TRUE(once.status().IsParseError() ||
+                    once.status().IsResourceExhausted())
+            << golden.label << ": " << once.status();
+        ++rejected;
+        continue;
+      }
+      ++decoded_ok;
+      // Whatever the decoder accepted has one canonical encoding: it
+      // decodes again and encodes to the same bytes.
+      Result<std::string> twice = Reencode(*once);
+      ASSERT_TRUE(twice.ok()) << golden.label << ": " << twice.status();
+      EXPECT_EQ(Hex(*twice), Hex(*once)) << golden.label;
+    }
+  }
+  // Both outcomes occur: the corpus reaches past the first field.
+  EXPECT_GT(decoded_ok, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace
