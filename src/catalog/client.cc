@@ -12,144 +12,76 @@ namespace {
 
 using wire::MsgKind;
 
-/// Answers `request` with `fn(body)` when its body is a `ReqBody`, the
-/// alternative its kind carries; InvalidArgument otherwise. `fn`
-/// returns a Status (mutations answer with a bodyless response) or a
-/// Result<T> whose value becomes the response's `RespBody`.
-template <typename ReqBody, typename RespBody = std::monostate,
-          typename Fn>
-Result<wire::Response> Answer(const wire::Request& request, Fn&& fn) {
-  const ReqBody* body = std::get_if<ReqBody>(&request.body);
-  if (body == nullptr) {
-    return Status::InvalidArgument(
-        "request body does not match message kind " +
-        std::string(wire::MsgKindName(request.kind)));
-  }
-  auto answer = fn(*body);
-  wire::Response response;
-  response.kind = request.kind;
-  if constexpr (std::is_same_v<decltype(answer), Status>) {
-    if (!answer.ok()) return answer;
+/// The typed method a call kind's request runs: kind k<Name> is
+/// CatalogClient::<Name> (wire.h, VDG_WIRE_CALLS).
+template <MsgKind K>
+constexpr auto kMethod = nullptr;
+#define VDG_TYPED_METHOD(Name, ...) \
+  template <>                       \
+  constexpr auto kMethod<MsgKind::k##Name> = &CatalogClient::Name;
+VDG_WIRE_CALLS(VDG_TYPED_METHOD)
+#undef VDG_TYPED_METHOD
+
+/// Calls `method` with the fields of `body`, which hold the method's
+/// parameters in order; a body whose field count differs from the
+/// method's parameter count does not compile.
+template <typename R, typename... Params, typename Body>
+R CallTyped(CatalogClient& client, R (CatalogClient::*method)(Params...),
+            const Body& body) {
+  if constexpr (sizeof...(Params) == 0) {
+    return (client.*method)();
+  } else if constexpr (sizeof...(Params) == 1) {
+    const auto& [a] = body;
+    return (client.*method)(a);
+  } else if constexpr (sizeof...(Params) == 2) {
+    const auto& [a, b] = body;
+    return (client.*method)(a, b);
   } else {
-    if (!answer.ok()) return answer.status();
-    response.body = RespBody{std::move(answer).value()};
+    const auto& [a, b, c, d] = body;
+    return (client.*method)(a, b, c, d);
   }
-  return response;
 }
 
-/// The `field` of an OK response's `RespBody`; a missing body of that
-/// alternative is a protocol violation.
-template <typename RespBody, typename T>
-Result<T> Take(Result<wire::Response> response, T RespBody::*field) {
-  if (!response.ok()) return response.status();
-  auto* body = std::get_if<RespBody>(&response->body);
-  if (body == nullptr) {
-    return Status::Internal("wire: response body missing for " +
-                            std::string(wire::MsgKindName(response->kind)));
-  }
-  return std::move(body->*field);
+/// The one field of a response body.
+template <typename Body>
+auto& OnlyField(Body& body) {
+  auto& [value] = body;
+  return value;
 }
 
-wire::NameReq Named(std::string_view name) { return {std::string(name)}; }
+/// Typed parameters become request body fields: string views are
+/// copied into owned strings, everything else passes through.
+std::string Owned(std::string_view s) { return std::string(s); }
+template <typename T>
+T&& Owned(T&& value) {
+  return std::forward<T>(value);
+}
 
 }  // namespace
 
 Result<wire::Response> CatalogClient::Call(const wire::Request& request) {
-  using wire::EmptyReq;
-  using wire::NameReq;
-  switch (request.kind) {
-    case MsgKind::kHandshake:
-      return Answer<EmptyReq, wire::HandshakeResp>(
-          request, [&](const auto&) -> Result<wire::HandshakeResp> {
-            return wire::HandshakeResp{authority(), read_only()};
-          });
-    case MsgKind::kVersion:
-      return Answer<EmptyReq, wire::VersionResp>(
-          request, [&](const auto&) { return Version(); });
-    case MsgKind::kChangesSince:
-      return Answer<wire::ChangesSinceReq, wire::ChangesResp>(
-          request,
-          [&](const auto& b) { return ChangesSince(b.since_version); });
-    case MsgKind::kGetDataset:
-      return Answer<NameReq, wire::DatasetResp>(
-          request, [&](const auto& b) { return GetDataset(b.name); });
-    case MsgKind::kGetTransformation:
-      return Answer<NameReq, wire::TransformationResp>(
-          request, [&](const auto& b) { return GetTransformation(b.name); });
-    case MsgKind::kGetDerivation:
-      return Answer<NameReq, wire::DerivationResp>(
-          request, [&](const auto& b) { return GetDerivation(b.name); });
-    case MsgKind::kHasDataset:
-      return Answer<NameReq, wire::BoolResp>(
-          request, [&](const auto& b) { return HasDataset(b.name); });
-    case MsgKind::kIsMaterialized:
-      return Answer<NameReq, wire::BoolResp>(
-          request, [&](const auto& b) { return IsMaterialized(b.name); });
-    case MsgKind::kProducerOf:
-      return Answer<NameReq, wire::StringResp>(
-          request, [&](const auto& b) { return ProducerOf(b.name); });
-    case MsgKind::kInvocationsOf:
-      return Answer<NameReq, wire::InvocationsResp>(
-          request, [&](const auto& b) { return InvocationsOf(b.name); });
-    case MsgKind::kFindDatasets:
-      return Answer<wire::FindDatasetsReq, wire::NamesResp>(
-          request, [&](const auto& b) { return FindDatasets(b.query); });
-    case MsgKind::kFindTransformations:
-      return Answer<wire::FindTransformationsReq, wire::NamesResp>(
-          request, [&](const auto& b) { return FindTransformations(b.query); });
-    case MsgKind::kFindDerivations:
-      return Answer<wire::FindDerivationsReq, wire::NamesResp>(
-          request, [&](const auto& b) { return FindDerivations(b.query); });
-    case MsgKind::kAllNames:
-      return Answer<NameReq, wire::NamesResp>(
-          request, [&](const auto& b) { return AllNames(b.name); });
-    case MsgKind::kTypeConforms:
-      return Answer<wire::TypeConformsReq, wire::BoolResp>(
-          request,
-          [&](const auto& b) { return TypeConforms(b.type, b.against); });
-    case MsgKind::kBatchGet:
-      return Answer<wire::BatchGetReq, wire::RecordsResp>(
-          request, [&](const auto& b) { return BatchGet(b.keys); });
-    case MsgKind::kGetProvenanceStep:
-      return Answer<NameReq, wire::StepResp>(
-          request, [&](const auto& b) { return GetProvenanceStep(b.name); });
-    case MsgKind::kDefineDataset:
-      return Answer<wire::DefineDatasetReq>(
-          request, [&](const auto& b) { return DefineDataset(b.dataset); });
-    case MsgKind::kDefineTransformation:
-      return Answer<wire::DefineTransformationReq>(request, [&](const auto& b) {
-        return DefineTransformation(b.transformation);
-      });
-    case MsgKind::kDefineDerivation:
-      return Answer<wire::DefineDerivationReq>(request, [&](const auto& b) {
-        return DefineDerivation(b.derivation);
-      });
-    case MsgKind::kAnnotate:
-      return Answer<wire::AnnotateReq>(request, [&](const auto& b) {
-        return Annotate(b.kind, b.name, b.key, b.value);
-      });
-    case MsgKind::kAddReplica:
-      return Answer<wire::AddReplicaReq, wire::StringResp>(
-          request, [&](const auto& b) { return AddReplica(b.replica); });
-    case MsgKind::kRecordInvocation:
-      return Answer<wire::RecordInvocationReq, wire::StringResp>(
-          request,
-          [&](const auto& b) { return RecordInvocation(b.invocation); });
-    case MsgKind::kSetDatasetSize:
-      return Answer<wire::SetDatasetSizeReq>(request, [&](const auto& b) {
-        return SetDatasetSize(b.name, b.size_bytes);
-      });
-    case MsgKind::kInvalidateReplica:
-      return Answer<NameReq>(
-          request, [&](const auto& b) { return InvalidateReplica(b.name); });
-    case MsgKind::kApplyBatch:
-      return Answer<wire::ApplyBatchReq, wire::BatchResultResp>(
-          request,
-          [&](const auto& b) { return ApplyBatch(b.mutations, b.options); });
-  }
-  return Status::InvalidArgument(
-      "unknown message kind " +
-      std::to_string(static_cast<int>(request.kind)));
+  return wire::VisitKind(
+      request.kind,
+      [&]<typename M>(M) -> Result<wire::Response> {
+        VDG_ASSIGN_OR_RETURN(
+            const auto* body,
+            wire::BodyAs<typename M::RequestBody>(request));
+        if constexpr (M::kKind == MsgKind::kHandshake) {
+          return wire::Reply(M::kKind,
+                             wire::HandshakeResp{authority(), read_only()});
+        } else {
+          auto answer = CallTyped(*this, kMethod<M::kKind>, *body);
+          if constexpr (std::is_same_v<decltype(answer), Status>) {
+            VDG_RETURN_IF_ERROR(answer);
+            return wire::Reply(M::kKind, std::monostate{});
+          } else {
+            if (!answer.ok()) return answer.status();
+            return wire::Reply(M::kKind, typename M::ResponseBody{
+                                             std::move(answer).value()});
+          }
+        }
+      },
+      [&]() -> Result<wire::Response> { return wire::CheckRequest(request); });
 }
 
 Result<std::vector<uint64_t>> CatalogClient::ShardVersions() {
@@ -247,161 +179,141 @@ Result<BatchResult> CatalogClient::ApplyBatch(
   return result;
 }
 
-template <typename Body>
-Result<wire::Response> RequestClient::Send(MsgKind kind, Body body) {
-  if (wire::IsMutation(kind) && read_only()) {
-    return Status::PermissionDenied("catalog client for '" + authority() +
-                                    "' is read-only");
+template <MsgKind K, typename... Args>
+auto RequestClient::Send(Args&&... args) {
+  using M = wire::Message<K>;
+  Result<wire::Response> response = [&]() -> Result<wire::Response> {
+    if (M::kMutates && read_only()) {
+      return Status::PermissionDenied("catalog client for '" + authority() +
+                                      "' is read-only");
+    }
+    return Call(wire::Request{
+        K, typename M::RequestBody{Owned(std::forward<Args>(args))...}});
+  }();
+  if constexpr (std::is_same_v<typename M::ResponseBody, std::monostate>) {
+    return response.status();
+  } else {
+    using T = std::remove_reference_t<decltype(OnlyField(
+        std::declval<typename M::ResponseBody&>()))>;
+    if (!response.ok()) return Result<T>(response.status());
+    auto* body = std::get_if<typename M::ResponseBody>(&response->body);
+    if (body == nullptr) {
+      return Result<T>(Status::Internal("wire: response body missing for " +
+                                        std::string(M::kName)));
+    }
+    return Result<T>(std::move(OnlyField(*body)));
   }
-  wire::Request request;
-  request.kind = kind;
-  request.body = std::move(body);
-  return Call(request);
 }
 
 Result<uint64_t> RequestClient::Version() {
-  return Take(Send(MsgKind::kVersion, wire::EmptyReq{}),
-              &wire::VersionResp::version);
+  return Send<MsgKind::kVersion>();
 }
 
 Result<std::vector<CatalogChange>> RequestClient::ChangesSince(
     uint64_t since_version) {
-  return Take(
-      Send(MsgKind::kChangesSince, wire::ChangesSinceReq{since_version}),
-      &wire::ChangesResp::changes);
+  return Send<MsgKind::kChangesSince>(since_version);
 }
 
 Result<Dataset> RequestClient::GetDataset(std::string_view name) {
-  return Take(Send(MsgKind::kGetDataset, Named(name)),
-              &wire::DatasetResp::dataset);
+  return Send<MsgKind::kGetDataset>(name);
 }
 
 Result<Transformation> RequestClient::GetTransformation(
     std::string_view name) {
-  return Take(Send(MsgKind::kGetTransformation, Named(name)),
-              &wire::TransformationResp::transformation);
+  return Send<MsgKind::kGetTransformation>(name);
 }
 
 Result<Derivation> RequestClient::GetDerivation(std::string_view name) {
-  return Take(Send(MsgKind::kGetDerivation, Named(name)),
-              &wire::DerivationResp::derivation);
+  return Send<MsgKind::kGetDerivation>(name);
 }
 
 Result<bool> RequestClient::HasDataset(std::string_view name) {
-  return Take(Send(MsgKind::kHasDataset, Named(name)), &wire::BoolResp::value);
+  return Send<MsgKind::kHasDataset>(name);
 }
 
 Result<bool> RequestClient::IsMaterialized(std::string_view dataset) {
-  return Take(Send(MsgKind::kIsMaterialized, Named(dataset)),
-              &wire::BoolResp::value);
+  return Send<MsgKind::kIsMaterialized>(dataset);
 }
 
 Result<std::string> RequestClient::ProducerOf(std::string_view dataset) {
-  return Take(Send(MsgKind::kProducerOf, Named(dataset)),
-              &wire::StringResp::value);
+  return Send<MsgKind::kProducerOf>(dataset);
 }
 
 Result<std::vector<Invocation>> RequestClient::InvocationsOf(
     std::string_view derivation) {
-  return Take(Send(MsgKind::kInvocationsOf, Named(derivation)),
-              &wire::InvocationsResp::invocations);
+  return Send<MsgKind::kInvocationsOf>(derivation);
 }
 
 Result<NameList> RequestClient::FindDatasets(const DatasetQuery& query) {
-  return Take(Send(MsgKind::kFindDatasets, wire::FindDatasetsReq{query}),
-              &wire::NamesResp::names);
+  return Send<MsgKind::kFindDatasets>(query);
 }
 
 Result<NameList> RequestClient::FindTransformations(
     const TransformationQuery& query) {
-  return Take(
-      Send(MsgKind::kFindTransformations, wire::FindTransformationsReq{query}),
-      &wire::NamesResp::names);
+  return Send<MsgKind::kFindTransformations>(query);
 }
 
 Result<NameList> RequestClient::FindDerivations(const DerivationQuery& query) {
-  return Take(Send(MsgKind::kFindDerivations, wire::FindDerivationsReq{query}),
-              &wire::NamesResp::names);
+  return Send<MsgKind::kFindDerivations>(query);
 }
 
 Result<NameList> RequestClient::AllNames(std::string_view kind) {
-  return Take(Send(MsgKind::kAllNames, Named(kind)), &wire::NamesResp::names);
+  return Send<MsgKind::kAllNames>(kind);
 }
 
 Result<bool> RequestClient::TypeConforms(const DatasetType& type,
                                          const DatasetType& against) {
-  return Take(
-      Send(MsgKind::kTypeConforms, wire::TypeConformsReq{type, against}),
-      &wire::BoolResp::value);
+  return Send<MsgKind::kTypeConforms>(type, against);
 }
 
 Result<std::vector<ObjectRecord>> RequestClient::BatchGet(
     const std::vector<ObjectKey>& keys) {
-  return Take(Send(MsgKind::kBatchGet, wire::BatchGetReq{keys}),
-              &wire::RecordsResp::records);
+  return Send<MsgKind::kBatchGet>(keys);
 }
 
 Result<ProvenanceStep> RequestClient::GetProvenanceStep(
     std::string_view dataset) {
-  return Take(Send(MsgKind::kGetProvenanceStep, Named(dataset)),
-              &wire::StepResp::step);
+  return Send<MsgKind::kGetProvenanceStep>(dataset);
 }
 
 Status RequestClient::DefineDataset(Dataset dataset) {
-  return Send(MsgKind::kDefineDataset,
-              wire::DefineDatasetReq{std::move(dataset)})
-      .status();
+  return Send<MsgKind::kDefineDataset>(std::move(dataset));
 }
 
 Status RequestClient::DefineTransformation(Transformation transformation) {
-  return Send(MsgKind::kDefineTransformation,
-              wire::DefineTransformationReq{std::move(transformation)})
-      .status();
+  return Send<MsgKind::kDefineTransformation>(std::move(transformation));
 }
 
 Status RequestClient::DefineDerivation(Derivation derivation) {
-  return Send(MsgKind::kDefineDerivation,
-              wire::DefineDerivationReq{std::move(derivation)})
-      .status();
+  return Send<MsgKind::kDefineDerivation>(std::move(derivation));
 }
 
 Status RequestClient::Annotate(std::string_view kind, std::string_view name,
                                std::string_view key, AttributeValue value) {
-  return Send(MsgKind::kAnnotate,
-              wire::AnnotateReq{std::string(kind), std::string(name),
-                                std::string(key), std::move(value)})
-      .status();
+  return Send<MsgKind::kAnnotate>(kind, name, key, std::move(value));
 }
 
 Result<std::string> RequestClient::AddReplica(Replica replica) {
-  return Take(
-      Send(MsgKind::kAddReplica, wire::AddReplicaReq{std::move(replica)}),
-      &wire::StringResp::value);
+  return Send<MsgKind::kAddReplica>(std::move(replica));
 }
 
 Result<std::string> RequestClient::RecordInvocation(Invocation invocation) {
-  return Take(Send(MsgKind::kRecordInvocation,
-                   wire::RecordInvocationReq{std::move(invocation)}),
-              &wire::StringResp::value);
+  return Send<MsgKind::kRecordInvocation>(std::move(invocation));
 }
 
 Status RequestClient::SetDatasetSize(std::string_view name,
                                      int64_t size_bytes) {
-  return Send(MsgKind::kSetDatasetSize,
-              wire::SetDatasetSizeReq{std::string(name), size_bytes})
-      .status();
+  return Send<MsgKind::kSetDatasetSize>(name, size_bytes);
 }
 
 Status RequestClient::InvalidateReplica(std::string_view id) {
-  return Send(MsgKind::kInvalidateReplica, Named(id)).status();
+  return Send<MsgKind::kInvalidateReplica>(id);
 }
 
 Result<BatchResult> RequestClient::ApplyBatch(
     const std::vector<CatalogMutation>& mutations,
     const BatchOptions& options) {
-  return Take(
-      Send(MsgKind::kApplyBatch, wire::ApplyBatchReq{mutations, options}),
-      &wire::BatchResultResp::result);
+  return Send<MsgKind::kApplyBatch>(mutations, options);
 }
 
 InProcessCatalogClient::InProcessCatalogClient(VirtualDataCatalog* catalog,

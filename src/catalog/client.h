@@ -264,10 +264,11 @@ class RequestClient : public CatalogClient {
                                  const BatchOptions& options = {}) final;
 
  private:
-  /// Builds a `kind` request carrying `body` and passes it to Call(),
-  /// behind the read-only gate.
-  template <typename Body>
-  Result<wire::Response> Send(wire::MsgKind kind, Body body);
+  /// Builds the kind-K request whose body fields are `args`, passes it
+  /// to Call() behind the read-only gate, and unwraps the response's
+  /// one field (a bare Status for a status-only kind).
+  template <wire::MsgKind K, typename... Args>
+  auto Send(Args&&... args);
 };
 
 /// The zero-cost adapter: forwards every call straight into an

@@ -67,8 +67,9 @@ Status FileJournal::EnsureOpen() {
 
 Status FileJournal::Append(const std::string& record) {
   // Surface open errors at append time, but buffer the line itself:
-  // the write (and its durability point) happens at Flush, so a batch
-  // of N appends costs one fwrite+fflush instead of N.
+  // the write happens at Flush, so a batch of N appends costs one
+  // fwrite+fflush instead of N. Flush hands the records to the OS; it
+  // does not fsync (ROADMAP.md, the durability item).
   VDG_RETURN_IF_ERROR(EnsureOpen());
   pending_ += WithChecksum(record);
   pending_ += '\n';

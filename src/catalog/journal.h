@@ -26,14 +26,18 @@ class CatalogJournal {
   virtual Status Append(const std::string& record) = 0;
 
   /// Hands every buffered record to the backing store. The commit
-  /// point for group commit; a no-op for unbuffered backends.
+  /// point for group commit; a no-op for unbuffered backends. For a
+  /// file this means the OS (fflush), not stable storage: nothing here
+  /// calls fsync yet (ROADMAP.md, the durability item).
   virtual Status Flush() { return Status::OK(); }
 
   /// Reads every record previously appended, in order (flushing any
   /// buffered ones first).
   virtual Result<std::vector<std::string>> ReadAll() = 0;  // result-api-ok: journal records
 
-  /// Flushes buffered records to stable storage.
+  /// Hands buffered records to the OS, like Flush. Despite the name it
+  /// does not fsync, so records are not yet on stable storage
+  /// (ROADMAP.md, the durability item).
   virtual Status Sync() = 0;
 
   /// Atomically replaces the journal's contents with `records` (log

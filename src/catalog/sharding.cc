@@ -17,27 +17,6 @@ namespace {
 
 using wire::MsgKind;
 
-/// Runs `fn` on `request`'s body when it is a `Body`, the alternative
-/// its kind carries; InvalidArgument otherwise.
-template <typename Body, typename Fn>
-Result<wire::Response> With(const wire::Request& request, Fn&& fn) {
-  const Body* body = std::get_if<Body>(&request.body);
-  if (body == nullptr) {
-    return Status::InvalidArgument(
-        "request body does not match message kind " +
-        std::string(wire::MsgKindName(request.kind)));
-  }
-  return fn(*body);
-}
-
-template <typename Body>
-wire::Response Reply(MsgKind kind, Body body) {
-  wire::Response response;
-  response.kind = kind;
-  response.body = std::move(body);
-  return response;
-}
-
 using Shards = std::vector<std::shared_ptr<CatalogClient>>;
 
 /// Stable hash placement of object names onto shards: FNV-1a over the
@@ -130,8 +109,8 @@ Result<wire::Response> Gather(const Shards& shards,
     }
     lists.push_back(std::move(body->names));
   }
-  return Reply(request.kind,
-               wire::NamesResp{MergeSortedNameLists(lists, limit)});
+  return wire::Reply(request.kind,
+                     wire::NamesResp{MergeSortedNameLists(lists, limit)});
 }
 
 /// The derivation whose writes index names `dataset`, asked of every
@@ -441,6 +420,8 @@ Result<wire::Response> ShardedCatalogClient::Call(
   const std::shared_ptr<const Topology> held = topology();
   const Topology& topo = *held;
   if (!topo.usable.ok()) return topo.usable;
+  // A valid request from here on: each case reads its kind's body.
+  VDG_RETURN_IF_ERROR(wire::CheckRequest(request));
   const Shards& shards = topo.shards;
   const MsgKind kind = request.kind;
   auto owner = [&](std::string_view name) {
@@ -449,157 +430,141 @@ Result<wire::Response> ShardedCatalogClient::Call(
   switch (kind) {
     case MsgKind::kHandshake:
       return CatalogClient::Call(request);  // from authority()/read_only()
-    case MsgKind::kVersion:
-      return With<wire::EmptyReq>(
-          request, [&](const auto&) -> Result<wire::Response> {
-            VDG_ASSIGN_OR_RETURN(uint64_t version, CompositeVersion(shards));
-            return Reply(kind, wire::VersionResp{version});
-          });
-    case MsgKind::kChangesSince:
-      return With<wire::ChangesSinceReq>(
-          request, [&](const auto& b) -> Result<wire::Response> {
-            // The composite version is a sum of per-shard versions: it
-            // orders observations but is not addressable in any one
-            // shard's changelog, so only the trivial answers exist
-            // here. Delta consumers hold per-shard anchors and call
-            // ShardChangesSince instead; everyone else hits the same
-            // FailedPrecondition they already handle for an
-            // out-of-window changelog (full resync).
-            VDG_ASSIGN_OR_RETURN(uint64_t current, CompositeVersion(shards));
-            if (b.since_version == current) {
-              return Reply(kind, wire::ChangesResp{});
-            }
-            if (b.since_version > current) {
-              return Status::InvalidArgument(
-                  "composite version " + std::to_string(b.since_version) +
-                  " is from the future (current " + std::to_string(current) +
-                  ")");
-            }
-            return Status::FailedPrecondition(
-                "composite catalog version is not delta-addressable; use "
-                "ShardChangesSince with per-shard anchors");
-          });
+    case MsgKind::kVersion: {
+      VDG_ASSIGN_OR_RETURN(uint64_t version, CompositeVersion(shards));
+      return wire::Reply(kind, wire::VersionResp{version});
+    }
+    case MsgKind::kChangesSince: {
+      const auto& b = std::get<wire::ChangesSinceReq>(request.body);
+      // The composite version is a sum of per-shard versions: it orders
+      // observations but is not addressable in any one shard's
+      // changelog, so only the trivial answers exist here. Delta
+      // consumers hold per-shard anchors and call ShardChangesSince
+      // instead; everyone else hits the same FailedPrecondition they
+      // already handle for an out-of-window changelog (full resync).
+      VDG_ASSIGN_OR_RETURN(uint64_t current, CompositeVersion(shards));
+      if (b.since_version == current) {
+        return wire::Reply(kind, wire::ChangesResp{});
+      }
+      if (b.since_version > current) {
+        return Status::InvalidArgument(
+            "composite version " + std::to_string(b.since_version) +
+            " is from the future (current " + std::to_string(current) + ")");
+      }
+      return Status::FailedPrecondition(
+          "composite catalog version is not delta-addressable; use "
+          "ShardChangesSince with per-shard anchors");
+    }
     case MsgKind::kGetDataset:
     case MsgKind::kGetTransformation:  // on every shard; hash to spread
     case MsgKind::kGetDerivation:
     case MsgKind::kHasDataset:
     case MsgKind::kIsMaterialized:
     case MsgKind::kInvocationsOf:
-      return With<wire::NameReq>(request,
-                                 [&](const auto& b) { return owner(b.name); });
-    case MsgKind::kProducerOf:
-      return With<wire::NameReq>(
-          request, [&](const auto& b) -> Result<wire::Response> {
-            Result<wire::Response> home = owner(b.name);
-            if (home.ok() || !home.status().IsNotFound()) return home;
-            // Cross-shard adoption gap: a pre-existing producerless
-            // dataset whose producing derivation lives on another shard
-            // never got its producer field backfilled. The derivation's
-            // home shard still indexed the writes edge.
-            VDG_ASSIGN_OR_RETURN(std::string writer, WriterOf(shards, b.name));
-            if (writer.empty()) return home;
-            return Reply(kind, wire::StringResp{std::move(writer)});
-          });
-    case MsgKind::kGetProvenanceStep:
-      return With<wire::NameReq>(
-          request, [&](const auto& b) -> Result<wire::Response> {
-            VDG_ASSIGN_OR_RETURN(wire::Response response, owner(b.name));
-            auto* body = std::get_if<wire::StepResp>(&response.body);
-            if (body == nullptr) {
-              return Status::Internal("shard answered " + b.name +
-                                      "'s provenance step without a step");
-            }
-            VDG_RETURN_IF_ERROR(CompleteStep(shards, &body->step));
-            return response;
-          });
+      return owner(std::get<wire::NameReq>(request.body).name);
+    case MsgKind::kProducerOf: {
+      const auto& b = std::get<wire::NameReq>(request.body);
+      Result<wire::Response> home = owner(b.name);
+      if (home.ok() || !home.status().IsNotFound()) return home;
+      // Cross-shard adoption gap: a pre-existing producerless dataset
+      // whose producing derivation lives on another shard never got its
+      // producer field backfilled. The derivation's home shard still
+      // indexed the writes edge.
+      VDG_ASSIGN_OR_RETURN(std::string writer, WriterOf(shards, b.name));
+      if (writer.empty()) return home;
+      return wire::Reply(kind, wire::StringResp{std::move(writer)});
+    }
+    case MsgKind::kGetProvenanceStep: {
+      const auto& b = std::get<wire::NameReq>(request.body);
+      VDG_ASSIGN_OR_RETURN(wire::Response response, owner(b.name));
+      auto* body = std::get_if<wire::StepResp>(&response.body);
+      if (body == nullptr) {
+        return Status::Internal("shard answered " + b.name +
+                                "'s provenance step without a step");
+      }
+      VDG_RETURN_IF_ERROR(CompleteStep(shards, &body->step));
+      return response;
+    }
     case MsgKind::kFindDatasets:
-      return With<wire::FindDatasetsReq>(request, [&](const auto& b) {
-        return Gather(shards, request, b.query.limit);
-      });
+      return Gather(shards, request,
+                    std::get<wire::FindDatasetsReq>(request.body).query.limit);
     case MsgKind::kFindDerivations:
-      return With<wire::FindDerivationsReq>(request, [&](const auto& b) {
-        return Gather(shards, request, b.query.limit);
-      });
-    case MsgKind::kAllNames:
-      return With<wire::NameReq>(request, [&](const auto& b) {
-        // Transformations are on every shard; shard 0 also reports an
-        // unknown kind.
-        if (b.name != "dataset" && b.name != "derivation") {
-          return topo.shards[0]->Call(request);
-        }
-        return Gather(shards, request, 0);
-      });
+      return Gather(
+          shards, request,
+          std::get<wire::FindDerivationsReq>(request.body).query.limit);
+    case MsgKind::kAllNames: {
+      const auto& b = std::get<wire::NameReq>(request.body);
+      // Transformations are on every shard; shard 0 also reports an
+      // unknown kind.
+      if (b.name != "dataset" && b.name != "derivation") {
+        return topo.shards[0]->Call(request);
+      }
+      return Gather(shards, request, 0);
+    }
     case MsgKind::kFindTransformations:
     case MsgKind::kTypeConforms:
       // Broadcast-replicated transformations and one shared type
       // universe: shard 0 holds them all.
       return topo.shards[0]->Call(request);
-    case MsgKind::kBatchGet:
-      return With<wire::BatchGetReq>(
-          request, [&](const auto& b) -> Result<wire::Response> {
-            VDG_ASSIGN_OR_RETURN(std::vector<ObjectRecord> records,
-                                 BatchGetAcross(shards, b.keys));
-            return Reply(kind, wire::RecordsResp{std::move(records)});
-          });
-    case MsgKind::kDefineDataset:
-      return With<wire::DefineDatasetReq>(request, [&](const auto& b) {
-        return Mutate(topo, request, Place(topo, kind, b.dataset.name));
-      });
-    case MsgKind::kDefineTransformation:
-      return With<wire::DefineTransformationReq>(request, [&](const auto& b) {
-        return Mutate(topo, request,
-                      Place(topo, kind, b.transformation.name()));
-      });
-    case MsgKind::kDefineDerivation:
-      return With<wire::DefineDerivationReq>(
-          request, [&](const auto& b) -> Result<wire::Response> {
-            VDG_RETURN_IF_ERROR(b.derivation.Validate());
-            std::vector<Dataset> outputs;
-            VDG_RETURN_IF_ERROR(
-                PlanDerivation(shards, b.derivation, nullptr, &outputs));
-            for (Dataset& output : outputs) {
-              const Placement placement =
-                  Place(topo, MsgKind::kDefineDataset, output.name);
-              Status s =
-                  shards[placement.shard]->DefineDataset(std::move(output));
-              if (!s.ok() && !s.IsAlreadyExists()) return s;
-            }
-            return Mutate(topo, request,
-                          Place(topo, kind, b.derivation.name()));
-          });
-    case MsgKind::kAnnotate:
-      return With<wire::AnnotateReq>(request, [&](const auto& b) {
-        return Mutate(topo, request, Place(topo, kind, b.name, b.kind));
-      });
-    case MsgKind::kAddReplica:
-      return With<wire::AddReplicaReq>(request, [&](const auto& b) {
-        const Placement placement = Place(topo, kind, b.replica.dataset);
-        wire::AddReplicaReq assigned = b;
-        AssignId(kind, placement.shard, &assigned.replica.id);
-        return Mutate(topo, {kind, std::move(assigned)}, placement);
-      });
-    case MsgKind::kRecordInvocation:
-      return With<wire::RecordInvocationReq>(request, [&](const auto& b) {
+    case MsgKind::kBatchGet: {
+      const auto& b = std::get<wire::BatchGetReq>(request.body);
+      VDG_ASSIGN_OR_RETURN(std::vector<ObjectRecord> records,
+                           BatchGetAcross(shards, b.keys));
+      return wire::Reply(kind, wire::RecordsResp{std::move(records)});
+    }
+    case MsgKind::kDefineDataset: {
+      const auto& b = std::get<wire::DefineDatasetReq>(request.body);
+      return Mutate(topo, request, Place(topo, kind, b.dataset.name));
+    }
+    case MsgKind::kDefineTransformation: {
+      const auto& b = std::get<wire::DefineTransformationReq>(request.body);
+      return Mutate(topo, request, Place(topo, kind, b.transformation.name()));
+    }
+    case MsgKind::kDefineDerivation: {
+      const auto& b = std::get<wire::DefineDerivationReq>(request.body);
+      VDG_RETURN_IF_ERROR(b.derivation.Validate());
+      std::vector<Dataset> outputs;
+      VDG_RETURN_IF_ERROR(
+          PlanDerivation(shards, b.derivation, nullptr, &outputs));
+      for (Dataset& output : outputs) {
         const Placement placement =
-            Place(topo, kind, b.invocation.derivation);
-        wire::RecordInvocationReq assigned = b;
-        AssignId(kind, placement.shard, &assigned.invocation.id);
-        return Mutate(topo, {kind, std::move(assigned)}, placement);
-      });
-    case MsgKind::kSetDatasetSize:
-      return With<wire::SetDatasetSizeReq>(request, [&](const auto& b) {
-        return Mutate(topo, request, Place(topo, kind, b.name));
-      });
-    case MsgKind::kInvalidateReplica:
-      return With<wire::NameReq>(request, [&](const auto& b) {
-        return Mutate(topo, request, Place(topo, kind, b.name));
-      });
-    case MsgKind::kApplyBatch:
-      return With<wire::ApplyBatchReq>(
-          request, [&](const auto& b) -> Result<wire::Response> {
-            VDG_ASSIGN_OR_RETURN(BatchResult result, SplitBatch(topo, b));
-            return Reply(kind, wire::BatchResultResp{std::move(result)});
-          });
+            Place(topo, MsgKind::kDefineDataset, output.name);
+        Status s = shards[placement.shard]->DefineDataset(std::move(output));
+        if (!s.ok() && !s.IsAlreadyExists()) return s;
+      }
+      return Mutate(topo, request, Place(topo, kind, b.derivation.name()));
+    }
+    case MsgKind::kAnnotate: {
+      const auto& b = std::get<wire::AnnotateReq>(request.body);
+      return Mutate(topo, request, Place(topo, kind, b.name, b.kind));
+    }
+    case MsgKind::kAddReplica: {
+      const auto& b = std::get<wire::AddReplicaReq>(request.body);
+      const Placement placement = Place(topo, kind, b.replica.dataset);
+      wire::AddReplicaReq assigned = b;
+      AssignId(kind, placement.shard, &assigned.replica.id);
+      return Mutate(topo, {kind, std::move(assigned)}, placement);
+    }
+    case MsgKind::kRecordInvocation: {
+      const auto& b = std::get<wire::RecordInvocationReq>(request.body);
+      const Placement placement = Place(topo, kind, b.invocation.derivation);
+      wire::RecordInvocationReq assigned = b;
+      AssignId(kind, placement.shard, &assigned.invocation.id);
+      return Mutate(topo, {kind, std::move(assigned)}, placement);
+    }
+    case MsgKind::kSetDatasetSize: {
+      const auto& b = std::get<wire::SetDatasetSizeReq>(request.body);
+      return Mutate(topo, request, Place(topo, kind, b.name));
+    }
+    case MsgKind::kInvalidateReplica: {
+      const auto& b = std::get<wire::NameReq>(request.body);
+      return Mutate(topo, request, Place(topo, kind, b.name));
+    }
+    case MsgKind::kApplyBatch: {
+      const auto& b = std::get<wire::ApplyBatchReq>(request.body);
+      VDG_ASSIGN_OR_RETURN(BatchResult result, SplitBatch(topo, b));
+      return wire::Reply(kind, wire::BatchResultResp{std::move(result)});
+    }
   }
   return Status::InvalidArgument("unknown message kind " +
                                  std::to_string(static_cast<int>(kind)));
@@ -699,7 +664,7 @@ Result<wire::Response> ShardedCatalogClient::Mutate(
     answers.push_back(shard->Call(request).status());
   }
   VDG_RETURN_IF_ERROR(MergeBroadcast(placement.fanout, answers));
-  return Reply(request.kind, std::monostate{});
+  return wire::Reply(request.kind, std::monostate{});
 }
 
 Result<BatchResult> ShardedCatalogClient::SplitBatch(

@@ -22,6 +22,21 @@ using objcodec::Writer;
 // are the fields only requests and responses carry.
 // -----------------------------------------------------------------------
 
+template <typename T, typename PutFn>
+void PutVec(Writer& w, const std::vector<T>& v, PutFn put) {
+  w.PutCount(v.size());
+  for (const T& x : v) put(w, x);
+}
+
+template <typename ReadFn>
+auto ReadVec(Reader& r, ReadFn read) -> std::vector<decltype(read(r))> {
+  size_t n = r.ReadCount();
+  std::vector<decltype(read(r))> v;
+  v.reserve(n);
+  for (size_t i = 0; i < n && r.ok(); ++i) v.push_back(read(r));
+  return v;
+}
+
 void PutStatus(Writer& w, const Status& s) {
   w.PutU8(static_cast<uint8_t>(s.code()));
   w.PutString(s.message());
@@ -55,83 +70,12 @@ AttributePredicate ReadPredicate(Reader& r) {
   return p;
 }
 
-void PutPredicates(Writer& w, const std::vector<AttributePredicate>& v) {
-  w.PutCount(v.size());
-  for (const auto& p : v) PutPredicate(w, p);
-}
-
-std::vector<AttributePredicate> ReadPredicates(Reader& r) {
-  size_t n = r.ReadCount();
-  std::vector<AttributePredicate> v;
-  v.reserve(n);
-  for (size_t i = 0; i < n && r.ok(); ++i) v.push_back(ReadPredicate(r));
-  return v;
-}
-
 void PutOptionalType(Writer& w, const std::optional<DatasetType>& opt) {
   PutOptional(w, opt, objcodec::PutDatasetType);
 }
 
 std::optional<DatasetType> ReadOptionalType(Reader& r) {
   return ReadOptional(r, objcodec::ReadDatasetType);
-}
-
-void PutDatasetQuery(Writer& w, const DatasetQuery& q) {
-  PutOptionalType(w, q.type);
-  PutPredicates(w, q.predicates);
-  w.PutString(q.name_prefix);
-  w.PutBool(q.require_materialized);
-  w.PutBool(q.only_virtual);
-  w.PutU64(q.limit);
-}
-
-DatasetQuery ReadDatasetQuery(Reader& r) {
-  DatasetQuery q;
-  q.type = ReadOptionalType(r);
-  q.predicates = ReadPredicates(r);
-  q.name_prefix = r.ReadString();
-  q.require_materialized = r.ReadBool();
-  q.only_virtual = r.ReadBool();
-  q.limit = static_cast<size_t>(r.ReadU64());
-  return q;
-}
-
-void PutTransformationQuery(Writer& w, const TransformationQuery& q) {
-  PutOptionalType(w, q.consumes);
-  PutOptionalType(w, q.produces);
-  PutPredicates(w, q.predicates);
-  w.PutString(q.name_prefix);
-  w.PutU64(q.limit);
-}
-
-TransformationQuery ReadTransformationQuery(Reader& r) {
-  TransformationQuery q;
-  q.consumes = ReadOptionalType(r);
-  q.produces = ReadOptionalType(r);
-  q.predicates = ReadPredicates(r);
-  q.name_prefix = r.ReadString();
-  q.limit = static_cast<size_t>(r.ReadU64());
-  return q;
-}
-
-void PutDerivationQuery(Writer& w, const DerivationQuery& q) {
-  w.PutString(q.transformation);
-  w.PutString(q.reads_dataset);
-  w.PutString(q.writes_dataset);
-  PutPredicates(w, q.predicates);
-  w.PutString(q.name_prefix);
-  w.PutU64(q.limit);
-}
-
-DerivationQuery ReadDerivationQuery(Reader& r) {
-  DerivationQuery q;
-  q.transformation = r.ReadString();
-  q.reads_dataset = r.ReadString();
-  q.writes_dataset = r.ReadString();
-  q.predicates = ReadPredicates(r);
-  q.name_prefix = r.ReadString();
-  q.limit = static_cast<size_t>(r.ReadU64());
-  return q;
 }
 
 void PutObjectRecord(Writer& w, const ObjectRecord& rec) {
@@ -154,33 +98,6 @@ ObjectRecord ReadObjectRecord(Reader& r) {
   rec.derivation = ReadOptional(r, objcodec::ReadDerivation);
   rec.materialized = r.ReadBool();
   return rec;
-}
-
-void PutProvenanceStep(Writer& w, const ProvenanceStep& s) {
-  w.PutString(s.dataset);
-  w.PutBool(s.exists);
-  w.PutString(s.producer);
-  PutOptional(w, s.derivation, objcodec::PutDerivation);
-  w.PutCount(s.invocations.size());
-  for (const auto& inv : s.invocations) PutInvocation(w, inv);
-}
-
-std::vector<Invocation> ReadInvocations(Reader& r) {
-  size_t n = r.ReadCount();
-  std::vector<Invocation> v;
-  v.reserve(n);
-  for (size_t i = 0; i < n && r.ok(); ++i) v.push_back(ReadInvocation(r));
-  return v;
-}
-
-ProvenanceStep ReadProvenanceStep(Reader& r) {
-  ProvenanceStep s;
-  s.dataset = r.ReadString();
-  s.exists = r.ReadBool();
-  s.producer = r.ReadString();
-  s.derivation = ReadOptional(r, objcodec::ReadDerivation);
-  s.invocations = ReadInvocations(r);
-  return s;
 }
 
 void PutMutation(Writer& w, const CatalogMutation& m) {
@@ -268,131 +185,277 @@ CatalogMutation ReadMutation(Reader& r) {
   }
 }
 
-void PutBatchResult(Writer& w, const BatchResult& b) {
-  w.PutCount(b.statuses.size());
-  for (const auto& s : b.statuses) PutStatus(w, s);
-  PutStringVec(w, b.assigned_ids);
-  w.PutU64(b.applied);
-  w.PutU64(b.version);
-  PutStatus(w, b.first_error);
+// -----------------------------------------------------------------------
+// Body codecs: one Put/Read pair per request and response body. The
+// message table picks the body for a kind; these fix its bytes.
+// -----------------------------------------------------------------------
+
+void Put(Writer&, const EmptyReq&) {}
+void Read(Reader&, EmptyReq&) {}
+
+void Put(Writer& w, const NameReq& b) { w.PutString(b.name); }
+void Read(Reader& r, NameReq& b) { b.name = r.ReadString(); }
+
+void Put(Writer& w, const ChangesSinceReq& b) { w.PutU64(b.since_version); }
+void Read(Reader& r, ChangesSinceReq& b) { b.since_version = r.ReadU64(); }
+
+void Put(Writer& w, const FindDatasetsReq& b) {
+  const DatasetQuery& q = b.query;
+  PutOptionalType(w, q.type);
+  PutVec(w, q.predicates, PutPredicate);
+  w.PutString(q.name_prefix);
+  w.PutBool(q.require_materialized);
+  w.PutBool(q.only_virtual);
+  w.PutU64(q.limit);
 }
 
-BatchResult ReadBatchResult(Reader& r) {
-  BatchResult b;
+void Read(Reader& r, FindDatasetsReq& b) {
+  DatasetQuery& q = b.query;
+  q.type = ReadOptionalType(r);
+  q.predicates = ReadVec(r, ReadPredicate);
+  q.name_prefix = r.ReadString();
+  q.require_materialized = r.ReadBool();
+  q.only_virtual = r.ReadBool();
+  q.limit = static_cast<size_t>(r.ReadU64());
+}
+
+void Put(Writer& w, const FindTransformationsReq& b) {
+  const TransformationQuery& q = b.query;
+  PutOptionalType(w, q.consumes);
+  PutOptionalType(w, q.produces);
+  PutVec(w, q.predicates, PutPredicate);
+  w.PutString(q.name_prefix);
+  w.PutU64(q.limit);
+}
+
+void Read(Reader& r, FindTransformationsReq& b) {
+  TransformationQuery& q = b.query;
+  q.consumes = ReadOptionalType(r);
+  q.produces = ReadOptionalType(r);
+  q.predicates = ReadVec(r, ReadPredicate);
+  q.name_prefix = r.ReadString();
+  q.limit = static_cast<size_t>(r.ReadU64());
+}
+
+void Put(Writer& w, const FindDerivationsReq& b) {
+  const DerivationQuery& q = b.query;
+  w.PutString(q.transformation);
+  w.PutString(q.reads_dataset);
+  w.PutString(q.writes_dataset);
+  PutVec(w, q.predicates, PutPredicate);
+  w.PutString(q.name_prefix);
+  w.PutU64(q.limit);
+}
+
+void Read(Reader& r, FindDerivationsReq& b) {
+  DerivationQuery& q = b.query;
+  q.transformation = r.ReadString();
+  q.reads_dataset = r.ReadString();
+  q.writes_dataset = r.ReadString();
+  q.predicates = ReadVec(r, ReadPredicate);
+  q.name_prefix = r.ReadString();
+  q.limit = static_cast<size_t>(r.ReadU64());
+}
+
+void Put(Writer& w, const TypeConformsReq& b) {
+  PutDatasetType(w, b.type);
+  PutDatasetType(w, b.against);
+}
+
+void Read(Reader& r, TypeConformsReq& b) {
+  b.type = ReadDatasetType(r);
+  b.against = ReadDatasetType(r);
+}
+
+void Put(Writer& w, const BatchGetReq& b) {
+  PutVec(w, b.keys, [](Writer& w, const ObjectKey& key) {
+    w.PutString(key.kind);
+    w.PutString(key.name);
+  });
+}
+
+void Read(Reader& r, BatchGetReq& b) {
+  b.keys = ReadVec(r, [](Reader& r) {
+    ObjectKey key;
+    key.kind = r.ReadString();
+    key.name = r.ReadString();
+    return key;
+  });
+}
+
+void Put(Writer& w, const DefineDatasetReq& b) { PutDataset(w, b.dataset); }
+void Read(Reader& r, DefineDatasetReq& b) { b.dataset = ReadDataset(r); }
+
+void Put(Writer& w, const DefineTransformationReq& b) {
+  PutTransformation(w, b.transformation);
+}
+void Read(Reader& r, DefineTransformationReq& b) {
+  b.transformation = ReadTransformation(r);
+}
+
+void Put(Writer& w, const DefineDerivationReq& b) {
+  PutDerivation(w, b.derivation);
+}
+void Read(Reader& r, DefineDerivationReq& b) {
+  b.derivation = ReadDerivation(r);
+}
+
+void Put(Writer& w, const AnnotateReq& b) {
+  w.PutString(b.kind);
+  w.PutString(b.name);
+  w.PutString(b.key);
+  PutAttributeValue(w, b.value);
+}
+
+void Read(Reader& r, AnnotateReq& b) {
+  b.kind = r.ReadString();
+  b.name = r.ReadString();
+  b.key = r.ReadString();
+  b.value = ReadAttributeValue(r);
+}
+
+void Put(Writer& w, const AddReplicaReq& b) { PutReplica(w, b.replica); }
+void Read(Reader& r, AddReplicaReq& b) { b.replica = ReadReplica(r); }
+
+void Put(Writer& w, const RecordInvocationReq& b) {
+  PutInvocation(w, b.invocation);
+}
+void Read(Reader& r, RecordInvocationReq& b) {
+  b.invocation = ReadInvocation(r);
+}
+
+void Put(Writer& w, const SetDatasetSizeReq& b) {
+  w.PutString(b.name);
+  w.PutI64(b.size_bytes);
+}
+
+void Read(Reader& r, SetDatasetSizeReq& b) {
+  b.name = r.ReadString();
+  b.size_bytes = r.ReadI64();
+}
+
+void Put(Writer& w, const ApplyBatchReq& b) {
+  PutVec(w, b.mutations, PutMutation);
+  w.PutBool(b.options.stop_on_error);
+  w.PutString(b.options.idempotency_token);
+}
+
+void Read(Reader& r, ApplyBatchReq& b) {
+  b.mutations = ReadVec(r, ReadMutation);
+  b.options.stop_on_error = r.ReadBool();
+  // The idempotency token is a trailing optional field: frames
+  // produced by pre-token encoders end right after stop_on_error,
+  // and must keep decoding (version-tolerant within codec v1).
+  if (!r.AtEnd()) b.options.idempotency_token = r.ReadString();
+}
+
+void Put(Writer&, const std::monostate&) {}
+void Read(Reader&, std::monostate&) {}
+
+void Put(Writer& w, const HandshakeResp& b) {
+  w.PutString(b.authority);
+  w.PutBool(b.read_only);
+}
+
+void Read(Reader& r, HandshakeResp& b) {
+  b.authority = r.ReadString();
+  b.read_only = r.ReadBool();
+}
+
+void Put(Writer& w, const VersionResp& b) { w.PutU64(b.version); }
+void Read(Reader& r, VersionResp& b) { b.version = r.ReadU64(); }
+
+void Put(Writer& w, const ChangesResp& b) {
+  PutVec(w, b.changes, objcodec::PutCatalogChange);
+}
+void Read(Reader& r, ChangesResp& b) {
+  b.changes = ReadVec(r, objcodec::ReadCatalogChange);
+}
+
+void Put(Writer& w, const DatasetResp& b) { PutDataset(w, b.dataset); }
+void Read(Reader& r, DatasetResp& b) { b.dataset = ReadDataset(r); }
+
+void Put(Writer& w, const TransformationResp& b) {
+  PutTransformation(w, b.transformation);
+}
+void Read(Reader& r, TransformationResp& b) {
+  b.transformation = ReadTransformation(r);
+}
+
+void Put(Writer& w, const DerivationResp& b) { PutDerivation(w, b.derivation); }
+void Read(Reader& r, DerivationResp& b) { b.derivation = ReadDerivation(r); }
+
+void Put(Writer& w, const BoolResp& b) { w.PutBool(b.value); }
+void Read(Reader& r, BoolResp& b) { b.value = r.ReadBool(); }
+
+void Put(Writer& w, const StringResp& b) { w.PutString(b.value); }
+void Read(Reader& r, StringResp& b) { b.value = r.ReadString(); }
+
+void Put(Writer& w, const InvocationsResp& b) {
+  PutVec(w, b.invocations, objcodec::PutInvocation);
+}
+void Read(Reader& r, InvocationsResp& b) {
+  b.invocations = ReadVec(r, objcodec::ReadInvocation);
+}
+
+void Put(Writer& w, const NamesResp& b) {
+  // Straight from the views: no owned-string materialization between
+  // the snapshot and the payload bytes.
+  w.PutCount(b.names.size());
+  for (std::string_view name : b.names) w.PutString(name);
+}
+
+void Read(Reader& r, NamesResp& b) {
+  // Arena decode: one buffer per response holds every name; the list's
+  // views point into it (no per-name allocation).
   size_t n = r.ReadCount();
-  b.statuses.reserve(n);
-  for (size_t i = 0; i < n && r.ok(); ++i) b.statuses.push_back(ReadStatus(r));
-  b.assigned_ids = ReadStringVec(r);
-  b.applied = static_cast<size_t>(r.ReadU64());
-  b.version = r.ReadU64();
-  b.first_error = ReadStatus(r);
-  return b;
+  NameList::ArenaBuilder names;
+  names.Reserve(n, r.remaining());
+  for (size_t i = 0; i < n && r.ok(); ++i) names.Append(r.ReadStringView());
+  b.names = std::move(names).Build();
 }
 
-// -----------------------------------------------------------------------
-// Request / response payload encoding
-// -----------------------------------------------------------------------
-
-void EncodeRequestPayload(const Request& request, std::string* out) {
-  Writer w(out);
-  std::visit(
-      [&w](const auto& body) {
-        using T = std::decay_t<decltype(body)>;
-        if constexpr (std::is_same_v<T, EmptyReq>) {
-          // no payload
-        } else if constexpr (std::is_same_v<T, NameReq>) {
-          w.PutString(body.name);
-        } else if constexpr (std::is_same_v<T, ChangesSinceReq>) {
-          w.PutU64(body.since_version);
-        } else if constexpr (std::is_same_v<T, FindDatasetsReq>) {
-          PutDatasetQuery(w, body.query);
-        } else if constexpr (std::is_same_v<T, FindTransformationsReq>) {
-          PutTransformationQuery(w, body.query);
-        } else if constexpr (std::is_same_v<T, FindDerivationsReq>) {
-          PutDerivationQuery(w, body.query);
-        } else if constexpr (std::is_same_v<T, TypeConformsReq>) {
-          PutDatasetType(w, body.type);
-          PutDatasetType(w, body.against);
-        } else if constexpr (std::is_same_v<T, BatchGetReq>) {
-          w.PutCount(body.keys.size());
-          for (const auto& key : body.keys) {
-            w.PutString(key.kind);
-            w.PutString(key.name);
-          }
-        } else if constexpr (std::is_same_v<T, DefineDatasetReq>) {
-          PutDataset(w, body.dataset);
-        } else if constexpr (std::is_same_v<T, DefineTransformationReq>) {
-          PutTransformation(w, body.transformation);
-        } else if constexpr (std::is_same_v<T, DefineDerivationReq>) {
-          PutDerivation(w, body.derivation);
-        } else if constexpr (std::is_same_v<T, AnnotateReq>) {
-          w.PutString(body.kind);
-          w.PutString(body.name);
-          w.PutString(body.key);
-          PutAttributeValue(w, body.value);
-        } else if constexpr (std::is_same_v<T, AddReplicaReq>) {
-          PutReplica(w, body.replica);
-        } else if constexpr (std::is_same_v<T, RecordInvocationReq>) {
-          PutInvocation(w, body.invocation);
-        } else if constexpr (std::is_same_v<T, SetDatasetSizeReq>) {
-          w.PutString(body.name);
-          w.PutI64(body.size_bytes);
-        } else {
-          static_assert(std::is_same_v<T, ApplyBatchReq>);
-          w.PutCount(body.mutations.size());
-          for (const auto& m : body.mutations) PutMutation(w, m);
-          w.PutBool(body.options.stop_on_error);
-          w.PutString(body.options.idempotency_token);
-        }
-      },
-      request.body);
+void Put(Writer& w, const RecordsResp& b) {
+  PutVec(w, b.records, PutObjectRecord);
+}
+void Read(Reader& r, RecordsResp& b) {
+  b.records = ReadVec(r, ReadObjectRecord);
 }
 
-void EncodeResponsePayload(const Response& response, std::string* out) {
-  Writer w(out);
-  PutStatus(w, response.status);
-  std::visit(
-      [&w](const auto& body) {
-        using T = std::decay_t<decltype(body)>;
-        if constexpr (std::is_same_v<T, std::monostate>) {
-          // status-only response
-        } else if constexpr (std::is_same_v<T, HandshakeResp>) {
-          w.PutString(body.authority);
-          w.PutBool(body.read_only);
-        } else if constexpr (std::is_same_v<T, VersionResp>) {
-          w.PutU64(body.version);
-        } else if constexpr (std::is_same_v<T, ChangesResp>) {
-          w.PutCount(body.changes.size());
-          for (const auto& c : body.changes) PutCatalogChange(w, c);
-        } else if constexpr (std::is_same_v<T, DatasetResp>) {
-          PutDataset(w, body.dataset);
-        } else if constexpr (std::is_same_v<T, TransformationResp>) {
-          PutTransformation(w, body.transformation);
-        } else if constexpr (std::is_same_v<T, DerivationResp>) {
-          PutDerivation(w, body.derivation);
-        } else if constexpr (std::is_same_v<T, BoolResp>) {
-          w.PutBool(body.value);
-        } else if constexpr (std::is_same_v<T, StringResp>) {
-          w.PutString(body.value);
-        } else if constexpr (std::is_same_v<T, InvocationsResp>) {
-          w.PutCount(body.invocations.size());
-          for (const auto& inv : body.invocations) PutInvocation(w, inv);
-        } else if constexpr (std::is_same_v<T, NamesResp>) {
-          // Straight from the views: no owned-string materialization
-          // between the snapshot and the payload bytes.
-          w.PutCount(body.names.size());
-          for (std::string_view name : body.names) w.PutString(name);
-        } else if constexpr (std::is_same_v<T, RecordsResp>) {
-          w.PutCount(body.records.size());
-          for (const auto& rec : body.records) PutObjectRecord(w, rec);
-        } else if constexpr (std::is_same_v<T, StepResp>) {
-          PutProvenanceStep(w, body.step);
-        } else {
-          static_assert(std::is_same_v<T, BatchResultResp>);
-          PutBatchResult(w, body.result);
-        }
-      },
-      response.body);
+void Put(Writer& w, const StepResp& b) {
+  const ProvenanceStep& s = b.step;
+  w.PutString(s.dataset);
+  w.PutBool(s.exists);
+  w.PutString(s.producer);
+  PutOptional(w, s.derivation, objcodec::PutDerivation);
+  PutVec(w, s.invocations, objcodec::PutInvocation);
+}
+
+void Read(Reader& r, StepResp& b) {
+  ProvenanceStep& s = b.step;
+  s.dataset = r.ReadString();
+  s.exists = r.ReadBool();
+  s.producer = r.ReadString();
+  s.derivation = ReadOptional(r, objcodec::ReadDerivation);
+  s.invocations = ReadVec(r, objcodec::ReadInvocation);
+}
+
+void Put(Writer& w, const BatchResultResp& b) {
+  const BatchResult& result = b.result;
+  PutVec(w, result.statuses, PutStatus);
+  PutStringVec(w, result.assigned_ids);
+  w.PutU64(result.applied);
+  w.PutU64(result.version);
+  PutStatus(w, result.first_error);
+}
+
+void Read(Reader& r, BatchResultResp& b) {
+  BatchResult& result = b.result;
+  result.statuses = ReadVec(r, ReadStatus);
+  result.assigned_ids = ReadStringVec(r);
+  result.applied = static_cast<size_t>(r.ReadU64());
+  result.version = r.ReadU64();
+  result.first_error = ReadStatus(r);
 }
 
 std::string EncodeFrame(uint64_t request_id, bool is_response, MsgKind kind,
@@ -412,55 +475,51 @@ std::string EncodeFrame(uint64_t request_id, bool is_response, MsgKind kind,
   return frame;
 }
 
-}  // namespace
-
-std::string_view MsgKindName(MsgKind kind) {
-  switch (kind) {
-    case MsgKind::kHandshake: return "Handshake";
-    case MsgKind::kVersion: return "Version";
-    case MsgKind::kChangesSince: return "ChangesSince";
-    case MsgKind::kGetDataset: return "GetDataset";
-    case MsgKind::kGetTransformation: return "GetTransformation";
-    case MsgKind::kGetDerivation: return "GetDerivation";
-    case MsgKind::kHasDataset: return "HasDataset";
-    case MsgKind::kIsMaterialized: return "IsMaterialized";
-    case MsgKind::kProducerOf: return "ProducerOf";
-    case MsgKind::kInvocationsOf: return "InvocationsOf";
-    case MsgKind::kFindDatasets: return "FindDatasets";
-    case MsgKind::kFindTransformations: return "FindTransformations";
-    case MsgKind::kFindDerivations: return "FindDerivations";
-    case MsgKind::kAllNames: return "AllNames";
-    case MsgKind::kTypeConforms: return "TypeConforms";
-    case MsgKind::kBatchGet: return "BatchGet";
-    case MsgKind::kGetProvenanceStep: return "GetProvenanceStep";
-    case MsgKind::kDefineDataset: return "DefineDataset";
-    case MsgKind::kDefineTransformation: return "DefineTransformation";
-    case MsgKind::kDefineDerivation: return "DefineDerivation";
-    case MsgKind::kAnnotate: return "Annotate";
-    case MsgKind::kAddReplica: return "AddReplica";
-    case MsgKind::kRecordInvocation: return "RecordInvocation";
-    case MsgKind::kSetDatasetSize: return "SetDatasetSize";
-    case MsgKind::kInvalidateReplica: return "InvalidateReplica";
-    case MsgKind::kApplyBatch: return "ApplyBatch";
-  }
-  return "Unknown";
+Status UnknownKind(MsgKind kind) {
+  return Status::ParseError("wire: unknown message kind " +
+                            std::to_string(static_cast<int>(kind)));
 }
 
-bool IsValidMsgKind(uint8_t raw) {
-  return raw >= static_cast<uint8_t>(MsgKind::kHandshake) &&
-         raw <= static_cast<uint8_t>(MsgKind::kApplyBatch);
+}  // namespace
+
+Status CheckRequest(const Request& request) {
+  return VisitKind(
+      request.kind,
+      [&]<typename M>(M) {
+        return BodyAs<typename M::RequestBody>(request).status();
+      },
+      [&] {
+        return Status::InvalidArgument(
+            "unknown message kind " +
+            std::to_string(static_cast<int>(request.kind)));
+      });
+}
+
+std::string_view IdempotencyToken(const Request& request) {
+  const auto* batch = request.kind == MsgKind::kApplyBatch
+                          ? std::get_if<ApplyBatchReq>(&request.body)
+                          : nullptr;
+  return batch != nullptr ? std::string_view(batch->options.idempotency_token)
+                          : std::string_view();
+}
+
+bool IsRetrySafe(const Request& request) {
+  return !IsMutation(request.kind) || !IdempotencyToken(request).empty();
 }
 
 std::string EncodeRequestFrame(uint64_t request_id, const Request& request) {
   std::string payload;
-  EncodeRequestPayload(request, &payload);
+  Writer w(&payload);
+  std::visit([&w](const auto& body) { Put(w, body); }, request.body);
   return EncodeFrame(request_id, /*is_response=*/false, request.kind, payload);
 }
 
 std::string EncodeResponseFrame(uint64_t request_id,
                                 const Response& response) {
   std::string payload;
-  EncodeResponsePayload(response, &payload);
+  Writer w(&payload);
+  PutStatus(w, response.status);
+  std::visit([&w](const auto& body) { Put(w, body); }, response.body);
   return EncodeFrame(request_id, /*is_response=*/true, response.kind, payload);
 }
 
@@ -533,204 +592,35 @@ Result<Frame> DecodeFrame(std::string_view bytes) {
 }
 
 Result<Request> DecodeRequest(MsgKind kind, std::string_view payload) {
-  Reader r(payload);
-  Request req;
-  req.kind = kind;
-  switch (kind) {
-    case MsgKind::kHandshake:
-    case MsgKind::kVersion:
-      req.body = EmptyReq{};
-      break;
-    case MsgKind::kChangesSince:
-      req.body = ChangesSinceReq{r.ReadU64()};
-      break;
-    case MsgKind::kGetDataset:
-    case MsgKind::kGetTransformation:
-    case MsgKind::kGetDerivation:
-    case MsgKind::kHasDataset:
-    case MsgKind::kIsMaterialized:
-    case MsgKind::kProducerOf:
-    case MsgKind::kInvocationsOf:
-    case MsgKind::kAllNames:
-    case MsgKind::kGetProvenanceStep:
-    case MsgKind::kInvalidateReplica:
-      req.body = NameReq{r.ReadString()};
-      break;
-    case MsgKind::kFindDatasets:
-      req.body = FindDatasetsReq{ReadDatasetQuery(r)};
-      break;
-    case MsgKind::kFindTransformations:
-      req.body = FindTransformationsReq{ReadTransformationQuery(r)};
-      break;
-    case MsgKind::kFindDerivations:
-      req.body = FindDerivationsReq{ReadDerivationQuery(r)};
-      break;
-    case MsgKind::kTypeConforms: {
-      TypeConformsReq body;
-      body.type = ReadDatasetType(r);
-      body.against = ReadDatasetType(r);
-      req.body = std::move(body);
-      break;
-    }
-    case MsgKind::kBatchGet: {
-      BatchGetReq body;
-      size_t n = r.ReadCount();
-      body.keys.reserve(n);
-      for (size_t i = 0; i < n && r.ok(); ++i) {
-        ObjectKey key;
-        key.kind = r.ReadString();
-        key.name = r.ReadString();
-        body.keys.push_back(std::move(key));
-      }
-      req.body = std::move(body);
-      break;
-    }
-    case MsgKind::kDefineDataset:
-      req.body = DefineDatasetReq{ReadDataset(r)};
-      break;
-    case MsgKind::kDefineTransformation:
-      req.body = DefineTransformationReq{ReadTransformation(r)};
-      break;
-    case MsgKind::kDefineDerivation:
-      req.body = DefineDerivationReq{ReadDerivation(r)};
-      break;
-    case MsgKind::kAnnotate: {
-      AnnotateReq body;
-      body.kind = r.ReadString();
-      body.name = r.ReadString();
-      body.key = r.ReadString();
-      body.value = ReadAttributeValue(r);
-      req.body = std::move(body);
-      break;
-    }
-    case MsgKind::kAddReplica:
-      req.body = AddReplicaReq{ReadReplica(r)};
-      break;
-    case MsgKind::kRecordInvocation:
-      req.body = RecordInvocationReq{ReadInvocation(r)};
-      break;
-    case MsgKind::kSetDatasetSize: {
-      SetDatasetSizeReq body;
-      body.name = r.ReadString();
-      body.size_bytes = r.ReadI64();
-      req.body = std::move(body);
-      break;
-    }
-    case MsgKind::kApplyBatch: {
-      ApplyBatchReq body;
-      size_t n = r.ReadCount();
-      body.mutations.reserve(n);
-      for (size_t i = 0; i < n && r.ok(); ++i) {
-        body.mutations.push_back(ReadMutation(r));
-      }
-      body.options.stop_on_error = r.ReadBool();
-      // The idempotency token is a trailing optional field: frames
-      // produced by pre-token encoders end right after stop_on_error,
-      // and must keep decoding (version-tolerant within codec v1).
-      if (!r.AtEnd()) body.options.idempotency_token = r.ReadString();
-      req.body = std::move(body);
-      break;
-    }
-  }
-  VDG_RETURN_IF_ERROR(r.Finish());
-  return req;
+  return VisitKind(
+      kind,
+      [&]<typename M>(M) -> Result<Request> {
+        Reader r(payload);
+        Request request;
+        request.kind = kind;
+        Read(r, request.body.emplace<typename M::RequestBody>());
+        VDG_RETURN_IF_ERROR(r.Finish());
+        return request;
+      },
+      [&]() -> Result<Request> { return UnknownKind(kind); });
 }
 
 Result<Response> DecodeResponse(MsgKind kind, std::string_view payload) {
-  Reader r(payload);
-  Response resp;
-  resp.kind = kind;
-  resp.status = ReadStatus(r);
-  if (!resp.status.ok()) {
-    // Error responses carry no body regardless of kind.
-    VDG_RETURN_IF_ERROR(r.Finish());
-    return resp;
-  }
-  switch (kind) {
-    case MsgKind::kHandshake: {
-      HandshakeResp body;
-      body.authority = r.ReadString();
-      body.read_only = r.ReadBool();
-      resp.body = std::move(body);
-      break;
-    }
-    case MsgKind::kVersion:
-      resp.body = VersionResp{r.ReadU64()};
-      break;
-    case MsgKind::kChangesSince: {
-      ChangesResp body;
-      size_t n = r.ReadCount();
-      body.changes.reserve(n);
-      for (size_t i = 0; i < n && r.ok(); ++i) {
-        body.changes.push_back(ReadCatalogChange(r));
-      }
-      resp.body = std::move(body);
-      break;
-    }
-    case MsgKind::kGetDataset:
-      resp.body = DatasetResp{ReadDataset(r)};
-      break;
-    case MsgKind::kGetTransformation:
-      resp.body = TransformationResp{ReadTransformation(r)};
-      break;
-    case MsgKind::kGetDerivation:
-      resp.body = DerivationResp{ReadDerivation(r)};
-      break;
-    case MsgKind::kHasDataset:
-    case MsgKind::kIsMaterialized:
-    case MsgKind::kTypeConforms:
-      resp.body = BoolResp{r.ReadBool()};
-      break;
-    case MsgKind::kProducerOf:
-    case MsgKind::kAddReplica:
-    case MsgKind::kRecordInvocation:
-      resp.body = StringResp{r.ReadString()};
-      break;
-    case MsgKind::kInvocationsOf:
-      resp.body = InvocationsResp{ReadInvocations(r)};
-      break;
-    case MsgKind::kFindDatasets:
-    case MsgKind::kFindTransformations:
-    case MsgKind::kFindDerivations:
-    case MsgKind::kAllNames: {
-      // Arena decode: one buffer per response holds every name;
-      // the list's views point into it (no per-name allocation).
-      size_t n = r.ReadCount();
-      NameList::ArenaBuilder names;
-      names.Reserve(n, r.remaining());
-      for (size_t i = 0; i < n && r.ok(); ++i) {
-        names.Append(r.ReadStringView());
-      }
-      resp.body = NamesResp{std::move(names).Build()};
-      break;
-    }
-    case MsgKind::kBatchGet: {
-      RecordsResp body;
-      size_t n = r.ReadCount();
-      body.records.reserve(n);
-      for (size_t i = 0; i < n && r.ok(); ++i) {
-        body.records.push_back(ReadObjectRecord(r));
-      }
-      resp.body = std::move(body);
-      break;
-    }
-    case MsgKind::kGetProvenanceStep:
-      resp.body = StepResp{ReadProvenanceStep(r)};
-      break;
-    case MsgKind::kApplyBatch:
-      resp.body = BatchResultResp{ReadBatchResult(r)};
-      break;
-    case MsgKind::kDefineDataset:
-    case MsgKind::kDefineTransformation:
-    case MsgKind::kDefineDerivation:
-    case MsgKind::kAnnotate:
-    case MsgKind::kSetDatasetSize:
-    case MsgKind::kInvalidateReplica:
-      // Status-only responses.
-      break;
-  }
-  VDG_RETURN_IF_ERROR(r.Finish());
-  return resp;
+  return VisitKind(
+      kind,
+      [&]<typename M>(M) -> Result<Response> {
+        Reader r(payload);
+        Response response;
+        response.kind = kind;
+        response.status = ReadStatus(r);
+        // Error responses carry no body regardless of kind.
+        if (response.status.ok()) {
+          Read(r, response.body.emplace<typename M::ResponseBody>());
+        }
+        VDG_RETURN_IF_ERROR(r.Finish());
+        return response;
+      },
+      [&]() -> Result<Response> { return UnknownKind(kind); });
 }
 
 }  // namespace wire

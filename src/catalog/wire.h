@@ -51,6 +51,16 @@ namespace vdg {
 /// doubles travel as raw IEEE bits, attribute values keep their typed
 /// wire form — which is what lets a zero-fault wire transport return
 /// results identical to InProcessCatalogClient.
+///
+/// The message table (VDG_WIRE_MESSAGES below) declares every kind
+/// once: its name, wire value, request body, response body and whether
+/// it mutates. The MsgKind enum, MsgKindName, IsMutation, the codec's
+/// kind dispatch, CatalogClient's default Call and RequestClient's
+/// typed methods are all derived from it. Adding a kind is one table
+/// row plus, when no existing body fits, its body structs (listed in
+/// the Request/Response variants) and their Put/Read pair in wire.cc; a
+/// kind that is a CatalogClient call also needs the typed method of the
+/// same name, whose parameters are the request body's fields in order.
 namespace wire {
 
 inline constexpr uint8_t kCodecVersion = 1;
@@ -61,62 +71,51 @@ inline constexpr size_t kFrameTrailerBytes = 4;
 /// a corrupted length field from looking like a 4 GiB allocation.
 inline constexpr uint32_t kMaxPayloadBytes = 64u << 20;
 
-/// One wire message kind per CatalogClient method, plus the handshake
-/// that tells a fresh connection the server's authority and mutability.
-enum class MsgKind : uint8_t {
-  kHandshake = 1,
-  kVersion = 2,
-  kChangesSince = 3,
-  kGetDataset = 4,
-  kGetTransformation = 5,
-  kGetDerivation = 6,
-  kHasDataset = 7,
-  kIsMaterialized = 8,
-  kProducerOf = 9,
-  kInvocationsOf = 10,
-  kFindDatasets = 11,
-  kFindTransformations = 12,
-  kFindDerivations = 13,
-  kAllNames = 14,
-  kTypeConforms = 15,
-  kBatchGet = 16,
-  kGetProvenanceStep = 17,
-  kDefineDataset = 18,
-  kDefineTransformation = 19,
-  kDefineDerivation = 20,
-  kAnnotate = 21,
-  kAddReplica = 22,
-  kRecordInvocation = 23,
-  kSetDatasetSize = 24,
-  kInvalidateReplica = 25,
-  kApplyBatch = 26,
-};
+/// The message table, one row per kind:
+///   X(Name, wire value, request body, response body, mutates)
+/// The response body is std::monostate when the answer is a bare
+/// status. Mutating kinds change the catalog; every other kind is an
+/// idempotent read that any rung may re-send.
+#define VDG_WIRE_MESSAGES(X)                                           \
+  X(Handshake, 1, EmptyReq, HandshakeResp, false)                      \
+  VDG_WIRE_CALLS(X)
 
-/// Human-readable kind name for diagnostics ("GetDataset", ...).
-std::string_view MsgKindName(MsgKind kind);
-/// True when `raw` maps to a defined MsgKind value.
-bool IsValidMsgKind(uint8_t raw);
+/// The rows that are CatalogClient calls: kind k<Name> is the typed
+/// method CatalogClient::<Name>, its request body holds the method's
+/// parameters in order, and its response body holds the method's value
+/// as its one field. The handshake alone is not a call: it tells a
+/// fresh connection the server's authority and mutability.
+#define VDG_WIRE_CALLS(X)                                              \
+  X(Version, 2, EmptyReq, VersionResp, false)                          \
+  X(ChangesSince, 3, ChangesSinceReq, ChangesResp, false)              \
+  X(GetDataset, 4, NameReq, DatasetResp, false)                        \
+  X(GetTransformation, 5, NameReq, TransformationResp, false)          \
+  X(GetDerivation, 6, NameReq, DerivationResp, false)                  \
+  X(HasDataset, 7, NameReq, BoolResp, false)                           \
+  X(IsMaterialized, 8, NameReq, BoolResp, false)                       \
+  X(ProducerOf, 9, NameReq, StringResp, false)                         \
+  X(InvocationsOf, 10, NameReq, InvocationsResp, false)                \
+  X(FindDatasets, 11, FindDatasetsReq, NamesResp, false)               \
+  X(FindTransformations, 12, FindTransformationsReq, NamesResp, false) \
+  X(FindDerivations, 13, FindDerivationsReq, NamesResp, false)         \
+  X(AllNames, 14, NameReq, NamesResp, false)                           \
+  X(TypeConforms, 15, TypeConformsReq, BoolResp, false)                \
+  X(BatchGet, 16, BatchGetReq, RecordsResp, false)                     \
+  X(GetProvenanceStep, 17, NameReq, StepResp, false)                   \
+  X(DefineDataset, 18, DefineDatasetReq, std::monostate, true)         \
+  X(DefineTransformation, 19, DefineTransformationReq, std::monostate, \
+    true)                                                              \
+  X(DefineDerivation, 20, DefineDerivationReq, std::monostate, true)   \
+  X(Annotate, 21, AnnotateReq, std::monostate, true)                   \
+  X(AddReplica, 22, AddReplicaReq, StringResp, true)                   \
+  X(RecordInvocation, 23, RecordInvocationReq, StringResp, true)       \
+  X(SetDatasetSize, 24, SetDatasetSizeReq, std::monostate, true)       \
+  X(InvalidateReplica, 25, NameReq, std::monostate, true)              \
+  X(ApplyBatch, 26, ApplyBatchReq, BatchResultResp, true)
 
-/// The retry-safety table: true for the kinds that change the catalog.
-/// Every other kind is an idempotent read that any rung may re-send.
-/// A mutation may be re-sent only when the server can recognise the
-/// repeat — an ApplyBatch carrying an idempotency token.
-constexpr bool IsMutation(MsgKind kind) {
-  switch (kind) {
-    case MsgKind::kDefineDataset:
-    case MsgKind::kDefineTransformation:
-    case MsgKind::kDefineDerivation:
-    case MsgKind::kAnnotate:
-    case MsgKind::kAddReplica:
-    case MsgKind::kRecordInvocation:
-    case MsgKind::kSetDatasetSize:
-    case MsgKind::kInvalidateReplica:
-    case MsgKind::kApplyBatch:
-      return true;
-    default:
-      return false;
-  }
-}
+#define VDG_WIRE_ENUMERATOR(Name, value, ...) k##Name = value,
+enum class MsgKind : uint8_t { VDG_WIRE_MESSAGES(VDG_WIRE_ENUMERATOR) };
+#undef VDG_WIRE_ENUMERATOR
 
 // ---------------------------------------------------------------------
 // Request payloads. Kinds whose payload is just an object name share
@@ -251,6 +250,101 @@ struct Response {
                BatchResultResp>
       body;
 };
+
+// ---------------------------------------------------------------------
+// The table, as types and dispatch
+// ---------------------------------------------------------------------
+
+/// One table row as a type: Message<MsgKind::kGetDataset>::RequestBody
+/// is NameReq, and so on.
+template <MsgKind K>
+struct Message;
+
+#define VDG_WIRE_MESSAGE(Name, value, Req, Resp, mutates) \
+  template <>                                             \
+  struct Message<MsgKind::k##Name> {                      \
+    static constexpr MsgKind kKind = MsgKind::k##Name;    \
+    static constexpr std::string_view kName = #Name;      \
+    static constexpr bool kMutates = mutates;             \
+    using RequestBody = Req;                              \
+    using ResponseBody = Resp;                            \
+  };
+VDG_WIRE_MESSAGES(VDG_WIRE_MESSAGE)
+#undef VDG_WIRE_MESSAGE
+
+/// The one switch over the kinds: calls `fn(Message<kind>{})`, or
+/// `otherwise()` when no row has that kind (a raw byte cast to
+/// MsgKind).
+template <typename Fn, typename Otherwise>
+constexpr auto VisitKind(MsgKind kind, Fn&& fn, Otherwise&& otherwise)
+    -> decltype(otherwise()) {
+  switch (kind) {
+#define VDG_WIRE_VISIT(Name, ...) \
+  case MsgKind::k##Name:          \
+    return fn(Message<MsgKind::k##Name>{});
+    VDG_WIRE_MESSAGES(VDG_WIRE_VISIT)
+#undef VDG_WIRE_VISIT
+  }
+  return otherwise();
+}
+
+/// Human-readable kind name for diagnostics ("GetDataset", ...).
+constexpr std::string_view MsgKindName(MsgKind kind) {
+  return VisitKind(
+      kind, []<typename M>(M) { return M::kName; },
+      [] { return std::string_view("Unknown"); });
+}
+
+/// True when `raw` maps to a defined MsgKind value.
+constexpr bool IsValidMsgKind(uint8_t raw) {
+  return VisitKind(
+      static_cast<MsgKind>(raw), [](auto) { return true; },
+      [] { return false; });
+}
+
+/// True for the kinds that change the catalog (the table's last
+/// column). IsRetrySafe says when one may be re-sent.
+constexpr bool IsMutation(MsgKind kind) {
+  return VisitKind(
+      kind, []<typename M>(M) { return M::kMutates; }, [] { return false; });
+}
+
+/// Typed body access: `request`'s body as `Body`, or InvalidArgument
+/// when it carries another alternative.
+template <typename Body>
+Result<const Body*> BodyAs(const Request& request) {
+  const Body* body = std::get_if<Body>(&request.body);
+  if (body == nullptr) {
+    return Status::InvalidArgument(
+        "request body does not match message kind " +
+        std::string(MsgKindName(request.kind)));
+  }
+  return body;
+}
+
+/// Response construction: an OK `kind` response carrying `body`
+/// (std::monostate for a bare status).
+template <typename Body>
+Response Reply(MsgKind kind, Body body) {
+  Response response;
+  response.kind = kind;
+  response.body = std::move(body);
+  return response;
+}
+
+/// InvalidArgument unless `request.kind` is in the table and its body
+/// is the one that kind's row names. A transport checks before it
+/// encodes, so a malformed request never reaches the wire.
+Status CheckRequest(const Request& request);
+
+/// The idempotency token of an ApplyBatch request; empty for every
+/// other request.
+std::string_view IdempotencyToken(const Request& request);
+
+/// The retry-safety rule: a read, or an ApplyBatch carrying an
+/// idempotency token (the server's dedup window recognises the repeat).
+/// Any other mutation may have applied even though its reply was lost.
+bool IsRetrySafe(const Request& request);
 
 // ---------------------------------------------------------------------
 // Frame encode / decode

@@ -146,22 +146,20 @@ void ResilientCatalogClient::RecordFailure(size_t i, bool drop_connection) {
 
 Result<wire::Response> ResilientCatalogClient::Call(
     const wire::Request& request) {
-  // Retry safety comes from the kind (see "Retry discipline" in the
-  // header). A tokenized batch is exactly-once through the server's
-  // dedup window, so it retries like a read.
-  bool idempotent = !wire::IsMutation(request.kind);
+  // Retry safety is wire::IsRetrySafe (see "Retry discipline" in the
+  // header). An untokenized batch gets a token first: the server's
+  // dedup window then makes it exactly-once, so it retries like a read.
   const wire::Request* send = &request;
   wire::Request tokenized;
-  if (request.kind == wire::MsgKind::kApplyBatch) {
-    idempotent = true;
-    const auto* batch = std::get_if<wire::ApplyBatchReq>(&request.body);
-    if (batch != nullptr && batch->options.idempotency_token.empty()) {
-      tokenized = request;
-      std::get<wire::ApplyBatchReq>(tokenized.body)
-          .options.idempotency_token = GenerateToken();
+  if (request.kind == wire::MsgKind::kApplyBatch &&
+      !wire::IsRetrySafe(request)) {
+    tokenized = request;
+    if (auto* batch = std::get_if<wire::ApplyBatchReq>(&tokenized.body)) {
+      batch->options.idempotency_token = GenerateToken();
       send = &tokenized;
     }
   }
+  const bool idempotent = wire::IsRetrySafe(*send);
   const auto deadline =
       std::chrono::steady_clock::now() + options_.retry_budget;
   Status last_error = Status::Unavailable("no catalog endpoints configured");

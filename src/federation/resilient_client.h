@@ -31,7 +31,7 @@ namespace vdg {
 //    cooldown elapses, when one probe (HALF-OPEN) either closes the
 //    breaker or re-opens it. Healthy endpoints never pay for a dead
 //    peer.
-//  - Retry discipline (read from wire::IsMutation, for the one
+//  - Retry discipline (read from wire::IsRetrySafe, for the one
 //    request every typed method becomes — this is a RequestClient):
 //    idempotent reads retry freely inside the budget. Single
 //    mutations are issued at most once on an

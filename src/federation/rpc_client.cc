@@ -58,13 +58,7 @@ Result<wire::Response> SimulatedRpcCatalogClient::Forward(
     const wire::Request& request) {
   // A token-bearing batch is deduplicated server-side, making the whole
   // group idempotent and therefore safe to auto-retry on loss.
-  const auto* batch = request.kind == wire::MsgKind::kApplyBatch
-                          ? std::get_if<wire::ApplyBatchReq>(&request.body)
-                          : nullptr;
-  const bool idempotent =
-      !wire::IsMutation(request.kind) ||
-      (batch != nullptr && !batch->options.idempotency_token.empty());
-  VDG_RETURN_IF_ERROR(Transport(idempotent));
+  VDG_RETURN_IF_ERROR(Transport(wire::IsRetrySafe(request)));
   return backend_->Call(request);
 }
 
@@ -115,8 +109,6 @@ Result<wire::Response> SimulatedRpcCatalogClient::Call(
   }
   // Naive mode: a compound call decomposes into its point calls through
   // hop_, one round trip apiece.
-  wire::Response response;
-  response.kind = request.kind;
   if (keys != nullptr) {
     std::vector<ObjectRecord> records;
     records.reserve(keys->keys.size());
@@ -125,20 +117,19 @@ Result<wire::Response> SimulatedRpcCatalogClient::Call(
                            hop_.BatchGet({key}));
       records.push_back(std::move(one.front()));
     }
-    response.body = wire::RecordsResp{std::move(records)};
-  } else if (step != nullptr) {
+    return wire::Reply(request.kind, wire::RecordsResp{std::move(records)});
+  }
+  if (step != nullptr) {
     VDG_ASSIGN_OR_RETURN(ProvenanceStep answer,
                          PointwiseStep(hop_, step->name));
-    response.body = wire::StepResp{std::move(answer)};
-  } else {
-    // The base-class decomposition: each op is its own call, plus one
-    // for the final version read.
-    VDG_ASSIGN_OR_RETURN(
-        BatchResult result,
-        hop_.CatalogClient::ApplyBatch(batch->mutations, batch->options));
-    response.body = wire::BatchResultResp{std::move(result)};
+    return wire::Reply(request.kind, wire::StepResp{std::move(answer)});
   }
-  return response;
+  // The base-class decomposition: each op is its own call, plus one for
+  // the final version read.
+  VDG_ASSIGN_OR_RETURN(
+      BatchResult result,
+      hop_.CatalogClient::ApplyBatch(batch->mutations, batch->options));
+  return wire::Reply(request.kind, wire::BatchResultResp{std::move(result)});
 }
 
 }  // namespace vdg

@@ -119,7 +119,7 @@ class SimulatedRpcCatalogClient : public RequestClient {
   Status Transport(bool idempotent);
 
   /// Transport, then the backend executes `request`. Retry safety comes
-  /// from wire::IsMutation: reads (and a token-bearing ApplyBatch) are
+  /// from wire::IsRetrySafe: reads (and a token-bearing ApplyBatch) are
   /// auto-retried on loss and outage alike; other mutations retry only
   /// outages and surface loss as retry-unsafe.
   Result<wire::Response> Forward(const wire::Request& request);

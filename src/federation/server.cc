@@ -465,11 +465,7 @@ void CatalogServer::WorkerLoop() {
 }
 
 wire::Response CatalogServer::Execute(const wire::Request& request) {
-  const auto* batch = request.kind == wire::MsgKind::kApplyBatch
-                          ? std::get_if<wire::ApplyBatchReq>(&request.body)
-                          : nullptr;
-  const std::string token =
-      batch != nullptr ? batch->options.idempotency_token : std::string();
+  const std::string token(wire::IdempotencyToken(request));
   if (!token.empty()) {
     // Tokenized batch: consult the idempotency window first so a retry
     // (lost reply / replica failover) replays the recorded outcome —
@@ -516,10 +512,9 @@ Result<std::shared_ptr<WireCatalogClient>> WireCatalogClient::ConnectChannel(
   }
   std::shared_ptr<WireCatalogClient> client(
       new WireCatalogClient(std::move(channel), options));
-  wire::Request handshake;
-  handshake.kind = wire::MsgKind::kHandshake;
-  handshake.body = wire::EmptyReq{};
-  VDG_ASSIGN_OR_RETURN(wire::Response resp, client->Call(handshake));
+  VDG_ASSIGN_OR_RETURN(
+      wire::Response resp,
+      client->Call({wire::MsgKind::kHandshake, wire::EmptyReq{}}));
   const auto* body = std::get_if<wire::HandshakeResp>(&resp.body);
   if (body == nullptr) {
     return Status::Internal("wire: handshake response carried no body");
@@ -661,6 +656,9 @@ void WireCatalogClient::HandOffReaderLocked() {
 }
 
 Result<wire::Response> WireCatalogClient::Call(const wire::Request& request) {
+  // A malformed request is the caller's error: answer it here, before
+  // the server would drop the connection over it.
+  VDG_RETURN_IF_ERROR(wire::CheckRequest(request));
   std::shared_ptr<PendingSlot> slot;
   uint64_t request_id = 0;
   {
