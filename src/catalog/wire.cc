@@ -496,9 +496,7 @@ Status CheckRequest(const Request& request) {
 }
 
 std::string_view IdempotencyToken(const Request& request) {
-  const auto* batch = request.kind == MsgKind::kApplyBatch
-                          ? std::get_if<ApplyBatchReq>(&request.body)
-                          : nullptr;
+  const ApplyBatchReq* batch = BodyIf<MsgKind::kApplyBatch>(request);
   return batch != nullptr ? std::string_view(batch->options.idempotency_token)
                           : std::string_view();
 }

@@ -322,6 +322,15 @@ Result<const Body*> BodyAs(const Request& request) {
   return body;
 }
 
+/// The body of a kind-K request, or nullptr when `request` is another
+/// kind or carries another body.
+template <MsgKind K>
+const typename Message<K>::RequestBody* BodyIf(const Request& request) {
+  return request.kind == K
+             ? std::get_if<typename Message<K>::RequestBody>(&request.body)
+             : nullptr;
+}
+
 /// Response construction: an OK `kind` response carrying `body`
 /// (std::monostate for a bare status).
 template <typename Body>

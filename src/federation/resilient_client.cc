@@ -151,13 +151,12 @@ Result<wire::Response> ResilientCatalogClient::Call(
   // dedup window then makes it exactly-once, so it retries like a read.
   const wire::Request* send = &request;
   wire::Request tokenized;
-  if (request.kind == wire::MsgKind::kApplyBatch &&
-      !wire::IsRetrySafe(request)) {
-    tokenized = request;
-    if (auto* batch = std::get_if<wire::ApplyBatchReq>(&tokenized.body)) {
-      batch->options.idempotency_token = GenerateToken();
-      send = &tokenized;
-    }
+  if (const auto* batch = wire::BodyIf<wire::MsgKind::kApplyBatch>(request);
+      batch != nullptr && batch->options.idempotency_token.empty()) {
+    wire::ApplyBatchReq stamped = *batch;
+    stamped.options.idempotency_token = GenerateToken();
+    tokenized = {request.kind, std::move(stamped)};
+    send = &tokenized;
   }
   const bool idempotent = wire::IsRetrySafe(*send);
   const auto deadline =

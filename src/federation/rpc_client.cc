@@ -93,15 +93,9 @@ Result<ProvenanceStep> PointwiseStep(CatalogClient& hop,
 Result<wire::Response> SimulatedRpcCatalogClient::Call(
     const wire::Request& request) {
   using wire::MsgKind;
-  const auto* keys = request.kind == MsgKind::kBatchGet
-                         ? std::get_if<wire::BatchGetReq>(&request.body)
-                         : nullptr;
-  const auto* step = request.kind == MsgKind::kGetProvenanceStep
-                         ? std::get_if<wire::NameReq>(&request.body)
-                         : nullptr;
-  const auto* batch = request.kind == MsgKind::kApplyBatch
-                          ? std::get_if<wire::ApplyBatchReq>(&request.body)
-                          : nullptr;
+  const auto* keys = wire::BodyIf<MsgKind::kBatchGet>(request);
+  const auto* step = wire::BodyIf<MsgKind::kGetProvenanceStep>(request);
+  const auto* batch = wire::BodyIf<MsgKind::kApplyBatch>(request);
   if (config_.enable_batching || (!keys && !step && !batch)) {
     if (keys != nullptr) stats_.batched_lookups += keys->keys.size();
     if (batch != nullptr) stats_.batched_lookups += batch->mutations.size();
