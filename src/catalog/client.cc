@@ -98,87 +98,6 @@ Result<std::vector<CatalogChange>> CatalogClient::ShardChangesSince(
   return ChangesSince(since_version);
 }
 
-Result<BatchResult> CatalogClient::ApplyBatch(
-    const std::vector<CatalogMutation>& mutations,
-    const BatchOptions& options) {
-  BatchResult result;
-  result.statuses.reserve(mutations.size());
-  result.assigned_ids.resize(mutations.size());
-  bool aborted = false;
-  for (size_t i = 0; i < mutations.size(); ++i) {
-    if (aborted) {
-      result.statuses.push_back(
-          Status::FailedPrecondition("batch aborted by earlier failure"));
-      continue;
-    }
-    Status s = std::visit(
-        [&](const auto& op) -> Status {
-          using Op = std::decay_t<decltype(op)>;
-          if constexpr (std::is_same_v<Op, CatalogMutation::DefineDatasetOp>) {
-            return DefineDataset(op.dataset);
-          } else if constexpr (std::is_same_v<
-                                   Op,
-                                   CatalogMutation::DefineTransformationOp>) {
-            return DefineTransformation(op.transformation);
-          } else if constexpr (std::is_same_v<
-                                   Op, CatalogMutation::DefineDerivationOp>) {
-            return DefineDerivation(op.derivation);
-          } else if constexpr (std::is_same_v<Op,
-                                              CatalogMutation::AnnotateOp>) {
-            std::string target = op.name;
-            if (op.name_from_op.has_value()) {
-              if (*op.name_from_op >= i ||
-                  result.assigned_ids[*op.name_from_op].empty()) {
-                return Status::InvalidArgument(
-                    "annotate references batch op " +
-                    std::to_string(*op.name_from_op) +
-                    " which assigned no id");
-              }
-              target = result.assigned_ids[*op.name_from_op];
-            }
-            return Annotate(op.kind, target, op.key, op.value);
-          } else if constexpr (std::is_same_v<Op,
-                                              CatalogMutation::AddReplicaOp>) {
-            VDG_ASSIGN_OR_RETURN(std::string id, AddReplica(op.replica));
-            result.assigned_ids[i] = std::move(id);
-            return Status::OK();
-          } else if constexpr (std::is_same_v<
-                                   Op, CatalogMutation::RecordInvocationOp>) {
-            Invocation iv = op.invocation;
-            for (size_t pos : op.produced_from_ops) {
-              if (pos >= i || result.assigned_ids[pos].empty()) {
-                return Status::InvalidArgument(
-                    "invocation references batch op " + std::to_string(pos) +
-                    " which assigned no id");
-              }
-              iv.produced_replicas.push_back(result.assigned_ids[pos]);
-            }
-            VDG_ASSIGN_OR_RETURN(std::string id,
-                                 RecordInvocation(std::move(iv)));
-            result.assigned_ids[i] = std::move(id);
-            return Status::OK();
-          } else if constexpr (std::is_same_v<
-                                   Op, CatalogMutation::SetDatasetSizeOp>) {
-            return SetDatasetSize(op.name, op.size_bytes);
-          } else {
-            static_assert(
-                std::is_same_v<Op, CatalogMutation::InvalidateReplicaOp>);
-            return InvalidateReplica(op.id);
-          }
-        },
-        mutations[i].op);
-    if (s.ok()) {
-      ++result.applied;
-    } else {
-      if (result.first_error.ok()) result.first_error = s;
-      if (options.stop_on_error) aborted = true;
-    }
-    result.statuses.push_back(std::move(s));
-  }
-  VDG_ASSIGN_OR_RETURN(result.version, Version());
-  return result;
-}
-
 template <MsgKind K, typename... Args>
 auto RequestClient::Send(Args&&... args) {
   using M = wire::Message<K>;

@@ -67,9 +67,9 @@ struct Response;
 /// provenance walks, promotion, the executor's provenance writes —
 /// speak this interface instead of dereferencing VirtualDataCatalog
 /// directly, so the same code runs over an in-process adapter
-/// (zero-cost, today's behavior) or a simulated/real RPC transport
-/// where round trips can be counted, batched, cached, and made to
-/// fail.
+/// (zero-cost, today's behavior) or the wire transport
+/// (WireCatalogClient, federation/server.h), where round trips can be
+/// counted, batched, cached, and made to fail.
 ///
 /// Two faces of one vocabulary: the typed methods below, and Call(),
 /// which takes the same call as a wire::Request (one MsgKind per typed
@@ -207,23 +207,19 @@ class CatalogClient {
   /// the ops one by one (with cross-op id references resolved — see
   /// CatalogMutation); transports may coalesce the whole batch into
   /// one round trip and the catalog commits it under one lock
-  /// acquisition, one version bump, and one journal flush. The base
-  /// implementation decomposes into the single-op virtuals above — the
-  /// naive N-round-trip baseline — so every transport supports
-  /// batching even before it optimizes for it.
+  /// acquisition, one version bump, and one journal flush.
   virtual Result<BatchResult> ApplyBatch(
       const std::vector<CatalogMutation>& mutations,
-      const BatchOptions& options = {});
+      const BatchOptions& options = {}) = 0;
 };
 
 /// A CatalogClient whose typed methods all funnel into Call(): each
 /// builds its wire::Request, calls Call(), and unwraps the response
 /// body. Subclasses implement only Call(), so a forwarding rung
-/// (WireCatalogClient, ResilientCatalogClient,
-/// SimulatedRpcCatalogClient) is one method: intercept, then pass the
-/// request on with `inner->Call(request)`. Mutations on a read-only
-/// handle (wire::IsMutation) fail with PermissionDenied here, before
-/// Call() is reached.
+/// (WireCatalogClient, ResilientCatalogClient) is one method:
+/// intercept, then pass the request on with `inner->Call(request)`.
+/// Mutations on a read-only handle (wire::IsMutation) fail with
+/// PermissionDenied here, before Call() is reached.
 class RequestClient : public CatalogClient {
  public:
   Result<wire::Response> Call(const wire::Request& request) override = 0;

@@ -165,7 +165,7 @@ auto ReadOptional(Reader& r, ReadFn read)
 }
 
 void PutStringVec(Writer& w, const std::vector<std::string>& v);
-std::vector<std::string> ReadStringVec(Reader& r);
+std::vector<std::string> ReadStringVec(Reader& r);  // result-api-ok: codec decoder
 
 void PutAttributeValue(Writer& w, const AttributeValue& v);
 /// Rejects an unknown tag and a non-finite double: NaN and infinities

@@ -19,9 +19,8 @@ namespace vdg {
 /// CatalogClient call — point reads, discovery queries, the compound
 /// BatchGet / GetProvenanceStep reads, all mutations, and ApplyBatch —
 /// serializes to one length-prefixed frame, and every reply to one
-/// response frame. This replaces the simulated transport's in-process
-/// object hand-off with bytes a real server can dispatch, so RPC cost
-/// is measured serialization + dispatch, not a synthetic latency knob.
+/// response frame, so RPC cost is measured serialization + dispatch,
+/// not a synthetic latency knob.
 ///
 /// Frame layout (all integers little-endian, doubles as IEEE-754 bits):
 ///

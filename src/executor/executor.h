@@ -140,7 +140,7 @@ class WorkflowEngine {
   /// Routes all catalog *writes* (derivations, replicas, invocations,
   /// annotations) through `writer` instead of the default in-process
   /// client, so provenance recording can be observed, cached, or sent
-  /// over a (simulated) wire. Reads stay on the local catalog: the
+  /// over the wire. Reads stay on the local catalog: the
   /// hot scheduling path must not pay transport costs. `writer` must
   /// target the same catalog and must not be read-only. Call before
   /// submitting work.

@@ -29,8 +29,8 @@ struct ResolvedRef {
 /// can report cross-server traffic.
 ///
 /// Catalogs are held behind CatalogClient handles, so a registry can
-/// federate a mix of in-process catalogs and (simulated or real)
-/// remote endpoints without the resolution code knowing which is
+/// federate a mix of in-process catalogs and wire-transport remote
+/// endpoints without the resolution code knowing which is
 /// which. Register(VirtualDataCatalog*) wraps the catalog in a
 /// zero-cost in-process client; RegisterClient installs any transport.
 class CatalogRegistry {

@@ -177,9 +177,7 @@ struct DegradedReadOptions {
 /// window it returns as invalidations (see below).
 ///
 /// Thread-safe behind one mutex, held across upstream fills (the
-/// client -> catalog lock order; the catalog lock stays a leaf). Note
-/// that a SimulatedRpcCatalogClient upstream is single-threaded
-/// regardless — see its header.
+/// client -> catalog lock order; the catalog lock stays a leaf).
 class CachingCatalogClient : public CatalogClient {
  public:
   explicit CachingCatalogClient(std::shared_ptr<CatalogClient> upstream,

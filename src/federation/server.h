@@ -25,10 +25,8 @@ namespace vdg {
 // backend: requests arrive as wire-codec frames on duplex byte
 // channels, are validated and admitted by whichever thread delivered
 // them, and a stateless worker pool decodes, executes, and replies.
-// Unlike SimulatedRpcCatalogClient (which hands objects across a
-// simulated clock), every byte here is genuinely serialized,
-// checksummed, and dispatched across real threads — RPC cost is
-// measured, not modeled.
+// Every byte is genuinely serialized, checksummed, and dispatched
+// across real threads — RPC cost is measured, not modeled.
 //
 // Threading model (a round trip crosses two thread handoffs: caller ->
 // worker -> caller):

@@ -1,24 +1,29 @@
-// Service-boundary tests: the CatalogClient interface, the simulated
-// RPC transport (latency / loss / outage coupling), request batching,
+// Service-boundary tests: the CatalogClient interface, the wire
+// transport (WireCatalogClient -> CatalogServer, with loss and site
+// outages injected under ResilientCatalogClient), request batching,
 // and the version-invalidated remote object cache. The through-line:
-// everything that works in-process works identically over RPC at zero
-// fault rates, and the batching/cache layers only change how many
+// everything that works in-process works identically over the wire at
+// zero fault rates, and the batching/cache layers only change how many
 // round trips it costs.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "catalog/client.h"
 #include "executor/executor.h"
+#include "federation/faulty_transport.h"
 #include "federation/fed_provenance.h"
 #include "federation/index.h"
 #include "federation/registry.h"
 #include "federation/remote_cache.h"
-#include "federation/rpc_client.h"
+#include "federation/resilient_client.h"
+#include "federation/server.h"
 #include "planner/planner.h"
 #include "workload/canonical.h"
 #include "workload/testbed.h"
@@ -52,21 +57,57 @@ std::unique_ptr<VirtualDataCatalog> ChainCatalog(int links) {
 
 class FedRpcTest : public ::testing::Test {
  protected:
-  FedRpcTest() : grid_(workload::SmallTestbed(), 7) {
-    catalog_ = ChainCatalog(8);
+  FedRpcTest()
+      : catalog_(ChainCatalog(8)),
+        server_(std::make_shared<InProcessCatalogClient>(catalog_.get())) {}
+
+  /// A wire client on server_, its counters reset after the handshake
+  /// so `stats().round_trips` counts only the test's own calls.
+  std::shared_ptr<WireCatalogClient> Wire() {
+    Result<std::shared_ptr<WireCatalogClient>> client =
+        WireCatalogClient::Connect(&server_);
+    if (!client.ok()) {
+      ADD_FAILURE() << client.status();
+      return nullptr;
+    }
+    (*client)->reset_stats();
+    return *client;
   }
 
-  std::shared_ptr<CatalogClient> InProcess() {
-    return std::make_shared<InProcessCatalogClient>(catalog_.get());
-  }
-
-  std::shared_ptr<SimulatedRpcCatalogClient> Rpc(RpcConfig config = {}) {
-    return std::make_shared<SimulatedRpcCatalogClient>(InProcess(), &grid_,
-                                                       config);
+  /// A resilient client with one endpoint on server_. While
+  /// `refusals_left_` is positive the endpoint refuses each dial — a
+  /// site outage; otherwise it dials through a FaultyChannel driven by
+  /// `injector`. `live_` is the last connection dialed.
+  std::unique_ptr<ResilientCatalogClient> Resilient(
+      std::shared_ptr<FaultInjector> injector, ResilientOptions options) {
+    ResilientEndpoint endpoint;
+    endpoint.name = "east";
+    endpoint.connect = [this, injector]()
+        -> Result<std::shared_ptr<CatalogClient>> {
+      if (refusals_left_ > 0) {
+        --refusals_left_;
+        return Status::Unavailable("site east is down");
+      }
+      Result<std::shared_ptr<WireCatalogClient>> dialed =
+          ConnectFaulty(&server_, injector);
+      if (!dialed.ok()) return dialed.status();
+      live_ = *dialed;
+      return std::static_pointer_cast<CatalogClient>(live_);
+    };
+    options.backoff_base = std::chrono::milliseconds(1);
+    // One endpoint has nowhere to fail over to: keep its breaker closed
+    // for a whole call's attempts.
+    options.breaker_threshold = options.max_attempts;
+    std::vector<ResilientEndpoint> endpoints;
+    endpoints.push_back(std::move(endpoint));
+    return std::make_unique<ResilientCatalogClient>(std::move(endpoints),
+                                                    options);
   }
 
   std::unique_ptr<VirtualDataCatalog> catalog_;
-  GridSimulator grid_;
+  CatalogServer server_;
+  int refusals_left_ = 0;
+  std::shared_ptr<WireCatalogClient> live_;
 };
 
 // ------------------------- In-process adapter ------------------------
@@ -147,211 +188,59 @@ TEST_F(FedRpcTest, ReadOnlyHandleRejectsEveryMutation) {
       catalog_->GetDataset("d0")->annotations.Has("k"));
 }
 
-// -------------------------- RPC transport ----------------------------
-
-TEST_F(FedRpcTest, ZeroFaultRpcGivesIdenticalResultsAndAdvancesTime) {
-  auto rpc = Rpc();
-  InProcessCatalogClient direct(catalog_.get());
-  SimTime before = grid_.now();
-
-  EXPECT_EQ(*rpc->Version(), *direct.Version());
-  EXPECT_EQ(rpc->GetDataset("d2")->name, "d2");
-  EXPECT_EQ(*rpc->ProducerOf("d7"), *direct.ProducerOf("d7"));
-  EXPECT_EQ(rpc->FindDatasets({})->size(), direct.FindDatasets({})->size());
-  // Four calls, four round trips, each paying the configured latency.
-  EXPECT_EQ(rpc->stats().round_trips, 4u);
-  EXPECT_EQ(rpc->stats().failures, 0u);
-  EXPECT_DOUBLE_EQ(grid_.now() - before, 4 * rpc->config().latency_s);
-}
+// -------------------------- Wire transport ---------------------------
 
 TEST_F(FedRpcTest, LossyTransportRetriesUntilSuccess) {
-  RpcConfig config;
-  config.loss_rate = 0.4;
-  config.max_attempts = 16;
-  auto rpc = Rpc(config);
+  FaultProfile profile;
+  profile.reset_rate = 0.4;  // request frames lost before delivery
+  auto injector = std::make_shared<FaultInjector>(profile, 7);
+  ResilientOptions options;
+  options.max_attempts = 16;
+  auto client = Resilient(injector, options);
+  // The constructor's eager dial may already have lost a frame.
+  const uint64_t lost_before = injector->stats().resets.load();
   for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(rpc->HasDataset("d0").ok());
+    ASSERT_TRUE(client->HasDataset("d0").ok());
   }
-  EXPECT_EQ(rpc->stats().failures, 0u);
-  EXPECT_GT(rpc->stats().lost_calls, 0u);
-  EXPECT_EQ(rpc->stats().retries, rpc->stats().lost_calls);
-  EXPECT_EQ(rpc->stats().round_trips, 50u);
+  // Every lost frame (a call's or a re-dial's handshake) cost exactly
+  // one retry, and no call ran out of attempts.
+  const uint64_t lost = injector->stats().resets.load() - lost_before;
+  EXPECT_GT(lost, 0u);
+  EXPECT_EQ(client->stats().retries, lost);
+  EXPECT_EQ(client->stats().exhausted_calls, 0u);
 }
 
 TEST_F(FedRpcTest, OutageRejectsThenBackoffOutlivesTheOutage) {
-  RpcConfig config;
-  config.site = "east";
-  config.max_attempts = 6;
-  auto rpc = Rpc(config);
-  ASSERT_TRUE(rpc->HasDataset("d0").ok());  // site up: one clean trip
+  ResilientOptions options;
+  options.max_attempts = 6;
+  auto client =
+      Resilient(std::make_shared<FaultInjector>(FaultProfile{}, 7), options);
+  ASSERT_TRUE(client->HasDataset("d0").ok());  // site up: one clean trip
 
-  // A 3-simulated-second crash window starting now: the first attempt
-  // finds the site down, and the retry backoff (run through the event
-  // queue) carries the clock past the scheduled restore.
-  ASSERT_TRUE(grid_.ScheduleOutage("east", 0.0, 3.0, true).ok());
-  Result<bool> has = rpc->HasDataset("d4");
+  // The site goes down: the live connection drops and the next three
+  // dials are refused. The call retries with backoff through the dead
+  // connection and the refusals, and the fourth dial gets through.
+  refusals_left_ = 3;
+  live_->Disconnect();
+  Result<bool> has = client->HasDataset("d4");
   ASSERT_TRUE(has.ok()) << has.status();
   EXPECT_TRUE(*has);
-  EXPECT_GT(rpc->stats().outage_rejections, 0u);
-  EXPECT_GT(rpc->stats().retries, 0u);
-  EXPECT_EQ(rpc->stats().failures, 0u);
-  EXPECT_FALSE(grid_.IsSiteCrashed("east"));
-}
-
-TEST_F(FedRpcTest, OutageLongerThanRetryBudgetSurfacesUnavailable) {
-  RpcConfig config;
-  config.site = "east";
-  config.max_attempts = 2;
-  config.backoff_base_s = 0.1;
-  auto rpc = Rpc(config);
-  // Crash with no scheduled restore: every attempt is rejected.
-  ASSERT_TRUE(grid_.CrashSite("east").ok());
-  Status lost = rpc->HasDataset("d0").status();
-  EXPECT_TRUE(lost.IsUnavailable());
-  EXPECT_EQ(rpc->stats().failures, 1u);
-  EXPECT_EQ(rpc->stats().outage_rejections, 2u);
-}
-
-TEST_F(FedRpcTest, LostMutationFailsFastAndRetryUnsafe) {
-  RpcConfig config;
-  config.loss_rate = 1.0;  // every attempt is lost in transit
-  config.max_attempts = 8;
-  auto rpc = Rpc(config);
-
-  // A lost mutation is ambiguous (the server may have applied it and
-  // only the response vanished), so it must NOT be blindly re-sent:
-  // one attempt, then a retry-unsafe Unavailable.
-  Status st = rpc->SetDatasetSize("d1", 4096);
-  EXPECT_TRUE(st.IsUnavailable()) << st;
-  EXPECT_FALSE(st.retry_safe());
-  EXPECT_EQ(rpc->stats().lost_calls, 1u);
-  EXPECT_EQ(rpc->stats().retries, 0u);
-  EXPECT_EQ(rpc->stats().mutation_fail_fast, 1u);
-
-  // Reads under the same loss keep auto-retrying (and here exhaust the
-  // budget with a retry-SAFE Unavailable).
-  Status read = rpc->HasDataset("d1").status();
-  EXPECT_TRUE(read.IsUnavailable());
-  EXPECT_TRUE(read.retry_safe());
-  EXPECT_EQ(rpc->stats().retries, 7u);
-}
-
-TEST_F(FedRpcTest, ReadOnlyRpcRejectsMutationsBeforeTheTransport) {
-  RpcConfig config;
-  config.loss_rate = 1.0;  // any attempt that reached the wire is lost
-  const VirtualDataCatalog* frozen = catalog_.get();
-  SimulatedRpcCatalogClient rpc(
-      std::make_shared<InProcessCatalogClient>(frozen), &grid_, config);
-  const double clock = grid_.now();
-
-  // The write could never apply, so it must not come back as the
-  // ambiguous "may have been applied" of a lost mutation.
-  Status st = rpc.SetDatasetSize("d1", 4096);
-  EXPECT_TRUE(st.IsPermissionDenied()) << st;
-  Replica rep;
-  rep.dataset = "d1";
-  rep.site = "east";
-  Result<BatchResult> batch =
-      rpc.ApplyBatch({CatalogMutation::AddReplica(rep)});
-  EXPECT_TRUE(batch.status().IsPermissionDenied()) << batch.status();
-
-  EXPECT_EQ(grid_.now(), clock);
-  EXPECT_EQ(rpc.stats().lost_calls, 0u);
-  EXPECT_EQ(rpc.stats().round_trips, 0u);
-}
-
-TEST_F(FedRpcTest, MutationRetriesThroughOutagesButNotLoss) {
-  RpcConfig config;
-  config.site = "east";
-  config.max_attempts = 6;
-  auto rpc = Rpc(config);
-
-  // An outage rejection happens before the server accepts the request,
-  // so even a mutation is safe to re-send: the backoff outlives the
-  // 3-second crash window and the write lands exactly once.
-  ASSERT_TRUE(grid_.ScheduleOutage("east", 0.0, 3.0, true).ok());
-  Status st = rpc->SetDatasetSize("d1", 2048);
-  ASSERT_TRUE(st.ok()) << st;
-  EXPECT_EQ(catalog_->GetDataset("d1")->size_bytes, 2048);
-  EXPECT_GT(rpc->stats().outage_rejections, 0u);
-  EXPECT_GT(rpc->stats().retries, 0u);
-  EXPECT_EQ(rpc->stats().mutation_fail_fast, 0u);
-}
-
-TEST_F(FedRpcTest, TokenedBatchRetriesLikeARead) {
-  RpcConfig config;
-  config.loss_rate = 0.5;
-  config.max_attempts = 32;
-  config.seed = 11;
-  auto rpc = Rpc(config);
-
-  Replica rep;
-  rep.dataset = "d1";
-  rep.site = "east";
-  rep.size_bytes = 1024;
-  std::vector<CatalogMutation> batch;
-  batch.push_back(CatalogMutation::AddReplica(rep));
-
-  // Untokened: ambiguous on first loss. With loss_rate 0.5 and this
-  // seed the first draws eventually lose; keep issuing until one is
-  // actually lost to observe the fail-fast.
-  Status lost = Status::OK();
-  for (int i = 0; i < 64 && lost.ok(); ++i) {
-    lost = rpc->ApplyBatch(batch).status();
-  }
-  ASSERT_FALSE(lost.ok());
-  EXPECT_FALSE(lost.retry_safe());
-
-  // Tokened: the server-side dedup window makes the batch idempotent,
-  // so the transport may retry it through losses like any read.
-  uint64_t fail_fast_before = rpc->stats().mutation_fail_fast;
-  BatchOptions opts;
-  opts.idempotency_token = "sim-tok-1";
-  Result<BatchResult> tokened = rpc->ApplyBatch(batch, opts);
-  ASSERT_TRUE(tokened.ok()) << tokened.status();
-  EXPECT_EQ(rpc->stats().mutation_fail_fast, fail_fast_before);
-}
-
-TEST_F(FedRpcTest, NaiveModeDecomposesCompoundCalls) {
-  RpcConfig batched_config;
-  auto batched = Rpc(batched_config);
-  RpcConfig naive_config;
-  naive_config.enable_batching = false;
-  auto naive = Rpc(naive_config);
-
-  std::vector<ObjectKey> keys;
-  for (int i = 0; i <= 8; ++i) {
-    keys.push_back({"dataset", "d" + std::to_string(i)});
-  }
-  ASSERT_TRUE(batched->BatchGet(keys).ok());
-  ASSERT_TRUE(naive->BatchGet(keys).ok());
-  EXPECT_EQ(batched->stats().round_trips, 1u);
-  EXPECT_EQ(batched->stats().batched_lookups, keys.size());
-  EXPECT_EQ(naive->stats().round_trips, keys.size());
-
-  batched->reset_stats();
-  naive->reset_stats();
-  // One derived hop: 1 compound trip vs 4 point trips.
-  ASSERT_TRUE(batched->GetProvenanceStep("d5").ok());
-  ASSERT_TRUE(naive->GetProvenanceStep("d5").ok());
-  EXPECT_EQ(batched->stats().round_trips, 1u);
-  EXPECT_EQ(naive->stats().round_trips, 4u);
-  // Both modes agree on the answer.
-  EXPECT_EQ(batched->GetProvenanceStep("d5")->producer,
-            naive->GetProvenanceStep("d5")->producer);
+  EXPECT_EQ(refusals_left_, 0);
+  EXPECT_EQ(client->stats().retries, 4u);
+  EXPECT_EQ(client->stats().exhausted_calls, 0u);
 }
 
 TEST_F(FedRpcTest, LineageOverRpcMatchesInProcessAndCountsTrips) {
   CatalogRegistry registry;
-  auto rpc = Rpc();
-  ASSERT_TRUE(registry.RegisterClient(rpc).ok());
+  auto wire = Wire();
+  ASSERT_TRUE(registry.RegisterClient(wire).ok());
   FederatedProvenance prov(registry);
-  Result<LineageNode> over_rpc =
+  Result<LineageNode> over_wire =
       prov.Lineage(nullptr, "vdp://chain.org/d8");
-  ASSERT_TRUE(over_rpc.ok()) << over_rpc.status();
-  EXPECT_EQ(LineageDepth(*over_rpc), 8);
+  ASSERT_TRUE(over_wire.ok()) << over_wire.status();
+  EXPECT_EQ(LineageDepth(*over_wire), 8);
   // One compound trip per chain link (9 datasets).
-  EXPECT_EQ(rpc->stats().round_trips, 9u);
+  EXPECT_EQ(wire->stats().round_trips, 9u);
 
   CatalogRegistry local;
   ASSERT_TRUE(local.Register(catalog_.get()).ok());
@@ -359,40 +248,40 @@ TEST_F(FedRpcTest, LineageOverRpcMatchesInProcessAndCountsTrips) {
   Result<LineageNode> in_process =
       local_prov.Lineage(catalog_.get(), "d8");
   ASSERT_TRUE(in_process.ok());
-  EXPECT_EQ(LineageDepth(*in_process), LineageDepth(*over_rpc));
-  EXPECT_EQ(in_process->dataset, over_rpc->dataset);
+  EXPECT_EQ(LineageDepth(*in_process), LineageDepth(*over_wire));
+  EXPECT_EQ(in_process->dataset, over_wire->dataset);
 }
 
 TEST_F(FedRpcTest, FederatedIndexOverRpcMatchesInProcess) {
-  FederatedIndex over_rpc("rpc-idx");
-  auto rpc = Rpc();
-  ASSERT_TRUE(over_rpc.AddSource(rpc).ok());
-  ASSERT_TRUE(over_rpc.Refresh().ok());
+  FederatedIndex over_wire("wire-idx");
+  auto wire = Wire();
+  ASSERT_TRUE(over_wire.AddSource(wire).ok());
+  ASSERT_TRUE(over_wire.Refresh().ok());
 
   FederatedIndex in_process("local-idx");
   ASSERT_TRUE(in_process.AddSource(catalog_.get()).ok());
   ASSERT_TRUE(in_process.Refresh().ok());
 
-  EXPECT_EQ(over_rpc.size(), in_process.size());
-  EXPECT_EQ(over_rpc.LookupName("dataset", "d3").size(), 1u);
+  EXPECT_EQ(over_wire.size(), in_process.size());
+  EXPECT_EQ(over_wire.LookupName("dataset", "d3").size(), 1u);
 
   // Delta refresh over the wire: version poll + changelog + one batch.
   ASSERT_TRUE(catalog_->ImportVdl("DS extra : Dataset size=\"5\";").ok());
-  rpc->reset_stats();
-  ASSERT_TRUE(over_rpc.Refresh().ok());
-  EXPECT_EQ(over_rpc.LookupName("dataset", "extra").size(), 1u);
-  EXPECT_LE(rpc->stats().round_trips, 3u);
+  wire->reset_stats();
+  ASSERT_TRUE(over_wire.Refresh().ok());
+  EXPECT_EQ(over_wire.LookupName("dataset", "extra").size(), 1u);
+  EXPECT_LE(wire->stats().round_trips, 3u);
 }
 
 // --------------------------- Remote cache ----------------------------
 
 TEST_F(FedRpcTest, CacheServesRepeatedReadsFromOneRoundTrip) {
-  auto rpc = Rpc();
-  CachingCatalogClient cache(rpc);
+  auto wire = Wire();
+  CachingCatalogClient cache(wire);
   for (int i = 0; i < 5; ++i) {
     ASSERT_EQ(cache.GetDataset("d1")->name, "d1");
   }
-  EXPECT_EQ(rpc->stats().round_trips, 1u);
+  EXPECT_EQ(wire->stats().round_trips, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 4u);
 
@@ -400,43 +289,43 @@ TEST_F(FedRpcTest, CacheServesRepeatedReadsFromOneRoundTrip) {
   for (int i = 0; i < 3; ++i) {
     EXPECT_TRUE(cache.GetDataset("ghost").status().IsNotFound());
   }
-  EXPECT_EQ(rpc->stats().round_trips, 2u);
+  EXPECT_EQ(wire->stats().round_trips, 2u);
 
   // Provenance steps: one compound trip, then local.
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(cache.GetProvenanceStep("d6").ok());
   }
-  EXPECT_EQ(rpc->stats().round_trips, 3u);
+  EXPECT_EQ(wire->stats().round_trips, 3u);
 }
 
 TEST_F(FedRpcTest, RevalidateEvictsExactlyWhatChanged) {
-  auto rpc = Rpc();
-  CachingCatalogClient cache(rpc);
+  auto wire = Wire();
+  CachingCatalogClient cache(wire);
   ASSERT_TRUE(cache.Revalidate().ok());  // sync point
   ASSERT_TRUE(cache.GetDataset("d1").ok());
   ASSERT_TRUE(cache.GetDataset("d2").ok());
-  rpc->reset_stats();
+  wire->reset_stats();
 
   // Server-side mutation the cache hasn't seen: reads stay stale (and
   // local) by design until an explicit revalidation.
   ASSERT_TRUE(catalog_->Annotate("dataset", "d1", "touched", true).ok());
   EXPECT_FALSE(cache.GetDataset("d1")->annotations.Has("touched"));
-  EXPECT_EQ(rpc->stats().round_trips, 0u);
+  EXPECT_EQ(wire->stats().round_trips, 0u);
 
   // One ChangesSince trip; only d1 is evicted.
   ASSERT_TRUE(cache.Revalidate().ok());
-  EXPECT_EQ(rpc->stats().round_trips, 1u);
+  EXPECT_EQ(wire->stats().round_trips, 1u);
   EXPECT_TRUE(cache.GetDataset("d1")->annotations.Has("touched"));
-  EXPECT_EQ(rpc->stats().round_trips, 2u);  // d1 refetched...
+  EXPECT_EQ(wire->stats().round_trips, 2u);  // d1 refetched...
   ASSERT_TRUE(cache.GetDataset("d2").ok());
-  EXPECT_EQ(rpc->stats().round_trips, 2u);  // ...d2 still cached
+  EXPECT_EQ(wire->stats().round_trips, 2u);  // ...d2 still cached
   EXPECT_EQ(cache.synced_version(), catalog_->version());
 }
 
 TEST_F(FedRpcTest, ChangelogOverflowFlushesTheWholeCache) {
   catalog_->set_changelog_capacity(4);
-  auto rpc = Rpc();
-  CachingCatalogClient cache(rpc);
+  auto wire = Wire();
+  CachingCatalogClient cache(wire);
   ASSERT_TRUE(cache.Revalidate().ok());
   ASSERT_TRUE(cache.GetDataset("d1").ok());
   for (int i = 0; i < 10; ++i) {
@@ -450,14 +339,14 @@ TEST_F(FedRpcTest, ChangelogOverflowFlushesTheWholeCache) {
   EXPECT_EQ(cache.synced_version(), catalog_->version());
   // d1 was flushed even though only d2 changed — the window no longer
   // proves d1 unchanged.
-  rpc->reset_stats();
+  wire->reset_stats();
   ASSERT_TRUE(cache.GetDataset("d1").ok());
-  EXPECT_EQ(rpc->stats().round_trips, 1u);
+  EXPECT_EQ(wire->stats().round_trips, 1u);
 }
 
 TEST_F(FedRpcTest, CacheWritesThroughAndReadsItsOwnWrites) {
-  auto rpc = Rpc();
-  CachingCatalogClient cache(rpc);
+  auto wire = Wire();
+  CachingCatalogClient cache(wire);
   ASSERT_TRUE(cache.GetDataset("d3").ok());
   ASSERT_TRUE(cache.Annotate("dataset", "d3", "mine", true).ok());
   // The write reached the server...
@@ -469,8 +358,8 @@ TEST_F(FedRpcTest, CacheWritesThroughAndReadsItsOwnWrites) {
 
 TEST_F(FedRpcTest, QueryCacheHitsShareOneImmutableList) {
   ASSERT_TRUE(catalog_->Annotate("dataset", "d1", "tier", "gold").ok());
-  auto rpc = Rpc();
-  CachingCatalogClient cache(rpc);
+  auto wire = Wire();
+  CachingCatalogClient cache(wire);
 
   DatasetQuery q;
   q.predicates = {{"tier", PredicateOp::kEq, "gold"}};
@@ -503,8 +392,8 @@ TEST_F(FedRpcTest, QueryCacheNormalizesPredicateOrder) {
   ASSERT_TRUE(catalog_->Annotate("dataset", "d1", "tier", "gold").ok());
   ASSERT_TRUE(catalog_->Annotate("dataset", "d1", "owner", "alice").ok());
   ASSERT_TRUE(catalog_->Annotate("dataset", "d2", "tier", "gold").ok());
-  auto rpc = Rpc();
-  CachingCatalogClient cache(rpc);
+  auto wire = Wire();
+  CachingCatalogClient cache(wire);
 
   DatasetQuery q1;
   q1.predicates = {{"tier", PredicateOp::kEq, "gold"},
@@ -520,13 +409,13 @@ TEST_F(FedRpcTest, QueryCacheNormalizesPredicateOrder) {
 
   // Reordered predicates normalize to the SAME cache entry: answered
   // locally, zero round trips.
-  rpc->reset_stats();
+  wire->reset_stats();
   Result<NameList> second = cache.FindDatasets(q2);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(*second, *first);
   EXPECT_EQ(cache.stats().query_hits, 1u);
   EXPECT_EQ(cache.stats().query_misses, 1u);
-  EXPECT_EQ(rpc->stats().round_trips, 0u);
+  EXPECT_EQ(wire->stats().round_trips, 0u);
 
   // Changing an operand is a genuinely different query.
   DatasetQuery q3 = q1;
@@ -537,8 +426,8 @@ TEST_F(FedRpcTest, QueryCacheNormalizesPredicateOrder) {
 
 TEST_F(FedRpcTest, QueryCacheInvalidatesPerKind) {
   ASSERT_TRUE(catalog_->Annotate("dataset", "d1", "tier", "gold").ok());
-  auto rpc = Rpc();
-  CachingCatalogClient cache(rpc);
+  auto wire = Wire();
+  CachingCatalogClient cache(wire);
 
   DatasetQuery dq;
   dq.predicates = {{"tier", PredicateOp::kEq, "gold"}};
@@ -551,10 +440,10 @@ TEST_F(FedRpcTest, QueryCacheInvalidatesPerKind) {
   // A dataset mutation through the client drops only dataset queries;
   // the transformation result set stays warm.
   ASSERT_TRUE(cache.Annotate("dataset", "d2", "tier", "gold").ok());
-  rpc->reset_stats();
+  wire->reset_stats();
   ASSERT_TRUE(cache.FindTransformations(tq).ok());
   EXPECT_EQ(cache.stats().query_hits, 1u);
-  EXPECT_EQ(rpc->stats().round_trips, 0u);
+  EXPECT_EQ(wire->stats().round_trips, 0u);
 
   Result<NameList> refetched = cache.FindDatasets(dq);
   ASSERT_TRUE(refetched.ok());
@@ -564,15 +453,15 @@ TEST_F(FedRpcTest, QueryCacheInvalidatesPerKind) {
 }
 
 TEST_F(FedRpcTest, CacheCapacityEvictsLeastRecentlyUsed) {
-  auto rpc = Rpc();
-  CachingCatalogClient cache(rpc, 2);
+  auto wire = Wire();
+  CachingCatalogClient cache(wire, 2);
   ASSERT_TRUE(cache.GetDataset("d1").ok());
   ASSERT_TRUE(cache.GetDataset("d2").ok());
   ASSERT_TRUE(cache.GetDataset("d3").ok());  // evicts d1
   EXPECT_GT(cache.stats().evictions, 0u);
-  rpc->reset_stats();
+  wire->reset_stats();
   ASSERT_TRUE(cache.GetDataset("d1").ok());  // miss again
-  EXPECT_EQ(rpc->stats().round_trips, 1u);
+  EXPECT_EQ(wire->stats().round_trips, 1u);
 }
 
 TEST_F(FedRpcTest, ChangesSincePiggybacksObservedChangesIntoTheCache) {
@@ -580,8 +469,8 @@ TEST_F(FedRpcTest, ChangesSincePiggybacksObservedChangesIntoTheCache) {
   // applying the returned window to the cache, so a federation caller
   // that had just *observed* an object's change could still read the
   // stale cached copy.
-  auto rpc = Rpc();
-  CachingCatalogClient cache(rpc);
+  auto wire = Wire();
+  CachingCatalogClient cache(wire);
   ASSERT_TRUE(cache.Revalidate().ok());
   ASSERT_TRUE(cache.GetDataset("d1").ok());
   uint64_t synced = cache.synced_version();
@@ -603,8 +492,8 @@ TEST_F(FedRpcTest, ChangesSincePiggybacksObservedChangesIntoTheCache) {
 TEST_F(FedRpcTest, ChangesSinceNeverSkipsTheSyncGapForward) {
   // A window that starts *past* our sync point must not advance
   // synced_version_: the unobserved gap could hide invalidations.
-  auto rpc = Rpc();
-  CachingCatalogClient cache(rpc);
+  auto wire = Wire();
+  CachingCatalogClient cache(wire);
   ASSERT_TRUE(cache.Revalidate().ok());
   ASSERT_TRUE(cache.GetDataset("d1").ok());
   uint64_t synced = cache.synced_version();
@@ -631,29 +520,29 @@ TEST_F(FedRpcTest, StepCacheEvictsPerEntryNotWholesale) {
   // one insert past capacity dumped every cached step. It must
   // displace only the least recently used entry, like the object
   // cache.
-  auto rpc = Rpc();
-  CachingCatalogClient cache(rpc, 3);
+  auto wire = Wire();
+  CachingCatalogClient cache(wire, 3);
   ASSERT_TRUE(cache.GetProvenanceStep("d1").ok());
   ASSERT_TRUE(cache.GetProvenanceStep("d2").ok());
   ASSERT_TRUE(cache.GetProvenanceStep("d3").ok());
   // Touch d1 so d2 becomes least recently used.
   ASSERT_TRUE(cache.GetProvenanceStep("d1").ok());
-  rpc->reset_stats();
+  wire->reset_stats();
   ASSERT_TRUE(cache.GetProvenanceStep("d4").ok());  // displaces ONLY d2
-  EXPECT_EQ(rpc->stats().round_trips, 1u);
+  EXPECT_EQ(wire->stats().round_trips, 1u);
   ASSERT_TRUE(cache.GetProvenanceStep("d1").ok());
   ASSERT_TRUE(cache.GetProvenanceStep("d3").ok());
   ASSERT_TRUE(cache.GetProvenanceStep("d4").ok());
-  EXPECT_EQ(rpc->stats().round_trips, 1u);  // all three still cached
+  EXPECT_EQ(wire->stats().round_trips, 1u);  // all three still cached
   ASSERT_TRUE(cache.GetProvenanceStep("d2").ok());  // the displaced one
-  EXPECT_EQ(rpc->stats().round_trips, 2u);
+  EXPECT_EQ(wire->stats().round_trips, 2u);
 }
 
 TEST_F(FedRpcTest, QueryCacheEvictsPerEntryNotWholesale) {
   // Regression: same clear-on-overflow bug in the Find* result-set
   // cache.
-  auto rpc = Rpc();
-  CachingCatalogClient cache(rpc, 2);
+  auto wire = Wire();
+  CachingCatalogClient cache(wire, 2);
   DatasetQuery q1;
   q1.name_prefix = "d1";
   DatasetQuery q2;
@@ -665,12 +554,12 @@ TEST_F(FedRpcTest, QueryCacheEvictsPerEntryNotWholesale) {
   // Touch q1 so q2 becomes least recently used.
   ASSERT_TRUE(cache.FindDatasets(q1).ok());
   ASSERT_TRUE(cache.FindDatasets(q3).ok());  // displaces ONLY q2
-  rpc->reset_stats();
+  wire->reset_stats();
   ASSERT_TRUE(cache.FindDatasets(q1).ok());
   ASSERT_TRUE(cache.FindDatasets(q3).ok());
-  EXPECT_EQ(rpc->stats().round_trips, 0u);  // both still cached
+  EXPECT_EQ(wire->stats().round_trips, 0u);  // both still cached
   ASSERT_TRUE(cache.FindDatasets(q2).ok());  // the displaced one
-  EXPECT_EQ(rpc->stats().round_trips, 1u);
+  EXPECT_EQ(wire->stats().round_trips, 1u);
 }
 
 /// Every CacheStats counter, comparable as one value.
@@ -832,9 +721,10 @@ TEST_F(FedRpcTest, ExecutorProvenanceWritesGoThroughTheClient) {
   Result<ExecutionPlan> plan = planner.Plan(graph->sinks.front(), popts);
   ASSERT_TRUE(plan.ok()) << plan.status();
 
-  // Writes flow through a caching client (no RunUntil re-entrancy:
-  // the cache is transport-free). The run must succeed and leave the
-  // same provenance a direct-catalog run would.
+  // Writes flow through a caching client (the wire version is
+  // CatalogServerRuntime.ExecutorWriteBackOverTheWireMatchesInProcess).
+  // The run must succeed and leave the same provenance a direct-catalog
+  // run would.
   auto writer = std::make_shared<CachingCatalogClient>(
       std::make_shared<InProcessCatalogClient>(&catalog, false));
   WorkflowEngine engine(&grid, &catalog);

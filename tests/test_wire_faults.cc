@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -418,6 +419,77 @@ TEST(WireFaults, HalfOpenProbeClosesTheBreakerOnceTheEndpointRecovers) {
   ASSERT_TRUE(has.ok()) << has.status();
   EXPECT_TRUE(*has);
   EXPECT_EQ(client.breaker_state(0), BreakerState::kClosed);
+}
+
+// ------------------ site outages (refused dials) ---------------------
+
+/// A resilient client over `server` whose one endpoint refuses its
+/// first `refusals` dials, as a site that is down does, and counts
+/// every dial in `*dials` — the constructor's eager dial is the first.
+/// The breaker stays closed for a whole call's attempts, so every
+/// attempt dials.
+std::unique_ptr<ResilientCatalogClient> OutageClient(CatalogServer* server,
+                                                     int refusals, int* dials,
+                                                     int max_attempts) {
+  ResilientEndpoint ep;
+  ep.name = "east";
+  ep.connect = [server, refusals,
+                dials]() -> Result<std::shared_ptr<CatalogClient>> {
+    if ((*dials)++ < refusals) return Status::Unavailable("site east is down");
+    auto c = WireCatalogClient::Connect(server);
+    if (!c.ok()) return c.status();
+    return std::static_pointer_cast<CatalogClient>(*c);
+  };
+  ResilientOptions ropts;
+  ropts.max_attempts = max_attempts;
+  ropts.backoff_base = std::chrono::milliseconds(1);
+  ropts.breaker_threshold = max_attempts;
+  ropts.seed = FaultSeed();
+  std::vector<ResilientEndpoint> eps;
+  eps.push_back(std::move(ep));
+  return std::make_unique<ResilientCatalogClient>(std::move(eps), ropts);
+}
+
+TEST(WireFaults, MutationRetriesThroughConnectRefusalsAndLandsOnce) {
+  auto catalog = ChainCatalog(2);
+  CatalogServer server(
+      std::make_shared<InProcessCatalogClient>(catalog.get(), false));
+  int dials = 0;
+  auto client = OutageClient(&server, /*refusals=*/3, &dials,
+                             /*max_attempts=*/6);
+  const uint64_t version = catalog->version();
+
+  // A refused dial never reached the server, so even a mutation is
+  // safe to re-send: the call retries through the outage and the write
+  // lands exactly once.
+  Status st = client->SetDatasetSize("d1", 2048);
+  ASSERT_TRUE(st.ok()) << st;
+  EXPECT_EQ(catalog->GetDataset("d1")->size_bytes, 2048);
+  EXPECT_EQ(catalog->version(), version + 1);
+  EXPECT_EQ(dials, 4);
+  EXPECT_GT(client->stats().retries, 0u);
+  EXPECT_EQ(client->stats().mutation_fail_fast, 0u);
+}
+
+TEST(WireFaults, EndpointDownPastTheBudgetIsRetrySafeUnavailable) {
+  auto catalog = ChainCatalog(2);
+  CatalogServer server(
+      std::make_shared<InProcessCatalogClient>(catalog.get(), false));
+  int dials = 0;
+  constexpr int kAttempts = 4;
+  auto client = OutageClient(&server, std::numeric_limits<int>::max(),
+                             &dials, kAttempts);
+  dials = 0;  // count only the call's own dials
+
+  // Every dial is refused: the call spends its attempts, one dial
+  // each, and nothing ever reached the server — so the Unavailable it
+  // surfaces stays retry-safe.
+  Result<bool> has = client->HasDataset("d1");
+  ASSERT_FALSE(has.ok());
+  EXPECT_TRUE(has.status().IsUnavailable()) << has.status();
+  EXPECT_TRUE(has.status().retry_safe()) << has.status();
+  EXPECT_EQ(client->stats().exhausted_calls, 1u);
+  EXPECT_EQ(dials, kAttempts);
 }
 
 // ------------------------ idempotent ApplyBatch ----------------------

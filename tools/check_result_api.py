@@ -14,7 +14,13 @@ it finds any. Declarations can be suppressed — for genuinely
 writer-side or diagnostic state that is not a name-result surface —
 with a ``// result-api-ok`` comment on the same line.
 
+A vector-of-strings *parameter* is fine — the constraint is on what
+an API hands back. The scanner carries the parenthesis depth across the
+lines of one declaration, so a parameter on a continuation line is not
+taken for a return.
+
 Usage: check_result_api.py [repo_root]
+       check_result_api.py --selftest
 """
 
 import pathlib
@@ -37,10 +43,12 @@ VECTOR_RETURN = re.compile(
 SUPPRESS = "result-api-ok"
 
 
-def check_file(path: pathlib.Path) -> list:
+def check_text(text: str) -> list:
+    """Returns (lineno, line) for every owned string-vector return."""
     violations = []
     in_block_comment = False
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+    depth = 0  # open parentheses carried over from earlier lines
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if in_block_comment:
             if "*/" in stripped:
@@ -52,24 +60,63 @@ def check_file(path: pathlib.Path) -> list:
             if "*/" not in stripped:
                 in_block_comment = True
             continue
-        if SUPPRESS in line:
-            continue
-        m = VECTOR_RETURN.search(line)
-        if not m:
-            continue
-        # Parameters taking a vector<string> (by value or const ref)
-        # are fine — the constraint is on what the API hands back.
-        # Heuristic: a match inside a parameter list follows '(' or ','
-        # on the same line before the match with no ')' in between.
-        before = line[: m.start()]
-        depth = before.count("(") - before.count(")")
-        if depth > 0:
-            continue
-        violations.append((lineno, line.rstrip()))
+        code = line.split("//", 1)[0]
+        m = None if SUPPRESS in line else VECTOR_RETURN.search(line)
+        if m:
+            # A match inside a parameter list — opened on this line or
+            # on an earlier line of the same declaration — takes a
+            # vector<string> rather than returning one.
+            before = line[: m.start()]
+            if depth + before.count("(") - before.count(")") <= 0:
+                violations.append((lineno, line.rstrip()))
+        depth = max(0, depth + code.count("(") - code.count(")"))
+        # A statement or block boundary ends any declaration, so a
+        # miscounted parenthesis cannot hide later lines.
+        if code.rstrip().endswith((";", "{", "}")):
+            depth = 0
     return violations
 
 
+def check_file(path: pathlib.Path) -> list:
+    return check_text(path.read_text())
+
+
+# (source, must it be reported?)
+SELFTEST_CASES = [
+    ("Result<std::vector<std::string>> Names();", True),
+    ("std::vector<std::string> Names() const;", True),
+    ("void Set(const std::vector<std::string>& names);", False),
+    ("void Evict(std::string_view name,\n"
+     "           const std::vector<std::string>& outputs = {});", False),
+    ("void Evict(std::string_view name,\n"
+     "           int count);\n"
+     "std::vector<std::string> Names() const;", True),
+    ("void Log(const char* fmt = \"(\");\n"
+     "std::vector<std::string> Names() const;", True),
+    ("std::vector<std::string> Ids() const;  // result-api-ok: writer", False),
+    ("// std::vector<std::string> Names() const;", False),
+    ("/*\nstd::vector<std::string> Names() const;\n*/", False),
+]
+
+
+def selftest() -> int:
+    failed = 0
+    for source, expected in SELFTEST_CASES:
+        reported = bool(check_text(source))
+        if reported != expected:
+            failed += 1
+            verdict = "missed" if expected else "falsely reported"
+            print(f"selftest: {verdict}:\n{source}\n")
+    if failed:
+        print(f"check_result_api selftest: {failed} case(s) failed")
+        return 1
+    print(f"check_result_api selftest: {len(SELFTEST_CASES)} cases pass")
+    return 0
+
+
 def main() -> int:
+    if sys.argv[1:] == ["--selftest"]:
+        return selftest()
     root = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else pathlib.Path(".")
     failed = False
     for rel in SCAN_DIRS:

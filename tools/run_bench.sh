@@ -4,7 +4,7 @@
 # the results into BENCH_discovery.json at the repo root, plus the
 # concurrent-read scaling suite into BENCH_concurrency.json, the
 # fault-tolerance suite into BENCH_fault.json, and the federation
-# transport suite (simulated RPC round-trip accounting) into
+# transport suite (wire round-trip accounting) into
 # BENCH_federation.json.
 #
 # Usage: tools/run_bench.sh [build-dir]
@@ -403,8 +403,9 @@ for name, s in sorted(scenarios.items()):
 PYEOF
 
 # Federation transport: round trips per FIG3 chain walk and per FIG4
-# index refresh over simulated RPC, in naive / batched / cached modes,
-# plus the loss+outage fault sweep. Gates: batching+cache must cut
+# index refresh over WireCatalogClient -> CatalogServer, in naive /
+# batched / cached modes, plus the loss+outage fault sweep on the
+# resilient client over the fault shim. Gates: batching+cache must cut
 # round trips >= 5x vs naive per-call RPC on both figures, and the
 # fault sweep must complete with retries, not hard failures.
 FED_OUT="$BUILD_DIR/bench_fed_rpc.json"
@@ -498,7 +499,7 @@ PYEOF
 
 # Real wire path: binary-codec encode/decode throughput and full
 # client -> pipe -> worker-pool server round trips (workers 1..8),
-# merged into BENCH_federation.json next to the simulated-RPC numbers.
+# merged into BENCH_federation.json next to the round-trip counts.
 # Floors (tools/check_bench_floor.py) are ~1/4 of the rates measured
 # on the 1-CPU reference host — loose enough for shared runners, tight
 # enough to catch the codec or server degrading by integer factors.
