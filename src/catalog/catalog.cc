@@ -6,7 +6,7 @@
 #include <mutex>
 #include <variant>
 
-#include "catalog/codec.h"
+#include "catalog/journal_record.h"
 #include "common/hash.h"
 #include "common/strings.h"
 #include "common/uri.h"
@@ -16,6 +16,12 @@
 namespace vdg {
 
 namespace {
+
+/// A visitor built from one lambda per std::variant alternative.
+template <typename... Fs>
+struct Overload : Fs... {
+  using Fs::operator()...;
+};
 
 /// Calls fn(object) for every row of `table`, in name order.
 template <typename T, typename Fn>
@@ -38,8 +44,8 @@ void EraseIndexEntry(Map* map, const K& key, const V& value) {
   }
 }
 
-// A non-finite double attribute has no journal form (replay's
-// AttributeValue::FromTagged refuses nan and inf), so journaling one
+// A non-finite double attribute has no journal form (the object
+// codec's ReadAttributeValue refuses nan and inf), so journaling one
 // would leave a catalog that cannot be reopened. Mutations carrying
 // one are refused before anything is journaled.
 Status CheckFinite(std::string_view key, const AttributeValue& value) {
@@ -328,20 +334,27 @@ Status VirtualDataCatalog::Open() {
   if (opened_) return Status::OK();
   opened_ = true;
   VDG_ASSIGN_OR_RETURN(std::vector<std::string> records, journal_->ReadAll());
+  VDG_RETURN_IF_ERROR(journal_record::CheckFormat(records));
+  Status replayed = ReplayLocked(records, 0);
+  PublishSnapshotLocked();
+  return replayed;
+}
+
+Status VirtualDataCatalog::ReplayLocked(
+    const std::vector<std::string>& records, size_t begin) {
   replaying_ = true;
-  for (const std::string& record : records) {
-    Status s = ApplyRecord(record);
-    if (!s.ok()) {
+  for (size_t i = begin; i < records.size(); ++i) {
+    Status applied = ApplyRecord(records[i]);
+    if (!applied.ok()) {
       replaying_ = false;
-      PublishSnapshotLocked();
-      return Status::IoError("journal replay failed on record '" + record +
-                             "': " + s.ToString());
+      return Status::IoError("journal replay failed on " +
+                             journal_record::Describe(i, records[i]) + ": " +
+                             applied.ToString());
     }
     ++journal_records_;
-    journal_chain_crc_ = Crc32Extend(journal_chain_crc_, record);
+    journal_chain_crc_ = Crc32Extend(journal_chain_crc_, records[i]);
   }
   replaying_ = false;
-  PublishSnapshotLocked();
   return Status::OK();
 }
 
@@ -383,9 +396,7 @@ Status VirtualDataCatalog::DefineTypeLocked(TypeDimension dim,
   VDG_RETURN_IF_ERROR(defined);
   symbols_.Intern(type_name);
   BumpVersion('U', "type", type_name);
-  return Journal(codec::JoinRecord(
-      {"TY", std::to_string(static_cast<int>(dim)), std::string(type_name),
-       std::string(parent)}));
+  return Journal(journal_record::EncodeType(dim, type_name, parent));
 }
 
 Status VirtualDataCatalog::LoadTypePreset() {
@@ -400,23 +411,10 @@ Status VirtualDataCatalog::LoadTypePreset() {
   Status result = Status::OK();
   for (int d = 0; d < kNumTypeDimensions && result.ok(); ++d) {
     auto dim = static_cast<TypeDimension>(d);
-    const TypeHierarchy& h = preset.dimension(dim);
-    // Parents must be defined before children: insert by depth.
-    std::vector<std::pair<int, std::string>> by_depth;
-    for (std::string_view name : h.AllTypes()) {
-      Result<int> depth = h.DepthOf(name);
-      by_depth.emplace_back(depth.ok() ? *depth : 0, std::string(name));
-    }
-    std::sort(by_depth.begin(), by_depth.end());
-    for (const auto& [depth, name] : by_depth) {
-      (void)depth;
-      Result<std::string> parent = h.ParentOf(name);
-      if (!parent.ok()) {
-        result = parent.status();
-        break;
-      }
+    for (const auto& [name, parent] :
+         preset.dimension(dim).EdgesParentsFirst()) {
       if (types_->dimension(dim).Contains(name)) continue;  // idempotent
-      result = DefineTypeLocked(dim, name, *parent);
+      result = DefineTypeLocked(dim, name, parent);
       if (!result.ok()) break;
     }
   }
@@ -445,7 +443,7 @@ Status VirtualDataCatalog::DefineDatasetLocked(Dataset dataset) {
     IndexDatasetAttributes(*existing->object, existing->id, false);
     IndexDatasetType(*existing->object, existing->id, false);
   }
-  VDG_RETURN_IF_ERROR(Journal(codec::EncodeDataset(dataset)));
+  VDG_RETURN_IF_ERROR(Journal(journal_record::Encode(dataset)));
   Id id = symbols_.Intern(dataset.name);
   IndexDatasetAttributes(dataset, id, true);
   IndexDatasetType(dataset, id, true);
@@ -475,7 +473,7 @@ Status VirtualDataCatalog::DefineTransformationLocked(
     return Status::AlreadyExists("transformation already defined: " +
                                  transformation.name());
   }
-  VDG_RETURN_IF_ERROR(Journal(codec::EncodeTransformation(transformation)));
+  VDG_RETURN_IF_ERROR(Journal(journal_record::Encode(transformation)));
   Id id = symbols_.Intern(transformation.name());
   BumpVersion('U', "transformation", transformation.name());
   next_.transformations.Put(
@@ -492,9 +490,22 @@ Status VirtualDataCatalog::DefineDerivation(Derivation derivation) {
 Status VirtualDataCatalog::DefineDerivationLocked(Derivation derivation) {
   VDG_RETURN_IF_ERROR(derivation.Validate());
   VDG_RETURN_IF_ERROR(CheckFinite(derivation.annotations()));
-  if (RowOf(next_.derivations, derivation.name()) != nullptr && !replaying_) {
-    return Status::AlreadyExists("derivation already defined: " +
-                                 derivation.name());
+  if (const auto* existing = RowOf(next_.derivations, derivation.name())) {
+    if (!replaying_) {
+      return Status::AlreadyExists("derivation already defined: " +
+                                   derivation.name());
+    }
+    // A replayed re-define is an annotation upsert (the live path
+    // rejects duplicate names, so the signature is unchanged). Don't
+    // re-validate inputs: they were valid when the original define was
+    // journaled and may have been removed since.
+    Derivation updated = *existing->object;
+    updated.annotations() = std::move(derivation.annotations());
+    BumpVersion('U', "derivation", derivation.name());
+    next_.derivations.Put(
+        existing->id, existing->name,
+        std::make_shared<const Derivation>(std::move(updated)), gen_);
+    return Status::OK();
   }
 
   // Type-check against the transformation when it is locally resolvable.
@@ -541,7 +552,7 @@ Status VirtualDataCatalog::DefineDerivationLocked(Derivation derivation) {
     } else if (existing->object->producer.empty()) {
       Dataset updated = *existing->object;
       updated.producer = derivation.name();
-      VDG_RETURN_IF_ERROR(Journal(codec::EncodeDataset(updated)));
+      VDG_RETURN_IF_ERROR(Journal(journal_record::Encode(updated)));
       next_.datasets.Put(existing->id, existing->name,
                          std::make_shared<const Dataset>(std::move(updated)),
                          gen_);
@@ -562,7 +573,7 @@ Status VirtualDataCatalog::DefineDerivationLocked(Derivation derivation) {
     }
   }
 
-  VDG_RETURN_IF_ERROR(Journal(codec::EncodeDerivation(derivation)));
+  VDG_RETURN_IF_ERROR(Journal(journal_record::Encode(derivation)));
 
   // Index maintenance.
   Id dv_id = symbols_.Intern(derivation.name());
@@ -602,7 +613,7 @@ Result<std::string> VirtualDataCatalog::AddReplicaLocked(Replica replica) {
   if (existed && !replaying_) {
     return Status::AlreadyExists("replica already exists: " + replica.id);
   }
-  VDG_RETURN_IF_ERROR(Journal(codec::EncodeReplica(replica)));
+  VDG_RETURN_IF_ERROR(Journal(journal_record::Encode(replica)));
   if (!existed) {
     replicas_by_dataset_.emplace(replica.dataset, replica.id);
   }
@@ -646,7 +657,7 @@ Result<std::string> VirtualDataCatalog::RecordInvocationLocked(
     return Status::AlreadyExists("invocation already exists: " +
                                  invocation.id);
   }
-  VDG_RETURN_IF_ERROR(Journal(codec::EncodeInvocation(invocation)));
+  VDG_RETURN_IF_ERROR(Journal(journal_record::Encode(invocation)));
   if (!existed) {
     invocations_by_derivation_.emplace(invocation.derivation, invocation.id);
   }
@@ -860,7 +871,7 @@ Status VirtualDataCatalog::AnnotateLocked(std::string_view kind,
     updated.annotations.Set(key, std::move(value));
     IndexDatasetAttributes(updated, id, true);
     BumpVersion('U', "dataset", name);
-    Status journaled = Journal(codec::EncodeDataset(updated));
+    Status journaled = Journal(journal_record::Encode(updated));
     next_.datasets.Put(id, stored,
                        std::make_shared<const Dataset>(std::move(updated)),
                        gen_);
@@ -875,7 +886,7 @@ Status VirtualDataCatalog::AnnotateLocked(std::string_view kind,
     Transformation updated = *row->object;
     updated.annotations().Set(key, std::move(value));
     BumpVersion('U', "transformation", name);
-    Status journaled = Journal(codec::EncodeTransformation(updated));
+    Status journaled = Journal(journal_record::Encode(updated));
     next_.transformations.Put(
         row->id, row->name,
         std::make_shared<const Transformation>(std::move(updated)), gen_);
@@ -889,7 +900,7 @@ Status VirtualDataCatalog::AnnotateLocked(std::string_view kind,
     Derivation updated = *row->object;
     updated.annotations().Set(key, std::move(value));
     BumpVersion('U', "derivation", name);
-    Status journaled = Journal(codec::EncodeDerivation(updated));
+    Status journaled = Journal(journal_record::Encode(updated));
     next_.derivations.Put(
         row->id, row->name,
         std::make_shared<const Derivation>(std::move(updated)), gen_);
@@ -902,7 +913,7 @@ Status VirtualDataCatalog::AnnotateLocked(std::string_view kind,
     }
     it->second.annotations.Set(key, std::move(value));
     BumpVersion('U', "dataset", it->second.dataset);
-    return Journal(codec::EncodeReplica(it->second));
+    return Journal(journal_record::Encode(it->second));
   }
   if (kind == "invocation") {
     auto it = invocations_.find(name);
@@ -911,7 +922,7 @@ Status VirtualDataCatalog::AnnotateLocked(std::string_view kind,
     }
     it->second.annotations.Set(key, std::move(value));
     BumpVersion('U', "invocation", name);
-    return Journal(codec::EncodeInvocation(it->second));
+    return Journal(journal_record::Encode(it->second));
   }
   return Status::InvalidArgument("unknown object kind: " + std::string(kind));
 }
@@ -934,7 +945,7 @@ Status VirtualDataCatalog::SetDatasetSizeLocked(std::string_view name,
   Dataset updated = *row->object;
   updated.size_bytes = size_bytes;
   BumpVersion('U', "dataset", name);
-  Status journaled = Journal(codec::EncodeDataset(updated));
+  Status journaled = Journal(journal_record::Encode(updated));
   next_.datasets.Put(row->id, row->name,
                      std::make_shared<const Dataset>(std::move(updated)),
                      gen_);
@@ -956,7 +967,7 @@ Status VirtualDataCatalog::InvalidateReplicaLocked(std::string_view id) {
   it->second.valid = false;
   NoteReplicaState(&before, &it->second);
   BumpVersion('U', "dataset", it->second.dataset);
-  return Journal(codec::EncodeReplica(it->second));
+  return Journal(journal_record::Encode(it->second));
 }
 
 Status VirtualDataCatalog::RemoveDataset(std::string_view name) {
@@ -977,7 +988,8 @@ Status VirtualDataCatalog::RemoveDatasetLocked(std::string_view name) {
   for (const std::string& id : replica_ids) {
     VDG_RETURN_IF_ERROR(RemoveReplicaLocked(id));
   }
-  VDG_RETURN_IF_ERROR(Journal(codec::EncodeRemoval('S', name)));
+  VDG_RETURN_IF_ERROR(Journal(journal_record::EncodeRemoval(
+      journal_record::Tag::kRemoveDataset, name)));
   row = next_.datasets.Find(id);  // re-resolve after the cascade
   IndexDatasetAttributes(*row->object, id, false);
   IndexDatasetType(*row->object, id, false);
@@ -1008,7 +1020,8 @@ Status VirtualDataCatalog::RemoveTransformationLocked(std::string_view name) {
         "transformation " + std::string(name) +
         " is referenced by derivations and cannot be removed");
   }
-  VDG_RETURN_IF_ERROR(Journal(codec::EncodeRemoval('T', name)));
+  VDG_RETURN_IF_ERROR(Journal(journal_record::EncodeRemoval(
+      journal_record::Tag::kRemoveTransformation, name)));
   BumpVersion('D', "transformation", name);
   next_.transformations.Erase(tr_id, gen_);
   return Status::OK();
@@ -1036,13 +1049,14 @@ Status VirtualDataCatalog::RemoveDerivationLocked(std::string_view name) {
     if (ds != nullptr && ds->object->producer == name) {
       Dataset updated = *ds->object;
       updated.producer.clear();
-      VDG_RETURN_IF_ERROR(Journal(codec::EncodeDataset(updated)));
+      VDG_RETURN_IF_ERROR(Journal(journal_record::Encode(updated)));
       next_.datasets.Put(ds->id, ds->name,
                          std::make_shared<const Dataset>(std::move(updated)),
                          gen_);
     }
   }
-  VDG_RETURN_IF_ERROR(Journal(codec::EncodeRemoval('D', name)));
+  VDG_RETURN_IF_ERROR(Journal(journal_record::EncodeRemoval(
+      journal_record::Tag::kRemoveDerivation, name)));
   BumpVersion('D', "derivation", name);
   next_.derivations.Erase(dv_id, gen_);
   return Status::OK();
@@ -1059,7 +1073,8 @@ Status VirtualDataCatalog::RemoveReplicaLocked(std::string_view id) {
     return Status::NotFound("replica not found: " + std::string(id));
   }
   EraseIndexEntry(&replicas_by_dataset_, it->second.dataset, std::string(id));
-  VDG_RETURN_IF_ERROR(Journal(codec::EncodeRemoval('R', id)));
+  VDG_RETURN_IF_ERROR(Journal(journal_record::EncodeRemoval(
+      journal_record::Tag::kRemoveReplica, id)));
   NoteReplicaState(&it->second, nullptr);
   BumpVersion('U', "dataset", it->second.dataset);
   replicas_.erase(it);
@@ -1238,40 +1253,29 @@ std::vector<std::string> VirtualDataCatalog::CurrentStateRecords() const {
 std::vector<std::string> VirtualDataCatalog::CurrentStateRecordsLocked()
     const {
   std::vector<std::string> records;
-  // Types, parents before children (sorted by depth per dimension).
   for (int d = 0; d < kNumTypeDimensions; ++d) {
     auto dim = static_cast<TypeDimension>(d);
-    const TypeHierarchy& h = types_->dimension(dim);
-    std::vector<std::pair<int, std::string>> by_depth;
-    for (std::string_view name : h.AllTypes()) {
-      Result<int> depth = h.DepthOf(name);
-      by_depth.emplace_back(depth.ok() ? *depth : 0, std::string(name));
-    }
-    std::sort(by_depth.begin(), by_depth.end());
-    for (const auto& [depth, name] : by_depth) {
-      (void)depth;
-      Result<std::string> parent = h.ParentOf(name);
-      records.push_back(codec::JoinRecord(
-          {"TY", std::to_string(d), name,
-           parent.ok() ? *parent : std::string(h.base_name())}));
+    for (const auto& [name, parent] :
+         types_->dimension(dim).EdgesParentsFirst()) {
+      records.push_back(journal_record::EncodeType(dim, name, parent));
     }
   }
   ForEachRow(next_.datasets, [&records](const Dataset& ds) {
-    records.push_back(codec::EncodeDataset(ds));
+    records.push_back(journal_record::Encode(ds));
   });
   ForEachRow(next_.transformations, [&records](const Transformation& tr) {
-    records.push_back(codec::EncodeTransformation(tr));
+    records.push_back(journal_record::Encode(tr));
   });
   ForEachRow(next_.derivations, [&records](const Derivation& dv) {
-    records.push_back(codec::EncodeDerivation(dv));
+    records.push_back(journal_record::Encode(dv));
   });
   for (const auto& [id, replica] : replicas_) {
     (void)id;
-    records.push_back(codec::EncodeReplica(replica));
+    records.push_back(journal_record::Encode(replica));
   }
   for (const auto& [id, iv] : invocations_) {
     (void)id;
-    records.push_back(codec::EncodeInvocation(iv));
+    records.push_back(journal_record::Encode(iv));
   }
   return records;
 }
@@ -1309,95 +1313,41 @@ VdlProgram VirtualDataCatalog::ExportProgramLocked() const {
 // Journal replay
 // ---------------------------------------------------------------------
 
-Status VirtualDataCatalog::ApplyRecord(const std::string& record) {
-  VDG_ASSIGN_OR_RETURN(std::vector<std::string> fields,
-                       codec::SplitRecord(record));
-  if (fields.empty()) return Status::ParseError("empty journal record");
-  const std::string& tag = fields[0];
-
-  if (tag == "DS" || tag == "TR" || tag == "DV") {
-    if (fields.size() < 2) {
-      return Status::ParseError("object record missing VDL text");
-    }
-    VDG_ASSIGN_OR_RETURN(VdlProgram program, ParseVdl(fields[1]));
-    VDG_ASSIGN_OR_RETURN(AttributeSet attrs,
-                         codec::ParseAttributes(fields, 2));
-    if (tag == "DS" && program.datasets.size() == 1) {
-      Dataset ds = std::move(program.datasets[0]);
-      ds.annotations = std::move(attrs);
-      return DefineDatasetLocked(std::move(ds));
-    }
-    if (tag == "TR" && program.transformations.size() == 1) {
-      Transformation tr = std::move(program.transformations[0]);
-      tr.annotations() = std::move(attrs);
-      return DefineTransformationLocked(std::move(tr));
-    }
-    if (tag == "DV" && program.derivations.size() == 1) {
-      Derivation dv = std::move(program.derivations[0]);
-      dv.annotations() = std::move(attrs);
-      if (const auto* existing = RowOf(next_.derivations, dv.name())) {
-        // A re-emitted define is an annotation upsert (the live path
-        // rejects duplicate names, so the signature is unchanged).
-        // Don't re-validate inputs: they were valid when the original
-        // define was journaled and may have been removed since.
-        Derivation updated = *existing->object;
-        updated.annotations() = dv.annotations();
-        next_.derivations.Put(
-            existing->id, existing->name,
-            std::make_shared<const Derivation>(std::move(updated)), gen_);
-        return Status::OK();
-      }
-      return DefineDerivationLocked(std::move(dv));
-    }
-    return Status::ParseError("record tag/content mismatch: " + tag);
-  }
-  if (tag == "RP") {
-    VDG_ASSIGN_OR_RETURN(Replica r, codec::DecodeReplica(fields));
-    // Upsert semantics: replica re-puts carry annotation/invalidation
-    // updates.
-    auto existing = replicas_.find(r.id);
-    if (existing != replicas_.end()) {
-      NoteReplicaState(&existing->second, &r);
-      replicas_.insert_or_assign(r.id, std::move(r));
-      return Status::OK();
-    }
-    Result<std::string> added = AddReplicaLocked(std::move(r));
-    return added.ok() ? Status::OK() : added.status();
-  }
-  if (tag == "IV") {
-    VDG_ASSIGN_OR_RETURN(Invocation iv, codec::DecodeInvocation(fields));
-    if (invocations_.count(iv.id) != 0) {
-      invocations_.insert_or_assign(iv.id, std::move(iv));
-      return Status::OK();
-    }
-    return RecordInvocationLocked(std::move(iv)).status();
-  }
-  if (tag == "TY") {
-    if (fields.size() < 4) return Status::ParseError("short TY record");
-    int dim = static_cast<int>(std::strtol(fields[1].c_str(), nullptr, 10));
-    if (dim < 0 || dim >= kNumTypeDimensions) {
-      return Status::ParseError("bad TY dimension");
-    }
-    return DefineTypeLocked(static_cast<TypeDimension>(dim), fields[2],
-                            fields[3]);
-  }
-  if (tag.size() == 2 && tag[0] == 'X') {
-    if (fields.size() < 2) return Status::ParseError("removal missing name");
-    const std::string& name = fields[1];
-    switch (tag[1]) {
-      case 'S':
-        return RemoveDatasetLocked(name);
-      case 'T':
-        return RemoveTransformationLocked(name);
-      case 'D':
-        return RemoveDerivationLocked(name);
-      case 'R':
-        return RemoveReplicaLocked(name);
-      default:
-        return Status::ParseError("unknown removal tag: " + tag);
-    }
-  }
-  return Status::ParseError("unknown journal record tag: " + tag);
+Status VirtualDataCatalog::ApplyRecord(std::string_view record) {
+  Result<journal_record::Record> decoded = journal_record::Decode(record);
+  if (!decoded.ok()) return decoded.status();
+  using journal_record::Tag;
+  return std::visit(
+      Overload{
+          [this](Dataset& ds) { return DefineDatasetLocked(std::move(ds)); },
+          [this](Transformation& tr) {
+            return DefineTransformationLocked(std::move(tr));
+          },
+          [this](Derivation& dv) {
+            return DefineDerivationLocked(std::move(dv));
+          },
+          [this](Replica& rp) {
+            return AddReplicaLocked(std::move(rp)).status();
+          },
+          [this](Invocation& iv) {
+            return RecordInvocationLocked(std::move(iv)).status();
+          },
+          [this](journal_record::TypeEdge& edge) {
+            return DefineTypeLocked(edge.dimension, edge.name, edge.parent);
+          },
+          [this](journal_record::Removal& removal) {
+            switch (removal.tag) {
+              case Tag::kRemoveDataset:
+                return RemoveDatasetLocked(removal.name);
+              case Tag::kRemoveTransformation:
+                return RemoveTransformationLocked(removal.name);
+              case Tag::kRemoveDerivation:
+                return RemoveDerivationLocked(removal.name);
+              default:
+                return RemoveReplicaLocked(removal.name);
+            }
+          }},
+      *decoded);
 }
 
 }  // namespace vdg

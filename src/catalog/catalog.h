@@ -366,7 +366,12 @@ class VirtualDataCatalog {
   // DefineDerivation auto-defines datasets, RemoveDataset cascades to
   // replicas — stays inside one lock acquisition because Locked
   // methods only call Locked methods.
-  Status ApplyRecord(const std::string& record);
+  /// Decodes one journal record whole, then applies it.
+  Status ApplyRecord(std::string_view record);
+  /// Applies records[begin..] in replay mode, advancing the journal
+  /// anchor (record count, chain CRC) past each one. Stops at the first
+  /// failure and names that record by index and tag.
+  Status ReplayLocked(const std::vector<std::string>& records, size_t begin);
   Status Journal(const std::string& record);
   const DatasetType* LookupDatasetType(std::string_view name) const;
 

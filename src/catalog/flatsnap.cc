@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "catalog/catalog.h"
+#include "catalog/journal_record.h"
 #include "catalog/objcodec.h"
 #include "catalog/posting.h"
 #include "catalog/snapshot.h"
@@ -263,24 +264,12 @@ Status VirtualDataCatalog::SaveSnapshotFile(const std::string& path) const {
 
   // Type universe, parents-first per dimension so Define replays.
   for (int d = 0; d < kNumTypeDimensions; ++d) {
-    const TypeHierarchy& hierarchy =
-        types_->dimension(static_cast<TypeDimension>(d));
-    std::vector<std::pair<int, std::string>> ordered;
-    for (std::string_view name : hierarchy.AllTypes()) {
-      Result<int> depth = hierarchy.DepthOf(name);
-      ordered.emplace_back(depth.ok() ? *depth : 0, std::string(name));
-    }
-    std::stable_sort(ordered.begin(), ordered.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
-    w.PutCount(ordered.size());
-    for (const auto& [depth, name] : ordered) {
-      (void)depth;
-      Result<std::string> parent = hierarchy.ParentOf(name);
+    const auto edges =
+        types_->dimension(static_cast<TypeDimension>(d)).EdgesParentsFirst();
+    w.PutCount(edges.size());
+    for (const auto& [name, parent] : edges) {
       w.PutString(name);
-      w.PutString(parent.ok() ? *parent
-                              : std::string(hierarchy.base_name()));
+      w.PutString(parent);
     }
   }
 
@@ -418,6 +407,7 @@ Status VirtualDataCatalog::OpenFromSnapshot(const std::string& path) {
   report.attempted = true;
 
   VDG_ASSIGN_OR_RETURN(std::vector<std::string> records, journal_->ReadAll());
+  VDG_RETURN_IF_ERROR(journal_record::CheckFormat(records));
   const bool durable = journal_->persistent();
 
   // All validation — header, checksums, journal anchor, full payload
@@ -567,19 +557,8 @@ Status VirtualDataCatalog::OpenFromSnapshot(const std::string& path) {
     report.snapshot_version = version_seq_;
 
     // ---- journal-tail replay: only what the image has not seen ----
-    replaying_ = true;
-    for (size_t i = anchor_records; i < records.size(); ++i) {
-      Status applied = ApplyRecord(records[i]);
-      if (!applied.ok()) {
-        replaying_ = false;
-        return Status::IoError("journal replay failed on record '" +
-                               records[i] + "': " + applied.ToString());
-      }
-      ++journal_records_;
-      journal_chain_crc_ = Crc32Extend(journal_chain_crc_, records[i]);
-      ++report.tail_records_replayed;
-    }
-    replaying_ = false;
+    VDG_RETURN_IF_ERROR(ReplayLocked(records, anchor_records));
+    report.tail_records_replayed = records.size() - anchor_records;
     report.total_records_replayed = report.tail_records_replayed;
     report.used = true;
     return Status::OK();
@@ -598,24 +577,11 @@ Status VirtualDataCatalog::OpenFromSnapshot(const std::string& path) {
   report.used = false;
   report.snapshot_version = 0;
   report.fallback_reason = flat.ToString();
-  replaying_ = true;
-  for (const std::string& record : records) {
-    Status applied = ApplyRecord(record);
-    if (!applied.ok()) {
-      replaying_ = false;
-      PublishSnapshotLocked();
-      last_snapshot_load_ = report;
-      return Status::IoError("journal replay failed on record '" + record +
-                             "': " + applied.ToString());
-    }
-    ++journal_records_;
-    journal_chain_crc_ = Crc32Extend(journal_chain_crc_, record);
-    ++report.total_records_replayed;
-  }
-  replaying_ = false;
+  Status replayed = ReplayLocked(records, 0);
+  if (replayed.ok()) report.total_records_replayed = records.size();
   PublishSnapshotLocked();
   last_snapshot_load_ = report;
-  return Status::OK();
+  return replayed;
 }
 
 VirtualDataCatalog::SnapshotLoadReport VirtualDataCatalog::last_snapshot_load()

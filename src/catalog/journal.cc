@@ -10,16 +10,57 @@ namespace vdg {
 namespace {
 
 // A checksummed line is "~" + 8 lowercase hex digits + "|" + payload.
-// '~' never starts a codec record (records begin with an uppercase
-// tag), so legacy checksum-less journals parse unambiguously.
+// The payload is the record with '\\' and '\n' escaped, so a record
+// may hold any bytes; the CRC covers the payload as stored. Every line
+// this build writes is checksummed, so legacy checksum-less lines
+// parse unambiguously.
 constexpr char kCrcMarker = '~';
 constexpr size_t kCrcPrefixLen = 10;  // '~' + 8 hex + '|'
 
+std::string Escape(std::string_view record) {
+  std::string out;
+  out.reserve(record.size() + 8);
+  size_t pos = 0;
+  size_t hit;
+  while ((hit = record.find_first_of("\\\n", pos)) != std::string_view::npos) {
+    out.append(record.substr(pos, hit - pos));
+    out += record[hit] == '\n' ? "\\n" : "\\\\";
+    pos = hit + 1;
+  }
+  out.append(record.substr(pos));
+  return out;
+}
+
+/// Undoes Escape. Any other backslash pair is kept as stored: only an
+/// older build writes one, and its CRC-valid line must reach the caller
+/// intact.
+std::string Unescape(std::string_view payload) {
+  std::string out;
+  out.reserve(payload.size());
+  size_t pos = 0;
+  size_t hit;
+  while ((hit = payload.find('\\', pos)) != std::string_view::npos &&
+         hit + 1 < payload.size()) {
+    const char next = payload[hit + 1];
+    if (next != 'n' && next != '\\') {
+      out.append(payload.substr(pos, hit + 1 - pos));
+      pos = hit + 1;
+      continue;
+    }
+    out.append(payload.substr(pos, hit - pos));
+    out.push_back(next == 'n' ? '\n' : '\\');
+    pos = hit + 2;
+  }
+  out.append(payload.substr(pos));
+  return out;
+}
+
 std::string WithChecksum(const std::string& record) {
-  uint32_t crc = Crc32(record);
+  const std::string payload = Escape(record);
   char prefix[kCrcPrefixLen + 1];
-  std::snprintf(prefix, sizeof(prefix), "%c%08x|", kCrcMarker, crc);
-  return std::string(prefix, kCrcPrefixLen) + record;
+  std::snprintf(prefix, sizeof(prefix), "%c%08x|", kCrcMarker,
+                Crc32(payload));
+  return std::string(prefix, kCrcPrefixLen) + payload;
 }
 
 bool IsHex(char c) {
@@ -138,11 +179,11 @@ Result<std::vector<std::string>> FileJournal::ReadAll() {
         valid_end = pos;
         continue;
       }
-      records.emplace_back(payload);
+      records.push_back(Unescape(payload));
     } else if (!line.empty()) {
-      // Legacy checksum-less record (seed journals): accepted as-is,
+      // Legacy checksum-less record (seed journals): accepted,
       // including a newline-less tail (indistinguishable from torn).
-      records.emplace_back(line);
+      records.push_back(Unescape(line));
     }
     pos = complete ? nl + 1 : content.size();
     valid_end = pos;

@@ -18,11 +18,11 @@ class CatalogJournal {
  public:
   virtual ~CatalogJournal() = default;
 
-  /// Appends one record (a single logical mutation; must not contain
-  /// raw newlines — the codec escapes them). Backends may buffer the
-  /// record in memory until the next Flush/Sync — the group-commit
-  /// protocol: a batch of N mutations appends N records and pays one
-  /// Flush at commit.
+  /// Appends one record: a single logical mutation, any bytes (the
+  /// catalog writes journal_record.h's binary layout). Backends may
+  /// buffer the record in memory until the next Flush/Sync — the
+  /// group-commit protocol: a batch of N mutations appends N records
+  /// and pays one Flush at commit.
   virtual Status Append(const std::string& record) = 0;
 
   /// Hands every buffered record to the backing store. The commit
@@ -83,7 +83,9 @@ struct JournalTailRecovery {
 };
 
 /// Append-only log file, one record per line. Reopening a catalog on
-/// the same path replays the log (crash recovery = replay).
+/// the same path replays the log (crash recovery = replay). Records
+/// are arbitrary bytes: Append and Rewrite escape '\\' and '\n' in the
+/// stored line, and ReadAll undoes it.
 ///
 /// Crash safety: every appended line carries a CRC-32 of its payload
 /// ("~xxxxxxxx|payload"). On replay, checksum damage at the tail — a
@@ -92,14 +94,15 @@ struct JournalTailRecovery {
 /// corrupt record in the middle of the file is skipped so the
 /// committed records after it survive. Either way the damage is
 /// reported through last_recovery() instead of failing the whole
-/// catalog open. Checksum-less lines from older journals are accepted
-/// as-is (backward compatible with seed logs).
+/// catalog open. Checksum-less lines from older journals are still
+/// read (backward compatible with seed logs).
 class FileJournal final : public CatalogJournal {
  public:
   explicit FileJournal(std::string path) : path_(std::move(path)) {}
   ~FileJournal() override;
 
-  /// Buffers the checksummed line in memory; Flush/Sync writes it out.
+  /// Buffers the escaped, checksummed line in memory; Flush/Sync
+  /// writes it out.
   Status Append(const std::string& record) override;
   /// One fwrite + fflush for everything appended since the last Flush.
   Status Flush() override;

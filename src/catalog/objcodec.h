@@ -20,10 +20,11 @@ namespace vdg {
 
 /// The one binary encoding of the catalog's schema objects — Dataset,
 /// Replica, Transformation, Derivation, Invocation, plus their
-/// attribute sets and the changelog's CatalogChange. Both the wire
-/// protocol (request/response payloads, wire.h) and the flat snapshot
-/// (object and changelog sections, flatsnap.h) write and read objects
-/// only through this module, so an object has exactly one binary form.
+/// attribute sets and the changelog's CatalogChange. The wire protocol
+/// (request/response payloads, wire.h), the flat snapshot (object and
+/// changelog sections, flatsnap.h) and the journal (record bodies,
+/// journal_record.h) write and read objects only through this module,
+/// so an object has exactly one serialized form.
 ///
 /// Integers are little-endian, doubles raw IEEE-754 bits (the round
 /// trip is bit-exact), strings and element counts a u32 length prefix,
@@ -169,8 +170,8 @@ std::vector<std::string> ReadStringVec(Reader& r);  // result-api-ok: codec deco
 
 void PutAttributeValue(Writer& w, const AttributeValue& v);
 /// Rejects an unknown tag and a non-finite double: NaN and infinities
-/// have no journal form (AttributeValue::FromTagged refuses them), so
-/// accepting one would leave a catalog that cannot be reopened.
+/// have no journal form (the catalog refuses them before journaling),
+/// so accepting one would leave a catalog that cannot be reopened.
 AttributeValue ReadAttributeValue(Reader& r);
 
 void PutAttributeSet(Writer& w, const AttributeSet& attrs);

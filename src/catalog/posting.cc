@@ -31,10 +31,6 @@ uint32_t GallopLowerBound(const uint16_t* vals, uint32_t lo, uint32_t n,
   return static_cast<uint32_t>(it - vals);
 }
 
-void PadTo8(std::string* out) {
-  while (out->size() % 8 != 0) out->push_back('\0');
-}
-
 void PutU32(std::string* out, uint32_t v) {
   char buf[4];
   std::memcpy(buf, &v, 4);

@@ -15,38 +15,62 @@ uint64_t Fnv1a64(std::string_view data) {
 
 namespace {
 
-constexpr std::array<uint32_t, 256> MakeCrc32Table() {
-  std::array<uint32_t, 256> table{};
+// Slicing-by-8: table k advances a byte's contribution through k more
+// zero bytes, so eight input bytes fold into the CRC per step. Journal
+// replay and flat-snapshot load each checksum every journal byte
+// twice (line CRC, anchor chain), so this loop bounds cold start.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (int k = 1; k < 8; ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    }
+  }
+  return t;
 }
 
-constexpr std::array<uint32_t, 256> kCrc32Table = MakeCrc32Table();
+constexpr Crc32Tables kCrc32Tables = MakeCrc32Tables();
+
+uint32_t Load32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
+/// Absorbs `data` into an un-finalized CRC register.
+uint32_t Crc32Absorb(uint32_t c, std::string_view data) {
+  const auto& t = kCrc32Tables;
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = Load32(p) ^ c;
+    const uint32_t hi = Load32(p + 4);
+    c = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+        t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
+  return c;
+}
 
 }  // namespace
 
 uint32_t Crc32(std::string_view data) {
-  uint32_t crc = 0xFFFFFFFFu;
-  for (char ch : data) {
-    crc = kCrc32Table[(crc ^ static_cast<uint8_t>(ch)) & 0xFF] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
+  return Crc32Absorb(0xFFFFFFFFu, data) ^ 0xFFFFFFFFu;
 }
 
 uint32_t Crc32Extend(uint32_t crc, std::string_view data) {
   // Un-finalize the incoming value, absorb, re-finalize: the running
   // form composes (extending A's CRC with B equals Crc32(A + B)).
-  uint32_t c = crc ^ 0xFFFFFFFFu;
-  for (char ch : data) {
-    c = kCrc32Table[(c ^ static_cast<uint8_t>(ch)) & 0xFF] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
+  return Crc32Absorb(crc ^ 0xFFFFFFFFu, data) ^ 0xFFFFFFFFu;
 }
 
 namespace {

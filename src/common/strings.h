@@ -45,8 +45,8 @@ std::string StrReplaceAll(std::string_view s, std::string_view from,
 std::string FormatDouble(double value);
 
 /// Shortest decimal form that parses back (strtod) to the exact same
-/// bits. Used by every serialization path (journal codec, XML) so
-/// double-valued attributes survive write→replay unchanged.
+/// bits. Used by every text serialization path (XML) so double-valued
+/// attributes survive export→import unchanged.
 std::string FormatDoubleRoundTrip(double value);
 
 /// Append-only string interner mapping names to dense 32-bit ids.

@@ -18,11 +18,16 @@ Status CatalogRegistry::RegisterClient(std::shared_ptr<CatalogClient> client) {
   if (client == nullptr) {
     return Status::InvalidArgument("null catalog client");
   }
-  if (catalogs_.count(client->authority()) != 0) {
-    return Status::AlreadyExists("catalog already registered: " +
-                                 client->authority());
-  }
   std::string authority = client->authority();
+  if (authority.empty()) {
+    // A resilient client learns its authority from its first successful
+    // dial; registered under "" it would miss every vdp:// lookup.
+    return Status::Unavailable(
+        "catalog client has no authority yet (no endpoint reached)");
+  }
+  if (catalogs_.count(authority) != 0) {
+    return Status::AlreadyExists("catalog already registered: " + authority);
+  }
   catalogs_.emplace(std::move(authority), std::move(client));
   return Status::OK();
 }

@@ -39,6 +39,8 @@ class CatalogRegistry {
   /// authority), with read-write access.
   Status Register(VirtualDataCatalog* catalog);
   /// Registers a transport handle under its authority() name.
+  /// Unavailable while that name is still unknown (a resilient client
+  /// that has not yet reached an endpoint); retry after a call succeeds.
   Status RegisterClient(std::shared_ptr<CatalogClient> client);
 
   Result<CatalogClient*> Find(std::string_view authority) const;

@@ -47,7 +47,7 @@ class AttributeValue {
   /// Round-trip-exact rendering: identical to ToString() except that
   /// doubles use shortest-exact formatting, so
   /// FromTagged(TypeTag(), ToWireString()) reproduces the value
-  /// bit-for-bit. This is what the journal codec and XML export write.
+  /// bit-for-bit. This is what XML export writes.
   std::string ToWireString() const;
   /// Type tag: "s", "i", "d", or "b" (used by the wire encoding).
   char TypeTag() const;

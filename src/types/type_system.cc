@@ -1,6 +1,7 @@
 #include "types/type_system.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "common/strings.h"
 
@@ -119,6 +120,22 @@ NameList TypeHierarchy::AllTypes() const {
 Result<int> TypeHierarchy::DepthOf(std::string_view name) const {
   VDG_ASSIGN_OR_RETURN(std::vector<std::string> chain, AncestryOf(name));
   return static_cast<int>(chain.size()) - 1;
+}
+
+std::vector<std::pair<std::string, std::string>>
+TypeHierarchy::EdgesParentsFirst() const {
+  std::vector<std::tuple<int, std::string, std::string>> by_depth;
+  for (const auto& [name, parent] : parent_) {
+    Result<int> depth = DepthOf(name);
+    by_depth.emplace_back(depth.ok() ? *depth : 0, name, parent);
+  }
+  std::sort(by_depth.begin(), by_depth.end());
+  std::vector<std::pair<std::string, std::string>> edges;
+  edges.reserve(by_depth.size());
+  for (auto& [depth, name, parent] : by_depth) {
+    edges.emplace_back(std::move(name), std::move(parent));
+  }
+  return edges;
 }
 
 const std::string& DatasetType::component(TypeDimension dim) const {

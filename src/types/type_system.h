@@ -4,6 +4,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/name_list.h"
@@ -69,6 +70,10 @@ class TypeHierarchy {
 
   /// Distance from the base name (base = 0). Unknown names: NotFound.
   Result<int> DepthOf(std::string_view name) const;
+
+  /// Every (name, parent) edge, parents first (by depth, then name), so
+  /// defining them in order rebuilds the hierarchy.
+  std::vector<std::pair<std::string, std::string>> EdgesParentsFirst() const;
 
   size_t size() const { return parent_.size(); }
 

@@ -9,11 +9,13 @@
 #include <cstdio>
 #include <cstring>
 #include <random>
+#include <variant>
 
 #include <gtest/gtest.h>
 
 #include "catalog/catalog.h"
-#include "catalog/codec.h"
+#include "catalog/journal.h"
+#include "catalog/journal_record.h"
 #include "common/strings.h"
 #include "vdl/xml.h"
 #include "vdl/xml_parse.h"
@@ -122,27 +124,39 @@ TEST(FormatDoubleRoundTrip, DisplayFormIsLossyWireFormIsNot) {
       v, std::strtod(AttributeValue(v).ToWireString().c_str(), nullptr)));
 }
 
+// Decodes a dataset journal record and returns its annotations.
+AttributeSet RecordAnnotations(std::string_view record) {
+  Result<journal_record::Record> decoded = journal_record::Decode(record);
+  EXPECT_TRUE(decoded.ok()) << decoded.status();
+  if (!decoded.ok()) return {};
+  const Dataset* ds = std::get_if<Dataset>(&*decoded);
+  EXPECT_NE(ds, nullptr);
+  return ds == nullptr ? AttributeSet{} : ds->annotations;
+}
+
 TEST(AttrRoundTrip, CodecTriplesAreBitExact) {
   AttributeSet attrs = NastySet(1);
-  std::vector<std::string> fields{"DS", "decl"};
-  codec::AppendAttributes(attrs, &fields);
-  Result<AttributeSet> back = codec::ParseAttributes(fields, 2);
-  ASSERT_TRUE(back.ok()) << back.status();
-  ExpectBitIdentical(attrs, *back);
+  Dataset ds;
+  ds.name = "nasty";
+  ds.annotations = attrs;
+  ExpectBitIdentical(attrs, RecordAnnotations(journal_record::Encode(ds)));
 }
 
 TEST(AttrRoundTrip, CodecRecordSurvivesEscaping) {
-  // Through the full record join/split, not just the triple list.
+  // Through the file journal's line escaping, not just the codec.
   AttributeSet attrs = NastySet(2);
   Dataset ds;
   ds.name = "nasty";
   ds.annotations = attrs;
-  std::string record = codec::EncodeDataset(ds);
-  Result<std::vector<std::string>> fields = codec::SplitRecord(record);
-  ASSERT_TRUE(fields.ok());
-  Result<AttributeSet> back = codec::ParseAttributes(*fields, 2);
-  ASSERT_TRUE(back.ok()) << back.status();
-  ExpectBitIdentical(attrs, *back);
+  std::string path = ::testing::TempDir() + "/vdg_attr_escape.log";
+  std::remove(path.c_str());
+  FileJournal journal(path);
+  ASSERT_TRUE(journal.Append(journal_record::Encode(ds)).ok());
+  Result<std::vector<std::string>> records = journal.ReadAll();
+  ASSERT_TRUE(records.ok()) << records.status();
+  ASSERT_EQ(records->size(), 1u);
+  ExpectBitIdentical(attrs, RecordAnnotations(records->front()));
+  std::remove(path.c_str());
 }
 
 class AttrJournalRoundTrip : public ::testing::TestWithParam<uint64_t> {};

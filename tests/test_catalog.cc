@@ -4,10 +4,11 @@
 #include <limits>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 #include <gtest/gtest.h>
 
-#include "catalog/codec.h"
+#include "catalog/journal_record.h"
 
 namespace vdg {
 namespace {
@@ -695,27 +696,35 @@ TEST(VectorJournalTest, CapturesRecords) {
   EXPECT_GE(raw->records().size(), 5u);  // 2 TR + 3 DS + 2 DV at least
 }
 
-// ------------------------------ Codec --------------------------------
+// -------------------------- Journal records ---------------------------
 
-TEST(CodecTest, FieldEscapingRoundTrip) {
-  for (const std::string& field :
-       {std::string("plain"), std::string("has|pipe"),
-        std::string("multi\nline"), std::string("back\\slash"),
-        std::string("all|three\n\\mixed|")}) {
-    std::string escaped = codec::EscapeField(field);
-    EXPECT_EQ(escaped.find('\n'), std::string::npos);
-    Result<std::string> back = codec::UnescapeField(escaped);
-    ASSERT_TRUE(back.ok());
-    EXPECT_EQ(*back, field);
-  }
+// Decodes `record` and returns the object of kind T it carries.
+template <typename T>
+T DecodeAs(const std::string& record) {
+  Result<journal_record::Record> decoded = journal_record::Decode(record);
+  EXPECT_TRUE(decoded.ok()) << decoded.status();
+  if (!decoded.ok()) return T{};
+  const T* object = std::get_if<T>(&*decoded);
+  EXPECT_NE(object, nullptr);
+  return object == nullptr ? T{} : *object;
 }
 
-TEST(CodecTest, RecordSplitJoinRoundTrip) {
-  std::vector<std::string> fields{"RP", "id|1", "data\nset", "site"};
-  Result<std::vector<std::string>> back =
-      codec::SplitRecord(codec::JoinRecord(fields));
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(*back, fields);
+TEST(CodecTest, TypeAndRemovalRecordsRoundTrip) {
+  journal_record::TypeEdge edge = DecodeAs<journal_record::TypeEdge>(
+      journal_record::EncodeType(TypeDimension::kFormat, "root|x", "base"));
+  EXPECT_EQ(edge.dimension, TypeDimension::kFormat);
+  EXPECT_EQ(edge.name, "root|x");
+  EXPECT_EQ(edge.parent, "base");
+  for (journal_record::Tag tag :
+       {journal_record::Tag::kRemoveDataset,
+        journal_record::Tag::kRemoveTransformation,
+        journal_record::Tag::kRemoveDerivation,
+        journal_record::Tag::kRemoveReplica}) {
+    journal_record::Removal removal = DecodeAs<journal_record::Removal>(
+        journal_record::EncodeRemoval(tag, "gone\nname"));
+    EXPECT_EQ(removal.tag, tag);
+    EXPECT_EQ(removal.name, "gone\nname");
+  }
 }
 
 TEST(CodecTest, ReplicaRoundTrip) {
@@ -729,16 +738,12 @@ TEST(CodecTest, ReplicaRoundTrip) {
   r.created_at = 42.5;
   r.valid = false;
   r.annotations.Set("checksum", "abc");
-  Result<std::vector<std::string>> fields =
-      codec::SplitRecord(codec::EncodeReplica(r));
-  ASSERT_TRUE(fields.ok());
-  Result<Replica> back = codec::DecodeReplica(*fields);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->id, r.id);
-  EXPECT_EQ(back->dataset, r.dataset);
-  EXPECT_EQ(back->size_bytes, r.size_bytes);
-  EXPECT_EQ(back->valid, false);
-  EXPECT_EQ(back->annotations.GetString("checksum"), "abc");
+  Replica back = DecodeAs<Replica>(journal_record::Encode(r));
+  EXPECT_EQ(back.id, r.id);
+  EXPECT_EQ(back.dataset, r.dataset);
+  EXPECT_EQ(back.size_bytes, r.size_bytes);
+  EXPECT_EQ(back.valid, false);
+  EXPECT_EQ(back.annotations.GetString("checksum"), "abc");
 }
 
 TEST(CodecTest, InvocationRoundTrip) {
@@ -756,21 +761,24 @@ TEST(CodecTest, InvocationRoundTrip) {
   iv.consumed_replicas = {"rp-1", "rp-2"};
   iv.produced_replicas = {"rp-3"};
   iv.annotations.Set("note", "retry");
-  Result<std::vector<std::string>> fields =
-      codec::SplitRecord(codec::EncodeInvocation(iv));
-  ASSERT_TRUE(fields.ok());
-  Result<Invocation> back = codec::DecodeInvocation(*fields);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->consumed_replicas, iv.consumed_replicas);
-  EXPECT_EQ(back->produced_replicas, iv.produced_replicas);
-  EXPECT_EQ(back->exit_code, 2);
-  EXPECT_FALSE(back->succeeded);
-  EXPECT_EQ(back->annotations.GetString("note"), "retry");
+  Invocation back = DecodeAs<Invocation>(journal_record::Encode(iv));
+  EXPECT_EQ(back.consumed_replicas, iv.consumed_replicas);
+  EXPECT_EQ(back.produced_replicas, iv.produced_replicas);
+  EXPECT_EQ(back.exit_code, 2);
+  EXPECT_FALSE(back.succeeded);
+  EXPECT_EQ(back.annotations.GetString("note"), "retry");
 }
 
 TEST(CodecTest, DecodeRejectsTruncatedRecords) {
-  EXPECT_FALSE(codec::DecodeReplica({"RP", "id"}).ok());
-  EXPECT_FALSE(codec::DecodeInvocation({"IV", "id"}).ok());
+  Replica r;
+  r.id = "rp-1";
+  r.dataset = "ds";
+  const std::string record = journal_record::Encode(r);
+  for (size_t cut = 0; cut < record.size(); ++cut) {
+    EXPECT_FALSE(journal_record::Decode(record.substr(0, cut)).ok()) << cut;
+  }
+  EXPECT_FALSE(journal_record::Decode(record + "x").ok());  // trailing byte
+  EXPECT_FALSE(journal_record::Decode("RP|rp-1|ds").ok());   // text format
 }
 
 }  // namespace

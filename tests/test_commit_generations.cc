@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "catalog/catalog.h"
-#include "catalog/codec.h"
+#include "catalog/journal_record.h"
 #include "common/rng.h"
 #include "common/strings.h"
 
@@ -61,17 +61,17 @@ std::vector<std::string> Render(const CatalogView& view) {
   out.push_back("transformations " + Join(view.AllTransformationNames()));
   out.push_back("derivations " + Join(view.AllDerivationNames()));
   for (std::string_view name : view.AllDatasetNames()) {
-    out.push_back(codec::EncodeDataset(*view.GetDataset(name)));
+    out.push_back(journal_record::Encode(*view.GetDataset(name)));
     out.push_back("materialized " + std::string(name) + "=" +
                   std::to_string(view.IsMaterialized(name)));
     out.push_back("consumers " + Join(view.ConsumersOf(name)));
   }
   for (std::string_view name : view.AllTransformationNames()) {
-    out.push_back(codec::EncodeTransformation(*view.GetTransformation(name)));
+    out.push_back(journal_record::Encode(*view.GetTransformation(name)));
     out.push_back("using " + Join(view.DerivationsUsing(name)));
   }
   for (std::string_view name : view.AllDerivationNames()) {
-    out.push_back(codec::EncodeDerivation(*view.GetDerivation(name)));
+    out.push_back(journal_record::Encode(*view.GetDerivation(name)));
   }
 
   std::vector<DatasetQuery> dataset_queries;

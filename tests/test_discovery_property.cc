@@ -427,12 +427,6 @@ PostingBlocks FromIds(const std::vector<Id>& ids) {
   return pb;
 }
 
-std::vector<Id> DistinctIds(const PostingBlocks& pb) {
-  std::vector<Id> out;
-  pb.ForEach([&](Id id) { out.push_back(id); });
-  return out;
-}
-
 std::vector<Id> NaiveIntersect(const std::vector<Id>& a,
                                const std::vector<Id>& b) {
   std::vector<Id> out;

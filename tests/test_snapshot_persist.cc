@@ -144,9 +144,9 @@ void Populate(VirtualDataCatalog* catalog, int datasets) {
 // indexed query answers. Version counters and changelog streams are
 // deliberately excluded — journal replay legitimately renders history
 // differently from the live catalog (a live ImportVdl batch shares one
-// version across its entries; a replica-invalidate re-put record
-// upserts without a bump), so only loaded-vs-SOURCE comparisons may
-// demand identical history (ExpectSameHistory below).
+// version across its entries, replay bumps once per record), so only
+// loaded-vs-SOURCE comparisons may demand identical history
+// (ExpectSameHistory below).
 void ExpectSameState(VirtualDataCatalog& lhs, VirtualDataCatalog& rhs) {
   EXPECT_EQ(lhs.CurrentStateRecords(), rhs.CurrentStateRecords());
 
@@ -468,14 +468,12 @@ TEST_F(SnapshotPersistTest, MissingFileFallsBackToReplay) {
   ExpectCleanFallback("");
 }
 
-// The snapshot carries objects through the shared object codec, so a
-// loaded object must re-encode to its source's exact bytes: every
-// field, including those the journal's VDL text does not keep (a
-// compound transformation's env and profile, derivation env overrides).
-TEST_F(SnapshotPersistTest, LoadedObjectsEncodeToTheSourceBytes) {
-  ASSERT_TRUE(source_->SaveSnapshotFile(snap_path_).ok());
-  std::unique_ptr<VirtualDataCatalog> loaded = SnapshotOpened();
-  ASSERT_TRUE(loaded->last_snapshot_load().used);
+// Every object of `loaded` re-encodes, through the shared object codec,
+// to the exact bytes of the same object in `source`: every field,
+// including those the retired journal text did not keep (a compound
+// transformation's env and profile, derivation env overrides).
+void ExpectSameObjectBytes(const VirtualDataCatalog& loaded,
+                           const VirtualDataCatalog& source) {
   auto bytes = [](auto put, const auto& object) {
     std::string out;
     objcodec::Writer w(&out);
@@ -487,32 +485,53 @@ TEST_F(SnapshotPersistTest, LoadedObjectsEncodeToTheSourceBytes) {
     for (const auto& object : objects) out += bytes(put, object);
     return out;
   };
-  for (std::string_view name : source_->AllDatasetNames()) {
-    EXPECT_EQ(bytes(objcodec::PutDataset, *loaded->GetDataset(name)),
-              bytes(objcodec::PutDataset, *source_->GetDataset(name)))
+  EXPECT_EQ(loaded.AllDatasetNames(), source.AllDatasetNames());
+  for (std::string_view name : source.AllDatasetNames()) {
+    EXPECT_EQ(bytes(objcodec::PutDataset, *loaded.GetDataset(name)),
+              bytes(objcodec::PutDataset, *source.GetDataset(name)))
         << name;
-    EXPECT_EQ(
-        all_bytes(objcodec::PutReplica, loaded->ReplicasOf(name, false)),
-        all_bytes(objcodec::PutReplica, source_->ReplicasOf(name, false)))
-        << name;
-  }
-  for (std::string_view name : source_->AllTransformationNames()) {
-    EXPECT_EQ(
-        bytes(objcodec::PutTransformation, *loaded->GetTransformation(name)),
-        bytes(objcodec::PutTransformation, *source_->GetTransformation(name)))
+    EXPECT_EQ(all_bytes(objcodec::PutReplica, loaded.ReplicasOf(name, false)),
+              all_bytes(objcodec::PutReplica, source.ReplicasOf(name, false)))
         << name;
   }
-  for (std::string_view name : source_->AllDerivationNames()) {
-    EXPECT_EQ(bytes(objcodec::PutDerivation, *loaded->GetDerivation(name)),
-              bytes(objcodec::PutDerivation, *source_->GetDerivation(name)))
-        << name;
+  EXPECT_EQ(loaded.AllTransformationNames(), source.AllTransformationNames());
+  for (std::string_view name : source.AllTransformationNames()) {
     EXPECT_EQ(
-        all_bytes(objcodec::PutInvocation, loaded->InvocationsOf(name)),
-        all_bytes(objcodec::PutInvocation, source_->InvocationsOf(name)))
+        bytes(objcodec::PutTransformation, *loaded.GetTransformation(name)),
+        bytes(objcodec::PutTransformation, *source.GetTransformation(name)))
         << name;
   }
-  EXPECT_EQ(loaded->GetTransformation("pipeline")->env().size(), 1u);
-  EXPECT_EQ(loaded->InvocationsOf("dv0").at(0).exit_code, -9);
+  EXPECT_EQ(loaded.AllDerivationNames(), source.AllDerivationNames());
+  for (std::string_view name : source.AllDerivationNames()) {
+    EXPECT_EQ(bytes(objcodec::PutDerivation, *loaded.GetDerivation(name)),
+              bytes(objcodec::PutDerivation, *source.GetDerivation(name)))
+        << name;
+    EXPECT_EQ(all_bytes(objcodec::PutInvocation, loaded.InvocationsOf(name)),
+              all_bytes(objcodec::PutInvocation, source.InvocationsOf(name)))
+        << name;
+  }
+  ASSERT_TRUE(loaded.GetTransformation("pipeline").ok());
+  EXPECT_EQ(loaded.GetTransformation("pipeline")->env().size(), 1u);
+  EXPECT_EQ(loaded.GetTransformation("pipeline")->profile().size(), 1u);
+  ASSERT_TRUE(loaded.GetDerivation("dv0").ok());
+  EXPECT_EQ(loaded.GetDerivation("dv0")->env_overrides().size(), 1u);
+  EXPECT_EQ(loaded.InvocationsOf("dv0").at(0).exit_code, -9);
+}
+
+TEST_F(SnapshotPersistTest, LoadedObjectsEncodeToTheSourceBytes) {
+  ASSERT_TRUE(source_->SaveSnapshotFile(snap_path_).ok());
+  std::unique_ptr<VirtualDataCatalog> loaded = SnapshotOpened();
+  ASSERT_TRUE(loaded->last_snapshot_load().used);
+  ExpectSameObjectBytes(*loaded, *source_);
+}
+
+// The journal twin: its records carry objects through the same codec,
+// so a catalog reopened by replay, and again after compaction,
+// re-encodes to the source's bytes too.
+TEST_F(SnapshotPersistTest, ReplayedObjectsEncodeToTheSourceBytes) {
+  ExpectSameObjectBytes(*ReplayOpened(), *source_);
+  ASSERT_TRUE(source_->CompactJournal().ok());
+  ExpectSameObjectBytes(*ReplayOpened(), *source_);
 }
 
 // The corruption tests above are all caught by a checksum. This sweep

@@ -22,6 +22,7 @@
 
 #include "catalog/client.h"
 #include "federation/faulty_transport.h"
+#include "federation/registry.h"
 #include "federation/remote_cache.h"
 #include "federation/resilient_client.h"
 #include "federation/server.h"
@@ -469,6 +470,33 @@ TEST(WireFaults, MutationRetriesThroughConnectRefusalsAndLandsOnce) {
   EXPECT_EQ(dials, 4);
   EXPECT_GT(client->stats().retries, 0u);
   EXPECT_EQ(client->stats().mutation_fail_fast, 0u);
+}
+
+TEST(WireFaults, RegistryRefusesAClientWhoseDialFailedUntilItConnects) {
+  auto catalog = ChainCatalog(2);
+  CatalogServer server(
+      std::make_shared<InProcessCatalogClient>(catalog.get(), false));
+  int dials = 0;
+  // The eager dial is refused, so the client does not know its
+  // authority yet: registering it under "" would make every vdp://
+  // lookup for chain.org miss.
+  std::shared_ptr<ResilientCatalogClient> client =
+      OutageClient(&server, /*refusals=*/1, &dials, /*max_attempts=*/3);
+  ASSERT_EQ(dials, 1);
+  EXPECT_TRUE(client->authority().empty());
+  CatalogRegistry registry;
+  Status refused = registry.RegisterClient(client);
+  EXPECT_TRUE(refused.IsUnavailable()) << refused;
+  EXPECT_FALSE(registry.Has(""));
+
+  // One successful call dials the endpoint and learns the authority.
+  Result<bool> has = client->HasDataset("d1");
+  ASSERT_TRUE(has.ok()) << has.status();
+  EXPECT_EQ(client->authority(), "chain.org");
+  ASSERT_TRUE(registry.RegisterClient(client).ok());
+  Result<CatalogClient*> found = registry.Find("chain.org");
+  ASSERT_TRUE(found.ok()) << found.status();
+  EXPECT_EQ(*found, client.get());
 }
 
 TEST(WireFaults, EndpointDownPastTheBudgetIsRetrySafeUnavailable) {
