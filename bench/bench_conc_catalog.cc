@@ -133,15 +133,26 @@ BENCHMARK(BM_ConcFederatedLookup)->ThreadRange(1, 16)->UseRealTime();
 // full commit (journal flush + snapshot publication) on its own.
 // ---------------------------------------------------------------------
 
+/// Journal files JournaledCatalog wrote, removed when the process
+/// exits.
+struct JournalFiles {
+  ~JournalFiles() {
+    for (const std::string& path : paths) std::remove(path.c_str());
+  }
+
+  std::vector<std::string> paths;
+};
+
 /// Fresh journaled catalog seeded with kCatalogSize/4 datasets; each
 /// commit pays real journal I/O, as a durable deployment would.
 std::unique_ptr<VirtualDataCatalog> JournaledCatalog(
     std::vector<std::string>* names) {
-  static int counter = 0;
+  static JournalFiles files;
   std::string path = "/tmp/vdg_bench_journal_" +
                      std::to_string(::getpid()) + "_" +
-                     std::to_string(counter++) + ".log";
+                     std::to_string(files.paths.size()) + ".log";
   std::remove(path.c_str());
+  files.paths.push_back(path);
   Logger::set_threshold(LogLevel::kError);
   auto catalog = std::make_unique<VirtualDataCatalog>(
       "batch-bench", std::make_unique<FileJournal>(path));
@@ -485,45 +496,53 @@ BENCHMARK(BM_IndexedFindCompressedDense);
 // ways; run_bench.sh emits the speedup into BENCH_concurrency.json.
 // ---------------------------------------------------------------------
 
+/// The populated catalog's journal and flat snapshot, written on first
+/// use and removed when the process exits.
 struct ColdStartPaths {
+  ColdStartPaths();
+  ~ColdStartPaths() {
+    std::remove(journal.c_str());
+    std::remove(snapshot.c_str());
+  }
+
   std::string journal;
   std::string snapshot;
 };
 
+ColdStartPaths::ColdStartPaths()
+    : journal("/tmp/vdg_bench_cold_" + std::to_string(::getpid()) + ".log"),
+      snapshot(journal + ".snap") {
+  std::remove(journal.c_str());
+  std::remove(snapshot.c_str());
+  Logger::set_threshold(LogLevel::kError);
+  VirtualDataCatalog catalog("cold-bench",
+                             std::make_unique<FileJournal>(journal));
+  if (!catalog.Open().ok()) std::abort();
+  std::vector<CatalogMutation> defs;
+  for (size_t i = 0; i < kCatalogSize; ++i) {
+    Dataset ds;
+    ds.name = "cs" + std::to_string(i);
+    ds.size_bytes = 1 << 16;
+    ds.annotations.Set("shard", static_cast<int64_t>(i % 16));
+    defs.push_back(CatalogMutation::DefineDataset(std::move(ds)));
+  }
+  if (!catalog.ApplyBatch(defs).first_error.ok()) std::abort();
+  for (int round = 0; round < 4; ++round) {
+    std::vector<CatalogMutation> ticks;
+    for (size_t i = 0; i < kCatalogSize; i += 2) {
+      ticks.push_back(CatalogMutation::Annotate(
+          "dataset", "cs" + std::to_string(i), "tick",
+          AttributeValue(static_cast<int64_t>(round))));
+    }
+    if (!catalog.ApplyBatch(ticks).first_error.ok()) std::abort();
+  }
+  if (!catalog.SyncJournal().ok()) std::abort();
+  if (!catalog.SaveSnapshotFile(snapshot).ok()) std::abort();
+}
+
 const ColdStartPaths& ColdStartFiles() {
-  static ColdStartPaths* paths = [] {
-    auto* p = new ColdStartPaths;
-    p->journal = "/tmp/vdg_bench_cold_" + std::to_string(::getpid()) + ".log";
-    p->snapshot = p->journal + ".snap";
-    std::remove(p->journal.c_str());
-    std::remove(p->snapshot.c_str());
-    Logger::set_threshold(LogLevel::kError);
-    VirtualDataCatalog catalog("cold-bench",
-                               std::make_unique<FileJournal>(p->journal));
-    if (!catalog.Open().ok()) std::abort();
-    std::vector<CatalogMutation> defs;
-    for (size_t i = 0; i < kCatalogSize; ++i) {
-      Dataset ds;
-      ds.name = "cs" + std::to_string(i);
-      ds.size_bytes = 1 << 16;
-      ds.annotations.Set("shard", static_cast<int64_t>(i % 16));
-      defs.push_back(CatalogMutation::DefineDataset(std::move(ds)));
-    }
-    if (!catalog.ApplyBatch(defs).first_error.ok()) std::abort();
-    for (int round = 0; round < 4; ++round) {
-      std::vector<CatalogMutation> ticks;
-      for (size_t i = 0; i < kCatalogSize; i += 2) {
-        ticks.push_back(CatalogMutation::Annotate(
-            "dataset", "cs" + std::to_string(i), "tick",
-            AttributeValue(static_cast<int64_t>(round))));
-      }
-      if (!catalog.ApplyBatch(ticks).first_error.ok()) std::abort();
-    }
-    if (!catalog.SyncJournal().ok()) std::abort();
-    if (!catalog.SaveSnapshotFile(p->snapshot).ok()) std::abort();
-    return p;
-  }();
-  return *paths;
+  static const ColdStartPaths paths;
+  return paths;
 }
 
 void BM_ColdStartReplay(benchmark::State& state) {

@@ -83,12 +83,12 @@ ClientChannel::RecvResult FaultyChannel::Receive(
 
 Result<std::shared_ptr<WireCatalogClient>> ConnectFaulty(
     CatalogServer* server, std::shared_ptr<FaultInjector> injector,
-    WireClientOptions options, bool use_socket) {
+    WireClientOptions options) {
   if (injector->RollConnectRefusal()) {
     return Status::Unavailable("endpoint refused the connection (injected)");
   }
-  auto channel = std::make_shared<FaultyChannel>(server->Connect(use_socket),
-                                                 std::move(injector));
+  auto channel =
+      std::make_shared<FaultyChannel>(server->Connect(), std::move(injector));
   return WireCatalogClient::ConnectChannel(std::move(channel), options);
 }
 

@@ -16,10 +16,10 @@ namespace vdg {
 
 // -----------------------------------------------------------------------
 // Deterministic transport fault injection for the wire federation
-// path. A FaultyChannel wraps any ClientChannel (in-memory pipe or
-// AF_UNIX socketpair alike — it sits above the transport) and, driven
-// by one seeded FaultInjector shared across the reconnect attempts of
-// an endpoint, perturbs the byte stream the ways real networks do:
+// path. A FaultyChannel wraps any ClientChannel (it sits above the
+// transport) and, driven by one seeded FaultInjector shared across the
+// reconnect attempts of an endpoint, perturbs the byte stream the ways
+// real networks do:
 //
 //   refuse     Connect-time refusal: the endpoint rejects the dial.
 //   reset      The connection drops before the frame is sent.
@@ -127,7 +127,7 @@ class FaultyChannel : public ClientChannel {
 /// for a ResilientEndpoint under test.
 Result<std::shared_ptr<WireCatalogClient>> ConnectFaulty(
     CatalogServer* server, std::shared_ptr<FaultInjector> injector,
-    WireClientOptions options = {}, bool use_socket = false);
+    WireClientOptions options = {});
 
 }  // namespace vdg
 

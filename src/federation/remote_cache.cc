@@ -278,37 +278,14 @@ Result<ObjectRecord> CachingCatalogClient::GetOrFillLocked(
 Status CachingCatalogClient::Revalidate() {
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.revalidations;
+  // Deltas anchor per shard: a sharded upstream's composite version is
+  // a sum, addressable in no single changelog. An unsharded upstream is
+  // one shard whose ShardChangesSince is ChangesSince, so it costs the
+  // same one round trip.
   const ShardTopology topo = upstream_->shard_topology();
-  if (topo.shard_count <= 1 && topo.fingerprint == 0) {
-    // Unsharded upstream: the original one-round-trip path.
-    Result<std::vector<CatalogChange>> changes =
-        upstream_->ChangesSince(synced_version_);
-    NoteUpstreamLocked(changes.ok() ? Status::OK() : changes.status());
-    if (changes.ok()) {
-      for (const CatalogChange& change : *changes) {
-        ApplyChangeLocked(change.kind, change.name);
-      }
-      if (!changes->empty()) synced_version_ = changes->back().version;
-      return Status::OK();
-    }
-    if (changes.status().IsFailedPrecondition() ||
-        changes.status().IsInvalidArgument()) {
-      // The server's bounded changelog no longer reaches our sync point
-      // (or our version predates/postdates its window after a reset):
-      // nothing cached can be trusted individually.
-      FlushLocked();
-      VDG_ASSIGN_OR_RETURN(synced_version_, upstream_->Version());
-      return Status::OK();
-    }
-    return changes.status();
-  }
-
-  // Sharded upstream: its composite version is a sum, addressable in
-  // no single changelog, so deltas anchor per shard.
   bool resync = false;
   if (shard_synced_.empty()) {
-    // First contact: walk each shard's changelog from zero, the exact
-    // analog of the single-shard first Revalidate.
+    // First contact: walk each shard's changelog from zero.
     shard_synced_.assign(topo.shard_count, 0);
   } else if (topo.fingerprint != synced_topology_.fingerprint ||
              topo.shard_count != synced_topology_.shard_count) {
@@ -392,7 +369,10 @@ Result<std::vector<CatalogChange>> CachingCatalogClient::ChangesSince(
   }
   if (!changes.empty() && since_version <= synced_version_ &&
       changes.back().version > synced_version_) {
+    // Only a single changelog answers a non-empty window (a sharded
+    // upstream refuses composite versions), so this is its one anchor.
     synced_version_ = changes.back().version;
+    shard_synced_.assign(1, synced_version_);
   }
   return changes;
 }

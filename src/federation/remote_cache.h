@@ -155,10 +155,10 @@ struct DegradedReadOptions {
 /// Coherence contract: the cache is *explicitly* revalidated. Between
 /// Revalidate() calls reads may be stale by design (the paper's
 /// federated indexes accept the same staleness). Revalidate() makes
-/// ONE ChangesSince(synced_version) round trip against the server's
-/// changelog and evicts exactly the objects that changed; when the
-/// bounded changelog no longer reaches back (FailedPrecondition) the
-/// whole cache is flushed and the version re-synced. Mutations issued
+/// one ShardChangesSince round trip per upstream shard (ONE against an
+/// unsharded server) and evicts exactly the objects that changed; when
+/// the bounded changelog no longer reaches back (FailedPrecondition)
+/// the whole cache is flushed and the version re-synced. Mutations issued
 /// THROUGH this client write through and invalidate immediately, so a
 /// caller always reads its own writes.
 ///
@@ -200,13 +200,13 @@ class CachingCatalogClient : public CatalogClient {
   }
 
   /// Brings the cache current against the upstream changelog, evicting
-  /// precisely the changed objects. Against an unsharded upstream this
-  /// is ONE ChangesSince round trip; against a sharded upstream (a
-  /// composite version is a sum, addressable in no single changelog)
-  /// it walks ShardChangesSince per shard from per-shard anchors. A
-  /// changelog window miss — or a topology-fingerprint change
-  /// (reshard), after which nothing cached can be attributed — flushes
-  /// everything and re-syncs the anchors.
+  /// precisely the changed objects. Walks ShardChangesSince per shard
+  /// from per-shard anchors (a sharded upstream's composite version is
+  /// a sum, addressable in no single changelog); an unsharded upstream
+  /// is one shard, so that is ONE ChangesSince round trip. A changelog
+  /// window miss — or a topology-fingerprint change (reshard), after
+  /// which nothing cached can be attributed — flushes everything and
+  /// re-syncs the anchors.
   Status Revalidate();
 
   /// The server version this cache last synchronized against (the sum
@@ -338,10 +338,10 @@ class CachingCatalogClient : public CatalogClient {
   /// fresh vector<string> — repeated hits allocate nothing.
   LruCacheMap<NameList> queries_;
   uint64_t synced_version_ = 0;
-  /// Per-shard changelog anchors against a sharded upstream, plus the
-  /// topology they belong to. Empty until the first Revalidate against
-  /// a sharded upstream; an unsharded upstream never populates them
-  /// (synced_version_ alone is its anchor, exactly as before).
+  /// Per-shard changelog anchors, plus the topology they belong to
+  /// (one anchor for an unsharded upstream). Empty until the first
+  /// Revalidate or ChangesSince piggyback; synced_version_ is their
+  /// sum.
   std::vector<uint64_t> shard_synced_;
   ShardTopology synced_topology_;
   CacheStats stats_;

@@ -1,34 +1,8 @@
 #include "federation/server.h"
 
-#include <poll.h>
-#include <sys/eventfd.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <utility>
 
 namespace vdg {
-
-namespace {
-
-/// Whole-buffer send loop; false on a broken socket.
-bool SendAll(int fd, std::string_view bytes) {
-  size_t off = 0;
-  while (off < bytes.size()) {
-    ssize_t n = ::send(fd, bytes.data() + off, bytes.size() - off,
-                       MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    if (n == 0) return false;
-    off += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
 
 // -----------------------------------------------------------------------
 // BatchDedupRegistry
@@ -91,72 +65,20 @@ size_t BatchDedupRegistry::size() const {
 // ServerConnection
 // -----------------------------------------------------------------------
 
-ServerConnection::ServerConnection(CatalogServer* server, int client_fd,
-                                   int server_fd, int interrupt_fd)
-    : server_(server),
-      client_fd_(client_fd),
-      server_fd_(server_fd),
-      interrupt_fd_(interrupt_fd) {}
-
-ServerConnection::~ServerConnection() {
-  Close();
-  if (pump_.joinable()) pump_.join();
-  if (client_fd_ >= 0) ::close(client_fd_);
-  if (server_fd_ >= 0) ::close(server_fd_);
-  if (interrupt_fd_ >= 0) ::close(interrupt_fd_);
-}
-
-bool ServerConnection::ClientSend(std::string_view bytes) {
-  if (client_fd_ >= 0) {
-    std::lock_guard<std::mutex> lock(client_write_mu_);
-    if (closed()) return false;
-    return SendAll(client_fd_, bytes);
-  }
-  return Ingest(bytes);
-}
-
-bool ServerConnection::Ingest(std::string_view bytes) {
+ptrdiff_t ServerConnection::Send(std::string_view bytes) {
   std::lock_guard<std::mutex> parse(parse_mu_);
-  if (closed()) return false;
+  if (closed()) return -1;
   parse_buffer_.append(bytes);
   // An open connection is always listed by the server, so it has an
   // owner here; see CatalogServer::Connect for why that owner outlives
   // this call.
   server_->DrainConnection(shared_from_this());
-  return true;
+  return static_cast<ptrdiff_t>(bytes.size());
 }
 
 ClientChannel::RecvResult ServerConnection::Receive(
     std::string* out, std::chrono::steady_clock::time_point deadline) {
   using Clock = std::chrono::steady_clock;
-  if (client_fd_ >= 0) {
-    pollfd fds[2] = {{client_fd_, POLLIN, 0}, {interrupt_fd_, POLLIN, 0}};
-    for (;;) {
-      int timeout_ms = -1;
-      if (deadline != Clock::time_point::max()) {
-        const auto left = deadline - Clock::now();
-        if (left <= Clock::duration::zero()) return RecvResult::kTimeout;
-        // Round up: waking before the deadline would only spin.
-        timeout_ms = static_cast<int>(
-            std::chrono::ceil<std::chrono::milliseconds>(left).count());
-      }
-      int n = ::poll(fds, 2, timeout_ms);
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0) return RecvResult::kClosed;
-      if (n == 0) return RecvResult::kTimeout;
-      if (fds[1].revents & POLLIN) {
-        uint64_t count = 0;
-        (void)::read(interrupt_fd_, &count, sizeof(count));
-        return RecvResult::kTimeout;
-      }
-      char buf[16384];
-      ssize_t got = ::recv(client_fd_, buf, sizeof(buf), MSG_DONTWAIT);
-      if (got < 0 && (errno == EINTR || errno == EAGAIN)) continue;
-      if (got <= 0) return RecvResult::kClosed;
-      out->append(buf, static_cast<size_t>(got));
-      return RecvResult::kData;
-    }
-  }
   std::unique_lock<std::mutex> lock(mu_);
   auto ready = [this] {
     return !outbound_.empty() || closed_ || interrupted_;
@@ -176,11 +98,6 @@ ClientChannel::RecvResult ServerConnection::Receive(
 }
 
 void ServerConnection::Interrupt() {
-  if (interrupt_fd_ >= 0) {
-    const uint64_t one = 1;
-    (void)::write(interrupt_fd_, &one, sizeof(one));
-    return;
-  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     interrupted_ = true;
@@ -194,9 +111,6 @@ void ServerConnection::Close() {
     if (closed_) return;
     closed_ = true;
   }
-  // Unblock any recv()/poll() in the pump thread / client reader.
-  if (client_fd_ >= 0) ::shutdown(client_fd_, SHUT_RDWR);
-  if (server_fd_ >= 0) ::shutdown(server_fd_, SHUT_RDWR);
   outbound_cv_.notify_all();
 }
 
@@ -206,11 +120,6 @@ bool ServerConnection::closed() const {
 }
 
 void ServerConnection::ServerWrite(std::string_view frame) {
-  if (server_fd_ >= 0) {
-    std::lock_guard<std::mutex> lock(server_write_mu_);
-    SendAll(server_fd_, frame);
-    return;
-  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (closed_) return;
@@ -241,26 +150,8 @@ CatalogServer::CatalogServer(std::shared_ptr<CatalogClient> backend,
 
 CatalogServer::~CatalogServer() { Shutdown(); }
 
-std::shared_ptr<ServerConnection> CatalogServer::Connect(bool use_socket) {
-  int client_fd = -1;
-  int server_fd = -1;
-  int interrupt_fd = -1;
-  if (use_socket) {
-    int fds[2];
-    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0) {
-      interrupt_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-      if (interrupt_fd >= 0) {
-        client_fd = fds[0];
-        server_fd = fds[1];
-      } else {
-        ::close(fds[0]);
-        ::close(fds[1]);
-      }
-    }
-    // On failure fall back to the in-memory pipe: same protocol, no fds.
-  }
-  std::shared_ptr<ServerConnection> conn(
-      new ServerConnection(this, client_fd, server_fd, interrupt_fd));
+std::shared_ptr<ServerConnection> CatalogServer::Connect() {
+  std::shared_ptr<ServerConnection> conn(new ServerConnection(this));
   std::vector<std::shared_ptr<ServerConnection>> pruned;
   bool rejected = false;
   {
@@ -281,34 +172,13 @@ std::shared_ptr<ServerConnection> CatalogServer::Connect(bool use_socket) {
       stats_.connections_opened.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  // A delivering thread may still be finishing an Ingest on a pruned
+  // A client thread may still be finishing a Send on a pruned
   // connection. Wait it out before dropping the server's reference, so
-  // that thread never holds the last one (a pump thread cannot run its
-  // own connection's destructor, which joins it).
+  // no Send that began while the connection was listed outlives it.
   for (const auto& closed : pruned) {
     std::lock_guard<std::mutex> barrier(closed->parse_mu_);
   }
-  if (rejected) {
-    conn->Close();
-    return conn;
-  }
-  if (server_fd >= 0) {
-    // Socket mode: a pump thread moves kernel bytes into Ingest, the
-    // same admission path the in-memory pipe runs on the sender.
-    ServerConnection* raw = conn.get();
-    raw->pump_ = std::thread([raw] {
-      char buf[16384];
-      for (;;) {
-        ssize_t n = ::recv(raw->server_fd_, buf, sizeof(buf), 0);
-        if (n < 0 && errno == EINTR) continue;
-        if (n <= 0 ||
-            !raw->Ingest(std::string_view(buf, static_cast<size_t>(n)))) {
-          break;
-        }
-      }
-      raw->Close();
-    });
-  }
+  if (rejected) conn->Close();
   return conn;
 }
 
@@ -338,11 +208,11 @@ void CatalogServer::Shutdown(std::chrono::milliseconds drain_timeout) {
     conns = connections_;
   }
   worker_cv_.notify_all();
-  // Close connections before joining: a worker blocked writing to a
-  // full socket unblocks once the peer is shut down.
+  // Close connections first: a Send that takes the parse mutex after
+  // the close returns without touching the server. Once each parse
+  // mutex has been taken after the close, no client thread is inside
+  // DrainConnection and none will enter it again.
   for (auto& conn : conns) conn->Close();
-  // Once each parse mutex has been taken after the close, no delivering
-  // thread is inside DrainConnection and none will enter it again.
   for (auto& conn : conns) {
     std::lock_guard<std::mutex> barrier(conn->parse_mu_);
   }
@@ -501,8 +371,8 @@ void CatalogServer::Reply(const std::shared_ptr<ServerConnection>& conn,
 // -----------------------------------------------------------------------
 
 Result<std::shared_ptr<WireCatalogClient>> WireCatalogClient::Connect(
-    CatalogServer* server, WireClientOptions options, bool use_socket) {
-  return ConnectChannel(server->Connect(use_socket), options);
+    CatalogServer* server, WireClientOptions options) {
+  return ConnectChannel(server->Connect(), options);
 }
 
 Result<std::shared_ptr<WireCatalogClient>> WireCatalogClient::ConnectChannel(

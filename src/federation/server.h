@@ -30,25 +30,22 @@ namespace vdg {
 //
 // Threading model (a round trip crosses two thread handoffs: caller ->
 // worker -> caller):
-//  - Frame extraction runs on the thread that delivered the bytes —
-//    the client's own thread in ClientSend for the in-memory pipe, the
-//    connection's pump thread in socket mode — under a per-connection
-//    parse mutex. It splits the stream into frames, validates header +
-//    CRC, and pushes complete frames onto a bounded work queue. A
-//    malformed frame closes its connection (stream framing cannot be
-//    resynchronized after corruption). A full work queue answers
-//    immediately with ResourceExhausted — admission control happens
-//    before a worker is ever occupied.
+//  - Frame extraction runs on the client's own thread inside Send,
+//    under a per-connection parse mutex. It splits the stream into
+//    frames, validates header + CRC, and pushes complete frames onto a
+//    bounded work queue. A malformed frame closes its connection
+//    (stream framing cannot be resynchronized after corruption). A full
+//    work queue answers immediately with ResourceExhausted — admission
+//    control happens before a worker is ever occupied.
 //  - N stateless workers pop frames, decode the request, execute it
 //    against the backend, and write the response frame atomically to
 //    the connection. Workers keep no per-connection state, so any
 //    worker can serve any request and a slow call never wedges the
 //    pool. The backend must be thread-safe (InProcessCatalogClient
 //    over VirtualDataCatalog is).
-//  - Connections are in-memory duplex pipes by default (hermetic, no
-//    fds, no extra thread); loopback-socket mode runs the same byte
-//    protocol over an AF_UNIX socketpair with a per-connection pump
-//    thread, proving the codec against a real kernel byte stream.
+//  - Connections are in-memory duplex pipes: hermetic, no fds, no
+//    extra thread. Other transports plug in under the client through
+//    ClientChannel (WireCatalogClient::ConnectChannel).
 //  - The client has no thread of its own: a caller waiting for its
 //    reply reads the connection itself (WireCatalogClient below).
 // -----------------------------------------------------------------------
@@ -73,7 +70,7 @@ struct ServerOptions {
 };
 
 /// Aggregate server counters (atomics: touched by sending client
-/// threads, workers, and pump threads concurrently).
+/// threads and workers concurrently).
 struct ServerStats {
   std::atomic<uint64_t> frames_in{0};
   std::atomic<uint64_t> frames_out{0};
@@ -175,22 +172,14 @@ class ClientChannel {
 class ServerConnection : public ClientChannel,
                          public std::enable_shared_from_this<ServerConnection> {
  public:
-  ~ServerConnection() override;
-
-  /// ClientChannel: the real transport never short-writes (the socket
-  /// path loops internally), so Send accepts the whole buffer or
-  /// reports the channel broken.
-  ptrdiff_t Send(std::string_view bytes) override {
-    return ClientSend(bytes) ? static_cast<ptrdiff_t>(bytes.size()) : -1;
-  }
+  /// ClientChannel: appends `bytes` to the request stream and admits
+  /// every complete frame, on the calling thread under parse_mu_. Never
+  /// short-writes: accepts the whole buffer, or returns -1 once the
+  /// connection is closed.
+  ptrdiff_t Send(std::string_view bytes) override;
   RecvResult Receive(std::string* out,
                      std::chrono::steady_clock::time_point deadline) override;
   void Interrupt() override;
-
-  /// Client-side: delivers request bytes. In pipe mode the calling
-  /// thread also extracts and admits the complete frames. Returns false
-  /// once the connection is closed.
-  bool ClientSend(std::string_view bytes);
 
   /// Closes both directions; blocked receivers wake with EOF. Safe to
   /// call from either side, multiple times.
@@ -200,17 +189,11 @@ class ServerConnection : public ClientChannel,
 
  private:
   friend class CatalogServer;
-  ServerConnection(CatalogServer* server, int client_fd, int server_fd,
-                   int interrupt_fd);
-
-  /// Server-side: appends `bytes` to the request stream and admits
-  /// every complete frame, on the calling thread under parse_mu_.
-  /// Returns false once the connection is closed.
-  bool Ingest(std::string_view bytes);
+  explicit ServerConnection(CatalogServer* server) : server_(server) {}
 
   /// Server-side: appends response bytes (one whole frame per call,
-  /// under the write lock, so concurrent workers never interleave
-  /// frames) and wakes the client reader.
+  /// under mu_, so concurrent workers never interleave frames) and
+  /// wakes the client reader.
   void ServerWrite(std::string_view frame);
 
   CatalogServer* server_;
@@ -219,21 +202,10 @@ class ServerConnection : public ClientChannel,
   std::condition_variable outbound_cv_;
   std::string outbound_;      // server -> client, drained by Receive
   bool closed_ = false;
-  bool interrupted_ = false;  // pipe mode: Interrupt() pending
-
-  /// Socket mode: the AF_UNIX socketpair ends (-1 in pipe mode). The
-  /// client writes/reads client_fd_ directly; a server pump thread
-  /// feeds recv()'d bytes into Ingest. interrupt_fd_ is an eventfd that
-  /// Interrupt() signals to wake a Receive blocked in poll().
-  int client_fd_ = -1;
-  int server_fd_ = -1;
-  int interrupt_fd_ = -1;
-  std::mutex client_write_mu_;  // serializes whole-frame send()s per
-  std::mutex server_write_mu_;  // direction
-  std::thread pump_;
+  bool interrupted_ = false;  // Interrupt() pending
 
   /// Reassembly buffer for partially received request frames, guarded
-  /// by parse_mu_, which is held for the whole of Ingest.
+  /// by parse_mu_, which is held for the whole of Send.
   std::mutex parse_mu_;
   std::string parse_buffer_;
 };
@@ -249,10 +221,9 @@ class CatalogServer {
   CatalogServer(const CatalogServer&) = delete;
   CatalogServer& operator=(const CatalogServer&) = delete;
 
-  /// Opens a new duplex channel. `use_socket` selects the AF_UNIX
-  /// socketpair transport (falls back to the in-memory pipe if the
-  /// socketpair cannot be created).
-  std::shared_ptr<ServerConnection> Connect(bool use_socket = false);
+  /// Opens a new in-memory duplex channel. After Shutdown (or during a
+  /// drain) the channel comes back already closed.
+  std::shared_ptr<ServerConnection> Connect();
 
   /// Stops the server. With `drain_timeout == 0` (the default and what
   /// the destructor uses) the stop is abrupt: queued but unexecuted
@@ -371,8 +342,7 @@ class WireCatalogClient : public RequestClient {
   /// to learn the authority and read-only bit. Fails if the server is
   /// already shut down.
   static Result<std::shared_ptr<WireCatalogClient>> Connect(
-      CatalogServer* server, WireClientOptions options = {},
-      bool use_socket = false);
+      CatalogServer* server, WireClientOptions options = {});
 
   /// Same handshake over a caller-supplied channel — the hook
   /// FaultyChannel and future transports (TCP) plug into.

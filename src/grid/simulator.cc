@@ -56,11 +56,6 @@ bool GridSimulator::IsSiteCrashed(std::string_view site) const {
   return it != sites_.end() && it->second.crashed;
 }
 
-bool GridSimulator::IsSiteServing(std::string_view site) const {
-  auto it = sites_.find(site);
-  return it != sites_.end() && !it->second.crashed;
-}
-
 Result<uint64_t> GridSimulator::SubmitJob(std::string_view site,
                                           double cpu_seconds,
                                           JobCallback callback) {
@@ -358,19 +353,6 @@ void GridSimulator::FinishTransferBookkeeping(const InFlightTransfer& t) {
   } else {
     ++site_it->second.stats.transfers_failed;
   }
-}
-
-StorageElement* GridSimulator::FindStorage(std::string_view site,
-                                           std::string_view name) {
-  auto it = storage_.find(std::make_pair(std::string(site), std::string(name)));
-  return it == storage_.end() ? nullptr : it->second.get();
-}
-
-StorageElement* GridSimulator::AnyStorageAt(std::string_view site) {
-  for (auto& [key, se] : storage_) {
-    if (key.first == site) return se.get();
-  }
-  return nullptr;
 }
 
 std::vector<StorageElement*> GridSimulator::StorageAt(std::string_view site) {

@@ -102,12 +102,6 @@ class GridSimulator {
   /// brings the site back.
   bool IsSiteCrashed(std::string_view site) const;
 
-  /// True when a *service* hosted at `site` (storage, a catalog
-  /// endpoint) answers requests: the site exists and is not crashed.
-  /// Maintenance offline stops compute but keeps services up, matching
-  /// SubmitTransfer's storage semantics.
-  bool IsSiteServing(std::string_view site) const;
-
   /// Schedules a service interruption `start_in_s` from now lasting
   /// `duration_s`: a maintenance window (queued work holds) or, with
   /// `crash`, a full crash with data loss. The site returns to service
@@ -140,10 +134,6 @@ class GridSimulator {
   SimTime RunUntilIdle() { return events_.RunUntilEmpty(); }
 
   // --- Storage ---
-  /// Storage element by site and name; null when unknown.
-  StorageElement* FindStorage(std::string_view site, std::string_view name);
-  /// Some storage element at `site` (the first); null when none.
-  StorageElement* AnyStorageAt(std::string_view site);
   std::vector<StorageElement*> StorageAt(std::string_view site);
 
   /// Stores a logical file at `site` (first element with room) and

@@ -69,14 +69,6 @@ std::string TemplatePiece::ToString() const {
   return out;
 }
 
-std::string TemplateExprToString(const TemplateExpr& expr) {
-  std::string out;
-  for (const TemplatePiece& piece : expr) {
-    out += piece.ToString();
-  }
-  return out;
-}
-
 const TemplatePiece* CompoundCall::FindBinding(
     std::string_view formal) const {
   for (const auto& [name, piece] : bindings) {

@@ -77,8 +77,6 @@ struct TemplatePiece {
 /// `env.` or `profile` body statement.
 using TemplateExpr = std::vector<TemplatePiece>;
 
-std::string TemplateExprToString(const TemplateExpr& expr);
-
 /// A named command-line argument template inside a simple
 /// transformation body, e.g. `argument farg = "-f "${input:a1};`.
 /// The reserved names "stdin"/"stdout"/"stderr" describe stream

@@ -21,10 +21,6 @@ void TrustStore::AddRoot(Identity root) {
   roots_.insert_or_assign(root.name, std::move(root));
 }
 
-bool TrustStore::IsRoot(std::string_view name) const {
-  return roots_.find(name) != roots_.end();
-}
-
 void TrustStore::Revoke(std::string_view name) {
   revoked_.insert(std::string(name));
 }

@@ -48,7 +48,6 @@ class TrustStore {
  public:
   /// Registers a trusted root authority (self-certifying).
   void AddRoot(Identity root);
-  bool IsRoot(std::string_view name) const;
 
   /// Marks a subject name revoked; chains through it fail.
   void Revoke(std::string_view name);

@@ -51,11 +51,14 @@ std::string PrintFormal(const FormalArg& arg) {
   }
   out += arg.name;
   if (arg.default_string) {
-    out += "=" + Quote(*arg.default_string);
+    out += "=";
+    out += Quote(*arg.default_string);
   } else if (arg.default_dataset) {
     out += "=@{";
     out += ArgDirectionToString(arg.direction);
-    out += ":" + Quote(*arg.default_dataset) + ":\"\"}";
+    out += ":";
+    out += Quote(*arg.default_dataset);
+    out += ":\"\"}";
   }
   return out;
 }
@@ -133,7 +136,9 @@ std::string PrintDerivation(const Derivation& dv) {
     } else {
       out += "@{";
       out += ArgDirectionToString(*arg.direction);
-      out += ":" + Quote(*arg.dataset) + "}";
+      out += ":";
+      out += Quote(*arg.dataset);
+      out += "}";
     }
   }
   out += " );\n";

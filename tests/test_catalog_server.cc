@@ -5,12 +5,15 @@
 // cancellation produce their typed errors without wedging the pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "catalog/client.h"
@@ -49,7 +52,46 @@ std::unique_ptr<VirtualDataCatalog> ChainCatalog(int links) {
   return catalog;
 }
 
-class CatalogServerTest : public ::testing::TestWithParam<bool> {
+/// A client channel that hands the reader at most kMaxChunk response
+/// bytes per Receive and keeps the rest for the next call, so every
+/// response frame reaches WireCatalogClient split across reads.
+class TrickleChannel : public ClientChannel {
+ public:
+  static constexpr size_t kMaxChunk = 3;
+
+  explicit TrickleChannel(std::shared_ptr<ClientChannel> inner)
+      : inner_(std::move(inner)) {}
+
+  ptrdiff_t Send(std::string_view bytes) override {
+    return inner_->Send(bytes);
+  }
+  RecvResult Receive(std::string* out,
+                     std::chrono::steady_clock::time_point deadline) override {
+    // Only the reader-role holder calls Receive, so held_ needs no lock.
+    if (held_.empty()) {
+      const RecvResult got = inner_->Receive(&held_, deadline);
+      if (got != RecvResult::kData) return got;
+    }
+    const size_t n = std::min(held_.size(), kMaxChunk);
+    out->append(held_, 0, n);
+    held_.erase(0, n);
+    reads_.fetch_add(1, std::memory_order_relaxed);
+    return RecvResult::kData;
+  }
+  void Interrupt() override { inner_->Interrupt(); }
+  void Close() override { inner_->Close(); }
+  bool closed() const override { return inner_->closed(); }
+
+  /// Receives that returned data.
+  uint64_t reads() const { return reads_.load(std::memory_order_relaxed); }
+
+ private:
+  std::shared_ptr<ClientChannel> inner_;
+  std::string held_;
+  std::atomic<uint64_t> reads_{0};
+};
+
+class CatalogServerTest : public ::testing::Test {
  protected:
   CatalogServerTest() : catalog_(ChainCatalog(8)) {}
 
@@ -57,36 +99,36 @@ class CatalogServerTest : public ::testing::TestWithParam<bool> {
     return std::make_shared<InProcessCatalogClient>(catalog_.get(), read_only);
   }
 
-  bool UseSocket() const { return GetParam(); }
+  /// Every read kind through `remote` answers exactly as the
+  /// in-process client does.
+  void ExpectEveryReadMatchesInProcess(CatalogClient& remote);
+
+  /// Walks d8 back to the raw input through `remote`, comparing each
+  /// hop with the in-process client.
+  void ExpectChainWalkMatchesInProcess(CatalogClient& remote);
 
   std::unique_ptr<VirtualDataCatalog> catalog_;
 };
 
-INSTANTIATE_TEST_SUITE_P(Transports, CatalogServerTest,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Socket" : "Pipe";
-                         });
-
 // ----------------------- parity with in-process ----------------------
 
-TEST_P(CatalogServerTest, HandshakeLearnsAuthorityAndMutability) {
+TEST_F(CatalogServerTest, HandshakeLearnsAuthorityAndMutability) {
   CatalogServer server(Backend());
-  auto client = WireCatalogClient::Connect(&server, {}, UseSocket());
+  auto client = WireCatalogClient::Connect(&server);
   ASSERT_TRUE(client.ok()) << client.status();
   EXPECT_EQ((*client)->authority(), "chain.org");
   EXPECT_FALSE((*client)->read_only());
 
   CatalogServer ro_server(Backend(/*read_only=*/true));
-  auto ro = WireCatalogClient::Connect(&ro_server, {}, UseSocket());
+  auto ro = WireCatalogClient::Connect(&ro_server);
   ASSERT_TRUE(ro.ok());
   EXPECT_TRUE((*ro)->read_only());
   EXPECT_TRUE((*ro)->DefineDataset(Dataset{}).IsPermissionDenied());
 }
 
-TEST_P(CatalogServerTest, ReadOnlyClientsRejectMutationsBeforeTheTransport) {
+TEST_F(CatalogServerTest, ReadOnlyClientsRejectMutationsBeforeTheTransport) {
   CatalogServer server(Backend(/*read_only=*/true));
-  auto wire_client = WireCatalogClient::Connect(&server, {}, UseSocket());
+  auto wire_client = WireCatalogClient::Connect(&server);
   ASSERT_TRUE(wire_client.ok()) << wire_client.status();
   WireCatalogClient& ro = **wire_client;
   ResilientEndpoint endpoint;
@@ -113,11 +155,8 @@ TEST_P(CatalogServerTest, ReadOnlyClientsRejectMutationsBeforeTheTransport) {
   EXPECT_FALSE(catalog_->HasDataset("ro-ds"));
 }
 
-TEST_P(CatalogServerTest, EveryReadMatchesInProcessBitForBit) {
-  CatalogServer server(Backend());
-  auto wire_client = WireCatalogClient::Connect(&server, {}, UseSocket());
-  ASSERT_TRUE(wire_client.ok()) << wire_client.status();
-  WireCatalogClient& remote = **wire_client;
+void CatalogServerTest::ExpectEveryReadMatchesInProcess(
+    CatalogClient& remote) {
   InProcessCatalogClient local(catalog_.get());
 
   EXPECT_EQ(*remote.Version(), *local.Version());
@@ -191,11 +230,8 @@ TEST_P(CatalogServerTest, EveryReadMatchesInProcessBitForBit) {
   }
 }
 
-TEST_P(CatalogServerTest, ProvenanceChainWalkIsIdenticalOverTheWire) {
-  CatalogServer server(Backend());
-  auto wire_client = WireCatalogClient::Connect(&server, {}, UseSocket());
-  ASSERT_TRUE(wire_client.ok());
-  WireCatalogClient& remote = **wire_client;
+void CatalogServerTest::ExpectChainWalkMatchesInProcess(
+    CatalogClient& remote) {
   InProcessCatalogClient local(catalog_.get());
 
   // Walk d8 back to the raw input one GetProvenanceStep at a time —
@@ -226,13 +262,53 @@ TEST_P(CatalogServerTest, ProvenanceChainWalkIsIdenticalOverTheWire) {
     ASSERT_LT(hops, 32) << "cycle in chain walk";
   }
   EXPECT_EQ(hops, 8);
+}
+
+TEST_F(CatalogServerTest, EveryReadMatchesInProcessBitForBit) {
+  CatalogServer server(Backend());
+  auto wire_client = WireCatalogClient::Connect(&server);
+  ASSERT_TRUE(wire_client.ok()) << wire_client.status();
+  ExpectEveryReadMatchesInProcess(**wire_client);
+}
+
+TEST_F(CatalogServerTest, ProvenanceChainWalkIsIdenticalOverTheWire) {
+  CatalogServer server(Backend());
+  auto wire_client = WireCatalogClient::Connect(&server);
+  ASSERT_TRUE(wire_client.ok());
+  ExpectChainWalkMatchesInProcess(**wire_client);
   // Handshake + one GetProvenanceStep per chain node (d8..d0).
   EXPECT_GE(server.stats().requests_served.load(), 10u);
 }
 
-TEST_P(CatalogServerTest, MutationsThroughTheWireLandInTheCatalog) {
+// A response frame split across Receives must be reassembled by the
+// reader: the same parity and chain walk, read a few bytes at a time.
+TEST_F(CatalogServerTest, PartialResponseReadsKeepReadParity) {
   CatalogServer server(Backend());
-  auto wire_client = WireCatalogClient::Connect(&server, {}, UseSocket());
+  auto channel = std::make_shared<TrickleChannel>(server.Connect());
+  auto wire_client = WireCatalogClient::ConnectChannel(channel);
+  ASSERT_TRUE(wire_client.ok()) << wire_client.status();
+  ExpectEveryReadMatchesInProcess(**wire_client);
+  const WireClientStats stats = (*wire_client)->stats();
+  EXPECT_GT(stats.round_trips, 10u);
+  EXPECT_GE(channel->reads() * TrickleChannel::kMaxChunk,
+            stats.bytes_received);
+}
+
+TEST_F(CatalogServerTest, PartialResponseReadsKeepChainWalk) {
+  CatalogServer server(Backend());
+  auto channel = std::make_shared<TrickleChannel>(server.Connect());
+  auto wire_client = WireCatalogClient::ConnectChannel(channel);
+  ASSERT_TRUE(wire_client.ok()) << wire_client.status();
+  ExpectChainWalkMatchesInProcess(**wire_client);
+  const WireClientStats stats = (*wire_client)->stats();
+  EXPECT_EQ(stats.round_trips, 10u);  // handshake + d8..d0
+  EXPECT_GE(channel->reads() * TrickleChannel::kMaxChunk,
+            stats.bytes_received);
+}
+
+TEST_F(CatalogServerTest, MutationsThroughTheWireLandInTheCatalog) {
+  CatalogServer server(Backend());
+  auto wire_client = WireCatalogClient::Connect(&server);
   ASSERT_TRUE(wire_client.ok());
   WireCatalogClient& remote = **wire_client;
 
@@ -271,9 +347,9 @@ TEST_P(CatalogServerTest, MutationsThroughTheWireLandInTheCatalog) {
   EXPECT_EQ(catalog_->InvocationsOf("l1").size(), 1u);
 }
 
-TEST_P(CatalogServerTest, ApplyBatchShipsAsOneFrameWithCrossOpIds) {
+TEST_F(CatalogServerTest, ApplyBatchShipsAsOneFrameWithCrossOpIds) {
   CatalogServer server(Backend());
-  auto wire_client = WireCatalogClient::Connect(&server, {}, UseSocket());
+  auto wire_client = WireCatalogClient::Connect(&server);
   ASSERT_TRUE(wire_client.ok());
   WireCatalogClient& remote = **wire_client;
   uint64_t before = remote.stats().round_trips;
@@ -311,15 +387,13 @@ TEST_P(CatalogServerTest, ApplyBatchShipsAsOneFrameWithCrossOpIds) {
 
 // ----------------------- leader/follower receive --------------------
 // WireCatalogClient has no receiver thread: a waiting caller reads the
-// channel for everyone, then hands the reader role on. These run in
-// both transports (the socket reader blocks in poll(), the pipe reader
-// on a condvar).
+// channel for everyone, then hands the reader role on.
 
-TEST_P(CatalogServerTest, ReaderRoleConcurrentCallersGetTheirOwnReplies) {
+TEST_F(CatalogServerTest, ReaderRoleConcurrentCallersGetTheirOwnReplies) {
   ServerOptions opts;
   opts.workers = 4;
   CatalogServer server(Backend(), opts);
-  auto client = WireCatalogClient::Connect(&server, {}, UseSocket());
+  auto client = WireCatalogClient::Connect(&server);
   ASSERT_TRUE(client.ok()) << client.status();
 
   constexpr int kThreads = 8;
@@ -347,13 +421,13 @@ TEST_P(CatalogServerTest, ReaderRoleConcurrentCallersGetTheirOwnReplies) {
             static_cast<uint64_t>(kThreads * kCalls) + 1);  // + handshake
 }
 
-TEST_P(CatalogServerTest, ReaderRoleCancelInterruptsTheReader) {
+TEST_F(CatalogServerTest, ReaderRoleCancelInterruptsTheReader) {
   ServerOptions opts;
   opts.workers = 1;
   CatalogServer server(Backend(), opts);
   WireClientOptions copts;
   copts.default_deadline = std::chrono::milliseconds(0);  // no deadline
-  auto client = WireCatalogClient::Connect(&server, copts, UseSocket());
+  auto client = WireCatalogClient::Connect(&server, copts);
   ASSERT_TRUE(client.ok()) << client.status();
   (*client)->reset_stats();
 
@@ -386,7 +460,7 @@ TEST_P(CatalogServerTest, ReaderRoleCancelInterruptsTheReader) {
   EXPECT_EQ(next->name, "d2");
 }
 
-TEST_P(CatalogServerTest, ReaderRoleDeadlineExpiryDiscardsLateReply) {
+TEST_F(CatalogServerTest, ReaderRoleDeadlineExpiryDiscardsLateReply) {
   // One worker serves requests in arrival order, so the expired call's
   // late reply reaches the client while the next call is waiting: the
   // reader must drop it and deliver only the next call's own reply.
@@ -395,7 +469,7 @@ TEST_P(CatalogServerTest, ReaderRoleDeadlineExpiryDiscardsLateReply) {
   CatalogServer server(Backend(), opts);
   WireClientOptions copts;
   copts.default_deadline = std::chrono::milliseconds(150);
-  auto client = WireCatalogClient::Connect(&server, copts, UseSocket());
+  auto client = WireCatalogClient::Connect(&server, copts);
   ASSERT_TRUE(client.ok()) << client.status();
 
   server.set_handler_delay(std::chrono::microseconds(200'000));
@@ -442,7 +516,7 @@ size_t ThreadCountSettlingAt(size_t expected) {
 
 // A round trip crosses two thread handoffs (caller -> worker ->
 // caller), so the server owns its workers and nothing else, and a
-// pipe-mode client owns no thread at all.
+// client owns no thread at all.
 TEST(CatalogServerRuntime, ServerAndPipeClientsAddOnlyWorkerThreads) {
   auto catalog = ChainCatalog(2);
   // A runtime may start a helper thread alongside the process's first
@@ -669,7 +743,7 @@ TEST(CatalogServerRuntime, ManyConcurrentClientsSeeConsistentAnswers) {
   threads.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
     threads.emplace_back([&, c] {
-      auto client = WireCatalogClient::Connect(&server, {}, c % 2 == 1);
+      auto client = WireCatalogClient::Connect(&server);
       if (!client.ok()) {
         ++failures;
         return;

@@ -18,8 +18,8 @@ bench (bench_wire_faults) to its client-visible success-rate floor.
 
 With --ceiling the bound is an upper limit instead: the check fails
 when the value EXCEEDS it. Latency counters gate this way — e.g.
-`--ceiling ... BM_Traffic/8 <p99-of-1-shard> p99_us` holds sharded
-tail latency to the single-shard baseline.
+`--ceiling ... BM_WireServerRoundTrip/1 100000 real_time` holds one
+wire round trip under 100 us of wall time.
 
 With --relative-to <other-benchmark> the bound is a factor applied to
 the other benchmark's value from the same file — e.g.

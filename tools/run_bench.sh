@@ -21,7 +21,7 @@ cmake -S "$REPO_ROOT" -B "$BUILD_DIR" -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
   --target bench_fig1_schema_ops bench_fig4_federated_index \
            bench_conc_catalog bench_fault_recovery bench_fed_rpc \
-           bench_wire_server bench_wire_faults bench_traffic >/dev/null
+           bench_wire_server bench_wire_faults >/dev/null
 
 # Every bench result must come from a Release-compiled binary. The
 # binaries stamp vdg_build_type into their context (bench/bench_main.cc)
@@ -575,112 +575,4 @@ for k, v in sorted(items.items()):
 for workers, point in sorted(rtt_by_workers.items()):
     print(f"  round trip, {workers} worker(s): {point['round_trip_us']}us "
           f"({point['calls_per_sec']:,} calls/s)")
-PYEOF
-
-# Sharded scale-out under open-loop traffic: BM_Traffic sweeps the
-# shard count 1/2/4/8 at EQUAL offered load (the 1-shard run
-# calibrates the rate; every later topology reuses it — see
-# bench_traffic.cc). Two gates:
-#   - per-shard efficiency: at N shards the completed rate reaches
-#     >= 0.6 of linear scaling from one shard, capped by the offered
-#     rate (once N shards absorb the whole offered load there is
-#     nothing left to scale; see DESIGN.md §16).
-#   - p99 latency at 8 shards is no worse than the saturated 1-shard
-#     baseline (gated via check_bench_floor.py --ceiling)
-TRAFFIC_OUT="$BUILD_DIR/bench_traffic.json"
-"$BUILD_DIR/bench/bench_traffic" \
-  --benchmark_out="$TRAFFIC_OUT" --benchmark_out_format=json
-
-assert_release "$TRAFFIC_OUT"
-
-# The ceiling for p99(8 shards) is the measured p99 of the 1-shard
-# baseline from the same sweep, not a static number: equal offered
-# load makes the comparison meaningful on any host speed.
-P99_CEILING="$(python3 - "$TRAFFIC_OUT" <<'PYEOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    raw = json.load(f)
-for b in raw.get("benchmarks", []):
-    if b["name"] == "BM_Traffic/1":
-        print(b["p99_us"])
-        break
-PYEOF
-)"
-python3 "$REPO_ROOT/tools/check_bench_floor.py" --ceiling "$TRAFFIC_OUT" \
-  "BM_Traffic/8" "$P99_CEILING" p99_us
-
-python3 - "$TRAFFIC_OUT" "$FED_JSON" <<'PYEOF'
-import json
-import sys
-
-traffic_path, fed_path = sys.argv[1:3]
-with open(traffic_path) as f:
-    traffic = json.load(f)
-with open(fed_path) as f:
-    fed = json.load(f)
-
-by_shards = {}
-for b in traffic.get("benchmarks", []):
-    name = b["name"]  # BM_Traffic/<shards>
-    if not name.startswith("BM_Traffic/"):
-        continue
-    by_shards[int(name.rsplit("/", 1)[1])] = {
-        "offered_rate": b.get("offered_rate"),
-        "completed_rate": round(b.get("completed_rate", 0.0)),
-        "query_rate": round(b.get("query_rate", 0.0)),
-        "errors": b.get("errors"),
-        "users": b.get("users"),
-        "p50_us": round(b.get("p50_us", 0.0), 1),
-        "p95_us": round(b.get("p95_us", 0.0), 1),
-        "p99_us": round(b.get("p99_us", 0.0), 1),
-        "query_p99_us": round(b.get("query_p99_us", 0.0), 1),
-    }
-
-one, eight = by_shards.get(1, {}), by_shards.get(8, {})
-query_scaling = None
-if one.get("query_rate") and eight.get("query_rate"):
-    query_scaling = round(eight["query_rate"] / one["query_rate"], 1)
-
-# Efficiency vs linear scaling from one shard, capped by the offered
-# rate: completed(N) / min(offered, N * completed(1)).
-MIN_SHARD_EFFICIENCY = 0.6
-efficiency = {}
-for shards, point in sorted(by_shards.items()):
-    if shards == 1 or not one.get("completed_rate"):
-        continue
-    ideal = min(point["offered_rate"], shards * one["completed_rate"])
-    efficiency[shards] = round(point["completed_rate"] / ideal, 3)
-
-fed["traffic"] = {
-    "by_shards": by_shards,
-    "query_rate_scaling_1_to_8": query_scaling,
-    "per_shard_efficiency": efficiency,
-    "per_shard_efficiency_floor": MIN_SHARD_EFFICIENCY,
-}
-fed["benchmarks"] = fed.get("benchmarks", []) + traffic.get("benchmarks", [])
-with open(fed_path, "w") as f:
-    json.dump(fed, f, indent=2)
-    f.write("\n")
-
-print("merged traffic results into", fed_path)
-for shards, point in sorted(by_shards.items()):
-    print(f"  {shards} shard(s): query_rate={point['query_rate']:,}/s "
-          f"p99={point['p99_us']}us errors={point['errors']}")
-print(f"  query-rate scaling 1 -> 8 shards: {query_scaling}x")
-for shards, eff in sorted(efficiency.items()):
-    print(f"  per-shard efficiency at {shards} shards: {eff}")
-
-failed = []
-if not efficiency:
-    failed.append("traffic sweep has no multi-shard points")
-for shards, eff in sorted(efficiency.items()):
-    if eff < MIN_SHARD_EFFICIENCY:
-        failed.append(f"per-shard efficiency {eff} < {MIN_SHARD_EFFICIENCY} "
-                      f"at {shards} shards")
-for shards, point in sorted(by_shards.items()):
-    if point.get("errors"):
-        failed.append(f"traffic run at {shards} shard(s) had errors")
-if failed:
-    print("TRAFFIC-SCALING REGRESSION:", failed)
-    sys.exit(1)
 PYEOF
