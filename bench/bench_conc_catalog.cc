@@ -217,14 +217,17 @@ BENCHMARK(BM_ApplyBatch_GroupCommit);
 // apply, journal, publish the next snapshot generation. With the
 // copy-on-write generations a commit copies only the nodes it touches,
 // so cost(80k datasets) must stay within 2x cost(2.5k) (gated in
-// tools/run_bench.sh). Each iteration times one single Annotate, one
-// single DefineDerivation (new output), and one executor write-back
+// tools/run_bench.sh). The replica and invocation tables are preloaded
+// to the same size, so the gate covers their copy-on-write path too.
+// Each iteration times one single Annotate, one single
+// DefineDerivation (new output), and one executor write-back
 // (a 4-op ApplyBatch: derivation, replica, invocation, annotation),
 // then removes what it added, untimed, so the catalog keeps its size.
 // ---------------------------------------------------------------------
 
-/// A catalog of `datasets` annotated datasets plus one derivation per
-/// eight of them, loaded in 1000-op batches.
+/// A catalog of `datasets` annotated datasets, one derivation per
+/// eight of them, and one replica and one invocation per dataset,
+/// loaded in 1000-op batches.
 VirtualDataCatalog* CommitCostCatalog(size_t datasets) {
   static std::map<size_t, std::unique_ptr<VirtualDataCatalog>>* cache =
       new std::map<size_t, std::unique_ptr<VirtualDataCatalog>>();
@@ -267,6 +270,17 @@ VirtualDataCatalog* CommitCostCatalog(size_t datasets) {
       std::abort();
     }
     batch.push_back(CatalogMutation::DefineDerivation(std::move(dv)));
+    if (batch.size() == 1000) flush();
+  }
+  for (size_t i = 0; i < datasets; ++i) {
+    Replica replica;
+    replica.dataset = "cc" + std::to_string(i);
+    replica.site = "site-a";
+    batch.push_back(CatalogMutation::AddReplica(std::move(replica)));
+    Invocation invocation;
+    invocation.derivation = "ccv" + std::to_string(i % (datasets / 8));
+    invocation.context.site = "site-a";
+    batch.push_back(CatalogMutation::RecordInvocation(std::move(invocation)));
     if (batch.size() == 1000) flush();
   }
   if (!batch.empty()) flush();

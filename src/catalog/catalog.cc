@@ -32,16 +32,29 @@ void ForEachRow(const RowTable<T>& table, Fn&& fn) {
   });
 }
 
-// Removes one (key, value) pair from a multimap index.
-template <typename Map, typename K, typename V>
-void EraseIndexEntry(Map* map, const K& key, const V& value) {
-  auto [lo, hi] = map->equal_range(key);
-  for (auto it = lo; it != hi; ++it) {
-    if (it->second == value) {
-      map->erase(it);
-      return;
+/// The minimal journal records that rebuild `snap` (see
+/// CurrentStateRecords): rows in name order, except replicas and
+/// invocations, which go in id order — their commit order — so replay
+/// re-interns them in the same relative order.
+std::vector<std::string> StateRecords(const CatalogSnapshot& snap) {
+  std::vector<std::string> records;
+  for (int d = 0; d < kNumTypeDimensions; ++d) {
+    auto dim = static_cast<TypeDimension>(d);
+    for (const auto& [name, parent] :
+         snap.types->dimension(dim).EdgesParentsFirst()) {
+      records.push_back(journal_record::EncodeType(dim, name, parent));
     }
   }
+  auto encode = [&records](const auto& object) {
+    records.push_back(journal_record::Encode(object));
+  };
+  ForEachRow(snap.datasets, encode);
+  ForEachRow(snap.transformations, encode);
+  ForEachRow(snap.derivations, encode);
+  auto encode_row = [&encode](const auto& row) { encode(*row.object); };
+  snap.replicas.ForEachById(encode_row);
+  snap.invocations.ForEachById(encode_row);
+  return records;
 }
 
 // A non-finite double attribute has no journal form (the object
@@ -164,6 +177,12 @@ void VirtualDataCatalog::IndexDerivation(const Derivation& derivation, Id id,
       PostingRemove(map, symbols_.Intern(key), id);
     }
   };
+  const Id bucket = snapshot_internal::SignatureBucket(derivation.Signature());
+  if (add) {
+    PostingAdd(&next_.by_signature, bucket, id);
+  } else {
+    PostingRemove(&next_.by_signature, bucket, id);
+  }
   edit(&next_.by_transformation, derivation.QualifiedTransformation());
   if (derivation.QualifiedTransformation() != derivation.transformation()) {
     edit(&next_.by_bare_transformation, derivation.transformation());
@@ -176,20 +195,19 @@ void VirtualDataCatalog::IndexDerivation(const Derivation& derivation, Id id,
   }
 }
 
-void VirtualDataCatalog::NoteReplicaState(const Replica* before,
-                                          const Replica* after) {
-  if (before != nullptr && before->valid) {
-    auto it = valid_replicas_by_dataset_.find(before->dataset);
-    if (it != valid_replicas_by_dataset_.end() && --it->second == 0) {
-      valid_replicas_by_dataset_.erase(it);
-      PostingRemove(&next_.materialized, symbols_.Intern(before->dataset));
-    }
+void VirtualDataCatalog::RefreshMaterialized(Id dataset) {
+  bool valid = false;
+  if (const PostingSlot* replicas = next_.replicas_of.Find(dataset);
+      replicas != nullptr && replicas->list != nullptr) {
+    replicas->list->ForEach([&](Id replica) {
+      const auto* row = next_.replicas.Find(replica);
+      valid = valid || (row != nullptr && row->object->valid);
+    });
   }
-  if (after != nullptr && after->valid) {
-    if (++valid_replicas_by_dataset_[after->dataset] == 1) {
-      PostingAdd(&next_.materialized, symbols_.Intern(after->dataset));
-    }
-  }
+  const bool marked = !next_.materialized.empty() &&
+                      next_.materialized.list->Contains(dataset);
+  if (valid && !marked) PostingAdd(&next_.materialized, dataset);
+  if (!valid && marked) PostingRemove(&next_.materialized, dataset);
 }
 
 // ---------------------------------------------------------------------
@@ -227,19 +245,15 @@ void VirtualDataCatalog::TrimChangelogLocked() {
 }
 
 void VirtualDataCatalog::set_changelog_capacity(size_t capacity) {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   changelog_capacity_ = capacity;
   TrimChangelogLocked();
   PublishSnapshotLocked();
 }
 
 size_t VirtualDataCatalog::changelog_capacity() const {
-  std::shared_lock lock(mu_);
+  std::lock_guard lock(mu_);
   return changelog_capacity_;
-}
-
-uint64_t VirtualDataCatalog::changelog_floor() const {
-  return View().changelog_floor();
 }
 
 void VirtualDataCatalog::PublishSnapshotLocked() {
@@ -279,13 +293,15 @@ Result<std::string> VirtualDataCatalog::CommitLocked(
 Status VirtualDataCatalog::SyncJournal() {
   // Exclusive: journal backends are unsynchronized and rely on the
   // catalog lock for mutual exclusion with Append/Rewrite.
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   return journal_->Sync();
 }
 
 Status VirtualDataCatalog::CompactJournal() {
-  std::unique_lock lock(mu_);
-  std::vector<std::string> records = CurrentStateRecordsLocked();
+  std::lock_guard lock(mu_);
+  // Every commit publishes before releasing mu_, so under it the
+  // published view is the writer's state.
+  std::vector<std::string> records = StateRecords(View().snapshot());
   Status rewritten = journal_->Rewrite(records);
   if (rewritten.ok() && journal_->persistent()) {
     // The journal now starts over with the compacted state; re-anchor
@@ -300,25 +316,6 @@ Status VirtualDataCatalog::CompactJournal() {
   return rewritten;
 }
 
-bool VirtualDataCatalog::TypeConforms(const DatasetType& type,
-                                      const DatasetType& against) const {
-  return View().types().Conforms(type, against);
-}
-
-bool VirtualDataCatalog::HasType(TypeDimension dim,
-                                 std::string_view type_name) const {
-  return View().types().dimension(dim).Contains(type_name);
-}
-
-TypeRegistry VirtualDataCatalog::TypesSnapshot() const {
-  return View().types();
-}
-
-Result<std::vector<CatalogChange>> VirtualDataCatalog::ChangesSince(
-    uint64_t since_version) const {
-  return View().ChangesSince(since_version);
-}
-
 VirtualDataCatalog::VirtualDataCatalog(
     std::string name, std::unique_ptr<CatalogJournal> journal)
     : name_(std::move(name)),
@@ -330,7 +327,7 @@ VirtualDataCatalog::VirtualDataCatalog(
 }
 
 Status VirtualDataCatalog::Open() {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   if (opened_) return Status::OK();
   opened_ = true;
   VDG_ASSIGN_OR_RETURN(std::vector<std::string> records, journal_->ReadAll());
@@ -384,7 +381,7 @@ const DatasetType* VirtualDataCatalog::LookupDatasetType(
 Status VirtualDataCatalog::DefineType(TypeDimension dim,
                                       std::string_view type_name,
                                       std::string_view parent) {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   return CommitLocked(DefineTypeLocked(dim, type_name, parent));
 }
 
@@ -400,7 +397,7 @@ Status VirtualDataCatalog::DefineTypeLocked(TypeDimension dim,
 }
 
 Status VirtualDataCatalog::LoadTypePreset() {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   // Route through a scratch registry to obtain the preset's edges,
   // then journal each through DefineType. The whole preset commits as
   // one batch: one version bump, one journal flush.
@@ -425,7 +422,7 @@ Status VirtualDataCatalog::LoadTypePreset() {
 }
 
 Status VirtualDataCatalog::DefineDataset(Dataset dataset) {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   return CommitLocked(DefineDatasetLocked(std::move(dataset)));
 }
 
@@ -455,7 +452,7 @@ Status VirtualDataCatalog::DefineDatasetLocked(Dataset dataset) {
 }
 
 Status VirtualDataCatalog::DefineTransformation(Transformation transformation) {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   return CommitLocked(DefineTransformationLocked(std::move(transformation)));
 }
 
@@ -483,7 +480,7 @@ Status VirtualDataCatalog::DefineTransformationLocked(
 }
 
 Status VirtualDataCatalog::DefineDerivation(Derivation derivation) {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   return CommitLocked(DefineDerivationLocked(std::move(derivation)));
 }
 
@@ -577,8 +574,6 @@ Status VirtualDataCatalog::DefineDerivationLocked(Derivation derivation) {
 
   // Index maintenance.
   Id dv_id = symbols_.Intern(derivation.name());
-  derivations_by_signature_.emplace(derivation.Signature(),
-                                    derivation.name());
   IndexDerivation(derivation, dv_id, true);
   BumpVersion('U', "derivation", derivation.name());
   next_.derivations.Put(
@@ -588,7 +583,7 @@ Status VirtualDataCatalog::DefineDerivationLocked(Derivation derivation) {
 }
 
 Result<std::string> VirtualDataCatalog::AddReplica(Replica replica) {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   return CommitLocked(AddReplicaLocked(std::move(replica)));
 }
 
@@ -604,32 +599,36 @@ Result<std::string> VirtualDataCatalog::AddReplicaLocked(Replica replica) {
   }
   VDG_RETURN_IF_ERROR(replica.Validate());
   VDG_RETURN_IF_ERROR(CheckFinite(replica.annotations));
-  if (RowOf(next_.datasets, replica.dataset) == nullptr) {
+  const auto* owner = RowOf(next_.datasets, replica.dataset);
+  if (owner == nullptr) {
     return Status::NotFound("replica " + replica.id +
                             " references unknown dataset " + replica.dataset);
   }
-  auto existing = replicas_.find(replica.id);
-  bool existed = existing != replicas_.end();
-  if (existed && !replaying_) {
+  const Id dataset = owner->id;
+  const auto* existing = RowOf(next_.replicas, replica.id);
+  if (existing != nullptr && !replaying_) {
     return Status::AlreadyExists("replica already exists: " + replica.id);
   }
   VDG_RETURN_IF_ERROR(Journal(journal_record::Encode(replica)));
-  if (!existed) {
-    replicas_by_dataset_.emplace(replica.dataset, replica.id);
-  }
-  NoteReplicaState(existed ? &existing->second : nullptr, &replica);
+  // Interning the id here, at its first commit, makes id order commit
+  // order (ReplicasOf answers in it). A replayed upsert keeps its
+  // dataset: only annotation and invalidation re-journal a replica.
+  const Id id = symbols_.Intern(replica.id);
+  if (existing == nullptr) PostingAdd(&next_.replicas_of, dataset, id);
   // Index-visible effect of a replica mutation: its dataset's
   // materialized bit may flip, so the changelog records a dataset
   // upsert.
   BumpVersion('U', "dataset", replica.dataset);
-  std::string id = replica.id;
-  replicas_.insert_or_assign(id, std::move(replica));
-  return id;
+  next_.replicas.Put(id, symbols_.NameOf(id),
+                     std::make_shared<const Replica>(std::move(replica)),
+                     gen_);
+  RefreshMaterialized(dataset);
+  return std::string(symbols_.NameOf(id));
 }
 
 Result<std::string> VirtualDataCatalog::RecordInvocation(
     Invocation invocation) {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   return CommitLocked(RecordInvocationLocked(std::move(invocation)));
 }
 
@@ -652,19 +651,24 @@ Result<std::string> VirtualDataCatalog::RecordInvocationLocked(
                             " references unknown derivation " +
                             invocation.derivation);
   }
-  bool existed = invocations_.count(invocation.id) != 0;
-  if (existed && !replaying_) {
+  const auto* existing = RowOf(next_.invocations, invocation.id);
+  if (existing != nullptr && !replaying_) {
     return Status::AlreadyExists("invocation already exists: " +
                                  invocation.id);
   }
   VDG_RETURN_IF_ERROR(Journal(journal_record::Encode(invocation)));
-  if (!existed) {
-    invocations_by_derivation_.emplace(invocation.derivation, invocation.id);
+  // As for replicas: the id is interned at its first commit, and a
+  // replayed upsert (an annotation) keeps its derivation.
+  const Id id = symbols_.Intern(invocation.id);
+  if (existing == nullptr) {
+    PostingAdd(&next_.invocations_of, symbols_.Intern(invocation.derivation),
+               id);
   }
   BumpVersion('U', "invocation", invocation.id);
-  std::string id = invocation.id;
-  invocations_.insert_or_assign(id, std::move(invocation));
-  return id;
+  next_.invocations.Put(
+      id, symbols_.NameOf(id),
+      std::make_shared<const Invocation>(std::move(invocation)), gen_);
+  return std::string(symbols_.NameOf(id));
 }
 
 // ---------------------------------------------------------------------
@@ -733,7 +737,7 @@ Status VirtualDataCatalog::ApplyMutationLocked(const CatalogMutation& mutation,
 BatchResult VirtualDataCatalog::ApplyBatch(
     const std::vector<CatalogMutation>& mutations,
     const BatchOptions& options) {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   BatchResult result;
   result.statuses.reserve(mutations.size());
   result.assigned_ids.resize(mutations.size());
@@ -766,7 +770,7 @@ BatchResult VirtualDataCatalog::ApplyBatch(
 }
 
 Status VirtualDataCatalog::ImportProgram(const VdlProgram& program) {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   in_batch_ = true;
   batch_bumped_ = false;
   Status s = ImportProgramLocked(program);
@@ -796,53 +800,6 @@ Status VirtualDataCatalog::ImportVdl(std::string_view source) {
 }
 
 // ---------------------------------------------------------------------
-// Point lookups
-// ---------------------------------------------------------------------
-
-Result<Dataset> VirtualDataCatalog::GetDataset(std::string_view name) const {
-  return View().GetDataset(name);
-}
-
-Result<Transformation> VirtualDataCatalog::GetTransformation(
-    std::string_view name) const {
-  return View().GetTransformation(name);
-}
-
-Result<Derivation> VirtualDataCatalog::GetDerivation(
-    std::string_view name) const {
-  return View().GetDerivation(name);
-}
-
-Result<Replica> VirtualDataCatalog::GetReplica(std::string_view id) const {
-  std::shared_lock lock(mu_);
-  auto it = replicas_.find(id);
-  if (it == replicas_.end()) {
-    return Status::NotFound("replica not found: " + std::string(id));
-  }
-  return it->second;
-}
-
-Result<Invocation> VirtualDataCatalog::GetInvocation(
-    std::string_view id) const {
-  std::shared_lock lock(mu_);
-  auto it = invocations_.find(id);
-  if (it == invocations_.end()) {
-    return Status::NotFound("invocation not found: " + std::string(id));
-  }
-  return it->second;
-}
-
-bool VirtualDataCatalog::HasDataset(std::string_view name) const {
-  return View().HasDataset(name);
-}
-bool VirtualDataCatalog::HasTransformation(std::string_view name) const {
-  return View().HasTransformation(name);
-}
-bool VirtualDataCatalog::HasDerivation(std::string_view name) const {
-  return View().HasDerivation(name);
-}
-
-// ---------------------------------------------------------------------
 // Updates & removal
 // ---------------------------------------------------------------------
 
@@ -850,7 +807,7 @@ Status VirtualDataCatalog::Annotate(std::string_view kind,
                                     std::string_view name,
                                     std::string_view key,
                                     AttributeValue value) {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   return CommitLocked(AnnotateLocked(kind, name, key, std::move(value)));
 }
 
@@ -907,29 +864,39 @@ Status VirtualDataCatalog::AnnotateLocked(std::string_view kind,
     return journaled;
   }
   if (kind == "replica") {
-    auto it = replicas_.find(name);
-    if (it == replicas_.end()) {
+    const auto* row = RowOf(next_.replicas, name);
+    if (row == nullptr) {
       return Status::NotFound("replica not found: " + std::string(name));
     }
-    it->second.annotations.Set(key, std::move(value));
-    BumpVersion('U', "dataset", it->second.dataset);
-    return Journal(journal_record::Encode(it->second));
+    Replica updated = *row->object;
+    updated.annotations.Set(key, std::move(value));
+    BumpVersion('U', "dataset", updated.dataset);
+    Status journaled = Journal(journal_record::Encode(updated));
+    next_.replicas.Put(row->id, row->name,
+                       std::make_shared<const Replica>(std::move(updated)),
+                       gen_);
+    return journaled;
   }
   if (kind == "invocation") {
-    auto it = invocations_.find(name);
-    if (it == invocations_.end()) {
+    const auto* row = RowOf(next_.invocations, name);
+    if (row == nullptr) {
       return Status::NotFound("invocation not found: " + std::string(name));
     }
-    it->second.annotations.Set(key, std::move(value));
+    Invocation updated = *row->object;
+    updated.annotations.Set(key, std::move(value));
     BumpVersion('U', "invocation", name);
-    return Journal(journal_record::Encode(it->second));
+    Status journaled = Journal(journal_record::Encode(updated));
+    next_.invocations.Put(
+        row->id, row->name,
+        std::make_shared<const Invocation>(std::move(updated)), gen_);
+    return journaled;
   }
   return Status::InvalidArgument("unknown object kind: " + std::string(kind));
 }
 
 Status VirtualDataCatalog::SetDatasetSize(std::string_view name,
                                           int64_t size_bytes) {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   return CommitLocked(SetDatasetSizeLocked(name, size_bytes));
 }
 
@@ -953,25 +920,30 @@ Status VirtualDataCatalog::SetDatasetSizeLocked(std::string_view name,
 }
 
 Status VirtualDataCatalog::InvalidateReplica(std::string_view id) {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   return CommitLocked(InvalidateReplicaLocked(id));
 }
 
 Status VirtualDataCatalog::InvalidateReplicaLocked(std::string_view id) {
-  auto it = replicas_.find(id);
-  if (it == replicas_.end()) {
+  const auto* row = RowOf(next_.replicas, id);
+  if (row == nullptr) {
     return Status::NotFound("replica not found: " + std::string(id));
   }
-  if (!it->second.valid) return Status::OK();
-  Replica before = it->second;
-  it->second.valid = false;
-  NoteReplicaState(&before, &it->second);
-  BumpVersion('U', "dataset", it->second.dataset);
-  return Journal(journal_record::Encode(it->second));
+  if (!row->object->valid) return Status::OK();
+  Replica updated = *row->object;
+  updated.valid = false;
+  BumpVersion('U', "dataset", updated.dataset);
+  Status journaled = Journal(journal_record::Encode(updated));
+  const Id dataset = symbols_.Intern(updated.dataset);
+  next_.replicas.Put(row->id, row->name,
+                     std::make_shared<const Replica>(std::move(updated)),
+                     gen_);
+  RefreshMaterialized(dataset);
+  return journaled;
 }
 
 Status VirtualDataCatalog::RemoveDataset(std::string_view name) {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   return CommitLocked(RemoveDatasetLocked(name));
 }
 
@@ -981,30 +953,25 @@ Status VirtualDataCatalog::RemoveDatasetLocked(std::string_view name) {
     return Status::NotFound("dataset not found: " + std::string(name));
   }
   const Id id = row->id;
-  // Cascade to its replicas.
-  std::vector<std::string> replica_ids;
-  auto [lo, hi] = replicas_by_dataset_.equal_range(name);
-  for (auto r = lo; r != hi; ++r) replica_ids.push_back(r->second);
-  for (const std::string& id : replica_ids) {
-    VDG_RETURN_IF_ERROR(RemoveReplicaLocked(id));
+  // Cascade to its replicas, in commit order.
+  if (const PostingSlot* replicas = next_.replicas_of.Find(id);
+      replicas != nullptr && replicas->list != nullptr) {
+    for (Id replica : replicas->list->ToVector()) {
+      VDG_RETURN_IF_ERROR(RemoveReplicaLocked(symbols_.NameOf(replica)));
+    }
   }
   VDG_RETURN_IF_ERROR(Journal(journal_record::EncodeRemoval(
       journal_record::Tag::kRemoveDataset, name)));
   row = next_.datasets.Find(id);  // re-resolve after the cascade
   IndexDatasetAttributes(*row->object, id, false);
   IndexDatasetType(*row->object, id, false);
-  auto vit = valid_replicas_by_dataset_.find(name);
-  if (vit != valid_replicas_by_dataset_.end()) {
-    valid_replicas_by_dataset_.erase(vit);
-    PostingRemove(&next_.materialized, id);
-  }
   BumpVersion('D', "dataset", name);
   next_.datasets.Erase(id, gen_);
   return Status::OK();
 }
 
 Status VirtualDataCatalog::RemoveTransformation(std::string_view name) {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   return CommitLocked(RemoveTransformationLocked(name));
 }
 
@@ -1028,7 +995,7 @@ Status VirtualDataCatalog::RemoveTransformationLocked(std::string_view name) {
 }
 
 Status VirtualDataCatalog::RemoveDerivation(std::string_view name) {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   return CommitLocked(RemoveDerivationLocked(name));
 }
 
@@ -1040,8 +1007,6 @@ Status VirtualDataCatalog::RemoveDerivationLocked(std::string_view name) {
   // Keep the object alive across the row's removal below.
   const std::shared_ptr<const Derivation> dv = row->object;
   const Id dv_id = row->id;
-  EraseIndexEntry(&derivations_by_signature_, dv->Signature(),
-                  std::string(name));
   IndexDerivation(*dv, dv_id, false);
   // Outputs lose their producer but remain defined.
   for (const std::string& output : dv->OutputDatasets()) {
@@ -1063,247 +1028,49 @@ Status VirtualDataCatalog::RemoveDerivationLocked(std::string_view name) {
 }
 
 Status VirtualDataCatalog::RemoveReplica(std::string_view id) {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   return CommitLocked(RemoveReplicaLocked(id));
 }
 
 Status VirtualDataCatalog::RemoveReplicaLocked(std::string_view id) {
-  auto it = replicas_.find(id);
-  if (it == replicas_.end()) {
+  const auto* row = RowOf(next_.replicas, id);
+  if (row == nullptr) {
     return Status::NotFound("replica not found: " + std::string(id));
   }
-  EraseIndexEntry(&replicas_by_dataset_, it->second.dataset, std::string(id));
   VDG_RETURN_IF_ERROR(Journal(journal_record::EncodeRemoval(
       journal_record::Tag::kRemoveReplica, id)));
-  NoteReplicaState(&it->second, nullptr);
-  BumpVersion('U', "dataset", it->second.dataset);
-  replicas_.erase(it);
+  const Id replica = row->id;
+  const Id dataset = symbols_.Intern(row->object->dataset);
+  BumpVersion('U', "dataset", row->object->dataset);
+  PostingRemove(&next_.replicas_of, dataset, replica);
+  next_.replicas.Erase(replica, gen_);
+  RefreshMaterialized(dataset);
   return Status::OK();
 }
 
 // ---------------------------------------------------------------------
-// Navigation
+// State records & exports
 // ---------------------------------------------------------------------
-
-std::vector<Replica> VirtualDataCatalog::ReplicasOf(std::string_view dataset,
-                                                    bool valid_only) const {
-  std::shared_lock lock(mu_);
-  std::vector<Replica> out;
-  auto [lo, hi] = replicas_by_dataset_.equal_range(dataset);
-  for (auto it = lo; it != hi; ++it) {
-    auto r = replicas_.find(it->second);
-    if (r == replicas_.end()) continue;
-    if (valid_only && !r->second.valid) continue;
-    out.push_back(r->second);
-  }
-  return out;
-}
-
-bool VirtualDataCatalog::IsMaterialized(std::string_view dataset) const {
-  return View().IsMaterialized(dataset);
-}
-
-bool VirtualDataCatalog::IsMaterializedLocked(std::string_view dataset) const {
-  // The incremental materialized set only holds datasets with a
-  // positive valid-replica count, so membership is the answer.
-  return valid_replicas_by_dataset_.find(dataset) !=
-         valid_replicas_by_dataset_.end();
-}
-
-Result<std::string> VirtualDataCatalog::ProducerOf(
-    std::string_view dataset) const {
-  return View().ProducerOf(dataset);
-}
-
-NameList VirtualDataCatalog::ConsumersOf(
-    std::string_view dataset) const {
-  return View().ConsumersOf(dataset);
-}
-
-std::vector<Invocation> VirtualDataCatalog::InvocationsOf(
-    std::string_view derivation) const {
-  std::shared_lock lock(mu_);
-  std::vector<Invocation> out;
-  auto [lo, hi] = invocations_by_derivation_.equal_range(derivation);
-  for (auto it = lo; it != hi; ++it) {
-    auto iv = invocations_.find(it->second);
-    if (iv != invocations_.end()) out.push_back(iv->second);
-  }
-  return out;
-}
-
-NameList VirtualDataCatalog::DerivationsUsing(
-    std::string_view transformation) const {
-  return View().DerivationsUsing(transformation);
-}
-
-// ---------------------------------------------------------------------
-// Discovery (delegated to the pinned snapshot)
-// ---------------------------------------------------------------------
-
-NameList VirtualDataCatalog::FindDatasets(
-    const DatasetQuery& query) const {
-  return View().FindDatasets(query);
-}
-
-QueryPlan VirtualDataCatalog::ExplainFindDatasets(
-    const DatasetQuery& query) const {
-  return View().ExplainFindDatasets(query);
-}
-
-NameList VirtualDataCatalog::FindTransformations(
-    const TransformationQuery& query) const {
-  return View().FindTransformations(query);
-}
-
-NameList VirtualDataCatalog::FindDerivations(
-    const DerivationQuery& query) const {
-  return View().FindDerivations(query);
-}
-
-QueryPlan VirtualDataCatalog::ExplainFindDerivations(
-    const DerivationQuery& query) const {
-  return View().ExplainFindDerivations(query);
-}
-
-Result<std::string> VirtualDataCatalog::FindEquivalentDerivation(
-    const Derivation& derivation) const {
-  std::shared_lock lock(mu_);
-  return FindEquivalentDerivationLocked(derivation);
-}
-
-Result<std::string> VirtualDataCatalog::FindEquivalentDerivationLocked(
-    const Derivation& derivation) const {
-  std::string want = derivation.SignatureText();
-  auto [lo, hi] = derivations_by_signature_.equal_range(derivation.Signature());
-  for (auto it = lo; it != hi; ++it) {
-    const auto* dv = RowOf(next_.derivations, it->second);
-    if (dv != nullptr && dv->object->SignatureText() == want) {
-      return it->second;
-    }
-  }
-  return Status::NotFound("no equivalent derivation recorded");
-}
-
-bool VirtualDataCatalog::HasBeenComputed(const Derivation& derivation) const {
-  std::shared_lock lock(mu_);
-  Result<std::string> existing = FindEquivalentDerivationLocked(derivation);
-  if (!existing.ok()) return false;
-  const auto* dv = RowOf(next_.derivations, *existing);
-  if (dv == nullptr) return false;
-  std::vector<std::string> outputs = dv->object->OutputDatasets();
-  if (outputs.empty()) return false;
-  for (const std::string& output : outputs) {
-    if (!IsMaterializedLocked(output)) return false;
-  }
-  return true;
-}
-
-// ---------------------------------------------------------------------
-// Enumeration & stats
-// ---------------------------------------------------------------------
-
-namespace {
-template <typename Map>
-std::vector<std::string> Keys(const Map& map) {
-  std::vector<std::string> out;
-  out.reserve(map.size());
-  for (const auto& [key, value] : map) {
-    (void)value;
-    out.push_back(key);
-  }
-  return out;
-}
-}  // namespace
-
-NameList VirtualDataCatalog::AllDatasetNames() const {
-  return View().AllDatasetNames();
-}
-NameList VirtualDataCatalog::AllTransformationNames() const {
-  return View().AllTransformationNames();
-}
-NameList VirtualDataCatalog::AllDerivationNames() const {
-  return View().AllDerivationNames();
-}
-std::vector<std::string> VirtualDataCatalog::AllReplicaIds() const {
-  std::shared_lock lock(mu_);
-  return Keys(replicas_);
-}
-std::vector<std::string> VirtualDataCatalog::AllInvocationIds() const {
-  std::shared_lock lock(mu_);
-  return Keys(invocations_);
-}
-
-CatalogStats VirtualDataCatalog::Stats() const {
-  std::shared_lock lock(mu_);
-  CatalogStats stats;
-  stats.datasets = next_.datasets.size();
-  stats.transformations = next_.transformations.size();
-  stats.derivations = next_.derivations.size();
-  stats.replicas = replicas_.size();
-  stats.invocations = invocations_.size();
-  return stats;
-}
 
 std::vector<std::string> VirtualDataCatalog::CurrentStateRecords() const {
-  std::shared_lock lock(mu_);
-  return CurrentStateRecordsLocked();
-}
-
-std::vector<std::string> VirtualDataCatalog::CurrentStateRecordsLocked()
-    const {
-  std::vector<std::string> records;
-  for (int d = 0; d < kNumTypeDimensions; ++d) {
-    auto dim = static_cast<TypeDimension>(d);
-    for (const auto& [name, parent] :
-         types_->dimension(dim).EdgesParentsFirst()) {
-      records.push_back(journal_record::EncodeType(dim, name, parent));
-    }
-  }
-  ForEachRow(next_.datasets, [&records](const Dataset& ds) {
-    records.push_back(journal_record::Encode(ds));
-  });
-  ForEachRow(next_.transformations, [&records](const Transformation& tr) {
-    records.push_back(journal_record::Encode(tr));
-  });
-  ForEachRow(next_.derivations, [&records](const Derivation& dv) {
-    records.push_back(journal_record::Encode(dv));
-  });
-  for (const auto& [id, replica] : replicas_) {
-    (void)id;
-    records.push_back(journal_record::Encode(replica));
-  }
-  for (const auto& [id, iv] : invocations_) {
-    (void)id;
-    records.push_back(journal_record::Encode(iv));
-  }
-  return records;
+  return StateRecords(View().snapshot());
 }
 
 std::string VirtualDataCatalog::ExportVdl() const {
-  VdlProgram program;
-  {
-    std::shared_lock lock(mu_);
-    program = ExportProgramLocked();
-  }
-  // Printing works on the copied program; no need to hold the lock.
-  return PrintProgram(program);
+  return PrintProgram(ExportProgram());
 }
 
 VdlProgram VirtualDataCatalog::ExportProgram() const {
-  std::shared_lock lock(mu_);
-  return ExportProgramLocked();
-}
-
-VdlProgram VirtualDataCatalog::ExportProgramLocked() const {
+  const CatalogView view = View();
+  const CatalogSnapshot& snap = view.snapshot();
   VdlProgram program;
-  ForEachRow(next_.datasets, [&program](const Dataset& ds) {
+  ForEachRow(snap.datasets, [&program](const Dataset& ds) {
     program.datasets.push_back(ds);
   });
-  ForEachRow(next_.transformations, [&program](const Transformation& tr) {
+  ForEachRow(snap.transformations, [&program](const Transformation& tr) {
     program.transformations.push_back(tr);
   });
-  ForEachRow(next_.derivations, [&program](const Derivation& dv) {
+  ForEachRow(snap.derivations, [&program](const Derivation& dv) {
     program.derivations.push_back(dv);
   });
   return program;

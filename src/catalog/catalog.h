@@ -2,11 +2,8 @@
 #define VDG_CATALOG_CATALOG_H_
 
 #include <atomic>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <set>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -34,21 +31,22 @@ namespace vdg {
 /// log-file backend (FileJournal, recovered by replay in Open()).
 ///
 /// Threading: snapshot-isolated readers with serialized writers.
-/// The published CatalogSnapshot is the catalog's only index. Writers
-/// take one `std::shared_mutex` exclusively, edit the unpublished next
-/// snapshot generation in place (copy-on-write: anything shared with a
-/// published snapshot is path-copied once per generation, see cow.h),
-/// append to the journal buffer, and on the way out flush the journal
-/// and publish by swapping a shared_ptr slot guarded by its own tiny
-/// mutex — a commit costs O(keys touched). Queries —
-/// Find*/Get*/Has*/Explain*/All*Names/ChangesSince/navigation — pin one
-/// snapshot with a single pointer copy under that slot mutex (held only
-/// for the copy, never across a query) and run entirely against it:
-/// they never take the catalog lock and never block on writers, journal
-/// compaction, or each other.
-/// Replica/invocation lookups and exports read writer-side state under
-/// the shared lock. The journal backend is only touched
-/// while holding the exclusive lock, so backends need no
+/// The published CatalogSnapshot is the catalog's only index and holds
+/// all five object classes. Writers take one `std::mutex`, edit the
+/// unpublished next snapshot generation in place (copy-on-write:
+/// anything shared with a published snapshot is path-copied once per
+/// generation, see cow.h), append to the journal buffer, and on the way
+/// out flush the journal and publish by swapping a shared_ptr slot
+/// guarded by its own tiny mutex — a commit costs O(keys touched).
+/// Every object read — Get*/Has*/Find*/Explain*/All*/navigation/
+/// ChangesSince/Stats/Export*/CurrentStateRecords — pins one snapshot
+/// with a single pointer copy under that slot mutex (held only for the
+/// copy, never across a query) and runs entirely against it: reads
+/// never take the writer mutex and never block on writers, journal
+/// compaction, or each other. SaveSnapshotFile takes the writer mutex
+/// only to pin its view together with the journal anchor that view
+/// reflects, then serializes outside it. The journal backend is only
+/// touched while holding the writer mutex, so backends need no
 /// synchronization of their own.
 ///
 /// Publication order (the snapshot protocol): edit the next generation
@@ -98,17 +96,22 @@ class VirtualDataCatalog {
 
   /// Conformance check against the published type universe, safe to
   /// call while another thread runs DefineType.
-  bool TypeConforms(const DatasetType& type, const DatasetType& against) const;
+  bool TypeConforms(const DatasetType& type,
+                    const DatasetType& against) const {
+    return View().types().Conforms(type, against);
+  }
 
   /// True when `type_name` is defined in dimension `dim`.
-  bool HasType(TypeDimension dim, std::string_view type_name) const;
+  bool HasType(TypeDimension dim, std::string_view type_name) const {
+    return View().types().dimension(dim).Contains(type_name);
+  }
 
   /// A point-in-time copy of the whole type universe, for enumeration
   /// and inspection. Communities define their own type names (Section
   /// 3.1); LoadTypePreset() installs the paper's Appendix-C hierarchy.
   /// The snapshot is detached: later DefineType calls do not appear in
   /// it, and mutating the copy never touches the catalog.
-  TypeRegistry TypesSnapshot() const;
+  TypeRegistry TypesSnapshot() const { return View().types(); }
 
   // ------------------------------------------------------------------
   // Definition (the "composition" facet of Figure 5)
@@ -159,15 +162,31 @@ class VirtualDataCatalog {
   // Point lookups
   // ------------------------------------------------------------------
 
-  Result<Dataset> GetDataset(std::string_view name) const;
-  Result<Transformation> GetTransformation(std::string_view name) const;
-  Result<Derivation> GetDerivation(std::string_view name) const;
-  Result<Replica> GetReplica(std::string_view id) const;
-  Result<Invocation> GetInvocation(std::string_view id) const;
+  Result<Dataset> GetDataset(std::string_view name) const {
+    return View().GetDataset(name);
+  }
+  Result<Transformation> GetTransformation(std::string_view name) const {
+    return View().GetTransformation(name);
+  }
+  Result<Derivation> GetDerivation(std::string_view name) const {
+    return View().GetDerivation(name);
+  }
+  Result<Replica> GetReplica(std::string_view id) const {
+    return View().GetReplica(id);
+  }
+  Result<Invocation> GetInvocation(std::string_view id) const {
+    return View().GetInvocation(id);
+  }
 
-  bool HasDataset(std::string_view name) const;
-  bool HasTransformation(std::string_view name) const;
-  bool HasDerivation(std::string_view name) const;
+  bool HasDataset(std::string_view name) const {
+    return View().HasDataset(name);
+  }
+  bool HasTransformation(std::string_view name) const {
+    return View().HasTransformation(name);
+  }
+  bool HasDerivation(std::string_view name) const {
+    return View().HasDerivation(name);
+  }
 
   // ------------------------------------------------------------------
   // Updates & removal
@@ -194,23 +213,37 @@ class VirtualDataCatalog {
   // Navigation (provenance building blocks)
   // ------------------------------------------------------------------
 
-  /// Replicas of a dataset; `valid_only` filters invalidated copies.
+  /// Replicas of a dataset in commit order; `valid_only` filters
+  /// invalidated copies.
   std::vector<Replica> ReplicasOf(std::string_view dataset,
-                                  bool valid_only = true) const;
+                                  bool valid_only = true) const {
+    return View().ReplicasOf(dataset, valid_only);
+  }
   /// True when the dataset has at least one valid replica (i.e. is
   /// materialized rather than virtual).
-  bool IsMaterialized(std::string_view dataset) const;
+  bool IsMaterialized(std::string_view dataset) const {
+    return View().IsMaterialized(dataset);
+  }
 
   /// The derivation that produces `dataset` (NotFound for raw inputs).
-  Result<std::string> ProducerOf(std::string_view dataset) const;
+  Result<std::string> ProducerOf(std::string_view dataset) const {
+    return View().ProducerOf(dataset);
+  }
   /// Derivations that read `dataset`. Like every NameList returned
   /// below, the list pins the answering snapshot and views its symbol
   /// spine — zero name copies (DESIGN.md §15).
-  NameList ConsumersOf(std::string_view dataset) const;
-  /// Invocations recorded for `derivation`, in record order.
-  std::vector<Invocation> InvocationsOf(std::string_view derivation) const;
+  NameList ConsumersOf(std::string_view dataset) const {
+    return View().ConsumersOf(dataset);
+  }
+  /// Invocations recorded for `derivation`, in commit order (on every
+  /// open path: live, journal replay, flat snapshot, compaction).
+  std::vector<Invocation> InvocationsOf(std::string_view derivation) const {
+    return View().InvocationsOf(derivation);
+  }
   /// Derivations that invoke `transformation`.
-  NameList DerivationsUsing(std::string_view transformation) const;
+  NameList DerivationsUsing(std::string_view transformation) const {
+    return View().DerivationsUsing(transformation);
+  }
 
   // ------------------------------------------------------------------
   // Discovery
@@ -224,35 +257,50 @@ class VirtualDataCatalog {
   /// candidate. Queries with no indexable condition fall back to a
   /// name-prefix range scan or a full scan. All of it runs against a
   /// pinned snapshot (see View()).
-  NameList FindDatasets(const DatasetQuery& query) const;
-  NameList FindTransformations(const TransformationQuery& query) const;
-  NameList FindDerivations(const DerivationQuery& query) const;
+  NameList FindDatasets(const DatasetQuery& query) const {
+    return View().FindDatasets(query);
+  }
+  NameList FindTransformations(const TransformationQuery& query) const {
+    return View().FindTransformations(query);
+  }
+  NameList FindDerivations(const DerivationQuery& query) const {
+    return View().FindDerivations(query);
+  }
 
   /// The access path FindDatasets/FindDerivations would choose for
   /// `query`, without running it. Lets tests pin selectivity ordering
   /// and operators inspect why a query is slow.
-  QueryPlan ExplainFindDatasets(const DatasetQuery& query) const;
-  QueryPlan ExplainFindDerivations(const DerivationQuery& query) const;
+  QueryPlan ExplainFindDatasets(const DatasetQuery& query) const {
+    return View().ExplainFindDatasets(query);
+  }
+  QueryPlan ExplainFindDerivations(const DerivationQuery& query) const {
+    return View().ExplainFindDerivations(query);
+  }
 
   /// The "has this computation been performed before?" query (Section
   /// 1). Returns the name of an existing derivation with the same
   /// content signature, if any.
   Result<std::string> FindEquivalentDerivation(
-      const Derivation& derivation) const;
+      const Derivation& derivation) const {
+    return View().FindEquivalentDerivation(derivation);
+  }
   /// True when an equivalent derivation exists AND all of its outputs
   /// are materialized — re-use beats re-computation.
-  bool HasBeenComputed(const Derivation& derivation) const;
+  bool HasBeenComputed(const Derivation& derivation) const {
+    return View().HasBeenComputed(derivation);
+  }
 
-  /// All names, for enumeration by indexes and tests. Replica and
-  /// invocation ids stay owned vectors: they enumerate writer-side
-  /// state, not the snapshot result plane.
-  NameList AllDatasetNames() const;
-  NameList AllTransformationNames() const;
-  NameList AllDerivationNames() const;
-  std::vector<std::string> AllReplicaIds() const;      // result-api-ok: writer-side state
-  std::vector<std::string> AllInvocationIds() const;   // result-api-ok: writer-side state
+  /// All names and ids, in name order, for enumeration by indexes and
+  /// tests.
+  NameList AllDatasetNames() const { return View().AllDatasetNames(); }
+  NameList AllTransformationNames() const {
+    return View().AllTransformationNames();
+  }
+  NameList AllDerivationNames() const { return View().AllDerivationNames(); }
+  NameList AllReplicaIds() const { return View().AllReplicaIds(); }
+  NameList AllInvocationIds() const { return View().AllInvocationIds(); }
 
-  CatalogStats Stats() const;
+  CatalogStats Stats() const { return View().Stats(); }
 
   /// Monotonic edit counter; bumped by every successful mutation
   /// commit (a whole batch bumps it once). Federated indexes use it to
@@ -270,10 +318,12 @@ class VirtualDataCatalog {
   /// must fall back to a full rescan) and InvalidArgument when
   /// `since_version` is from the future.
   Result<std::vector<CatalogChange>> ChangesSince(
-      uint64_t since_version) const;
+      uint64_t since_version) const {
+    return View().ChangesSince(since_version);
+  }
 
   /// Oldest version ChangesSince can answer from (the window floor).
-  uint64_t changelog_floor() const;
+  uint64_t changelog_floor() const { return View().changelog_floor(); }
 
   /// Caps the in-memory changelog length (default 4096 changes).
   /// Shrinking may immediately raise changelog_floor(). Trimming never
@@ -301,7 +351,8 @@ class VirtualDataCatalog {
 
   /// The minimal journal records that reproduce the catalog's current
   /// state (types, then datasets, transformations, derivations,
-  /// replicas, invocations — a replay-safe order).
+  /// replicas, invocations — a replay-safe order; replicas and
+  /// invocations in commit order, so a reopened catalog keeps it).
   std::vector<std::string> CurrentStateRecords() const;  // result-api-ok: journal records
 
   /// Log compaction: atomically rewrites the journal to
@@ -359,13 +410,12 @@ class VirtualDataCatalog {
  private:
   using Id = SymbolTable::Id;
 
-  // The *Locked tier holds the real implementations; the public
-  // methods are thin shims that take mu_ exclusively, delegate, and
-  // commit (flush the journal buffer, publish the snapshot). Internal
-  // reentrancy — replay applies records through the same code,
-  // DefineDerivation auto-defines datasets, RemoveDataset cascades to
-  // replicas — stays inside one lock acquisition because Locked
-  // methods only call Locked methods.
+  // The *Locked tier holds the real mutations; the public methods are
+  // thin shims that take mu_, delegate, and commit (flush the journal
+  // buffer, publish the snapshot). Internal reentrancy — replay applies
+  // records through the same code, DefineDerivation auto-defines
+  // datasets, RemoveDataset cascades to replicas — stays inside one
+  // lock acquisition because Locked methods only call Locked methods.
   /// Decodes one journal record whole, then applies it.
   Status ApplyRecord(std::string_view record);
   /// Applies records[begin..] in replay mode, advancing the journal
@@ -391,11 +441,6 @@ class VirtualDataCatalog {
   Status RemoveTransformationLocked(std::string_view name);
   Status RemoveDerivationLocked(std::string_view name);
   Status RemoveReplicaLocked(std::string_view id);
-  bool IsMaterializedLocked(std::string_view dataset) const;
-  Result<std::string> FindEquivalentDerivationLocked(
-      const Derivation& derivation) const;
-  VdlProgram ExportProgramLocked() const;
-  std::vector<std::string> CurrentStateRecordsLocked() const;  // result-api-ok: journal records
 
   /// Dispatches one batch op; `result` carries ids assigned by earlier
   /// ops for intra-batch references.
@@ -442,14 +487,14 @@ class VirtualDataCatalog {
   void IndexDatasetAttributes(const Dataset& dataset, Id id, bool add);
   void IndexDatasetType(const Dataset& dataset, Id id, bool add);
   void IndexDerivation(const Derivation& derivation, Id id, bool add);
-  void NoteReplicaState(const Replica* before, const Replica* after);
+  /// Sets `dataset`'s materialized bit from its own replica list: on
+  /// when any of its replicas is valid.
+  void RefreshMaterialized(Id dataset);
 
   std::string name_;
-  /// Writer lock over the object graph, the COW indexes, the
-  /// changelog, and the journal backend. Readers of replicas/
-  /// invocations/exports take it shared; snapshot queries never
-  /// take it.
-  mutable std::shared_mutex mu_;
+  /// Writer lock over the next generation, the symbol table, the
+  /// changelog, and the journal backend. Readers never take it.
+  mutable std::mutex mu_;
   std::unique_ptr<CatalogJournal> journal_;
   bool replaying_ = false;
   bool partition_mode_ = false;
@@ -475,9 +520,10 @@ class VirtualDataCatalog {
   SymbolTable symbols_;
 
   /// The unpublished next generation, edited in place (guarded by
-  /// mu_): object rows, every posting index, the materialized set, the
-  /// type universe, and the changelog window. It is the catalog's only
-  /// copy of them; PublishSnapshotLocked hands it to readers.
+  /// mu_): the rows of all five object classes, every posting index,
+  /// the materialized set, the type universe, and the changelog window.
+  /// It is the catalog's only copy of them; PublishSnapshotLocked hands
+  /// it to readers.
   CatalogSnapshot next_;
   /// The generation `next_` is being built as (see cow.h).
   Generation gen_ = 1;
@@ -485,17 +531,6 @@ class VirtualDataCatalog {
   /// that may edit it in place.
   std::shared_ptr<TypeRegistry> types_;
   Generation types_gen_ = 0;
-
-  std::map<std::string, Replica, std::less<>> replicas_;
-  std::map<std::string, Invocation, std::less<>> invocations_;
-  /// Valid replicas per dataset: the writer's bookkeeping behind the
-  /// materialized set.
-  std::map<std::string, size_t, std::less<>> valid_replicas_by_dataset_;
-
-  std::multimap<uint64_t, std::string> derivations_by_signature_;
-  std::multimap<std::string, std::string, std::less<>> replicas_by_dataset_;
-  std::multimap<std::string, std::string, std::less<>>
-      invocations_by_derivation_;
 
   /// Bound of the changelog window in `next_` (backing ChangesSince).
   size_t changelog_capacity_ = 4096;

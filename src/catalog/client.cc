@@ -330,23 +330,25 @@ ObjectRecord InProcessCatalogClient::SnapshotObject(
   ObjectRecord record;
   record.kind = std::string(kind);
   record.name = std::string(name);
+  // One pinned snapshot answers the object and its materialized bit.
+  const CatalogView view = catalog.View();
   if (kind == "dataset") {
-    auto ds = catalog.GetDataset(name);
+    auto ds = view.GetDataset(name);
     if (ds.ok()) {
       record.dataset = *std::move(ds);
-      record.materialized = catalog.IsMaterialized(name);
+      record.materialized = view.IsMaterialized(name);
     } else {
       record.status = ds.status();
     }
   } else if (kind == "transformation") {
-    auto tr = catalog.GetTransformation(name);
+    auto tr = view.GetTransformation(name);
     if (tr.ok()) {
       record.transformation = *std::move(tr);
     } else {
       record.status = tr.status();
     }
   } else if (kind == "derivation") {
-    auto dv = catalog.GetDerivation(name);
+    auto dv = view.GetDerivation(name);
     if (dv.ok()) {
       record.derivation = *std::move(dv);
     } else {
@@ -373,7 +375,7 @@ Result<ProvenanceStep> InProcessCatalogClient::GetProvenanceStep(
     std::string_view dataset) {
   ProvenanceStep step;
   step.dataset = std::string(dataset);
-  // One pinned snapshot answers all three reads.
+  // One pinned snapshot answers all four reads.
   const CatalogView view = catalog_->View();
   step.exists = view.HasDataset(dataset);
   if (!step.exists) return step;
@@ -383,7 +385,7 @@ Result<ProvenanceStep> InProcessCatalogClient::GetProvenanceStep(
   auto derivation = view.GetDerivation(step.producer);
   if (derivation.ok()) {
     step.derivation = *std::move(derivation);
-    step.invocations = catalog_->InvocationsOf(step.producer);
+    step.invocations = view.InvocationsOf(step.producer);
   }
   return step;
 }

@@ -262,9 +262,17 @@ class RowTable {
 
   const Row* Find(Id id) const {
     const Loc* loc = loc_.Find(id);
-    if (loc == nullptr || loc->absent()) return nullptr;
-    const Chunk& chunk = *dir_->by_cno[CnoOf(*loc)].chunk;
-    return &chunk.rows[chunk.rank[TagOf(*loc)]];
+    return loc == nullptr || loc->absent() ? nullptr : &RowAt(*loc);
+  }
+
+  /// Calls fn(row) for every row in id order. Ids are interned as
+  /// objects are first committed, so for a class whose names are
+  /// interned when its rows are added this is commit order.
+  template <typename Fn>
+  void ForEachById(Fn&& fn) const {
+    loc_.ForEach([&](uint32_t, const Loc& loc) {
+      if (!loc.absent()) fn(RowAt(loc));
+    });
   }
 
   /// Name-order keys for runs of ids, cheapest when the ids ascend:
@@ -409,6 +417,10 @@ class RowTable {
   }
 
  private:
+  const Row& RowAt(Loc loc) const {
+    const Chunk& chunk = *dir_->by_cno[CnoOf(loc)].chunk;
+    return chunk.rows[chunk.rank[TagOf(loc)]];
+  }
   Directory* MutableDir(Generation gen) {
     if (dir_ == nullptr) {
       dir_ = std::make_shared<Directory>();

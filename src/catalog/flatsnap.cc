@@ -11,7 +11,6 @@
 #include <memory>
 #include <mutex>
 #include <set>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -193,6 +192,8 @@ Status ParseFlatImage(std::string_view payload,
   ReadSection(r, &out->derivations, objcodec::ReadDerivation);
   for (const Derivation& d : out->derivations) require_symbol(d.name());
   if (!r.ok()) return malformed("derivation");
+  // Replica and invocation ids are not required to be symbols: files
+  // written before the snapshot held these classes did not intern them.
   ReadSection(r, &out->replicas, objcodec::ReadReplica);
   if (!r.ok()) return malformed("replica");
   ReadSection(r, &out->invocations, objcodec::ReadInvocation);
@@ -248,7 +249,16 @@ Status ParseFlatImage(std::string_view payload,
 // ---------------------------------------------------------------------
 
 Status VirtualDataCatalog::SaveSnapshotFile(const std::string& path) const {
-  std::shared_lock lock(mu_);
+  // The header records counters only the writer holds; pin the view
+  // and copy them under mu_ so they match, then serialize without it.
+  std::unique_lock lock(mu_);
+  const CatalogView view = View();
+  const uint64_t next_replica_id = next_replica_id_;
+  const uint64_t next_invocation_id = next_invocation_id_;
+  const uint64_t journal_records = journal_records_;
+  const uint32_t journal_chain_crc = journal_chain_crc_;
+  lock.unlock();
+  const CatalogSnapshot& snap = view.snapshot();
 
   std::string payload;
   payload.reserve(1 << 16);
@@ -257,15 +267,16 @@ Status VirtualDataCatalog::SaveSnapshotFile(const std::string& path) const {
   // Symbols, in id order: re-interning them in this order on load
   // reproduces the exact same ids, which is what keeps the serialized
   // posting lists valid without any id remapping.
-  w.PutCount(symbols_.size());
-  for (SymbolTable::Id id = 0; id < symbols_.size(); ++id) {
-    w.PutString(symbols_.NameOf(id));
+  w.PutCount(snap.symbols.size());
+  for (SymbolTable::Id id = 0; id < snap.symbols.size(); ++id) {
+    w.PutString(snap.symbols.NameOf(id));
   }
 
   // Type universe, parents-first per dimension so Define replays.
   for (int d = 0; d < kNumTypeDimensions; ++d) {
     const auto edges =
-        types_->dimension(static_cast<TypeDimension>(d)).EdgesParentsFirst();
+        snap.types->dimension(static_cast<TypeDimension>(d))
+            .EdgesParentsFirst();
     w.PutCount(edges.size());
     for (const auto& [name, parent] : edges) {
       w.PutString(name);
@@ -273,7 +284,8 @@ Status VirtualDataCatalog::SaveSnapshotFile(const std::string& path) const {
     }
   }
 
-  // Object rows (name order) through the shared object codec.
+  // Object rows through the shared object codec: name order, except
+  // replicas and invocations, which go in id (commit) order.
   auto put_rows = [&w](const auto& table, auto put) {
     w.PutCount(table.size());
     table.ScanFrom({}, [&](const auto& row) {
@@ -281,19 +293,15 @@ Status VirtualDataCatalog::SaveSnapshotFile(const std::string& path) const {
       return true;
     });
   };
-  put_rows(next_.datasets, objcodec::PutDataset);
-  put_rows(next_.transformations, objcodec::PutTransformation);
-  put_rows(next_.derivations, objcodec::PutDerivation);
-  w.PutCount(replicas_.size());
-  for (const auto& [id, replica] : replicas_) {
-    (void)id;
-    objcodec::PutReplica(w, replica);
-  }
-  w.PutCount(invocations_.size());
-  for (const auto& [id, invocation] : invocations_) {
-    (void)id;
-    objcodec::PutInvocation(w, invocation);
-  }
+  auto put_rows_by_id = [&w](const auto& table, auto put) {
+    w.PutCount(table.size());
+    table.ForEachById([&](const auto& row) { put(w, *row.object); });
+  };
+  put_rows(snap.datasets, objcodec::PutDataset);
+  put_rows(snap.transformations, objcodec::PutTransformation);
+  put_rows(snap.derivations, objcodec::PutDerivation);
+  put_rows_by_id(snap.replicas, objcodec::PutReplica);
+  put_rows_by_id(snap.invocations, objcodec::PutInvocation);
 
   // Index sections: the non-empty lists of each map, counted first.
   std::vector<std::pair<Id, const PostingSlot*>> values;
@@ -307,7 +315,7 @@ Status VirtualDataCatalog::SaveSnapshotFile(const std::string& path) const {
       if (!slot.empty()) out->emplace_back(id, &slot);
     });
   };
-  next_.attr_index.ForEach([&](Id key, const PostingMap& by_value) {
+  snap.attr_index.ForEach([&](Id key, const PostingMap& by_value) {
     collect(by_value, &values);
     attr_entries += values.size();
     if (!values.empty()) attr.emplace_back(key, std::move(values));
@@ -316,13 +324,13 @@ Status VirtualDataCatalog::SaveSnapshotFile(const std::string& path) const {
   for (const auto& [key, lists] : attr) {
     for (const auto& [value, slot] : lists) {
       w.PutU32(key);
-      w.PutString(symbols_.NameOf(value));
+      w.PutString(snap.symbols.NameOf(value));
       PutPosting(&payload, *slot->list);
     }
   }
   std::vector<std::pair<uint64_t, const PostingSlot*>> typed;
   for (int d = 0; d < kNumTypeDimensions; ++d) {
-    collect(next_.type_index[d], &values);
+    collect(snap.type_index[d], &values);
     for (const auto& [type_id, slot] : values) {
       typed.emplace_back(
           snapshot_internal::PackTypeKey(static_cast<TypeDimension>(d),
@@ -335,9 +343,9 @@ Status VirtualDataCatalog::SaveSnapshotFile(const std::string& path) const {
     w.PutU64(key);
     PutPosting(&payload, *slot->list);
   }
-  const PostingMap* id_maps[] = {&next_.consumers, &next_.producers,
-                                 &next_.by_transformation,
-                                 &next_.by_bare_transformation};
+  const PostingMap* id_maps[] = {&snap.consumers, &snap.producers,
+                                 &snap.by_transformation,
+                                 &snap.by_bare_transformation};
   for (const PostingMap* map : id_maps) {
     collect(*map, &values);
     w.PutCount(values.size());
@@ -347,11 +355,11 @@ Status VirtualDataCatalog::SaveSnapshotFile(const std::string& path) const {
     }
   }
   const PostingBlocks no_list;
-  PutPosting(&payload, next_.materialized.list != nullptr
-                           ? *next_.materialized.list
+  PutPosting(&payload, snap.materialized.list != nullptr
+                           ? *snap.materialized.list
                            : no_list);
 
-  const ChangeWindow<CatalogChange>& log = next_.changelog;
+  const ChangeWindow<CatalogChange>& log = snap.changelog;
   w.PutCount(log.size());
   for (size_t i = 0; i < log.size(); ++i) {
     objcodec::PutCatalogChange(w, log.at(i));
@@ -364,11 +372,11 @@ Status VirtualDataCatalog::SaveSnapshotFile(const std::string& path) const {
   h.PutU64(payload.size());
   h.PutU32(Crc32(payload));
   h.PutU32(0);  // header_crc, patched below
-  h.PutU64(version_seq_);
-  h.PutU64(next_replica_id_);
-  h.PutU64(next_invocation_id_);
-  h.PutU64(journal_records_);
-  h.PutU32(journal_chain_crc_);
+  h.PutU64(snap.version);
+  h.PutU64(next_replica_id);
+  h.PutU64(next_invocation_id);
+  h.PutU64(journal_records);
+  h.PutU32(journal_chain_crc);
   h.PutU32(0);  // reserved
   std::string header_crc;
   Writer(&header_crc).PutU32(Crc32(header));
@@ -399,7 +407,7 @@ Status VirtualDataCatalog::SaveSnapshotFile(const std::string& path) const {
 }
 
 Status VirtualDataCatalog::OpenFromSnapshot(const std::string& path) {
-  std::unique_lock lock(mu_);
+  std::lock_guard lock(mu_);
   if (opened_) return Status::OK();
   opened_ = true;
 
@@ -507,21 +515,27 @@ Status VirtualDataCatalog::OpenFromSnapshot(const std::string& path) {
     }
     for (Derivation& d : image.derivations) {
       const Id id = symbols_.Find(d.name());
-      derivations_by_signature_.emplace(d.Signature(), d.name());
+      PostingAdd(&next_.by_signature,
+                 snapshot_internal::SignatureBucket(d.Signature()), id);
       next_.derivations.Put(id, symbols_.NameOf(id),
                             std::make_shared<const Derivation>(std::move(d)),
                             gen_);
     }
+    // Replicas and invocations arrive in commit order with their ids
+    // already symbols; a file from before they were interned gets them
+    // interned here, in its (name) order.
     for (Replica& rp : image.replicas) {
-      replicas_by_dataset_.emplace(rp.dataset, rp.id);
-      if (rp.valid) ++valid_replicas_by_dataset_[rp.dataset];
-      std::string key = rp.id;
-      replicas_.emplace(std::move(key), std::move(rp));
+      const Id id = symbols_.Intern(rp.id);
+      PostingAdd(&next_.replicas_of, symbols_.Intern(rp.dataset), id);
+      next_.replicas.Put(id, symbols_.NameOf(id),
+                         std::make_shared<const Replica>(std::move(rp)), gen_);
     }
     for (Invocation& iv : image.invocations) {
-      invocations_by_derivation_.emplace(iv.derivation, iv.id);
-      std::string key = iv.id;
-      invocations_.emplace(std::move(key), std::move(iv));
+      const Id id = symbols_.Intern(iv.id);
+      PostingAdd(&next_.invocations_of, symbols_.Intern(iv.derivation), id);
+      next_.invocations.Put(
+          id, symbols_.NameOf(id),
+          std::make_shared<const Invocation>(std::move(iv)), gen_);
     }
     // Posting lists install with generation 0: they are borrowed from
     // the mapping, so the first edit of each clones it.
@@ -586,7 +600,7 @@ Status VirtualDataCatalog::OpenFromSnapshot(const std::string& path) {
 
 VirtualDataCatalog::SnapshotLoadReport VirtualDataCatalog::last_snapshot_load()
     const {
-  std::shared_lock lock(mu_);
+  std::lock_guard lock(mu_);
   return last_snapshot_load_;
 }
 

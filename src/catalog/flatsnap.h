@@ -28,9 +28,11 @@ namespace flatsnap {
 ///
 /// Payload sections, in order: symbol table (names in id order), type
 /// universe (parents first, per dimension), datasets, transformations,
-/// derivations (each in name order), replicas, invocations, the
-/// posting indexes (attribute, type, consumer/producer/transformation
-/// edges, materialized set), and the changelog window. Objects and
+/// derivations (each in name order), replicas, invocations (each in
+/// commit order), the posting indexes (attribute, type,
+/// consumer/producer/transformation edges, materialized set), and the
+/// changelog window. The replica, invocation and signature indexes are
+/// rebuilt from the object sections on load. Objects and
 /// changelog entries use the shared object codec (objcodec.h), the
 /// same bytes the wire protocol carries.
 ///

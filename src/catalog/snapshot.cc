@@ -196,45 +196,6 @@ NameList OccurrencesInNameOrder(std::shared_ptr<const CatalogSnapshot> pin,
 }  // namespace
 
 // ---------------------------------------------------------------------
-// Point lookups
-// ---------------------------------------------------------------------
-
-Result<Dataset> CatalogView::GetDataset(std::string_view name) const {
-  const auto* row = FindRow(snap_->datasets, name);
-  if (row == nullptr) {
-    return Status::NotFound("dataset not found: " + std::string(name));
-  }
-  return *row->object;
-}
-
-Result<Transformation> CatalogView::GetTransformation(
-    std::string_view name) const {
-  const auto* row = FindRow(snap_->transformations, name);
-  if (row == nullptr) {
-    return Status::NotFound("transformation not found: " + std::string(name));
-  }
-  return *row->object;
-}
-
-Result<Derivation> CatalogView::GetDerivation(std::string_view name) const {
-  const auto* row = FindRow(snap_->derivations, name);
-  if (row == nullptr) {
-    return Status::NotFound("derivation not found: " + std::string(name));
-  }
-  return *row->object;
-}
-
-bool CatalogView::HasDataset(std::string_view name) const {
-  return FindRow(snap_->datasets, name) != nullptr;
-}
-bool CatalogView::HasTransformation(std::string_view name) const {
-  return FindRow(snap_->transformations, name) != nullptr;
-}
-bool CatalogView::HasDerivation(std::string_view name) const {
-  return FindRow(snap_->derivations, name) != nullptr;
-}
-
-// ---------------------------------------------------------------------
 // Navigation
 // ---------------------------------------------------------------------
 
@@ -257,6 +218,32 @@ Result<std::string> CatalogView::ProducerOf(std::string_view dataset) const {
   return row->object->producer;
 }
 
+std::vector<Replica> CatalogView::ReplicasOf(std::string_view dataset,
+                                             bool valid_only) const {
+  std::vector<Replica> out;
+  const Id id = snap_->symbols.FindId(dataset);
+  if (id == SymbolTable::kNoSymbol) return out;
+  LookupPosting(snap_->replicas_of, id)->ForEach([&](Id replica) {
+    const auto* row = snap_->replicas.Find(replica);
+    if (row != nullptr && (!valid_only || row->object->valid)) {
+      out.push_back(*row->object);
+    }
+  });
+  return out;
+}
+
+std::vector<Invocation> CatalogView::InvocationsOf(
+    std::string_view derivation) const {
+  std::vector<Invocation> out;
+  const Id id = snap_->symbols.FindId(derivation);
+  if (id == SymbolTable::kNoSymbol) return out;
+  LookupPosting(snap_->invocations_of, id)->ForEach([&](Id invocation) {
+    const auto* row = snap_->invocations.Find(invocation);
+    if (row != nullptr) out.push_back(*row->object);
+  });
+  return out;
+}
+
 NameList CatalogView::ConsumersOf(std::string_view dataset) const {
   Id id = snap_->symbols.FindId(dataset);
   if (id == SymbolTable::kNoSymbol) return NameList();
@@ -276,6 +263,36 @@ NameList CatalogView::DerivationsUsing(std::string_view transformation) const {
 // ---------------------------------------------------------------------
 // Discovery
 // ---------------------------------------------------------------------
+
+Result<std::string> CatalogView::FindEquivalentDerivation(
+    const Derivation& derivation) const {
+  const std::string want = derivation.SignatureText();
+  const uint32_t bucket =
+      snapshot_internal::SignatureBucket(derivation.Signature());
+  std::string found;
+  LookupPosting(snap_->by_signature, bucket)->ForEach([&](Id id) {
+    const auto* dv = snap_->derivations.Find(id);
+    if (found.empty() && dv != nullptr && dv->object->SignatureText() == want) {
+      found = std::string(dv->name);
+    }
+  });
+  if (found.empty()) {
+    return Status::NotFound("no equivalent derivation recorded");
+  }
+  return found;
+}
+
+bool CatalogView::HasBeenComputed(const Derivation& derivation) const {
+  Result<std::string> existing = FindEquivalentDerivation(derivation);
+  if (!existing.ok()) return false;
+  std::vector<std::string> outputs =
+      FindRow(snap_->derivations, *existing)->object->OutputDatasets();
+  if (outputs.empty()) return false;
+  for (const std::string& output : outputs) {
+    if (!IsMaterialized(output)) return false;
+  }
+  return true;
+}
 
 std::vector<CatalogView::Posting> CatalogView::DatasetPostings(
     const DatasetQuery& query, bool with_drivers) const {
@@ -724,6 +741,22 @@ NameList CatalogView::AllTransformationNames() const {
 }
 NameList CatalogView::AllDerivationNames() const {
   return RowNames(snap_, snap_->derivations);
+}
+NameList CatalogView::AllReplicaIds() const {
+  return RowNames(snap_, snap_->replicas);
+}
+NameList CatalogView::AllInvocationIds() const {
+  return RowNames(snap_, snap_->invocations);
+}
+
+CatalogStats CatalogView::Stats() const {
+  CatalogStats stats;
+  stats.datasets = snap_->datasets.size();
+  stats.transformations = snap_->transformations.size();
+  stats.derivations = snap_->derivations.size();
+  stats.replicas = snap_->replicas.size();
+  stats.invocations = snap_->invocations.size();
+  return stats;
 }
 
 uint64_t CatalogView::changelog_floor() const {

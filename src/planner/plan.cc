@@ -47,7 +47,12 @@ std::string ExecutionPlan::ToString() const {
            ShippingPatternToString(node.pattern);
     if (!node.deps.empty()) {
       out += " deps:";
-      for (size_t dep : node.deps) out += " " + std::to_string(dep);
+      // Appended piece by piece: GCC 12 at -O3 misreports -Wrestrict
+      // inside " " + std::string&&.
+      for (size_t dep : node.deps) {
+        out += ' ';
+        out += std::to_string(dep);
+      }
     }
     for (const TransferPlan& stage : node.staging) {
       out += "\n      stage " + stage.dataset + " " + stage.from_site +

@@ -3,6 +3,18 @@
 namespace vdg {
 namespace workload {
 
+namespace {
+
+/// `prefix` followed by `n`, appended piece by piece: GCC 12 at -O3
+/// misreports -Wrestrict inside "literal" + std::string&&.
+std::string Numbered(const char* prefix, int n) {
+  std::string out = prefix;
+  out += std::to_string(n);
+  return out;
+}
+
+}  // namespace
+
 Result<InteractiveWorkload> GenerateInteractive(
     VirtualDataCatalog* catalog, const InteractiveOptions& options) {
   if (catalog == nullptr) return Status::InvalidArgument("null catalog");
@@ -82,16 +94,16 @@ Result<InteractiveWorkload> GenerateInteractive(
     Transformation graph(options.prefix + "-graph",
                          Transformation::Kind::kSimple);
     for (int h = 0; h < total_hists; ++h) {
+      const std::string name = Numbered("h", h);
       FormalArg in;
-      in.name = "h" + std::to_string(h);
+      in.name = name;
       in.direction = ArgDirection::kIn;
       in.types = {content_type("Histogram")};
       VDG_RETURN_IF_ERROR(graph.AddArg(std::move(in)));
       ArgumentTemplate arg;
-      arg.name = "h" + std::to_string(h);
+      arg.name = name;
       arg.expr = {TemplatePiece::Literal("-h "),
-                  TemplatePiece::Ref("h" + std::to_string(h),
-                                     ArgDirection::kIn)};
+                  TemplatePiece::Ref(name, ArgDirection::kIn)};
       graph.AddArgumentTemplate(std::move(arg));
     }
     FormalArg out{.name = "graph",
@@ -110,7 +122,7 @@ Result<InteractiveWorkload> GenerateInteractive(
 
   // Iterations: a new version of the select code each time.
   for (int it = 0; it < options.num_iterations; ++it) {
-    std::string version = "v" + std::to_string(it + 1);
+    std::string version = Numbered("v", it + 1);
     std::string select_name = options.prefix + "-select-" + version;
     Transformation select(select_name, Transformation::Kind::kSimple);
     FormalArg in{.name = "events",
@@ -154,7 +166,7 @@ Result<InteractiveWorkload> GenerateInteractive(
       VDG_RETURN_IF_ERROR(dv.AddArg(
           ActualArg::DatasetRef("cuts", cutset, ArgDirection::kOut)));
       VDG_RETURN_IF_ERROR(dv.AddArg(ActualArg::String(
-          "cut", "pt>" + std::to_string(20 + 5 * c) + "GeV")));
+          "cut", Numbered("pt>", 20 + 5 * c) + "GeV")));
       VDG_RETURN_IF_ERROR(catalog->DefineDerivation(std::move(dv)));
       workload.cut_sets.push_back(cutset);
       ++workload.derivation_count;
@@ -178,7 +190,7 @@ Result<InteractiveWorkload> GenerateInteractive(
                       options.prefix + "-graph");
   for (int h = 0; h < total_hists; ++h) {
     VDG_RETURN_IF_ERROR(graph_dv.AddArg(ActualArg::DatasetRef(
-        "h" + std::to_string(h), workload.histograms[static_cast<size_t>(h)],
+        Numbered("h", h), workload.histograms[static_cast<size_t>(h)],
         ArgDirection::kIn)));
   }
   VDG_RETURN_IF_ERROR(graph_dv.AddArg(ActualArg::DatasetRef(

@@ -4,8 +4,9 @@
 // must preserve, over seeded random mutation streams:
 //  - after every commit, the published view equals a catalog rebuilt
 //    from the journal (and, periodically, one reopened from a flat
-//    snapshot plus the journal tail): Find*, All*Names, Get*, and the
-//    Explain* candidate counts;
+//    snapshot plus the journal tail): Find*, All*, Get*, replicas per
+//    dataset, invocations per derivation, equivalent-derivation
+//    lookups, and the Explain* candidate counts;
 //  - ChangesSince answers from the chunked window match the per-commit
 //    deltas;
 //  - views pinned k generations back stay byte-identical, also while
@@ -49,6 +50,13 @@ std::string Join(const NameList& names) {
   return out;
 }
 
+template <typename T>
+std::string JoinIds(const std::vector<T>& records) {
+  std::string out;
+  for (const T& record : records) out += record.id + ",";
+  return out;
+}
+
 std::string Counts(const QueryPlan& plan) {
   return std::string(AccessPathName(plan.path)) + " est=" +
          std::to_string(plan.estimated_candidates) +
@@ -60,18 +68,41 @@ std::vector<std::string> Render(const CatalogView& view) {
   out.push_back("datasets " + Join(view.AllDatasetNames()));
   out.push_back("transformations " + Join(view.AllTransformationNames()));
   out.push_back("derivations " + Join(view.AllDerivationNames()));
+  out.push_back("replicas " + Join(view.AllReplicaIds()));
+  out.push_back("invocations " + Join(view.AllInvocationIds()));
+  const CatalogStats stats = view.Stats();
+  out.push_back("stats " + std::to_string(stats.replicas) + " " +
+                std::to_string(stats.invocations) + " " +
+                std::to_string(stats.total()));
   for (std::string_view name : view.AllDatasetNames()) {
     out.push_back(journal_record::Encode(*view.GetDataset(name)));
     out.push_back("materialized " + std::string(name) + "=" +
                   std::to_string(view.IsMaterialized(name)));
     out.push_back("consumers " + Join(view.ConsumersOf(name)));
+    out.push_back("replicas " + JoinIds(view.ReplicasOf(name, false)) +
+                  " valid " + JoinIds(view.ReplicasOf(name)));
+  }
+  for (std::string_view id : view.AllReplicaIds()) {
+    out.push_back(journal_record::Encode(*view.GetReplica(id)));
+  }
+  // Invocations of removed derivations stay as the audit record, so
+  // runs are listed per invocation's derivation, not per live one.
+  for (std::string_view id : view.AllInvocationIds()) {
+    const Invocation iv = *view.GetInvocation(id);
+    out.push_back(journal_record::Encode(iv));
+    out.push_back("runs " + JoinIds(view.InvocationsOf(iv.derivation)));
   }
   for (std::string_view name : view.AllTransformationNames()) {
     out.push_back(journal_record::Encode(*view.GetTransformation(name)));
     out.push_back("using " + Join(view.DerivationsUsing(name)));
   }
   for (std::string_view name : view.AllDerivationNames()) {
-    out.push_back(journal_record::Encode(*view.GetDerivation(name)));
+    const Derivation dv = *view.GetDerivation(name);
+    out.push_back(journal_record::Encode(dv));
+    Result<std::string> equivalent = view.FindEquivalentDerivation(dv);
+    out.push_back("equivalent " +
+                  (equivalent.ok() ? *equivalent : std::string("-")) +
+                  " computed=" + std::to_string(view.HasBeenComputed(dv)));
   }
 
   std::vector<DatasetQuery> dataset_queries;
@@ -178,7 +209,7 @@ class Stream {
   /// One commit: a single call or one batch. Failures are part of the
   /// stream (duplicates, dangling references, aborted batches).
   void Commit(VirtualDataCatalog* catalog) {
-    const int kind = static_cast<int>(rng_.Index(12));
+    const int kind = static_cast<int>(rng_.Index(14));
     switch (kind) {
       case 0:
       case 1:
@@ -188,8 +219,16 @@ class Stream {
         (void)catalog->DefineDerivation(RandomDerivation());
         break;
       case 3:
-        (void)catalog->Annotate(RandomKind(), RandomObject(), RandomKey(),
-                                RandomValue());
+        if (rng_.Chance(0.2) && !replicas_.empty()) {
+          (void)catalog->Annotate("replica", Pick(replicas_), RandomKey(),
+                                  RandomValue());
+        } else if (rng_.Chance(0.2) && !invocations_.empty()) {
+          (void)catalog->Annotate("invocation", Pick(invocations_),
+                                  RandomKey(), RandomValue());
+        } else {
+          (void)catalog->Annotate(RandomKind(), RandomObject(), RandomKey(),
+                                  RandomValue());
+        }
         break;
       case 4: {
         Result<std::string> id = catalog->AddReplica(RandomReplica());
@@ -198,8 +237,7 @@ class Stream {
       }
       case 5:
         if (!replicas_.empty()) {
-          (void)catalog->InvalidateReplica(
-              replicas_[rng_.Index(replicas_.size())]);
+          (void)catalog->InvalidateReplica(Pick(replicas_));
         }
         break;
       case 6:
@@ -218,6 +256,15 @@ class Stream {
         } else {
           (void)catalog->RemoveTransformation("zf");
         }
+        break;
+      case 10: {
+        Result<std::string> id =
+            catalog->RecordInvocation(RandomInvocation());
+        if (id.ok()) invocations_.push_back(*id);
+        break;
+      }
+      case 11:
+        if (!replicas_.empty()) (void)catalog->RemoveReplica(Pick(replicas_));
         break;
       default:
         Batch(catalog);
@@ -252,6 +299,9 @@ class Stream {
     return tr;
   }
 
+  const std::string& Pick(const std::vector<std::string>& ids) {
+    return ids[rng_.Index(ids.size())];
+  }
   std::string DatasetName() {
     return rng_.Chance(0.7) ? "d" + std::to_string(rng_.Index(30))
                             : "o" + std::to_string(rng_.Index(20));
@@ -312,11 +362,26 @@ class Stream {
     return replica;
   }
 
+  /// A run of a derivation that may not exist (a NotFound failure) and
+  /// that may name a replica as its product.
+  Invocation RandomInvocation() {
+    Invocation iv;
+    iv.derivation = "v" + std::to_string(rng_.Index(30));
+    iv.context.site = "site" + std::to_string(rng_.Index(3));
+    iv.start_time = static_cast<double>(rng_.Index(1000));
+    iv.duration_s = static_cast<double>(rng_.Index(60));
+    iv.succeeded = rng_.Chance(0.8);
+    if (!replicas_.empty() && rng_.Chance(0.5)) {
+      iv.produced_replicas.push_back(Pick(replicas_));
+    }
+    return iv;
+  }
+
   void Batch(VirtualDataCatalog* catalog) {
     std::vector<CatalogMutation> ops;
     const size_t n = 2 + rng_.Index(5);
     for (size_t i = 0; i < n; ++i) {
-      switch (rng_.Index(5)) {
+      switch (rng_.Index(6)) {
         case 0:
           ops.push_back(CatalogMutation::DefineDataset(RandomDataset()));
           break;
@@ -330,6 +395,9 @@ class Stream {
         case 3:
           ops.push_back(CatalogMutation::AddReplica(RandomReplica()));
           break;
+        case 4:
+          ops.push_back(CatalogMutation::RecordInvocation(RandomInvocation()));
+          break;
         default:
           ops.push_back(CatalogMutation::SetDatasetSize(
               DatasetName(), static_cast<int64_t>(rng_.Index(1000))));
@@ -340,15 +408,18 @@ class Stream {
     options.stop_on_error = rng_.Chance(0.5);
     BatchResult result = catalog->ApplyBatch(ops, options);
     for (size_t i = 0; i < ops.size(); ++i) {
-      if (!result.assigned_ids[i].empty() &&
-          std::holds_alternative<CatalogMutation::AddReplicaOp>(ops[i].op)) {
+      if (result.assigned_ids[i].empty()) continue;
+      if (std::holds_alternative<CatalogMutation::AddReplicaOp>(ops[i].op)) {
         replicas_.push_back(result.assigned_ids[i]);
+      } else {
+        invocations_.push_back(result.assigned_ids[i]);
       }
     }
   }
 
   Rng rng_;
   std::vector<std::string> replicas_;
+  std::vector<std::string> invocations_;
 };
 
 // ---------------------------------------------------------------------

@@ -163,7 +163,7 @@ class MutationDriver {
 // independent of the catalog's incremental materialized set.
 std::set<std::string> NaiveMaterialized(const VirtualDataCatalog& catalog) {
   std::set<std::string> out;
-  for (const std::string& id : catalog.AllReplicaIds()) {
+  for (std::string_view id : catalog.AllReplicaIds()) {
     Replica r = *catalog.GetReplica(id);
     if (r.valid) out.insert(r.dataset);
   }

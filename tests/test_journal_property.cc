@@ -172,17 +172,18 @@ std::string Fingerprint(const VirtualDataCatalog& catalog) {
     }
     out += "\n";
   }
-  for (const std::string& id : catalog.AllReplicaIds()) {
+  for (std::string_view id : catalog.AllReplicaIds()) {
     Replica r = *catalog.GetReplica(id);
-    out += "RP " + id + " " + r.dataset + "@" + r.site + " " +
+    out += "RP " + std::string(id) + " " + r.dataset + "@" + r.site + " " +
            std::to_string(r.size_bytes) + (r.valid ? " valid" : " invalid") +
            "\n";
   }
-  for (const std::string& id : catalog.AllInvocationIds()) {
+  for (std::string_view id : catalog.AllInvocationIds()) {
     Invocation iv = *catalog.GetInvocation(id);
-    out += "IV " + id + " " + iv.derivation + "@" + iv.context.site + "/" +
-           iv.context.host + " t=" + std::to_string(iv.start_time) + " d=" +
-           std::to_string(iv.duration_s) +
+    out += "IV " + std::string(id) + " " + iv.derivation + "@" +
+           iv.context.site + "/" + iv.context.host +
+           " t=" + std::to_string(iv.start_time) +
+           " d=" + std::to_string(iv.duration_s) +
            (iv.succeeded ? " ok" : " failed") + "\n";
   }
   return out;

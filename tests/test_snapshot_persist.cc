@@ -53,6 +53,15 @@ void Populate(VirtualDataCatalog* catalog, int datasets) {
                       "  exec = \"/bin/base\"; }"
                       "DS seed0 : Dataset size=\"1\";")
                   .ok());
+  // Eleven replicas of seed0, rp-1 to rp-11: rp-10 and rp-11 sort
+  // before rp-2 by name, so only commit order keeps them last.
+  for (int k = 0; k < 11; ++k) {
+    Replica copy;
+    copy.dataset = "seed0";
+    copy.site = "tape" + std::to_string(k);
+    copy.size_bytes = 10;
+    ASSERT_TRUE(catalog->AddReplica(copy).ok());
+  }
   // A compound transformation exercising every Transformation field the
   // object codec carries: default args (string and dataset), calls with
   // directed and undirected refs, env, profile and annotations.
@@ -138,6 +147,28 @@ void Populate(VirtualDataCatalog* catalog, int datasets) {
   // non-trivial materialized set.
   ASSERT_FALSE(first_replica.empty());
   ASSERT_TRUE(catalog->InvalidateReplica(first_replica).ok());
+  // Eleven more runs of dv0 (iv-2 to iv-12), past the digit boundary
+  // like seed0's replicas.
+  for (int k = 0; k < 11; ++k) {
+    Invocation rerun;
+    rerun.derivation = "dv0";
+    rerun.context = {"west", "node" + std::to_string(k), "linux", "x86_64"};
+    rerun.start_time = 1.8e9 + k;
+    rerun.duration_s = 1.5 * k;
+    ASSERT_TRUE(catalog->RecordInvocation(rerun).ok());
+  }
+}
+
+// The ids of seed0's replicas and dv0's invocations, in answer order.
+std::vector<std::string> CommitOrderIds(const VirtualDataCatalog& catalog) {
+  std::vector<std::string> ids;
+  for (const Replica& r : catalog.ReplicasOf("seed0", false)) {
+    ids.push_back(r.id);
+  }
+  for (const Invocation& iv : catalog.InvocationsOf("dv0")) {
+    ids.push_back(iv.id);
+  }
+  return ids;
 }
 
 // Observational equality over *state*: replay-safe state records and
@@ -532,6 +563,35 @@ TEST_F(SnapshotPersistTest, ReplayedObjectsEncodeToTheSourceBytes) {
   ExpectSameObjectBytes(*ReplayOpened(), *source_);
   ASSERT_TRUE(source_->CompactJournal().ok());
   ExpectSameObjectBytes(*ReplayOpened(), *source_);
+}
+
+// Replicas and invocations answer in commit order whichever way the
+// catalog was opened: live, by journal replay, from a flat snapshot,
+// and after compaction (reopened by replay, and from a snapshot of the
+// compacted catalog).
+TEST_F(SnapshotPersistTest, CommitOrderSurvivesEveryOpenPath) {
+  const std::vector<std::string> live = CommitOrderIds(*source_);
+  std::vector<std::string> want;
+  for (int k = 1; k <= 11; ++k) want.push_back("rp-" + std::to_string(k));
+  for (int k = 1; k <= 12; ++k) want.push_back("iv-" + std::to_string(k));
+  ASSERT_EQ(live, want);
+
+  EXPECT_EQ(CommitOrderIds(*ReplayOpened()), live);
+  ASSERT_TRUE(source_->SaveSnapshotFile(snap_path_).ok());
+  {
+    std::unique_ptr<VirtualDataCatalog> loaded = SnapshotOpened();
+    ASSERT_TRUE(loaded->last_snapshot_load().used);
+    EXPECT_EQ(CommitOrderIds(*loaded), live);
+  }
+
+  ASSERT_TRUE(source_->CompactJournal().ok());
+  std::unique_ptr<VirtualDataCatalog> compacted = ReplayOpened();
+  EXPECT_EQ(CommitOrderIds(*compacted), live);
+  ASSERT_TRUE(compacted->SaveSnapshotFile(snap_path_).ok());
+  std::unique_ptr<VirtualDataCatalog> loaded = SnapshotOpened();
+  ASSERT_TRUE(loaded->last_snapshot_load().used);
+  EXPECT_EQ(CommitOrderIds(*loaded), live);
+  ExpectSameState(*loaded, *source_);
 }
 
 // The corruption tests above are all caught by a checksum. This sweep

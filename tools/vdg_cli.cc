@@ -102,10 +102,8 @@ int CmdImport(VirtualDataCatalog* catalog, const std::string& vdl_path) {
 }
 
 int CmdList(const VirtualDataCatalog& catalog, const std::string& kind) {
-  // Generic over NameList (view elements) and vector<string> (replica
-  // and invocation ids).
-  auto print_all = [](const auto& names, const char* label) {
-    std::printf("%s (%zu):\n", label, static_cast<size_t>(names.size()));
+  auto print_all = [](const NameList& names, const char* label) {
+    std::printf("%s (%zu):\n", label, names.size());
     for (std::string_view name : names) {
       std::printf("  %.*s\n", static_cast<int>(name.size()), name.data());
     }
