@@ -246,7 +246,7 @@ void BM_SignatureDedupProbe(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SignatureDedupProbe)->Arg(100)->Arg(1000)->Arg(5000);
+BENCHMARK(BM_SignatureDedupProbe)->Arg(100)->Arg(1000)->Arg(5000)->Arg(80000);
 
 void BM_InvocationRecording(benchmark::State& state) {
   VirtualDataCatalog* catalog = bench::CachedCanonicalCatalog(1000);

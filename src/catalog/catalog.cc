@@ -34,7 +34,7 @@ void ForEachRow(const RowTable<T>& table, Fn&& fn) {
 
 /// The minimal journal records that rebuild `snap` (see
 /// CurrentStateRecords): rows in name order, except replicas and
-/// invocations, which go in id order — their commit order — so replay
+/// invocations, which go in id (first-commit) order, so replay
 /// re-interns them in the same relative order.
 std::vector<std::string> StateRecords(const CatalogSnapshot& snap) {
   std::vector<std::string> records;
@@ -51,9 +51,11 @@ std::vector<std::string> StateRecords(const CatalogSnapshot& snap) {
   ForEachRow(snap.datasets, encode);
   ForEachRow(snap.transformations, encode);
   ForEachRow(snap.derivations, encode);
-  auto encode_row = [&encode](const auto& row) { encode(*row.object); };
-  snap.replicas.ForEachById(encode_row);
-  snap.invocations.ForEachById(encode_row);
+  auto encode_by_id = [&encode](uint32_t, const auto& object) {
+    encode(object);
+  };
+  snap.replicas.ForEach(encode_by_id);
+  snap.invocations.ForEach(encode_by_id);
   return records;
 }
 
@@ -177,12 +179,7 @@ void VirtualDataCatalog::IndexDerivation(const Derivation& derivation, Id id,
       PostingRemove(map, symbols_.Intern(key), id);
     }
   };
-  const Id bucket = snapshot_internal::SignatureBucket(derivation.Signature());
-  if (add) {
-    PostingAdd(&next_.by_signature, bucket, id);
-  } else {
-    PostingRemove(&next_.by_signature, bucket, id);
-  }
+  edit(&next_.by_signature, derivation.SignatureText());
   edit(&next_.by_transformation, derivation.QualifiedTransformation());
   if (derivation.QualifiedTransformation() != derivation.transformation()) {
     edit(&next_.by_bare_transformation, derivation.transformation());
@@ -195,13 +192,14 @@ void VirtualDataCatalog::IndexDerivation(const Derivation& derivation, Id id,
   }
 }
 
-void VirtualDataCatalog::RefreshMaterialized(Id dataset) {
-  bool valid = false;
+void VirtualDataCatalog::RefreshMaterialized(Id dataset, bool known_valid) {
+  bool valid = known_valid;
   if (const PostingSlot* replicas = next_.replicas_of.Find(dataset);
-      replicas != nullptr && replicas->list != nullptr) {
+      !valid && replicas != nullptr && replicas->list != nullptr) {
     replicas->list->ForEach([&](Id replica) {
-      const auto* row = next_.replicas.Find(replica);
-      valid = valid || (row != nullptr && row->object->valid);
+      if (valid) return;  // the first valid replica settles it
+      const Replica* rp = next_.replicas.Find(replica);
+      valid = rp != nullptr && rp->valid;
     });
   }
   const bool marked = !next_.materialized.empty() &&
@@ -254,6 +252,10 @@ void VirtualDataCatalog::set_changelog_capacity(size_t capacity) {
 size_t VirtualDataCatalog::changelog_capacity() const {
   std::lock_guard lock(mu_);
   return changelog_capacity_;
+}
+
+uint64_t VirtualDataCatalog::changelog_floor() const {
+  return View().changelog_floor();
 }
 
 void VirtualDataCatalog::PublishSnapshotLocked() {
@@ -314,6 +316,25 @@ Status VirtualDataCatalog::CompactJournal() {
     }
   }
   return rewritten;
+}
+
+bool VirtualDataCatalog::TypeConforms(const DatasetType& type,
+                                      const DatasetType& against) const {
+  return View().types().Conforms(type, against);
+}
+
+bool VirtualDataCatalog::HasType(TypeDimension dim,
+                                 std::string_view type_name) const {
+  return View().types().dimension(dim).Contains(type_name);
+}
+
+TypeRegistry VirtualDataCatalog::TypesSnapshot() const {
+  return View().types();
+}
+
+Result<std::vector<CatalogChange>> VirtualDataCatalog::ChangesSince(
+    uint64_t since_version) const {
+  return View().ChangesSince(since_version);
 }
 
 VirtualDataCatalog::VirtualDataCatalog(
@@ -619,10 +640,10 @@ Result<std::string> VirtualDataCatalog::AddReplicaLocked(Replica replica) {
   // materialized bit may flip, so the changelog records a dataset
   // upsert.
   BumpVersion('U', "dataset", replica.dataset);
-  next_.replicas.Put(id, symbols_.NameOf(id),
-                     std::make_shared<const Replica>(std::move(replica)),
+  const bool valid = replica.valid;
+  next_.replicas.Put(id, std::make_shared<const Replica>(std::move(replica)),
                      gen_);
-  RefreshMaterialized(dataset);
+  RefreshMaterialized(dataset, valid);
   return std::string(symbols_.NameOf(id));
 }
 
@@ -666,8 +687,7 @@ Result<std::string> VirtualDataCatalog::RecordInvocationLocked(
   }
   BumpVersion('U', "invocation", invocation.id);
   next_.invocations.Put(
-      id, symbols_.NameOf(id),
-      std::make_shared<const Invocation>(std::move(invocation)), gen_);
+      id, std::make_shared<const Invocation>(std::move(invocation)), gen_);
   return std::string(symbols_.NameOf(id));
 }
 
@@ -800,6 +820,43 @@ Status VirtualDataCatalog::ImportVdl(std::string_view source) {
 }
 
 // ---------------------------------------------------------------------
+// Point lookups
+// ---------------------------------------------------------------------
+
+Result<Dataset> VirtualDataCatalog::GetDataset(std::string_view name) const {
+  return View().GetDataset(name);
+}
+
+Result<Transformation> VirtualDataCatalog::GetTransformation(
+    std::string_view name) const {
+  return View().GetTransformation(name);
+}
+
+Result<Derivation> VirtualDataCatalog::GetDerivation(
+    std::string_view name) const {
+  return View().GetDerivation(name);
+}
+
+Result<Replica> VirtualDataCatalog::GetReplica(std::string_view id) const {
+  return View().GetReplica(id);
+}
+
+Result<Invocation> VirtualDataCatalog::GetInvocation(
+    std::string_view id) const {
+  return View().GetInvocation(id);
+}
+
+bool VirtualDataCatalog::HasDataset(std::string_view name) const {
+  return View().HasDataset(name);
+}
+bool VirtualDataCatalog::HasTransformation(std::string_view name) const {
+  return View().HasTransformation(name);
+}
+bool VirtualDataCatalog::HasDerivation(std::string_view name) const {
+  return View().HasDerivation(name);
+}
+
+// ---------------------------------------------------------------------
 // Updates & removal
 // ---------------------------------------------------------------------
 
@@ -864,30 +921,30 @@ Status VirtualDataCatalog::AnnotateLocked(std::string_view kind,
     return journaled;
   }
   if (kind == "replica") {
-    const auto* row = RowOf(next_.replicas, name);
-    if (row == nullptr) {
+    const Replica* current = RowOf(next_.replicas, name);
+    if (current == nullptr) {
       return Status::NotFound("replica not found: " + std::string(name));
     }
-    Replica updated = *row->object;
+    Replica updated = *current;
     updated.annotations.Set(key, std::move(value));
     BumpVersion('U', "dataset", updated.dataset);
     Status journaled = Journal(journal_record::Encode(updated));
-    next_.replicas.Put(row->id, row->name,
+    next_.replicas.Put(symbols_.Find(name),
                        std::make_shared<const Replica>(std::move(updated)),
                        gen_);
     return journaled;
   }
   if (kind == "invocation") {
-    const auto* row = RowOf(next_.invocations, name);
-    if (row == nullptr) {
+    const Invocation* current = RowOf(next_.invocations, name);
+    if (current == nullptr) {
       return Status::NotFound("invocation not found: " + std::string(name));
     }
-    Invocation updated = *row->object;
+    Invocation updated = *current;
     updated.annotations.Set(key, std::move(value));
     BumpVersion('U', "invocation", name);
     Status journaled = Journal(journal_record::Encode(updated));
     next_.invocations.Put(
-        row->id, row->name,
+        symbols_.Find(name),
         std::make_shared<const Invocation>(std::move(updated)), gen_);
     return journaled;
   }
@@ -925,20 +982,20 @@ Status VirtualDataCatalog::InvalidateReplica(std::string_view id) {
 }
 
 Status VirtualDataCatalog::InvalidateReplicaLocked(std::string_view id) {
-  const auto* row = RowOf(next_.replicas, id);
-  if (row == nullptr) {
+  const Replica* current = RowOf(next_.replicas, id);
+  if (current == nullptr) {
     return Status::NotFound("replica not found: " + std::string(id));
   }
-  if (!row->object->valid) return Status::OK();
-  Replica updated = *row->object;
+  if (!current->valid) return Status::OK();
+  Replica updated = *current;
   updated.valid = false;
   BumpVersion('U', "dataset", updated.dataset);
   Status journaled = Journal(journal_record::Encode(updated));
   const Id dataset = symbols_.Intern(updated.dataset);
-  next_.replicas.Put(row->id, row->name,
+  next_.replicas.Put(symbols_.Find(id),
                      std::make_shared<const Replica>(std::move(updated)),
                      gen_);
-  RefreshMaterialized(dataset);
+  RefreshMaterialized(dataset, false);
   return journaled;
 }
 
@@ -953,7 +1010,7 @@ Status VirtualDataCatalog::RemoveDatasetLocked(std::string_view name) {
     return Status::NotFound("dataset not found: " + std::string(name));
   }
   const Id id = row->id;
-  // Cascade to its replicas, in commit order.
+  // Cascade to its replicas, in first-commit order.
   if (const PostingSlot* replicas = next_.replicas_of.Find(id);
       replicas != nullptr && replicas->list != nullptr) {
     for (Id replica : replicas->list->ToVector()) {
@@ -1033,20 +1090,113 @@ Status VirtualDataCatalog::RemoveReplica(std::string_view id) {
 }
 
 Status VirtualDataCatalog::RemoveReplicaLocked(std::string_view id) {
-  const auto* row = RowOf(next_.replicas, id);
-  if (row == nullptr) {
+  const Replica* current = RowOf(next_.replicas, id);
+  if (current == nullptr) {
     return Status::NotFound("replica not found: " + std::string(id));
   }
   VDG_RETURN_IF_ERROR(Journal(journal_record::EncodeRemoval(
       journal_record::Tag::kRemoveReplica, id)));
-  const Id replica = row->id;
-  const Id dataset = symbols_.Intern(row->object->dataset);
-  BumpVersion('U', "dataset", row->object->dataset);
+  const Id replica = symbols_.Find(id);
+  const Id dataset = symbols_.Intern(current->dataset);
+  BumpVersion('U', "dataset", current->dataset);
   PostingRemove(&next_.replicas_of, dataset, replica);
   next_.replicas.Erase(replica, gen_);
-  RefreshMaterialized(dataset);
+  RefreshMaterialized(dataset, false);
   return Status::OK();
 }
+
+// ---------------------------------------------------------------------
+// Navigation
+// ---------------------------------------------------------------------
+
+std::vector<Replica> VirtualDataCatalog::ReplicasOf(std::string_view dataset,
+                                                    bool valid_only) const {
+  return View().ReplicasOf(dataset, valid_only);
+}
+
+bool VirtualDataCatalog::IsMaterialized(std::string_view dataset) const {
+  return View().IsMaterialized(dataset);
+}
+
+Result<std::string> VirtualDataCatalog::ProducerOf(
+    std::string_view dataset) const {
+  return View().ProducerOf(dataset);
+}
+
+NameList VirtualDataCatalog::ConsumersOf(
+    std::string_view dataset) const {
+  return View().ConsumersOf(dataset);
+}
+
+std::vector<Invocation> VirtualDataCatalog::InvocationsOf(
+    std::string_view derivation) const {
+  return View().InvocationsOf(derivation);
+}
+
+NameList VirtualDataCatalog::DerivationsUsing(
+    std::string_view transformation) const {
+  return View().DerivationsUsing(transformation);
+}
+
+// ---------------------------------------------------------------------
+// Discovery (delegated to the pinned snapshot)
+// ---------------------------------------------------------------------
+
+NameList VirtualDataCatalog::FindDatasets(
+    const DatasetQuery& query) const {
+  return View().FindDatasets(query);
+}
+
+QueryPlan VirtualDataCatalog::ExplainFindDatasets(
+    const DatasetQuery& query) const {
+  return View().ExplainFindDatasets(query);
+}
+
+NameList VirtualDataCatalog::FindTransformations(
+    const TransformationQuery& query) const {
+  return View().FindTransformations(query);
+}
+
+NameList VirtualDataCatalog::FindDerivations(
+    const DerivationQuery& query) const {
+  return View().FindDerivations(query);
+}
+
+QueryPlan VirtualDataCatalog::ExplainFindDerivations(
+    const DerivationQuery& query) const {
+  return View().ExplainFindDerivations(query);
+}
+
+Result<std::string> VirtualDataCatalog::FindEquivalentDerivation(
+    const Derivation& derivation) const {
+  return View().FindEquivalentDerivation(derivation);
+}
+
+bool VirtualDataCatalog::HasBeenComputed(const Derivation& derivation) const {
+  return View().HasBeenComputed(derivation);
+}
+
+// ---------------------------------------------------------------------
+// Enumeration & stats
+// ---------------------------------------------------------------------
+
+NameList VirtualDataCatalog::AllDatasetNames() const {
+  return View().AllDatasetNames();
+}
+NameList VirtualDataCatalog::AllTransformationNames() const {
+  return View().AllTransformationNames();
+}
+NameList VirtualDataCatalog::AllDerivationNames() const {
+  return View().AllDerivationNames();
+}
+NameList VirtualDataCatalog::AllReplicaIds() const {
+  return View().AllReplicaIds();
+}
+NameList VirtualDataCatalog::AllInvocationIds() const {
+  return View().AllInvocationIds();
+}
+
+CatalogStats VirtualDataCatalog::Stats() const { return View().Stats(); }
 
 // ---------------------------------------------------------------------
 // State records & exports

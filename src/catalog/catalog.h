@@ -96,22 +96,17 @@ class VirtualDataCatalog {
 
   /// Conformance check against the published type universe, safe to
   /// call while another thread runs DefineType.
-  bool TypeConforms(const DatasetType& type,
-                    const DatasetType& against) const {
-    return View().types().Conforms(type, against);
-  }
+  bool TypeConforms(const DatasetType& type, const DatasetType& against) const;
 
   /// True when `type_name` is defined in dimension `dim`.
-  bool HasType(TypeDimension dim, std::string_view type_name) const {
-    return View().types().dimension(dim).Contains(type_name);
-  }
+  bool HasType(TypeDimension dim, std::string_view type_name) const;
 
   /// A point-in-time copy of the whole type universe, for enumeration
   /// and inspection. Communities define their own type names (Section
   /// 3.1); LoadTypePreset() installs the paper's Appendix-C hierarchy.
   /// The snapshot is detached: later DefineType calls do not appear in
   /// it, and mutating the copy never touches the catalog.
-  TypeRegistry TypesSnapshot() const { return View().types(); }
+  TypeRegistry TypesSnapshot() const;
 
   // ------------------------------------------------------------------
   // Definition (the "composition" facet of Figure 5)
@@ -162,31 +157,15 @@ class VirtualDataCatalog {
   // Point lookups
   // ------------------------------------------------------------------
 
-  Result<Dataset> GetDataset(std::string_view name) const {
-    return View().GetDataset(name);
-  }
-  Result<Transformation> GetTransformation(std::string_view name) const {
-    return View().GetTransformation(name);
-  }
-  Result<Derivation> GetDerivation(std::string_view name) const {
-    return View().GetDerivation(name);
-  }
-  Result<Replica> GetReplica(std::string_view id) const {
-    return View().GetReplica(id);
-  }
-  Result<Invocation> GetInvocation(std::string_view id) const {
-    return View().GetInvocation(id);
-  }
+  Result<Dataset> GetDataset(std::string_view name) const;
+  Result<Transformation> GetTransformation(std::string_view name) const;
+  Result<Derivation> GetDerivation(std::string_view name) const;
+  Result<Replica> GetReplica(std::string_view id) const;
+  Result<Invocation> GetInvocation(std::string_view id) const;
 
-  bool HasDataset(std::string_view name) const {
-    return View().HasDataset(name);
-  }
-  bool HasTransformation(std::string_view name) const {
-    return View().HasTransformation(name);
-  }
-  bool HasDerivation(std::string_view name) const {
-    return View().HasDerivation(name);
-  }
+  bool HasDataset(std::string_view name) const;
+  bool HasTransformation(std::string_view name) const;
+  bool HasDerivation(std::string_view name) const;
 
   // ------------------------------------------------------------------
   // Updates & removal
@@ -213,37 +192,28 @@ class VirtualDataCatalog {
   // Navigation (provenance building blocks)
   // ------------------------------------------------------------------
 
-  /// Replicas of a dataset in commit order; `valid_only` filters
-  /// invalidated copies.
+  /// Replicas of a dataset in first-commit order (see InvocationsOf);
+  /// `valid_only` filters invalidated copies.
   std::vector<Replica> ReplicasOf(std::string_view dataset,
-                                  bool valid_only = true) const {
-    return View().ReplicasOf(dataset, valid_only);
-  }
+                                  bool valid_only = true) const;
   /// True when the dataset has at least one valid replica (i.e. is
   /// materialized rather than virtual).
-  bool IsMaterialized(std::string_view dataset) const {
-    return View().IsMaterialized(dataset);
-  }
+  bool IsMaterialized(std::string_view dataset) const;
 
   /// The derivation that produces `dataset` (NotFound for raw inputs).
-  Result<std::string> ProducerOf(std::string_view dataset) const {
-    return View().ProducerOf(dataset);
-  }
+  Result<std::string> ProducerOf(std::string_view dataset) const;
   /// Derivations that read `dataset`. Like every NameList returned
   /// below, the list pins the answering snapshot and views its symbol
   /// spine — zero name copies (DESIGN.md §15).
-  NameList ConsumersOf(std::string_view dataset) const {
-    return View().ConsumersOf(dataset);
-  }
-  /// Invocations recorded for `derivation`, in commit order (on every
-  /// open path: live, journal replay, flat snapshot, compaction).
-  std::vector<Invocation> InvocationsOf(std::string_view derivation) const {
-    return View().InvocationsOf(derivation);
-  }
+  NameList ConsumersOf(std::string_view dataset) const;
+  /// Invocations recorded for `derivation`, in first-commit order: the
+  /// order their ids were first interned, the same on every open path
+  /// (live, journal replay, flat snapshot, compaction). An explicit id
+  /// interned earlier, such as a removed replica's id added again,
+  /// keeps its earlier place.
+  std::vector<Invocation> InvocationsOf(std::string_view derivation) const;
   /// Derivations that invoke `transformation`.
-  NameList DerivationsUsing(std::string_view transformation) const {
-    return View().DerivationsUsing(transformation);
-  }
+  NameList DerivationsUsing(std::string_view transformation) const;
 
   // ------------------------------------------------------------------
   // Discovery
@@ -257,50 +227,34 @@ class VirtualDataCatalog {
   /// candidate. Queries with no indexable condition fall back to a
   /// name-prefix range scan or a full scan. All of it runs against a
   /// pinned snapshot (see View()).
-  NameList FindDatasets(const DatasetQuery& query) const {
-    return View().FindDatasets(query);
-  }
-  NameList FindTransformations(const TransformationQuery& query) const {
-    return View().FindTransformations(query);
-  }
-  NameList FindDerivations(const DerivationQuery& query) const {
-    return View().FindDerivations(query);
-  }
+  NameList FindDatasets(const DatasetQuery& query) const;
+  NameList FindTransformations(const TransformationQuery& query) const;
+  NameList FindDerivations(const DerivationQuery& query) const;
 
   /// The access path FindDatasets/FindDerivations would choose for
   /// `query`, without running it. Lets tests pin selectivity ordering
   /// and operators inspect why a query is slow.
-  QueryPlan ExplainFindDatasets(const DatasetQuery& query) const {
-    return View().ExplainFindDatasets(query);
-  }
-  QueryPlan ExplainFindDerivations(const DerivationQuery& query) const {
-    return View().ExplainFindDerivations(query);
-  }
+  QueryPlan ExplainFindDatasets(const DatasetQuery& query) const;
+  QueryPlan ExplainFindDerivations(const DerivationQuery& query) const;
 
   /// The "has this computation been performed before?" query (Section
   /// 1). Returns the name of an existing derivation with the same
   /// content signature, if any.
   Result<std::string> FindEquivalentDerivation(
-      const Derivation& derivation) const {
-    return View().FindEquivalentDerivation(derivation);
-  }
+      const Derivation& derivation) const;
   /// True when an equivalent derivation exists AND all of its outputs
   /// are materialized — re-use beats re-computation.
-  bool HasBeenComputed(const Derivation& derivation) const {
-    return View().HasBeenComputed(derivation);
-  }
+  bool HasBeenComputed(const Derivation& derivation) const;
 
   /// All names and ids, in name order, for enumeration by indexes and
   /// tests.
-  NameList AllDatasetNames() const { return View().AllDatasetNames(); }
-  NameList AllTransformationNames() const {
-    return View().AllTransformationNames();
-  }
-  NameList AllDerivationNames() const { return View().AllDerivationNames(); }
-  NameList AllReplicaIds() const { return View().AllReplicaIds(); }
-  NameList AllInvocationIds() const { return View().AllInvocationIds(); }
+  NameList AllDatasetNames() const;
+  NameList AllTransformationNames() const;
+  NameList AllDerivationNames() const;
+  NameList AllReplicaIds() const;
+  NameList AllInvocationIds() const;
 
-  CatalogStats Stats() const { return View().Stats(); }
+  CatalogStats Stats() const;
 
   /// Monotonic edit counter; bumped by every successful mutation
   /// commit (a whole batch bumps it once). Federated indexes use it to
@@ -318,12 +272,10 @@ class VirtualDataCatalog {
   /// must fall back to a full rescan) and InvalidArgument when
   /// `since_version` is from the future.
   Result<std::vector<CatalogChange>> ChangesSince(
-      uint64_t since_version) const {
-    return View().ChangesSince(since_version);
-  }
+      uint64_t since_version) const;
 
   /// Oldest version ChangesSince can answer from (the window floor).
-  uint64_t changelog_floor() const { return View().changelog_floor(); }
+  uint64_t changelog_floor() const;
 
   /// Caps the in-memory changelog length (default 4096 changes).
   /// Shrinking may immediately raise changelog_floor(). Trimming never
@@ -352,7 +304,8 @@ class VirtualDataCatalog {
   /// The minimal journal records that reproduce the catalog's current
   /// state (types, then datasets, transformations, derivations,
   /// replicas, invocations — a replay-safe order; replicas and
-  /// invocations in commit order, so a reopened catalog keeps it).
+  /// invocations in first-commit order, so a reopened catalog keeps
+  /// it).
   std::vector<std::string> CurrentStateRecords() const;  // result-api-ok: journal records
 
   /// Log compaction: atomically rewrites the journal to
@@ -465,10 +418,10 @@ class VirtualDataCatalog {
   /// capacity (never splits a batch).
   void TrimChangelogLocked();
 
-  /// The writer's current row for `name` in `table`, or null.
-  template <typename T>
-  const typename RowTable<T>::Row* RowOf(const RowTable<T>& table,
-                                         std::string_view name) const {
+  /// The writer's current row (the object, for an IdTable) for `name`
+  /// in `table`, or null.
+  template <typename Table>
+  auto RowOf(const Table& table, std::string_view name) const {
     const Id id = symbols_.Find(name);
     return id == SymbolTable::kNoSymbol ? nullptr : table.Find(id);
   }
@@ -488,8 +441,9 @@ class VirtualDataCatalog {
   void IndexDatasetType(const Dataset& dataset, Id id, bool add);
   void IndexDerivation(const Derivation& derivation, Id id, bool add);
   /// Sets `dataset`'s materialized bit from its own replica list: on
-  /// when any of its replicas is valid.
-  void RefreshMaterialized(Id dataset);
+  /// when `known_valid` (a valid replica was just written) or when any
+  /// of its replicas is valid.
+  void RefreshMaterialized(Id dataset, bool known_valid);
 
   std::string name_;
   /// Writer lock over the next generation, the symbol table, the

@@ -171,6 +171,51 @@ inline PostingBlocks* MutablePosting(PostingSlot* slot, Generation gen) {
   return writable;
 }
 
+/// Objects of one class keyed by symbol id alone, for classes that
+/// nothing lists or scans in name order on a hot path (replicas,
+/// invocations): writing one object path-copies one trie path of
+/// object pointers, with no chunk or directory to copy.
+template <typename T>
+class IdTable {
+ public:
+  size_t size() const { return size_; }
+
+  /// The object with id `id`, or null.
+  const T* Find(uint32_t id) const {
+    const std::shared_ptr<const T>* slot = objects_.Find(id);
+    return slot == nullptr ? nullptr : slot->get();
+  }
+
+  /// Calls fn(id, object) for every object, in id order.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    objects_.ForEach([&fn](uint32_t id, const std::shared_ptr<const T>& obj) {
+      if (obj != nullptr) fn(id, *obj);
+    });
+  }
+
+  // ---- writer side: generation `gen` only --------------------------
+
+  /// Inserts `id`'s object or replaces it.
+  void Put(uint32_t id, std::shared_ptr<const T> object, Generation gen) {
+    std::shared_ptr<const T>& slot = objects_.Mutable(id, gen);
+    if (slot == nullptr) ++size_;
+    slot = std::move(object);
+  }
+
+  /// Removes `id`'s object; false when there is none.
+  bool Erase(uint32_t id, Generation gen) {
+    if (Find(id) == nullptr) return false;
+    objects_.Mutable(id, gen) = nullptr;
+    --size_;
+    return true;
+  }
+
+ private:
+  CowArray<std::shared_ptr<const T>> objects_;
+  size_t size_ = 0;
+};
+
 /// Name-sorted rows of one object class, in copy-on-write chunks.
 ///
 /// Rows live in chunks of up to kSlots, stored in name order. A row
@@ -262,17 +307,9 @@ class RowTable {
 
   const Row* Find(Id id) const {
     const Loc* loc = loc_.Find(id);
-    return loc == nullptr || loc->absent() ? nullptr : &RowAt(*loc);
-  }
-
-  /// Calls fn(row) for every row in id order. Ids are interned as
-  /// objects are first committed, so for a class whose names are
-  /// interned when its rows are added this is commit order.
-  template <typename Fn>
-  void ForEachById(Fn&& fn) const {
-    loc_.ForEach([&](uint32_t, const Loc& loc) {
-      if (!loc.absent()) fn(RowAt(loc));
-    });
+    if (loc == nullptr || loc->absent()) return nullptr;
+    const Chunk& chunk = *dir_->by_cno[CnoOf(*loc)].chunk;
+    return &chunk.rows[chunk.rank[TagOf(*loc)]];
   }
 
   /// Name-order keys for runs of ids, cheapest when the ids ascend:
@@ -417,10 +454,6 @@ class RowTable {
   }
 
  private:
-  const Row& RowAt(Loc loc) const {
-    const Chunk& chunk = *dir_->by_cno[CnoOf(loc)].chunk;
-    return chunk.rows[chunk.rank[TagOf(loc)]];
-  }
   Directory* MutableDir(Generation gen) {
     if (dir_ == nullptr) {
       dir_ = std::make_shared<Directory>();

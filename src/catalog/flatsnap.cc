@@ -285,7 +285,7 @@ Status VirtualDataCatalog::SaveSnapshotFile(const std::string& path) const {
   }
 
   // Object rows through the shared object codec: name order, except
-  // replicas and invocations, which go in id (commit) order.
+  // replicas and invocations, which go in id (first-commit) order.
   auto put_rows = [&w](const auto& table, auto put) {
     w.PutCount(table.size());
     table.ScanFrom({}, [&](const auto& row) {
@@ -295,7 +295,7 @@ Status VirtualDataCatalog::SaveSnapshotFile(const std::string& path) const {
   };
   auto put_rows_by_id = [&w](const auto& table, auto put) {
     w.PutCount(table.size());
-    table.ForEachById([&](const auto& row) { put(w, *row.object); });
+    table.ForEach([&](uint32_t, const auto& object) { put(w, object); });
   };
   put_rows(snap.datasets, objcodec::PutDataset);
   put_rows(snap.transformations, objcodec::PutTransformation);
@@ -515,27 +515,25 @@ Status VirtualDataCatalog::OpenFromSnapshot(const std::string& path) {
     }
     for (Derivation& d : image.derivations) {
       const Id id = symbols_.Find(d.name());
-      PostingAdd(&next_.by_signature,
-                 snapshot_internal::SignatureBucket(d.Signature()), id);
+      PostingAdd(&next_.by_signature, symbols_.Intern(d.SignatureText()), id);
       next_.derivations.Put(id, symbols_.NameOf(id),
                             std::make_shared<const Derivation>(std::move(d)),
                             gen_);
     }
-    // Replicas and invocations arrive in commit order with their ids
-    // already symbols; a file from before they were interned gets them
-    // interned here, in its (name) order.
+    // Replicas and invocations arrive in first-commit order with their
+    // ids already symbols; a file from before they were interned gets
+    // them interned here, in its (name) order.
     for (Replica& rp : image.replicas) {
       const Id id = symbols_.Intern(rp.id);
       PostingAdd(&next_.replicas_of, symbols_.Intern(rp.dataset), id);
-      next_.replicas.Put(id, symbols_.NameOf(id),
-                         std::make_shared<const Replica>(std::move(rp)), gen_);
+      next_.replicas.Put(id, std::make_shared<const Replica>(std::move(rp)),
+                         gen_);
     }
     for (Invocation& iv : image.invocations) {
       const Id id = symbols_.Intern(iv.id);
       PostingAdd(&next_.invocations_of, symbols_.Intern(iv.derivation), id);
       next_.invocations.Put(
-          id, symbols_.NameOf(id),
-          std::make_shared<const Invocation>(std::move(iv)), gen_);
+          id, std::make_shared<const Invocation>(std::move(iv)), gen_);
     }
     // Posting lists install with generation 0: they are borrowed from
     // the mapping, so the first edit of each clones it.

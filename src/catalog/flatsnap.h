@@ -29,7 +29,7 @@ namespace flatsnap {
 /// Payload sections, in order: symbol table (names in id order), type
 /// universe (parents first, per dimension), datasets, transformations,
 /// derivations (each in name order), replicas, invocations (each in
-/// commit order), the posting indexes (attribute, type,
+/// first-commit order), the posting indexes (attribute, type,
 /// consumer/producer/transformation edges, materialized set), and the
 /// changelog window. The replica, invocation and signature indexes are
 /// rebuilt from the object sections on load. Objects and

@@ -88,6 +88,21 @@ NameList RowNames(std::shared_ptr<const CatalogSnapshot> pin,
   return std::move(out).Build(std::move(pin));
 }
 
+/// The ids of an IdTable's objects, in name order like RowNames.
+template <typename T>
+NameList IdNames(std::shared_ptr<const CatalogSnapshot> pin,
+                 const IdTable<T>& table) {
+  std::vector<std::pair<std::string_view, Id>> names;
+  names.reserve(table.size());
+  table.ForEach([&](Id id, const T&) {
+    names.emplace_back(pin->symbols.NameOf(id), id);
+  });
+  std::sort(names.begin(), names.end());
+  PinnedListBuilder out(names.size());
+  for (const auto& [name, id] : names) out.Add(name, id);
+  return std::move(out).Build(std::move(pin));
+}
+
 /// Intersects selectivity-sorted posting lists: seed from the rarest,
 /// then progressively AND in the rest, stopping the moment the running
 /// set is empty. Returns distinct ids ascending by id value.
@@ -196,6 +211,61 @@ NameList OccurrencesInNameOrder(std::shared_ptr<const CatalogSnapshot> pin,
 }  // namespace
 
 // ---------------------------------------------------------------------
+// Point lookups
+// ---------------------------------------------------------------------
+
+Result<Dataset> CatalogView::GetDataset(std::string_view name) const {
+  const auto* row = FindRow(snap_->datasets, name);
+  if (row == nullptr) {
+    return Status::NotFound("dataset not found: " + std::string(name));
+  }
+  return *row->object;
+}
+
+Result<Transformation> CatalogView::GetTransformation(
+    std::string_view name) const {
+  const auto* row = FindRow(snap_->transformations, name);
+  if (row == nullptr) {
+    return Status::NotFound("transformation not found: " + std::string(name));
+  }
+  return *row->object;
+}
+
+Result<Derivation> CatalogView::GetDerivation(std::string_view name) const {
+  const auto* row = FindRow(snap_->derivations, name);
+  if (row == nullptr) {
+    return Status::NotFound("derivation not found: " + std::string(name));
+  }
+  return *row->object;
+}
+
+Result<Replica> CatalogView::GetReplica(std::string_view id) const {
+  const Replica* replica = FindRow(snap_->replicas, id);
+  if (replica == nullptr) {
+    return Status::NotFound("replica not found: " + std::string(id));
+  }
+  return *replica;
+}
+
+Result<Invocation> CatalogView::GetInvocation(std::string_view id) const {
+  const Invocation* invocation = FindRow(snap_->invocations, id);
+  if (invocation == nullptr) {
+    return Status::NotFound("invocation not found: " + std::string(id));
+  }
+  return *invocation;
+}
+
+bool CatalogView::HasDataset(std::string_view name) const {
+  return FindRow(snap_->datasets, name) != nullptr;
+}
+bool CatalogView::HasTransformation(std::string_view name) const {
+  return FindRow(snap_->transformations, name) != nullptr;
+}
+bool CatalogView::HasDerivation(std::string_view name) const {
+  return FindRow(snap_->derivations, name) != nullptr;
+}
+
+// ---------------------------------------------------------------------
 // Navigation
 // ---------------------------------------------------------------------
 
@@ -224,10 +294,8 @@ std::vector<Replica> CatalogView::ReplicasOf(std::string_view dataset,
   const Id id = snap_->symbols.FindId(dataset);
   if (id == SymbolTable::kNoSymbol) return out;
   LookupPosting(snap_->replicas_of, id)->ForEach([&](Id replica) {
-    const auto* row = snap_->replicas.Find(replica);
-    if (row != nullptr && (!valid_only || row->object->valid)) {
-      out.push_back(*row->object);
-    }
+    const Replica* rp = snap_->replicas.Find(replica);
+    if (rp != nullptr && (!valid_only || rp->valid)) out.push_back(*rp);
   });
   return out;
 }
@@ -238,8 +306,8 @@ std::vector<Invocation> CatalogView::InvocationsOf(
   const Id id = snap_->symbols.FindId(derivation);
   if (id == SymbolTable::kNoSymbol) return out;
   LookupPosting(snap_->invocations_of, id)->ForEach([&](Id invocation) {
-    const auto* row = snap_->invocations.Find(invocation);
-    if (row != nullptr) out.push_back(*row->object);
+    const Invocation* iv = snap_->invocations.Find(invocation);
+    if (iv != nullptr) out.push_back(*iv);
   });
   return out;
 }
@@ -266,16 +334,14 @@ NameList CatalogView::DerivationsUsing(std::string_view transformation) const {
 
 Result<std::string> CatalogView::FindEquivalentDerivation(
     const Derivation& derivation) const {
-  const std::string want = derivation.SignatureText();
-  const uint32_t bucket =
-      snapshot_internal::SignatureBucket(derivation.Signature());
   std::string found;
-  LookupPosting(snap_->by_signature, bucket)->ForEach([&](Id id) {
-    const auto* dv = snap_->derivations.Find(id);
-    if (found.empty() && dv != nullptr && dv->object->SignatureText() == want) {
-      found = std::string(dv->name);
-    }
-  });
+  const Id signature = snap_->symbols.FindId(derivation.SignatureText());
+  if (signature != SymbolTable::kNoSymbol) {
+    LookupPosting(snap_->by_signature, signature)->ForEach([&](Id id) {
+      const auto* dv = snap_->derivations.Find(id);
+      if (found.empty() && dv != nullptr) found = std::string(dv->name);
+    });
+  }
   if (found.empty()) {
     return Status::NotFound("no equivalent derivation recorded");
   }
@@ -743,10 +809,10 @@ NameList CatalogView::AllDerivationNames() const {
   return RowNames(snap_, snap_->derivations);
 }
 NameList CatalogView::AllReplicaIds() const {
-  return RowNames(snap_, snap_->replicas);
+  return IdNames(snap_, snap_->replicas);
 }
 NameList CatalogView::AllInvocationIds() const {
-  return RowNames(snap_, snap_->invocations);
+  return IdNames(snap_, snap_->invocations);
 }
 
 CatalogStats CatalogView::Stats() const {

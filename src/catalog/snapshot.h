@@ -65,19 +65,6 @@ inline uint64_t PackTypeKey(TypeDimension dim, SymbolTable::Id type_id) {
   return (static_cast<uint64_t>(dim) << 32) | static_cast<uint64_t>(type_id);
 }
 
-/// Bits of the signature-index key. A derivation's 64-bit content
-/// signature is folded into a bucket of this many bits: PostingMap is a
-/// radix trie, so a dense key space keeps it a few small leaves, while
-/// raw 32-bit hashes would allocate a path per derivation. Bucket
-/// members are rechecked by SignatureText, so collisions cost only time.
-inline constexpr unsigned kSignatureBucketBits = 14;
-
-inline uint32_t SignatureBucket(uint64_t signature) {
-  const uint64_t folded = signature ^ (signature >> 32);
-  return static_cast<uint32_t>(folded ^ (folded >> 16)) &
-         ((1u << kSignatureBucketBits) - 1);
-}
-
 }  // namespace snapshot_internal
 
 /// An internally consistent picture of one catalog version: the rows
@@ -91,12 +78,13 @@ inline uint32_t SignatureBucket(uint64_t signature) {
 /// pin. Published snapshots are never mutated.
 ///
 /// Interning: object names, attribute keys, attribute values (in their
-/// tagged wire form), and type names are interned into 32-bit symbol
-/// ids (`symbols`); posting lists are compressed id-ordered block
+/// tagged wire form), type names, and derivation signature texts are
+/// interned into 32-bit symbol ids (`symbols`); posting lists are compressed id-ordered block
 /// structures (PostingBlocks), and index keys are ids. Replica and
 /// invocation ids are interned when the object is first committed, so
-/// id order is commit order for them: ReplicasOf and InvocationsOf
-/// answer in it, and the flat snapshot and compaction write in it.
+/// their id order is first-commit (interning) order: ReplicasOf and
+/// InvocationsOf answer in it, and the flat snapshot and compaction
+/// write in it, so every open path answers alike.
 struct CatalogSnapshot {
   using Id = SymbolTable::Id;
   /// Compressed block-format posting list in id-value order (multiset:
@@ -112,8 +100,8 @@ struct CatalogSnapshot {
   RowTable<Dataset> datasets;
   RowTable<Transformation> transformations;
   RowTable<Derivation> derivations;
-  RowTable<Replica> replicas;        // by replica id
-  RowTable<Invocation> invocations;  // by invocation id
+  IdTable<Replica> replicas;        // by interned replica id
+  IdTable<Invocation> invocations;  // by interned invocation id
 
   /// Attribute key id -> tagged-value id -> datasets: the kEq index.
   CowArray<PostingMap> attr_index;
@@ -127,7 +115,8 @@ struct CatalogSnapshot {
   /// Bare transformation name -> derivation, only for derivations
   /// whose qualified name differs (DerivationQuery matches either).
   PostingMap by_bare_transformation;
-  /// SignatureBucket(Derivation::Signature()) -> derivations.
+  /// Interned Derivation::SignatureText() -> the derivations with
+  /// exactly that signature.
   PostingMap by_signature;
   PostingMap replicas_of;     // dataset -> its replicas
   PostingMap invocations_of;  // derivation -> its invocations
@@ -150,38 +139,22 @@ class CatalogView {
   const TypeRegistry& types() const { return *snap_->types; }
   const CatalogSnapshot& snapshot() const { return *snap_; }
 
-  Result<Dataset> GetDataset(std::string_view name) const {
-    return Get(snap_->datasets, "dataset", name);
-  }
-  Result<Transformation> GetTransformation(std::string_view name) const {
-    return Get(snap_->transformations, "transformation", name);
-  }
-  Result<Derivation> GetDerivation(std::string_view name) const {
-    return Get(snap_->derivations, "derivation", name);
-  }
-  Result<Replica> GetReplica(std::string_view id) const {
-    return Get(snap_->replicas, "replica", id);
-  }
-  Result<Invocation> GetInvocation(std::string_view id) const {
-    return Get(snap_->invocations, "invocation", id);
-  }
-  bool HasDataset(std::string_view name) const {
-    return FindRow(snap_->datasets, name) != nullptr;
-  }
-  bool HasTransformation(std::string_view name) const {
-    return FindRow(snap_->transformations, name) != nullptr;
-  }
-  bool HasDerivation(std::string_view name) const {
-    return FindRow(snap_->derivations, name) != nullptr;
-  }
+  Result<Dataset> GetDataset(std::string_view name) const;
+  Result<Transformation> GetTransformation(std::string_view name) const;
+  Result<Derivation> GetDerivation(std::string_view name) const;
+  Result<Replica> GetReplica(std::string_view id) const;
+  Result<Invocation> GetInvocation(std::string_view id) const;
+  bool HasDataset(std::string_view name) const;
+  bool HasTransformation(std::string_view name) const;
+  bool HasDerivation(std::string_view name) const;
 
   bool IsMaterialized(std::string_view dataset) const;
   Result<std::string> ProducerOf(std::string_view dataset) const;
-  /// Replicas of a dataset in commit order; `valid_only` filters
+  /// Replicas of a dataset in first-commit order; `valid_only` filters
   /// invalidated copies.
   std::vector<Replica> ReplicasOf(std::string_view dataset,
                                   bool valid_only = true) const;
-  /// Invocations recorded for a derivation, in commit order.
+  /// Invocations recorded for a derivation, in first-commit order.
   std::vector<Invocation> InvocationsOf(std::string_view derivation) const;
 
   /// A derivation with the same content signature, if any (see
@@ -242,23 +215,11 @@ class CatalogView {
   /// The materialized set (the shared empty list when there is none).
   const CatalogSnapshot::PostingList& MaterializedPosting() const;
 
-  /// The row named `name` in `table`, or null.
-  template <typename T>
-  const typename RowTable<T>::Row* FindRow(const RowTable<T>& table,
-                                           std::string_view name) const {
+  /// The row (the object, for an IdTable) named `name`, or null.
+  template <typename Table>
+  auto FindRow(const Table& table, std::string_view name) const {
     const SymbolTable::Id id = snap_->symbols.FindId(name);
     return id == SymbolTable::kNoSymbol ? nullptr : table.Find(id);
-  }
-  /// A copy of the `kind` object named `name`, or NotFound.
-  template <typename T>
-  Result<T> Get(const RowTable<T>& table, std::string_view kind,
-                std::string_view name) const {
-    const auto* row = FindRow(table, name);
-    if (row == nullptr) {
-      return Status::NotFound(std::string(kind) + " not found: " +
-                              std::string(name));
-    }
-    return *row->object;
   }
 
   std::shared_ptr<const CatalogSnapshot> snap_;

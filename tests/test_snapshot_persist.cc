@@ -565,16 +565,24 @@ TEST_F(SnapshotPersistTest, ReplayedObjectsEncodeToTheSourceBytes) {
   ExpectSameObjectBytes(*ReplayOpened(), *source_);
 }
 
-// Replicas and invocations answer in commit order whichever way the
-// catalog was opened: live, by journal replay, from a flat snapshot,
-// and after compaction (reopened by replay, and from a snapshot of the
-// compacted catalog).
+// Replicas and invocations answer in first-commit order whichever way
+// the catalog was opened: live, by journal replay, from a flat
+// snapshot, and after compaction (reopened by replay, and from a
+// snapshot of the compacted catalog). A removed replica's id added
+// again keeps its first place.
 TEST_F(SnapshotPersistTest, CommitOrderSurvivesEveryOpenPath) {
   const std::vector<std::string> live = CommitOrderIds(*source_);
   std::vector<std::string> want;
   for (int k = 1; k <= 11; ++k) want.push_back("rp-" + std::to_string(k));
   for (int k = 1; k <= 12; ++k) want.push_back("iv-" + std::to_string(k));
   ASSERT_EQ(live, want);
+  ASSERT_TRUE(source_->RemoveReplica("rp-3").ok());
+  Replica again;
+  again.id = "rp-3";
+  again.dataset = "seed0";
+  again.site = "tape-again";
+  ASSERT_TRUE(source_->AddReplica(again).ok());
+  ASSERT_EQ(CommitOrderIds(*source_), live);
 
   EXPECT_EQ(CommitOrderIds(*ReplayOpened()), live);
   ASSERT_TRUE(source_->SaveSnapshotFile(snap_path_).ok());
