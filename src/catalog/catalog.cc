@@ -179,7 +179,6 @@ void VirtualDataCatalog::IndexDerivation(const Derivation& derivation, Id id,
       PostingRemove(map, symbols_.Intern(key), id);
     }
   };
-  edit(&next_.by_signature, derivation.SignatureText());
   edit(&next_.by_transformation, derivation.QualifiedTransformation());
   if (derivation.QualifiedTransformation() != derivation.transformation()) {
     edit(&next_.by_bare_transformation, derivation.transformation());

@@ -515,7 +515,6 @@ Status VirtualDataCatalog::OpenFromSnapshot(const std::string& path) {
     }
     for (Derivation& d : image.derivations) {
       const Id id = symbols_.Find(d.name());
-      PostingAdd(&next_.by_signature, symbols_.Intern(d.SignatureText()), id);
       next_.derivations.Put(id, symbols_.NameOf(id),
                             std::make_shared<const Derivation>(std::move(d)),
                             gen_);

@@ -31,10 +31,10 @@ namespace flatsnap {
 /// derivations (each in name order), replicas, invocations (each in
 /// first-commit order), the posting indexes (attribute, type,
 /// consumer/producer/transformation edges, materialized set), and the
-/// changelog window. The replica, invocation and signature indexes are
-/// rebuilt from the object sections on load. Objects and
-/// changelog entries use the shared object codec (objcodec.h), the
-/// same bytes the wire protocol carries.
+/// changelog window. The replica and invocation indexes are rebuilt
+/// from the object sections on load. Objects and changelog entries use
+/// the shared object codec (objcodec.h), the same bytes the wire
+/// protocol carries.
 ///
 /// Format 2 introduced that shared codec (format 1 stored attribute
 /// values as tagged text). No format-1 reader is kept: a snapshot is

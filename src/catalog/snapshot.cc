@@ -334,14 +334,34 @@ NameList CatalogView::DerivationsUsing(std::string_view transformation) const {
 
 Result<std::string> CatalogView::FindEquivalentDerivation(
     const Derivation& derivation) const {
+  // SignatureText covers the transformation and every dataset binding
+  // with its direction, so an equivalent derivation produces this one's
+  // first output, consumes its first input and uses its transformation:
+  // only the shortest of those lists needs the text recheck.
+  const PostingBlocks* candidates = nullptr;
+  auto narrow = [&](const PostingMap& map, std::string_view key) {
+    const Id id = snap_->symbols.FindId(key);
+    const PostingBlocks* list = id == SymbolTable::kNoSymbol
+                                    ? EmptyPosting().get()
+                                    : LookupPosting(map, id).get();
+    if (candidates == nullptr || list->size() < candidates->size()) {
+      candidates = list;
+    }
+  };
+  const std::vector<std::string> outputs = derivation.OutputDatasets();
+  const std::vector<std::string> inputs = derivation.InputDatasets();
+  if (!outputs.empty()) narrow(snap_->producers, outputs.front());
+  if (!inputs.empty()) narrow(snap_->consumers, inputs.front());
+  narrow(snap_->by_transformation, derivation.QualifiedTransformation());
+  const std::string want = derivation.SignatureText();
   std::string found;
-  const Id signature = snap_->symbols.FindId(derivation.SignatureText());
-  if (signature != SymbolTable::kNoSymbol) {
-    LookupPosting(snap_->by_signature, signature)->ForEach([&](Id id) {
-      const auto* dv = snap_->derivations.Find(id);
-      if (found.empty() && dv != nullptr) found = std::string(dv->name);
-    });
-  }
+  candidates->ForEach([&](Id id) {
+    if (!found.empty()) return;
+    const auto* dv = snap_->derivations.Find(id);
+    if (dv != nullptr && dv->object->SignatureText() == want) {
+      found = std::string(dv->name);
+    }
+  });
   if (found.empty()) {
     return Status::NotFound("no equivalent derivation recorded");
   }

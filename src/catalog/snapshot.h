@@ -78,8 +78,8 @@ inline uint64_t PackTypeKey(TypeDimension dim, SymbolTable::Id type_id) {
 /// pin. Published snapshots are never mutated.
 ///
 /// Interning: object names, attribute keys, attribute values (in their
-/// tagged wire form), type names, and derivation signature texts are
-/// interned into 32-bit symbol ids (`symbols`); posting lists are compressed id-ordered block
+/// tagged wire form), and type names are interned into 32-bit symbol
+/// ids (`symbols`); posting lists are compressed id-ordered block
 /// structures (PostingBlocks), and index keys are ids. Replica and
 /// invocation ids are interned when the object is first committed, so
 /// their id order is first-commit (interning) order: ReplicasOf and
@@ -115,9 +115,6 @@ struct CatalogSnapshot {
   /// Bare transformation name -> derivation, only for derivations
   /// whose qualified name differs (DerivationQuery matches either).
   PostingMap by_bare_transformation;
-  /// Interned Derivation::SignatureText() -> the derivations with
-  /// exactly that signature.
-  PostingMap by_signature;
   PostingMap replicas_of;     // dataset -> its replicas
   PostingMap invocations_of;  // derivation -> its invocations
   /// Dataset ids with >= 1 valid replica.

@@ -310,6 +310,21 @@ TEST_F(CatalogTest, EquivalentDerivationDedup) {
           .AddArg(ActualArg::DatasetRef("a1", "file1", ArgDirection::kIn))
           .ok());
   EXPECT_FALSE(catalog_.FindEquivalentDerivation(different).ok());
+
+  // No dataset bindings: found among the transformation's users.
+  ASSERT_TRUE(catalog_
+                  .ImportVdl("TR knob( none p ) { exec = \"/bin/k\"; }"
+                             "DV k1->knob( p=\"1\" );"
+                             "DV k2->knob( p=\"2\" );")
+                  .ok());
+  Derivation knob("k3", "knob");
+  ASSERT_TRUE(knob.AddArg(ActualArg::String("p", "2")).ok());
+  found = catalog_.FindEquivalentDerivation(knob);
+  ASSERT_TRUE(found.ok());
+  EXPECT_EQ(*found, "k2");
+  Derivation other_knob("k4", "knob");
+  ASSERT_TRUE(other_knob.AddArg(ActualArg::String("p", "3")).ok());
+  EXPECT_FALSE(catalog_.FindEquivalentDerivation(other_knob).ok());
 }
 
 TEST_F(CatalogTest, RemoveTransformationBlockedByDerivations) {
