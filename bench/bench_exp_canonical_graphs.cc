@@ -48,7 +48,8 @@ void BM_ProvenanceValidation(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   VirtualDataCatalog* catalog = bench::CachedCanonicalCatalog(n);
   const workload::CanonicalGraph& graph = bench::CachedCanonicalGraph(n);
-  ProvenanceTracker tracker(*catalog);
+  InProcessCatalogClient catalog_client(catalog);
+  ProvenanceTracker tracker(catalog_client);
   size_t mismatches = 0;
   size_t checked = 0;
   for (auto _ : state) {
@@ -76,7 +77,8 @@ void BM_LineageQueryLatency(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   VirtualDataCatalog* catalog = bench::CachedCanonicalCatalog(n);
   const workload::CanonicalGraph& graph = bench::CachedCanonicalGraph(n);
-  ProvenanceTracker tracker(*catalog);
+  InProcessCatalogClient catalog_client(catalog);
+  ProvenanceTracker tracker(catalog_client);
   // Query the sinks: the deepest lineages in the graph.
   size_t i = 0;
   size_t nodes = 0;
@@ -97,7 +99,8 @@ void BM_DescendantsQuery(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
   VirtualDataCatalog* catalog = bench::CachedCanonicalCatalog(n);
   const workload::CanonicalGraph& graph = bench::CachedCanonicalGraph(n);
-  ProvenanceTracker tracker(*catalog);
+  InProcessCatalogClient catalog_client(catalog);
+  ProvenanceTracker tracker(catalog_client);
   size_t i = 0;
   for (auto _ : state) {
     const std::string& raw = graph.raw_inputs[i++ % graph.raw_inputs.size()];

@@ -80,7 +80,8 @@ void BM_LineageReportForFinalGraph(benchmark::State& state) {
   int iterations = static_cast<int>(state.range(0));
   int cuts = static_cast<int>(state.range(1));
   Session* session = BuildSession(iterations, cuts, /*execute=*/false);
-  ProvenanceTracker tracker(*session->catalog);
+  InProcessCatalogClient catalog_client(session->catalog.get());
+  ProvenanceTracker tracker(catalog_client);
   size_t report_nodes = 0;
   size_t report_bytes = 0;
   for (auto _ : state) {
@@ -107,7 +108,8 @@ BENCHMARK(BM_LineageReportForFinalGraph)
 // paper's goal.
 void BM_LineagePerHistogram(benchmark::State& state) {
   Session* session = BuildSession(10, 5, /*execute=*/false);
-  ProvenanceTracker tracker(*session->catalog);
+  InProcessCatalogClient catalog_client(session->catalog.get());
+  ProvenanceTracker tracker(catalog_client);
   size_t i = 0;
   for (auto _ : state) {
     const std::string& hist =
@@ -125,7 +127,8 @@ BENCHMARK(BM_LineagePerHistogram);
 // invocation record behind each point.
 void BM_AuditTrailAfterExecution(benchmark::State& state) {
   Session* session = BuildSession(5, 3, /*execute=*/true);
-  ProvenanceTracker tracker(*session->catalog);
+  InProcessCatalogClient catalog_client(session->catalog.get());
+  ProvenanceTracker tracker(catalog_client);
   size_t trail_len = 0;
   for (auto _ : state) {
     Result<std::vector<Invocation>> trail =

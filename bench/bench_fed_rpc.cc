@@ -26,12 +26,12 @@
 #include "bench_common.h"
 #include "catalog/wire.h"
 #include "federation/faulty_transport.h"
-#include "federation/fed_provenance.h"
 #include "federation/index.h"
 #include "federation/registry.h"
 #include "federation/remote_cache.h"
 #include "federation/resilient_client.h"
 #include "federation/server.h"
+#include "provenance/provenance.h"
 
 namespace vdg {
 namespace {
@@ -136,9 +136,11 @@ struct WireWorld {
 };
 
 void WalkChain(const CatalogRegistry& registry) {
-  FederatedProvenance prov(registry);
+  Result<CatalogClient*> home = registry.Find("chain.org");
+  if (!home.ok()) std::abort();
+  ProvenanceTracker prov(**home, &registry);
   Result<LineageNode> lineage =
-      prov.Lineage(nullptr, "vdp://chain.org/d" + std::to_string(kChainDepth));
+      prov.Lineage("vdp://chain.org/d" + std::to_string(kChainDepth));
   if (!lineage.ok()) std::abort();
   benchmark::DoNotOptimize(lineage);
 }

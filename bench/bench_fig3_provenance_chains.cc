@@ -10,7 +10,8 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "federation/fed_provenance.h"
+#include "federation/registry.h"
+#include "provenance/provenance.h"
 
 namespace vdg {
 namespace {
@@ -96,11 +97,11 @@ ChainWorld* BuildChain(int servers, int depth) {
 void BM_FederatedLineageByDepth(benchmark::State& state) {
   int depth = static_cast<int>(state.range(0));
   ChainWorld* world = BuildChain(/*servers=*/3, depth);
-  FederatedProvenance prov(world->registry);
+  InProcessCatalogClient home(world->catalogs[0].get());
+  ProvenanceTracker prov(home, &world->registry);
   uint64_t hops = 0;
   for (auto _ : state) {
-    Result<LineageNode> lineage =
-        prov.Lineage(world->catalogs[0].get(), world->tip);
+    Result<LineageNode> lineage = prov.Lineage(world->tip);
     benchmark::DoNotOptimize(lineage);
     if (!lineage.ok()) std::abort();
     hops = prov.last_hop_count();
@@ -118,11 +119,11 @@ BENCHMARK(BM_FederatedLineageByDepth)
 void BM_FederatedLineageByServerCount(benchmark::State& state) {
   int servers = static_cast<int>(state.range(0));
   ChainWorld* world = BuildChain(servers, /*depth=*/32);
-  FederatedProvenance prov(world->registry);
+  InProcessCatalogClient home(world->catalogs[0].get());
+  ProvenanceTracker prov(home, &world->registry);
   uint64_t hops = 0;
   for (auto _ : state) {
-    Result<LineageNode> lineage =
-        prov.Lineage(world->catalogs[0].get(), world->tip);
+    Result<LineageNode> lineage = prov.Lineage(world->tip);
     if (!lineage.ok()) std::abort();
     hops = prov.last_hop_count();
   }
@@ -137,7 +138,8 @@ BENCHMARK(BM_FederatedLineageByServerCount)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 void BM_LocalLineageByDepth(benchmark::State& state) {
   int depth = static_cast<int>(state.range(0));
   ChainWorld* world = BuildChain(/*servers=*/1, depth);
-  ProvenanceTracker tracker(*world->catalogs[0]);
+  InProcessCatalogClient catalog_client(world->catalogs[0].get());
+  ProvenanceTracker tracker(catalog_client);
   // Local names (no vdp prefix resolution needed at each level):
   // the single-server chain still used vdp self-references, so use the
   // federated path for apples-to-apples but note hops=chain length...

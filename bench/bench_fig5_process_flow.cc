@@ -149,7 +149,8 @@ void BM_Discovery(benchmark::State& state) {
     if (!plan.ok()) std::abort();
     if (!world.engine->Execute(*plan).ok()) std::abort();
   }
-  ProvenanceTracker tracker(world.catalog);
+  InProcessCatalogClient catalog_client(&world.catalog);
+  ProvenanceTracker tracker(catalog_client);
   DatasetQuery query;
   query.name_prefix = "sum";
   query.require_materialized = true;
@@ -170,7 +171,8 @@ void BM_FullCycle(benchmark::State& state) {
   FlowWorld world;
   PlannerOptions options;
   options.target_site = "east";
-  ProvenanceTracker tracker(world.catalog);
+  InProcessCatalogClient catalog_client(&world.catalog);
+  ProvenanceTracker tracker(catalog_client);
   int64_t i = 0;
   double sim_seconds = 0;
   for (auto _ : state) {

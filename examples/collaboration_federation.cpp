@@ -6,10 +6,10 @@
 #include <cstdio>
 
 #include "federation/annotation_overlay.h"
-#include "federation/fed_provenance.h"
 #include "federation/index.h"
 #include "federation/promotion.h"
 #include "federation/registry.h"
+#include "provenance/provenance.h"
 #include "security/signed_entry.h"
 #include "vdl/xml.h"
 
@@ -98,8 +98,9 @@ DV my-plot->plot( fig=@{output:"muon-rate.fig"},
 )"));
 
   // --- Cross-server provenance (Figure 3). ---
-  FederatedProvenance prov(registry);
-  Result<LineageNode> lineage = prov.Lineage(&personal, "muon-rate.fig");
+  InProcessCatalogClient personal_client(&personal);
+  ProvenanceTracker prov(personal_client, &registry);
+  Result<LineageNode> lineage = prov.Lineage("muon-rate.fig");
   CHECK_OK(lineage.status());
   std::printf("\ncross-server lineage of muon-rate.fig (%lu hops):\n%s",
               static_cast<unsigned long>(prov.last_hop_count()),

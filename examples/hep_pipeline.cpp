@@ -82,7 +82,8 @@ int main(int argc, char** argv) {
   std::printf("\n%d batches complete at t=%.0fs\n", finished, makespan);
 
   // Per-point lineage: where did batch 0's ntuple come from, exactly?
-  ProvenanceTracker tracker(catalog);
+  InProcessCatalogClient catalog_client(&catalog);
+  ProvenanceTracker tracker(catalog_client);
   Result<LineageNode> lineage = tracker.Lineage(workload->ntuples[0]);
   CHECK_OK(lineage.status());
   std::printf("\nlineage of %s:\n%s", workload->ntuples[0].c_str(),
@@ -91,7 +92,7 @@ int main(int argc, char** argv) {
   // The calibration-error story, HEP flavour: a bad generator config
   // invalidates everything downstream.
   Result<InvalidationReport> report =
-      tracker.Invalidate(workload->config_datasets[0], &catalog);
+      tracker.Invalidate(workload->config_datasets[0]);
   CHECK_OK(report.status());
   std::printf("\nbad generator config %s -> recompute %zu datasets via "
               "%zu derivations\n",

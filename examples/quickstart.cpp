@@ -93,7 +93,8 @@ int main() {
               result->nodes_total);
 
   // --- Provenance: where did run1.summary come from? ---
-  ProvenanceTracker tracker(catalog);
+  InProcessCatalogClient catalog_client(&catalog);
+  ProvenanceTracker tracker(catalog_client);
   Result<LineageNode> lineage = tracker.Lineage("run1.summary");
   CHECK_OK(lineage.status());
   std::printf("\nlineage of run1.summary:\n%s",

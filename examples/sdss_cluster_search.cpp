@@ -91,7 +91,8 @@ int main(int argc, char** argv) {
   }
 
   // Every cluster catalog is now real data with a full audit trail.
-  ProvenanceTracker tracker(catalog);
+  InProcessCatalogClient catalog_client(&catalog);
+  ProvenanceTracker tracker(catalog_client);
   const std::string& sample = workload->cluster_catalogs[0];
   Result<std::vector<Invocation>> trail = tracker.AuditTrail(sample);
   CHECK_OK(trail.status());
@@ -107,8 +108,7 @@ int main(int argc, char** argv) {
 
   // Simulate the paper's calibration-error scenario on one field.
   const std::string& bad_field = workload->field_datasets[0];
-  Result<InvalidationReport> report =
-      tracker.Invalidate(bad_field, &catalog);
+  Result<InvalidationReport> report = tracker.Invalidate(bad_field);
   CHECK_OK(report.status());
   std::printf("\ncalibration error in %s: %zu derived datasets to "
               "recompute (%zu replicas invalidated)\n",

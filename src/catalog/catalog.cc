@@ -135,17 +135,23 @@ TypeRegistry& VirtualDataCatalog::MutableTypes() {
 void VirtualDataCatalog::IndexDatasetAttributes(const Dataset& dataset, Id id,
                                                 bool add) {
   for (const auto& [key, value] : dataset.annotations) {
-    const Id key_id = symbols_.Intern(key);
-    const Id value_id =
-        symbols_.Intern(snapshot_internal::TaggedAttrValue(value));
-    if (add) {
-      PostingAdd(&next_.attr_index.Mutable(key_id, gen_), value_id, id);
-      continue;
-    }
-    const PostingMap* values = next_.attr_index.Find(key_id);
-    if (values != nullptr && values->Find(value_id) != nullptr) {
-      PostingRemove(&next_.attr_index.Mutable(key_id, gen_), value_id, id);
-    }
+    IndexDatasetAttribute(key, value, id, add);
+  }
+}
+
+void VirtualDataCatalog::IndexDatasetAttribute(std::string_view key,
+                                               const AttributeValue& value,
+                                               Id id, bool add) {
+  const Id key_id = symbols_.Intern(key);
+  const Id value_id =
+      symbols_.Intern(snapshot_internal::TaggedAttrValue(value));
+  if (add) {
+    PostingAdd(&next_.attr_index.Mutable(key_id, gen_), value_id, id);
+    return;
+  }
+  const PostingMap* values = next_.attr_index.Find(key_id);
+  if (values != nullptr && values->Find(value_id) != nullptr) {
+    PostingRemove(&next_.attr_index.Mutable(key_id, gen_), value_id, id);
   }
 }
 
@@ -879,10 +885,13 @@ Status VirtualDataCatalog::AnnotateLocked(std::string_view kind,
     }
     const Id id = row->id;
     const std::string_view stored = row->name;
-    IndexDatasetAttributes(*row->object, id, false);
+    // Only `key`'s postings move: its old value's out, the new one in.
+    if (const AttributeValue* old = row->object->annotations.Find(key)) {
+      IndexDatasetAttribute(key, *old, id, false);
+    }
+    IndexDatasetAttribute(key, value, id, true);
     Dataset updated = *row->object;
     updated.annotations.Set(key, std::move(value));
-    IndexDatasetAttributes(updated, id, true);
     BumpVersion('U', "dataset", name);
     Status journaled = Journal(journal_record::Encode(updated));
     next_.datasets.Put(id, stored,

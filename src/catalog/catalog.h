@@ -438,6 +438,8 @@ class VirtualDataCatalog {
   void PostingRemove(PostingMap* map, Id key, Id id);
 
   void IndexDatasetAttributes(const Dataset& dataset, Id id, bool add);
+  void IndexDatasetAttribute(std::string_view key, const AttributeValue& value,
+                             Id id, bool add);
   void IndexDatasetType(const Dataset& dataset, Id id, bool add);
   void IndexDerivation(const Derivation& derivation, Id id, bool add);
   /// Sets `dataset`'s materialized bit from its own replica list: on

@@ -89,6 +89,11 @@ Result<std::vector<uint64_t>> CatalogClient::ShardVersions() {
   return std::vector<uint64_t>{version};
 }
 
+Result<std::vector<Replica>> CatalogClient::ReplicasOf(std::string_view) {
+  return Status::Unimplemented("catalog client for '" + authority() +
+                               "' does not answer ReplicasOf");
+}
+
 Result<std::vector<CatalogChange>> CatalogClient::ShardChangesSince(
     uint32_t shard, uint64_t since_version) {
   if (shard != 0) {
@@ -152,6 +157,11 @@ Result<bool> RequestClient::HasDataset(std::string_view name) {
 
 Result<bool> RequestClient::IsMaterialized(std::string_view dataset) {
   return Send<MsgKind::kIsMaterialized>(dataset);
+}
+
+Result<std::vector<Replica>> RequestClient::ReplicasOf(
+    std::string_view dataset) {
+  return Send<MsgKind::kReplicasOf>(dataset);
 }
 
 Result<std::string> RequestClient::ProducerOf(std::string_view dataset) {
@@ -285,6 +295,11 @@ Result<bool> InProcessCatalogClient::IsMaterialized(
   return catalog_->IsMaterialized(dataset);
 }
 
+Result<std::vector<Replica>> InProcessCatalogClient::ReplicasOf(
+    std::string_view dataset) {
+  return catalog_->ReplicasOf(dataset);
+}
+
 Result<std::string> InProcessCatalogClient::ProducerOf(
     std::string_view dataset) {
   return catalog_->ProducerOf(dataset);
@@ -324,9 +339,10 @@ Result<bool> InProcessCatalogClient::TypeConforms(const DatasetType& type,
   return catalog_->TypeConforms(type, against);
 }
 
-ObjectRecord InProcessCatalogClient::SnapshotObject(
-    const VirtualDataCatalog& catalog, std::string_view kind,
-    std::string_view name) {
+/// Snapshots one catalog object into an ObjectRecord.
+static ObjectRecord SnapshotObject(const VirtualDataCatalog& catalog,
+                                   std::string_view kind,
+                                   std::string_view name) {
   ObjectRecord record;
   record.kind = std::string(kind);
   record.name = std::string(name);
@@ -386,6 +402,17 @@ Result<ProvenanceStep> InProcessCatalogClient::GetProvenanceStep(
   if (derivation.ok()) {
     step.derivation = *std::move(derivation);
     step.invocations = view.InvocationsOf(step.producer);
+    if (step.invocations.empty() && !catalog_->partition_mode()) {
+      // A compound derivation executes through synthesized expansion
+      // children named "<producer>.cK": their invocations are its own.
+      DerivationQuery children;
+      children.name_prefix = step.producer + ".";
+      for (std::string_view child : view.FindDerivations(children)) {
+        for (Invocation& iv : view.InvocationsOf(child)) {
+          step.invocations.push_back(std::move(iv));
+        }
+      }
+    }
   }
   return step;
 }

@@ -83,9 +83,9 @@ struct Response;
 ///    plain value: a remote call can always fail in transport.
 ///  - Mutations on a read-only handle fail with PermissionDenied
 ///    before touching the catalog or the transport.
-///  - Batched calls (BatchGet, GetProvenanceStep) are semantically
-///    equivalent to the matching sequence of point calls; transports
-///    may coalesce each into one round trip.
+///  - Transports may coalesce a batched call (BatchGet,
+///    GetProvenanceStep) into one round trip. BatchGet equals its point
+///    calls; GetProvenanceStep answers more than its (see below).
 ///
 /// Lock ordering: clients may hold internal locks (e.g. a cache
 /// mutex) while calling into the catalog, and FederatedIndex holds its
@@ -151,6 +151,9 @@ class CatalogClient {
   virtual Result<Derivation> GetDerivation(std::string_view name) = 0;
   virtual Result<bool> HasDataset(std::string_view name) = 0;
   virtual Result<bool> IsMaterialized(std::string_view dataset) = 0;
+  /// The dataset's valid replicas, in first-commit order. Unimplemented
+  /// by default, for clients written before the call existed.
+  virtual Result<std::vector<Replica>> ReplicasOf(std::string_view dataset);
   virtual Result<std::string> ProducerOf(std::string_view dataset) = 0;
   virtual Result<std::vector<Invocation>> InvocationsOf(
       std::string_view derivation) = 0;
@@ -184,7 +187,11 @@ class CatalogClient {
 
   /// One provenance hop (exists + producer + derivation + invocations)
   /// as a single compound call. A missing dataset is reported via
-  /// `exists = false`, not an error.
+  /// `exists = false`, not an error. A compound derivation runs through
+  /// expansion children named "<producer>.cK": a producer with no
+  /// invocations of its own reports those of every "<producer>.*", so
+  /// for it the step is NOT InvocationsOf(producer). A partition-mode
+  /// shard reports the producer's own invocations only (sharding.h).
   virtual Result<ProvenanceStep> GetProvenanceStep(
       std::string_view dataset) = 0;
 
@@ -232,6 +239,7 @@ class RequestClient : public CatalogClient {
   Result<Derivation> GetDerivation(std::string_view name) final;
   Result<bool> HasDataset(std::string_view name) final;
   Result<bool> IsMaterialized(std::string_view dataset) final;
+  Result<std::vector<Replica>> ReplicasOf(std::string_view dataset) final;
   Result<std::string> ProducerOf(std::string_view dataset) final;
   Result<std::vector<Invocation>> InvocationsOf(
       std::string_view derivation) final;
@@ -295,6 +303,7 @@ class InProcessCatalogClient : public CatalogClient {
   Result<Derivation> GetDerivation(std::string_view name) override;
   Result<bool> HasDataset(std::string_view name) override;
   Result<bool> IsMaterialized(std::string_view dataset) override;
+  Result<std::vector<Replica>> ReplicasOf(std::string_view dataset) override;
   Result<std::string> ProducerOf(std::string_view dataset) override;
   Result<std::vector<Invocation>> InvocationsOf(
       std::string_view derivation) override;
@@ -322,12 +331,6 @@ class InProcessCatalogClient : public CatalogClient {
   /// bump, one journal flush for the whole group.
   Result<BatchResult> ApplyBatch(const std::vector<CatalogMutation>& mutations,
                                  const BatchOptions& options = {}) override;
-
-  /// Snapshots one catalog object into an ObjectRecord (shared with
-  /// remote transports, which execute the same logic server-side).
-  static ObjectRecord SnapshotObject(const VirtualDataCatalog& catalog,
-                                     std::string_view kind,
-                                     std::string_view name);
 
  private:
   Status CheckWritable() const;

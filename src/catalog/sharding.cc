@@ -460,6 +460,7 @@ Result<wire::Response> ShardedCatalogClient::Call(
     case MsgKind::kGetDerivation:
     case MsgKind::kHasDataset:
     case MsgKind::kIsMaterialized:
+    case MsgKind::kReplicasOf:
     case MsgKind::kInvocationsOf:
       return owner(std::get<wire::NameReq>(request.body).name);
     case MsgKind::kProducerOf: {

@@ -75,11 +75,16 @@ struct ShardedClientOptions {
 /// (VirtualDataCatalog::set_partition_mode): this client owns
 /// cross-shard referential checks (input existence, type conformance,
 /// single-producer conflicts) and pre-creates missing derivation
-/// outputs on their hash-owned home shards. One divergence from the
-/// unsharded catalog is documented rather than papered over: a
-/// pre-existing producerless dataset adopted by a derivation homed on
-/// another shard keeps an empty producer field; ProducerOf and
-/// GetProvenanceStep compensate with a writes-index scatter.
+/// outputs on their hash-owned home shards. Two divergences from the
+/// unsharded catalog are documented rather than papered over:
+///  - a pre-existing producerless dataset adopted by a derivation
+///    homed on another shard keeps an empty producer field; ProducerOf
+///    and GetProvenanceStep compensate with a writes-index scatter;
+///  - GetProvenanceStep reports the producer's own invocations only:
+///    the expansion-child fold (client.h) is skipped by a
+///    partition-mode shard and not added here, because the children
+///    hash to any shard and the fold would scatter to every shard on
+///    every invocation-less hop.
 ///
 /// A client built over an empty shard list, or one holding a null
 /// shard, answers every call with InvalidArgument until a Reshard to a

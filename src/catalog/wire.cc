@@ -44,7 +44,7 @@ void PutStatus(Writer& w, const Status& s) {
 
 Status ReadStatus(Reader& r) {
   uint8_t code = r.ReadU8();
-  if (code > static_cast<uint8_t>(StatusCode::kCancelled)) {
+  if (code > static_cast<uint8_t>(StatusCode::kUnimplemented)) {
     r.Fail("unknown status code");
   }
   std::string msg = r.ReadString();
@@ -396,6 +396,13 @@ void Put(Writer& w, const InvocationsResp& b) {
 }
 void Read(Reader& r, InvocationsResp& b) {
   b.invocations = ReadVec(r, objcodec::ReadInvocation);
+}
+
+void Put(Writer& w, const ReplicasResp& b) {
+  PutVec(w, b.replicas, objcodec::PutReplica);
+}
+void Read(Reader& r, ReplicasResp& b) {
+  b.replicas = ReadVec(r, objcodec::ReadReplica);
 }
 
 void Put(Writer& w, const NamesResp& b) {

@@ -110,7 +110,8 @@ inline constexpr uint32_t kMaxPayloadBytes = 64u << 20;
   X(RecordInvocation, 23, RecordInvocationReq, StringResp, true)       \
   X(SetDatasetSize, 24, SetDatasetSizeReq, std::monostate, true)       \
   X(InvalidateReplica, 25, NameReq, std::monostate, true)              \
-  X(ApplyBatch, 26, ApplyBatchReq, BatchResultResp, true)
+  X(ApplyBatch, 26, ApplyBatchReq, BatchResultResp, true)              \
+  X(ReplicasOf, 27, NameReq, ReplicasResp, false)
 
 #define VDG_WIRE_ENUMERATOR(Name, value, ...) k##Name = value,
 enum class MsgKind : uint8_t { VDG_WIRE_MESSAGES(VDG_WIRE_ENUMERATOR) };
@@ -219,6 +220,9 @@ struct StringResp {
 struct InvocationsResp {
   std::vector<Invocation> invocations;
 };
+struct ReplicasResp {
+  std::vector<Replica> replicas;
+};
 /// Find*/AllNames responses carry a NameList end-to-end: the server
 /// encodes straight from the snapshot-pinned views (no intermediate
 /// vector<string>), and the decoder rebuilds the list over one
@@ -246,7 +250,7 @@ struct Response {
   std::variant<std::monostate, HandshakeResp, VersionResp, ChangesResp,
                DatasetResp, TransformationResp, DerivationResp, BoolResp,
                StringResp, InvocationsResp, NamesResp, RecordsResp, StepResp,
-               BatchResultResp>
+               BatchResultResp, ReplicasResp>
       body;
 };
 

@@ -32,6 +32,8 @@ const char* StatusCodeToString(StatusCode code) {
       return "DeadlineExceeded";
     case StatusCode::kCancelled:
       return "Cancelled";
+    case StatusCode::kUnimplemented:
+      return "Unimplemented";
   }
   return "Unknown";
 }

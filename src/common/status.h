@@ -26,6 +26,7 @@ enum class StatusCode {
   kInternal,
   kDeadlineExceeded,  // per-request deadline expired before a response
   kCancelled,         // caller abandoned the call before completion
+  kUnimplemented,     // the callee does not answer this call
 };
 
 /// Human-readable name of a status code, e.g. "NotFound".
@@ -78,6 +79,9 @@ class Status {
   }
   static Status Cancelled(std::string msg) {
     return Status(StatusCode::kCancelled, std::move(msg));
+  }
+  static Status Unimplemented(std::string msg) {
+    return Status(StatusCode::kUnimplemented, std::move(msg));
   }
 
   /// An Unavailable error whose request may already have reached the

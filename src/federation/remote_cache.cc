@@ -419,6 +419,11 @@ Result<bool> CachingCatalogClient::IsMaterialized(std::string_view dataset) {
   return record.materialized;
 }
 
+Result<std::vector<Replica>> CachingCatalogClient::ReplicasOf(
+    std::string_view dataset) {
+  return upstream_->ReplicasOf(dataset);
+}
+
 Result<std::string> CachingCatalogClient::ProducerOf(
     std::string_view dataset) {
   return upstream_->ProducerOf(dataset);

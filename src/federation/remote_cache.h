@@ -172,8 +172,8 @@ struct DegradedReadOptions {
 /// perturbs, invalidation is per query *kind*: any dataset change (or
 /// type change — the conformance closure moves) drops every cached
 /// dataset query, and likewise for transformations and derivations.
-/// Version/ProducerOf/InvocationsOf/AllNames/TypeConforms pass
-/// straight through; ChangesSince passes through too, but applies the
+/// Version/ReplicasOf/ProducerOf/InvocationsOf/AllNames/TypeConforms
+/// pass straight through; ChangesSince passes through too, but applies the
 /// window it returns as invalidations (see below).
 ///
 /// Thread-safe behind one mutex, held across upstream fills (the
@@ -234,6 +234,7 @@ class CachingCatalogClient : public CatalogClient {
   Result<Derivation> GetDerivation(std::string_view name) override;
   Result<bool> HasDataset(std::string_view name) override;
   Result<bool> IsMaterialized(std::string_view dataset) override;
+  Result<std::vector<Replica>> ReplicasOf(std::string_view dataset) override;
   Result<std::string> ProducerOf(std::string_view dataset) override;
   Result<std::vector<Invocation>> InvocationsOf(
       std::string_view derivation) override;

@@ -140,8 +140,6 @@ CatalogServer::CatalogServer(std::shared_ptr<CatalogClient> backend,
   dedup_ = options_.batch_dedup != nullptr
                ? options_.batch_dedup
                : std::make_shared<BatchDedupRegistry>();
-  handler_delay_us_.store(options_.handler_delay.count(),
-                          std::memory_order_relaxed);
   workers_.reserve(options_.workers);
   for (size_t i = 0; i < options_.workers; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });

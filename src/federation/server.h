@@ -58,9 +58,6 @@ struct ServerOptions {
   /// Bounded work-queue depth; frames beyond this are rejected with
   /// ResourceExhausted at admission (backpressure, not buffering).
   size_t queue_capacity = 128;
-  /// Test/bench hook: every worker sleeps this long before executing a
-  /// request, simulating slow handlers for deadline/backpressure tests.
-  std::chrono::microseconds handler_delay{0};
   /// ApplyBatch idempotency window. When null the server creates a
   /// private registry; replica servers fronting the SAME backend
   /// catalog must share one registry so a batch retried across
@@ -251,8 +248,8 @@ class CatalogServer {
   const ServerStats& stats() const { return stats_; }
   const ServerOptions& options() const { return options_; }
 
-  /// Adjusts the handler-delay test hook at runtime (e.g. connect
-  /// fast, then slow the handlers to force a deadline expiry).
+  /// Test hook: workers sleep this long before each request (slow
+  /// handlers for deadline/backpressure tests); settable at any time.
   void set_handler_delay(std::chrono::microseconds delay) {
     handler_delay_us_.store(delay.count(), std::memory_order_relaxed);
   }

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <deque>
+#include <map>
+
+#include "common/uri.h"
+#include "federation/registry.h"
 
 namespace vdg {
 
@@ -53,147 +57,172 @@ std::string RenderLineage(const LineageNode& node) {
   return out;
 }
 
-Status ProvenanceTracker::BuildLineage(std::string_view dataset, int depth,
-                                       int max_depth,
-                                       std::set<std::string>* on_path,
-                                       LineageNode* out) const {
-  if (!catalog_.HasDataset(dataset)) {
-    return Status::NotFound("dataset not found: " + std::string(dataset));
-  }
-  if (on_path->count(std::string(dataset)) != 0) {
-    return Status::FailedPrecondition(
-        "provenance cycle detected through dataset " + std::string(dataset));
-  }
-  out->dataset = std::string(dataset);
+namespace {
 
-  Result<std::string> producer = catalog_.ProducerOf(dataset);
-  if (!producer.ok()) return Status::OK();  // raw input: leaf node
+Status DatasetNotFound(std::string_view dataset) {
+  return Status::NotFound("dataset not found: " + std::string(dataset));
+}
 
-  out->derivation = *producer;
-  VDG_ASSIGN_OR_RETURN(Derivation dv, catalog_.GetDerivation(*producer));
-  out->transformation = dv.QualifiedTransformation();
-  out->invocations = catalog_.InvocationsOf(*producer);
-  if (out->invocations.empty()) {
-    // Compound derivations execute through synthesized expansion
-    // children named "<parent>.cK"; surface their invocations here.
-    DerivationQuery children;
-    children.name_prefix = *producer + ".";
-    for (std::string_view child : catalog_.FindDerivations(children)) {
-      for (Invocation& iv : catalog_.InvocationsOf(child)) {
-        out->invocations.push_back(std::move(iv));
+/// The provenance steps of `dataset` and of every dataset upstream of
+/// it, `dataset` first, then breadth first; each dataset once.
+Result<std::vector<ProvenanceStep>> Upstream(CatalogClient& client,
+                                             std::string_view dataset) {
+  std::vector<ProvenanceStep> steps;
+  std::set<std::string, std::less<>> seen{std::string(dataset)};
+  std::deque<std::string> frontier{std::string(dataset)};
+  for (; !frontier.empty(); frontier.pop_front()) {
+    VDG_ASSIGN_OR_RETURN(ProvenanceStep step,
+                         client.GetProvenanceStep(frontier.front()));
+    if (steps.empty() && !step.exists) return DatasetNotFound(dataset);
+    if (step.derivation) {
+      for (const std::string& input : step.derivation->InputDatasets()) {
+        if (seen.insert(input).second) frontier.push_back(input);
       }
     }
+    steps.push_back(std::move(step));
   }
-
-  if (max_depth != 0 && depth >= max_depth) return Status::OK();
-
-  on_path->insert(std::string(dataset));
-  for (const std::string& input : dv.InputDatasets()) {
-    LineageNode child;
-    VDG_RETURN_IF_ERROR(
-        BuildLineage(input, depth + 1, max_depth, on_path, &child));
-    out->inputs.push_back(std::move(child));
-  }
-  on_path->erase(std::string(dataset));
-  return Status::OK();
+  return steps;
 }
 
-Result<LineageNode> ProvenanceTracker::Lineage(std::string_view dataset,
-                                               int max_depth) const {
-  LineageNode root;
-  std::set<std::string> on_path;
-  VDG_RETURN_IF_ERROR(BuildLineage(dataset, 0, max_depth, &on_path, &root));
-  return root;
-}
-
-Result<std::set<std::string>> ProvenanceTracker::Ancestors(
-    std::string_view dataset) const {
-  if (!catalog_.HasDataset(dataset)) {
-    return Status::NotFound("dataset not found: " + std::string(dataset));
-  }
-  std::set<std::string> seen;
+/// Every dataset downstream of `dataset` (excluding itself), mapped to
+/// the derivation that produces it.
+Result<std::map<std::string, std::string>> Downstream(
+    CatalogClient& client, std::string_view dataset) {
+  VDG_ASSIGN_OR_RETURN(bool exists, client.HasDataset(dataset));
+  if (!exists) return DatasetNotFound(dataset);
+  std::map<std::string, std::string> produced_by;
   std::deque<std::string> frontier{std::string(dataset)};
-  size_t guard = 0;
-  const size_t kGuardLimit = 10'000'000;
-  while (!frontier.empty()) {
-    if (++guard > kGuardLimit) {
-      return Status::FailedPrecondition("ancestor walk exceeds guard limit");
+  for (; !frontier.empty(); frontier.pop_front()) {
+    DerivationQuery readers;
+    readers.reads_dataset = frontier.front();
+    VDG_ASSIGN_OR_RETURN(NameList names, client.FindDerivations(readers));
+    if (names.empty()) continue;
+    std::vector<ObjectKey> keys;
+    for (std::string_view name : names) {
+      keys.push_back({"derivation", std::string(name)});
     }
-    std::string current = std::move(frontier.front());
-    frontier.pop_front();
-    Result<std::string> producer = catalog_.ProducerOf(current);
-    if (!producer.ok()) continue;
-    Result<Derivation> dv = catalog_.GetDerivation(*producer);
-    if (!dv.ok()) continue;
-    for (const std::string& input : dv->InputDatasets()) {
-      if (seen.insert(input).second) frontier.push_back(input);
-    }
-  }
-  return seen;
-}
-
-Result<std::set<std::string>> ProvenanceTracker::Descendants(
-    std::string_view dataset) const {
-  if (!catalog_.HasDataset(dataset)) {
-    return Status::NotFound("dataset not found: " + std::string(dataset));
-  }
-  std::set<std::string> seen;
-  std::deque<std::string> frontier{std::string(dataset)};
-  while (!frontier.empty()) {
-    std::string current = std::move(frontier.front());
-    frontier.pop_front();
-    for (std::string_view consumer : catalog_.ConsumersOf(current)) {
-      Result<Derivation> dv = catalog_.GetDerivation(consumer);
-      if (!dv.ok()) continue;
-      for (const std::string& output : dv->OutputDatasets()) {
-        if (output != dataset && seen.insert(output).second) {
+    VDG_ASSIGN_OR_RETURN(std::vector<ObjectRecord> records,
+                         client.BatchGet(keys));
+    for (const ObjectRecord& record : records) {
+      if (!record.derivation) continue;
+      for (const std::string& output : record.derivation->OutputDatasets()) {
+        if (output != dataset &&
+            produced_by.emplace(output, record.name).second) {
           frontier.push_back(output);
         }
       }
     }
   }
-  return seen;
+  return produced_by;
+}
+
+}  // namespace
+
+Status ProvenanceTracker::BuildLineage(CatalogClient* from,
+                                       std::string_view ref, int depth,
+                                       int max_depth,
+                                       std::set<std::string>* on_path,
+                                       LineageNode* out) const {
+  // `ref` resolves relative to the catalog holding the derivation that
+  // names it: a bare name means "this server", a hyperlink hops.
+  ResolvedRef link{from, std::string(ref)};
+  if (registry_ != nullptr) {
+    VDG_ASSIGN_OR_RETURN(link, registry_->ResolveFrom(from, ref));
+    if (link.remote) ++last_hops_;
+  }
+  CatalogClient& client = *link.client;
+  // One compound call per link: existence, producer, derivation and
+  // invocations arrive together.
+  VDG_ASSIGN_OR_RETURN(ProvenanceStep step,
+                       client.GetProvenanceStep(link.local_name));
+  if (!step.exists) {
+    return DatasetNotFound(link.local_name + " at " + client.authority());
+  }
+  // Across servers every node names its server.
+  auto node_name = [&](std::string_view local) {
+    return registry_ == nullptr ? std::string(local)
+                                : MakeVdpRef(client.authority(), local);
+  };
+  const std::string dataset = node_name(link.local_name);
+  if (on_path->count(dataset) != 0) {
+    return Status::FailedPrecondition("provenance cycle detected through " +
+                                      dataset);
+  }
+  out->dataset = dataset;
+
+  if (step.producer.empty()) return Status::OK();  // raw input: leaf node
+
+  out->derivation = node_name(step.producer);
+  if (!step.derivation) {
+    return Status::NotFound("derivation not found: " + step.producer +
+                            " at " + client.authority());
+  }
+  out->transformation = step.derivation->QualifiedTransformation();
+  out->invocations = std::move(step.invocations);
+
+  if (max_depth != 0 && depth >= max_depth) return Status::OK();
+
+  on_path->insert(dataset);
+  for (const std::string& input : step.derivation->InputDatasets()) {
+    LineageNode child;
+    VDG_RETURN_IF_ERROR(
+        BuildLineage(&client, input, depth + 1, max_depth, on_path, &child));
+    out->inputs.push_back(std::move(child));
+  }
+  on_path->erase(dataset);
+  return Status::OK();
+}
+
+Result<LineageNode> ProvenanceTracker::Lineage(std::string_view dataset,
+                                               int max_depth) const {
+  last_hops_ = 0;
+  LineageNode root;
+  std::set<std::string> on_path;
+  VDG_RETURN_IF_ERROR(
+      BuildLineage(&client_, dataset, 0, max_depth, &on_path, &root));
+  return root;
+}
+
+Result<std::set<std::string>> ProvenanceTracker::Ancestors(
+    std::string_view dataset) const {
+  VDG_ASSIGN_OR_RETURN(std::vector<ProvenanceStep> steps,
+                       Upstream(client_, dataset));
+  std::set<std::string> ancestors;
+  for (size_t i = 1; i < steps.size(); ++i) {
+    ancestors.insert(std::move(steps[i].dataset));
+  }
+  return ancestors;
+}
+
+Result<std::set<std::string>> ProvenanceTracker::Descendants(
+    std::string_view dataset) const {
+  VDG_ASSIGN_OR_RETURN(auto downstream, Downstream(client_, dataset));
+  std::set<std::string> descendants;
+  for (const auto& [name, producer] : downstream) descendants.insert(name);
+  return descendants;
 }
 
 Result<std::set<std::string>> ProvenanceTracker::RawSources(
     std::string_view dataset) const {
-  VDG_ASSIGN_OR_RETURN(std::set<std::string> ancestors, Ancestors(dataset));
+  VDG_ASSIGN_OR_RETURN(std::vector<ProvenanceStep> steps,
+                       Upstream(client_, dataset));
   std::set<std::string> raw;
-  if (ancestors.empty() && !catalog_.ProducerOf(dataset).ok()) {
-    raw.insert(std::string(dataset));  // the dataset itself is raw
-    return raw;
-  }
-  for (const std::string& name : ancestors) {
-    if (!catalog_.ProducerOf(name).ok()) raw.insert(name);
+  for (ProvenanceStep& step : steps) {
+    if (step.producer.empty()) raw.insert(std::move(step.dataset));
   }
   return raw;
 }
 
 Result<std::vector<Invocation>> ProvenanceTracker::AuditTrail(
     std::string_view dataset) const {
-  VDG_ASSIGN_OR_RETURN(std::set<std::string> ancestors, Ancestors(dataset));
-  ancestors.insert(std::string(dataset));
+  VDG_ASSIGN_OR_RETURN(std::vector<ProvenanceStep> steps,
+                       Upstream(client_, dataset));
   std::vector<Invocation> trail;
   std::set<std::string> seen_derivations;
-  for (const std::string& name : ancestors) {
-    Result<std::string> producer = catalog_.ProducerOf(name);
-    if (!producer.ok()) continue;
-    if (!seen_derivations.insert(*producer).second) continue;
-    std::vector<Invocation> own = catalog_.InvocationsOf(*producer);
-    if (own.empty()) {
-      // Compound derivations execute via expansion children named
-      // "<parent>.cK"; their invocations are this derivation's trail.
-      DerivationQuery children;
-      children.name_prefix = *producer + ".";
-      for (std::string_view child : catalog_.FindDerivations(children)) {
-        for (Invocation& iv : catalog_.InvocationsOf(child)) {
-          own.push_back(std::move(iv));
-        }
-      }
-    }
-    for (Invocation& iv : own) {
-      trail.push_back(std::move(iv));
-    }
+  for (ProvenanceStep& step : steps) {
+    if (step.producer.empty()) continue;
+    if (!seen_derivations.insert(step.producer).second) continue;
+    for (Invocation& iv : step.invocations) trail.push_back(std::move(iv));
   }
   std::sort(trail.begin(), trail.end(),
             [](const Invocation& a, const Invocation& b) {
@@ -207,15 +236,16 @@ Result<std::vector<Invocation>> ProvenanceTracker::AuditTrail(
 
 Result<InvalidationReport> ProvenanceTracker::PlanInvalidation(
     std::string_view dataset) const {
-  VDG_ASSIGN_OR_RETURN(std::set<std::string> affected, Descendants(dataset));
+  VDG_ASSIGN_OR_RETURN(auto downstream, Downstream(client_, dataset));
   InvalidationReport report;
   report.source_dataset = std::string(dataset);
   std::set<std::string> derivations;
-  for (const std::string& name : affected) {
+  for (const auto& [name, producer] : downstream) {
     report.affected_datasets.push_back(name);
-    Result<std::string> producer = catalog_.ProducerOf(name);
-    if (producer.ok()) derivations.insert(*producer);
-    for (const Replica& replica : catalog_.ReplicasOf(name)) {
+    derivations.insert(producer);
+    VDG_ASSIGN_OR_RETURN(std::vector<Replica> replicas,
+                         client_.ReplicasOf(name));
+    for (const Replica& replica : replicas) {
       report.invalidated_replicas.push_back(replica.id);
     }
   }
@@ -224,26 +254,34 @@ Result<InvalidationReport> ProvenanceTracker::PlanInvalidation(
 }
 
 Result<InvalidationReport> ProvenanceTracker::Invalidate(
-    std::string_view dataset, VirtualDataCatalog* catalog) const {
-  if (catalog == nullptr || catalog != &catalog_) {
-    return Status::InvalidArgument(
-        "Invalidate must be handed the tracker's own catalog");
+    std::string_view dataset) const {
+  if (client_.read_only()) {
+    return Status::PermissionDenied("catalog client for '" +
+                                    client_.authority() + "' is read-only");
   }
   VDG_ASSIGN_OR_RETURN(InvalidationReport report, PlanInvalidation(dataset));
+  if (report.invalidated_replicas.empty()) return report;
+  std::vector<CatalogMutation> invalidations;
   for (const std::string& replica_id : report.invalidated_replicas) {
-    VDG_RETURN_IF_ERROR(catalog->InvalidateReplica(replica_id));
+    invalidations.push_back(CatalogMutation::InvalidateReplica(replica_id));
   }
+  VDG_ASSIGN_OR_RETURN(BatchResult result, client_.ApplyBatch(invalidations));
+  VDG_RETURN_IF_ERROR(result.first_error);
   return report;
 }
 
 Result<bool> ProvenanceTracker::FullyMaterialized(
     std::string_view dataset) const {
-  VDG_ASSIGN_OR_RETURN(std::set<std::string> ancestors, Ancestors(dataset));
-  ancestors.insert(std::string(dataset));
-  for (const std::string& name : ancestors) {
-    if (!catalog_.IsMaterialized(name)) return false;
+  VDG_ASSIGN_OR_RETURN(std::vector<ProvenanceStep> steps,
+                       Upstream(client_, dataset));
+  std::vector<ObjectKey> keys;
+  for (ProvenanceStep& step : steps) {
+    keys.push_back({"dataset", std::move(step.dataset)});
   }
-  return true;
+  VDG_ASSIGN_OR_RETURN(std::vector<ObjectRecord> records,
+                       client_.BatchGet(keys));
+  return std::all_of(records.begin(), records.end(),
+                     [](const ObjectRecord& r) { return r.materialized; });
 }
 
 }  // namespace vdg

@@ -1,13 +1,16 @@
 #ifndef VDG_PROVENANCE_PROVENANCE_H_
 #define VDG_PROVENANCE_PROVENANCE_H_
 
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "catalog/catalog.h"
+#include "catalog/client.h"
 
 namespace vdg {
+
+class CatalogRegistry;
 
 /// One node of a lineage tree: a dataset, the derivation that produced
 /// it (empty for raw inputs), and the lineage of each input.
@@ -32,7 +35,7 @@ std::string RenderLineage(const LineageNode& node);
 /// error ... which derived data do I need to recompute?").
 struct InvalidationReport {
   std::string source_dataset;
-  /// Derived datasets downstream of the source, in BFS order.
+  /// Derived datasets downstream of the source, in name order.
   std::vector<std::string> affected_datasets;
   /// Derivations that must be re-run to repair them.
   std::vector<std::string> derivations_to_rerun;
@@ -40,19 +43,28 @@ struct InvalidationReport {
   std::vector<std::string> invalidated_replicas;
 };
 
-/// Provenance queries over one Virtual Data Catalog. The tracker holds
-/// a borrowed catalog reference; mutating operations (cascades) take
-/// the catalog non-const.
+/// Provenance queries answered through one CatalogClient: in process
+/// (InProcessCatalogClient) or over the wire alike. Each lineage link
+/// is one GetProvenanceStep call. With a registry, Lineage is the
+/// cross-server walk of Figure 3: `vdp://` and `authority::name` inputs
+/// hop to the server the registry names, bare names stay on the server
+/// holding the derivation, and node names are vdp:// URIs. The other
+/// queries read the tracker's client only. Lineage records its hop
+/// count in the tracker, so concurrent walks need a tracker each.
 class ProvenanceTracker {
  public:
-  explicit ProvenanceTracker(const VirtualDataCatalog& catalog)
-      : catalog_(catalog) {}
+  /// Borrows `client` (and `registry`, when given).
+  explicit ProvenanceTracker(CatalogClient& client,
+                             const CatalogRegistry* registry = nullptr)
+      : client_(client), registry_(registry) {}
 
   /// Full upstream lineage of `dataset`. `max_depth` bounds recursion
   /// (0 = unlimited). Fails on unknown datasets and on cyclic
   /// producer graphs (which the catalog cannot represent validly).
   Result<LineageNode> Lineage(std::string_view dataset,
                               int max_depth = 0) const;
+  /// Catalog-to-catalog hops the last Lineage call made.
+  uint64_t last_hop_count() const { return last_hops_; }
 
   /// Unique upstream dataset names (excluding `dataset` itself).
   Result<std::set<std::string>> Ancestors(std::string_view dataset) const;
@@ -71,22 +83,24 @@ class ProvenanceTracker {
   Result<InvalidationReport> PlanInvalidation(
       std::string_view dataset) const;
 
-  /// Executes the cascade: marks every replica of every affected
-  /// dataset invalid in `catalog` (which must be the same catalog this
-  /// tracker reads). Returns the report of what was invalidated.
-  Result<InvalidationReport> Invalidate(std::string_view dataset,
-                                        VirtualDataCatalog* catalog) const;
+  /// Executes the cascade: marks every valid replica of every affected
+  /// dataset invalid in one ApplyBatch (PermissionDenied on a
+  /// read-only client). Returns the report of what was invalidated.
+  Result<InvalidationReport> Invalidate(std::string_view dataset) const;
 
   /// True when every dataset on the upstream path of `dataset` is
   /// materialized — i.e. the audit trail is complete with real data.
   Result<bool> FullyMaterialized(std::string_view dataset) const;
 
  private:
-  Status BuildLineage(std::string_view dataset, int depth, int max_depth,
-                      std::set<std::string>* on_path,
+  /// Builds the node `ref` names, as seen from the server `from`.
+  Status BuildLineage(CatalogClient* from, std::string_view ref, int depth,
+                      int max_depth, std::set<std::string>* on_path,
                       LineageNode* out) const;
 
-  const VirtualDataCatalog& catalog_;
+  CatalogClient& client_;
+  const CatalogRegistry* registry_;
+  mutable uint64_t last_hops_ = 0;
 };
 
 }  // namespace vdg

@@ -1,6 +1,6 @@
 # End-to-end smoke test for the vdg CLI, run under ctest:
-#   init -> import -> list -> plan -> run -> lineage -> audit ->
-#   invalidate -> run (repair)
+#   init -> import -> list -> plan -> run -> lineage (local and --fed)
+#   -> audit -> invalidate -> run (repair)
 # Invoked as:
 #   cmake -DVDG_CLI=<path-to-vdg> -DWORK_DIR=<scratch> -P cli_smoke.cmake
 
@@ -54,6 +54,8 @@ vdg_step("materialize run1.summary" plan "${CATALOG}" run1.summary)
 vdg_step("<adag" plan "${CATALOG}" run1.summary --dax)
 vdg_step("succeeded: 2/2" run "${CATALOG}" run1.summary)
 vdg_step("raw input" lineage "${CATALOG}" run1.summary)
+# The registry walk names every node by its vdp:// hyperlink.
+vdg_step("vdp://" lineage "${CATALOG}" run1.summary --fed)
 vdg_step("sim1" audit "${CATALOG}" run1.summary)
 vdg_step("materialized: yes" show "${CATALOG}" run1.summary)
 vdg_step("need re-running" invalidate "${CATALOG}" run1.config)

@@ -201,10 +201,24 @@ TEST_F(CatalogTest, AttributeEqualityIndexMatchesScanSemantics) {
   EXPECT_EQ(catalog_.FindDatasets(numeric),
             std::vector<std::string>{"file1"});
 
-  // Overwriting the attribute re-indexes.
+  // Overwriting the attribute re-indexes that key alone: the other keys
+  // of file1 keep their postings.
+  ASSERT_TRUE(catalog_.Annotate("dataset", "file1", "tier", "gold").ok());
   ASSERT_TRUE(
       catalog_.Annotate("dataset", "file1", "science", "physics").ok());
   EXPECT_EQ(catalog_.FindDatasets(eq), std::vector<std::string>{"file2"});
+  DatasetQuery physics;
+  physics.predicates = {{"science", PredicateOp::kEq, "physics"}};
+  EXPECT_EQ(catalog_.FindDatasets(physics),
+            (std::vector<std::string>{"file1", "file3"}));
+  EXPECT_EQ(catalog_.FindDatasets(numeric),
+            std::vector<std::string>{"file1"});
+  DatasetQuery gold;
+  gold.predicates = {{"tier", PredicateOp::kEq, "gold"}};
+  EXPECT_EQ(catalog_.FindDatasets(gold), std::vector<std::string>{"file1"});
+  // Setting a key to the value it already holds keeps one posting.
+  ASSERT_TRUE(catalog_.Annotate("dataset", "file1", "tier", "gold").ok());
+  EXPECT_EQ(catalog_.FindDatasets(gold), std::vector<std::string>{"file1"});
 
   // Removing a dataset drops its postings.
   ASSERT_TRUE(catalog_.RemoveDataset("file2").ok());

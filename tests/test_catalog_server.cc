@@ -583,9 +583,9 @@ TEST(CatalogServerRuntime, FullWorkQueueRejectsWithResourceExhausted) {
   ServerOptions opts;
   opts.workers = 1;
   opts.queue_capacity = 1;
-  opts.handler_delay = std::chrono::microseconds(50'000);  // 50ms/request
   CatalogServer server(
       std::make_shared<InProcessCatalogClient>(catalog.get()), opts);
+  server.set_handler_delay(std::chrono::microseconds(50'000));  // 50ms/request
 
   WireClientOptions copts;
   copts.default_deadline = std::chrono::milliseconds(10'000);
@@ -630,9 +630,9 @@ TEST(CatalogServerRuntime, ClientAdmissionBoundFailsFast) {
   auto catalog = ChainCatalog(2);
   ServerOptions opts;
   opts.workers = 1;
-  opts.handler_delay = std::chrono::microseconds(100'000);
   CatalogServer server(
       std::make_shared<InProcessCatalogClient>(catalog.get()), opts);
+  server.set_handler_delay(std::chrono::microseconds(100'000));
 
   WireClientOptions copts;
   copts.default_deadline = std::chrono::milliseconds(10'000);
@@ -666,9 +666,9 @@ TEST(CatalogServerRuntime, CancelPendingFailsInFlightCallsWithCancelled) {
   auto catalog = ChainCatalog(2);
   ServerOptions opts;
   opts.workers = 1;
-  opts.handler_delay = std::chrono::microseconds(300'000);
   CatalogServer server(
       std::make_shared<InProcessCatalogClient>(catalog.get()), opts);
+  server.set_handler_delay(std::chrono::microseconds(300'000));
 
   WireClientOptions copts;
   copts.default_deadline = std::chrono::milliseconds(0);  // no deadline
@@ -700,9 +700,9 @@ TEST(CatalogServerRuntime, ShutdownFailsPendingCallsWithUnavailable) {
   auto catalog = ChainCatalog(2);
   ServerOptions opts;
   opts.workers = 1;
-  opts.handler_delay = std::chrono::microseconds(300'000);
   auto server = std::make_unique<CatalogServer>(
       std::make_shared<InProcessCatalogClient>(catalog.get()), opts);
+  server->set_handler_delay(std::chrono::microseconds(300'000));
 
   WireClientOptions copts;
   copts.default_deadline = std::chrono::milliseconds(0);
@@ -855,9 +855,9 @@ TEST(CatalogServerRuntime, DrainingShutdownLetsInFlightRequestsFinish) {
   auto catalog = ChainCatalog(2);
   ServerOptions opts;
   opts.workers = 1;
-  opts.handler_delay = std::chrono::microseconds(100'000);
   auto server = std::make_unique<CatalogServer>(
       std::make_shared<InProcessCatalogClient>(catalog.get()), opts);
+  server->set_handler_delay(std::chrono::microseconds(100'000));
 
   WireClientOptions copts;
   copts.default_deadline = std::chrono::milliseconds(10'000);
@@ -886,9 +886,9 @@ TEST(CatalogServerRuntime, FramesDuringDrainBounceWithRetryableUnavailable) {
   auto catalog = ChainCatalog(2);
   ServerOptions opts;
   opts.workers = 1;
-  opts.handler_delay = std::chrono::microseconds(200'000);
   auto server = std::make_unique<CatalogServer>(
       std::make_shared<InProcessCatalogClient>(catalog.get()), opts);
+  server->set_handler_delay(std::chrono::microseconds(200'000));
 
   WireClientOptions copts;
   copts.default_deadline = std::chrono::milliseconds(10'000);
@@ -927,9 +927,9 @@ TEST(CatalogServerRuntime, ConnectDuringDrainRefusesWithoutDeadlock) {
   auto catalog = ChainCatalog(2);
   ServerOptions opts;
   opts.workers = 1;
-  opts.handler_delay = std::chrono::microseconds(150'000);
   auto server = std::make_unique<CatalogServer>(
       std::make_shared<InProcessCatalogClient>(catalog.get()), opts);
+  server->set_handler_delay(std::chrono::microseconds(150'000));
 
   WireClientOptions copts;
   copts.default_deadline = std::chrono::milliseconds(10'000);
@@ -1073,7 +1073,7 @@ std::string Outcome(wire::MsgKind kind, const Result<T>& result) {
 
 std::string Outcome(const Status& status) { return status.ToString(); }
 
-/// Calls each of the 25 typed methods once, in MsgKind order, and
+/// Calls each of the 26 typed methods once, in MsgKind order, and
 /// returns their outcomes.
 std::vector<std::string> CallEveryMethod(CatalogClient& client) {
   using K = wire::MsgKind;
@@ -1145,7 +1145,10 @@ std::vector<std::string> CallEveryMethod(CatalogClient& client) {
   out.push_back(Outcome<wire::BatchResultResp>(
       K::kApplyBatch,
       client.ApplyBatch({CatalogMutation::DefineDataset(batched),
-                         CatalogMutation::SetDatasetSize("req-ds", 1)})));
+                         CatalogMutation::SetDatasetSize("req-ds", 1),
+                         CatalogMutation::AddReplica(rep)})));
+  out.push_back(Outcome<wire::ReplicasResp>(K::kReplicasOf,
+                                            client.ReplicasOf("req-ds")));
   return out;
 }
 
@@ -1158,7 +1161,7 @@ TEST(RequestPath, EveryTypedMethodIsOneRequestOfItsOwnKind) {
 
   const std::vector<std::string> via_requests = CallEveryMethod(recording);
   const std::vector<std::string> via_typed = CallEveryMethod(direct);
-  ASSERT_EQ(via_requests.size(), 25u);
+  ASSERT_EQ(via_requests.size(), 26u);
   for (size_t i = 0; i < via_requests.size(); ++i) {
     EXPECT_EQ(via_requests[i], via_typed[i])
         << wire::MsgKindName(static_cast<wire::MsgKind>(i + 2));
@@ -1168,9 +1171,9 @@ TEST(RequestPath, EveryTypedMethodIsOneRequestOfItsOwnKind) {
   for (size_t i : {16, 17, 18, 19, 22, 23}) {
     EXPECT_EQ(via_typed[i], Status::OK().ToString()) << i;
   }
-  // Kinds 2..26, each exactly once: no typed method is left out of the
+  // Kinds 2..27, each exactly once: no typed method is left out of the
   // request path, and none is served by another method's request.
-  ASSERT_EQ(recording.kinds.size(), 25u);
+  ASSERT_EQ(recording.kinds.size(), 26u);
   for (size_t i = 0; i < recording.kinds.size(); ++i) {
     EXPECT_EQ(static_cast<int>(recording.kinds[i]), static_cast<int>(i + 2));
   }

@@ -18,13 +18,13 @@
 #include "catalog/client.h"
 #include "executor/executor.h"
 #include "federation/faulty_transport.h"
-#include "federation/fed_provenance.h"
 #include "federation/index.h"
 #include "federation/registry.h"
 #include "federation/remote_cache.h"
 #include "federation/resilient_client.h"
 #include "federation/server.h"
 #include "planner/planner.h"
+#include "provenance/provenance.h"
 #include "workload/canonical.h"
 #include "workload/testbed.h"
 
@@ -234,9 +234,8 @@ TEST_F(FedRpcTest, LineageOverRpcMatchesInProcessAndCountsTrips) {
   CatalogRegistry registry;
   auto wire = Wire();
   ASSERT_TRUE(registry.RegisterClient(wire).ok());
-  FederatedProvenance prov(registry);
-  Result<LineageNode> over_wire =
-      prov.Lineage(nullptr, "vdp://chain.org/d8");
+  ProvenanceTracker prov(*wire, &registry);
+  Result<LineageNode> over_wire = prov.Lineage("vdp://chain.org/d8");
   ASSERT_TRUE(over_wire.ok()) << over_wire.status();
   EXPECT_EQ(LineageDepth(*over_wire), 8);
   // One compound trip per chain link (9 datasets).
@@ -244,9 +243,9 @@ TEST_F(FedRpcTest, LineageOverRpcMatchesInProcessAndCountsTrips) {
 
   CatalogRegistry local;
   ASSERT_TRUE(local.Register(catalog_.get()).ok());
-  FederatedProvenance local_prov(local);
-  Result<LineageNode> in_process =
-      local_prov.Lineage(catalog_.get(), "d8");
+  InProcessCatalogClient home(catalog_.get());
+  ProvenanceTracker local_prov(home, &local);
+  Result<LineageNode> in_process = local_prov.Lineage("d8");
   ASSERT_TRUE(in_process.ok());
   EXPECT_EQ(LineageDepth(*in_process), LineageDepth(*over_wire));
   EXPECT_EQ(in_process->dataset, over_wire->dataset);

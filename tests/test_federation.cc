@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
 #include "federation/annotation_overlay.h"
-#include "federation/fed_provenance.h"
 #include "federation/index.h"
 #include "federation/promotion.h"
 #include "federation/registry.h"
+#include "provenance/provenance.h"
 
 namespace vdg {
 namespace {
@@ -505,11 +505,12 @@ TEST_F(PromotionTest, RevokedCuratorStopsPromotion) {
                   .IsPermissionDenied());
 }
 
-// ------------------------- FederatedProvenance -----------------------
+// ------------------------- Cross-server provenance --------------------
 
 TEST_F(FederationTest, CrossServerLineage) {
-  FederatedProvenance prov(registry_);
-  Result<LineageNode> lineage = prov.Lineage(&personal_, "myplot");
+  InProcessCatalogClient home(&personal_);
+  ProvenanceTracker prov(home, &registry_);
+  Result<LineageNode> lineage = prov.Lineage("myplot");
   ASSERT_TRUE(lineage.ok()) << lineage.status();
   // myplot <- mine <- group selected <- grp <- collab calibrated
   //        <- official <- survey.
@@ -530,17 +531,18 @@ TEST_F(FederationTest, CrossServerLineage) {
 }
 
 TEST_F(FederationTest, CrossServerLineageDepthLimit) {
-  FederatedProvenance prov(registry_);
-  Result<LineageNode> lineage = prov.Lineage(&personal_, "myplot", 1);
+  InProcessCatalogClient home(&personal_);
+  ProvenanceTracker prov(home, &registry_);
+  Result<LineageNode> lineage = prov.Lineage("myplot", 1);
   ASSERT_TRUE(lineage.ok());
   ASSERT_EQ(lineage->inputs.size(), 1u);
   EXPECT_TRUE(lineage->inputs[0].inputs.empty());  // truncated
 }
 
 TEST_F(FederationTest, CrossServerLineageUnknownDataset) {
-  FederatedProvenance prov(registry_);
-  EXPECT_TRUE(
-      prov.Lineage(&personal_, "vdp://collab.org/ghost").status().IsNotFound());
+  InProcessCatalogClient home(&personal_);
+  ProvenanceTracker prov(home, &registry_);
+  EXPECT_TRUE(prov.Lineage("vdp://collab.org/ghost").status().IsNotFound());
 }
 
 // ------------------------- Delta refresh -----------------------------

@@ -3,9 +3,14 @@
 // the simulated grid, plus persistence and invalidation flows.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "catalog/catalog.h"
+#include "catalog/wire.h"
 #include "estimator/estimator.h"
 #include "executor/executor.h"
+#include "federation/resilient_client.h"
+#include "federation/server.h"
 #include "planner/planner.h"
 #include "provenance/provenance.h"
 #include "workload/hep.h"
@@ -67,7 +72,8 @@ TEST_F(IntegrationTest, SdssCampaignEndToEnd) {
   EXPECT_EQ(catalog_.FindDatasets(astronomy).size(), 39u);
 
   // Provenance: each cluster catalog traces to exactly its stripe.
-  ProvenanceTracker tracker(catalog_);
+  InProcessCatalogClient catalog_client(&catalog_);
+  ProvenanceTracker tracker(catalog_client);
   Result<std::set<std::string>> ancestors =
       tracker.Ancestors(workload->cluster_catalogs[0]);
   ASSERT_TRUE(ancestors.ok());
@@ -101,10 +107,10 @@ TEST_F(IntegrationTest, CalibrationErrorInvalidatesAndReruns) {
 
   // "I've detected a calibration error in an instrument and want to
   // know which derived data to recompute."
-  ProvenanceTracker tracker(catalog_);
+  InProcessCatalogClient catalog_client(&catalog_);
+  ProvenanceTracker tracker(catalog_client);
   const std::string& bad_field = workload->field_datasets[2];
-  Result<InvalidationReport> report =
-      tracker.Invalidate(bad_field, &catalog_);
+  Result<InvalidationReport> report = tracker.Invalidate(bad_field);
   ASSERT_TRUE(report.ok());
   // Downstream: that field's bcg list and the stripe's cluster catalog.
   EXPECT_EQ(report->affected_datasets.size(), 2u);
@@ -119,6 +125,105 @@ TEST_F(IntegrationTest, CalibrationErrorInvalidatesAndReruns) {
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->succeeded);
   EXPECT_TRUE(catalog_.IsMaterialized(clusters));
+}
+
+/// The ids of every invalidated replica in `catalog`.
+std::set<std::string> InvalidReplicaIds(const VirtualDataCatalog& catalog) {
+  std::set<std::string> ids;
+  for (std::string_view name : catalog.AllDatasetNames()) {
+    for (const Replica& replica : catalog.ReplicasOf(name, false)) {
+      if (!replica.valid) ids.insert(replica.id);
+    }
+  }
+  return ids;
+}
+
+/// An audit trail as the bytes of its wire response.
+std::string TrailBytes(const std::vector<Invocation>& trail) {
+  return wire::EncodeResponseFrame(
+      0, wire::Reply(wire::MsgKind::kInvocationsOf,
+                     wire::InvocationsResp{trail}));
+}
+
+// The provenance tracker gives the same answers through the full
+// client ladder as in process: lineage, audit trail and invalidation
+// plan byte for byte, and an invalidation cascade run over the wire
+// invalidates the replicas the in-process plan names.
+TEST_F(IntegrationTest, ProvenanceOverTheWireMatchesInProcess) {
+  // The HEP pipeline runs each batch through a compound derivation, so
+  // its ntuples' invocations are those of the expansion children.
+  workload::HepOptions options;
+  options.num_batches = 2;
+  Result<workload::HepWorkload> workload =
+      workload::GenerateHep(&catalog_, options);
+  ASSERT_TRUE(workload.ok());
+  for (const std::string& config : workload->config_datasets) {
+    ASSERT_TRUE(grid_.PlaceFile("fermilab", config, 64 * 1024, true).ok());
+    Replica r;
+    r.dataset = config;
+    r.site = "fermilab";
+    r.size_bytes = 64 * 1024;
+    ASSERT_TRUE(catalog_.AddReplica(r).ok());
+  }
+  PlannerOptions popt;
+  popt.target_site = "fermilab";
+  for (const std::string& ntuple : workload->ntuples) {
+    Result<ExecutionPlan> plan = planner_.Plan(ntuple, popt);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    ASSERT_TRUE(engine_.Execute(*plan)->succeeded);
+  }
+  const std::string& ntuple = workload->ntuples[0];
+
+  CatalogServer server(std::make_shared<InProcessCatalogClient>(&catalog_));
+  ResilientEndpoint endpoint;
+  endpoint.name = "griphyn";
+  endpoint.connect = [&]() -> Result<std::shared_ptr<CatalogClient>> {
+    VDG_ASSIGN_OR_RETURN(std::shared_ptr<WireCatalogClient> wire,
+                         WireCatalogClient::Connect(&server));
+    return std::shared_ptr<CatalogClient>(std::move(wire));
+  };
+  ResilientCatalogClient remote_client({endpoint});
+  InProcessCatalogClient local_client(&catalog_);
+  ProvenanceTracker remote(remote_client);
+  ProvenanceTracker local(local_client);
+
+  Result<LineageNode> remote_lineage = remote.Lineage(ntuple);
+  Result<LineageNode> local_lineage = local.Lineage(ntuple);
+  ASSERT_TRUE(remote_lineage.ok()) << remote_lineage.status();
+  ASSERT_TRUE(local_lineage.ok()) << local_lineage.status();
+  EXPECT_EQ(RenderLineage(*remote_lineage), RenderLineage(*local_lineage));
+  EXPECT_EQ(RenderLineage(*local_lineage).find("never executed"),
+            std::string::npos);
+
+  Result<std::vector<Invocation>> remote_trail = remote.AuditTrail(ntuple);
+  Result<std::vector<Invocation>> local_trail = local.AuditTrail(ntuple);
+  ASSERT_TRUE(remote_trail.ok()) << remote_trail.status();
+  ASSERT_TRUE(local_trail.ok()) << local_trail.status();
+  EXPECT_EQ(local_trail->size(), 4u);  // the batch's four stages
+  EXPECT_EQ(TrailBytes(*remote_trail), TrailBytes(*local_trail));
+
+  const std::string& bad_config = workload->config_datasets[0];
+  Result<InvalidationReport> remote_plan =
+      remote.PlanInvalidation(bad_config);
+  Result<InvalidationReport> local_plan = local.PlanInvalidation(bad_config);
+  ASSERT_TRUE(remote_plan.ok()) << remote_plan.status();
+  ASSERT_TRUE(local_plan.ok()) << local_plan.status();
+  EXPECT_EQ(remote_plan->source_dataset, local_plan->source_dataset);
+  EXPECT_EQ(remote_plan->affected_datasets, local_plan->affected_datasets);
+  EXPECT_EQ(remote_plan->derivations_to_rerun,
+            local_plan->derivations_to_rerun);
+  EXPECT_EQ(remote_plan->invalidated_replicas,
+            local_plan->invalidated_replicas);
+  ASSERT_FALSE(local_plan->invalidated_replicas.empty());
+
+  ASSERT_TRUE(InvalidReplicaIds(catalog_).empty());
+  Result<InvalidationReport> done = remote.Invalidate(bad_config);
+  ASSERT_TRUE(done.ok()) << done.status();
+  EXPECT_EQ(InvalidReplicaIds(catalog_),
+            std::set<std::string>(local_plan->invalidated_replicas.begin(),
+                                  local_plan->invalidated_replicas.end()));
+  EXPECT_FALSE(catalog_.IsMaterialized(ntuple));
+  EXPECT_TRUE(catalog_.IsMaterialized(workload->ntuples[1]));
 }
 
 TEST_F(IntegrationTest, DedupAvoidsRecomputation) {
@@ -211,7 +316,8 @@ TEST_F(IntegrationTest, HepPipelinePersistsAcrossRestart) {
   ASSERT_TRUE(reopened.Open().ok());
   EXPECT_EQ(reopened.Stats().invocations, invocations);
   EXPECT_TRUE(reopened.IsMaterialized("cms.batch0.ntuple"));
-  ProvenanceTracker tracker(reopened);
+  InProcessCatalogClient catalog_client(&reopened);
+  ProvenanceTracker tracker(catalog_client);
   Result<std::vector<Invocation>> trail =
       tracker.AuditTrail("cms.batch1.ntuple");
   ASSERT_TRUE(trail.ok());

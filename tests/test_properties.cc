@@ -107,7 +107,9 @@ TEST_P(PlanProperties, PlansExecuteToMaterialization) {
   EXPECT_TRUE(world.catalog.IsMaterialized(sink));
   EXPECT_TRUE(world.grid.rls().ExistsAt(sink, "east"));
 
-  ProvenanceTracker tracker(world.catalog);
+  InProcessCatalogClient catalog_client(&world.catalog);
+
+  ProvenanceTracker tracker(catalog_client);
   Result<std::vector<Invocation>> trail = tracker.AuditTrail(sink);
   ASSERT_TRUE(trail.ok());
   EXPECT_EQ(trail->size(), plan->nodes.size());
@@ -119,7 +121,8 @@ TEST_P(PlanProperties, PlansExecuteToMaterialization) {
 // and the aux outputs' provenance matches ground truth.
 TEST_P(PlanProperties, AuxOutputsShareProvenance) {
   World world(GetParam());
-  ProvenanceTracker tracker(world.catalog);
+  InProcessCatalogClient catalog_client(&world.catalog);
+  ProvenanceTracker tracker(catalog_client);
   for (const std::string& aux : world.graph.aux_outputs) {
     Result<std::set<std::string>> ancestors = tracker.Ancestors(aux);
     ASSERT_TRUE(ancestors.ok()) << aux;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "catalog/sharding.h"
+#include "federation/server.h"
+
 namespace vdg {
 namespace {
 
@@ -30,7 +35,8 @@ DV dvD->step( out=@{output:"report"}, in=@{input:"final"} );
 
 class ProvenanceTest : public ::testing::Test {
  protected:
-  ProvenanceTest() : catalog_("prov.org"), tracker_(catalog_) {
+  ProvenanceTest()
+      : catalog_("prov.org"), client_(&catalog_), tracker_(client_) {
     EXPECT_TRUE(catalog_.Open().ok());
     EXPECT_TRUE(catalog_.ImportVdl(kDiamondVdl).ok());
   }
@@ -53,7 +59,31 @@ class ProvenanceTest : public ::testing::Test {
     ASSERT_TRUE(catalog_.RecordInvocation(iv).ok());
   }
 
+  /// Defines dvC's synthesized expansion child "dvC.c0" in `catalog`
+  /// and records one invocation of it.
+  static void DefineExpansionChild(VirtualDataCatalog* catalog) {
+    Derivation child("dvC.c0", "join");
+    ASSERT_TRUE(
+        child.AddArg(ActualArg::DatasetRef("out", "final", ArgDirection::kOut))
+            .ok());
+    ASSERT_TRUE(
+        child.AddArg(ActualArg::DatasetRef("lhs", "mid1", ArgDirection::kIn))
+            .ok());
+    ASSERT_TRUE(
+        child.AddArg(ActualArg::DatasetRef("rhs", "mid2", ArgDirection::kIn))
+            .ok());
+    ASSERT_TRUE(catalog->DefineDerivation(child).ok());
+    Invocation iv;
+    iv.derivation = "dvC.c0";
+    iv.context.site = "uchicago";
+    iv.context.host = "n0";
+    iv.start_time = 11;
+    iv.duration_s = 5;
+    ASSERT_TRUE(catalog->RecordInvocation(iv).ok());
+  }
+
   VirtualDataCatalog catalog_;
+  InProcessCatalogClient client_;
   ProvenanceTracker tracker_;
 };
 
@@ -158,8 +188,7 @@ TEST_F(ProvenanceTest, InvalidateCascadesReplicas) {
   AddReplicaFor("mid2", "s1");
   AddReplicaFor("final", "s1");
   AddReplicaFor("raw", "s1");  // the faulty source itself stays valid
-  Result<InvalidationReport> report =
-      tracker_.Invalidate("raw", &catalog_);
+  Result<InvalidationReport> report = tracker_.Invalidate("raw");
   ASSERT_TRUE(report.ok());
   EXPECT_FALSE(catalog_.IsMaterialized("mid1"));
   EXPECT_FALSE(catalog_.IsMaterialized("mid2"));
@@ -167,11 +196,16 @@ TEST_F(ProvenanceTest, InvalidateCascadesReplicas) {
   EXPECT_TRUE(catalog_.IsMaterialized("raw"));
 }
 
-TEST_F(ProvenanceTest, InvalidateRejectsForeignCatalog) {
-  VirtualDataCatalog other("other.org");
-  ASSERT_TRUE(other.Open().ok());
-  EXPECT_FALSE(tracker_.Invalidate("raw", &other).ok());
-  EXPECT_FALSE(tracker_.Invalidate("raw", nullptr).ok());
+TEST_F(ProvenanceTest, InvalidateThroughReadOnlyClientIsPermissionDenied) {
+  AddReplicaFor("mid1", "s1");
+  InProcessCatalogClient read_only(&catalog_, /*read_only=*/true);
+  ProvenanceTracker tracker(read_only);
+  EXPECT_TRUE(tracker.Invalidate("raw").status().IsPermissionDenied());
+  // Denied even with nothing to invalidate, and nothing was touched.
+  EXPECT_TRUE(tracker.Invalidate("report").status().IsPermissionDenied());
+  EXPECT_TRUE(catalog_.IsMaterialized("mid1"));
+  // The pure query still answers.
+  EXPECT_EQ(tracker.PlanInvalidation("raw")->invalidated_replicas.size(), 1u);
 }
 
 TEST_F(ProvenanceTest, FullyMaterializedRequiresWholeChain) {
@@ -200,22 +234,70 @@ DV loopB->step( out=@{output:"x"}, in=@{input:"y"} );
 
 TEST_F(ProvenanceTest, ExpansionChildInvocationsSurfaceOnParent) {
   // Record an invocation against a synthesized child derivation.
-  Derivation child("dvC.c0", "join");
-  ASSERT_TRUE(
-      child.AddArg(ActualArg::DatasetRef("out", "final", ArgDirection::kOut))
-          .ok());
-  ASSERT_TRUE(
-      child.AddArg(ActualArg::DatasetRef("lhs", "mid1", ArgDirection::kIn))
-          .ok());
-  ASSERT_TRUE(
-      child.AddArg(ActualArg::DatasetRef("rhs", "mid2", ArgDirection::kIn))
-          .ok());
-  ASSERT_TRUE(catalog_.DefineDerivation(child).ok());
-  AddInvocationFor("dvC.c0", 11);
+  DefineExpansionChild(&catalog_);
   Result<LineageNode> node = tracker_.Lineage("final");
   ASSERT_TRUE(node.ok());
   ASSERT_EQ(node->invocations.size(), 1u);
   EXPECT_EQ(node->invocations[0].derivation, "dvC.c0");
+  // The audit trail reads the same steps.
+  Result<std::vector<Invocation>> trail = tracker_.AuditTrail("report");
+  ASSERT_TRUE(trail.ok());
+  ASSERT_EQ(trail->size(), 1u);
+  EXPECT_EQ((*trail)[0].derivation, "dvC.c0");
+}
+
+TEST_F(ProvenanceTest, ExpansionChildInvocationsSurfaceOverTheWire) {
+  DefineExpansionChild(&catalog_);
+  CatalogServer server(std::make_shared<InProcessCatalogClient>(&catalog_));
+  Result<std::shared_ptr<WireCatalogClient>> wire =
+      WireCatalogClient::Connect(&server);
+  ASSERT_TRUE(wire.ok()) << wire.status();
+  ProvenanceTracker remote(**wire);
+  Result<LineageNode> node = remote.Lineage("final");
+  ASSERT_TRUE(node.ok()) << node.status();
+  ASSERT_EQ(node->invocations.size(), 1u);
+  EXPECT_EQ(node->invocations[0].derivation, "dvC.c0");
+  EXPECT_EQ(RenderLineage(*node), RenderLineage(*tracker_.Lineage("final")));
+}
+
+// Partition-mode shards skip the expansion-child fold (sharding.h): a
+// step through the shard set reports the producer's own invocations
+// only, even with the child homed beside its parent. One shard puts
+// every object on the shard that answers the step; two shards add the
+// router's cross-shard completion.
+TEST_F(ProvenanceTest, PartitionModeStepReportsOwnInvocationsOnly) {
+  for (int shard_count : {1, 2}) {
+    SCOPED_TRACE(shard_count);
+    std::vector<std::unique_ptr<VirtualDataCatalog>> shard_catalogs;
+    std::vector<std::shared_ptr<CatalogClient>> shards;
+    for (int k = 0; k < shard_count; ++k) {
+      auto shard =
+          std::make_unique<VirtualDataCatalog>("shard" + std::to_string(k));
+      shard->set_partition_mode(true);
+      ASSERT_TRUE(shard->Open().ok());
+      shards.push_back(std::make_shared<InProcessCatalogClient>(shard.get()));
+      shard_catalogs.push_back(std::move(shard));
+    }
+    ShardedCatalogClient sharded(shards);
+    ASSERT_TRUE(
+        sharded.DefineTransformation(*catalog_.GetTransformation("join"))
+            .ok());
+    for (const char* input : {"mid1", "mid2"}) {
+      Dataset ds;
+      ds.name = input;
+      ASSERT_TRUE(sharded.DefineDataset(ds).ok());
+    }
+    ASSERT_TRUE(sharded.DefineDerivation(*catalog_.GetDerivation("dvC")).ok());
+    VirtualDataCatalog& home = *shard_catalogs[sharded.ShardOf("dvC")];
+    DefineExpansionChild(&home);
+    ASSERT_EQ(home.InvocationsOf("dvC.c0").size(), 1u);
+
+    Result<ProvenanceStep> step = sharded.GetProvenanceStep("final");
+    ASSERT_TRUE(step.ok()) << step.status();
+    EXPECT_EQ(step->producer, "dvC");
+    EXPECT_TRUE(step->derivation.has_value());
+    EXPECT_TRUE(step->invocations.empty());
+  }
 }
 
 }  // namespace

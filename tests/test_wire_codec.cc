@@ -396,7 +396,8 @@ TEST(WireCodecRequests, EmptyAndNameKindsRoundTrip) {
         MsgKind::kGetDerivation, MsgKind::kHasDataset,
         MsgKind::kIsMaterialized, MsgKind::kProducerOf,
         MsgKind::kInvocationsOf, MsgKind::kAllNames,
-        MsgKind::kGetProvenanceStep, MsgKind::kInvalidateReplica}) {
+        MsgKind::kGetProvenanceStep, MsgKind::kInvalidateReplica,
+        MsgKind::kReplicasOf}) {
     std::string name = RandomName(rng);
     Request req{kind, NameReq{name}};
     Request out = RoundTrip(rng.UniformInt(0, 1 << 30), req);
@@ -717,6 +718,18 @@ TEST(WireCodecResponses, AllBodyKindsRoundTrip) {
   ExpectEq(*sgot.step.derivation, *sr.step.derivation);
   ASSERT_EQ(sgot.step.invocations.size(), 1u);
   ExpectEq(sgot.step.invocations[0], sr.step.invocations[0]);
+
+  Response replicas;
+  replicas.kind = MsgKind::kReplicasOf;
+  ReplicasResp rr;
+  rr.replicas.push_back(RandomReplica(rng));
+  rr.replicas.push_back(RandomReplica(rng));
+  replicas.body = rr;
+  Response rout = RoundTrip(12, replicas);
+  const ReplicasResp& rgot = std::get<ReplicasResp>(rout.body);
+  ASSERT_EQ(rgot.replicas.size(), 2u);
+  ExpectEq(rgot.replicas[0], rr.replicas[0]);
+  ExpectEq(rgot.replicas[1], rr.replicas[1]);
 }
 
 TEST(WireCodecResponses, RecordsAndBatchResultsRoundTrip) {
@@ -962,12 +975,12 @@ TEST(WireFrames, StreamingSplitAcrossArbitraryBoundaries) {
 }
 
 TEST(WireFrames, MsgKindNamesAreDistinct) {
-  for (uint8_t raw = 1; raw <= 26; ++raw) {
+  for (uint8_t raw = 1; raw <= 27; ++raw) {
     EXPECT_TRUE(IsValidMsgKind(raw));
     EXPECT_FALSE(MsgKindName(static_cast<MsgKind>(raw)).empty());
   }
   EXPECT_FALSE(IsValidMsgKind(0));
-  EXPECT_FALSE(IsValidMsgKind(27));
+  EXPECT_FALSE(IsValidMsgKind(28));
   EXPECT_FALSE(IsValidMsgKind(255));
 }
 
@@ -1176,6 +1189,7 @@ std::vector<Request> GoldenRequests() {
        SetDatasetSizeReq{"galaxy.cat", int64_t{1} << 40}},
       {MsgKind::kInvalidateReplica, NameReq{"rp-s1-7"}},
       {MsgKind::kApplyBatch, GoldenBatch()},
+      {MsgKind::kReplicasOf, NameReq{"galaxy.cat"}},
   };
 }
 
@@ -1250,6 +1264,7 @@ std::vector<Response> GoldenResponses() {
       ok(MsgKind::kSetDatasetSize, std::monostate{}),
       ok(MsgKind::kInvalidateReplica, std::monostate{}),
       ok(MsgKind::kApplyBatch, BatchResultResp{result}),
+      ok(MsgKind::kReplicasOf, ReplicasResp{{GoldenReplica()}}),
   };
 }
 
@@ -1421,6 +1436,9 @@ constexpr GoldenFrame kGoldenFrames[] = {
      "0000000400000000000000060a00000067616c6178792e636174ffffffffffff"
      "ffff070700000072702d73312d37010a0000007263632d303066662d31e55e2a"
      "49"},
+    {"request ReplicasOf",
+     "5644475701001b0002040000000000000e0000000a00000067616c6178792e63"
+     "61749c1173ca"},
     {"response Handshake",
      "5644475701010100e80300000000000012000000000000000008000000736473"
      "732e6f7267016a754546"},
@@ -1563,6 +1581,13 @@ constexpr GoldenFrame kGoldenFrames[] = {
      "0000030a00000067616c6178792e636174090d00000062617463682061626f72"
      "74656403000000000000000700000072702d73302d3800000000010000000000"
      "00001032547698badcfe030a00000067616c6178792e636174ad1dcbf2"},
+    {"response ReplicasOf",
+     "5644475701011b000204000000000000a2000000000000000001000000070000"
+     "0072702d73312d370a00000067616c6178792e63617404000000666e616c0300"
+     "0000736531100000002f646174612f67616c6178792e63617400001000000000"
+     "0000000000004a934000040000000a00000063616c6962726174656462010500"
+     "0000636f756e7469d6ffffffffffffff050000006c6162656c73060000007a2d"
+     "62616e6405000000726174696f649a9999999999b93f40a4d272"},
     {"error GetDataset",
      "5644475701010400070000000000000025000000022000000064617461736574"
      "202767616c6178792e63617427206e6f7420646566696e65645333f1fc"},
@@ -1627,13 +1652,13 @@ Result<std::string> Reencode(std::string_view frame) {
 TEST(WireGolden, CorpusCoversEveryKind) {
   const std::vector<Request> requests = GoldenRequests();
   const std::vector<Response> responses = GoldenResponses();
-  ASSERT_EQ(requests.size(), 26u);
-  ASSERT_EQ(responses.size(), 26u);
+  ASSERT_EQ(requests.size(), 27u);
+  ASSERT_EQ(responses.size(), 27u);
   for (size_t i = 0; i < requests.size(); ++i) {
     EXPECT_EQ(static_cast<size_t>(requests[i].kind), i + 1);
     EXPECT_EQ(static_cast<size_t>(responses[i].kind), i + 1);
   }
-  EXPECT_EQ(std::size(kGoldenFrames), 53u);
+  EXPECT_EQ(std::size(kGoldenFrames), 55u);
   EXPECT_EQ(kCodecVersion, 1);
 }
 

@@ -201,9 +201,9 @@ TEST(WireFaults, ShortWritesAreLoopedUntilTheFrameFlushes) {
 TEST(WireFaults, LostResponseSurfacesRetryUnsafeToTheBareClient) {
   auto catalog = ChainCatalog(2);
   ServerOptions opts;
-  opts.handler_delay = std::chrono::microseconds(150'000);
   auto server = std::make_unique<CatalogServer>(
       std::make_shared<InProcessCatalogClient>(catalog.get(), false), opts);
+  server->set_handler_delay(std::chrono::microseconds(150'000));
   WireClientOptions copts;
   copts.default_deadline = std::chrono::milliseconds(10'000);
   auto client = WireCatalogClient::Connect(server.get(), copts);

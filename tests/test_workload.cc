@@ -54,7 +54,8 @@ TEST_P(CanonicalTest, ProvenanceMatchesGroundTruth) {
 
   // The provenance the catalog reports must equal the generator's
   // ground truth, for every output — the Chimera-0 validation.
-  ProvenanceTracker tracker(catalog);
+  InProcessCatalogClient catalog_client(&catalog);
+  ProvenanceTracker tracker(catalog_client);
   for (const std::string& output : graph->outputs) {
     Result<std::set<std::string>> ancestors = tracker.Ancestors(output);
     ASSERT_TRUE(ancestors.ok());
@@ -139,7 +140,8 @@ TEST(SdssTest, MergeDependsOnAllStripeFields) {
   Result<workload::SdssWorkload> workload =
       workload::GenerateSdss(&catalog, options);
   ASSERT_TRUE(workload.ok());
-  ProvenanceTracker tracker(catalog);
+  InProcessCatalogClient catalog_client(&catalog);
+  ProvenanceTracker tracker(catalog_client);
   Result<std::set<std::string>> ancestors =
       tracker.Ancestors(workload->cluster_catalogs[0]);
   ASSERT_TRUE(ancestors.ok());
@@ -208,7 +210,8 @@ TEST(HepTest, ExplicitModeBuildsFourStageChains) {
   ASSERT_TRUE(reco.ok());
   EXPECT_EQ(reco->descriptor.schema, "object-closure");
   // Full chain provenance: ntuple <- reco <- hits <- events <- config.
-  ProvenanceTracker tracker(catalog);
+  InProcessCatalogClient catalog_client(&catalog);
+  ProvenanceTracker tracker(catalog_client);
   Result<std::set<std::string>> ancestors =
       tracker.Ancestors("cms.batch0.ntuple");
   ASSERT_TRUE(ancestors.ok());
@@ -251,7 +254,8 @@ TEST(InteractiveTest, FinalGraphLineageFansAcrossAllIterations) {
   Result<workload::InteractiveWorkload> workload =
       workload::GenerateInteractive(&catalog, options);
   ASSERT_TRUE(workload.ok());
-  ProvenanceTracker tracker(catalog);
+  InProcessCatalogClient catalog_client(&catalog);
+  ProvenanceTracker tracker(catalog_client);
   Result<std::set<std::string>> ancestors =
       tracker.Ancestors(workload->final_graph);
   ASSERT_TRUE(ancestors.ok());

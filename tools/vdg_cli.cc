@@ -30,7 +30,6 @@
 #include "catalog/catalog.h"
 #include "estimator/estimator.h"
 #include "executor/executor.h"
-#include "federation/fed_provenance.h"
 #include "federation/registry.h"
 #include "planner/dax.h"
 #include "planner/planner.h"
@@ -194,19 +193,15 @@ int CmdSearch(const VirtualDataCatalog& catalog, const std::string& prefix,
 
 int CmdLineage(VirtualDataCatalog* catalog, const std::string& dataset,
                bool federated) {
+  // Federated: the same walk resolves inputs through a registry, so
+  // vdp:// hyperlinks hop servers and node names are vdp:// qualified.
+  CatalogRegistry registry;
   if (federated) {
-    // Walk through the service boundary instead of the in-process
-    // tracker: same chain, but each link is one compound
-    // GetProvenanceStep call and node names are vdp:// qualified.
-    CatalogRegistry registry;
-    registry.Register(catalog);
-    FederatedProvenance fed(registry);
-    Result<LineageNode> lineage = fed.Lineage(catalog, dataset);
-    if (!lineage.ok()) return Fail(lineage.status());
-    std::printf("%s", RenderLineage(*lineage).c_str());
-    return 0;
+    Status registered = registry.Register(catalog);
+    if (!registered.ok()) return Fail(registered);
   }
-  ProvenanceTracker tracker(*catalog);
+  InProcessCatalogClient client(catalog);
+  ProvenanceTracker tracker(client, federated ? &registry : nullptr);
   Result<LineageNode> lineage = tracker.Lineage(dataset);
   if (!lineage.ok()) return Fail(lineage.status());
   std::printf("%s", RenderLineage(*lineage).c_str());
@@ -214,7 +209,8 @@ int CmdLineage(VirtualDataCatalog* catalog, const std::string& dataset,
 }
 
 int CmdAudit(const VirtualDataCatalog& catalog, const std::string& dataset) {
-  ProvenanceTracker tracker(catalog);
+  InProcessCatalogClient client(&catalog);
+  ProvenanceTracker tracker(client);
   Result<std::vector<Invocation>> trail = tracker.AuditTrail(dataset);
   if (!trail.ok()) return Fail(trail.status());
   for (const Invocation& iv : *trail) {
@@ -227,8 +223,9 @@ int CmdAudit(const VirtualDataCatalog& catalog, const std::string& dataset) {
 }
 
 int CmdInvalidate(VirtualDataCatalog* catalog, const std::string& dataset) {
-  ProvenanceTracker tracker(*catalog);
-  Result<InvalidationReport> report = tracker.Invalidate(dataset, catalog);
+  InProcessCatalogClient client(catalog);
+  ProvenanceTracker tracker(client);
+  Result<InvalidationReport> report = tracker.Invalidate(dataset);
   if (!report.ok()) return Fail(report.status());
   Status synced = catalog->SyncJournal();
   if (!synced.ok()) return Fail(synced);
@@ -252,7 +249,8 @@ struct Session {
 
 Status StageRawInputs(Session* session, VirtualDataCatalog* catalog,
                       const std::string& dataset) {
-  ProvenanceTracker tracker(*catalog);
+  InProcessCatalogClient client(catalog);
+  ProvenanceTracker tracker(client);
   VDG_ASSIGN_OR_RETURN(std::set<std::string> raw,
                        tracker.RawSources(dataset));
   for (const std::string& name : raw) {
