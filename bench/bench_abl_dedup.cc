@@ -50,8 +50,9 @@ DedupOutcome RunStream(int overlap_percent, int requests, uint64_t seed) {
   if (!catalog.AddReplica(r).ok()) std::abort();
 
   CostEstimator estimator;
-  RequestPlanner planner(catalog, grid.topology(), &grid.rls(), estimator);
-  WorkflowEngine engine(&grid, &catalog);
+  InProcessCatalogClient client(&catalog);
+  RequestPlanner planner(client, grid.topology(), &grid.rls(), estimator);
+  WorkflowEngine engine(&grid, client);
   PlannerOptions popts;
   popts.target_site = "east";
 

@@ -84,8 +84,9 @@ double RunPattern(const std::string& exec_site, int64_t input_mb,
   if (!catalog.AddReplica(r).ok()) std::abort();
 
   CostEstimator estimator;
-  RequestPlanner planner(catalog, grid.topology(), &grid.rls(), estimator);
-  WorkflowEngine engine(&grid, &catalog);
+  InProcessCatalogClient client(&catalog);
+  RequestPlanner planner(client, grid.topology(), &grid.rls(), estimator);
+  WorkflowEngine engine(&grid, client);
   PlannerOptions popts;
   popts.target_site = "user";
   popts.site_policy = SiteSelectionPolicy::kFixed;
@@ -174,7 +175,8 @@ void BM_PlannerPicksPattern(benchmark::State& state) {
   estimator.RecordRuntime("analyze", "hpc", 50.0);
   estimator.RecordRuntime("analyze", "data", 200.0);
   estimator.RecordRuntime("analyze", "user", 200.0);
-  RequestPlanner planner(catalog, topology, nullptr, estimator);
+  InProcessCatalogClient client(&catalog);
+  RequestPlanner planner(client, topology, nullptr, estimator);
   PlannerOptions popts;
   popts.target_site = "user";
   std::string chosen;

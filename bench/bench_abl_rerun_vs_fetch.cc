@@ -17,6 +17,7 @@ namespace {
 
 struct DecisionWorld {
   VirtualDataCatalog catalog{"virt.org"};
+  InProcessCatalogClient client{&catalog};
   GridTopology topology = workload::GriphynTestbed();
   CostEstimator estimator;
 
@@ -59,7 +60,7 @@ struct DecisionWorld {
 void BM_CrossoverBySize(benchmark::State& state) {
   int64_t mb = state.range(0);
   DecisionWorld world(mb, /*runtime_s=*/100.0);
-  RequestPlanner planner(world.catalog, world.topology, nullptr,
+  RequestPlanner planner(world.client, world.topology, nullptr,
                          world.estimator);
   PlannerOptions options;
   options.target_site = "uchicago";
@@ -90,7 +91,7 @@ BENCHMARK(BM_CrossoverBySize)
 void BM_CrossoverByRuntime(benchmark::State& state) {
   double runtime_s = static_cast<double>(state.range(0));
   DecisionWorld world(/*dataset_mb=*/256, runtime_s);
-  RequestPlanner planner(world.catalog, world.topology, nullptr,
+  RequestPlanner planner(world.client, world.topology, nullptr,
                          world.estimator);
   PlannerOptions options;
   options.target_site = "uchicago";
@@ -123,7 +124,7 @@ void BM_NearbyReplicaFlipsDecision(benchmark::State& state) {
   if (nearby) {
     world.AddReplica("product", "fermilab", 1024LL << 20);  // fat link
   }
-  RequestPlanner planner(world.catalog, world.topology, nullptr,
+  RequestPlanner planner(world.client, world.topology, nullptr,
                          world.estimator);
   PlannerOptions options;
   options.target_site = "uchicago";

@@ -45,8 +45,9 @@ double RunHep(int batches, bool use_compound, uint64_t seed,
     if (!catalog.AddReplica(r).ok()) std::abort();
   }
   CostEstimator estimator;
-  RequestPlanner planner(catalog, grid.topology(), &grid.rls(), estimator);
-  WorkflowEngine engine(&grid, &catalog);
+  InProcessCatalogClient client(&catalog);
+  RequestPlanner planner(client, grid.topology(), &grid.rls(), estimator);
+  WorkflowEngine engine(&grid, client);
   PlannerOptions popts;
   popts.target_site = "uchicago";
   for (const std::string& ntuple : workload->ntuples) {
@@ -112,8 +113,9 @@ void BM_CompoundExpansion(benchmark::State& state) {
   if (!workload.ok()) std::abort();
   Result<Derivation> dv = catalog.GetDerivation(workload->derivations[0]);
   if (!dv.ok()) std::abort();
+  InProcessCatalogClient client(&catalog);
   for (auto _ : state) {
-    Result<std::vector<Derivation>> subs = ExpandDerivation(catalog, *dv);
+    Result<std::vector<Derivation>> subs = ExpandDerivation(client, *dv);
     benchmark::DoNotOptimize(subs);
     if (!subs.ok() || subs->size() != 4) std::abort();
   }

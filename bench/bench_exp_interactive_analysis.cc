@@ -58,9 +58,10 @@ Session* BuildSession(int iterations, int cuts, bool execute) {
     r.size_bytes = 512LL * 1024 * 1024;
     if (!session->catalog->AddReplica(r).ok()) std::abort();
     CostEstimator estimator;
-    RequestPlanner planner(*session->catalog, grid.topology(), &grid.rls(),
+    InProcessCatalogClient client(session->catalog.get());
+    RequestPlanner planner(client, grid.topology(), &grid.rls(),
                            estimator);
-    WorkflowEngine engine(&grid, session->catalog.get());
+    WorkflowEngine engine(&grid, client);
     PlannerOptions popts;
     popts.target_site = "east";
     Result<ExecutionPlan> plan =

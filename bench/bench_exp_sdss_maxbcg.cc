@@ -47,12 +47,13 @@ CampaignResult RunCampaign(int stripes, int fields_per_stripe,
     std::abort();
   }
   CostEstimator estimator;
-  RequestPlanner planner(catalog, grid.topology(), &grid.rls(), estimator);
+  InProcessCatalogClient client(&catalog);
+  RequestPlanner planner(client, grid.topology(), &grid.rls(), estimator);
   // Provenance recording off for the large sweeps: the paper's numbers
   // are about execution, and recording is measured by FIG1.
   ExecutorOptions eopts;
   eopts.record_provenance = false;
-  WorkflowEngine engine(&grid, &catalog, eopts);
+  WorkflowEngine engine(&grid, client, eopts);
 
   PlannerOptions popts;
   popts.target_site = "fermilab";

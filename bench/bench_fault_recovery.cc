@@ -68,8 +68,8 @@ RunOutcome RunFaultyWorkflow(uint64_t seed, double job_rate,
   }
 
   CostEstimator estimator;
-  RequestPlanner planner(catalog, grid.topology(), &grid.rls(),
-                         estimator);
+  InProcessCatalogClient client(&catalog);
+  RequestPlanner planner(client, grid.topology(), &grid.rls(), estimator);
   PlannerOptions popt;
   popt.target_site = "uchicago";
   if (crash_mid_run) {
@@ -84,7 +84,7 @@ RunOutcome RunFaultyWorkflow(uint64_t seed, double job_rate,
   eopt.max_retries = 10;
   eopt.faults.backoff_base_s = 2.0;
   eopt.faults.rederive_lost_inputs = true;
-  WorkflowEngine engine(&grid, &catalog, eopt);
+  WorkflowEngine engine(&grid, client, eopt);
   Result<WorkflowResult> result = engine.Execute(*plan);
   if (!result.ok()) return out;
   out.result = *result;
@@ -228,7 +228,8 @@ void BM_LostInputRederivation(benchmark::State& state) {
     if (!catalog.AddReplica(std::move(replica)).ok()) std::abort();
 
     CostEstimator estimator;
-    RequestPlanner planner(catalog, grid.topology(), &grid.rls(),
+    InProcessCatalogClient client(&catalog);
+    RequestPlanner planner(client, grid.topology(), &grid.rls(),
                            estimator);
     PlannerOptions popt;
     popt.target_site = "east";
@@ -237,7 +238,7 @@ void BM_LostInputRederivation(benchmark::State& state) {
     {
       // Materialize mid, then destroy its only physical copy while the
       // catalog still claims a replica.
-      WorkflowEngine warm(&grid, &catalog, eopt);
+      WorkflowEngine warm(&grid, client, eopt);
       Result<ExecutionPlan> plan = planner.Plan("mid", popt);
       if (!plan.ok() || !warm.Execute(*plan)->succeeded) std::abort();
       for (const char* site : {"east", "west"}) {
@@ -248,7 +249,7 @@ void BM_LostInputRederivation(benchmark::State& state) {
     }
     Result<ExecutionPlan> plan = planner.Plan("out", popt);
     if (!plan.ok()) std::abort();
-    WorkflowEngine engine(&grid, &catalog, eopt);
+    WorkflowEngine engine(&grid, client, eopt);
     state.ResumeTiming();
 
     Result<WorkflowResult> result = engine.Execute(*plan);

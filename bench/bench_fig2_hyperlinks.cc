@@ -71,7 +71,7 @@ Federation* BuildFederation(int n) {
 
 void BM_ResolveLocal(benchmark::State& state) {
   Federation* fed = BuildFederation(static_cast<int>(state.range(0)));
-  VirtualDataCatalog* home = fed->catalogs[0].get();
+  CatalogClient* home = *fed->registry.Find(fed->catalogs[0]->name());
   for (auto _ : state) {
     Result<ResolvedRef> ref = fed->registry.Resolve(home, "sim");
     benchmark::DoNotOptimize(ref);
@@ -84,7 +84,7 @@ BENCHMARK(BM_ResolveLocal)->Arg(2)->Arg(8)->Arg(32);
 void BM_ResolveRemoteVdp(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   Federation* fed = BuildFederation(n);
-  VirtualDataCatalog* home = fed->catalogs[0].get();
+  CatalogClient* home = *fed->registry.Find(fed->catalogs[0]->name());
   std::vector<std::string> refs;
   for (int i = 0; i < n; ++i) {
     refs.push_back("vdp://site" + std::to_string(i) + ".org/sim");
@@ -105,7 +105,7 @@ BENCHMARK(BM_ResolveRemoteVdp)->Arg(2)->Arg(8)->Arg(32);
 void BM_FetchRemoteTransformation(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
   Federation* fed = BuildFederation(n);
-  VirtualDataCatalog* home = fed->catalogs[0].get();
+  CatalogClient* home = *fed->registry.Find(fed->catalogs[0]->name());
   size_t i = 0;
   for (auto _ : state) {
     std::string ref =
@@ -121,15 +121,16 @@ BENCHMARK(BM_FetchRemoteTransformation)->Arg(2)->Arg(8)->Arg(32);
 
 void BM_ImportTransformationAcrossServers(benchmark::State& state) {
   Federation* fed = BuildFederation(4);
-  VirtualDataCatalog* home = fed->catalogs[0].get();
+  CatalogClient* home = *fed->registry.Find(fed->catalogs[0]->name());
   int64_t i = 0;
   for (auto _ : state) {
     // Import under a unique name each time by round-tripping through a
     // scratch catalog.
     VirtualDataCatalog scratch("scratch" + std::to_string(i++));
     if (!scratch.Open().ok()) std::abort();
+    InProcessCatalogClient destination(&scratch);
     Status s = fed->registry.ImportTransformation(
-        home, "vdp://site1.org/cmpsim", &scratch);
+        home, "vdp://site1.org/cmpsim", &destination);
     if (!s.ok()) std::abort();
   }
   state.SetItemsProcessed(state.iterations());

@@ -51,6 +51,7 @@ BENCHMARK(BM_Composition);
 
 struct FlowWorld {
   VirtualDataCatalog catalog{"flow.org"};
+  InProcessCatalogClient client{&catalog};
   GridSimulator grid{workload::SmallTestbed(), 1};
   CostEstimator estimator;
   std::unique_ptr<RequestPlanner> planner;
@@ -69,9 +70,9 @@ struct FlowWorld {
     r.site = "east";
     r.size_bytes = 65536;
     if (!catalog.AddReplica(r).ok()) std::abort();
-    planner = std::make_unique<RequestPlanner>(catalog, grid.topology(),
+    planner = std::make_unique<RequestPlanner>(client, grid.topology(),
                                                &grid.rls(), estimator);
-    engine = std::make_unique<WorkflowEngine>(&grid, &catalog);
+    engine = std::make_unique<WorkflowEngine>(&grid, client);
   }
 
   // Adds the two-stage derivation chain for generation `i`.

@@ -78,10 +78,11 @@ DV srch-muon->srch( hits=@{output:"muon.hits"},
 )"));
   // Import the collaboration's sim/cmp definitions into the group
   // catalog — knowledge propagating across the web of servers.
+  CatalogClient* group_server = *registry.Find(group.name());
   CHECK_OK(registry.ImportTransformation(
-      &group, "vdp://physics.collab.org/sim", &group));
+      group_server, "vdp://physics.collab.org/sim", group_server));
   CHECK_OK(registry.ImportTransformation(
-      &group, "vdp://physics.collab.org/cmp", &group));
+      group_server, "vdp://physics.collab.org/cmp", group_server));
   std::printf("group catalog now holds %zu transformations "
               "(2 imported, origin-tagged)\n",
               group.Stats().transformations);

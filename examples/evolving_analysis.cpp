@@ -53,6 +53,7 @@ DV first-pass->select-v1( cuts=@{output:"cuts.muon"},
   CHECK_OK(catalog.AddReplica(done).status());
 
   // --- Versioning: v2 is asserted result-equivalent to v1. ---
+  InProcessCatalogClient client(&catalog);
   TransformationVersionGraph versions;
   CHECK_OK(versions.RegisterVersion("select", "select-v1"));
   CHECK_OK(versions.RegisterVersion("select", "select-v2"));
@@ -67,12 +68,12 @@ DV first-pass->select-v1( cuts=@{output:"cuts.muon"},
   CHECK_OK(rerun.AddArg(ActualArg::String("cut", "mu>2")));
 
   std::printf("before assertion: computed already? %s\n",
-              HasBeenComputedModuloVersion(catalog, versions, rerun)
+              HasBeenComputedModuloVersion(client, versions, rerun)
                   ? "yes"
                   : "no - would recompute");
   CHECK_OK(versions.AssertEquivalent("select-v1", "select-v2"));
   Result<std::string> hit =
-      FindEquivalentDerivationModuloVersion(catalog, versions, rerun);
+      FindEquivalentDerivationModuloVersion(client, versions, rerun);
   CHECK_OK(hit.status());
   std::printf("after assertion:  computed already? yes - reuse %s\n",
               hit->c_str());
@@ -90,7 +91,7 @@ DV ingest-run9->append-run( store=@{inout:"events.2026"},
                             delta=@{input:"delta.run9"} );
 )"));
   Result<UpdateRecord> update = updates.RecordUpdate(
-      &catalog, "events.2026", "ingest-run9", 1050000, /*now=*/100.0,
+      &client, "events.2026", "ingest-run9", 1050000, /*now=*/100.0,
       "appended run 9");
   CHECK_OK(update.status());
   std::printf("\nevents.2026 updated: %lld -> %lld bytes (update #%llu)\n",
@@ -102,7 +103,7 @@ DV ingest-run9->append-run( store=@{inout:"events.2026"},
                   ? "yes"
                   : "no - replay the update log too");
   Result<UpdateRecord> undone =
-      updates.UndoLastUpdate(&catalog, "events.2026");
+      updates.UndoLastUpdate(&client, "events.2026");
   CHECK_OK(undone.status());
   std::printf("undo: back to %lld bytes, pristine again: %s\n",
               static_cast<long long>(

@@ -58,8 +58,9 @@ int main(int argc, char** argv) {
   }
 
   CostEstimator estimator;
-  RequestPlanner planner(catalog, grid.topology(), &grid.rls(), estimator);
-  WorkflowEngine engine(&grid, &catalog);
+  InProcessCatalogClient client(&catalog);
+  RequestPlanner planner(client, grid.topology(), &grid.rls(), estimator);
+  WorkflowEngine engine(&grid, client);
   PlannerOptions popts;
   popts.target_site = "uchicago";
 

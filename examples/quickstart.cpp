@@ -75,7 +75,8 @@ int main() {
 
   // --- Plan: run1.summary is virtual; how do we make it real? ---
   CostEstimator estimator;
-  RequestPlanner planner(catalog, grid.topology(), &grid.rls(), estimator);
+  InProcessCatalogClient client(&catalog);
+  RequestPlanner planner(client, grid.topology(), &grid.rls(), estimator);
   PlannerOptions options;
   options.target_site = "east";
   Result<ExecutionPlan> plan = planner.Plan("run1.summary", options);
@@ -83,7 +84,7 @@ int main() {
   std::printf("\n%s\n", plan->ToString().c_str());
 
   // --- Derive: execute on the grid, recording provenance. ---
-  WorkflowEngine engine(&grid, &catalog);
+  WorkflowEngine engine(&grid, client);
   Result<WorkflowResult> result = engine.Execute(*plan);
   CHECK_OK(result.status());
   std::printf("workflow %s in %.1f simulated seconds "

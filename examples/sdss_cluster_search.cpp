@@ -53,8 +53,9 @@ int main(int argc, char** argv) {
               workload->field_datasets.size());
 
   CostEstimator estimator;
-  RequestPlanner planner(catalog, grid.topology(), &grid.rls(), estimator);
-  WorkflowEngine engine(&grid, &catalog);
+  InProcessCatalogClient client(&catalog);
+  RequestPlanner planner(client, grid.topology(), &grid.rls(), estimator);
+  WorkflowEngine engine(&grid, client);
   PlannerOptions popts;
   popts.target_site = "fermilab";  // where the astronomers sit
 

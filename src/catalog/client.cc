@@ -94,6 +94,12 @@ Result<std::vector<Replica>> CatalogClient::ReplicasOf(std::string_view) {
                                "' does not answer ReplicasOf");
 }
 
+Result<std::string> CatalogClient::FindEquivalentDerivation(
+    const Derivation&) {
+  return Status::Unimplemented("catalog client for '" + authority() +
+                               "' does not answer FindEquivalentDerivation");
+}
+
 Result<std::vector<CatalogChange>> CatalogClient::ShardChangesSince(
     uint32_t shard, uint64_t since_version) {
   if (shard != 0) {
@@ -193,6 +199,11 @@ Result<NameList> RequestClient::AllNames(std::string_view kind) {
 Result<bool> RequestClient::TypeConforms(const DatasetType& type,
                                          const DatasetType& against) {
   return Send<MsgKind::kTypeConforms>(type, against);
+}
+
+Result<std::string> RequestClient::FindEquivalentDerivation(
+    const Derivation& derivation) {
+  return Send<MsgKind::kFindEquivalentDerivation>(derivation);
 }
 
 Result<std::vector<ObjectRecord>> RequestClient::BatchGet(
@@ -297,7 +308,7 @@ Result<bool> InProcessCatalogClient::IsMaterialized(
 
 Result<std::vector<Replica>> InProcessCatalogClient::ReplicasOf(
     std::string_view dataset) {
-  return catalog_->ReplicasOf(dataset);
+  return catalog_->ReplicasOf(dataset, /*valid_only=*/false);
 }
 
 Result<std::string> InProcessCatalogClient::ProducerOf(
@@ -337,6 +348,11 @@ Result<NameList> InProcessCatalogClient::AllNames(
 Result<bool> InProcessCatalogClient::TypeConforms(const DatasetType& type,
                                                   const DatasetType& against) {
   return catalog_->TypeConforms(type, against);
+}
+
+Result<std::string> InProcessCatalogClient::FindEquivalentDerivation(
+    const Derivation& derivation) {
+  return catalog_->FindEquivalentDerivation(derivation);
 }
 
 /// Snapshots one catalog object into an ObjectRecord.

@@ -62,12 +62,13 @@ struct Response;
 }  // namespace wire
 
 /// The service boundary in front of a Virtual Data Catalog (Section 4:
-/// every VDC is a *server* reached through vdp:// hyperlinks). All
-/// cross-catalog consumers — the registry, federated indexes,
-/// provenance walks, promotion, the executor's provenance writes —
-/// speak this interface instead of dereferencing VirtualDataCatalog
-/// directly, so the same code runs over an in-process adapter
-/// (zero-cost, today's behavior) or the wire transport
+/// every VDC is a *server* reached through vdp:// hyperlinks). Every
+/// consumer past the catalog itself speaks this interface: the process
+/// flow of Figure 5 (planner, executor, versioning, estimator,
+/// provenance) reads and writes through one client, and the federation
+/// (registry, federated indexes, promotion) holds one per server. None
+/// of them dereferences a VirtualDataCatalog, so the same code runs
+/// over the zero-cost in-process adapter or the wire transport
 /// (WireCatalogClient, federation/server.h), where round trips can be
 /// counted, batched, cached, and made to fail.
 ///
@@ -101,12 +102,6 @@ class CatalogClient {
 
   /// True when this handle rejects every mutation.
   virtual bool read_only() const = 0;
-
-  /// The local catalog when this client is a zero-cost in-process
-  /// adapter, nullptr for any remote transport. Escape hatch for
-  /// callers that provably share an address space (tests, the CLI);
-  /// federation code must not use it.
-  virtual VirtualDataCatalog* local_catalog() const { return nullptr; }
 
   /// The request-shaped entry point. Every non-OK answer is the
   /// Result's status (a returned Response always carries an OK
@@ -151,8 +146,9 @@ class CatalogClient {
   virtual Result<Derivation> GetDerivation(std::string_view name) = 0;
   virtual Result<bool> HasDataset(std::string_view name) = 0;
   virtual Result<bool> IsMaterialized(std::string_view dataset) = 0;
-  /// The dataset's valid replicas, in first-commit order. Unimplemented
-  /// by default, for clients written before the call existed.
+  /// Every replica of the dataset with its `valid` bit, in first-commit
+  /// order, so "every copy invalidated" differs from "never recorded".
+  /// Unimplemented by default, for clients written before the call.
   virtual Result<std::vector<Replica>> ReplicasOf(std::string_view dataset);
   virtual Result<std::string> ProducerOf(std::string_view dataset) = 0;
   virtual Result<std::vector<Invocation>> InvocationsOf(
@@ -174,6 +170,12 @@ class CatalogClient {
   /// Type conformance judged by the owning catalog's type universe.
   virtual Result<bool> TypeConforms(const DatasetType& type,
                                     const DatasetType& against) = 0;
+
+  /// "Has this computation been performed before?": a recorded
+  /// derivation with `derivation`'s content signature, else NotFound.
+  /// Unimplemented by default, for clients written before the call.
+  virtual Result<std::string> FindEquivalentDerivation(
+      const Derivation& derivation);
 
   // ------------------------------------------------------------------
   // Batched reads — one round trip regardless of count
@@ -250,6 +252,8 @@ class RequestClient : public CatalogClient {
   Result<NameList> AllNames(std::string_view kind) final;
   Result<bool> TypeConforms(const DatasetType& type,
                             const DatasetType& against) final;
+  Result<std::string> FindEquivalentDerivation(
+      const Derivation& derivation) final;
   Result<std::vector<ObjectRecord>> BatchGet(
       const std::vector<ObjectKey>& keys) final;
   Result<ProvenanceStep> GetProvenanceStep(std::string_view dataset) final;
@@ -291,9 +295,6 @@ class InProcessCatalogClient : public CatalogClient {
 
   const std::string& authority() const override { return authority_; }
   bool read_only() const override { return read_only_; }
-  VirtualDataCatalog* local_catalog() const override {
-    return read_only_ ? nullptr : catalog_;
-  }
 
   Result<uint64_t> Version() override;
   Result<std::vector<CatalogChange>> ChangesSince(
@@ -314,6 +315,8 @@ class InProcessCatalogClient : public CatalogClient {
   Result<NameList> AllNames(std::string_view kind) override;
   Result<bool> TypeConforms(const DatasetType& type,
                             const DatasetType& against) override;
+  Result<std::string> FindEquivalentDerivation(
+      const Derivation& derivation) override;
   Result<std::vector<ObjectRecord>> BatchGet(
       const std::vector<ObjectKey>& keys) override;
   Result<ProvenanceStep> GetProvenanceStep(std::string_view dataset) override;

@@ -502,6 +502,15 @@ Result<wire::Response> ShardedCatalogClient::Call(
       }
       return Gather(shards, request, 0);
     }
+    case MsgKind::kFindEquivalentDerivation: {
+      // A signature match may be homed on any shard: ask them in shard
+      // order and answer with the lowest-numbered shard's hit.
+      for (const auto& shard : shards) {
+        Result<wire::Response> hit = shard->Call(request);
+        if (hit.ok() || !hit.status().IsNotFound()) return hit;
+      }
+      return Status::NotFound("no equivalent derivation recorded");
+    }
     case MsgKind::kFindTransformations:
     case MsgKind::kTypeConforms:
       // Broadcast-replicated transformations and one shared type

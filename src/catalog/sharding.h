@@ -45,7 +45,10 @@ struct ShardedClientOptions {
 ///    result is byte-identical (order-normalized) to one unsharded
 ///    catalog and the zero-copy result contract (DESIGN.md §15) is
 ///    preserved end to end (one arena per gathered response, no
-///    per-name copies beyond it).
+///    per-name copies beyond it);
+///  - FindEquivalentDerivation asks every shard in shard order (an
+///    equivalent derivation may be homed anywhere) and answers with
+///    the lowest-numbered shard's hit.
 ///
 /// Mutations: one placement rule (Place) sends each mutation to its
 /// owning shard, to every shard (transformations), or to the shard a

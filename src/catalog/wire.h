@@ -111,7 +111,8 @@ inline constexpr uint32_t kMaxPayloadBytes = 64u << 20;
   X(SetDatasetSize, 24, SetDatasetSizeReq, std::monostate, true)       \
   X(InvalidateReplica, 25, NameReq, std::monostate, true)              \
   X(ApplyBatch, 26, ApplyBatchReq, BatchResultResp, true)              \
-  X(ReplicasOf, 27, NameReq, ReplicasResp, false)
+  X(ReplicasOf, 27, NameReq, ReplicasResp, false)                      \
+  X(FindEquivalentDerivation, 28, DefineDerivationReq, StringResp, false)
 
 #define VDG_WIRE_ENUMERATOR(Name, value, ...) k##Name = value,
 enum class MsgKind : uint8_t { VDG_WIRE_MESSAGES(VDG_WIRE_ENUMERATOR) };

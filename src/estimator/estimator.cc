@@ -35,16 +35,20 @@ void CostEstimator::RecordOutputSize(std::string_view transformation,
       static_cast<double>(bytes));
 }
 
-Status CostEstimator::LearnFromCatalog(const VirtualDataCatalog& catalog) {
-  for (std::string_view dv_name : catalog.AllDerivationNames()) {
-    VDG_ASSIGN_OR_RETURN(Derivation dv, catalog.GetDerivation(dv_name));
+Status CostEstimator::LearnFromCatalog(CatalogClient& client) {
+  VDG_ASSIGN_OR_RETURN(NameList derivations, client.AllNames("derivation"));
+  for (std::string_view dv_name : derivations) {
+    VDG_ASSIGN_OR_RETURN(Derivation dv, client.GetDerivation(dv_name));
     std::string tr = dv.QualifiedTransformation();
-    for (const Invocation& iv : catalog.InvocationsOf(dv_name)) {
+    VDG_ASSIGN_OR_RETURN(std::vector<Invocation> invocations,
+                         client.InvocationsOf(dv_name));
+    for (const Invocation& iv : invocations) {
       if (!iv.succeeded) continue;
       RecordRuntime(tr, iv.context.site, iv.duration_s);
     }
     for (const std::string& output : dv.OutputDatasets()) {
-      Result<Dataset> ds = catalog.GetDataset(output);
+      Result<Dataset> ds = client.GetDataset(output);
+      if (!ds.ok() && !ds.status().IsNotFound()) return ds.status();
       if (ds.ok() && ds->size_bytes > 0) {
         RecordOutputSize(tr, ds->size_bytes);
       }

@@ -5,7 +5,7 @@
 #include <map>
 #include <string>
 
-#include "catalog/catalog.h"
+#include "catalog/client.h"
 #include "common/status.h"
 #include "grid/topology.h"
 
@@ -54,9 +54,10 @@ class CostEstimator {
   /// Records one observed output volume of a transformation.
   void RecordOutputSize(std::string_view transformation, int64_t bytes);
 
-  /// Ingests every successful invocation already recorded in
-  /// `catalog` (duration + site, resolved through the derivation).
-  Status LearnFromCatalog(const VirtualDataCatalog& catalog);
+  /// Ingests every successful invocation already recorded in the
+  /// catalog behind `client` (duration + site, resolved through the
+  /// derivation). A failed read stops the pass with its status.
+  Status LearnFromCatalog(CatalogClient& client);
 
   /// Predicted runtime of `transformation` at `site`.
   double EstimateRuntime(std::string_view transformation,

@@ -11,13 +11,22 @@ namespace vdg {
 
 namespace {
 constexpr double kMiB = 1024.0 * 1024.0;
+
+/// The dataset's valid replicas; none when the read fails.
+std::vector<Replica> ValidReplicasOf(CatalogClient& client,
+                                     std::string_view dataset) {
+  Result<std::vector<Replica>> replicas = client.ReplicasOf(dataset);
+  if (!replicas.ok()) return {};
+  std::erase_if(*replicas, [](const Replica& r) { return !r.valid; });
+  return *std::move(replicas);
+}
 }  // namespace
 
 double WorkflowEngine::NominalRuntime(const PlanNode& node) const {
   double base = options_.default_runtime_s;
   double per_mb = 0;
   Result<Transformation> tr =
-      catalog_->GetTransformation(node.transformation);
+      client_.GetTransformation(node.transformation);
   if (tr.ok()) {
     if (auto v = tr->annotations().GetDouble("sim.runtime_s")) base = *v;
     if (auto v = tr->annotations().GetDouble("sim.runtime_s_per_mb")) {
@@ -30,7 +39,7 @@ double WorkflowEngine::NominalRuntime(const PlanNode& node) const {
 int64_t WorkflowEngine::InputBytes(const PlanNode& node) const {
   int64_t total = 0;
   for (const std::string& input : node.inputs) {
-    Result<Dataset> ds = catalog_->GetDataset(input);
+    Result<Dataset> ds = client_.GetDataset(input);
     if (ds.ok() && ds->size_bytes > 0) {
       total += ds->size_bytes;
     } else {
@@ -44,25 +53,24 @@ int64_t WorkflowEngine::InputBytes(const PlanNode& node) const {
 }
 
 int64_t WorkflowEngine::StagedBytes(const std::string& dataset) const {
-  Result<Dataset> ds = catalog_->GetDataset(dataset);
+  Result<Dataset> ds = client_.GetDataset(dataset);
   if (ds.ok() && ds->size_bytes > 0) return ds->size_bytes;
   for (const PhysicalLocation& loc : grid_->rls().Lookup(dataset)) {
     if (loc.size_bytes > 0) return loc.size_bytes;
   }
-  for (const Replica& replica : catalog_->ReplicasOf(dataset)) {
+  for (const Replica& replica : ValidReplicasOf(client_, dataset)) {
     if (replica.size_bytes > 0) return replica.size_bytes;
   }
   return options_.default_output_bytes;
 }
 
 int64_t WorkflowEngine::OutputBytes(const PlanNode& node,
-                                    std::string_view output,
+                                    const Result<Dataset>& declared,
                                     int64_t input_bytes) const {
   // A declared dataset size wins.
-  Result<Dataset> ds = catalog_->GetDataset(output);
-  if (ds.ok() && ds->size_bytes > 0) return ds->size_bytes;
+  if (declared.ok() && declared->size_bytes > 0) return declared->size_bytes;
   Result<Transformation> tr =
-      catalog_->GetTransformation(node.transformation);
+      client_.GetTransformation(node.transformation);
   if (tr.ok()) {
     if (auto v = tr->annotations().GetDouble("sim.output_mb")) {
       return static_cast<int64_t>(*v * kMiB);
@@ -213,8 +221,8 @@ void WorkflowEngine::BeginStaging(WorkflowState* wf, size_t index) {
     // No physically resident copy anywhere. The catalog may still
     // carry valid replica records — either data lost to a crash, or a
     // catalog-only registration that was never backed by bytes.
-    std::vector<Replica> claimed = catalog_->ReplicasOf(input);
-    bool derivable = catalog_->ProducerOf(input).ok();
+    std::vector<Replica> claimed = ValidReplicasOf(client_, input);
+    bool derivable = client_.ProducerOf(input).ok();
     // The recoveries queued earlier in this same pass count against
     // the ceiling too; RederiveInput only bumps node.rederivations
     // once each launches.
@@ -361,16 +369,21 @@ void WorkflowEngine::FinishNode(WorkflowState* wf, size_t index,
   ++wf->result.nodes_succeeded;
   --wf->remaining;
 
-  // Materialize outputs at the execution site.
-  int64_t input_bytes = InputBytes(node.plan);
+  // Materialize outputs at the execution site; the write-back records
+  // the same sizes.
+  const int64_t input_bytes = InputBytes(node.plan);
+  std::vector<JobOutput> outputs;
   for (const std::string& output : node.plan.outputs) {
-    int64_t bytes = OutputBytes(node.plan, output, input_bytes);
-    Status placed = grid_->PlaceFile(node.current_site, output, bytes);
+    Result<Dataset> declared = client_.GetDataset(output);
+    JobOutput& out = outputs.emplace_back();
+    out.bytes = OutputBytes(node.plan, declared, input_bytes);
+    out.unsized = declared.ok() && declared->size_bytes == 0;
+    Status placed = grid_->PlaceFile(node.current_site, output, out.bytes);
     if (!placed.ok() && !placed.IsAlreadyExists()) {
       VDG_LOG(Warning) << "output placement failed: " << placed.ToString();
     }
   }
-  if (options_.record_provenance) RecordProvenance(wf, &node, job);
+  if (options_.record_provenance) RecordProvenance(node, job, outputs);
 
   for (size_t dependent : node.dependents) {
     NodeState& next = wf->nodes[dependent];
@@ -455,10 +468,10 @@ void WorkflowEngine::RederiveInput(WorkflowState* wf, size_t index,
   // The catalog's replica records for this input are fiction now —
   // invalidate them so the recovery planner re-runs the derivation
   // instead of "fetching" from a site that lost the bytes.
-  for (const Replica& replica : catalog_->ReplicasOf(input)) {
+  for (const Replica& replica : ValidReplicasOf(client_, input)) {
     if (!grid_->rls().ExistsAt(input, replica.site)) {
       ++wf->result.recovery.replicas_lost_detected;
-      Status invalidated = writer_->InvalidateReplica(replica.id);
+      Status invalidated = client_.InvalidateReplica(replica.id);
       if (!invalidated.ok()) {
         VDG_LOG(Warning) << "cannot invalidate lost replica "
                          << replica.id << ": " << invalidated.ToString();
@@ -484,7 +497,7 @@ void WorkflowEngine::RederiveInput(WorkflowState* wf, size_t index,
     }
   };
 
-  RequestPlanner planner(*catalog_, grid_->topology(), &grid_->rls(),
+  RequestPlanner planner(client_, grid_->topology(), &grid_->rls(),
                          recovery_estimator_);
   PlannerOptions popt;
   popt.target_site = node.current_site;
@@ -507,9 +520,9 @@ void WorkflowEngine::RederiveInput(WorkflowState* wf, size_t index,
         if (result.succeeded) {
           // Record the recovery in provenance: the dataset was rebuilt
           // from its derivation after its replicas were lost.
-          writer_->Annotate("dataset", input, "recovery.rederived", true);
-          writer_->Annotate("dataset", input, "recovery.by_workflow",
-                             static_cast<int64_t>(result.workflow_id));
+          client_.Annotate("dataset", input, "recovery.rederived", true);
+          client_.Annotate("dataset", input, "recovery.by_workflow",
+                           static_cast<int64_t>(result.workflow_id));
           WorkflowState* parent = FindWorkflow(wf_id);
           if (parent != nullptr) {
             ++parent->result.recovery.datasets_regenerated;
@@ -676,20 +689,19 @@ void WorkflowEngine::CompleteWorkflow(WorkflowState* wf) {
   if (on_done) on_done(result);
 }
 
-void WorkflowEngine::RecordProvenance(WorkflowState* wf, NodeState* node,
-                                      const JobResult& job) {
-  (void)wf;
-  const PlanNode& plan = node->plan;
-  // All reads up front (they hit the local catalog snapshot), then the
-  // whole write-back ships as ONE batch: over an RPC transport that is
-  // one round trip instead of one per replica/size/invocation/
-  // annotation, and the catalog commits it under a single version bump
-  // and journal flush.
+void WorkflowEngine::RecordProvenance(const NodeState& node,
+                                      const JobResult& job,
+                                      const std::vector<JobOutput>& outputs) {
+  const PlanNode& plan = node.plan;
+  // All reads up front, then the whole write-back ships as ONE batch:
+  // over an RPC transport that is one round trip instead of one per
+  // replica/size/invocation/annotation, and the catalog commits it
+  // under a single version bump and journal flush.
   std::vector<CatalogMutation> batch;
 
   // Synthesized sub-derivations (compound expansion) may not exist in
   // the catalog yet; define them so invocations have an anchor.
-  if (!catalog_->HasDerivation(plan.derivation.name())) {
+  if (client_.GetDerivation(plan.derivation.name()).status().IsNotFound()) {
     batch.push_back(CatalogMutation::DefineDerivation(plan.derivation));
   }
 
@@ -705,33 +717,32 @@ void WorkflowEngine::RecordProvenance(WorkflowState* wf, NodeState* node,
 
   // Consumed replicas: the first valid catalog replica of each input.
   for (const std::string& input : plan.inputs) {
-    std::vector<Replica> replicas = catalog_->ReplicasOf(input);
+    std::vector<Replica> replicas = ValidReplicasOf(client_, input);
     if (!replicas.empty()) iv.consumed_replicas.push_back(replicas[0].id);
   }
 
-  int64_t input_bytes = InputBytes(plan);
   std::vector<size_t> replica_ops;
-  for (const std::string& output : plan.outputs) {
-    int64_t bytes = OutputBytes(plan, output, input_bytes);
+  for (size_t i = 0; i < plan.outputs.size(); ++i) {
+    const std::string& output = plan.outputs[i];
+    const JobOutput& out = outputs[i];
     Replica replica;
     replica.dataset = output;
     replica.site = job.site;
     replica.storage_element = "se0";
     replica.physical_path = "/" + job.site + "/" + output;
-    replica.size_bytes = bytes;
+    replica.size_bytes = out.bytes;
     replica.created_at = job.end_time;
     replica_ops.push_back(batch.size());
     batch.push_back(CatalogMutation::AddReplica(std::move(replica)));
-    Result<Dataset> ds = catalog_->GetDataset(output);
-    if (ds.ok() && ds->size_bytes == 0) {
-      batch.push_back(CatalogMutation::SetDatasetSize(output, bytes));
+    if (out.unsized) {
+      batch.push_back(CatalogMutation::SetDatasetSize(output, out.bytes));
     }
   }
   // The invocation's produced_replicas are the ids the AddReplica ops
   // above will be assigned when the batch runs.
   batch.push_back(
       CatalogMutation::RecordInvocation(std::move(iv), replica_ops));
-  const int attempts = node->execution.attempts;
+  const int attempts = node.execution.attempts;
   if (attempts > 1) {
     // Recovery leaves its mark: an invocation that only succeeded
     // after retries records how hard it was.
@@ -742,7 +753,7 @@ void WorkflowEngine::RecordProvenance(WorkflowState* wf, NodeState* node,
 
   BatchOptions options;
   options.stop_on_error = true;  // a half-written step is worse than none
-  Result<BatchResult> applied = writer_->ApplyBatch(batch, options);
+  Result<BatchResult> applied = client_.ApplyBatch(batch, options);
   if (!applied.ok()) {
     VDG_LOG(Warning) << "provenance write-back failed: "
                      << applied.status().ToString();

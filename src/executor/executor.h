@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "catalog/catalog.h"
 #include "catalog/client.h"
 #include "estimator/estimator.h"
 #include "grid/simulator.h"
@@ -111,6 +110,14 @@ struct ExecutorOptions {
 /// invocation/replica records back into the catalog — turning virtual
 /// data into real data plus provenance.
 ///
+/// The engine reads and writes the catalog through one CatalogClient:
+/// the scheduling reads (sizes, replicas, runtime annotations), the
+/// recovery re-planning, and the provenance write-back, which ships as
+/// one ApplyBatch per executed node. The same engine therefore runs
+/// in process (InProcessCatalogClient) or against a remote catalog
+/// (Resilient -> Wire -> CatalogServer), where each read is a round
+/// trip.
+///
 /// Fault tolerance: every failure — a job that dies, a transfer that
 /// drops, a submit rejected by an offline site, an attempt that blows
 /// its deadline — funnels into one recovery path that backs off
@@ -130,23 +137,11 @@ class WorkflowEngine {
  public:
   using CompletionCallback = std::function<void(const WorkflowResult&)>;
 
-  WorkflowEngine(GridSimulator* grid, VirtualDataCatalog* catalog,
+  /// Borrows `grid` and `client`. A read-only client still schedules
+  /// and runs work; its provenance write-backs fail with warnings.
+  WorkflowEngine(GridSimulator* grid, CatalogClient& client,
                  ExecutorOptions options = {})
-      : grid_(grid),
-        catalog_(catalog),
-        writer_(std::make_shared<InProcessCatalogClient>(catalog)),
-        options_(options) {}
-
-  /// Routes all catalog *writes* (derivations, replicas, invocations,
-  /// annotations) through `writer` instead of the default in-process
-  /// client, so provenance recording can be observed, cached, or sent
-  /// over the wire. Reads stay on the local catalog: the
-  /// hot scheduling path must not pay transport costs. `writer` must
-  /// target the same catalog and must not be read-only. Call before
-  /// submitting work.
-  void set_catalog_writer(std::shared_ptr<CatalogClient> writer) {
-    writer_ = std::move(writer);
-  }
+      : grid_(grid), client_(client), options_(options) {}
 
   /// Enqueues a workflow; `on_done` fires in simulated time when it
   /// finishes. Multiple workflows may be in flight concurrently.
@@ -242,17 +237,23 @@ class WorkflowEngine {
   void NoteSiteSuccess(const std::string& site);
 
   double NominalRuntime(const PlanNode& node) const;
-  int64_t OutputBytes(const PlanNode& node, std::string_view output,
+  /// One output of a finished job: its size, and whether its dataset
+  /// is defined without a recorded size.
+  struct JobOutput {
+    int64_t bytes = 0;
+    bool unsized = false;
+  };
+  int64_t OutputBytes(const PlanNode& node, const Result<Dataset>& declared,
                       int64_t input_bytes) const;
   int64_t InputBytes(const PlanNode& node) const;
   int64_t StagedBytes(const std::string& dataset) const;
-  void RecordProvenance(WorkflowState* wf, NodeState* node,
-                        const JobResult& job);
+  /// Ships the node's invocation, output replicas and sizes as one
+  /// batch; `outputs` is aligned with the node's plan outputs.
+  void RecordProvenance(const NodeState& node, const JobResult& job,
+                        const std::vector<JobOutput>& outputs);
 
   GridSimulator* grid_;
-  VirtualDataCatalog* catalog_;
-  /// Write-side catalog access (see the writer constructor).
-  std::shared_ptr<CatalogClient> writer_;
+  CatalogClient& client_;
   ExecutorOptions options_;
   /// Estimator backing recovery re-planning (re-derivation of lost
   /// inputs builds a fresh RequestPlanner around it).

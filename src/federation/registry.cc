@@ -46,28 +46,8 @@ bool CatalogRegistry::Has(std::string_view authority) const {
   return catalogs_.find(authority) != catalogs_.end();
 }
 
-Result<CatalogClient*> CatalogRegistry::ClientFor(
-    VirtualDataCatalog* home) const {
-  if (home == nullptr) {
-    return Status::InvalidArgument("null home catalog");
-  }
-  // Pointer identity only: a registered home reuses its registered
-  // handle (and transport), an unregistered one gets a cached
-  // in-process wrapper.
-  for (const auto& [authority, client] : catalogs_) {
-    if (client->local_catalog() == home) return client.get();
-  }
-  auto it = home_wrappers_.find(home);
-  if (it == home_wrappers_.end()) {
-    it = home_wrappers_
-             .emplace(home, std::make_shared<InProcessCatalogClient>(home))
-             .first;
-  }
-  return it->second.get();
-}
-
-Result<ResolvedRef> CatalogRegistry::ResolveImpl(CatalogClient* home,
-                                                 std::string_view ref) const {
+Result<ResolvedRef> CatalogRegistry::Resolve(CatalogClient* home,
+                                             std::string_view ref) const {
   ResolvedRef out;
   if (IsVdpUri(ref)) {
     VDG_ASSIGN_OR_RETURN(VdpUri uri, ParseVdpUri(ref));
@@ -107,33 +87,19 @@ Result<ResolvedRef> CatalogRegistry::ResolveImpl(CatalogClient* home,
   return out;
 }
 
-Result<ResolvedRef> CatalogRegistry::Resolve(VirtualDataCatalog* home,
-                                             std::string_view ref) const {
-  CatalogClient* home_client = nullptr;
-  if (home != nullptr) {
-    VDG_ASSIGN_OR_RETURN(home_client, ClientFor(home));
-  }
-  return ResolveImpl(home_client, ref);
-}
-
-Result<ResolvedRef> CatalogRegistry::ResolveFrom(CatalogClient* home,
-                                                 std::string_view ref) const {
-  return ResolveImpl(home, ref);
-}
-
 Result<Transformation> CatalogRegistry::FetchTransformation(
-    VirtualDataCatalog* home, std::string_view ref) const {
+    CatalogClient* home, std::string_view ref) const {
   VDG_ASSIGN_OR_RETURN(ResolvedRef resolved, Resolve(home, ref));
   return resolved.client->GetTransformation(resolved.local_name);
 }
 
 Result<Derivation> CatalogRegistry::FetchDerivation(
-    VirtualDataCatalog* home, std::string_view ref) const {
+    CatalogClient* home, std::string_view ref) const {
   VDG_ASSIGN_OR_RETURN(ResolvedRef resolved, Resolve(home, ref));
   return resolved.client->GetDerivation(resolved.local_name);
 }
 
-Result<Dataset> CatalogRegistry::FetchDataset(VirtualDataCatalog* home,
+Result<Dataset> CatalogRegistry::FetchDataset(CatalogClient* home,
                                               std::string_view ref) const {
   VDG_ASSIGN_OR_RETURN(ResolvedRef resolved, Resolve(home, ref));
   return resolved.client->GetDataset(resolved.local_name);
@@ -141,15 +107,13 @@ Result<Dataset> CatalogRegistry::FetchDataset(VirtualDataCatalog* home,
 
 Result<std::string> ExportTransformationXml(
     const VirtualDataCatalog& catalog, std::string_view name) {
-  InProcessCatalogClient client(&catalog);
-  VDG_ASSIGN_OR_RETURN(Transformation tr, client.GetTransformation(name));
+  VDG_ASSIGN_OR_RETURN(Transformation tr, catalog.GetTransformation(name));
   return TransformationToXml(tr);
 }
 
 Result<std::string> ExportDerivationXml(const VirtualDataCatalog& catalog,
                                         std::string_view name) {
-  InProcessCatalogClient client(&catalog);
-  VDG_ASSIGN_OR_RETURN(Derivation dv, client.GetDerivation(name));
+  VDG_ASSIGN_OR_RETURN(Derivation dv, catalog.GetDerivation(name));
   return DerivationToXml(dv);
 }
 
@@ -164,8 +128,7 @@ Status ImportTransformationXml(std::string_view xml,
   if (!origin.empty()) {
     tr.annotations().Set("vdg.origin", std::string(origin));
   }
-  InProcessCatalogClient local(destination);
-  return local.DefineTransformation(std::move(tr));
+  return destination->DefineTransformation(std::move(tr));
 }
 
 Status ImportDerivationXml(std::string_view xml, std::string_view origin,
@@ -178,12 +141,11 @@ Status ImportDerivationXml(std::string_view xml, std::string_view origin,
   if (!origin.empty()) {
     dv.annotations().Set("vdg.origin", std::string(origin));
   }
-  InProcessCatalogClient local(destination);
-  return local.DefineDerivation(std::move(dv));
+  return destination->DefineDerivation(std::move(dv));
 }
 
 Status CatalogRegistry::ImportTransformation(
-    VirtualDataCatalog* home, std::string_view ref,
+    CatalogClient* home, std::string_view ref,
     CatalogClient* destination) const {
   if (destination == nullptr) {
     return Status::InvalidArgument("null destination catalog");
@@ -201,24 +163,6 @@ Status CatalogRegistry::ImportTransformation(
       "vdg.origin",
       MakeVdpRef(resolved.client->authority(), resolved.local_name));
   return destination->DefineTransformation(std::move(tr));
-}
-
-Status CatalogRegistry::ImportTransformation(
-    VirtualDataCatalog* home, std::string_view ref,
-    VirtualDataCatalog* destination) const {
-  if (destination == nullptr) {
-    return Status::InvalidArgument("null destination catalog");
-  }
-  // The destination may itself be registered (possibly behind a remote
-  // transport); route through that handle so the write crosses the
-  // same boundary as every other mutation.
-  for (const auto& [authority, client] : catalogs_) {
-    if (client->local_catalog() == destination) {
-      return ImportTransformation(home, ref, client.get());
-    }
-  }
-  InProcessCatalogClient local(destination);
-  return ImportTransformation(home, ref, &local);
 }
 
 }  // namespace vdg

@@ -33,6 +33,8 @@ struct ResolvedRef {
 /// endpoints without the resolution code knowing which is
 /// which. Register(VirtualDataCatalog*) wraps the catalog in a
 /// zero-cost in-process client; RegisterClient installs any transport.
+/// References resolve relative to a home server named by its client
+/// (Find(authority) gives a registered server's).
 class CatalogRegistry {
  public:
   /// Registers an in-process catalog under its own name (the vdp
@@ -47,25 +49,21 @@ class CatalogRegistry {
   bool Has(std::string_view authority) const;
   size_t size() const { return catalogs_.size(); }
 
-  /// Resolves a reference relative to `home` (see class comment).
-  /// `home` need not be registered; bare references bind to it through
-  /// a lazily created in-process handle.
-  Result<ResolvedRef> Resolve(VirtualDataCatalog* home,
+  /// Resolves a reference relative to the server `home` (see class
+  /// comment). `home` need not be registered: bare references bind to
+  /// it, and it may be null when only qualified references are
+  /// resolved. Cross-server walks pass whatever server the previous
+  /// hop landed on.
+  Result<ResolvedRef> Resolve(CatalogClient* home,
                               std::string_view ref) const;
-
-  /// Resolves a reference relative to an already-resolved client —
-  /// the recursion step of cross-server walks, where "home" is
-  /// whatever server the previous hop landed on.
-  Result<ResolvedRef> ResolveFrom(CatalogClient* home,
-                                  std::string_view ref) const;
 
   /// Typed fetch-through helpers (resolve + lookup), the federation
   /// read path used by planners and provenance.
-  Result<Transformation> FetchTransformation(VirtualDataCatalog* home,
+  Result<Transformation> FetchTransformation(CatalogClient* home,
                                              std::string_view ref) const;
-  Result<Derivation> FetchDerivation(VirtualDataCatalog* home,
+  Result<Derivation> FetchDerivation(CatalogClient* home,
                                      std::string_view ref) const;
-  Result<Dataset> FetchDataset(VirtualDataCatalog* home,
+  Result<Dataset> FetchDataset(CatalogClient* home,
                                std::string_view ref) const;
 
   /// Copies a transformation definition from wherever `ref` points
@@ -73,32 +71,15 @@ class CatalogRegistry {
   /// servers" flow of Section 4.1). The copy is annotated with its
   /// origin (`vdg.origin` = vdp URI). Importing a definition into the
   /// catalog it already lives in is rejected as InvalidArgument.
-  Status ImportTransformation(VirtualDataCatalog* home, std::string_view ref,
-                              VirtualDataCatalog* destination) const;
-  /// Same flow over an arbitrary destination transport.
-  Status ImportTransformation(VirtualDataCatalog* home, std::string_view ref,
+  Status ImportTransformation(CatalogClient* home, std::string_view ref,
                               CatalogClient* destination) const;
 
   uint64_t remote_lookups() const { return remote_lookups_; }
   void reset_remote_lookups() { remote_lookups_ = 0; }
 
  private:
-  /// Shared resolution core: `home` may be null (qualified refs only);
-  /// `home_authority` is home->authority() or empty when null.
-  Result<ResolvedRef> ResolveImpl(CatalogClient* home,
-                                  std::string_view ref) const;
-
-  /// The client to use for `home` itself: the registered handle when
-  /// `home` is a registered in-process catalog, otherwise a lazily
-  /// created (and cached) in-process wrapper. Identified by pointer,
-  /// so an unregistered home is never dereferenced here.
-  Result<CatalogClient*> ClientFor(VirtualDataCatalog* home) const;
-
   std::map<std::string, std::shared_ptr<CatalogClient>, std::less<>>
       catalogs_;
-  /// Wrappers for unregistered home catalogs passed to Resolve().
-  mutable std::map<const VirtualDataCatalog*, std::shared_ptr<CatalogClient>>
-      home_wrappers_;
   mutable uint64_t remote_lookups_ = 0;
 };
 

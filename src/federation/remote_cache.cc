@@ -466,6 +466,11 @@ Result<bool> CachingCatalogClient::TypeConforms(const DatasetType& type,
   return upstream_->TypeConforms(type, against);
 }
 
+Result<std::string> CachingCatalogClient::FindEquivalentDerivation(
+    const Derivation& derivation) {
+  return upstream_->FindEquivalentDerivation(derivation);
+}
+
 Result<std::vector<ObjectRecord>> CachingCatalogClient::BatchGet(
     const std::vector<ObjectKey>& keys) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -172,9 +172,10 @@ struct DegradedReadOptions {
 /// perturbs, invalidation is per query *kind*: any dataset change (or
 /// type change — the conformance closure moves) drops every cached
 /// dataset query, and likewise for transformations and derivations.
-/// Version/ReplicasOf/ProducerOf/InvocationsOf/AllNames/TypeConforms
-/// pass straight through; ChangesSince passes through too, but applies the
-/// window it returns as invalidations (see below).
+/// Version/ReplicasOf/ProducerOf/InvocationsOf/AllNames/TypeConforms/
+/// FindEquivalentDerivation pass straight through; ChangesSince passes
+/// through too, but applies the window it returns as invalidations
+/// (see below).
 ///
 /// Thread-safe behind one mutex, held across upstream fills (the
 /// client -> catalog lock order; the catalog lock stays a leaf).
@@ -247,6 +248,8 @@ class CachingCatalogClient : public CatalogClient {
   Result<NameList> AllNames(std::string_view kind) override;
   Result<bool> TypeConforms(const DatasetType& type,
                             const DatasetType& against) override;
+  Result<std::string> FindEquivalentDerivation(
+      const Derivation& derivation) override;
   Result<std::vector<ObjectRecord>> BatchGet(
       const std::vector<ObjectKey>& keys) override;
   Result<ProvenanceStep> GetProvenanceStep(std::string_view dataset) override;

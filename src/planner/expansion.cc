@@ -52,8 +52,8 @@ Result<Environment> BuildEnvironment(const Transformation& compound,
   return env;
 }
 
-Status ExpandInto(const VirtualDataCatalog& catalog,
-                  const Derivation& derivation, int depth,
+Status ExpandInto(CatalogClient& client, const Derivation& derivation,
+                  int depth,
                   std::vector<Derivation>* out) {
   if (depth > 64) {
     return Status::FailedPrecondition(
@@ -63,7 +63,7 @@ Status ExpandInto(const VirtualDataCatalog& catalog,
   }
   std::string tr_name = StripNamespace(derivation.transformation());
   VDG_ASSIGN_OR_RETURN(Transformation tr,
-                       catalog.GetTransformation(tr_name));
+                       client.GetTransformation(tr_name));
   if (!tr.is_compound()) {
     out->push_back(derivation);
     return Status::OK();
@@ -75,7 +75,7 @@ Status ExpandInto(const VirtualDataCatalog& catalog,
   for (const CompoundCall& call : tr.calls()) {
     std::string callee_name = StripNamespace(call.callee);
     VDG_ASSIGN_OR_RETURN(Transformation callee,
-                         catalog.GetTransformation(callee_name));
+                         client.GetTransformation(callee_name));
 
     Derivation sub(derivation.name() + ".c" + std::to_string(call_index++),
                    callee_name);
@@ -136,7 +136,7 @@ Status ExpandInto(const VirtualDataCatalog& catalog,
     }
 
     if (callee.is_compound()) {
-      VDG_RETURN_IF_ERROR(ExpandInto(catalog, sub, depth + 1, out));
+      VDG_RETURN_IF_ERROR(ExpandInto(client, sub, depth + 1, out));
     } else {
       out->push_back(std::move(sub));
     }
@@ -147,9 +147,9 @@ Status ExpandInto(const VirtualDataCatalog& catalog,
 }  // namespace
 
 Result<std::vector<Derivation>> ExpandDerivation(
-    const VirtualDataCatalog& catalog, const Derivation& derivation) {
+    CatalogClient& client, const Derivation& derivation) {
   std::vector<Derivation> out;
-  VDG_RETURN_IF_ERROR(ExpandInto(catalog, derivation, 0, &out));
+  VDG_RETURN_IF_ERROR(ExpandInto(client, derivation, 0, &out));
   return out;
 }
 

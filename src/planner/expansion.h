@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "catalog/catalog.h"
+#include "catalog/client.h"
 #include "schema/derivation.h"
 
 namespace vdg {
@@ -26,7 +26,7 @@ std::string StripNamespace(std::string_view transformation);
 /// consumers (the nested-call order of the VDL body, which Chimera
 /// requires to be a valid execution order).
 Result<std::vector<Derivation>> ExpandDerivation(
-    const VirtualDataCatalog& catalog, const Derivation& derivation);
+    CatalogClient& client, const Derivation& derivation);
 
 }  // namespace vdg
 

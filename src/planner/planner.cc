@@ -19,11 +19,11 @@ std::vector<PhysicalLocation> RequestPlanner::LocationsOf(
   // copies still sit in the RLS (post-invalidation bytes are present
   // but must not be reused). The RLS is the fallback for files the
   // catalog never recorded (e.g. scratch temporaries).
-  std::vector<Replica> recorded =
-      catalog_.ReplicasOf(dataset, /*valid_only=*/false);
-  if (!recorded.empty()) {
+  Result<std::vector<Replica>> recorded = client_.ReplicasOf(dataset);
+  if (!recorded.ok()) return {};
+  if (!recorded->empty()) {
     std::vector<PhysicalLocation> out;
-    for (const Replica& replica : recorded) {
+    for (const Replica& replica : *recorded) {
       if (!replica.valid) continue;
       PhysicalLocation loc;
       loc.site = replica.site;
@@ -39,13 +39,13 @@ std::vector<PhysicalLocation> RequestPlanner::LocationsOf(
 
 int64_t RequestPlanner::DatasetBytes(std::string_view dataset,
                                      const PlannerOptions& options) const {
-  Result<Dataset> ds = catalog_.GetDataset(dataset);
+  Result<Dataset> ds = client_.GetDataset(dataset);
   if (ds.ok() && ds->size_bytes > 0) return ds->size_bytes;
   for (const PhysicalLocation& loc : LocationsOf(dataset)) {
     if (loc.size_bytes > 0) return loc.size_bytes;
   }
   if (ds.ok() && !ds->producer.empty()) {
-    Result<Derivation> dv = catalog_.GetDerivation(ds->producer);
+    Result<Derivation> dv = client_.GetDerivation(ds->producer);
     if (dv.ok()) {
       int64_t est = estimator_.EstimateOutputSize(
           StripNamespace(dv->QualifiedTransformation()));
@@ -60,7 +60,7 @@ Status RequestPlanner::ResolveChain(
     std::map<std::string, size_t>* producer_of,
     std::set<std::string>* visited_derivations,
     std::set<std::string>* resolving, std::vector<PlanNode>* nodes) const {
-  VDG_ASSIGN_OR_RETURN(std::string producer, catalog_.ProducerOf(dataset));
+  VDG_ASSIGN_OR_RETURN(std::string producer, client_.ProducerOf(dataset));
   if (visited_derivations->count(producer) != 0) return Status::OK();
   if (resolving->count(producer) != 0) {
     return Status::FailedPrecondition("derivation cycle through " + producer);
@@ -68,9 +68,9 @@ Status RequestPlanner::ResolveChain(
   resolving->insert(producer);
   visited_derivations->insert(producer);
 
-  VDG_ASSIGN_OR_RETURN(Derivation dv, catalog_.GetDerivation(producer));
+  VDG_ASSIGN_OR_RETURN(Derivation dv, client_.GetDerivation(producer));
   VDG_ASSIGN_OR_RETURN(std::vector<Derivation> subs,
-                       ExpandDerivation(catalog_, dv));
+                       ExpandDerivation(client_, dv));
 
   for (Derivation& sub : subs) {
     std::vector<std::string> outputs = sub.OutputDatasets();
@@ -100,7 +100,7 @@ Status RequestPlanner::ResolveChain(
       // reuse_materialized=false, where everything derivable is
       // re-derived and only underivable (raw) data is staged.
       bool materialized = IsMaterializedAnywhere(input);
-      bool derivable = catalog_.ProducerOf(input).ok();
+      bool derivable = client_.ProducerOf(input).ok();
       if (materialized && (options.reuse_materialized || !derivable)) {
         continue;
       }
@@ -222,7 +222,7 @@ std::vector<std::string> RequestPlanner::RankSites(
       sites = std::move(admitted);
     }
     Result<Transformation> tr =
-        catalog_.GetTransformation(node.transformation);
+        client_.GetTransformation(node.transformation);
     if (tr.ok()) FilterSitesByRequirements(*tr, topology_, &sites);
     if (sites.empty()) sites = topology_.SiteNames();  // unsatisfiable
   }
@@ -446,7 +446,8 @@ Result<ExecutionPlan> RequestPlanner::BuildRerunPlan(
 
 Result<RequestPlanner::ModeDecision> RequestPlanner::DecideMode(
     std::string_view dataset, const PlannerOptions& options) const {
-  if (!catalog_.HasDataset(dataset)) {
+  VDG_ASSIGN_OR_RETURN(bool exists, client_.HasDataset(dataset));
+  if (!exists) {
     return Status::NotFound("dataset not found: " + std::string(dataset));
   }
   if (!topology_.HasSite(options.target_site)) {
@@ -472,7 +473,7 @@ Result<RequestPlanner::ModeDecision> RequestPlanner::DecideMode(
   }
 
   decision.rerun_cost_s = kImpossible;
-  if (catalog_.ProducerOf(dataset).ok()) {
+  if (client_.ProducerOf(dataset).ok()) {
     Result<ExecutionPlan> rerun = BuildRerunPlan(dataset, options);
     if (rerun.ok()) decision.rerun_cost_s = rerun->est_makespan_s;
   }

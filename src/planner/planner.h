@@ -7,7 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "catalog/catalog.h"
+#include "catalog/client.h"
 #include "estimator/estimator.h"
 #include "grid/rls.h"
 #include "grid/topology.h"
@@ -51,16 +51,16 @@ struct PlannerOptions {
 /// site S" onto an execution plan over the simulated grid — deciding
 /// rerun-vs-fetch, expanding compound transformations, resolving the
 /// recursive derivation DAG, choosing sites, and costing the result
-/// with the estimator.
+/// with the estimator. It reads the catalog through one CatalogClient.
 class RequestPlanner {
  public:
-  /// `rls` may be null; dataset locations then come from catalog
-  /// replica records instead of the grid's replica location service.
-  RequestPlanner(const VirtualDataCatalog& catalog,
-                 const GridTopology& topology,
+  /// Borrows `client`. `rls` may be null; dataset locations then come
+  /// from catalog replica records instead of the grid's replica
+  /// location service.
+  RequestPlanner(CatalogClient& client, const GridTopology& topology,
                  const ReplicaLocationService* rls,
                  const CostEstimator& estimator)
-      : catalog_(catalog),
+      : client_(client),
         topology_(topology),
         rls_(rls),
         estimator_(estimator) {}
@@ -94,8 +94,9 @@ class RequestPlanner {
       std::string_view dataset, const PlannerOptions& options,
       double deadline_s) const;
 
-  /// All known physical locations of a dataset (RLS when available,
-  /// catalog replicas otherwise).
+  /// All known physical locations of a dataset: the catalog's valid
+  /// replicas when it recorded any copy, the RLS (when available) for
+  /// datasets it never recorded. A failed catalog read yields none.
   std::vector<PhysicalLocation> LocationsOf(std::string_view dataset) const;
   bool IsMaterializedAnywhere(std::string_view dataset) const {
     return !LocationsOf(dataset).empty();
@@ -127,7 +128,7 @@ class RequestPlanner {
                     const PlannerOptions& options,
                     const ExecutionPlan& plan) const;
 
-  const VirtualDataCatalog& catalog_;
+  CatalogClient& client_;
   const GridTopology& topology_;
   const ReplicaLocationService* rls_;
   const CostEstimator& estimator_;

@@ -127,7 +127,7 @@ Status ProvenanceTracker::BuildLineage(CatalogClient* from,
   // names it: a bare name means "this server", a hyperlink hops.
   ResolvedRef link{from, std::string(ref)};
   if (registry_ != nullptr) {
-    VDG_ASSIGN_OR_RETURN(link, registry_->ResolveFrom(from, ref));
+    VDG_ASSIGN_OR_RETURN(link, registry_->Resolve(from, ref));
     if (link.remote) ++last_hops_;
   }
   CatalogClient& client = *link.client;
@@ -246,7 +246,7 @@ Result<InvalidationReport> ProvenanceTracker::PlanInvalidation(
     VDG_ASSIGN_OR_RETURN(std::vector<Replica> replicas,
                          client_.ReplicasOf(name));
     for (const Replica& replica : replicas) {
-      report.invalidated_replicas.push_back(replica.id);
+      if (replica.valid) report.invalidated_replicas.push_back(replica.id);
     }
   }
   report.derivations_to_rerun.assign(derivations.begin(), derivations.end());

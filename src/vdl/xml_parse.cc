@@ -137,10 +137,16 @@ Status ParseAttributes(XmlCursor* cursor, XmlNode* node) {
   }
 }
 
-Result<std::unique_ptr<XmlNode>> ParseElement(XmlCursor* cursor);
+/// Deepest element nesting ParseXml accepts: far above the VDL wire
+/// format's few levels, low enough that hostile XML from another server
+/// cannot overflow the stack here or in the recursive XmlNode dtor.
+constexpr int kMaxXmlDepth = 256;
 
-// Parses children + text until the matching close tag.
-Status ParseContent(XmlCursor* cursor, XmlNode* node) {
+Result<std::unique_ptr<XmlNode>> ParseElement(XmlCursor* cursor, int depth);
+
+// Parses children + text until the matching close tag. `depth` is the
+// nesting depth of `node`.
+Status ParseContent(XmlCursor* cursor, XmlNode* node, int depth) {
   std::string text;
   while (true) {
     if (cursor->AtEnd()) {
@@ -167,7 +173,7 @@ Status ParseContent(XmlCursor* cursor, XmlNode* node) {
         continue;
       }
       VDG_ASSIGN_OR_RETURN(std::unique_ptr<XmlNode> child,
-                           ParseElement(cursor));
+                           ParseElement(cursor, depth + 1));
       node->children.push_back(std::move(child));
     } else {
       text.push_back(cursor->Take());
@@ -175,7 +181,11 @@ Status ParseContent(XmlCursor* cursor, XmlNode* node) {
   }
 }
 
-Result<std::unique_ptr<XmlNode>> ParseElement(XmlCursor* cursor) {
+Result<std::unique_ptr<XmlNode>> ParseElement(XmlCursor* cursor, int depth) {
+  if (depth > kMaxXmlDepth) {
+    return Status::ParseError("elements nest deeper than " +
+                              std::to_string(kMaxXmlDepth));
+  }
   if (!cursor->Consume("<")) {
     return Status::ParseError("expected '<' at offset " +
                               std::to_string(cursor->pos()));
@@ -187,7 +197,7 @@ Result<std::unique_ptr<XmlNode>> ParseElement(XmlCursor* cursor) {
   if (!cursor->Consume(">")) {
     return Status::ParseError("malformed open tag <" + node->name);
   }
-  VDG_RETURN_IF_ERROR(ParseContent(cursor, node.get()));
+  VDG_RETURN_IF_ERROR(ParseContent(cursor, node.get(), depth));
   return node;
 }
 
@@ -255,7 +265,8 @@ Result<std::unique_ptr<XmlNode>> ParseXml(std::string_view input) {
     while (!cursor.AtEnd() && !cursor.Consume("-->")) cursor.Take();
     cursor.SkipWhitespace();
   }
-  VDG_ASSIGN_OR_RETURN(std::unique_ptr<XmlNode> root, ParseElement(&cursor));
+  VDG_ASSIGN_OR_RETURN(std::unique_ptr<XmlNode> root,
+                       ParseElement(&cursor, 1));
   cursor.SkipWhitespace();
   if (!cursor.AtEnd()) {
     return Status::ParseError("trailing content after root element");

@@ -29,7 +29,8 @@ struct XmlNode {
   std::vector<const XmlNode*> Children(std::string_view tag) const;
 };
 
-/// Parses one XML document into a node tree.
+/// Parses one XML document into a node tree. Elements nested more
+/// than 256 deep are a ParseError.
 Result<std::unique_ptr<XmlNode>> ParseXml(std::string_view input);
 
 /// Parses the <vdl> wire format back into schema objects — the inverse

@@ -97,50 +97,50 @@ std::vector<std::string> TransformationVersionGraph::EquivalenceClassOf(
 }
 
 Result<std::string> FindEquivalentDerivationModuloVersion(
-    const VirtualDataCatalog& catalog,
-    const TransformationVersionGraph& versions,
+    CatalogClient& client, const TransformationVersionGraph& versions,
     const Derivation& derivation) {
   // Exact match first (cheapest, and correct when versions are equal).
-  Result<std::string> exact = catalog.FindEquivalentDerivation(derivation);
-  if (exact.ok()) return exact;
+  Result<std::string> exact = client.FindEquivalentDerivation(derivation);
+  if (!exact.status().IsNotFound()) return exact;
 
   for (const std::string& alias :
        versions.EquivalenceClassOf(derivation.transformation())) {
     if (alias == derivation.transformation()) continue;
     Derivation retargeted = derivation;
     retargeted.set_transformation(alias);
-    Result<std::string> hit = catalog.FindEquivalentDerivation(retargeted);
-    if (hit.ok()) return hit;
+    Result<std::string> hit = client.FindEquivalentDerivation(retargeted);
+    if (!hit.status().IsNotFound()) return hit;
   }
   return Status::NotFound(
       "no equivalent derivation (even modulo version assertions)");
 }
 
-bool HasBeenComputedModuloVersion(const VirtualDataCatalog& catalog,
+bool HasBeenComputedModuloVersion(CatalogClient& client,
                                   const TransformationVersionGraph& versions,
                                   const Derivation& derivation) {
   Result<std::string> hit =
-      FindEquivalentDerivationModuloVersion(catalog, versions, derivation);
+      FindEquivalentDerivationModuloVersion(client, versions, derivation);
   if (!hit.ok()) return false;
-  Result<Derivation> existing = catalog.GetDerivation(*hit);
+  Result<Derivation> existing = client.GetDerivation(*hit);
   if (!existing.ok()) return false;
   std::vector<std::string> outputs = existing->OutputDatasets();
   if (outputs.empty()) return false;
   for (const std::string& output : outputs) {
-    if (!catalog.IsMaterialized(output)) return false;
+    Result<bool> materialized = client.IsMaterialized(output);
+    if (!materialized.ok() || !*materialized) return false;
   }
   return true;
 }
 
 Result<UpdateRecord> DatasetUpdateLog::RecordUpdate(
-    VirtualDataCatalog* catalog, std::string_view dataset,
+    CatalogClient* client, std::string_view dataset,
     std::string_view derivation, int64_t size_after, SimTime now,
     std::string note) {
-  if (catalog == nullptr) return Status::InvalidArgument("null catalog");
-  VDG_ASSIGN_OR_RETURN(Dataset ds, catalog->GetDataset(dataset));
-  if (!derivation.empty() && !catalog->HasDerivation(derivation)) {
-    return Status::NotFound("updating derivation not defined: " +
-                            std::string(derivation));
+  if (client == nullptr) return Status::InvalidArgument("null catalog");
+  VDG_ASSIGN_OR_RETURN(Dataset ds, client->GetDataset(dataset));
+  if (!derivation.empty()) {
+    // The updating derivation must be defined (NotFound otherwise).
+    VDG_RETURN_IF_ERROR(client->GetDerivation(derivation).status());
   }
   UpdateRecord record;
   record.dataset = std::string(dataset);
@@ -152,8 +152,8 @@ Result<UpdateRecord> DatasetUpdateLog::RecordUpdate(
 
   auto& log = logs_[std::string(dataset)];
   record.sequence = log.size() + 1;
-  VDG_RETURN_IF_ERROR(catalog->SetDatasetSize(dataset, size_after));
-  VDG_RETURN_IF_ERROR(catalog->Annotate(
+  VDG_RETURN_IF_ERROR(client->SetDatasetSize(dataset, size_after));
+  VDG_RETURN_IF_ERROR(client->Annotate(
       "dataset", dataset, "vdg.updates",
       AttributeValue(static_cast<int64_t>(record.sequence))));
   log.push_back(record);
@@ -173,17 +173,17 @@ uint64_t DatasetUpdateLog::UpdateCountOf(std::string_view dataset) const {
 }
 
 Result<UpdateRecord> DatasetUpdateLog::UndoLastUpdate(
-    VirtualDataCatalog* catalog, std::string_view dataset) {
-  if (catalog == nullptr) return Status::InvalidArgument("null catalog");
+    CatalogClient* client, std::string_view dataset) {
+  if (client == nullptr) return Status::InvalidArgument("null catalog");
   auto it = logs_.find(dataset);
   if (it == logs_.end() || it->second.empty()) {
     return Status::FailedPrecondition("no updates to undo for " +
                                       std::string(dataset));
   }
   UpdateRecord undone = it->second.back();
-  VDG_RETURN_IF_ERROR(catalog->SetDatasetSize(dataset, undone.size_before));
+  VDG_RETURN_IF_ERROR(client->SetDatasetSize(dataset, undone.size_before));
   it->second.pop_back();
-  VDG_RETURN_IF_ERROR(catalog->Annotate(
+  VDG_RETURN_IF_ERROR(client->Annotate(
       "dataset", dataset, "vdg.updates",
       AttributeValue(static_cast<int64_t>(it->second.size()))));
   if (it->second.empty()) logs_.erase(it);

@@ -6,7 +6,7 @@
 #include <string>
 #include <vector>
 
-#include "catalog/catalog.h"
+#include "catalog/client.h"
 #include "common/status.h"
 
 namespace vdg {
@@ -59,17 +59,18 @@ class TransformationVersionGraph {
   std::map<std::string, std::string, std::less<>> family_of_;
 };
 
-/// Version-aware dedup: like VirtualDataCatalog::FindEquivalentDerivation
+/// Version-aware dedup: like CatalogClient::FindEquivalentDerivation
 /// but also matching derivations whose transformation is a different,
-/// asserted-equivalent version. Returns the matched derivation name.
+/// asserted-equivalent version. Returns the matched derivation name;
+/// NotFound when nothing matches, and a failed catalog read as itself.
 Result<std::string> FindEquivalentDerivationModuloVersion(
-    const VirtualDataCatalog& catalog,
-    const TransformationVersionGraph& versions,
+    CatalogClient& client, const TransformationVersionGraph& versions,
     const Derivation& derivation);
 
 /// Version-aware "has this been computed?": true when some equivalent
 /// (modulo version) derivation exists with all outputs materialized.
-bool HasBeenComputedModuloVersion(const VirtualDataCatalog& catalog,
+/// A failed catalog read answers false.
+bool HasBeenComputedModuloVersion(CatalogClient& client,
                                   const TransformationVersionGraph& versions,
                                   const Derivation& derivation);
 
@@ -93,8 +94,9 @@ struct UpdateRecord {
 /// rolls the suffix back.
 class DatasetUpdateLog {
  public:
-  /// Appends an update performed by `derivation` on `dataset`.
-  Result<UpdateRecord> RecordUpdate(VirtualDataCatalog* catalog,
+  /// Appends an update performed by `derivation` on `dataset`,
+  /// recording the new size and update count through `client`.
+  Result<UpdateRecord> RecordUpdate(CatalogClient* client,
                                     std::string_view dataset,
                                     std::string_view derivation,
                                     int64_t size_after, SimTime now,
@@ -108,7 +110,7 @@ class DatasetUpdateLog {
   /// Rolls back the most recent update: restores the catalog's
   /// recorded size and pops the log entry. FailedPrecondition when no
   /// updates remain.
-  Result<UpdateRecord> UndoLastUpdate(VirtualDataCatalog* catalog,
+  Result<UpdateRecord> UndoLastUpdate(CatalogClient* client,
                                       std::string_view dataset);
 
   /// True when the dataset's current state is reproducible from its

@@ -1,5 +1,7 @@
 #include "catalog/catalog.h"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <limits>
 #include <string>
@@ -554,8 +556,11 @@ TEST_F(CatalogTest, ChangelogWindowBoundsAndFallbackSignal) {
 class PersistenceTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // Test name plus pid: cases that run at once, in separate
+    // processes, never share a journal file.
     path_ = ::testing::TempDir() + "/vdg_journal_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)) + ".log";
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(getpid()) + ".log";
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }

@@ -789,33 +789,37 @@ TEST(CatalogServerRuntime, ExecutorWriteBackOverTheWireMatchesInProcess) {
       ASSERT_TRUE(catalog->AddReplica(r).ok());
     }
     CostEstimator estimator;
-    RequestPlanner planner(*catalog, grid.topology(), &grid.rls(), estimator);
+    InProcessCatalogClient local(catalog);
+    RequestPlanner planner(local, grid.topology(), &grid.rls(), estimator);
     PlannerOptions popts;
     popts.target_site = "east";
     Result<ExecutionPlan> plan = planner.Plan(graph->sinks.front(), popts);
     ASSERT_TRUE(plan.ok()) << plan.status();
 
-    std::shared_ptr<CatalogClient> writer;
+    // The engine reads and writes through one client: the catalog
+    // itself, or the wire to a server in front of it.
+    CatalogClient* client = &local;
     std::unique_ptr<CatalogServer> server;
-    std::shared_ptr<WireCatalogClient> wire_writer;
+    std::shared_ptr<WireCatalogClient> wire;
     if (over_wire) {
       server = std::make_unique<CatalogServer>(
           std::make_shared<InProcessCatalogClient>(catalog, false));
       auto connected = WireCatalogClient::Connect(server.get());
       ASSERT_TRUE(connected.ok()) << connected.status();
-      wire_writer = *connected;
-      writer = wire_writer;
-    } else {
-      writer = std::make_shared<InProcessCatalogClient>(catalog, false);
+      wire = *connected;
+      wire->reset_stats();  // drop the handshake's counters
+      client = wire.get();
     }
-    WorkflowEngine engine(&grid, catalog);
-    engine.set_catalog_writer(writer);
+    WorkflowEngine engine(&grid, *client);
     Result<WorkflowResult> result = engine.Execute(*plan);
     ASSERT_TRUE(result.ok()) << result.status();
     EXPECT_TRUE(result->succeeded);
-    if (wire_writer) {
-      EXPECT_GT(wire_writer->stats().round_trips, 0u);
-      EXPECT_GT(wire_writer->stats().bytes_sent, 0u);
+    if (wire) {
+      // Every scheduling read and one write-back batch per node, each
+      // one round trip: 8 per executed node on this seeded graph.
+      EXPECT_EQ(result->nodes_succeeded, 2u);
+      EXPECT_EQ(wire->stats().round_trips, 16u);
+      EXPECT_GT(wire->stats().bytes_sent, 0u);
     }
   };
 
@@ -1073,7 +1077,7 @@ std::string Outcome(wire::MsgKind kind, const Result<T>& result) {
 
 std::string Outcome(const Status& status) { return status.ToString(); }
 
-/// Calls each of the 26 typed methods once, in MsgKind order, and
+/// Calls each of the 27 typed methods once, in MsgKind order, and
 /// returns their outcomes.
 std::vector<std::string> CallEveryMethod(CatalogClient& client) {
   using K = wire::MsgKind;
@@ -1149,6 +1153,8 @@ std::vector<std::string> CallEveryMethod(CatalogClient& client) {
                          CatalogMutation::AddReplica(rep)})));
   out.push_back(Outcome<wire::ReplicasResp>(K::kReplicasOf,
                                             client.ReplicasOf("req-ds")));
+  out.push_back(Outcome<wire::StringResp>(K::kFindEquivalentDerivation,
+                                          client.FindEquivalentDerivation(dv)));
   return out;
 }
 
@@ -1161,7 +1167,7 @@ TEST(RequestPath, EveryTypedMethodIsOneRequestOfItsOwnKind) {
 
   const std::vector<std::string> via_requests = CallEveryMethod(recording);
   const std::vector<std::string> via_typed = CallEveryMethod(direct);
-  ASSERT_EQ(via_requests.size(), 26u);
+  ASSERT_EQ(via_requests.size(), 27u);
   for (size_t i = 0; i < via_requests.size(); ++i) {
     EXPECT_EQ(via_requests[i], via_typed[i])
         << wire::MsgKindName(static_cast<wire::MsgKind>(i + 2));
@@ -1171,9 +1177,9 @@ TEST(RequestPath, EveryTypedMethodIsOneRequestOfItsOwnKind) {
   for (size_t i : {16, 17, 18, 19, 22, 23}) {
     EXPECT_EQ(via_typed[i], Status::OK().ToString()) << i;
   }
-  // Kinds 2..27, each exactly once: no typed method is left out of the
+  // Kinds 2..28, each exactly once: no typed method is left out of the
   // request path, and none is served by another method's request.
-  ASSERT_EQ(recording.kinds.size(), 26u);
+  ASSERT_EQ(recording.kinds.size(), 27u);
   for (size_t i = 0; i < recording.kinds.size(); ++i) {
     EXPECT_EQ(static_cast<int>(recording.kinds[i]), static_cast<int>(i + 2));
   }

@@ -18,8 +18,9 @@ class DaxTest : public ::testing::Test {
  protected:
   DaxTest()
       : catalog_("dax.org"),
+        client_(&catalog_),
         topology_(workload::SmallTestbed()),
-        planner_(catalog_, topology_, nullptr, estimator_) {
+        planner_(client_, topology_, nullptr, estimator_) {
     EXPECT_TRUE(catalog_.Open().ok());
     EXPECT_TRUE(catalog_.ImportVdl(R"(
 TR stepA( output out, input in ) {
@@ -49,6 +50,7 @@ DV mkj->join( out=@{output:"final"}, lhs=@{input:"m1"},
   }
 
   VirtualDataCatalog catalog_;
+  InProcessCatalogClient client_;
   GridTopology topology_;
   CostEstimator estimator_;
   RequestPlanner planner_;
@@ -111,7 +113,7 @@ TEST_F(DaxTest, DecodedPlanExecutes) {
 
   GridSimulator grid(workload::SmallTestbed(), 3);
   ASSERT_TRUE(grid.PlaceFile("east", "raw", 1000, true).ok());
-  WorkflowEngine engine(&grid, &catalog_);
+  WorkflowEngine engine(&grid, client_);
   Result<WorkflowResult> result = engine.Execute(*decoded);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->succeeded);

@@ -119,7 +119,8 @@ DV d1->work( out=@{output:"mid"}, in=@{input:"src"} );
   ASSERT_TRUE(catalog.RecordInvocation(failed).ok());
 
   CostEstimator est;
-  ASSERT_TRUE(est.LearnFromCatalog(catalog).ok());
+  InProcessCatalogClient client(&catalog);
+  ASSERT_TRUE(est.LearnFromCatalog(client).ok());
   EXPECT_EQ(est.EstimateRuntime("work", "east"), 30.0);
   EXPECT_EQ(est.ObservationCount("work"), 1u);
   EXPECT_EQ(est.EstimateOutputSize("work"), 5000);

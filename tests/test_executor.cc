@@ -13,9 +13,10 @@ class ExecutorTest : public ::testing::Test {
  protected:
   ExecutorTest()
       : catalog_("exec.org"),
+        client_(&catalog_),
         grid_(workload::SmallTestbed(), 7),
-        planner_(catalog_, grid_.topology(), &grid_.rls(), estimator_),
-        engine_(&grid_, &catalog_) {
+        planner_(client_, grid_.topology(), &grid_.rls(), estimator_),
+        engine_(&grid_, client_) {
     EXPECT_TRUE(catalog_.Open().ok());
     EXPECT_TRUE(catalog_.ImportVdl(R"(
 TR stepA( output out, input in ) {
@@ -60,6 +61,7 @@ DV mkJoin->stepB( out=@{output:"joined"}, lhs=@{input:"m1"},
   }
 
   VirtualDataCatalog catalog_;
+  InProcessCatalogClient client_;
   GridSimulator grid_;
   CostEstimator estimator_;
   RequestPlanner planner_;
@@ -115,7 +117,7 @@ TEST_F(ExecutorTest, RetriesSurviveTransientFailures) {
   grid_.set_job_failure_rate(0.3);
   ExecutorOptions opts;
   opts.max_retries = 25;  // with p=0.3 per attempt this cannot fail
-  WorkflowEngine engine(&grid_, &catalog_, opts);
+  WorkflowEngine engine(&grid_, client_, opts);
   Result<ExecutionPlan> plan = PlanFor("joined");
   ASSERT_TRUE(plan.ok());
   Result<WorkflowResult> result = engine.Execute(*plan);
@@ -127,7 +129,7 @@ TEST_F(ExecutorTest, ExhaustedRetriesFailWorkflowAndSkipDependents) {
   grid_.set_job_failure_rate(1.0);  // everything fails
   ExecutorOptions opts;
   opts.max_retries = 1;
-  WorkflowEngine engine(&grid_, &catalog_, opts);
+  WorkflowEngine engine(&grid_, client_, opts);
   Result<ExecutionPlan> plan = PlanFor("joined");
   ASSERT_TRUE(plan.ok());
   Result<WorkflowResult> result = engine.Execute(*plan);
@@ -225,7 +227,7 @@ TEST_F(ExecutorTest, RuntimeModelUsesAnnotations) {
 TEST_F(ExecutorTest, ProvenanceRecordingCanBeDisabled) {
   ExecutorOptions opts;
   opts.record_provenance = false;
-  WorkflowEngine engine(&grid_, &catalog_, opts);
+  WorkflowEngine engine(&grid_, client_, opts);
   Result<ExecutionPlan> plan = PlanFor("m1");
   ASSERT_TRUE(plan.ok());
   Result<WorkflowResult> result = engine.Execute(*plan);

@@ -43,6 +43,7 @@ void ExpectStatsEqual(const RecoveryStats& a, const RecoveryStats& b) {
 // can destroy source data beyond recovery.
 struct CanonicalWorld {
   VirtualDataCatalog catalog{"fault.org"};
+  InProcessCatalogClient client{&catalog};
   GridSimulator grid;
   CostEstimator estimator;
   workload::CanonicalGraph graph;
@@ -71,8 +72,7 @@ struct CanonicalWorld {
   }
 
   Result<ExecutionPlan> PlanSink() {
-    RequestPlanner planner(catalog, grid.topology(), &grid.rls(),
-                           estimator);
+    RequestPlanner planner(client, grid.topology(), &grid.rls(), estimator);
     PlannerOptions options;
     options.target_site = "east";
     EXPECT_FALSE(graph.sinks.empty());
@@ -88,7 +88,7 @@ WorkflowResult RunFaultyCanonical(uint64_t seed, double job_rate,
   ExecutorOptions opts;
   opts.max_retries = 10;
   opts.faults.backoff_base_s = 1.0;
-  WorkflowEngine engine(&world.grid, &world.catalog, opts);
+  WorkflowEngine engine(&world.grid, world.client, opts);
   Result<ExecutionPlan> plan = world.PlanSink();
   EXPECT_TRUE(plan.ok()) << plan.status();
   Result<WorkflowResult> result = engine.Execute(*plan);
@@ -139,7 +139,7 @@ TEST(FaultRecoveryTest, MidRunCrashWithDataLossStillCompletes) {
   opts.max_retries = 10;
   opts.faults.backoff_base_s = 2.0;
   opts.faults.rederive_lost_inputs = true;
-  WorkflowEngine engine(&world.grid, &world.catalog, opts);
+  WorkflowEngine engine(&world.grid, world.client, opts);
   Result<ExecutionPlan> plan = world.PlanSink();
   ASSERT_TRUE(plan.ok()) << plan.status();
   Result<WorkflowResult> result = engine.Execute(*plan);
@@ -181,7 +181,7 @@ DV mkOutB->conv( out=@{output:"outB"}, in=@{input:"mid"} );
   }
 
   Result<ExecutionPlan> PlanFor(const std::string& dataset) {
-    RequestPlanner planner(catalog_, grid_.topology(), &grid_.rls(),
+    RequestPlanner planner(client_, grid_.topology(), &grid_.rls(),
                            estimator_);
     return planner.Plan(dataset, options_);
   }
@@ -198,6 +198,7 @@ DV mkOutB->conv( out=@{output:"outB"}, in=@{input:"mid"} );
   }
 
   VirtualDataCatalog catalog_{"chain.org"};
+  InProcessCatalogClient client_{&catalog_};
   GridSimulator grid_;
   CostEstimator estimator_;
   PlannerOptions options_;
@@ -216,7 +217,7 @@ TEST_F(ChainWorldTest, SubmitRejectionsRetryWithExponentialBackoff) {
   });
   ExecutorOptions opts;
   opts.max_retries = 6;
-  WorkflowEngine engine(&grid_, &catalog_, opts);
+  WorkflowEngine engine(&grid_, client_, opts);
   Result<ExecutionPlan> plan = PlanFor("outA");
   ASSERT_TRUE(plan.ok()) << plan.status();
   Result<WorkflowResult> result = engine.Execute(*plan);
@@ -241,7 +242,7 @@ TEST_F(ChainWorldTest, FailoverMovesWorkOffACrashedSite) {
   ExecutorOptions opts;
   opts.max_retries = 3;
   opts.faults.backoff_base_s = 1.0;
-  WorkflowEngine engine(&grid_, &catalog_, opts);
+  WorkflowEngine engine(&grid_, client_, opts);
   Result<WorkflowResult> result = engine.Execute(*plan);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->succeeded);
@@ -262,7 +263,7 @@ TEST_F(ChainWorldTest, FlakySiteIsBlacklistedAndBackoffIsExponential) {
   opts.faults.backoff_base_s = 1.0;
   opts.faults.blacklist_threshold = 2;
   opts.faults.blacklist_cooldown_s = 1e6;
-  WorkflowEngine engine(&grid_, &catalog_, opts);
+  WorkflowEngine engine(&grid_, client_, opts);
   Result<ExecutionPlan> plan = PlanFor("mid");
   ASSERT_TRUE(plan.ok()) << plan.status();
   ASSERT_EQ(plan->nodes.size(), 1u);
@@ -288,7 +289,7 @@ TEST_F(ChainWorldTest, NodeTimeoutAbandonsSlowAttempts) {
   opts.max_retries = 2;
   opts.faults.backoff_base_s = 1.0;
   opts.faults.node_timeout_s = 10.0;  // conv takes 20s: always too slow
-  WorkflowEngine engine(&grid_, &catalog_, opts);
+  WorkflowEngine engine(&grid_, client_, opts);
   Result<ExecutionPlan> plan = PlanFor("mid");
   ASSERT_TRUE(plan.ok()) << plan.status();
   Result<WorkflowResult> result = engine.Execute(*plan);
@@ -299,7 +300,7 @@ TEST_F(ChainWorldTest, NodeTimeoutAbandonsSlowAttempts) {
   // A deadline longer than the runtime never fires.
   ExecutorOptions relaxed = opts;
   relaxed.faults.node_timeout_s = 30.0;
-  WorkflowEngine patient(&grid_, &catalog_, relaxed);
+  WorkflowEngine patient(&grid_, client_, relaxed);
   Result<ExecutionPlan> again = PlanFor("mid");
   ASSERT_TRUE(again.ok()) << again.status();
   Result<WorkflowResult> ok = patient.Execute(*again);
@@ -329,7 +330,7 @@ TEST_F(ChainWorldTest, FailedTransfersAreRetriedUntilStagingSucceeds) {
   ExecutorOptions opts;
   opts.max_retries = 30;
   opts.faults.backoff_base_s = 0.5;
-  WorkflowEngine engine(&grid_, &catalog_, opts);
+  WorkflowEngine engine(&grid_, client_, opts);
   Result<ExecutionPlan> plan = PlanFor("mid");
   ASSERT_TRUE(plan.ok()) << plan.status();
   Result<WorkflowResult> result = engine.Execute(*plan);
@@ -346,7 +347,7 @@ TEST_F(ChainWorldTest, RederivesLostInputAndRecordsRecovery) {
   // the catalog still claims replicas exist.
   options_.target_site = "east";
   {
-    WorkflowEngine engine(&grid_, &catalog_, {});
+    WorkflowEngine engine(&grid_, client_, {});
     Result<ExecutionPlan> first = PlanFor("outA");
     ASSERT_TRUE(first.ok()) << first.status();
     Result<WorkflowResult> ran = engine.Execute(*first);
@@ -362,7 +363,7 @@ TEST_F(ChainWorldTest, RederivesLostInputAndRecordsRecovery) {
 
   ExecutorOptions opts;
   opts.faults.rederive_lost_inputs = true;
-  WorkflowEngine engine(&grid_, &catalog_, opts);
+  WorkflowEngine engine(&grid_, client_, opts);
   Result<WorkflowResult> result = engine.Execute(*plan);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->succeeded);
@@ -387,7 +388,7 @@ TEST_F(ChainWorldTest, DefaultPolicyTrustsCatalogReplicaRecords) {
   // staging proceeds from the claimed location.
   options_.target_site = "east";
   {
-    WorkflowEngine engine(&grid_, &catalog_, {});
+    WorkflowEngine engine(&grid_, client_, {});
     Result<ExecutionPlan> first = PlanFor("outA");
     ASSERT_TRUE(first.ok()) << first.status();
     ASSERT_TRUE(engine.Execute(*first)->succeeded);
@@ -395,7 +396,7 @@ TEST_F(ChainWorldTest, DefaultPolicyTrustsCatalogReplicaRecords) {
   LoseReplicas("mid");
   Result<ExecutionPlan> plan = PlanFor("outB");
   ASSERT_TRUE(plan.ok()) << plan.status();
-  WorkflowEngine engine(&grid_, &catalog_, {});
+  WorkflowEngine engine(&grid_, client_, {});
   Result<WorkflowResult> result = engine.Execute(*plan);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->succeeded);
@@ -420,7 +421,7 @@ TEST_F(ChainWorldTest, AlreadyLocalFetchCompletesSynchronously) {
   fetch.bytes = 1 << 20;
   plan.fetches.push_back(fetch);
 
-  WorkflowEngine engine(&grid_, &catalog_, {});
+  WorkflowEngine engine(&grid_, client_, {});
   Result<WorkflowResult> result = engine.Execute(plan);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->succeeded);
@@ -440,7 +441,7 @@ DV mkIC->conv( out=@{output:"ic"}, in=@{input:"raw"} );
                   .ok());
   options_.target_site = "east";
   for (const char* input : {"ia", "ib", "ic"}) {
-    WorkflowEngine warm(&grid_, &catalog_, {});
+    WorkflowEngine warm(&grid_, client_, {});
     Result<ExecutionPlan> plan = PlanFor(input);
     ASSERT_TRUE(plan.ok()) << plan.status();
     ASSERT_TRUE(warm.Execute(*plan)->succeeded);
@@ -463,7 +464,7 @@ DV mkIC->conv( out=@{output:"ic"}, in=@{input:"raw"} );
   opts.record_provenance = false;  // synthetic derivation, catalog-less
   opts.faults.rederive_lost_inputs = true;
   opts.faults.max_rederivations_per_node = 2;
-  WorkflowEngine engine(&grid_, &catalog_, opts);
+  WorkflowEngine engine(&grid_, client_, opts);
   Result<WorkflowResult> result = engine.Execute(plan);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->succeeded);
@@ -477,7 +478,7 @@ TEST_F(ChainWorldTest, RescuePlanResumesAFailedWorkflow) {
   ExecutorOptions opts;
   opts.max_retries = 0;
   opts.faults.backoff_base_s = 1.0;
-  WorkflowEngine engine(&grid_, &catalog_, opts);
+  WorkflowEngine engine(&grid_, client_, opts);
   Result<ExecutionPlan> plan = PlanFor("outA");
   ASSERT_TRUE(plan.ok()) << plan.status();
   ASSERT_EQ(plan->nodes.size(), 2u);
@@ -513,7 +514,7 @@ TEST_F(ChainWorldTest, RescueSkipsAlreadyMaterializedPredecessors) {
   // must contain only the unfinished tail, staging from mid's
   // materialized output rather than re-running its producer.
   options_.target_site = "east";
-  WorkflowEngine warm(&grid_, &catalog_, {});
+  WorkflowEngine warm(&grid_, client_, {});
   Result<ExecutionPlan> mid_plan = PlanFor("mid");
   ASSERT_TRUE(mid_plan.ok()) << mid_plan.status();
   ASSERT_TRUE(warm.Execute(*mid_plan)->succeeded);
@@ -525,7 +526,7 @@ TEST_F(ChainWorldTest, RescueSkipsAlreadyMaterializedPredecessors) {
   ExecutorOptions opts;
   opts.max_retries = 0;
   opts.faults.backoff_base_s = 1.0;
-  WorkflowEngine engine(&grid_, &catalog_, opts);
+  WorkflowEngine engine(&grid_, client_, opts);
   Result<WorkflowResult> failed = engine.Execute(*plan);
   ASSERT_TRUE(failed.ok());
   EXPECT_FALSE(failed->succeeded);

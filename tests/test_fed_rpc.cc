@@ -116,7 +116,6 @@ TEST_F(FedRpcTest, InProcessClientMatchesDirectCatalogAccess) {
   InProcessCatalogClient client(catalog_.get());
   EXPECT_EQ(client.authority(), "chain.org");
   EXPECT_FALSE(client.read_only());
-  EXPECT_EQ(client.local_catalog(), catalog_.get());
 
   EXPECT_EQ(*client.Version(), catalog_->version());
   EXPECT_EQ(client.GetDataset("d3")->name, "d3");
@@ -169,7 +168,6 @@ TEST_F(FedRpcTest, ReadOnlyHandleRejectsEveryMutation) {
   const VirtualDataCatalog* frozen = catalog_.get();
   InProcessCatalogClient ro(frozen);
   EXPECT_TRUE(ro.read_only());
-  EXPECT_EQ(ro.local_catalog(), nullptr);
 
   Dataset ds;
   ds.name = "new";
@@ -714,20 +712,21 @@ TEST_F(FedRpcTest, ExecutorProvenanceWritesGoThroughTheClient) {
     ASSERT_TRUE(catalog.AddReplica(r).ok());
   }
   CostEstimator estimator;
-  RequestPlanner planner(catalog, grid.topology(), &grid.rls(), estimator);
+  InProcessCatalogClient planner_client(&catalog);
+  RequestPlanner planner(planner_client, grid.topology(), &grid.rls(),
+                         estimator);
   PlannerOptions popts;
   popts.target_site = "east";
   Result<ExecutionPlan> plan = planner.Plan(graph->sinks.front(), popts);
   ASSERT_TRUE(plan.ok()) << plan.status();
 
-  // Writes flow through a caching client (the wire version is
-  // CatalogServerRuntime.ExecutorWriteBackOverTheWireMatchesInProcess).
+  // Reads and writes flow through a caching client (the wire version
+  // is CatalogServerRuntime.ExecutorWriteBackOverTheWireMatchesInProcess).
   // The run must succeed and leave the same provenance a direct-catalog
   // run would.
-  auto writer = std::make_shared<CachingCatalogClient>(
+  CachingCatalogClient cached(
       std::make_shared<InProcessCatalogClient>(&catalog, false));
-  WorkflowEngine engine(&grid, &catalog);
-  engine.set_catalog_writer(writer);
+  WorkflowEngine engine(&grid, cached);
   Result<WorkflowResult> result = engine.Execute(*plan);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_TRUE(result->succeeded);
@@ -737,9 +736,9 @@ TEST_F(FedRpcTest, ExecutorProvenanceWritesGoThroughTheClient) {
 }
 
 TEST_F(FedRpcTest, ReadOnlyWriterFailsProvenanceButNotScheduling) {
-  // A read-only writer cannot record anything; the engine must surface
+  // A read-only client cannot record anything; the engine must surface
   // failed provenance writes as warnings, not crash. (The run itself
-  // still completes — scheduling reads bypass the writer.)
+  // still completes — scheduling only reads.)
   auto ro_writer = std::make_shared<InProcessCatalogClient>(
       static_cast<const VirtualDataCatalog*>(catalog_.get()));
   EXPECT_TRUE(ro_writer->read_only());

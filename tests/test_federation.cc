@@ -51,6 +51,13 @@ DV mine->step( out=@{output:"myplot"},
                     .ok());
   }
 
+  /// The registered server for `authority`.
+  CatalogClient* Server(std::string_view authority) {
+    return *registry_.Find(authority);
+  }
+  /// The personal catalog's server: home of the references below.
+  CatalogClient* Home() { return Server("personal.org"); }
+
   VirtualDataCatalog collab_;
   VirtualDataCatalog group_;
   VirtualDataCatalog personal_;
@@ -70,56 +77,56 @@ TEST_F(FederationTest, RegisterAndFind) {
 
 TEST_F(FederationTest, ResolveAllReferenceForms) {
   // Bare name: home catalog.
-  Result<ResolvedRef> bare = registry_.Resolve(&personal_, "myplot");
+  Result<ResolvedRef> bare = registry_.Resolve(Home(), "myplot");
   ASSERT_TRUE(bare.ok());
-  EXPECT_EQ(bare->client->local_catalog(), &personal_);
+  EXPECT_EQ(bare->client, Home());
   EXPECT_FALSE(bare->remote);
 
   // authority::name.
   Result<ResolvedRef> scoped =
-      registry_.Resolve(&personal_, "collab.org::survey");
+      registry_.Resolve(Home(), "collab.org::survey");
   ASSERT_TRUE(scoped.ok());
-  EXPECT_EQ(scoped->client->local_catalog(), &collab_);
+  EXPECT_EQ(scoped->client, Server("collab.org"));
   EXPECT_EQ(scoped->local_name, "survey");
   EXPECT_TRUE(scoped->remote);
 
   // vdp:// hyperlink.
   Result<ResolvedRef> vdp =
-      registry_.Resolve(&personal_, "vdp://group.org/selected");
+      registry_.Resolve(Home(), "vdp://group.org/selected");
   ASSERT_TRUE(vdp.ok());
-  EXPECT_EQ(vdp->client->local_catalog(), &group_);
+  EXPECT_EQ(vdp->client, Server("group.org"));
   EXPECT_EQ(vdp->local_name, "selected");
 
   // Bare names need a home catalog.
   EXPECT_FALSE(registry_.Resolve(nullptr, "myplot").ok());
   // Unknown authority.
   EXPECT_TRUE(
-      registry_.Resolve(&personal_, "vdp://x.org/y").status().IsNotFound());
+      registry_.Resolve(Home(), "vdp://x.org/y").status().IsNotFound());
 }
 
 TEST_F(FederationTest, ResolveRejectsMalformedReferences) {
   // Malformed vdp:// forms: missing authority, missing object name.
-  EXPECT_TRUE(registry_.Resolve(&personal_, "vdp:///survey")
+  EXPECT_TRUE(registry_.Resolve(Home(), "vdp:///survey")
                   .status()
                   .IsParseError());
-  EXPECT_TRUE(registry_.Resolve(&personal_, "vdp://collab.org")
+  EXPECT_TRUE(registry_.Resolve(Home(), "vdp://collab.org")
                   .status()
                   .IsParseError());
-  EXPECT_TRUE(registry_.Resolve(&personal_, "vdp://collab.org/")
+  EXPECT_TRUE(registry_.Resolve(Home(), "vdp://collab.org/")
                   .status()
                   .IsParseError());
   // Scoped form with an empty side.
   Status empty_name =
-      registry_.Resolve(&personal_, "collab.org::").status();
+      registry_.Resolve(Home(), "collab.org::").status();
   EXPECT_TRUE(empty_name.IsInvalidArgument());
   EXPECT_NE(empty_name.message().find("empty object name"),
             std::string::npos);
-  Status empty_authority = registry_.Resolve(&personal_, "::survey").status();
+  Status empty_authority = registry_.Resolve(Home(), "::survey").status();
   EXPECT_TRUE(empty_authority.IsInvalidArgument());
   EXPECT_NE(empty_authority.message().find("empty authority"),
             std::string::npos);
   // Unknown authority in scoped form is NotFound, not InvalidArgument.
-  EXPECT_TRUE(registry_.Resolve(&personal_, "nowhere.org::survey")
+  EXPECT_TRUE(registry_.Resolve(Home(), "nowhere.org::survey")
                   .status()
                   .IsNotFound());
 }
@@ -128,7 +135,7 @@ TEST_F(FederationTest, ImportTransformationRejectsSelfImport) {
   // Importing collab's step back into collab is a no-op masquerading
   // as a copy; the registry refuses it outright.
   Status self = registry_.ImportTransformation(
-      &personal_, "vdp://collab.org/step", &collab_);
+      Home(), "vdp://collab.org/step", Server("collab.org"));
   EXPECT_TRUE(self.IsInvalidArgument());
   EXPECT_NE(self.message().find("self-import"), std::string::npos);
   // The refused import leaves no origin annotation behind.
@@ -138,36 +145,36 @@ TEST_F(FederationTest, ImportTransformationRejectsSelfImport) {
 
 TEST_F(FederationTest, RemoteLookupCounting) {
   registry_.reset_remote_lookups();
-  ASSERT_TRUE(registry_.Resolve(&personal_, "myplot").ok());
+  ASSERT_TRUE(registry_.Resolve(Home(), "myplot").ok());
   EXPECT_EQ(registry_.remote_lookups(), 0u);
-  ASSERT_TRUE(registry_.Resolve(&personal_, "vdp://collab.org/survey").ok());
-  ASSERT_TRUE(registry_.Resolve(&personal_, "group.org::selected").ok());
+  ASSERT_TRUE(registry_.Resolve(Home(), "vdp://collab.org/survey").ok());
+  ASSERT_TRUE(registry_.Resolve(Home(), "group.org::selected").ok());
   EXPECT_EQ(registry_.remote_lookups(), 2u);
   // A vdp:// link that points back at the home catalog is local.
   Result<ResolvedRef> self =
-      registry_.Resolve(&personal_, "vdp://personal.org/myplot");
+      registry_.Resolve(Home(), "vdp://personal.org/myplot");
   ASSERT_TRUE(self.ok());
   EXPECT_FALSE(self->remote);
   EXPECT_EQ(registry_.remote_lookups(), 2u);
   // Failed resolutions never count as remote lookups.
-  EXPECT_FALSE(registry_.Resolve(&personal_, "vdp://x.org/y").ok());
+  EXPECT_FALSE(registry_.Resolve(Home(), "vdp://x.org/y").ok());
   EXPECT_EQ(registry_.remote_lookups(), 2u);
 }
 
 TEST_F(FederationTest, FetchThroughHelpers) {
   Result<Dataset> ds =
-      registry_.FetchDataset(&personal_, "vdp://collab.org/survey");
+      registry_.FetchDataset(Home(), "vdp://collab.org/survey");
   ASSERT_TRUE(ds.ok());
   EXPECT_EQ(ds->size_bytes, 1000000);
   Result<Transformation> tr =
-      registry_.FetchTransformation(&personal_, "collab.org::step");
+      registry_.FetchTransformation(Home(), "collab.org::step");
   ASSERT_TRUE(tr.ok());
   EXPECT_EQ(tr->name(), "step");
   Result<Derivation> dv =
-      registry_.FetchDerivation(&personal_, "vdp://group.org/grp");
+      registry_.FetchDerivation(Home(), "vdp://group.org/grp");
   ASSERT_TRUE(dv.ok());
   EXPECT_EQ(dv->name(), "grp");
-  EXPECT_TRUE(registry_.FetchDataset(&personal_, "vdp://collab.org/none")
+  EXPECT_TRUE(registry_.FetchDataset(Home(), "vdp://collab.org/none")
                   .status()
                   .IsNotFound());
 }
@@ -175,9 +182,10 @@ TEST_F(FederationTest, FetchThroughHelpers) {
 TEST_F(FederationTest, ImportTransformationCopiesWithOrigin) {
   VirtualDataCatalog scratch("scratch.org");
   ASSERT_TRUE(scratch.Open().ok());
+  InProcessCatalogClient scratch_client(&scratch);
   ASSERT_TRUE(registry_
-                  .ImportTransformation(&personal_, "vdp://collab.org/step",
-                                        &scratch)
+                  .ImportTransformation(Home(), "vdp://collab.org/step",
+                                        &scratch_client)
                   .ok());
   Result<Transformation> copied = scratch.GetTransformation("step");
   ASSERT_TRUE(copied.ok());

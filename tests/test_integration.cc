@@ -3,12 +3,15 @@
 // the simulated grid, plus persistence and invalidation flows.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
 #include <set>
 
 #include "catalog/catalog.h"
 #include "catalog/wire.h"
 #include "estimator/estimator.h"
 #include "executor/executor.h"
+#include "federation/faulty_transport.h"
 #include "federation/resilient_client.h"
 #include "federation/server.h"
 #include "planner/planner.h"
@@ -24,13 +27,15 @@ class IntegrationTest : public ::testing::Test {
  protected:
   IntegrationTest()
       : catalog_("griphyn.org"),
+        client_(&catalog_),
         grid_(workload::GriphynTestbed(), 11),
-        planner_(catalog_, grid_.topology(), &grid_.rls(), estimator_),
-        engine_(&grid_, &catalog_) {
+        planner_(client_, grid_.topology(), &grid_.rls(), estimator_),
+        engine_(&grid_, client_) {
     EXPECT_TRUE(catalog_.Open().ok());
   }
 
   VirtualDataCatalog catalog_;
+  InProcessCatalogClient client_;
   GridSimulator grid_;
   CostEstimator estimator_;
   RequestPlanner planner_;
@@ -72,8 +77,7 @@ TEST_F(IntegrationTest, SdssCampaignEndToEnd) {
   EXPECT_EQ(catalog_.FindDatasets(astronomy).size(), 39u);
 
   // Provenance: each cluster catalog traces to exactly its stripe.
-  InProcessCatalogClient catalog_client(&catalog_);
-  ProvenanceTracker tracker(catalog_client);
+  ProvenanceTracker tracker(client_);
   Result<std::set<std::string>> ancestors =
       tracker.Ancestors(workload->cluster_catalogs[0]);
   ASSERT_TRUE(ancestors.ok());
@@ -81,7 +85,7 @@ TEST_F(IntegrationTest, SdssCampaignEndToEnd) {
   EXPECT_TRUE(*tracker.FullyMaterialized(workload->cluster_catalogs[0]));
 
   // The estimator learned real runtimes from the invocations.
-  ASSERT_TRUE(estimator_.LearnFromCatalog(catalog_).ok());
+  ASSERT_TRUE(estimator_.LearnFromCatalog(client_).ok());
   EXPECT_GT(estimator_.ObservationCount("sdss-maxBcg"), 0u);
   EXPECT_NEAR(estimator_.EstimateRuntime("sdss-maxBcg", "uchicago"), 100.0,
               15.0);
@@ -107,8 +111,7 @@ TEST_F(IntegrationTest, CalibrationErrorInvalidatesAndReruns) {
 
   // "I've detected a calibration error in an instrument and want to
   // know which derived data to recompute."
-  InProcessCatalogClient catalog_client(&catalog_);
-  ProvenanceTracker tracker(catalog_client);
+  ProvenanceTracker tracker(client_);
   const std::string& bad_field = workload->field_datasets[2];
   Result<InvalidationReport> report = tracker.Invalidate(bad_field);
   ASSERT_TRUE(report.ok());
@@ -226,6 +229,151 @@ TEST_F(IntegrationTest, ProvenanceOverTheWireMatchesInProcess) {
   EXPECT_TRUE(catalog_.IsMaterialized(workload->ntuples[1]));
 }
 
+// ------------------ the process flow over the wire --------------------
+
+constexpr const char* kFlowSite = "fermilab";
+
+/// Fills `catalog` and `grid` with one of the two pipelines the paper's
+/// process flow runs (HEP: compound derivations; SDSS: a field fan-in)
+/// and returns the datasets to materialize at kFlowSite.
+std::vector<std::string> StagePipeline(bool hep, VirtualDataCatalog* catalog,
+                                       GridSimulator* grid) {
+  if (hep) {
+    workload::HepOptions options;
+    options.num_batches = 2;
+    Result<workload::HepWorkload> workload =
+        workload::GenerateHep(catalog, options);
+    EXPECT_TRUE(workload.ok()) << workload.status();
+    if (!workload.ok()) return {};
+    for (const std::string& config : workload->config_datasets) {
+      EXPECT_TRUE(grid->PlaceFile(kFlowSite, config, 64 * 1024, true).ok());
+      Replica r;
+      r.dataset = config;
+      r.site = kFlowSite;
+      r.size_bytes = 64 * 1024;
+      EXPECT_TRUE(catalog->AddReplica(r).ok());
+    }
+    return workload->ntuples;
+  }
+  workload::SdssOptions options;
+  options.num_stripes = 2;
+  options.fields_per_stripe = 4;
+  Result<workload::SdssWorkload> workload =
+      workload::GenerateSdss(catalog, options);
+  EXPECT_TRUE(workload.ok()) << workload.status();
+  if (!workload.ok()) return {};
+  EXPECT_TRUE(
+      workload::StageSdssInputs(*workload, options, grid, catalog).ok());
+  return workload->cluster_catalogs;
+}
+
+/// What one run of a pipeline left behind.
+struct FlowOutcome {
+  std::vector<std::string> plans;   // ExecutionPlan::ToString per target
+  std::vector<std::string> state;   // CurrentStateRecords()
+  std::map<std::string, double> learned;  // runtime estimate at kFlowSite
+  uint64_t invocations = 0;
+  uint64_t faults = 0;              // transport faults that fired
+};
+
+/// Plans, executes and learns one pipeline on a fresh catalog. The
+/// planner, the engine and the estimator share one client: the catalog
+/// itself, or (with `wire` set) Resilient -> Wire -> CatalogServer in
+/// front of it, each connection dialed through a FaultyChannel with
+/// the `wire` profile.
+void RunFlow(bool hep, const std::optional<FaultProfile>& wire,
+             FlowOutcome* out) {
+  VirtualDataCatalog catalog("griphyn.org");
+  ASSERT_TRUE(catalog.Open().ok());
+  GridSimulator grid(workload::GriphynTestbed(), 11);
+  const std::vector<std::string> targets =
+      StagePipeline(hep, &catalog, &grid);
+  ASSERT_FALSE(targets.empty());
+
+  InProcessCatalogClient local(&catalog);
+  CatalogClient* client = &local;
+  std::unique_ptr<CatalogServer> server;
+  std::shared_ptr<FaultInjector> injector;
+  std::unique_ptr<ResilientCatalogClient> remote;
+  if (wire.has_value()) {
+    server = std::make_unique<CatalogServer>(
+        std::make_shared<InProcessCatalogClient>(&catalog));
+    injector = std::make_shared<FaultInjector>(*wire, 23);
+    ResilientEndpoint endpoint;
+    endpoint.name = "griphyn";
+    endpoint.connect = [&server,
+                        injector]() -> Result<std::shared_ptr<CatalogClient>> {
+      VDG_ASSIGN_OR_RETURN(std::shared_ptr<WireCatalogClient> connection,
+                           ConnectFaulty(server.get(), injector));
+      return std::shared_ptr<CatalogClient>(std::move(connection));
+    };
+    remote = std::make_unique<ResilientCatalogClient>(
+        std::vector<ResilientEndpoint>{endpoint});
+    client = remote.get();
+  }
+
+  CostEstimator estimator;
+  RequestPlanner planner(*client, grid.topology(), &grid.rls(), estimator);
+  WorkflowEngine engine(&grid, *client);
+  PlannerOptions popt;
+  popt.target_site = kFlowSite;
+  for (const std::string& target : targets) {
+    Result<ExecutionPlan> plan = planner.Plan(target, popt);
+    ASSERT_TRUE(plan.ok()) << target << ": " << plan.status();
+    out->plans.push_back(plan->ToString());
+    Result<WorkflowResult> result = engine.Execute(*plan);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_TRUE(result->succeeded) << target;
+  }
+  ASSERT_TRUE(estimator.LearnFromCatalog(*client).ok());
+  for (std::string_view tr : catalog.AllTransformationNames()) {
+    out->learned[std::string(tr)] = estimator.EstimateRuntime(tr, kFlowSite);
+  }
+  out->state = catalog.CurrentStateRecords();
+  out->invocations = catalog.Stats().invocations;
+  if (injector != nullptr) out->faults = injector->stats().total();
+}
+
+// The whole process flow (plan -> execute -> record -> learn) gives the
+// same plans, the same catalog byte for byte and the same learned
+// estimates over Resilient -> Wire -> CatalogServer as in process.
+TEST(ProcessFlowOverTheWire, PipelinesMatchInProcess) {
+  for (bool hep : {true, false}) {
+    SCOPED_TRACE(hep ? "HEP" : "SDSS");
+    FlowOutcome local;
+    FlowOutcome wired;
+    RunFlow(hep, std::nullopt, &local);
+    RunFlow(hep, FaultProfile{}, &wired);
+    EXPECT_GT(local.invocations, 0u);
+    EXPECT_EQ(wired.plans, local.plans);
+    // Binary journal records: compared whole, reported briefly.
+    EXPECT_TRUE(wired.state == local.state) << "catalog states differ";
+    EXPECT_EQ(wired.learned, local.learned);
+  }
+}
+
+// Over a lossy transport every call still lands once: reads retry,
+// and each write-back batch carries the resilient client's token, so a
+// resend after a lost reply is answered from the server's dedup window
+// instead of recording the invocation again.
+TEST(ProcessFlowOverTheWire, FaultyWireRecordsEachInvocationOnce) {
+  FaultProfile lossy;
+  lossy.reset_rate = 0.02;
+  lossy.truncate_rate = 0.01;
+  lossy.recv_reset_rate = 0.02;
+  for (bool hep : {true, false}) {
+    SCOPED_TRACE(hep ? "HEP" : "SDSS");
+    FlowOutcome local;
+    FlowOutcome faulty;
+    RunFlow(hep, std::nullopt, &local);
+    RunFlow(hep, lossy, &faulty);
+    EXPECT_GT(faulty.faults, 0u);
+    EXPECT_EQ(faulty.invocations, local.invocations);
+    EXPECT_TRUE(faulty.state == local.state) << "catalog states differ";
+    EXPECT_EQ(faulty.plans, local.plans);
+  }
+}
+
 TEST_F(IntegrationTest, DedupAvoidsRecomputation) {
   ASSERT_TRUE(catalog_.ImportVdl(R"(
 TR crunch( output out, input in, none level="2" ) {
@@ -296,9 +444,9 @@ TEST_F(IntegrationTest, HepPipelinePersistsAcrossRestart) {
       ASSERT_TRUE(catalog.AddReplica(r).ok());
     }
     CostEstimator estimator;
-    RequestPlanner planner(catalog, grid.topology(), &grid.rls(),
-                           estimator);
-    WorkflowEngine engine(&grid, &catalog);
+    InProcessCatalogClient client(&catalog);
+    RequestPlanner planner(client, grid.topology(), &grid.rls(), estimator);
+    WorkflowEngine engine(&grid, client);
     PlannerOptions popt;
     popt.target_site = "east";
     for (const std::string& ntuple : workload->ntuples) {
@@ -357,7 +505,7 @@ DV mk2->slowstep( out=@{output:"out2"}, in=@{input:"seed.data"} );
   ASSERT_TRUE(engine_.Execute(*first)->succeeded);
 
   // After learning, the estimate tracks the observed 120s/1.1 factor.
-  ASSERT_TRUE(estimator_.LearnFromCatalog(catalog_).ok());
+  ASSERT_TRUE(estimator_.LearnFromCatalog(client_).ok());
   Result<ExecutionPlan> second = planner_.Plan("out2", popt);
   ASSERT_TRUE(second.ok());
   EXPECT_NEAR(second->nodes[0].est_runtime_s, 120.0 / 1.1, 1.0);

@@ -54,11 +54,12 @@ DV use5->trans5( a2=@{input:"f2"}, a1=@{input:"f1"},
 
 class ExpansionTest : public ::testing::Test {
  protected:
-  ExpansionTest() : catalog_("exp.org") {
+  ExpansionTest() : catalog_("exp.org"), client_(&catalog_) {
     EXPECT_TRUE(catalog_.Open().ok());
     EXPECT_TRUE(catalog_.ImportVdl(kCompoundVdl).ok());
   }
   VirtualDataCatalog catalog_;
+  InProcessCatalogClient client_;
 };
 
 TEST_F(ExpansionTest, SimpleDerivationExpandsToItself) {
@@ -67,7 +68,7 @@ TEST_F(ExpansionTest, SimpleDerivationExpandsToItself) {
       dv.AddArg(ActualArg::DatasetRef("a2", "x", ArgDirection::kOut)).ok());
   ASSERT_TRUE(
       dv.AddArg(ActualArg::DatasetRef("a1", "f1", ArgDirection::kIn)).ok());
-  Result<std::vector<Derivation>> subs = ExpandDerivation(catalog_, dv);
+  Result<std::vector<Derivation>> subs = ExpandDerivation(client_, dv);
   ASSERT_TRUE(subs.ok());
   ASSERT_EQ(subs->size(), 1u);
   EXPECT_EQ((*subs)[0].name(), "plain");
@@ -76,7 +77,7 @@ TEST_F(ExpansionTest, SimpleDerivationExpandsToItself) {
 TEST_F(ExpansionTest, Trans4ExpandsToThreeStages) {
   Result<Derivation> dv = catalog_.GetDerivation("use4");
   ASSERT_TRUE(dv.ok());
-  Result<std::vector<Derivation>> subs = ExpandDerivation(catalog_, *dv);
+  Result<std::vector<Derivation>> subs = ExpandDerivation(client_, *dv);
   ASSERT_TRUE(subs.ok()) << subs.status();
   ASSERT_EQ(subs->size(), 3u);
   EXPECT_EQ((*subs)[0].transformation(), "trans1");
@@ -99,7 +100,7 @@ TEST_F(ExpansionTest, Trans4ExpandsToThreeStages) {
 TEST_F(ExpansionTest, NestedCompoundFlattensRecursively) {
   Result<Derivation> dv = catalog_.GetDerivation("use5");
   ASSERT_TRUE(dv.ok());
-  Result<std::vector<Derivation>> subs = ExpandDerivation(catalog_, *dv);
+  Result<std::vector<Derivation>> subs = ExpandDerivation(client_, *dv);
   ASSERT_TRUE(subs.ok()) << subs.status();
   // trans5 = trans1 + trans4(= 3 stages) = 4 simple derivations.
   ASSERT_EQ(subs->size(), 4u);
@@ -123,7 +124,7 @@ TEST_F(ExpansionTest, TempNamesAreScopedPerDerivation) {
                   .AddArg(ActualArg::DatasetRef("a3", "f3b",
                                                 ArgDirection::kOut))
                   .ok());
-  Result<std::vector<Derivation>> subs = ExpandDerivation(catalog_, again);
+  Result<std::vector<Derivation>> subs = ExpandDerivation(client_, again);
   ASSERT_TRUE(subs.ok());
   EXPECT_EQ((*subs)[0].OutputDatasets(),
             std::vector<std::string>{"use4b.a4"});
@@ -141,8 +142,9 @@ class PlannerTest : public ::testing::Test {
  protected:
   PlannerTest()
       : catalog_("plan.org"),
+        client_(&catalog_),
         topology_(workload::SmallTestbed()),
-        planner_(catalog_, topology_, nullptr, estimator_) {
+        planner_(client_, topology_, nullptr, estimator_) {
     EXPECT_TRUE(catalog_.Open().ok());
     EXPECT_TRUE(catalog_.ImportVdl(R"(
 TR stepA( output out, input in ) {
@@ -174,6 +176,7 @@ DV makeFinal->stepB( out=@{output:"final"}, in=@{input:"mid"} );
   }
 
   VirtualDataCatalog catalog_;
+  InProcessCatalogClient client_;
   GridTopology topology_;
   CostEstimator estimator_;
   RequestPlanner planner_;
@@ -389,7 +392,7 @@ TEST_F(PlannerTest, MinCpuFactorRequirement) {
   fast.hosts.push_back({"f0", 3.0, 1});
   ASSERT_TRUE(topology.AddSite(slow).ok());
   ASSERT_TRUE(topology.AddSite(fast).ok());
-  RequestPlanner planner(catalog_, topology, nullptr, estimator_);
+  RequestPlanner planner(client_, topology, nullptr, estimator_);
   ASSERT_TRUE(catalog_
                   .Annotate("transformation", "stepA",
                             "req.min_cpu_factor", 2.0)

@@ -16,6 +16,7 @@ namespace {
 
 struct World {
   VirtualDataCatalog catalog{"prop.org"};
+  InProcessCatalogClient client{&catalog};
   GridSimulator grid{workload::SmallTestbed(), 17};
   CostEstimator estimator;
   std::unique_ptr<RequestPlanner> planner;
@@ -42,7 +43,7 @@ struct World {
       r.size_bytes = 1 << 20;
       EXPECT_TRUE(catalog.AddReplica(r).ok());
     }
-    planner = std::make_unique<RequestPlanner>(catalog, grid.topology(),
+    planner = std::make_unique<RequestPlanner>(client, grid.topology(),
                                                &grid.rls(), estimator);
   }
 };
@@ -94,7 +95,7 @@ TEST_P(PlanProperties, PlansAreWellFormed) {
 // catalog afterwards carries a full audit trail for it.
 TEST_P(PlanProperties, PlansExecuteToMaterialization) {
   World world(GetParam());
-  WorkflowEngine engine(&world.grid, &world.catalog);
+  WorkflowEngine engine(&world.grid, world.client);
   PlannerOptions options;
   options.target_site = "east";
   ASSERT_FALSE(world.graph.sinks.empty());
@@ -142,7 +143,7 @@ TEST(FailureInjectionProperty, RetriesBeatTransientFailures) {
     world.grid.set_job_failure_rate(rate);
     ExecutorOptions opts;
     opts.max_retries = 60;  // (1-rate)^-1 bounded well below 60 tries
-    WorkflowEngine engine(&world.grid, &world.catalog, opts);
+    WorkflowEngine engine(&world.grid, world.client, opts);
     PlannerOptions options;
     options.target_site = "east";
     Result<ExecutionPlan> plan =
@@ -161,7 +162,7 @@ TEST(FailureInjectionProperty, NoRetriesDegradeMonotonically) {
     world.grid.set_job_failure_rate(rate);
     ExecutorOptions opts;
     opts.max_retries = 0;
-    WorkflowEngine engine(&world.grid, &world.catalog, opts);
+    WorkflowEngine engine(&world.grid, world.client, opts);
     PlannerOptions options;
     options.target_site = "east";
     Result<ExecutionPlan> plan =
@@ -253,7 +254,7 @@ TEST(SiteOutageTest, PlannerSiteFilterAvoidsOfflineSites) {
     EXPECT_EQ(node.site, "west");
   }
   // The workflow then runs entirely on the surviving site.
-  WorkflowEngine engine(&world.grid, &world.catalog);
+  WorkflowEngine engine(&world.grid, world.client);
   Result<WorkflowResult> result = engine.Execute(*plan);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->succeeded);

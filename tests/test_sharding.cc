@@ -281,6 +281,33 @@ TEST(ShardedEquivalence, PointReadsAndProvenanceMatchUnsharded) {
   EXPECT_TRUE(missing.status().IsNotFound());
 }
 
+TEST(ShardedEquivalence, FindEquivalentDerivationMatchesUnsharded) {
+  World world = MakeWorld(4);
+  Reference ref = MakeReference();
+  ASSERT_TRUE(ApplyWorkload(world.sharded.get(), 5, 60, 20).ok());
+  ASSERT_TRUE(ApplyWorkload(ref.client.get(), 5, 60, 20).ok());
+  Result<NameList> names = ref.client->AllNames("derivation");
+  ASSERT_TRUE(names.ok());
+  ASSERT_FALSE(names->empty());
+  // Every recorded derivation is a hit, wherever the router homed it.
+  for (std::string_view name : *names) {
+    Result<Derivation> recorded = ref.client->GetDerivation(name);
+    ASSERT_TRUE(recorded.ok());
+    Result<std::string> hit_s =
+        world.sharded->FindEquivalentDerivation(*recorded);
+    Result<std::string> hit_r = ref.client->FindEquivalentDerivation(*recorded);
+    ASSERT_TRUE(hit_s.ok()) << name << ": " << hit_s.status();
+    ASSERT_TRUE(hit_r.ok()) << name;
+    EXPECT_EQ(*hit_s, *hit_r);
+  }
+  // A computation nobody recorded is NotFound on both.
+  Derivation novel = MakeStep("novel", "xf", "s0", "never-made");
+  EXPECT_TRUE(
+      world.sharded->FindEquivalentDerivation(novel).status().IsNotFound());
+  EXPECT_TRUE(
+      ref.client->FindEquivalentDerivation(novel).status().IsNotFound());
+}
+
 TEST(ShardedEquivalence, SameBatchTransformationPlacesDerivationOutputs) {
   // One batch defines the transformation and runs it twice: the second
   // step reads the first step's output. The planner must see the

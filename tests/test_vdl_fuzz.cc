@@ -115,6 +115,12 @@ TEST(VdlFuzzEdgeCases, PathologicalInputs) {
   std::string nested;
   for (int i = 0; i < 2000; ++i) nested += "<a>";
   EXPECT_FALSE(ParseVdlXml(nested).ok());
+  // A well-formed document nested a million deep: an unbounded
+  // recursive descent overflows the stack even in an optimized build.
+  std::string deep;
+  for (int i = 0; i < 1000000; ++i) deep += "<a>";
+  for (int i = 0; i < 1000000; ++i) deep += "</a>";
+  EXPECT_TRUE(ParseXml(deep).status().IsParseError());
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "federation/server.h"
+
 namespace vdg {
 namespace {
 
@@ -87,32 +89,33 @@ DV old-run->crunch-v1( out=@{output:"result"}, in=@{input:"raw"} );
   }
 
   VirtualDataCatalog catalog_;
+  InProcessCatalogClient client_{&catalog_};
   TransformationVersionGraph versions_;
 };
 
 TEST_F(VersionDedupTest, NoAssertionNoMatch) {
-  EXPECT_FALSE(FindEquivalentDerivationModuloVersion(catalog_, versions_,
+  EXPECT_FALSE(FindEquivalentDerivationModuloVersion(client_, versions_,
                                                      NewRequest())
                    .ok());
   EXPECT_FALSE(
-      HasBeenComputedModuloVersion(catalog_, versions_, NewRequest()));
+      HasBeenComputedModuloVersion(client_, versions_, NewRequest()));
 }
 
 TEST_F(VersionDedupTest, AssertionEnablesCrossVersionMatch) {
   ASSERT_TRUE(versions_.AssertEquivalent("crunch-v1", "crunch-v2").ok());
   Result<std::string> hit = FindEquivalentDerivationModuloVersion(
-      catalog_, versions_, NewRequest());
+      client_, versions_, NewRequest());
   ASSERT_TRUE(hit.ok());
   EXPECT_EQ(*hit, "old-run");
   // Computed only once the old run's output is materialized.
   EXPECT_FALSE(
-      HasBeenComputedModuloVersion(catalog_, versions_, NewRequest()));
+      HasBeenComputedModuloVersion(client_, versions_, NewRequest()));
   Replica r;
   r.dataset = "result";
   r.site = "east";
   ASSERT_TRUE(catalog_.AddReplica(r).ok());
   EXPECT_TRUE(
-      HasBeenComputedModuloVersion(catalog_, versions_, NewRequest()));
+      HasBeenComputedModuloVersion(client_, versions_, NewRequest()));
 }
 
 TEST_F(VersionDedupTest, ExactMatchStillPreferred) {
@@ -124,7 +127,7 @@ TEST_F(VersionDedupTest, ExactMatchStillPreferred) {
       same.AddArg(ActualArg::DatasetRef("in", "raw", ArgDirection::kIn))
           .ok());
   Result<std::string> hit =
-      FindEquivalentDerivationModuloVersion(catalog_, versions_, same);
+      FindEquivalentDerivationModuloVersion(client_, versions_, same);
   ASSERT_TRUE(hit.ok());
   EXPECT_EQ(*hit, "old-run");
 }
@@ -139,9 +142,34 @@ TEST_F(VersionDedupTest, DifferentArgsNeverMatch) {
   ASSERT_TRUE(
       different.AddArg(ActualArg::DatasetRef("in", "raw", ArgDirection::kIn))
           .ok());
-  EXPECT_FALSE(FindEquivalentDerivationModuloVersion(catalog_, versions_,
+  EXPECT_FALSE(FindEquivalentDerivationModuloVersion(client_, versions_,
                                                      different)
                    .ok());
+}
+
+TEST_F(VersionDedupTest, CrossVersionMatchOverTheWire) {
+  // The same dedup against a remote catalog: each probe is one
+  // FindEquivalentDerivation round trip to the server.
+  CatalogServer server(std::make_shared<InProcessCatalogClient>(&catalog_));
+  Result<std::shared_ptr<WireCatalogClient>> wire =
+      WireCatalogClient::Connect(&server);
+  ASSERT_TRUE(wire.ok()) << wire.status();
+  WireCatalogClient& remote = **wire;
+  EXPECT_TRUE(
+      FindEquivalentDerivationModuloVersion(remote, versions_, NewRequest())
+          .status()
+          .IsNotFound());
+  ASSERT_TRUE(versions_.AssertEquivalent("crunch-v1", "crunch-v2").ok());
+  Result<std::string> hit =
+      FindEquivalentDerivationModuloVersion(remote, versions_, NewRequest());
+  ASSERT_TRUE(hit.ok()) << hit.status();
+  EXPECT_EQ(*hit, "old-run");
+  EXPECT_FALSE(HasBeenComputedModuloVersion(remote, versions_, NewRequest()));
+  Replica r;
+  r.dataset = "result";
+  r.site = "east";
+  ASSERT_TRUE(remote.AddReplica(r).ok());
+  EXPECT_TRUE(HasBeenComputedModuloVersion(remote, versions_, NewRequest()));
 }
 
 // ------------------------ DatasetUpdateLog ---------------------------
@@ -163,12 +191,13 @@ DV upd1->append( store=@{inout:"store"}, delta=@{input:"delta1"} );
                     .ok());
   }
   VirtualDataCatalog catalog_;
+  InProcessCatalogClient client_{&catalog_};
   DatasetUpdateLog log_;
 };
 
 TEST_F(UpdateLogTest, RecordsUpdatesWithBeforeAfter) {
   Result<UpdateRecord> first =
-      log_.RecordUpdate(&catalog_, "store", "upd1", 1100, 10.0, "append d1");
+      log_.RecordUpdate(&client_, "store", "upd1", 1100, 10.0, "append d1");
   ASSERT_TRUE(first.ok());
   EXPECT_EQ(first->sequence, 1u);
   EXPECT_EQ(first->size_before, 1000);
@@ -178,7 +207,7 @@ TEST_F(UpdateLogTest, RecordsUpdatesWithBeforeAfter) {
             1);
 
   Result<UpdateRecord> second =
-      log_.RecordUpdate(&catalog_, "store", "upd1", 1250, 20.0);
+      log_.RecordUpdate(&client_, "store", "upd1", 1250, 20.0);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->sequence, 2u);
   EXPECT_EQ(second->size_before, 1100);
@@ -190,37 +219,37 @@ TEST_F(UpdateLogTest, RecordsUpdatesWithBeforeAfter) {
 
 TEST_F(UpdateLogTest, UndoRestoresPriorState) {
   ASSERT_TRUE(
-      log_.RecordUpdate(&catalog_, "store", "upd1", 1100, 10.0).ok());
+      log_.RecordUpdate(&client_, "store", "upd1", 1100, 10.0).ok());
   ASSERT_TRUE(
-      log_.RecordUpdate(&catalog_, "store", "upd1", 1250, 20.0).ok());
-  Result<UpdateRecord> undone = log_.UndoLastUpdate(&catalog_, "store");
+      log_.RecordUpdate(&client_, "store", "upd1", 1250, 20.0).ok());
+  Result<UpdateRecord> undone = log_.UndoLastUpdate(&client_, "store");
   ASSERT_TRUE(undone.ok());
   EXPECT_EQ(undone->sequence, 2u);
   EXPECT_EQ(catalog_.GetDataset("store")->size_bytes, 1100);
-  ASSERT_TRUE(log_.UndoLastUpdate(&catalog_, "store").ok());
+  ASSERT_TRUE(log_.UndoLastUpdate(&client_, "store").ok());
   EXPECT_EQ(catalog_.GetDataset("store")->size_bytes, 1000);
   EXPECT_TRUE(log_.IsPristine("store"));
-  EXPECT_EQ(log_.UndoLastUpdate(&catalog_, "store").status().code(),
+  EXPECT_EQ(log_.UndoLastUpdate(&client_, "store").status().code(),
             StatusCode::kFailedPrecondition);
 }
 
 TEST_F(UpdateLogTest, ValidationErrors) {
   EXPECT_FALSE(
       log_.RecordUpdate(nullptr, "store", "upd1", 1, 0).ok());
-  EXPECT_TRUE(log_.RecordUpdate(&catalog_, "ghost", "upd1", 1, 0)
+  EXPECT_TRUE(log_.RecordUpdate(&client_, "ghost", "upd1", 1, 0)
                   .status()
                   .IsNotFound());
-  EXPECT_TRUE(log_.RecordUpdate(&catalog_, "store", "no-such-dv", 1, 0)
+  EXPECT_TRUE(log_.RecordUpdate(&client_, "store", "no-such-dv", 1, 0)
                   .status()
                   .IsNotFound());
   // An empty derivation is allowed (manual/out-of-band update).
-  EXPECT_TRUE(log_.RecordUpdate(&catalog_, "store", "", 1, 0).ok());
+  EXPECT_TRUE(log_.RecordUpdate(&client_, "store", "", 1, 0).ok());
 }
 
 TEST_F(UpdateLogTest, IndependentDatasets) {
   ASSERT_TRUE(catalog_.ImportVdl("DS other : Dataset size=\"5\";").ok());
   ASSERT_TRUE(
-      log_.RecordUpdate(&catalog_, "store", "upd1", 1100, 1.0).ok());
+      log_.RecordUpdate(&client_, "store", "upd1", 1100, 1.0).ok());
   EXPECT_EQ(log_.UpdateCountOf("other"), 0u);
   EXPECT_TRUE(log_.IsPristine("other"));
   EXPECT_TRUE(log_.HistoryOf("other").empty());

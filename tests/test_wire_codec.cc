@@ -975,12 +975,12 @@ TEST(WireFrames, StreamingSplitAcrossArbitraryBoundaries) {
 }
 
 TEST(WireFrames, MsgKindNamesAreDistinct) {
-  for (uint8_t raw = 1; raw <= 27; ++raw) {
+  for (uint8_t raw = 1; raw <= 28; ++raw) {
     EXPECT_TRUE(IsValidMsgKind(raw));
     EXPECT_FALSE(MsgKindName(static_cast<MsgKind>(raw)).empty());
   }
   EXPECT_FALSE(IsValidMsgKind(0));
-  EXPECT_FALSE(IsValidMsgKind(28));
+  EXPECT_FALSE(IsValidMsgKind(29));
   EXPECT_FALSE(IsValidMsgKind(255));
 }
 
@@ -1190,6 +1190,8 @@ std::vector<Request> GoldenRequests() {
       {MsgKind::kInvalidateReplica, NameReq{"rp-s1-7"}},
       {MsgKind::kApplyBatch, GoldenBatch()},
       {MsgKind::kReplicasOf, NameReq{"galaxy.cat"}},
+      {MsgKind::kFindEquivalentDerivation,
+       DefineDerivationReq{GoldenDerivation()}},
   };
 }
 
@@ -1265,6 +1267,7 @@ std::vector<Response> GoldenResponses() {
       ok(MsgKind::kInvalidateReplica, std::monostate{}),
       ok(MsgKind::kApplyBatch, BatchResultResp{result}),
       ok(MsgKind::kReplicasOf, ReplicasResp{{GoldenReplica()}}),
+      ok(MsgKind::kFindEquivalentDerivation, StringResp{"find-galaxies"}),
   };
 }
 
@@ -1439,6 +1442,15 @@ constexpr GoldenFrame kGoldenFrames[] = {
     {"request ReplicasOf",
      "5644475701001b0002040000000000000e0000000a00000067616c6178792e63"
      "61749c1173ca"},
+    {"request FindEquivalentDerivation",
+     "5644475701001c000304000000000000d20000000d00000066696e642d67616c"
+     "617869657304000000736473730d00000066696e642d636c7573746572730300"
+     "0000060000007261646975730103000000302e35000002000000696e00010a00"
+     "000067616c6178792e6361740100030000006f757400010c000000636c757374"
+     "6572732e63617401010100000002000000545a03000000555443040000000a00"
+     "000063616c69627261746564620105000000636f756e7469d6ffffffffffffff"
+     "050000006c6162656c73060000007a2d62616e6405000000726174696f649a99"
+     "99999999b93f402cc805"},
     {"response Handshake",
      "5644475701010100e80300000000000012000000000000000008000000736473"
      "732e6f7267016a754546"},
@@ -1588,6 +1600,9 @@ constexpr GoldenFrame kGoldenFrames[] = {
      "0000000000004a934000040000000a00000063616c6962726174656462010500"
      "0000636f756e7469d6ffffffffffffff050000006c6162656c73060000007a2d"
      "62616e6405000000726174696f649a9999999999b93f40a4d272"},
+    {"response FindEquivalentDerivation",
+     "5644475701011c0003040000000000001600000000000000000d00000066696e"
+     "642d67616c617869657389eed50e"},
     {"error GetDataset",
      "5644475701010400070000000000000025000000022000000064617461736574"
      "202767616c6178792e63617427206e6f7420646566696e65645333f1fc"},
@@ -1652,13 +1667,13 @@ Result<std::string> Reencode(std::string_view frame) {
 TEST(WireGolden, CorpusCoversEveryKind) {
   const std::vector<Request> requests = GoldenRequests();
   const std::vector<Response> responses = GoldenResponses();
-  ASSERT_EQ(requests.size(), 27u);
-  ASSERT_EQ(responses.size(), 27u);
+  ASSERT_EQ(requests.size(), 28u);
+  ASSERT_EQ(responses.size(), 28u);
   for (size_t i = 0; i < requests.size(); ++i) {
     EXPECT_EQ(static_cast<size_t>(requests[i].kind), i + 1);
     EXPECT_EQ(static_cast<size_t>(responses[i].kind), i + 1);
   }
-  EXPECT_EQ(std::size(kGoldenFrames), 55u);
+  EXPECT_EQ(std::size(kGoldenFrames), 57u);
   EXPECT_EQ(kCodecVersion, 1);
 }
 

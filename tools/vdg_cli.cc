@@ -282,7 +282,8 @@ int CmdPlan(VirtualDataCatalog* catalog, const std::string& dataset,
   session.site = site;
   Status staged = StageRawInputs(&session, catalog, dataset);
   if (!staged.ok()) return Fail(staged);
-  RequestPlanner planner(*catalog, session.grid.topology(),
+  InProcessCatalogClient client(catalog);
+  RequestPlanner planner(client, session.grid.topology(),
                          &session.grid.rls(), session.estimator);
   PlannerOptions options;
   options.target_site = site;
@@ -302,14 +303,15 @@ int CmdRun(VirtualDataCatalog* catalog, const std::string& dataset,
   session.site = site;
   Status staged = StageRawInputs(&session, catalog, dataset);
   if (!staged.ok()) return Fail(staged);
-  RequestPlanner planner(*catalog, session.grid.topology(),
+  InProcessCatalogClient client(catalog);
+  RequestPlanner planner(client, session.grid.topology(),
                          &session.grid.rls(), session.estimator);
   PlannerOptions options;
   options.target_site = site;
   Result<ExecutionPlan> plan = planner.Plan(dataset, options);
   if (!plan.ok()) return Fail(plan.status());
   std::printf("%s", plan->ToString().c_str());
-  WorkflowEngine engine(&session.grid, catalog);
+  WorkflowEngine engine(&session.grid, client);
   Result<WorkflowResult> result = engine.Execute(*plan);
   if (!result.ok()) return Fail(result.status());
   Status synced = catalog->SyncJournal();
