@@ -1,7 +1,8 @@
 // WIRE-SERVER — the real service runtime's cost profile: binary codec
 // encode/decode throughput (frames/sec for representative request and
 // response shapes) and full client->server round-trip latency over the
-// in-memory pipe transport, sweeping the worker pool 1 -> 8. A single
+// in-memory pipe transport, sweeping the worker pool 1 -> 8, plus the
+// round trip of calls spaced far enough apart that both sides park. A single
 // synchronous client measures per-call latency, so the worker sweep
 // shows the pool adds no overhead as it grows (throughput scaling
 // needs concurrent clients and cores; this host gates the floor, not
@@ -11,8 +12,10 @@
 // the codec + round-trip rates via tools/check_bench_floor.py.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -92,9 +95,10 @@ void BM_WireEncodeDecodeResponse(benchmark::State& state) {
 BENCHMARK(BM_WireEncodeDecodeResponse);
 
 // Full round trip: GetDataset through WireCatalogClient -> pipe ->
-// worker -> backend and back, per worker-pool size. items/sec here is
-// calls/sec of the calling thread's CPU time, which does not count the
-// time it sleeps through thread handoffs; real_time is the wall-clock
+// worker -> backend and back, per worker-pool size, calls back to back.
+// items/sec here is calls/sec of the calling thread's CPU time. That
+// time includes the caller's awake wait for the reply (it yields, but
+// stays runnable), though not a park; real_time is the wall-clock
 // round trip.
 void BM_WireServerRoundTrip(benchmark::State& state) {
   ServerOptions options;
@@ -118,6 +122,35 @@ void BM_WireServerRoundTrip(benchmark::State& state) {
       static_cast<double>(state.iterations() + 1);  // +1: handshake
 }
 BENCHMARK(BM_WireServerRoundTrip)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+
+// The same round trip when the peer has parked: the caller sleeps
+// ~200 us between calls, longer than CatalogServer::kHandoffWait, as an
+// open-loop sender such as vdcbench discovery does. Each request then
+// wakes a parked worker and its caller parks for the reply, so this is
+// the two-wake-up path the back-to-back case above skips. Only the call
+// is timed (manual time); the sleep is not.
+void BM_WireServerSpacedRoundTrip(benchmark::State& state) {
+  ServerOptions options;
+  options.workers = 1;
+  CatalogServer server(std::make_shared<InProcessCatalogClient>(ChainCatalog()),
+                       options);
+  Result<std::shared_ptr<WireCatalogClient>> client =
+      WireCatalogClient::Connect(&server);
+  if (!client.ok()) std::abort();
+  const std::string name = "d" + std::to_string(kChainDepth / 2);
+  using Clock = std::chrono::steady_clock;
+  for (auto _ : state) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    const Clock::time_point start = Clock::now();
+    Result<Dataset> dataset = (*client)->GetDataset(name);
+    const Clock::time_point end = Clock::now();
+    if (!dataset.ok()) std::abort();
+    benchmark::DoNotOptimize(dataset);
+    state.SetIterationTime(std::chrono::duration<double>(end - start).count());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WireServerSpacedRoundTrip)->UseManualTime();
 
 // The compound write path: one ApplyBatch frame carrying a replica,
 // an invocation consuming it, and a cross-referencing annotation —

@@ -22,18 +22,16 @@ std::vector<Replica> ValidReplicasOf(CatalogClient& client,
 }
 }  // namespace
 
-double WorkflowEngine::NominalRuntime(const PlanNode& node) const {
+double WorkflowEngine::NominalRuntime(const NodeState& node) const {
   double base = options_.default_runtime_s;
   double per_mb = 0;
-  Result<Transformation> tr =
-      client_.GetTransformation(node.transformation);
-  if (tr.ok()) {
+  if (const std::optional<Transformation>& tr = node.transformation) {
     if (auto v = tr->annotations().GetDouble("sim.runtime_s")) base = *v;
     if (auto v = tr->annotations().GetDouble("sim.runtime_s_per_mb")) {
       per_mb = *v;
     }
   }
-  return base + per_mb * (static_cast<double>(InputBytes(node)) / kMiB);
+  return base + per_mb * (static_cast<double>(node.input_bytes) / kMiB);
 }
 
 int64_t WorkflowEngine::InputBytes(const PlanNode& node) const {
@@ -64,14 +62,12 @@ int64_t WorkflowEngine::StagedBytes(const std::string& dataset) const {
   return options_.default_output_bytes;
 }
 
-int64_t WorkflowEngine::OutputBytes(const PlanNode& node,
-                                    const Result<Dataset>& declared,
-                                    int64_t input_bytes) const {
+int64_t WorkflowEngine::OutputBytes(const NodeState& node,
+                                    const Result<Dataset>& declared) const {
   // A declared dataset size wins.
   if (declared.ok() && declared->size_bytes > 0) return declared->size_bytes;
-  Result<Transformation> tr =
-      client_.GetTransformation(node.transformation);
-  if (tr.ok()) {
+  const int64_t input_bytes = node.input_bytes;
+  if (const std::optional<Transformation>& tr = node.transformation) {
     if (auto v = tr->annotations().GetDouble("sim.output_mb")) {
       return static_cast<int64_t>(*v * kMiB);
     }
@@ -313,7 +309,13 @@ void WorkflowEngine::BeginStaging(WorkflowState* wf, size_t index) {
 
 void WorkflowEngine::LaunchJob(WorkflowState* wf, size_t index) {
   NodeState& node = wf->nodes[index];
-  double runtime = NominalRuntime(node.plan);
+  // Read once per attempt; FinishNode sizes the outputs from the same.
+  Result<Transformation> tr =
+      client_.GetTransformation(node.plan.transformation);
+  node.transformation.reset();
+  if (tr.ok()) node.transformation = *std::move(tr);
+  node.input_bytes = InputBytes(node.plan);
+  double runtime = NominalRuntime(node);
   const uint64_t wf_id = wf->id;
   const uint64_t gen = node.generation;
   ++wf->result.recovery.job_attempts;
@@ -371,12 +373,11 @@ void WorkflowEngine::FinishNode(WorkflowState* wf, size_t index,
 
   // Materialize outputs at the execution site; the write-back records
   // the same sizes.
-  const int64_t input_bytes = InputBytes(node.plan);
   std::vector<JobOutput> outputs;
   for (const std::string& output : node.plan.outputs) {
     Result<Dataset> declared = client_.GetDataset(output);
     JobOutput& out = outputs.emplace_back();
-    out.bytes = OutputBytes(node.plan, declared, input_bytes);
+    out.bytes = OutputBytes(node, declared);
     out.unsized = declared.ok() && declared->size_bytes == 0;
     Status placed = grid_->PlaceFile(node.current_site, output, out.bytes);
     if (!placed.ok() && !placed.IsAlreadyExists()) {

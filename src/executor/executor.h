@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -187,6 +188,11 @@ class WorkflowEngine {
     int rederivations = 0;          // recovery sub-workflows launched
     size_t pending_recoveries = 0;  // recovery sub-workflows in flight
     bool recovery_failed = false;
+    /// Read when the current attempt launches and kept for its finish:
+    /// the transformation (empty when the read failed) and the summed
+    /// input size.
+    std::optional<Transformation> transformation;
+    int64_t input_bytes = 0;
   };
   struct FetchState {
     TransferPlan plan;
@@ -236,15 +242,16 @@ class WorkflowEngine {
   void NoteSiteFailure(const std::string& site, WorkflowState* wf);
   void NoteSiteSuccess(const std::string& site);
 
-  double NominalRuntime(const PlanNode& node) const;
+  /// From the transformation and input size read at launch.
+  double NominalRuntime(const NodeState& node) const;
   /// One output of a finished job: its size, and whether its dataset
   /// is defined without a recorded size.
   struct JobOutput {
     int64_t bytes = 0;
     bool unsized = false;
   };
-  int64_t OutputBytes(const PlanNode& node, const Result<Dataset>& declared,
-                      int64_t input_bytes) const;
+  int64_t OutputBytes(const NodeState& node,
+                      const Result<Dataset>& declared) const;
   int64_t InputBytes(const PlanNode& node) const;
   int64_t StagedBytes(const std::string& dataset) const;
   /// Ships the node's invocation, output replicas and sizes as one

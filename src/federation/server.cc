@@ -1,8 +1,23 @@
 #include "federation/server.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace vdg {
+
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+/// Waits awake for `ready` until `until`, yielding the CPU between
+/// looks so a thread woken onto this CPU is not kept waiting by the
+/// wait itself.
+template <typename Ready>
+void WaitAwake(Clock::time_point until, Ready ready) {
+  while (!ready() && Clock::now() < until) std::this_thread::yield();
+}
+
+}  // namespace
 
 // -----------------------------------------------------------------------
 // BatchDedupRegistry
@@ -77,8 +92,13 @@ ptrdiff_t ServerConnection::Send(std::string_view bytes) {
 }
 
 ClientChannel::RecvResult ServerConnection::Receive(
-    std::string* out, std::chrono::steady_clock::time_point deadline) {
-  using Clock = std::chrono::steady_clock;
+    std::string* out, Clock::time_point deadline) {
+  if (reply_soon_.exchange(false, std::memory_order_relaxed)) {
+    // A worker was awake to take the request, so its reply is likely
+    // microseconds away: wait for it without parking.
+    WaitAwake(std::min(deadline, Clock::now() + CatalogServer::kHandoffWait),
+              [this] { return readable_.load(std::memory_order_relaxed); });
+  }
   std::unique_lock<std::mutex> lock(mu_);
   auto ready = [this] {
     return !outbound_.empty() || closed_ || interrupted_;
@@ -89,6 +109,7 @@ ClientChannel::RecvResult ServerConnection::Receive(
     outbound_cv_.wait_until(lock, deadline, ready);
   }
   interrupted_ = false;
+  readable_.store(closed_, std::memory_order_relaxed);
   if (!outbound_.empty()) {
     out->append(outbound_);
     outbound_.clear();
@@ -101,6 +122,7 @@ void ServerConnection::Interrupt() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     interrupted_ = true;
+    readable_.store(true, std::memory_order_relaxed);
   }
   outbound_cv_.notify_all();
 }
@@ -110,6 +132,7 @@ void ServerConnection::Close() {
     std::lock_guard<std::mutex> lock(mu_);
     if (closed_) return;
     closed_ = true;
+    readable_.store(true, std::memory_order_relaxed);
   }
   outbound_cv_.notify_all();
 }
@@ -124,6 +147,7 @@ void ServerConnection::ServerWrite(std::string_view frame) {
     std::lock_guard<std::mutex> lock(mu_);
     if (closed_) return;
     outbound_.append(frame);
+    readable_.store(true, std::memory_order_relaxed);
   }
   outbound_cv_.notify_all();
 }
@@ -221,6 +245,7 @@ void CatalogServer::Shutdown(std::chrono::milliseconds drain_timeout) {
   std::lock_guard<std::mutex> lock(mu_);
   connections_.clear();
   queue_.clear();
+  queued_.store(0, std::memory_order_relaxed);
 }
 
 void CatalogServer::DrainConnection(
@@ -258,13 +283,19 @@ void CatalogServer::DrainConnection(
     consumed += *size;
     bool admitted = false;
     bool draining = false;
+    bool wake = false;
     {
       std::lock_guard<std::mutex> lock(mu_);
       draining = draining_;
       if (!stopping_ && !draining_ &&
           queue_.size() < options_.queue_capacity) {
         queue_.push_back(std::move(item));
+        queued_.store(queue_.size(), std::memory_order_relaxed);
         admitted = true;
+        // Each awake worker takes a queued item before it may park, so
+        // while the queue holds no more items than there are awake
+        // workers, none needs waking.
+        wake = queue_.size() > waiting_workers_;
       }
     }
     if (draining) {
@@ -280,7 +311,13 @@ void CatalogServer::DrainConnection(
       continue;
     }
     if (admitted) {
-      worker_cv_.notify_one();
+      // Only a reply from an awake worker is worth waiting for awake.
+      conn->reply_soon_.store(!wake, std::memory_order_relaxed);
+      if (wake) {
+        worker_cv_.notify_one();
+      } else {
+        stats_.awake_handoffs.fetch_add(1, std::memory_order_relaxed);
+      }
     } else {
       // Admission control: reject at the door, before any worker is
       // occupied, so overload degrades to fast-failing calls instead
@@ -296,15 +333,33 @@ void CatalogServer::DrainConnection(
   buffer.erase(0, consumed);
 }
 
+bool CatalogServer::NextItem(std::unique_lock<std::mutex>& lock, bool awake,
+                             WorkItem* item) {
+  if (awake && queue_.empty() && !stopping_) {
+    // A caller's next request usually follows its reply sooner than a
+    // park and wake would take: wait for it awake first.
+    ++waiting_workers_;
+    lock.unlock();
+    WaitAwake(Clock::now() + kHandoffWait, [this] {
+      return queued_.load(std::memory_order_relaxed) > 0;
+    });
+    lock.lock();
+    --waiting_workers_;
+  }
+  worker_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+  if (stopping_) return false;
+  *item = std::move(queue_.front());
+  queue_.pop_front();
+  queued_.store(queue_.size(), std::memory_order_relaxed);
+  return true;
+}
+
 void CatalogServer::WorkerLoop() {
-  for (;;) {
+  for (bool awake = false;; awake = true) {
     WorkItem item;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      worker_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (stopping_) return;
-      item = std::move(queue_.front());
-      queue_.pop_front();
+      if (!NextItem(lock, awake, &item)) return;
       ++active_workers_;
     }
     int64_t delay_us = handler_delay_us_.load(std::memory_order_relaxed);
@@ -553,7 +608,6 @@ Result<wire::Response> WireCatalogClient::Call(const wire::Request& request) {
     // incomplete framing), so a send failure is retry-safe.
     return Status::Unavailable("wire connection closed");
   }
-  using Clock = std::chrono::steady_clock;
   const bool has_deadline = options_.default_deadline.count() > 0;
   const Clock::time_point deadline =
       has_deadline ? Clock::now() + options_.default_deadline

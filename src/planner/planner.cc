@@ -475,7 +475,10 @@ Result<RequestPlanner::ModeDecision> RequestPlanner::DecideMode(
   decision.rerun_cost_s = kImpossible;
   if (client_.ProducerOf(dataset).ok()) {
     Result<ExecutionPlan> rerun = BuildRerunPlan(dataset, options);
-    if (rerun.ok()) decision.rerun_cost_s = rerun->est_makespan_s;
+    if (rerun.ok()) {
+      decision.rerun_cost_s = rerun->est_makespan_s;
+      decision.rerun_plan = *std::move(rerun);
+    }
   }
 
   if (decision.fetch_cost_s == kImpossible &&
@@ -543,7 +546,8 @@ Result<ExecutionPlan> RequestPlanner::Plan(
       return plan;
     }
     case MaterializationMode::kRerun:
-      return BuildRerunPlan(dataset, options);
+      // kRerun is chosen only when the rerun plan could be built.
+      return *std::move(decision.rerun_plan);
   }
   return Status::Internal("unreachable materialization mode");
 }

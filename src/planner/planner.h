@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -75,6 +76,9 @@ class RequestPlanner {
     MaterializationMode mode = MaterializationMode::kRerun;
     double fetch_cost_s = 0;   // infinity-like large when impossible
     double rerun_cost_s = 0;
+    /// The plan rerun_cost_s was read from, when one could be built;
+    /// Plan returns it rather than building it again.
+    std::optional<ExecutionPlan> rerun_plan;
   };
   Result<ModeDecision> DecideMode(std::string_view dataset,
                                   const PlannerOptions& options) const;

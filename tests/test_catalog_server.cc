@@ -24,6 +24,7 @@
 #include "federation/server.h"
 #include "planner/planner.h"
 #include "workload/canonical.h"
+#include "workload/sdss.h"
 #include "workload/testbed.h"
 
 namespace vdg {
@@ -761,6 +762,237 @@ TEST(CatalogServerRuntime, ManyConcurrentClientsSeeConsistentAnswers) {
             static_cast<uint64_t>(kClients * kCallsEach * 2));
 }
 
+// ----------------------- handoff waits -------------------------------
+// A worker that just replied waits awake for up to kHandoffWait before
+// it parks, and a caller whose frame such a worker took waits awake for
+// the reply. Every way out of a caller's wait must still end it at once.
+
+/// Scheduling slack on top of the handoff bound; far below
+/// kSlowHandler, so a call that ends within it did not wait for its
+/// reply.
+constexpr auto kWaitSlack = std::chrono::milliseconds(200);
+constexpr auto kSlowHandler = std::chrono::microseconds(500'000);
+
+struct HandoffOutcome {
+  Status fast = Status::OK();
+  Status status = Status::OK();  // the slow call's
+  /// From `interrupt` firing to the slow call returning.
+  std::chrono::steady_clock::duration after_interrupt{};
+  /// The slow frame went to an awake worker, so its caller waited
+  /// awake.
+  bool awake = false;
+};
+
+/// Makes a slow call right after a fast one, so the worker that
+/// answered the fast call is still awake to take the slow frame and
+/// the caller waits awake for its reply; `interrupt` fires from another
+/// thread a fraction of the handoff bound after the slow frame arrives.
+template <typename Interrupt>
+HandoffOutcome SlowCallInterruptedDuringHandoff(CatalogServer& server,
+                                                WireCatalogClient& client,
+                                                Interrupt interrupt) {
+  using Clock = std::chrono::steady_clock;
+  const uint64_t frames = server.stats().frames_in.load();
+  std::atomic<Clock::rep> fired{0};
+  std::thread trigger([&] {
+    while (server.stats().frames_in.load() < frames + 2) {
+      std::this_thread::yield();
+    }
+    const Clock::time_point due = Clock::now() + CatalogServer::kHandoffWait / 5;
+    while (Clock::now() < due) std::this_thread::yield();
+    fired = Clock::now().time_since_epoch().count();
+    interrupt();
+  });
+  HandoffOutcome outcome;
+  server.set_handler_delay(std::chrono::microseconds(0));
+  outcome.fast = client.Version().status();
+  server.set_handler_delay(kSlowHandler);
+  const uint64_t handoffs = server.stats().awake_handoffs.load();
+  outcome.status = client.Version().status();
+  const Clock::time_point ended = Clock::now();
+  trigger.join();
+  outcome.after_interrupt =
+      ended - Clock::time_point(Clock::duration(fired.load()));
+  outcome.awake = server.stats().awake_handoffs.load() > handoffs;
+  return outcome;
+}
+
+/// A sanitizer slows the caller's path from one reply to its next send
+/// to about the handoff bound, so there an attempt may never reach an
+/// awake worker; the outcome checks hold either way, and only an
+/// uninstrumented build requires the awake path to have been taken.
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+constexpr bool kAwakePathRequired = false;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
+constexpr bool kAwakePathRequired = false;
+#else
+constexpr bool kAwakePathRequired = true;
+#endif
+#else
+constexpr bool kAwakePathRequired = true;
+#endif
+
+/// Enough tries for one slow frame to reach a worker while it is still
+/// awake after its previous reply (each costs kSlowHandler or more).
+constexpr int kHandoffAttempts = kAwakePathRequired ? 20 : 3;
+
+TEST(CatalogServerHandoff, CancelPendingEndsTheCallersWait) {
+  auto catalog = ChainCatalog(2);
+  ServerOptions opts;
+  opts.workers = 1;
+  CatalogServer server(
+      std::make_shared<InProcessCatalogClient>(catalog.get()), opts);
+  WireClientOptions copts;
+  copts.default_deadline = std::chrono::milliseconds(0);  // no deadline
+  auto client = WireCatalogClient::Connect(&server, copts);
+  ASSERT_TRUE(client.ok()) << client.status();
+
+  bool awake = false;
+  for (int i = 0; i < kHandoffAttempts && !awake; ++i) {
+    HandoffOutcome outcome = SlowCallInterruptedDuringHandoff(
+        server, **client, [&] { (*client)->CancelPending(); });
+    EXPECT_TRUE(outcome.fast.ok()) << outcome.fast.ToString();
+    EXPECT_TRUE(outcome.status.IsCancelled()) << outcome.status.ToString();
+    EXPECT_LT(outcome.after_interrupt, CatalogServer::kHandoffWait + kWaitSlack);
+    awake = outcome.awake;
+  }
+  if (kAwakePathRequired) {
+    EXPECT_TRUE(awake);
+  }
+}
+
+TEST(CatalogServerHandoff, CloseEndsTheCallersWait) {
+  auto catalog = ChainCatalog(2);
+  ServerOptions opts;
+  opts.workers = 1;
+  CatalogServer server(
+      std::make_shared<InProcessCatalogClient>(catalog.get()), opts);
+  WireClientOptions copts;
+  copts.default_deadline = std::chrono::milliseconds(0);
+
+  bool awake = false;
+  for (int i = 0; i < kHandoffAttempts && !awake; ++i) {
+    std::shared_ptr<ServerConnection> channel = server.Connect();
+    auto client = WireCatalogClient::ConnectChannel(channel, copts);
+    ASSERT_TRUE(client.ok()) << client.status();
+    HandoffOutcome outcome = SlowCallInterruptedDuringHandoff(
+        server, **client, [&] { channel->Close(); });
+    EXPECT_TRUE(outcome.fast.ok()) << outcome.fast.ToString();
+    EXPECT_TRUE(outcome.status.IsUnavailable()) << outcome.status.ToString();
+    EXPECT_FALSE(outcome.status.retry_safe());
+    EXPECT_LT(outcome.after_interrupt, CatalogServer::kHandoffWait + kWaitSlack);
+    awake = outcome.awake;
+  }
+  if (kAwakePathRequired) {
+    EXPECT_TRUE(awake);
+  }
+}
+
+TEST(CatalogServerHandoff, DeadlineEndsTheCallersWait) {
+  using Clock = std::chrono::steady_clock;
+  auto catalog = ChainCatalog(2);
+  ServerOptions opts;
+  opts.workers = 1;
+  CatalogServer server(
+      std::make_shared<InProcessCatalogClient>(catalog.get()), opts);
+
+  // On the channel: a deadline inside the handoff bound ends the wait
+  // at the deadline, not at the bound or the reply.
+  const wire::Request version{wire::MsgKind::kVersion, wire::EmptyReq{}};
+  bool awake = false;
+  for (uint64_t id = 1; id <= kHandoffAttempts && !awake; ++id) {
+    // A fresh channel, so the reply to an earlier attempt's slow frame
+    // cannot arrive in this one.
+    std::shared_ptr<ServerConnection> channel = server.Connect();
+    server.set_handler_delay(std::chrono::microseconds(0));
+    const std::string fast = wire::EncodeRequestFrame(2 * id, version);
+    ASSERT_EQ(channel->Send(fast), static_cast<ptrdiff_t>(fast.size()));
+    std::string reply;
+    while (!wire::FrameSize(reply).ok() ||
+           reply.size() < *wire::FrameSize(reply)) {
+      ASSERT_EQ(channel->Receive(&reply, Clock::now() + std::chrono::seconds(5)),
+                ClientChannel::RecvResult::kData);
+    }
+    server.set_handler_delay(kSlowHandler);
+    const uint64_t handoffs = server.stats().awake_handoffs.load();
+    const std::string slow = wire::EncodeRequestFrame(2 * id + 1, version);
+    ASSERT_EQ(channel->Send(slow), static_cast<ptrdiff_t>(slow.size()));
+    const Clock::time_point deadline =
+        Clock::now() + CatalogServer::kHandoffWait / 5;
+    std::string late;
+    EXPECT_EQ(channel->Receive(&late, deadline),
+              ClientChannel::RecvResult::kTimeout);
+    EXPECT_LT(Clock::now() - deadline, kWaitSlack);
+    EXPECT_TRUE(late.empty());
+    awake = server.stats().awake_handoffs.load() > handoffs;
+  }
+  if (kAwakePathRequired) {
+    EXPECT_TRUE(awake);
+  }
+
+  // Through the client: the expiry is typed and marked unsafe to retry,
+  // because the request is still executing server-side. The 1 ms
+  // deadline may also expire the handshake or the fast call on a loaded
+  // host; those attempts are retried.
+  // A second server: the first one's worker still sleeps on the
+  // abandoned slow frame.
+  CatalogServer fresh(std::make_shared<InProcessCatalogClient>(catalog.get()),
+                      opts);
+  WireClientOptions copts;
+  copts.default_deadline = std::chrono::milliseconds(1);
+  bool tried = false;
+  for (int i = 0; i < kHandoffAttempts && !tried; ++i) {
+    fresh.set_handler_delay(std::chrono::microseconds(0));
+    auto client = WireCatalogClient::Connect(&fresh, copts);
+    if (!client.ok()) continue;
+    HandoffOutcome outcome =
+        SlowCallInterruptedDuringHandoff(fresh, **client, [] {});
+    if (!outcome.fast.ok()) continue;
+    tried = true;
+    EXPECT_TRUE(outcome.status.IsDeadlineExceeded())
+        << outcome.status.ToString();
+    EXPECT_FALSE(outcome.status.retry_safe());
+    EXPECT_LT(outcome.after_interrupt, copts.default_deadline +
+                                           CatalogServer::kHandoffWait +
+                                           kWaitSlack);
+  }
+  EXPECT_TRUE(tried);
+}
+
+TEST(CatalogServerHandoff, ShutdownReturnsWhileWorkersWaitAwake) {
+  using Clock = std::chrono::steady_clock;
+  auto catalog = ChainCatalog(2);
+  ServerOptions opts;
+  opts.workers = 4;
+  auto server = std::make_unique<CatalogServer>(
+      std::make_shared<InProcessCatalogClient>(catalog.get()), opts);
+  constexpr int kClients = 3;
+  std::vector<std::shared_ptr<WireCatalogClient>> clients;
+  for (int c = 0; c < kClients; ++c) {
+    auto client = WireCatalogClient::Connect(server.get());
+    ASSERT_TRUE(client.ok()) << client.status();
+    clients.push_back(*client);
+  }
+  // Each client's last reply leaves the worker that sent it awake.
+  std::vector<std::thread> callers;
+  for (const auto& client : clients) {
+    callers.emplace_back([&client] {
+      for (int i = 0; i < 50; ++i) EXPECT_TRUE(client->Version().ok());
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  const Clock::time_point start = Clock::now();
+  server->Shutdown();
+  EXPECT_LT(Clock::now() - start, CatalogServer::kHandoffWait + kWaitSlack);
+  if (kAwakePathRequired) {
+    EXPECT_GT(server->stats().awake_handoffs.load(), 0u);
+  }
+  for (const auto& client : clients) {
+    EXPECT_TRUE(client->Version().status().IsUnavailable());
+  }
+}
+
 // ----------------------- executor write-back -------------------------
 
 TEST(CatalogServerRuntime, ExecutorWriteBackOverTheWireMatchesInProcess) {
@@ -816,9 +1048,10 @@ TEST(CatalogServerRuntime, ExecutorWriteBackOverTheWireMatchesInProcess) {
     EXPECT_TRUE(result->succeeded);
     if (wire) {
       // Every scheduling read and one write-back batch per node, each
-      // one round trip: 8 per executed node on this seeded graph.
+      // one round trip: 6 per executed node on this seeded graph, the
+      // transformation and input sizes being read once, at launch.
       EXPECT_EQ(result->nodes_succeeded, 2u);
-      EXPECT_EQ(wire->stats().round_trips, 16u);
+      EXPECT_EQ(wire->stats().round_trips, 12u);
       EXPECT_GT(wire->stats().bytes_sent, 0u);
     }
   };
@@ -851,6 +1084,49 @@ TEST(CatalogServerRuntime, ExecutorWriteBackOverTheWireMatchesInProcess) {
       EXPECT_EQ(a[i].produced_replicas.size(), b[i].produced_replicas.size());
     }
   }
+}
+
+TEST(CatalogServerRuntime, PlanningAnSdssStripeOverTheWireMatchesInProcess) {
+  // One SDSS stripe (4 field searches + 1 merge) on the 4-site testbed,
+  // planned once in process and once through WireCatalogClient ->
+  // pipe -> CatalogServer: the plans must read the same, and the wire
+  // plan costs a fixed number of round trips.
+  VirtualDataCatalog catalog("sdss.org");
+  ASSERT_TRUE(catalog.Open().ok());
+  workload::SdssOptions options;
+  options.num_stripes = 1;
+  options.fields_per_stripe = 4;
+  Result<workload::SdssWorkload> sdss =
+      workload::GenerateSdss(&catalog, options);
+  ASSERT_TRUE(sdss.ok()) << sdss.status();
+  GridSimulator grid(workload::GriphynTestbed(), 11);
+  ASSERT_TRUE(workload::StageSdssInputs(*sdss, options, &grid, &catalog).ok());
+  CostEstimator estimator;
+  PlannerOptions popts;
+  popts.target_site = "uchicago";
+  const std::string& stripe = sdss->cluster_catalogs.front();
+
+  InProcessCatalogClient local(&catalog);
+  Result<ExecutionPlan> direct =
+      RequestPlanner(local, grid.topology(), &grid.rls(), estimator)
+          .Plan(stripe, popts);
+  ASSERT_TRUE(direct.ok()) << direct.status();
+
+  CatalogServer server(std::make_shared<InProcessCatalogClient>(&catalog));
+  auto wire = WireCatalogClient::Connect(&server);
+  ASSERT_TRUE(wire.ok()) << wire.status();
+  (*wire)->reset_stats();  // drop the handshake's counters
+  Result<ExecutionPlan> wired =
+      RequestPlanner(**wire, grid.topology(), &grid.rls(), estimator)
+          .Plan(stripe, popts);
+  ASSERT_TRUE(wired.ok()) << wired.status();
+
+  EXPECT_EQ(direct->mode, MaterializationMode::kRerun);
+  EXPECT_EQ(direct->nodes.size(), 5u);
+  EXPECT_EQ(wired->ToString(), direct->ToString());
+  // The rerun plan is built once, by the mode decision, and returned
+  // as is (284 round trips when Plan built it a second time).
+  EXPECT_EQ((*wire)->stats().round_trips, 145u);
 }
 
 // ----------------------- graceful drain ------------------------------

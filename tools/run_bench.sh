@@ -520,10 +520,12 @@ python3 "$REPO_ROOT/tools/check_bench_floor.py" "$WIRE_OUT" \
 python3 "$REPO_ROOT/tools/check_bench_floor.py" "$WIRE_OUT" \
   "BM_WireServerRoundTrip/1" 55000
 # The rate above is calls per second of the CALLING thread's CPU time,
-# which cannot see the time the caller sleeps through thread handoffs.
-# Gate the wall-clock round trip too: ~22-34 us on a 4-vCPU host, where
-# a call crosses two thread handoffs (caller -> worker -> caller); each
-# extra handoff added 10-25 us in measurements there. Ceiling ~4x.
+# which counts the caller's awake wait for a reply but not a park.
+# Gate the wall-clock round trip too: ~6 us on a 4-vCPU host when calls
+# follow back to back and neither side parks (7-22 us when both parked
+# on every call), ~41 us when both sides park after a pause
+# (BM_WireServerSpacedRoundTrip); a parked handoff costs 10-25 us there.
+# The ceiling trips on an extra parked handoff per call.
 python3 "$REPO_ROOT/tools/check_bench_floor.py" --ceiling "$WIRE_OUT" \
   "BM_WireServerRoundTrip/1" 100000 real_time
 
@@ -540,11 +542,14 @@ with open(fed_path) as f:
 items = {}
 rtt_by_workers = {}
 frame_bytes = None
+spaced_us = None
 for b in wire.get("benchmarks", []):
     name = b["name"]
     base = name.split("/")[0]
     rate = b.get("items_per_second", 0.0)
-    if base == "BM_WireServerRoundTrip":
+    if base == "BM_WireServerSpacedRoundTrip":
+        spaced_us = round(b.get("real_time", 0.0) / 1e3, 2)
+    elif base == "BM_WireServerRoundTrip":
         rtt_by_workers[int(b.get("workers", name.rsplit("/", 1)[1]))] = {
             "calls_per_sec": round(rate),
             "round_trip_us": round(b.get("real_time", 0.0) / 1e3, 2),
@@ -561,6 +566,8 @@ fed["wire"] = {
         items.get("BM_WireEncodeDecodeResponse"),
     "response_frame_bytes": frame_bytes,
     "round_trip_by_workers": rtt_by_workers,
+    # One worker, calls ~200 us apart: both sides park on every trip.
+    "spaced_round_trip_us": spaced_us,
     "apply_batch_calls_per_sec": items.get("BM_WireServerApplyBatch"),
 }
 fed["benchmarks"] = fed.get("benchmarks", []) + wire.get("benchmarks", [])
@@ -575,4 +582,5 @@ for k, v in sorted(items.items()):
 for workers, point in sorted(rtt_by_workers.items()):
     print(f"  round trip, {workers} worker(s): {point['round_trip_us']}us "
           f"({point['calls_per_sec']:,} calls/s)")
+print(f"  spaced round trip, 1 worker: {spaced_us}us")
 PYEOF
