@@ -15,12 +15,15 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.h"
+#include "catalog/client.h"
 #include "catalog/query.h"
+#include "catalog/sharding.h"
 #include "federation/index.h"
 
 namespace vdg {
@@ -211,6 +214,122 @@ void BM_ApplyBatch_GroupCommit(benchmark::State& state) {
   state.counters["batch_size"] = kBatchSize;
 }
 BENCHMARK(BM_ApplyBatch_GroupCommit);
+
+// ---------------------------------------------------------------------
+// Bulk ingest, split by layer. The 72,000 annotated base datasets of
+// the vdcbench corpus, in its 2048-op batches, load onto 4
+// partition-mode shard catalogs. /direct applies each batch pre-split
+// by home shard straight to the shard catalogs; /router sends the
+// caller's batches through ShardedCatalogClient. Only the loads are
+// timed (fresh catalogs each iteration); us_per_object(/router) minus
+// us_per_object(/direct) is the router's own cost per defined object.
+// ---------------------------------------------------------------------
+
+constexpr size_t kIngestDatasets = 72000;
+constexpr size_t kIngestBatch = 2048;
+constexpr uint32_t kIngestShards = 4;
+
+struct IngestShards {
+  std::vector<std::unique_ptr<VirtualDataCatalog>> catalogs;
+  std::unique_ptr<ShardedCatalogClient> router;
+};
+
+IngestShards OpenIngestShards() {
+  IngestShards shards;
+  std::vector<std::shared_ptr<CatalogClient>> clients;
+  for (uint32_t k = 0; k < kIngestShards; ++k) {
+    auto catalog = std::make_unique<VirtualDataCatalog>(
+        "ingest-s" + std::to_string(k) + ".org");
+    catalog->set_partition_mode(true);
+    if (!catalog->Open().ok()) std::abort();
+    clients.push_back(std::make_shared<InProcessCatalogClient>(catalog.get()));
+    shards.catalogs.push_back(std::move(catalog));
+  }
+  shards.router = std::make_unique<ShardedCatalogClient>(clients);
+  return shards;
+}
+
+/// The corpus twice over: as the caller's batches, and as each batch's
+/// per-shard sub-batches.
+struct IngestCorpus {
+  std::vector<std::vector<CatalogMutation>> batches;
+  std::vector<std::vector<std::vector<CatalogMutation>>> split;
+};
+
+/// "ds-<bucket>-<n>" datasets over 32 name buckets with the bin, tier,
+/// owner and run annotations, drawn as vdcbench draws them.
+const IngestCorpus& BulkIngestCorpus() {
+  static const IngestCorpus* corpus = [] {
+    auto* c = new IngestCorpus();
+    const IngestShards placement = OpenIngestShards();
+    std::mt19937_64 rng(1);
+    for (size_t n = 0; n < kIngestDatasets; ++n) {
+      if (n % kIngestBatch == 0) {
+        c->batches.emplace_back();
+        c->split.emplace_back(kIngestShards);
+      }
+      static constexpr char kHex[] = "0123456789abcdef";
+      const uint32_t bucket = static_cast<uint32_t>(n % 32);
+      Dataset ds;
+      ds.name = "ds-";
+      ds.name.push_back(kHex[bucket >> 4]);
+      ds.name.push_back(kHex[bucket & 0xf]);
+      ds.name.push_back('-');
+      ds.name += std::to_string(n);
+      ds.descriptor = DatasetDescriptor::File("/vdcbench/" + ds.name);
+      ds.size_bytes = int64_t{1} << (20 + rng() % 8);
+      ds.annotations.Set("bin", static_cast<int64_t>(bucket));
+      ds.annotations.Set("tier", "tier" + std::to_string(rng() % 8));
+      ds.annotations.Set("owner", "u" + std::to_string(rng() % 64));
+      ds.annotations.Set("run", static_cast<int64_t>(rng() % 500));
+      c->split.back()[placement.router->ShardOf(ds.name)].push_back(
+          CatalogMutation::DefineDataset(ds));
+      c->batches.back().push_back(
+          CatalogMutation::DefineDataset(std::move(ds)));
+    }
+    return c;
+  }();
+  return *corpus;
+}
+
+void BM_BulkIngest(benchmark::State& state, bool through_router) {
+  const IngestCorpus& corpus = BulkIngestCorpus();
+  double seconds = 0;
+  for (auto _ : state) {
+    IngestShards shards = OpenIngestShards();
+    const auto start = std::chrono::steady_clock::now();
+    if (through_router) {
+      for (const auto& batch : corpus.batches) {
+        Result<BatchResult> applied = shards.router->ApplyBatch(batch, {});
+        if (!applied.ok() || !applied->first_error.ok()) std::abort();
+      }
+    } else {
+      for (const auto& per_shard : corpus.split) {
+        for (uint32_t k = 0; k < kIngestShards; ++k) {
+          if (per_shard[k].empty()) continue;
+          if (!shards.catalogs[k]->ApplyBatch(per_shard[k]).first_error.ok()) {
+            std::abort();
+          }
+        }
+      }
+    }
+    const double elapsed = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    state.SetIterationTime(elapsed);
+    seconds += elapsed;
+  }
+  state.counters["objects"] = static_cast<double>(kIngestDatasets);
+  state.counters["us_per_object"] =
+      seconds * 1e6 /
+      (static_cast<double>(state.iterations()) * kIngestDatasets);
+}
+BENCHMARK_CAPTURE(BM_BulkIngest, direct, false)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_BulkIngest, router, true)
+    ->UseManualTime()
+    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------
 // Commit cost vs catalog size. One commit is the writer's whole path:

@@ -2,6 +2,7 @@
 #define VDG_CATALOG_BATCH_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <variant>
@@ -26,15 +27,26 @@ namespace vdg {
 /// executor ship its whole provenance write-back — replicas, the
 /// invocation consuming them, and annotations on that invocation — as
 /// one batch even though the ids do not exist until the batch runs.
+///
+/// Ownership of define payloads: the three Define*Op payloads are
+/// immutable objects, allocated once (by the factory below or by the
+/// wire decoder) and shared from then on. Copying a mutation — into a
+/// request body, a retry stamp, or a shard's sub-batch — bumps a
+/// reference count; a transformation broadcast to every shard is one
+/// object on all of them. A catalog that applies the op adopts the
+/// object itself as its row, so a define costs no copy of the payload
+/// between the caller and the snapshot. Nothing mutates a payload
+/// after construction: the catalog replaces rows rather than editing
+/// them.
 struct CatalogMutation {
   struct DefineDatasetOp {
-    Dataset dataset;
+    std::shared_ptr<const Dataset> dataset;
   };
   struct DefineTransformationOp {
-    Transformation transformation;
+    std::shared_ptr<const Transformation> transformation;
   };
   struct DefineDerivationOp {
-    Derivation derivation;
+    std::shared_ptr<const Derivation> derivation;
   };
   struct AnnotateOp {
     std::string kind;
@@ -70,13 +82,16 @@ struct CatalogMutation {
 
   // Convenience factories so call sites read like the single-op API.
   static CatalogMutation DefineDataset(Dataset dataset) {
-    return {DefineDatasetOp{std::move(dataset)}};
+    return {
+        DefineDatasetOp{std::make_shared<const Dataset>(std::move(dataset))}};
   }
   static CatalogMutation DefineTransformation(Transformation transformation) {
-    return {DefineTransformationOp{std::move(transformation)}};
+    return {DefineTransformationOp{
+        std::make_shared<const Transformation>(std::move(transformation))}};
   }
   static CatalogMutation DefineDerivation(Derivation derivation) {
-    return {DefineDerivationOp{std::move(derivation)}};
+    return {DefineDerivationOp{
+        std::make_shared<const Derivation>(std::move(derivation))}};
   }
   static CatalogMutation Annotate(std::string kind, std::string name,
                                   std::string key, AttributeValue value) {

@@ -449,10 +449,13 @@ Status VirtualDataCatalog::LoadTypePreset() {
 
 Status VirtualDataCatalog::DefineDataset(Dataset dataset) {
   std::lock_guard lock(mu_);
-  return CommitLocked(DefineDatasetLocked(std::move(dataset)));
+  return CommitLocked(DefineDatasetLocked(
+      std::make_shared<const Dataset>(std::move(dataset))));
 }
 
-Status VirtualDataCatalog::DefineDatasetLocked(Dataset dataset) {
+Status VirtualDataCatalog::DefineDatasetLocked(
+    std::shared_ptr<const Dataset> shared) {
+  const Dataset& dataset = *shared;
   VDG_RETURN_IF_ERROR(dataset.Validate());
   VDG_RETURN_IF_ERROR(CheckFinite(dataset.descriptor.fields));
   VDG_RETURN_IF_ERROR(CheckFinite(dataset.annotations));
@@ -471,19 +474,19 @@ Status VirtualDataCatalog::DefineDatasetLocked(Dataset dataset) {
   IndexDatasetAttributes(dataset, id, true);
   IndexDatasetType(dataset, id, true);
   BumpVersion('U', "dataset", dataset.name);
-  next_.datasets.Put(id, symbols_.NameOf(id),
-                     std::make_shared<const Dataset>(std::move(dataset)),
-                     gen_);
+  next_.datasets.Put(id, symbols_.NameOf(id), std::move(shared), gen_);
   return Status::OK();
 }
 
 Status VirtualDataCatalog::DefineTransformation(Transformation transformation) {
   std::lock_guard lock(mu_);
-  return CommitLocked(DefineTransformationLocked(std::move(transformation)));
+  return CommitLocked(DefineTransformationLocked(
+      std::make_shared<const Transformation>(std::move(transformation))));
 }
 
 Status VirtualDataCatalog::DefineTransformationLocked(
-    Transformation transformation) {
+    std::shared_ptr<const Transformation> shared) {
+  const Transformation& transformation = *shared;
   VDG_RETURN_IF_ERROR(transformation.Validate());
   VDG_RETURN_IF_ERROR(CheckFinite(transformation.annotations()));
   for (const FormalArg& arg : transformation.args()) {
@@ -499,18 +502,19 @@ Status VirtualDataCatalog::DefineTransformationLocked(
   VDG_RETURN_IF_ERROR(Journal(journal_record::Encode(transformation)));
   Id id = symbols_.Intern(transformation.name());
   BumpVersion('U', "transformation", transformation.name());
-  next_.transformations.Put(
-      id, symbols_.NameOf(id),
-      std::make_shared<const Transformation>(std::move(transformation)), gen_);
+  next_.transformations.Put(id, symbols_.NameOf(id), std::move(shared), gen_);
   return Status::OK();
 }
 
 Status VirtualDataCatalog::DefineDerivation(Derivation derivation) {
   std::lock_guard lock(mu_);
-  return CommitLocked(DefineDerivationLocked(std::move(derivation)));
+  return CommitLocked(DefineDerivationLocked(
+      std::make_shared<const Derivation>(std::move(derivation))));
 }
 
-Status VirtualDataCatalog::DefineDerivationLocked(Derivation derivation) {
+Status VirtualDataCatalog::DefineDerivationLocked(
+    std::shared_ptr<const Derivation> shared) {
+  const Derivation& derivation = *shared;
   VDG_RETURN_IF_ERROR(derivation.Validate());
   VDG_RETURN_IF_ERROR(CheckFinite(derivation.annotations()));
   if (const auto* existing = RowOf(next_.derivations, derivation.name())) {
@@ -523,7 +527,7 @@ Status VirtualDataCatalog::DefineDerivationLocked(Derivation derivation) {
     // re-validate inputs: they were valid when the original define was
     // journaled and may have been removed since.
     Derivation updated = *existing->object;
-    updated.annotations() = std::move(derivation.annotations());
+    updated.annotations() = derivation.annotations();
     BumpVersion('U', "derivation", derivation.name());
     next_.derivations.Put(
         existing->id, existing->name,
@@ -571,7 +575,8 @@ Status VirtualDataCatalog::DefineDerivationLocked(Derivation derivation) {
         }
       }
       out.descriptor = DatasetDescriptor::File(out.name);
-      VDG_RETURN_IF_ERROR(DefineDatasetLocked(std::move(out)));
+      VDG_RETURN_IF_ERROR(
+          DefineDatasetLocked(std::make_shared<const Dataset>(std::move(out))));
     } else if (existing->object->producer.empty()) {
       Dataset updated = *existing->object;
       updated.producer = derivation.name();
@@ -602,9 +607,8 @@ Status VirtualDataCatalog::DefineDerivationLocked(Derivation derivation) {
   Id dv_id = symbols_.Intern(derivation.name());
   IndexDerivation(derivation, dv_id, true);
   BumpVersion('U', "derivation", derivation.name());
-  next_.derivations.Put(
-      dv_id, symbols_.NameOf(dv_id),
-      std::make_shared<const Derivation>(std::move(derivation)), gen_);
+  next_.derivations.Put(dv_id, symbols_.NameOf(dv_id), std::move(shared),
+                        gen_);
   return Status::OK();
 }
 
@@ -807,13 +811,16 @@ Status VirtualDataCatalog::ImportProgram(const VdlProgram& program) {
 
 Status VirtualDataCatalog::ImportProgramLocked(const VdlProgram& program) {
   for (const Dataset& ds : program.datasets) {
-    VDG_RETURN_IF_ERROR(DefineDatasetLocked(ds));
+    VDG_RETURN_IF_ERROR(
+        DefineDatasetLocked(std::make_shared<const Dataset>(ds)));
   }
   for (const Transformation& tr : program.transformations) {
-    VDG_RETURN_IF_ERROR(DefineTransformationLocked(tr));
+    VDG_RETURN_IF_ERROR(
+        DefineTransformationLocked(std::make_shared<const Transformation>(tr)));
   }
   for (const Derivation& dv : program.derivations) {
-    VDG_RETURN_IF_ERROR(DefineDerivationLocked(dv));
+    VDG_RETURN_IF_ERROR(
+        DefineDerivationLocked(std::make_shared<const Derivation>(dv)));
   }
   return Status::OK();
 }
@@ -1244,12 +1251,17 @@ Status VirtualDataCatalog::ApplyRecord(std::string_view record) {
   using journal_record::Tag;
   return std::visit(
       Overload{
-          [this](Dataset& ds) { return DefineDatasetLocked(std::move(ds)); },
+          [this](Dataset& ds) {
+            return DefineDatasetLocked(
+                std::make_shared<const Dataset>(std::move(ds)));
+          },
           [this](Transformation& tr) {
-            return DefineTransformationLocked(std::move(tr));
+            return DefineTransformationLocked(
+                std::make_shared<const Transformation>(std::move(tr)));
           },
           [this](Derivation& dv) {
-            return DefineDerivationLocked(std::move(dv));
+            return DefineDerivationLocked(
+                std::make_shared<const Derivation>(std::move(dv)));
           },
           [this](Replica& rp) {
             return AddReplicaLocked(std::move(rp)).status();

@@ -380,9 +380,13 @@ class VirtualDataCatalog {
 
   Status DefineTypeLocked(TypeDimension dim, std::string_view type_name,
                           std::string_view parent);
-  Status DefineDatasetLocked(Dataset dataset);
-  Status DefineTransformationLocked(Transformation transformation);
-  Status DefineDerivationLocked(Derivation derivation);
+  /// The one define path per kind. The object is adopted as the
+  /// snapshot row on success (no copy); the single-op API, batch ops,
+  /// journal replay and ImportProgram all land here.
+  Status DefineDatasetLocked(std::shared_ptr<const Dataset> dataset);
+  Status DefineTransformationLocked(
+      std::shared_ptr<const Transformation> transformation);
+  Status DefineDerivationLocked(std::shared_ptr<const Derivation> derivation);
   Result<std::string> AddReplicaLocked(Replica replica);
   Result<std::string> RecordInvocationLocked(Invocation invocation);
   Status AnnotateLocked(std::string_view kind, std::string_view name,

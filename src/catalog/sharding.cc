@@ -1,8 +1,8 @@
 #include "catalog/sharding.h"
 
 #include <algorithm>
-#include <map>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 #include <variant>
 
@@ -178,14 +178,43 @@ Result<std::vector<ObjectRecord>> BatchGetAcross(
   return records;
 }
 
-/// Datasets and transformations defined by EARLIER ops of an in-flight
-/// batch: not yet visible on any shard, but a derivation later in the
-/// batch must plan against them, as it would against the unsharded
-/// catalog.
+/// The planning state of one ApplyBatch split. `datasets` and
+/// `transformations` are the definitions of EARLIER ops of the batch:
+/// not yet visible on any shard, but a derivation later in the batch
+/// must plan against them, as it would against the unsharded catalog.
+/// They hold the ops' shared payloads, keyed by views of the names
+/// inside them. `on_shard` memoizes each transformation name's
+/// home-shard answer (null for NotFound): no shard applies anything
+/// until the whole batch is planned, so one lookup per name serves
+/// every derivation of the batch; its keys view the asking
+/// derivation's payload, which outlives the split.
 struct PendingDefinitions {
-  std::map<std::string, Dataset> datasets;
-  std::map<std::string, Transformation> transformations;
+  template <typename T>
+  using ByName = std::unordered_map<std::string_view, std::shared_ptr<const T>>;
+  ByName<Dataset> datasets;
+  ByName<Transformation> transformations;
+  ByName<Transformation> on_shard;
 };
+
+/// The transformation `name` as its home shard holds it; null when the
+/// shard answers NotFound. Asked once per name within a batch.
+Result<std::shared_ptr<const Transformation>> ShardTransformation(
+    const Shards& shards, const std::string& name,
+    PendingDefinitions* pending) {
+  if (pending != nullptr) {
+    auto it = pending->on_shard.find(name);
+    if (it != pending->on_shard.end()) return it->second;
+  }
+  Result<Transformation> got = Owner(shards, name).GetTransformation(name);
+  std::shared_ptr<const Transformation> tr;
+  if (got.ok()) {
+    tr = std::make_shared<const Transformation>(*std::move(got));
+  } else if (!got.status().IsNotFound()) {
+    return got.status();
+  }
+  if (pending != nullptr) pending->on_shard.try_emplace(name, tr);
+  return tr;
+}
 
 /// Cross-shard referential checks for one derivation (see the class
 /// comment), collecting the missing outputs to pre-create on their
@@ -193,7 +222,7 @@ struct PendingDefinitions {
 /// vocabulary (AlreadyExists / NotFound / TypeError). `pending` holds
 /// the batch's earlier definitions; nullptr outside a batch.
 Status PlanDerivation(const Shards& shards, const Derivation& derivation,
-                      const PendingDefinitions* pending,
+                      PendingDefinitions* pending,
                       std::vector<Dataset>* outputs) {
   Result<Derivation> existing =
       Owner(shards, derivation.name()).GetDerivation(derivation.name());
@@ -204,19 +233,15 @@ Status PlanDerivation(const Shards& shards, const Derivation& derivation,
   if (!existing.status().IsNotFound()) return existing.status();
 
   const std::string& tr_name = derivation.transformation();
-  std::optional<Transformation> tr;
+  std::shared_ptr<const Transformation> tr;
   if (!IsVdpUri(tr_name)) {
-    Result<Transformation> got =
-        Owner(shards, tr_name).GetTransformation(tr_name);
-    if (got.ok()) {
-      tr = *std::move(got);
-    } else if (!got.status().IsNotFound()) {
-      return got.status();
-    } else if (pending != nullptr &&
-               pending->transformations.count(tr_name) != 0) {
+    VDG_ASSIGN_OR_RETURN(tr, ShardTransformation(shards, tr_name, pending));
+    if (tr == nullptr && pending != nullptr) {
       // Defined by an earlier op of the same batch.
-      tr = pending->transformations.at(tr_name);
-    } else {
+      auto it = pending->transformations.find(tr_name);
+      if (it != pending->transformations.end()) tr = it->second;
+    }
+    if (tr == nullptr) {
       // The home shard reports the canonical "unknown transformation"
       // error when the op lands; nothing to place here.
       return Status::OK();
@@ -225,9 +250,8 @@ Status PlanDerivation(const Shards& shards, const Derivation& derivation,
 
   for (const ActualArg& arg : derivation.args()) {
     if (!arg.is_dataset() || IsVdpUri(*arg.dataset)) continue;
-    const FormalArg* formal =
-        tr.has_value() ? tr->FindArg(arg.formal) : nullptr;
-    if (tr.has_value() && formal == nullptr) {
+    const FormalArg* formal = tr != nullptr ? tr->FindArg(arg.formal) : nullptr;
+    if (tr != nullptr && formal == nullptr) {
       // Unknown formal: home-shard validation owns the error text.
       return Status::OK();
     }
@@ -243,7 +267,7 @@ Status PlanDerivation(const Shards& shards, const Derivation& derivation,
       // applied it yet, but the plan must see it — the unsharded
       // catalog's batch path would.
       auto it = pending->datasets.find(*arg.dataset);
-      if (it != pending->datasets.end()) known = &it->second;
+      if (it != pending->datasets.end()) known = it->second.get();
     }
     if (known != nullptr) {
       if (formal != nullptr && !formal->types.empty()) {
@@ -716,33 +740,35 @@ Result<BatchResult> ShardedCatalogClient::SplitBatch(
         [&](const auto& op) -> Result<Placement> {
           using Op = std::decay_t<decltype(op)>;
           if constexpr (std::is_same_v<Op, CatalogMutation::DefineDatasetOp>) {
-            pending.datasets.insert({op.dataset.name, op.dataset});
-            return Place(topo, MsgKind::kDefineDataset, op.dataset.name);
+            pending.datasets.try_emplace(op.dataset->name, op.dataset);
+            return Place(topo, MsgKind::kDefineDataset, op.dataset->name);
           } else if constexpr (std::is_same_v<
                                    Op,
                                    CatalogMutation::DefineTransformationOp>) {
-            pending.transformations.insert(
-                {op.transformation.name(), op.transformation});
+            pending.transformations.try_emplace(op.transformation->name(),
+                                                op.transformation);
             return Place(topo, MsgKind::kDefineTransformation,
-                         op.transformation.name());
+                         op.transformation->name());
           } else if constexpr (std::is_same_v<
                                    Op, CatalogMutation::DefineDerivationOp>) {
-            VDG_RETURN_IF_ERROR(op.derivation.Validate());
+            const Derivation& derivation = *op.derivation;
+            VDG_RETURN_IF_ERROR(derivation.Validate());
             std::vector<Dataset> outputs;
             VDG_RETURN_IF_ERROR(
-                PlanDerivation(topo.shards, op.derivation, &pending, &outputs));
+                PlanDerivation(topo.shards, derivation, &pending, &outputs));
             for (Dataset& output : outputs) {
+              auto shared = std::make_shared<const Dataset>(std::move(output));
               // Later derivations writing the same output must see the
               // producer claim this one just staked.
-              pending.datasets.insert({output.name, output});
+              pending.datasets.try_emplace(shared->name, shared);
               const Placement placement =
-                  Place(topo, MsgKind::kDefineDataset, output.name);
+                  Place(topo, MsgKind::kDefineDataset, shared->name);
               subs[placement.shard].push_back(
-                  {CatalogMutation::DefineDataset(std::move(output)),
+                  {CatalogMutation{
+                       CatalogMutation::DefineDatasetOp{std::move(shared)}},
                    kSynthetic, i});
             }
-            return Place(topo, MsgKind::kDefineDerivation,
-                         op.derivation.name());
+            return Place(topo, MsgKind::kDefineDerivation, derivation.name());
           } else if constexpr (std::is_same_v<Op,
                                               CatalogMutation::AnnotateOp>) {
             if (!op.name_from_op.has_value()) {

@@ -106,13 +106,13 @@ void PutMutation(Writer& w, const CatalogMutation& m) {
       [&w](const auto& op) {
         using T = std::decay_t<decltype(op)>;
         if constexpr (std::is_same_v<T, CatalogMutation::DefineDatasetOp>) {
-          PutDataset(w, op.dataset);
+          PutDataset(w, *op.dataset);
         } else if constexpr (std::is_same_v<
                                  T, CatalogMutation::DefineTransformationOp>) {
-          PutTransformation(w, op.transformation);
+          PutTransformation(w, *op.transformation);
         } else if constexpr (std::is_same_v<
                                  T, CatalogMutation::DefineDerivationOp>) {
-          PutDerivation(w, op.derivation);
+          PutDerivation(w, *op.derivation);
         } else if constexpr (std::is_same_v<T, CatalogMutation::AnnotateOp>) {
           w.PutString(op.kind);
           w.PutString(op.name);

@@ -614,16 +614,17 @@ Result<BatchResult> CachingCatalogClient::ApplyBatch(
         [&](const auto& op) {
           using Op = std::decay_t<decltype(op)>;
           if constexpr (std::is_same_v<Op, CatalogMutation::DefineDatasetOp>) {
-            EvictAfterLocked(MsgKind::kDefineDataset, op.dataset.name);
+            EvictAfterLocked(MsgKind::kDefineDataset, op.dataset->name);
           } else if constexpr (std::is_same_v<
                                    Op,
                                    CatalogMutation::DefineTransformationOp>) {
             EvictAfterLocked(MsgKind::kDefineTransformation,
-                             op.transformation.name());
+                             op.transformation->name());
           } else if constexpr (std::is_same_v<
                                    Op, CatalogMutation::DefineDerivationOp>) {
-            EvictAfterLocked(MsgKind::kDefineDerivation, op.derivation.name(),
-                             {}, op.derivation.OutputDatasets());
+            EvictAfterLocked(MsgKind::kDefineDerivation,
+                             op.derivation->name(), {},
+                             op.derivation->OutputDatasets());
           } else if constexpr (std::is_same_v<Op,
                                               CatalogMutation::AnnotateOp>) {
             const bool assigned = op.name_from_op.has_value() &&

@@ -730,6 +730,149 @@ TEST(VectorJournalTest, CapturesRecords) {
   EXPECT_GE(raw->records().size(), 5u);  // 2 TR + 3 DS + 2 DV at least
 }
 
+// ---------------------- Zero-copy batch ingest ------------------------
+
+/// A one-step transformation "step(out, in)" and a derivation of it.
+Transformation IngestStep() {
+  Transformation tr("step", Transformation::Kind::kSimple);
+  FormalArg out;
+  out.name = "out";
+  out.direction = ArgDirection::kOut;
+  FormalArg in;
+  in.name = "in";
+  in.direction = ArgDirection::kIn;
+  EXPECT_TRUE(tr.AddArg(std::move(out)).ok());
+  EXPECT_TRUE(tr.AddArg(std::move(in)).ok());
+  tr.set_executable("/bin/step");
+  return tr;
+}
+
+Derivation IngestDerivation(const std::string& name, const std::string& input,
+                            const std::string& output) {
+  Derivation dv(name, "step");
+  EXPECT_TRUE(
+      dv.AddArg(ActualArg::DatasetRef("in", input, ArgDirection::kIn)).ok());
+  EXPECT_TRUE(
+      dv.AddArg(ActualArg::DatasetRef("out", output, ArgDirection::kOut))
+          .ok());
+  return dv;
+}
+
+Dataset IngestDataset(const std::string& name) {
+  Dataset ds;
+  ds.name = name;
+  ds.descriptor = DatasetDescriptor::File("/data/" + name);
+  ds.annotations.Set("bin", int64_t{3});
+  return ds;
+}
+
+/// The three define payloads of a {transformation, dataset,
+/// derivation} batch.
+struct IngestPayloads {
+  const std::shared_ptr<const Transformation>& tr;
+  const std::shared_ptr<const Dataset>& ds;
+  const std::shared_ptr<const Derivation>& dv;
+};
+
+IngestPayloads PayloadsOf(const std::vector<CatalogMutation>& batch) {
+  return {
+      std::get<CatalogMutation::DefineTransformationOp>(batch[0].op)
+          .transformation,
+      std::get<CatalogMutation::DefineDatasetOp>(batch[1].op).dataset,
+      std::get<CatalogMutation::DefineDerivationOp>(batch[2].op).derivation};
+}
+
+TEST(CatalogIngest, ApplyBatchAdoptsDefinePayloadsAsRows) {
+  VirtualDataCatalog catalog("ingest.org");
+  ASSERT_TRUE(catalog.Open().ok());
+  const std::vector<CatalogMutation> batch = {
+      CatalogMutation::DefineTransformation(IngestStep()),
+      CatalogMutation::DefineDataset(IngestDataset("a")),
+      CatalogMutation::DefineDerivation(IngestDerivation("d1", "a", "b"))};
+  const IngestPayloads payloads = PayloadsOf(batch);
+  BatchResult result = catalog.ApplyBatch(batch);
+  ASSERT_TRUE(result.first_error.ok()) << result.first_error;
+  // The caller's mutation and the catalog row: no copy, no other owner.
+  EXPECT_EQ(payloads.tr.use_count(), 2);
+  EXPECT_EQ(payloads.ds.use_count(), 2);
+  EXPECT_EQ(payloads.dv.use_count(), 2);
+  // The rows are the payload objects themselves.
+  CatalogView view = catalog.View();
+  const CatalogSnapshot& snap = view.snapshot();
+  auto row = [&](const auto& table, std::string_view name) {
+    return table.Find(snap.symbols.FindId(name))->object.get();
+  };
+  EXPECT_EQ(row(snap.transformations, "step"), payloads.tr.get());
+  EXPECT_EQ(row(snap.datasets, "a"), payloads.ds.get());
+  EXPECT_EQ(row(snap.derivations, "d1"), payloads.dv.get());
+}
+
+TEST(CatalogIngest, RejectedDefinesLeaveThePayloadUnshared) {
+  VirtualDataCatalog catalog("ingest.org");
+  ASSERT_TRUE(catalog.Open().ok());
+  const std::vector<CatalogMutation> first = {
+      CatalogMutation::DefineTransformation(IngestStep()),
+      CatalogMutation::DefineDataset(IngestDataset("a")),
+      CatalogMutation::DefineDerivation(IngestDerivation("d1", "a", "b"))};
+  ASSERT_TRUE(catalog.ApplyBatch(first).first_error.ok());
+
+  const std::vector<CatalogMutation> again = {
+      CatalogMutation::DefineTransformation(IngestStep()),
+      CatalogMutation::DefineDataset(IngestDataset("a")),
+      CatalogMutation::DefineDerivation(IngestDerivation("d1", "a", "b"))};
+  BatchResult result = catalog.ApplyBatch(again);
+  ASSERT_EQ(result.statuses.size(), again.size());
+  for (const Status& s : result.statuses) {
+    EXPECT_TRUE(s.IsAlreadyExists()) << s;
+  }
+  const IngestPayloads duplicates = PayloadsOf(again);
+  EXPECT_EQ(duplicates.tr.use_count(), 1);
+  EXPECT_EQ(duplicates.ds.use_count(), 1);
+  EXPECT_EQ(duplicates.dv.use_count(), 1);
+
+  Transformation unnamed = IngestStep();
+  unnamed.set_name("");
+  Dataset non_finite = IngestDataset("c");
+  non_finite.annotations.Set("x", std::numeric_limits<double>::quiet_NaN());
+  const std::vector<CatalogMutation> invalid = {
+      CatalogMutation::DefineTransformation(unnamed),
+      CatalogMutation::DefineDataset(non_finite),
+      CatalogMutation::DefineDerivation(Derivation("d2", "no-such-step"))};
+  result = catalog.ApplyBatch(invalid);
+  ASSERT_EQ(result.statuses.size(), invalid.size());
+  EXPECT_EQ(result.applied, 0u);
+  const IngestPayloads rejected = PayloadsOf(invalid);
+  EXPECT_EQ(rejected.tr.use_count(), 1);
+  EXPECT_EQ(rejected.ds.use_count(), 1);
+  EXPECT_EQ(rejected.dv.use_count(), 1);
+}
+
+TEST(CatalogIngest, BatchDefinesJournalTheSingleOpBytes) {
+  // Adopting the payload changes no record: a batch journals exactly
+  // what the single-op API journals for the same objects.
+  auto batch_journal = std::make_unique<VectorJournal>();
+  auto single_journal = std::make_unique<VectorJournal>();
+  const VectorJournal* batched = batch_journal.get();
+  const VectorJournal* single = single_journal.get();
+  VirtualDataCatalog by_batch("j.org", std::move(batch_journal));
+  VirtualDataCatalog by_op("j.org", std::move(single_journal));
+  ASSERT_TRUE(by_batch.Open().ok());
+  ASSERT_TRUE(by_op.Open().ok());
+  ASSERT_TRUE(by_batch
+                  .ApplyBatch({CatalogMutation::DefineTransformation(
+                                   IngestStep()),
+                               CatalogMutation::DefineDataset(
+                                   IngestDataset("a")),
+                               CatalogMutation::DefineDerivation(
+                                   IngestDerivation("d1", "a", "b"))})
+                  .first_error.ok());
+  ASSERT_TRUE(by_op.DefineTransformation(IngestStep()).ok());
+  ASSERT_TRUE(by_op.DefineDataset(IngestDataset("a")).ok());
+  ASSERT_TRUE(by_op.DefineDerivation(IngestDerivation("d1", "a", "b")).ok());
+  EXPECT_EQ(batched->records(), single->records());
+  EXPECT_EQ(batched->records().size(), 4u);  // TR, DS a, DS b, DV
+}
+
 // -------------------------- Journal records ---------------------------
 
 // Decodes `record` and returns the object of kind T it carries.

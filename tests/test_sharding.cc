@@ -447,6 +447,81 @@ size_t FindInLog(const RecordingShard::Log& log, size_t from, uint32_t shard,
   return std::string::npos;
 }
 
+// ---------------------------------------------------------------------
+// Zero-copy ingest: the router forwards shared define payloads
+// ---------------------------------------------------------------------
+
+TEST(ShardedIngest, RouterForwardsSharedPayloadsToTheRows) {
+  // A dataset and a derivation land as one row each on their home
+  // shard; the broadcast transformation is one object on all four.
+  // Nothing the router built for the split outlives the call.
+  constexpr uint32_t kShards = 4;
+  World world = MakeWorld(kShards);
+  Dataset a;
+  a.name = "a";
+  a.descriptor = DatasetDescriptor::File("/data/a");
+  const std::vector<CatalogMutation> batch = {
+      CatalogMutation::DefineTransformation(MakeXf("xf")),
+      CatalogMutation::DefineDataset(a),
+      CatalogMutation::DefineDerivation(MakeStep("d1", "xf", "a", "o1"))};
+  const auto& tr =
+      std::get<CatalogMutation::DefineTransformationOp>(batch[0].op)
+          .transformation;
+  const auto& ds = std::get<CatalogMutation::DefineDatasetOp>(batch[1].op)
+                       .dataset;
+  const auto& dv = std::get<CatalogMutation::DefineDerivationOp>(batch[2].op)
+                       .derivation;
+  Result<BatchResult> result = world.sharded->ApplyBatch(batch, {});
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_TRUE(result->first_error.ok()) << result->first_error;
+  EXPECT_EQ(ds.use_count(), 2);
+  EXPECT_EQ(dv.use_count(), 2);
+  EXPECT_EQ(tr.use_count(), 1 + kShards);
+  // The synthetic output o1 was pre-created on its home shard.
+  Result<bool> has = world.sharded->HasDataset("o1");
+  ASSERT_TRUE(has.ok());
+  EXPECT_TRUE(*has);
+}
+
+TEST(ShardedIngest, RejectedDefinesLeaveThePayloadUnshared) {
+  World world = MakeWorld(4);
+  Dataset a;
+  a.name = "a";
+  a.descriptor = DatasetDescriptor::File("/data/a");
+  ASSERT_TRUE(world.sharded->DefineTransformation(MakeXf("xf")).ok());
+  ASSERT_TRUE(world.sharded->DefineDataset(a).ok());
+  ASSERT_TRUE(
+      world.sharded->DefineDerivation(MakeStep("d1", "xf", "a", "o1")).ok());
+  Dataset unnamed = a;
+  unnamed.name = "";
+  const std::vector<CatalogMutation> batch = {
+      CatalogMutation::DefineTransformation(MakeXf("xf")),
+      CatalogMutation::DefineDataset(a),
+      CatalogMutation::DefineDerivation(MakeStep("d1", "xf", "a", "o1")),
+      CatalogMutation::DefineDataset(unnamed)};
+  Result<BatchResult> result = world.sharded->ApplyBatch(batch, {});
+  ASSERT_TRUE(result.ok()) << result.status();
+  ASSERT_EQ(result->statuses.size(), batch.size());
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_TRUE(result->statuses[i].IsAlreadyExists())
+        << i << ": " << result->statuses[i];
+  }
+  EXPECT_FALSE(result->statuses[3].ok());
+  EXPECT_EQ(result->applied, 0u);
+  EXPECT_EQ(std::get<CatalogMutation::DefineTransformationOp>(batch[0].op)
+                .transformation.use_count(),
+            1);
+  EXPECT_EQ(std::get<CatalogMutation::DefineDatasetOp>(batch[1].op)
+                .dataset.use_count(),
+            1);
+  EXPECT_EQ(std::get<CatalogMutation::DefineDerivationOp>(batch[2].op)
+                .derivation.use_count(),
+            1);
+  EXPECT_EQ(std::get<CatalogMutation::DefineDatasetOp>(batch[3].op)
+                .dataset.use_count(),
+            1);
+}
+
 bool Contains(const std::vector<uint32_t>& shards, uint32_t shard) {
   return std::find(shards.begin(), shards.end(), shard) != shards.end();
 }

@@ -1703,6 +1703,34 @@ TEST(WireGolden, GoldenFramesDecodeAndReencodeExactly) {
   }
 }
 
+TEST(WireGolden, ApplyBatchDecodesEachDefinePayloadOnce) {
+  // The decoder allocates each define payload of the golden ApplyBatch
+  // frame once and hands it to its mutation: nothing else holds a
+  // reference.
+  std::string frame;
+  for (const GoldenFrame& golden : kGoldenFrames) {
+    if (std::string_view(golden.label) == "request ApplyBatch") {
+      frame = Unhex(golden.hex);
+    }
+  }
+  Result<Frame> envelope = DecodeFrame(frame);
+  ASSERT_TRUE(envelope.ok()) << envelope.status();
+  Result<Request> decoded =
+      DecodeRequest(MsgKind::kApplyBatch, envelope->payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  const auto& got = std::get<ApplyBatchReq>(decoded->body).mutations;
+  ASSERT_EQ(got.size(), GoldenBatch().mutations.size());
+  const auto& ds = std::get<CatalogMutation::DefineDatasetOp>(got[0].op);
+  const auto& tr = std::get<CatalogMutation::DefineTransformationOp>(got[1].op);
+  const auto& dv = std::get<CatalogMutation::DefineDerivationOp>(got[2].op);
+  EXPECT_EQ(ds.dataset.use_count(), 1);
+  EXPECT_EQ(tr.transformation.use_count(), 1);
+  EXPECT_EQ(dv.derivation.use_count(), 1);
+  ExpectEq(*ds.dataset, GoldenDataset());
+  ExpectEq(*tr.transformation, GoldenCompoundTransformation());
+  ExpectEq(*dv.derivation, GoldenDerivation());
+}
+
 // ------------------------- payload fuzzing ---------------------------
 
 /// Rewrites a frame's declared payload size and trailing CRC to match
