@@ -9,6 +9,7 @@
 // catalog size), group commit (absolute throughput) and snapshot
 // isolation (reads under writes within 20% of the no-writer baseline).
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <chrono>
@@ -223,6 +224,10 @@ BENCHMARK(BM_ApplyBatch_GroupCommit);
 // caller's batches through ShardedCatalogClient. Only the loads are
 // timed (fresh catalogs each iteration); us_per_object(/router) minus
 // us_per_object(/direct) is the router's own cost per defined object.
+// dataset_fill is the shards' dataset rows over their name-order key
+// space (row-chunk fill; CI floors it), and heap_mb the heap the load
+// adds (glibc mallinfo2, the corpus objects excluded: they are built
+// before and shared as rows), reported only.
 // ---------------------------------------------------------------------
 
 constexpr size_t kIngestDatasets = 72000;
@@ -295,8 +300,11 @@ const IngestCorpus& BulkIngestCorpus() {
 void BM_BulkIngest(benchmark::State& state, bool through_router) {
   const IngestCorpus& corpus = BulkIngestCorpus();
   double seconds = 0;
+  double heap_bytes = 0;
+  size_t rows = 0, key_space = 0;
   for (auto _ : state) {
     IngestShards shards = OpenIngestShards();
+    const size_t heap_before = mallinfo2().uordblks;
     const auto start = std::chrono::steady_clock::now();
     if (through_router) {
       for (const auto& batch : corpus.batches) {
@@ -318,8 +326,20 @@ void BM_BulkIngest(benchmark::State& state, bool through_router) {
                                .count();
     state.SetIterationTime(elapsed);
     seconds += elapsed;
+    heap_bytes += static_cast<double>(mallinfo2().uordblks) -
+                  static_cast<double>(heap_before);
+    rows = key_space = 0;
+    for (const auto& catalog : shards.catalogs) {
+      const CatalogView view = catalog->View();
+      rows += view.snapshot().datasets.size();
+      key_space += view.snapshot().datasets.key_space();
+    }
   }
   state.counters["objects"] = static_cast<double>(kIngestDatasets);
+  state.counters["dataset_fill"] =
+      static_cast<double>(rows) / static_cast<double>(key_space);
+  state.counters["heap_mb"] =
+      heap_bytes / 1e6 / static_cast<double>(state.iterations());
   state.counters["us_per_object"] =
       seconds * 1e6 /
       (static_cast<double>(state.iterations()) * kIngestDatasets);

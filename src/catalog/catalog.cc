@@ -798,29 +798,29 @@ BatchResult VirtualDataCatalog::ApplyBatch(
   return result;
 }
 
-Status VirtualDataCatalog::ImportProgram(const VdlProgram& program) {
+Status VirtualDataCatalog::ImportProgram(VdlProgram program) {
   std::lock_guard lock(mu_);
   in_batch_ = true;
   batch_bumped_ = false;
-  Status s = ImportProgramLocked(program);
+  Status s = ImportProgramLocked(std::move(program));
   in_batch_ = false;
   batch_bumped_ = false;
   TrimChangelogLocked();
   return CommitLocked(std::move(s));
 }
 
-Status VirtualDataCatalog::ImportProgramLocked(const VdlProgram& program) {
-  for (const Dataset& ds : program.datasets) {
+Status VirtualDataCatalog::ImportProgramLocked(VdlProgram program) {
+  for (Dataset& ds : program.datasets) {
     VDG_RETURN_IF_ERROR(
-        DefineDatasetLocked(std::make_shared<const Dataset>(ds)));
+        DefineDatasetLocked(std::make_shared<const Dataset>(std::move(ds))));
   }
-  for (const Transformation& tr : program.transformations) {
-    VDG_RETURN_IF_ERROR(
-        DefineTransformationLocked(std::make_shared<const Transformation>(tr)));
+  for (Transformation& tr : program.transformations) {
+    VDG_RETURN_IF_ERROR(DefineTransformationLocked(
+        std::make_shared<const Transformation>(std::move(tr))));
   }
-  for (const Derivation& dv : program.derivations) {
-    VDG_RETURN_IF_ERROR(
-        DefineDerivationLocked(std::make_shared<const Derivation>(dv)));
+  for (Derivation& dv : program.derivations) {
+    VDG_RETURN_IF_ERROR(DefineDerivationLocked(
+        std::make_shared<const Derivation>(std::move(dv))));
   }
   return Status::OK();
 }
@@ -828,7 +828,7 @@ Status VirtualDataCatalog::ImportProgramLocked(const VdlProgram& program) {
 Status VirtualDataCatalog::ImportVdl(std::string_view source) {
   // Parsing touches no catalog state; keep it outside the lock.
   VDG_ASSIGN_OR_RETURN(VdlProgram program, ParseVdl(source));
-  return ImportProgram(program);
+  return ImportProgram(std::move(program));
 }
 
 // ---------------------------------------------------------------------

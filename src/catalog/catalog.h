@@ -148,8 +148,9 @@ class VirtualDataCatalog {
                          const BatchOptions& options = {});
 
   /// Imports every definition in a parsed VDL program, in order, as
-  /// one batch (one version bump, one journal flush).
-  Status ImportProgram(const VdlProgram& program);
+  /// one batch (one version bump, one journal flush). Each definition
+  /// is moved into its snapshot row; pass an rvalue to skip the copy.
+  Status ImportProgram(VdlProgram program);
   /// Parses and imports VDL source text.
   Status ImportVdl(std::string_view source);
 
@@ -393,7 +394,7 @@ class VirtualDataCatalog {
                         std::string_view key, AttributeValue value);
   Status SetDatasetSizeLocked(std::string_view name, int64_t size_bytes);
   Status InvalidateReplicaLocked(std::string_view id);
-  Status ImportProgramLocked(const VdlProgram& program);
+  Status ImportProgramLocked(VdlProgram program);
   Status RemoveDatasetLocked(std::string_view name);
   Status RemoveTransformationLocked(std::string_view name);
   Status RemoveDerivationLocked(std::string_view name);

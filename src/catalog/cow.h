@@ -227,9 +227,9 @@ class IdTable {
 /// and position; it is plain data, so copying it when a chunk is
 /// replaced costs a memcpy, while the chunks themselves are owned by a
 /// CowArray keyed by chunk number (a path copy). Rewriting one row therefore copies one
-/// chunk, one owner path and the directory; only a split (every
-/// kSlots/2 inserts into one chunk) rewrites the Locs of the rows it
-/// moves.
+/// chunk, one owner path and the directory; only an insert into a full
+/// chunk, which shifts rows into a neighbour or splits (MakeRoom),
+/// rewrites the Locs of the rows it moves.
 ///
 /// Name order for query results never compares strings: KeyCursor maps
 /// ids to keys (chunk position x kSlots + rank) that ascend with names
@@ -405,8 +405,7 @@ class RowTable {
           InsertChunk(pos, gen);
         }
       } else {
-        Split(pos, gen);
-        if (dir->chunks[pos + 1]->NameAt(0) <= name) ++pos;
+        pos = MakeRoom(pos, name, gen);
       }
     }
     Chunk* chunk = MutableChunk(dir->chunks[pos]->cno, gen);
@@ -508,24 +507,71 @@ class RowTable {
       dir->by_cno[dir->chunks[p]->cno].base = p * kSlots;
     }
   }
-  /// Moves the upper half (by name) of the full chunk at `pos` into a
-  /// new chunk at pos + 1.
-  void Split(uint32_t pos, Generation gen) {
-    Chunk* right = InsertChunk(pos + 1, gen);
-    Chunk* left = MutableChunk(MutableDir(gen)->chunks[pos]->cno, gen);
-    const uint32_t keep = left->live / 2;
-    for (uint32_t r = keep; r < left->live; ++r) {
-      const uint32_t to = r - keep;
-      right->rows[to] = std::move(left->rows[r]);
-      left->rows[r] = Row{};
-      left->FreeTag(left->tag[r]);
-      right->tag[to] = static_cast<uint8_t>(right->TakeTag());
-      loc_.Mutable(right->rows[to].id, gen) =
-          MakeLoc(right->cno, right->tag[to]);
+  /// Frees a slot for `name`, which sorts inside the full chunk at
+  /// `pos`, and returns the position of the chunk that takes it. Rows
+  /// shift into the neighbour with more free slots (the tail to the
+  /// right one, the head to the left one), half of its free slots'
+  /// worth; only when both neighbours are full does the chunk split at
+  /// its middle into a new right neighbour. Shifting first keeps
+  /// chunks dense when names arrive out of name order (`cc1000` before
+  /// `cc101`), which middle splits alone leave about half full.
+  uint32_t MakeRoom(uint32_t pos, std::string_view name, Generation gen) {
+    const std::vector<const Chunk*>& chunks = dir_->chunks;
+    const uint32_t left = pos > 0 ? kSlots - chunks[pos - 1]->live : 0;
+    uint32_t right =
+        pos + 1 < chunks.size() ? kSlots - chunks[pos + 1]->live : 0;
+    if (left > right) {
+      ShiftHead(pos, (left + 1) / 2, gen);
+      const Chunk& prev = *dir_->chunks[pos - 1];
+      return name < prev.NameAt(prev.live - 1) ? pos - 1 : pos;
     }
-    right->live = left->live - keep;
-    right->Rerank(0);
-    left->live = keep;
+    if (right == 0) {
+      InsertChunk(pos + 1, gen);
+      right = kSlots;
+    }
+    ShiftTail(pos, (right + 1) / 2, gen);
+    return dir_->chunks[pos + 1]->NameAt(0) <= name ? pos + 1 : pos;
+  }
+  /// Moves the last `k` rows of the chunk at `pos` to the front of the
+  /// chunk at pos + 1, which has room for them.
+  void ShiftTail(uint32_t pos, uint32_t k, Generation gen) {
+    Chunk* from = MutableChunk(dir_->chunks[pos]->cno, gen);
+    Chunk* to = MutableChunk(dir_->chunks[pos + 1]->cno, gen);
+    std::move_backward(to->rows.begin(), to->rows.begin() + to->live,
+                       to->rows.begin() + to->live + k);
+    std::copy_backward(to->tag.begin(), to->tag.begin() + to->live,
+                       to->tag.begin() + to->live + k);
+    from->live -= k;
+    for (uint32_t r = 0; r < k; ++r) Adopt(from, from->live + r, to, r, gen);
+    to->live += k;
+    to->Rerank(0);
+  }
+  /// Moves the first `k` rows of the chunk at `pos` to the end of the
+  /// chunk at pos - 1, which has room for them.
+  void ShiftHead(uint32_t pos, uint32_t k, Generation gen) {
+    Chunk* from = MutableChunk(dir_->chunks[pos]->cno, gen);
+    Chunk* to = MutableChunk(dir_->chunks[pos - 1]->cno, gen);
+    for (uint32_t r = 0; r < k; ++r) Adopt(from, r, to, to->live + r, gen);
+    to->live += k;
+    to->Rerank(to->live - k);
+    std::move(from->rows.begin() + k, from->rows.begin() + from->live,
+              from->rows.begin());
+    std::copy(from->tag.begin() + k, from->tag.begin() + from->live,
+              from->tag.begin());
+    from->live -= k;
+    std::fill(from->rows.begin() + from->live,
+              from->rows.begin() + from->live + k, Row{});
+    from->Rerank(0);
+  }
+  /// Moves row `r` of `from` into slot `at` of `to` under a fresh tag
+  /// and repoints its Loc.
+  void Adopt(Chunk* from, uint32_t r, Chunk* to, uint32_t at,
+             Generation gen) {
+    to->rows[at] = std::move(from->rows[r]);
+    from->rows[r] = Row{};
+    from->FreeTag(from->tag[r]);
+    to->tag[at] = static_cast<uint8_t>(to->TakeTag());
+    loc_.Mutable(to->rows[at].id, gen) = MakeLoc(to->cno, to->tag[at]);
   }
 
   CowArray<std::shared_ptr<Chunk>> owners_;  // by chunk number

@@ -152,12 +152,19 @@ bool PostingBlocks::BlockContains(const Block& b, uint16_t low) {
 }
 
 bool PostingBlocks::Contains(Id id) const {
+  if (is_small()) {
+    return std::binary_search(small_.begin(), small_.begin() + total_, id);
+  }
   const size_t bi = FindBlock(id >> kSpanBits);
   if (bi == blocks_.size()) return false;
   return BlockContains(blocks_[bi], static_cast<uint16_t>(id & 0xffff));
 }
 
 uint32_t PostingBlocks::CountOf(Id id) const {
+  if (is_small()) {
+    return static_cast<uint32_t>(
+        std::count(small_.begin(), small_.begin() + total_, id));
+  }
   if (!Contains(id)) return 0;
   auto it = std::lower_bound(
       extra_.begin(), extra_.end(), id,
@@ -168,6 +175,49 @@ uint32_t PostingBlocks::CountOf(Id id) const {
 }
 
 void PostingBlocks::Add(Id id) {
+  if (is_small()) {
+    if (total_ < kSmallIds) {
+      Id* const end = small_.data() + total_;
+      Id* const at = std::upper_bound(small_.data(), end, id);
+      if (at == small_.data() || at[-1] != id) ++distinct_;
+      std::move_backward(at, end, end + 1);
+      *at = id;
+      ++total_;
+      return;
+    }
+    Promote();
+  }
+  AddToBlocks(id);
+}
+
+void PostingBlocks::Promote() {
+  const std::array<Id, kSmallIds> ids = small_;
+  const size_t n = total_;
+  total_ = 0;
+  distinct_ = 0;
+  for (size_t i = 0; i < n; ++i) AddToBlocks(ids[i]);
+}
+
+bool PostingBlocks::Demote() {
+  size_t n = 0;  // occurrences the blocks hold; only total_ are kept
+  auto take = [this, &n](Id id) {
+    if (n < total_) small_[n] = id;
+    ++n;
+  };
+  ForEachOccurrenceInBlocks(take);
+  blocks_ = std::vector<Block>();
+  extra_ = std::vector<Extra>();
+  keepalive_.reset();
+  if (n != total_) return false;
+  size_t distinct = total_ == 0 ? 0 : 1;
+  for (size_t i = 1; i < total_; ++i) {
+    if (small_[i] < small_[i - 1]) return false;
+    if (small_[i] != small_[i - 1]) ++distinct;
+  }
+  return distinct == distinct_;
+}
+
+void PostingBlocks::AddToBlocks(Id id) {
   const uint32_t key = id >> kSpanBits;
   const uint16_t low = static_cast<uint16_t>(id & 0xffff);
   auto it = std::lower_bound(
@@ -216,6 +266,20 @@ void PostingBlocks::Add(Id id) {
 }
 
 void PostingBlocks::Remove(Id id) {
+  if (is_small()) {
+    Id* const end = small_.data() + total_;
+    Id* const at = std::lower_bound(small_.data(), end, id);
+    if (at == end || *at != id) return;
+    if (at + 1 == end || at[1] != id) --distinct_;
+    std::move(at + 1, end, at);
+    --total_;
+    return;
+  }
+  RemoveFromBlocks(id);
+  if (is_small()) Demote();
+}
+
+void PostingBlocks::RemoveFromBlocks(Id id) {
   const size_t bi = FindBlock(id >> kSpanBits);
   if (bi == blocks_.size()) return;
   Block& b = blocks_[bi];
@@ -356,6 +420,14 @@ std::vector<PostingBlocks::Id> PostingBlocks::Intersect(
   std::vector<Id> out;
   if (a.empty() || b.empty()) return out;
   out.reserve(std::min(a.distinct_, b.distinct_));
+  if (a.is_small() || b.is_small()) {
+    const PostingBlocks& few = a.is_small() ? a : b;
+    const PostingBlocks& other = a.is_small() ? b : a;
+    few.ForEach([&](Id id) {
+      if (other.Contains(id)) out.push_back(id);
+    });
+    return out;
+  }
   size_t i = 0, j = 0;
   while (i < a.blocks_.size() && j < b.blocks_.size()) {
     const uint32_t ka = a.blocks_[i].key;
@@ -395,6 +467,19 @@ void PostingBlocks::IntersectWith(std::vector<Id>* candidates,
     return;
   }
   size_t out_n = 0;
+  if (b.is_small()) {
+    // Look the few ids up in the candidates; hits land at or after
+    // out_n, so they compact in place.
+    auto from = candidates->begin();
+    b.ForEach([&](Id id) {
+      from = std::lower_bound(from, candidates->end(), id);
+      if (from != candidates->end() && *from == id) {
+        (*candidates)[out_n++] = id;
+      }
+    });
+    candidates->resize(out_n);
+    return;
+  }
   size_t bi = 0;
   uint32_t pos = 0;  // array cursor within the current block
   for (const Id id : *candidates) {
@@ -441,6 +526,17 @@ PostingBlocks PostingBlocks::Union(const PostingBlocks& a,
 // ---------------------------------------------------------------------
 
 void PostingBlocks::AppendSerialized(std::string* out) const {
+  if (is_small()) {
+    // The small form writes the bytes of its block form.
+    PostingBlocks blocks;
+    ForEachOccurrence([&blocks](Id id) { blocks.AddToBlocks(id); });
+    blocks.AppendBlocks(out);
+    return;
+  }
+  AppendBlocks(out);
+}
+
+void PostingBlocks::AppendBlocks(std::string* out) const {
   const size_t start = out->size();
   PutU32(out, static_cast<uint32_t>(blocks_.size()));
   PutU32(out, static_cast<uint32_t>(distinct_));
@@ -482,7 +578,8 @@ Result<PostingBlocks> PostingBlocks::Parse(
   const uint64_t total = r.U64();
   const uint32_t extra_count = r.U32();
   r.U32();  // reserved
-  if (!r.ok || block_count > kSpan || extra_count > distinct) {
+  if (!r.ok || block_count > kSpan || extra_count > distinct ||
+      distinct > total) {
     return Status::ParseError("posting blob: bad header");
   }
   out.blocks_.resize(block_count);
@@ -500,6 +597,11 @@ Result<PostingBlocks> PostingBlocks::Parse(
     if (!r.ok || b.count == 0 || b.count > kSpan || b.min16 > b.max16 ||
         (i > 0 && b.key <= prev_key)) {
       return Status::ParseError("posting blob: bad block header");
+    }
+    // The writer turns a block into a bitmap only past
+    // kBitmapThreshold / 2 ids, so a small list has array blocks.
+    if (b.bitmap && total <= kSmallIds) {
+      return Status::ParseError("posting blob: bitmap in a small list");
     }
     prev_key = b.key;
     counted += b.count;
@@ -556,6 +658,9 @@ Result<PostingBlocks> PostingBlocks::Parse(
   out.distinct_ = distinct;
   out.total_ = total;
   out.keepalive_ = std::move(keepalive);
+  if (out.is_small() && !out.Demote()) {
+    return Status::ParseError("posting blob: ids disagree with the counts");
+  }
   *consumed = static_cast<size_t>(r.p - data);
   return out;
 }

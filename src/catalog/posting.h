@@ -1,6 +1,7 @@
 #ifndef VDG_CATALOG_POSTING_H_
 #define VDG_CATALOG_POSTING_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -35,6 +36,15 @@ namespace vdg {
 /// cardinality for enumeration. Intersections are set-semantics — every
 /// consumer deduplicates anyway.
 ///
+/// Small form: a list of at most kSmallIds occurrences keeps them in
+/// the object itself, sorted with duplicates adjacent, and has no
+/// blocks and no side table, so a one-id list is one allocation (the
+/// object and its shared_ptr control block) instead of three. Add
+/// promotes it to blocks when it overflows and Remove demotes it again
+/// when it shrinks back; the form follows from size() alone. Most
+/// edge-index lists (a dataset's producer, its consumers) hold one or
+/// two ids. Both forms serialize to the same bytes.
+///
 /// A block's payload may be *borrowed* from an mmap-ed flat snapshot
 /// instead of owned: Parse() points blocks straight into the buffer
 /// (zero copy) and `keepalive` pins the mapping. Mutating a borrowed
@@ -54,6 +64,8 @@ class PostingBlocks {
   /// Array blocks convert to bitmaps at this many entries (density
   /// 1/16, the roaring threshold: beyond it the bitmap is smaller).
   static constexpr uint32_t kBitmapThreshold = 4096;
+  /// Lists of at most this many occurrences use the small form.
+  static constexpr uint32_t kSmallIds = 4;
 
   PostingBlocks() = default;
 
@@ -72,27 +84,20 @@ class PostingBlocks {
   /// Distinct ids.
   size_t distinct() const { return distinct_; }
   bool empty() const { return distinct_ == 0; }
+  /// True while the list is in the small form (no blocks).
+  bool is_small() const { return total_ <= kSmallIds; }
+  /// Blocks of the block form; 0 in the small form.
   size_t block_count() const { return blocks_.size(); }
 
   /// Calls `fn(Id)` for every distinct id, ascending.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const Block& b : blocks_) {
-      const Id base = static_cast<Id>(b.key) << kSpanBits;
-      if (b.bitmap) {
-        const uint64_t* words = b.bits();
-        for (uint32_t w = b.min16 / 64; w <= b.max16 / 64; ++w) {
-          uint64_t bits = words[w];
-          while (bits != 0) {
-            const uint32_t bit = CountTrailingZeros(bits);
-            fn(base | (w * 64 + bit));
-            bits &= bits - 1;
-          }
-        }
-      } else {
-        const uint16_t* vals = b.array();
-        for (uint32_t i = 0; i < b.count; ++i) fn(base | vals[i]);
-      }
+    if (!is_small()) {
+      ForEachInBlocks(fn);
+      return;
+    }
+    for (size_t i = 0; i < total_; ++i) {
+      if (i == 0 || small_[i] != small_[i - 1]) fn(small_[i]);
     }
   }
 
@@ -100,15 +105,11 @@ class PostingBlocks {
   /// ascending by id.
   template <typename Fn>
   void ForEachOccurrence(Fn&& fn) const {
-    size_t dup = 0;
-    ForEach([&](Id id) {
-      uint32_t times = 1;
-      while (dup < extra_.size() && extra_[dup].first < id) ++dup;
-      if (dup < extra_.size() && extra_[dup].first == id) {
-        times += extra_[dup].second;
-      }
-      for (uint32_t i = 0; i < times; ++i) fn(id);
-    });
+    if (!is_small()) {
+      ForEachOccurrenceInBlocks(fn);
+      return;
+    }
+    for (size_t i = 0; i < total_; ++i) fn(small_[i]);
   }
 
   /// The full multiset as a sorted id vector (tests, small lists).
@@ -118,7 +119,8 @@ class PostingBlocks {
   /// per aligned block pair: word-AND for bitmap x bitmap, probe for
   /// array x bitmap, galloping (exponential search) for skewed
   /// array x array, linear merge otherwise; block min/max headers skip
-  /// non-overlapping pairs without touching payloads.
+  /// non-overlapping pairs without touching payloads. A small-form side
+  /// probes its few ids against the other.
   static std::vector<Id> Intersect(const PostingBlocks& a,
                                    const PostingBlocks& b);
 
@@ -136,7 +138,7 @@ class PostingBlocks {
   /// and self-delimiting; block payloads are padded so that when the
   /// blob starts at an 8-byte-aligned offset, every bitmap word sits
   /// 8-byte aligned and every array 2-byte aligned (the mmap-borrow
-  /// contract).
+  /// contract). A small-form list writes the bytes of its block form.
   void AppendSerialized(std::string* out) const;
 
   /// Parses one serialized blob from `data`. `*consumed` receives the
@@ -144,6 +146,8 @@ class PostingBlocks {
   /// alignment holds, block payloads are *borrowed* from `data`
   /// (zero-copy; the caller guarantees `data` outlives the result via
   /// `keepalive`); otherwise payloads are copied into owned storage.
+  /// A blob of at most kSmallIds occurrences is parsed as blocks and
+  /// then demoted to the small form, which keeps no `keepalive`.
   static Result<PostingBlocks> Parse(const uint8_t* data, size_t size,
                                      size_t* consumed,
                                      std::shared_ptr<const void> keepalive);
@@ -170,6 +174,42 @@ class PostingBlocks {
       return ext_bits != nullptr ? ext_bits : own_bits.data();
     }
   };
+  using Extra = std::pair<Id, uint32_t>;
+
+  template <typename Fn>
+  void ForEachInBlocks(Fn& fn) const {
+    for (const Block& b : blocks_) {
+      const Id base = static_cast<Id>(b.key) << kSpanBits;
+      if (b.bitmap) {
+        const uint64_t* words = b.bits();
+        for (uint32_t w = b.min16 / 64; w <= b.max16 / 64; ++w) {
+          uint64_t bits = words[w];
+          while (bits != 0) {
+            const uint32_t bit = CountTrailingZeros(bits);
+            fn(base | (w * 64 + bit));
+            bits &= bits - 1;
+          }
+        }
+      } else {
+        const uint16_t* vals = b.array();
+        for (uint32_t i = 0; i < b.count; ++i) fn(base | vals[i]);
+      }
+    }
+  }
+
+  template <typename Fn>
+  void ForEachOccurrenceInBlocks(Fn& fn) const {
+    size_t dup = 0;
+    auto expand = [&](Id id) {
+      uint32_t times = 1;
+      while (dup < extra_.size() && extra_[dup].first < id) ++dup;
+      if (dup < extra_.size() && extra_[dup].first == id) {
+        times += extra_[dup].second;
+      }
+      for (uint32_t i = 0; i < times; ++i) fn(id);
+    };
+    ForEachInBlocks(expand);
+  }
 
   static uint32_t CountTrailingZeros(uint64_t v);
 
@@ -184,13 +224,26 @@ class PostingBlocks {
   static void IntersectBlocks(const Block& x, const Block& y, Id base,
                               std::vector<Id>* out);
 
-  std::vector<Block> blocks_;  // sorted by key
+  void AddToBlocks(Id id);
+  void RemoveFromBlocks(Id id);
+  /// Small form -> block form (the caller adds the overflowing id).
+  void Promote();
+  /// Block form of at most kSmallIds occurrences -> small form. False
+  /// when the blocks do not hold exactly total_ ascending occurrences
+  /// with distinct_ distinct ids (only a damaged parsed blob can't).
+  bool Demote();
+  /// Serializes the block form (the only form the format has).
+  void AppendBlocks(std::string* out) const;
+
+  std::vector<Block> blocks_;  // sorted by key; empty in the small form
   /// (id, extra occurrences beyond the first), sorted by id.
-  std::vector<std::pair<Id, uint32_t>> extra_;
+  std::vector<Extra> extra_;
   size_t total_ = 0;
   size_t distinct_ = 0;
   /// Pins the mmap buffer borrowed blocks point into.
   std::shared_ptr<const void> keepalive_;
+  /// The small form's occurrences, ascending: small_[0, total_).
+  std::array<Id, kSmallIds> small_{};
 };
 
 }  // namespace vdg

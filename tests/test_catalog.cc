@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <limits>
 #include <string>
@@ -956,6 +957,115 @@ TEST(CodecTest, DecodeRejectsTruncatedRecords) {
   }
   EXPECT_FALSE(journal_record::Decode(record + "x").ok());  // trailing byte
   EXPECT_FALSE(journal_record::Decode("RP|rp-1|ds").ok());   // text format
+}
+
+TEST(CatalogIngest, ImportProgramMovesDefinitionsIntoRows) {
+  VirtualDataCatalog catalog("move.example.org");
+  ASSERT_TRUE(catalog.Open().ok());
+  VdlProgram program;
+  Dataset ds;
+  ds.name = "annotated";
+  ds.annotations.Set("note", std::string(256, 'n'));  // past any SSO
+  program.datasets.push_back(std::move(ds));
+  const char* buffer =
+      program.datasets[0].annotations.Find("note")->AsString().data();
+
+  ASSERT_TRUE(catalog.ImportProgram(std::move(program)).ok());
+  const CatalogView view = catalog.View();
+  const auto* row = view.snapshot().datasets.Find(
+      view.snapshot().symbols.FindId("annotated"));
+  ASSERT_NE(row, nullptr);
+  EXPECT_EQ(row->object->annotations.Find("note")->AsString().data(),
+            buffer);
+}
+
+// Row-chunk fill (rows over the name-order key space) after loading
+// `names` in the given order, in 1000-op batches as bulk ingest does.
+// Each dataset's "bin" annotation depends on its name alone.
+double DatasetFill(const std::vector<std::string>& names,
+                   VirtualDataCatalog* catalog) {
+  EXPECT_TRUE(catalog->Open().ok());
+  std::vector<CatalogMutation> batch;
+  for (size_t i = 0; i < names.size(); ++i) {
+    Dataset ds;
+    ds.name = names[i];
+    ds.annotations.Set("bin", static_cast<int64_t>(names[i].back() % 7));
+    batch.push_back(CatalogMutation::DefineDataset(std::move(ds)));
+    if (batch.size() == 1000 || i + 1 == names.size()) {
+      EXPECT_TRUE(catalog->ApplyBatch(batch).first_error.ok());
+      batch.clear();
+    }
+  }
+  const CatalogView view = catalog->View();
+  const auto& rows = view.snapshot().datasets;
+  return static_cast<double>(rows.size()) /
+         static_cast<double>(rows.key_space());
+}
+
+std::vector<std::string> CcNames(size_t n, size_t stride) {
+  std::vector<std::string> names;
+  for (size_t i = 0; i < n; ++i) {
+    names.push_back("cc" + std::to_string(i * stride % n));
+  }
+  return names;
+}
+
+// A full chunk that takes an insert first shifts rows into a neighbour
+// with room and splits only when both neighbours are full, so names
+// that arrive in numeric (not name) order still pack chunks densely.
+TEST(RowChunkFill, NumericOrderFillsChunks) {
+  VirtualDataCatalog catalog("fill.example.org");
+  EXPECT_GE(DatasetFill(CcNames(20000, 1), &catalog), 0.9);
+}
+
+TEST(RowChunkFill, RoundRobinPrefixesFillChunks) {
+  std::vector<std::string> names;
+  for (size_t n = 0; n < 20000; ++n) {
+    char bucket[8];
+    std::snprintf(bucket, sizeof(bucket), "%02zx", n % 32);
+    names.push_back("ds-" + std::string(bucket) + "-" + std::to_string(n));
+  }
+  VirtualDataCatalog catalog("fill.example.org");
+  EXPECT_GE(DatasetFill(names, &catalog), 0.8);
+}
+
+// The order BM_CommitCost loads; 0.6103 with middle splits alone.
+TEST(RowChunkFill, StrideOrderFillsNoWorseThanMiddleSplits) {
+  VirtualDataCatalog catalog("fill.example.org");
+  EXPECT_GE(DatasetFill(CcNames(20000, 7919), &catalog), 0.6103);
+}
+
+// Where rows sit in chunks must not show in any answer: the same rows
+// loaded in ascending name order (every chunk filled by appends, no
+// split and no shift) and in scrambled orders (shifts and splits)
+// answer every name-ordered find alike.
+TEST(RowChunkFill, FindsAnswerAlikeWhateverTheChunkLayout) {
+  std::vector<std::string> ascending = CcNames(6000, 1);
+  std::sort(ascending.begin(), ascending.end());
+  VirtualDataCatalog packed("fill.example.org");
+  DatasetFill(ascending, &packed);
+
+  std::vector<std::string> descending(ascending.rbegin(), ascending.rend());
+  for (const std::vector<std::string>& order :
+       {CcNames(6000, 1), CcNames(6000, 7919), descending}) {
+    VirtualDataCatalog shifted("fill.example.org");
+    DatasetFill(order, &shifted);
+    EXPECT_EQ(shifted.AllDatasetNames(), packed.AllDatasetNames());
+    for (int64_t bin = 0; bin < 7; ++bin) {
+      DatasetQuery by_bin;
+      by_bin.predicates = {{"bin", PredicateOp::kEq, AttributeValue(bin)}};
+      EXPECT_EQ(shifted.FindDatasets(by_bin), packed.FindDatasets(by_bin))
+          << bin;
+    }
+    DatasetQuery prefix;
+    prefix.name_prefix = "cc12";
+    EXPECT_EQ(shifted.FindDatasets(prefix), packed.FindDatasets(prefix));
+    prefix.limit = 17;
+    EXPECT_EQ(shifted.FindDatasets(prefix), packed.FindDatasets(prefix));
+  }
+  const NameList all = packed.AllDatasetNames();
+  ASSERT_EQ(all.size(), ascending.size());
+  for (size_t i = 0; i < all.size(); ++i) EXPECT_EQ(all[i], ascending[i]);
 }
 
 }  // namespace

@@ -634,5 +634,317 @@ TEST_P(PostingPropertyTest, SerializedRoundTripCopyAndBorrow) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PostingPropertyTest,
                          ::testing::Values(1, 2, 3, 5, 8));
 
+// ---------------------------------------------------------------------
+// The small form: lists of at most kSmallIds occurrences live inside
+// the object. Every member must answer as a plain sorted multiset on
+// both sides of that boundary, through every promotion (Add past it)
+// and demotion (Remove back to it), and both forms must serialize to
+// the bytes the format defines.
+
+constexpr size_t kSmall = PostingBlocks::kSmallIds;
+
+// A sorted multiset of `n` ids with duplicates, spread over up to three
+// blocks so a small list can hold ids of several block keys.
+std::vector<Id> SmallMultiset(Rng& rng, size_t n) {
+  std::vector<Id> ids;
+  for (size_t i = 0; i < n; ++i) {
+    if (!ids.empty() && rng.Index(4) == 0) {
+      ids.push_back(ids[rng.Index(ids.size())]);  // a duplicate
+    } else {
+      ids.push_back(static_cast<Id>(rng.Index(3)) * PostingBlocks::kSpan +
+                    static_cast<Id>(rng.Index(64)));
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+// The flat-snapshot encoding of a sorted multiset, written from the
+// format's definition (posting.h): header, one array block per
+// high-16 key, payloads padded to 8 bytes, then the duplicate table.
+// Only array blocks: these lists stay far below kBitmapThreshold.
+std::string ReferenceEncoding(const std::vector<Id>& sorted) {
+  const std::vector<Id> ids = SortedUnique(sorted);
+  std::vector<std::pair<Id, uint32_t>> extra;
+  for (Id id : ids) {
+    const auto n = static_cast<uint32_t>(
+        std::count(sorted.begin(), sorted.end(), id));
+    if (n > 1) extra.emplace_back(id, n - 1);
+  }
+  std::vector<std::pair<uint32_t, std::vector<uint16_t>>> blocks;
+  for (Id id : ids) {
+    const uint32_t key = id >> PostingBlocks::kSpanBits;
+    if (blocks.empty() || blocks.back().first != key) {
+      blocks.push_back({key, {}});
+    }
+    blocks.back().second.push_back(static_cast<uint16_t>(id & 0xffff));
+  }
+  std::string out;
+  auto put = [&out](auto v) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  auto pad = [&out] { out.append((8 - out.size() % 8) % 8, '\0'); };
+  put(static_cast<uint32_t>(blocks.size()));
+  put(static_cast<uint32_t>(ids.size()));
+  put(static_cast<uint64_t>(sorted.size()));
+  put(static_cast<uint32_t>(extra.size()));
+  put(uint32_t{0});
+  for (const auto& [key, lows] : blocks) {
+    put(key);
+    put(static_cast<uint32_t>(lows.size()));
+    put(lows.front());
+    put(lows.back());
+    put(uint32_t{0});  // array block, three padding bytes
+  }
+  for (const auto& block : blocks) {
+    pad();
+    for (uint16_t low : block.second) put(low);
+  }
+  pad();
+  for (const auto& [id, n] : extra) {
+    put(id);
+    put(n);
+  }
+  return out;
+}
+
+// Every read member against the naive multiset `model`.
+void ExpectMatchesModel(const PostingBlocks& pb,
+                        const std::vector<Id>& model) {
+  EXPECT_EQ(pb.is_small(), model.size() <= kSmall);
+  EXPECT_EQ(pb.size(), model.size());
+  EXPECT_EQ(pb.distinct(), SortedUnique(model).size());
+  EXPECT_EQ(pb.empty(), model.empty());
+  EXPECT_EQ(pb.ToVector(), model);
+  std::vector<Id> occurrences;
+  pb.ForEachOccurrence([&](Id id) { occurrences.push_back(id); });
+  EXPECT_EQ(occurrences, model);
+  std::vector<Id> distinct;
+  pb.ForEach([&](Id id) { distinct.push_back(id); });
+  EXPECT_EQ(distinct, SortedUnique(model));
+  for (Id id : model) {
+    EXPECT_TRUE(pb.Contains(id));
+    EXPECT_EQ(pb.CountOf(id), static_cast<uint32_t>(std::count(
+                                  model.begin(), model.end(), id)));
+  }
+  EXPECT_FALSE(pb.Contains(5 * PostingBlocks::kSpan));
+  EXPECT_EQ(pb.CountOf(5 * PostingBlocks::kSpan), 0u);
+}
+
+TEST_P(PostingPropertyTest, SmallFormPromotesAndDemotesAsAMultiset) {
+  Rng rng(GetParam() * 977 + 5);
+  for (size_t n = 0; n <= kSmall + 3; ++n) {
+    for (int round = 0; round < 8; ++round) {
+      std::vector<Id> model = SmallMultiset(rng, n);
+      std::vector<Id> order = model;
+      for (size_t i = order.size(); i > 1; --i) {
+        std::swap(order[i - 1], order[rng.Index(i)]);
+      }
+      PostingBlocks pb;
+      std::vector<Id> grown;
+      for (Id id : order) {  // promotes on the kSmall + 1st add
+        pb.Add(id);
+        grown.insert(std::upper_bound(grown.begin(), grown.end(), id), id);
+        ExpectMatchesModel(pb, grown);
+      }
+      // Down to empty in another order (demotes at kSmall), then back.
+      for (size_t i = order.size(); i > 1; --i) {
+        std::swap(order[i - 1], order[rng.Index(i)]);
+      }
+      for (Id id : order) {
+        pb.Remove(id);
+        grown.erase(std::lower_bound(grown.begin(), grown.end(), id));
+        ExpectMatchesModel(pb, grown);
+      }
+      pb.Remove(7);  // absent: no-op on the empty list
+      ExpectMatchesModel(pb, {});
+      for (Id id : order) pb.Add(id);
+      ExpectMatchesModel(pb, model);
+      ASSERT_FALSE(testing::Test::HasFailure()) << "n=" << n;
+    }
+  }
+}
+
+TEST_P(PostingPropertyTest, SmallFormSetOperationsMatchNaive) {
+  Rng rng(GetParam() * 389 + 11);
+  // Block-form partners: sparse arrays over the small lists' ids, and
+  // a bitmap block over the first block key.
+  std::vector<std::vector<Id>> partners;
+  for (int i = 0; i < 3; ++i) partners.push_back(SmallMultiset(rng, 40));
+  std::vector<Id> dense;
+  for (Id id = 0; id < PostingBlocks::kBitmapThreshold + 500; ++id) {
+    dense.push_back(id * 3 % PostingBlocks::kSpan);
+  }
+  std::sort(dense.begin(), dense.end());
+  partners.push_back(dense);
+  for (size_t n = 0; n <= kSmall + 3; ++n) {
+    partners.push_back(SmallMultiset(rng, n));
+  }
+  for (size_t na = 0; na <= kSmall + 3; ++na) {
+    for (const std::vector<Id>& b : partners) {
+      const std::vector<Id> a = SmallMultiset(rng, na);
+      const PostingBlocks pa = FromIds(a);
+      const PostingBlocks pb = FromIds(b);
+      const std::vector<Id> expected =
+          NaiveIntersect(SortedUnique(a), SortedUnique(b));
+      EXPECT_EQ(PostingBlocks::Intersect(pa, pb), expected);
+      EXPECT_EQ(PostingBlocks::Intersect(pb, pa), expected);
+      std::vector<Id> progressive = SortedUnique(a);
+      PostingBlocks::IntersectWith(&progressive, pb);
+      EXPECT_EQ(progressive, expected);
+      progressive = SortedUnique(b);
+      PostingBlocks::IntersectWith(&progressive, pa);
+      EXPECT_EQ(progressive, expected);
+
+      std::vector<Id> merged = a;
+      merged.insert(merged.end(), b.begin(), b.end());
+      std::sort(merged.begin(), merged.end());
+      ExpectMatchesModel(PostingBlocks::Union(pa, pb), merged);
+      ExpectMatchesModel(PostingBlocks::Union(pb, pa), merged);
+      ASSERT_FALSE(testing::Test::HasFailure())
+          << "na=" << na << " nb=" << b.size();
+    }
+  }
+}
+
+TEST_P(PostingPropertyTest, SmallFormSerializesAsTheBlockForm) {
+  Rng rng(GetParam() * 2741 + 13);
+  for (size_t n = 0; n <= kSmall + 3; ++n) {
+    for (int round = 0; round < 16; ++round) {
+      const std::vector<Id> model = SmallMultiset(rng, n);
+      // Reached by adds alone, and by demotion from the block form.
+      PostingBlocks added = FromIds(model);
+      PostingBlocks demoted = FromIds(model);
+      for (Id extra = 0; extra <= kSmall; ++extra) demoted.Add(9 + extra);
+      for (Id extra = 0; extra <= kSmall; ++extra) demoted.Remove(9 + extra);
+      const std::string expected = ReferenceEncoding(model);
+      for (const PostingBlocks* pb : {&added, &demoted}) {
+        std::string blob;
+        pb->AppendSerialized(&blob);
+        ASSERT_EQ(blob, expected) << "n=" << n;
+      }
+
+      size_t consumed = 0;
+      Result<PostingBlocks> copied = PostingBlocks::Parse(
+          reinterpret_cast<const uint8_t*>(expected.data()), expected.size(),
+          &consumed, nullptr);
+      ASSERT_TRUE(copied.ok()) << copied.status().ToString();
+      EXPECT_EQ(consumed, expected.size());
+      ExpectMatchesModel(*copied, model);
+
+      auto owned = std::make_shared<std::vector<uint8_t>>(expected.begin(),
+                                                          expected.end());
+      Result<PostingBlocks> borrowed = PostingBlocks::Parse(
+          owned->data(), owned->size(), &consumed, owned);
+      ASSERT_TRUE(borrowed.ok()) << borrowed.status().ToString();
+      owned.reset();
+      ExpectMatchesModel(*borrowed, model);
+      for (const PostingBlocks* pb : {&*copied, &*borrowed}) {
+        std::string again;
+        pb->AppendSerialized(&again);
+        EXPECT_EQ(again, expected);
+      }
+    }
+  }
+}
+
+// A blob written field by field, so its counts can disagree with its
+// ids. Block i gets key i; an array block stores `lows` as given and a
+// bitmap block sets their bits.
+struct HandBlock {
+  uint32_t count = 0;
+  bool bitmap = false;
+  std::vector<uint16_t> lows;
+};
+
+std::string HandBlob(uint32_t distinct, uint64_t total,
+                     const std::vector<HandBlock>& blocks,
+                     const std::vector<std::pair<Id, uint32_t>>& extra) {
+  std::string out;
+  auto put = [&out](auto v) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  auto pad = [&out] { out.append((8 - out.size() % 8) % 8, '\0'); };
+  put(static_cast<uint32_t>(blocks.size()));
+  put(distinct);
+  put(total);
+  put(static_cast<uint32_t>(extra.size()));
+  put(uint32_t{0});
+  for (uint32_t key = 0; key < blocks.size(); ++key) {
+    const std::vector<uint16_t>& lows = blocks[key].lows;
+    put(key);
+    put(blocks[key].count);
+    put(*std::min_element(lows.begin(), lows.end()));
+    put(*std::max_element(lows.begin(), lows.end()));
+    put(static_cast<uint32_t>(blocks[key].bitmap ? 1 : 0));
+  }
+  for (const HandBlock& b : blocks) {
+    pad();
+    if (b.bitmap) {
+      std::vector<uint64_t> words(PostingBlocks::kBitmapWords, 0);
+      for (uint16_t low : b.lows) words[low / 64] |= uint64_t{1} << (low % 64);
+      for (uint64_t w : words) put(w);
+    } else {
+      for (uint16_t low : b.lows) put(low);
+    }
+  }
+  pad();
+  for (const auto& [id, n] : extra) {
+    put(id);
+    put(n);
+  }
+  return out;
+}
+
+// Flat-snapshot bytes are outside input. A blob of at most kSmallIds
+// occurrences whose ids disagree with its counts must be refused, owned
+// or borrowed, and never written past the small form's ids.
+TEST(PostingSmallFormParse, RefusesBlobsWhoseIdsDisagreeWithTheCounts) {
+  std::vector<uint16_t> hundred(100);
+  for (uint16_t i = 0; i < 100; ++i) hundred[i] = i;
+  struct Case {
+    const char* name;
+    std::string blob;
+  };
+  const std::vector<Case> cases = {
+      {"more distinct ids than occurrences",
+       HandBlob(100, 1, {{100, false, hundred}}, {})},
+      {"a block count over the distinct count",
+       HandBlob(1, 1, {{100, false, hundred}}, {})},
+      {"a bitmap block", HandBlob(1, 1, {{1, true, {5}}}, {})},
+      {"a duplicate of an absent id",
+       HandBlob(1, 2, {{1, false, {5}}}, {{9, 1}})},
+      {"an unsorted array", HandBlob(2, 2, {{2, false, {7, 5}}}, {})},
+      {"an id repeated in its array",
+       HandBlob(2, 2, {{2, false, {5, 5}}}, {})},
+  };
+  for (const Case& c : cases) {
+    auto owned =
+        std::make_shared<std::vector<uint8_t>>(c.blob.begin(), c.blob.end());
+    for (bool borrow : {false, true}) {
+      size_t consumed = 0;
+      Result<PostingBlocks> parsed = PostingBlocks::Parse(
+          owned->data(), owned->size(), &consumed,
+          borrow ? owned : nullptr);
+      ASSERT_FALSE(parsed.ok()) << c.name << " borrow=" << borrow;
+      EXPECT_TRUE(parsed.status().IsParseError()) << c.name;
+      EXPECT_EQ(parsed.status().message().find("truncated"),
+                std::string::npos)
+          << c.name << ": " << parsed.status().ToString();
+    }
+  }
+
+  // The builder itself writes a blob the parser takes.
+  const std::string good = HandBlob(2, 3, {{2, false, {5, 7}}}, {{5, 1}});
+  size_t consumed = 0;
+  Result<PostingBlocks> parsed = PostingBlocks::Parse(
+      reinterpret_cast<const uint8_t*>(good.data()), good.size(), &consumed,
+      nullptr);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(consumed, good.size());
+  EXPECT_TRUE(parsed->is_small());
+  EXPECT_EQ(parsed->ToVector(), (std::vector<Id>{5, 5, 7}));
+}
+
 }  // namespace
 }  // namespace vdg

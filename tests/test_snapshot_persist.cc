@@ -437,6 +437,67 @@ TEST_F(SnapshotPersistTest, MemoryOnlyCatalogRoundTripsWithoutJournal) {
   ExpectSameHistory(loaded, memory);
 }
 
+// The flat-snapshot bytes of a fixed catalog, pinned by length and
+// FNV-1a hash. Its posting lists take every in-memory shape: one id
+// (each derivation's producer entry, each replica list), two ids (a
+// dataset two derivations read), a duplicate (one derivation reading
+// a dataset twice) and a bitmap block (5000 datasets sharing one
+// annotation value). The datasets arrive in a scrambled order, so
+// their row chunks fill by redistribution as well as by splits. How
+// the indexes are held in memory may change; these bytes may not.
+TEST(FlatSnapshotGolden, SavedBytesArePinned) {
+  VirtualDataCatalog catalog("golden");
+  ASSERT_TRUE(catalog.Open().ok());
+  Transformation pair("pair", Transformation::Kind::kSimple);
+  ASSERT_TRUE(pair.AddArg({"out", ArgDirection::kOut, {}, {}, {}}).ok());
+  ASSERT_TRUE(pair.AddArg({"a", ArgDirection::kIn, {}, {}, {}}).ok());
+  ASSERT_TRUE(pair.AddArg({"b", ArgDirection::kIn, {}, {}, {}}).ok());
+  pair.set_executable("/bin/pair");
+  ASSERT_TRUE(catalog.DefineTransformation(pair).ok());
+
+  constexpr int kDatasets = 5000;
+  std::vector<CatalogMutation> batch;
+  for (int i = 0; i < kDatasets; ++i) {
+    Dataset ds;
+    ds.name = "g" + std::to_string(i * 7919 % kDatasets);
+    ds.size_bytes = i;
+    ds.annotations.Set("bin", int64_t{7});
+    ds.annotations.Set("run", static_cast<int64_t>(i % 1250));
+    batch.push_back(CatalogMutation::DefineDataset(std::move(ds)));
+  }
+  ASSERT_TRUE(catalog.ApplyBatch(batch).first_error.ok());
+  auto derive = [&](const std::string& name, const std::string& a,
+                    const std::string& b) {
+    Derivation dv(name, "pair");
+    ASSERT_TRUE(
+        dv.AddArg(ActualArg::DatasetRef("out", name + ".out",
+                                        ArgDirection::kOut))
+            .ok());
+    ASSERT_TRUE(dv.AddArg(ActualArg::DatasetRef("a", a, ArgDirection::kIn))
+                    .ok());
+    ASSERT_TRUE(dv.AddArg(ActualArg::DatasetRef("b", b, ArgDirection::kIn))
+                    .ok());
+    ASSERT_TRUE(catalog.DefineDerivation(std::move(dv)).ok());
+  };
+  derive("twice", "g1", "g1");  // duplicate consumer entry
+  derive("mixed", "g1", "g2");  // g1 read by two derivations
+  derive("plain", "g3", "g4");
+  for (const char* name : {"g2", "g3", "g3"}) {
+    Replica copy;
+    copy.dataset = name;
+    copy.site = "tape";
+    copy.size_bytes = 1;
+    ASSERT_TRUE(catalog.AddReplica(copy).ok());
+  }
+
+  const std::string path = TempPath("golden");
+  ASSERT_TRUE(catalog.SaveSnapshotFile(path).ok());
+  const std::string bytes = ReadFile(path);
+  std::remove(path.c_str());
+  EXPECT_EQ(bytes.size(), 529181u);
+  EXPECT_EQ(Fnv1a64(bytes), 909579163936196913u);
+}
+
 TEST_F(SnapshotPersistTest, CorruptedHeaderFallsBackToReplay) {
   ASSERT_TRUE(source_->SaveSnapshotFile(snap_path_).ok());
   std::string bytes = ReadFile(snap_path_);
